@@ -1,10 +1,10 @@
 """Versioned binary model container.
 
 Layout: magic ``QTLSIM1``, mode/embedding/axis tag bytes, four u32
-dimensions (n_qubits, depth, n_classes, in_dim), then little-endian
-float64 arrays in the order pre W, pre b, qparams, post W, post b
-(classical blocks absent in purevqc mode). A new incompatible layout
-gets a new magic.
+dimensions (n_qubits, depth, n_classes, in_dim), then the model's flat
+parameter vector as little-endian float64, in ``param_layout`` order
+(pre W, pre b, qparams, post W, post b; classical blocks absent in
+purevqc mode). A new incompatible layout gets a new magic.
 """
 from __future__ import annotations
 
@@ -12,14 +12,11 @@ import struct
 
 import numpy as np
 
-from .hybrid import DenseLayer, HybridModel
-from .vqc import VqcTemplate
+from .hybrid import EMBEDDINGS, MODES, HybridModel, layout_size, param_layout
+from .vqc import ROTATION_AXES, VqcTemplate
 
 MAGIC = b"QTLSIM1"
 _HEADER = struct.Struct("<7s3B4I")
-_MODES = ("dqc", "purevqc")
-_EMBEDDINGS = ("angle", "dense_angle", "amplitude")
-_AXES = ("x", "y", "z")
 
 
 class CheckpointFormatError(Exception):
@@ -27,17 +24,11 @@ class CheckpointFormatError(Exception):
 
 
 def save_checkpoint(path, model: HybridModel):
-    blobs = []
-    if model.mode == "dqc":
-        blobs += [model.pre.weights, model.pre.bias]
-    blobs.append(model.qparams)
-    if model.mode == "dqc":
-        blobs += [model.post.weights, model.post.bias]
     header = _HEADER.pack(
         MAGIC,
-        _MODES.index(model.mode),
-        _EMBEDDINGS.index(model.embedding),
-        _AXES.index(model.template.rotation_axis),
+        MODES.index(model.mode),
+        EMBEDDINGS.index(model.embedding),
+        ROTATION_AXES.index(model.template.rotation_axis),
         model.template.n_qubits,
         model.template.depth,
         model.n_classes,
@@ -45,8 +36,7 @@ def save_checkpoint(path, model: HybridModel):
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        for blob in blobs:
-            fh.write(np.ascontiguousarray(blob, dtype="<f8").tobytes())
+        fh.write(model.theta.astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> HybridModel:
@@ -65,36 +55,21 @@ def load_checkpoint(path) -> HybridModel:
             f"incompatible checkpoint version"
         )
     try:
-        mode = _MODES[mode_tag]
-        embedding = _EMBEDDINGS[embed_tag]
-        axis = _AXES[axis_tag]
+        mode = MODES[mode_tag]
+        embedding = EMBEDDINGS[embed_tag]
+        axis = ROTATION_AXES[axis_tag]
     except IndexError:
         raise CheckpointFormatError(f"{path}: unknown mode/embedding/axis tag") from None
 
-    template = VqcTemplate(n_qubits, depth, axis)
-    offset = _HEADER.size
-
-    def take(count):
-        nonlocal offset
-        nbytes = count * 8
-        if offset + nbytes > len(data):
-            raise CheckpointFormatError(f"{path}: truncated parameter data")
-        out = np.frombuffer(data, dtype="<f8", count=count, offset=offset).astype(float)
-        offset += nbytes
-        return out
-
-    pre = post = None
-    if mode == "dqc":
-        pre_out = n_qubits if embedding == "angle" else 2 * n_qubits
-        pre = DenseLayer(take(pre_out * in_dim).reshape(pre_out, in_dim), take(pre_out))
-    qparams = take(template.n_params)
-    if mode == "dqc":
-        post = DenseLayer(take(n_classes * n_qubits).reshape(n_classes, n_qubits),
-                          take(n_classes))
-    if offset != len(data):
-        raise CheckpointFormatError(f"{path}: {len(data) - offset} trailing bytes")
+    count = layout_size(param_layout(mode, embedding, n_qubits, depth, n_classes, in_dim))
+    end = _HEADER.size + 8 * count
+    if end > len(data):
+        raise CheckpointFormatError(f"{path}: truncated parameter data")
+    if end != len(data):
+        raise CheckpointFormatError(f"{path}: {len(data) - end} trailing bytes")
+    theta = np.frombuffer(data, dtype="<f8", count=count, offset=_HEADER.size)
     try:
-        return HybridModel(mode, template, qparams, n_classes, embedding,
-                           pre=pre, post=post, in_dim=in_dim)
+        template = VqcTemplate(n_qubits, depth, axis)
+        return HybridModel(mode, template, theta, n_classes, embedding, in_dim=in_dim)
     except ValueError as exc:
-        raise CheckpointFormatError(f"{path}: inconsistent dimensions: {exc}") from exc
+        raise CheckpointFormatError(f"{path}: inconsistent model: {exc}") from exc

@@ -63,21 +63,19 @@ def _split(config: TrainConfig, dataset: Dataset):
         raise DataError(
             f"data has {dataset.n_classes} classes, config expects {config.n_classes}"
         )
-    if any(s.features is None or s.features.shape[0] != config.in_dim
-           for s in dataset.samples):
+    if any(s.features.shape[0] != config.in_dim for s in dataset.samples):
         raise DataError(f"all samples must carry {config.in_dim}-dim feature vectors")
     spec = SplitSpec(ratios=config.ratios, seed=config.seed, balance=config.balance)
     return balanced_group_split(dataset, spec)
 
 
-def write_manifest(path, config: TrainConfig, dataset: Dataset, splits, history):
+def write_manifest(path, config: TrainConfig, splits, history):
     train_set, val_set, test_set = splits
     best_epoch = best_val_epoch(history)
     best = next(r for r in history if r.split == "val" and r.epoch == best_epoch)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# qtlsim {__version__} run manifest; rerunnable via "
                  f"`qtlsim train --config <this file>`\n")
-        config = with_overrides(config, class_names=",".join(dataset.class_names))
         fh.write(config_to_text(config))
         fh.write(f"# n_train = {len(train_set)}\n")
         fh.write(f"# n_val = {len(val_set)}\n")
@@ -88,15 +86,13 @@ def write_manifest(path, config: TrainConfig, dataset: Dataset, splits, history)
         fh.write(f"# best_val_auroc = {_fmt(best.auroc)}\n")
 
 
-def read_manifest_config(path) -> TrainConfig:
-    return load_config(path)
-
-
 def cmd_train(args) -> int:
     config = load_config(args.config)
     config = with_overrides(config, seed=args.seed, data=args.data)
     dataset = _load_dataset(config)
     splits = _split(config, dataset)
+    # pinned now, so names the manifest cannot reproduce fail before training
+    config = with_overrides(config, class_names=",".join(dataset.class_names))
     train_set, val_set, _ = splits
 
     model = init_model(config.mode, config.embedding, config.n_qubits, config.depth,
@@ -111,8 +107,7 @@ def cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     write_metrics_csv(os.path.join(args.out, "metrics.csv"), history)
     save_checkpoint(os.path.join(args.out, "checkpoint.bin"), best)
-    write_manifest(os.path.join(args.out, "manifest.txt"), config, dataset,
-                   splits, history)
+    write_manifest(os.path.join(args.out, "manifest.txt"), config, splits, history)
 
     classical, quantum = count_parameters(best)
     best_epoch = best_val_epoch(history)
@@ -133,7 +128,7 @@ def cmd_evaluate(args) -> int:
         manifest_path = sibling if os.path.exists(sibling) else None
     config = None
     if manifest_path is not None:
-        config = read_manifest_config(manifest_path)
+        config = load_config(manifest_path)
     if args.split != "all" and config is None:
         raise ConfigError(
             f"--split {args.split} needs the run manifest to rebuild the split; "

@@ -6,8 +6,9 @@ completed run can be reproduced by pointing train at its manifest.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, replace
+
+from .hybrid import check_model_shape
 
 
 class ConfigError(Exception):
@@ -45,7 +46,7 @@ class TrainConfig:
     def class_name_list(self) -> list[str] | None:
         if not self.class_names:
             return None
-        return [c.strip() for c in self.class_names.split(",")]
+        return self.class_names.split(",")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(TrainConfig)}
@@ -96,34 +97,15 @@ def load_config(path) -> TrainConfig:
 
 
 def validate_config(config: TrainConfig):
-    if config.mode not in ("dqc", "purevqc"):
-        raise ConfigError(f"mode: must be dqc or purevqc, got {config.mode!r}")
-    if config.embedding not in ("angle", "dense_angle", "amplitude"):
-        raise ConfigError(f"embedding: unknown embedding {config.embedding!r}")
-    if config.mode == "purevqc" and config.embedding != "amplitude":
-        raise ConfigError(
-            "mode, embedding: purevqc requires embedding = amplitude, "
-            f"got {config.embedding!r}"
-        )
-    if config.mode == "dqc" and config.embedding == "amplitude":
-        raise ConfigError("mode, embedding: dqc requires angle or dense_angle embedding")
-    if config.mode == "purevqc":
-        want = max(1, math.ceil(math.log2(config.in_dim)))
-        if config.n_qubits != want:
-            raise ConfigError(
-                f"n_qubits, in_dim: amplitude embedding of {config.in_dim} features "
-                f"uses {want} qubits, got n_qubits = {config.n_qubits}"
-            )
-        if config.n_classes > config.n_qubits:
-            raise ConfigError(
-                "n_classes, n_qubits: purevqc measures one qubit per class"
-            )
     for key in ("n_qubits", "depth", "n_classes", "epochs", "batch_size",
                 "in_dim", "synth_per_class", "synth_group_size"):
         if getattr(config, key) < 1:
             raise ConfigError(f"{key}: must be positive")
-    if config.n_classes < 2:
-        raise ConfigError("n_classes: need at least 2 classes")
+    try:
+        check_model_shape(config.mode, config.embedding, config.n_qubits,
+                          config.n_classes, config.in_dim)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if config.lr <= 0:
         raise ConfigError("lr: must be positive")
     if config.weight_decay < 0:
@@ -134,19 +116,32 @@ def validate_config(config: TrainConfig):
         raise ConfigError(
             f"train_ratio, val_ratio, test_ratio: must sum to 1, got {sum(config.ratios)!r}"
         )
+    names = config.class_name_list or []
+    # a manifest writes these back as one comment-stripped, whitespace-trimmed line
+    if names and (len(names) != config.n_classes or len(set(names)) != len(names)
+                  or any(name != name.strip() or name.splitlines() != [name]
+                         or "#" in name for name in names)):
+        raise ConfigError(
+            f"class_names: need {config.n_classes} distinct, non-empty, comma-separated "
+            f"names without surrounding spaces, line breaks or '#', got "
+            f"{config.class_names!r}"
+        )
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
+def _format_value(kind: str, value) -> str:
+    """Text form by the field's declared type, so numpy scalars write as
+    the plain values the parser reads back."""
+    if kind == "bool":
         return "true" if value else "false"
-    if isinstance(value, float):
-        # float() first: numpy 2 reprs np.float64 as `np.float64(x)`
+    if kind == "float":
         return repr(float(value))  # shortest exact round-trip form
+    if kind == "int":
+        return str(int(value))
     return str(value)
 
 
 def config_to_text(config: TrainConfig) -> str:
-    lines = [f"{f.name} = {_format_value(getattr(config, f.name))}"
+    lines = [f"{f.name} = {_format_value(f.type, getattr(config, f.name))}"
              for f in fields(config)]
     return "\n".join(lines) + "\n"
 

@@ -7,13 +7,10 @@ the train/validation/test boundary.
 from __future__ import annotations
 
 import csv
-import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .embeddings import GrayImage, read_pgm
 from .seeding import substream
 
 
@@ -29,21 +26,17 @@ class SplitError(DataError):
 class Sample:
     label: int
     group_id: str
-    features: np.ndarray | None = None
-    image: GrayImage | None = None
+    features: np.ndarray
 
     def __post_init__(self):
-        if (self.features is None) == (self.image is None):
-            raise ValueError("sample needs exactly one of features / image")
         if self.label < 0:
             raise ValueError(f"label must be non-negative, got {self.label}")
-        if self.features is not None:
-            f = np.asarray(self.features, dtype=float)
-            if f.ndim != 1 or not np.all(np.isfinite(f)):
-                raise ValueError("features must be a finite 1-D vector")
-            f = f.copy()
-            f.flags.writeable = False
-            object.__setattr__(self, "features", f)
+        f = np.asarray(self.features, dtype=float)
+        if f.ndim != 1 or not np.all(np.isfinite(f)):
+            raise ValueError("features must be a finite 1-D vector")
+        f = f.copy()
+        f.flags.writeable = False
+        object.__setattr__(self, "features", f)
 
 
 @dataclass(frozen=True)
@@ -261,33 +254,3 @@ def batches(samples, batch_size: int, epoch_seed: int) -> list[list[Sample]]:
     order = np.random.default_rng(epoch_seed).permutation(len(samples))
     shuffled = [samples[i] for i in order]
     return [shuffled[i : i + batch_size] for i in range(0, len(shuffled), batch_size)]
-
-
-def load_image_dir(root) -> Dataset:
-    """Load `<root>/<class_name>/<group_id>__<slice>.pgm` into a dataset.
-
-    Class directories map to indices in sorted-name order.
-    """
-    try:
-        class_dirs = sorted(
-            d for d in os.listdir(root) if os.path.isdir(os.path.join(root, d))
-        )
-    except OSError as exc:
-        raise DataError(f"cannot list {root}: {exc}") from exc
-    if not class_dirs:
-        raise DataError(f"{root}: no class directories")
-    samples = []
-    for label, name in enumerate(class_dirs):
-        class_dir = os.path.join(root, name)
-        for fname in sorted(os.listdir(class_dir)):
-            if not fname.endswith(".pgm"):
-                continue
-            group_id = fname.split("__", 1)[0]
-            try:
-                image = read_pgm(os.path.join(class_dir, fname))
-            except ValueError as exc:
-                raise DataError(f"{os.path.join(class_dir, fname)}: {exc}") from exc
-            samples.append(Sample(label, group_id, image=image))
-    if not samples:
-        raise DataError(f"{root}: no .pgm files found")
-    return Dataset(tuple(samples), tuple(class_dirs))

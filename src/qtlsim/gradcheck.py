@@ -1,30 +1,24 @@
 """Full-model gradient self-check against central finite differences."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .hybrid import (
-    HybridModel,
-    cross_entropy,
-    grads_to_vector,
-    model_backward,
-    model_forward,
-    model_with_vector,
-    params_to_vector,
-)
+from .hybrid import HybridModel, cross_entropy, model_backward, model_forward
 
 
 def finite_difference_grads(model: HybridModel, features, label: int,
                             h: float = 1e-5) -> np.ndarray:
     """Central differences of the cross-entropy loss over every parameter."""
-    base = params_to_vector(model)
+    base = model.theta
     grads = np.empty_like(base)
     for i in range(base.shape[0]):
         probe = base.copy()
         probe[i] = base[i] + h
-        up = cross_entropy(model_forward(model_with_vector(model, probe), features), label)
+        up = cross_entropy(model_forward(replace(model, theta=probe), features), label)
         probe[i] = base[i] - h
-        down = cross_entropy(model_forward(model_with_vector(model, probe), features), label)
+        down = cross_entropy(model_forward(replace(model, theta=probe), features), label)
         grads[i] = (up - down) / (2.0 * h)
     return grads
 
@@ -39,6 +33,6 @@ def max_discrepancy(analytic, numeric, floor: float = 1e-3) -> float:
 
 def run_grad_check(model: HybridModel, features, label: int, h: float = 1e-5) -> float:
     """Max relative discrepancy between analytic and numeric gradients."""
-    analytic = grads_to_vector(model, model_backward(model, features, label))
+    analytic = model_backward(model, features, label)
     numeric = finite_difference_grads(model, features, label, h=h)
     return max_discrepancy(analytic, numeric)

@@ -14,54 +14,80 @@ The squash derivative participates in backprop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .embeddings import amplitude_embed, angle_embed, dense_angle_embed
-from .sim import Circuit, ROTATION_KINDS
+from .embeddings import amplitude_embed
+from .sim import Circuit, rx, ry
 from .vqc import VqcTemplate, build_layers, circuit_expectations, circuit_param_shift
 
-MODES = ("dqc", "purevqc")
+# mode -> the embeddings it accepts; MODES and EMBEDDINGS orders are the
+# checkpoint tag values, so only ever append to them
+PAIRINGS = {"dqc": ("angle", "dense_angle"), "purevqc": ("amplitude",)}
+MODES = tuple(PAIRINGS)
 EMBEDDINGS = ("angle", "dense_angle", "amplitude")
 
 ANGLE_SCALE = math.pi / 2.0
 
 
-@dataclass(frozen=True)
-class DenseLayer:
-    """Affine map x -> W x + b with W of shape (out_dim, in_dim)."""
+def check_model_shape(mode: str, embedding: str, n_qubits: int, n_classes: int,
+                      in_dim: int):
+    """Raise ValueError, prefixed by the offending config keys, for a head
+    that cannot be built."""
+    if mode not in MODES:
+        raise ValueError(f"mode: must be one of {MODES}, got {mode!r}")
+    if embedding not in EMBEDDINGS:
+        raise ValueError(f"embedding: unknown embedding {embedding!r}")
+    if embedding not in PAIRINGS[mode]:
+        raise ValueError(
+            f"mode, embedding: {mode} requires embedding = "
+            f"{' or '.join(PAIRINGS[mode])}, got {embedding!r}"
+        )
+    if n_classes < 2:
+        raise ValueError("n_classes: need at least 2 classes")
+    if mode == "purevqc":
+        want = max(1, math.ceil(math.log2(in_dim)))
+        if n_qubits != want:
+            raise ValueError(
+                f"n_qubits, in_dim: amplitude embedding of {in_dim} features "
+                f"uses {want} qubits, got n_qubits = {n_qubits}"
+            )
+        if n_classes > n_qubits:
+            raise ValueError(
+                f"n_classes, n_qubits: purevqc measures one qubit per class: "
+                f"{n_classes} classes need at least {n_classes} qubits, got {n_qubits}"
+            )
 
-    weights: np.ndarray
-    bias: np.ndarray
 
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        b = np.asarray(self.bias, dtype=float)
-        if w.ndim != 2:
-            raise ValueError(f"weights must be 2-D, got shape {w.shape}")
-        if b.shape != (w.shape[0],):
-            raise ValueError(f"bias shape {b.shape} does not match weights {w.shape}")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise ValueError("dense layer entries must be finite")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bias", b)
+def param_layout(mode: str, embedding: str, n_qubits: int, depth: int,
+                 n_classes: int, in_dim: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """(name, shape) of each parameter block, in flat-vector order.
 
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[0]
+    The order is the checkpoint's: pre W, pre b, q, post W, post b, with
+    the classical blocks present only in dqc mode.
+    """
+    q = ("q", (n_qubits * depth,))
+    if mode != "dqc":
+        return (q,)
+    width = n_qubits if embedding == "angle" else 2 * n_qubits  # dense_angle: 2 per qubit
+    return (("pre_w", (width, in_dim)), ("pre_b", (width,)), q,
+            ("post_w", (n_classes, n_qubits)), ("post_b", (n_classes,)))
 
 
-def dense_forward(layer: DenseLayer, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (layer.in_dim,):
-        raise ValueError(f"expected input of length {layer.in_dim}, got shape {x.shape}")
-    return layer.weights @ x + layer.bias
+def layout_size(layout) -> int:
+    return sum(math.prod(shape) for _, shape in layout)
+
+
+def block_views(layout, vec: np.ndarray) -> dict[str, np.ndarray]:
+    """Name -> view of that block inside the flat vector ``vec``."""
+    views, pos = {}, 0
+    for name, shape in layout:
+        count = math.prod(shape)
+        views[name] = vec[pos : pos + count].reshape(shape)
+        pos += count
+    return views
 
 
 def softmax(logits) -> np.ndarray:
@@ -84,111 +110,76 @@ def cross_entropy(probs, label: int) -> float:
 
 @dataclass(frozen=True)
 class HybridModel:
+    """A head's shape plus one flat, finite, read-only parameter vector.
+
+    ``blocks`` maps each ``param_layout`` name to a read-only view of
+    ``theta``; a new model is ``replace(model, theta=...)``.
+    """
+
     mode: str
     template: VqcTemplate
-    qparams: np.ndarray
+    theta: np.ndarray
     n_classes: int
     embedding: str
-    pre: DenseLayer | None = None
-    post: DenseLayer | None = None
     in_dim: int = 512
+    blocks: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.embedding not in EMBEDDINGS:
-            raise ValueError(f"embedding must be one of {EMBEDDINGS}, got {self.embedding!r}")
-        if self.n_classes < 2:
-            raise ValueError("need at least 2 classes")
-        q = np.asarray(self.qparams, dtype=float)
-        if q.shape != (self.template.n_params,):
-            raise ValueError(
-                f"qparams shape {q.shape} does not match template "
-                f"({self.template.n_params} parameters)"
-            )
-        object.__setattr__(self, "qparams", q)
-        n = self.template.n_qubits
-        if self.mode == "dqc":
-            if self.embedding not in ("angle", "dense_angle"):
-                raise ValueError("dqc mode requires angle or dense_angle embedding")
-            if self.pre is None or self.post is None:
-                raise ValueError("dqc mode requires pre and post layers")
-            want = n if self.embedding == "angle" else 2 * n
-            if self.pre.in_dim != self.in_dim or self.pre.out_dim != want:
-                raise ValueError(
-                    f"pre layer must map {self.in_dim} -> {want}, "
-                    f"got {self.pre.in_dim} -> {self.pre.out_dim}"
-                )
-            if self.post.in_dim != n or self.post.out_dim != self.n_classes:
-                raise ValueError(
-                    f"post layer must map {n} -> {self.n_classes}, "
-                    f"got {self.post.in_dim} -> {self.post.out_dim}"
-                )
-        else:
-            if self.embedding != "amplitude":
-                raise ValueError("purevqc mode requires amplitude embedding")
-            if self.pre is not None or self.post is not None:
-                raise ValueError("purevqc mode takes no classical layers")
-            if self.n_classes > n:
-                raise ValueError(
-                    f"purevqc measures one qubit per class: {self.n_classes} classes "
-                    f"need at least {self.n_classes} qubits, template has {n}"
-                )
-            want = max(1, math.ceil(math.log2(self.in_dim)))
-            if n != want:
-                raise ValueError(
-                    f"amplitude embedding of {self.in_dim} features uses {want} "
-                    f"qubits, template has {n}"
-                )
+        check_model_shape(self.mode, self.embedding, self.template.n_qubits,
+                          self.n_classes, self.in_dim)
+        layout = self.layout
+        theta = np.array(self.theta, dtype=float)  # a copy, so the caller cannot mutate it
+        if theta.shape != (layout_size(layout),):
+            raise ValueError(f"expected {layout_size(layout)} parameters, got shape {theta.shape}")
+        if not np.all(np.isfinite(theta)):
+            raise ValueError("parameters must be finite")
+        theta.flags.writeable = False
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "blocks", block_views(layout, theta))
+
+    @property
+    def layout(self):
+        t = self.template
+        return param_layout(self.mode, self.embedding, t.n_qubits, t.depth,
+                            self.n_classes, self.in_dim)
 
 
 def init_model(mode: str, embedding: str, n_qubits: int, depth: int,
                n_classes: int, rng: np.random.Generator, in_dim: int = 512) -> HybridModel:
-    """Fresh model: dense layers uniform in +-1/sqrt(in_dim), small qparams."""
-    template = VqcTemplate(n_qubits, depth)
-    qparams = rng.uniform(-0.1, 0.1, size=template.n_params)
-    pre = post = None
-    if mode == "dqc":
-        pre_out = n_qubits if embedding == "angle" else 2 * n_qubits
-        bound = 1.0 / math.sqrt(in_dim)
-        pre = DenseLayer(
-            rng.uniform(-bound, bound, size=(pre_out, in_dim)),
-            rng.uniform(-bound, bound, size=pre_out),
-        )
-        bound = 1.0 / math.sqrt(n_qubits)
-        post = DenseLayer(
-            rng.uniform(-bound, bound, size=(n_classes, n_qubits)),
-            rng.uniform(-bound, bound, size=n_classes),
-        )
-    return HybridModel(mode, template, qparams, n_classes, embedding,
-                       pre=pre, post=post, in_dim=in_dim)
+    """Fresh model: dense blocks uniform in +-1/sqrt(fan-in), small q.
+
+    q is drawn first, then the dense blocks in layout order.
+    """
+    layout = param_layout(mode, embedding, n_qubits, depth, n_classes, in_dim)
+    theta = np.empty(layout_size(layout))
+    views = block_views(layout, theta)
+    pre, post = 1.0 / math.sqrt(in_dim), 1.0 / math.sqrt(n_qubits)
+    bounds = {"q": 0.1, "pre_w": pre, "pre_b": pre, "post_w": post, "post_b": post}
+    for name in ["q"] + [name for name, _ in layout if name != "q"]:
+        views[name][...] = rng.uniform(-bounds[name], bounds[name], size=views[name].shape)
+    return HybridModel(mode, VqcTemplate(n_qubits, depth), theta, n_classes, embedding,
+                       in_dim=in_dim)
 
 
 @lru_cache(maxsize=None)
 def _dqc_circuit(embedding: str, n_qubits: int, depth: int, axis: str) -> Circuit:
     """Embedding + layers with every rotation angle exposed as trainable.
 
-    Slots 0..E-1 are the embedding angles in feature order, slots E..
-    the layer parameters; one parameter-shift pass then yields gradients
-    on both sides of the classical/quantum boundary.
+    Slots 0..E-1 are the embedding angles in feature order (angle: RY
+    per qubit; dense_angle: RX then RY per qubit), slots E.. the layer
+    parameters; one parameter-shift pass then yields gradients on both
+    sides of the classical/quantum boundary.
     """
-    zeros = np.zeros(n_qubits if embedding == "angle" else 2 * n_qubits)
     if embedding == "angle":
-        embed = angle_embed(zeros, n_qubits)
+        embed = [ry(q, param=q) for q in range(n_qubits)]
     else:
-        embed = dense_angle_embed(zeros, n_qubits)
-    ops = []
-    n_embed = 0
-    for op in embed.ops:
-        assert op.kind in ROTATION_KINDS and op.angle is not None
-        ops.append(replace(op, angle=None, param_index=n_embed))
-        n_embed += 1
+        embed = [gate(q, param=2 * q + k) for q in range(n_qubits)
+                 for k, gate in enumerate((rx, ry))]
     layers = build_layers(VqcTemplate(n_qubits, depth, axis))
-    for op in layers.ops:
-        if op.param_index is not None:
-            op = replace(op, param_index=op.param_index + n_embed)
-        ops.append(op)
-    return Circuit(n_qubits, tuple(ops), n_embed + layers.n_params)
+    shifted = [op if op.param_index is None
+               else replace(op, param_index=op.param_index + len(embed))
+               for op in layers.ops]
+    return Circuit(n_qubits, tuple(embed + shifted), len(embed) + layers.n_params)
 
 
 def _check_input(model: HybridModel, features) -> np.ndarray:
@@ -202,14 +193,15 @@ def _check_input(model: HybridModel, features) -> np.ndarray:
 
 def _dqc_parts(model: HybridModel, x: np.ndarray):
     """Shared forward pieces of the dressed circuit up to the logits."""
-    pre_out = dense_forward(model.pre, x)
+    p = model.blocks
+    pre_out = p["pre_w"] @ x + p["pre_b"]
     angles = np.tanh(pre_out) * ANGLE_SCALE
     circuit = _dqc_circuit(model.embedding, model.template.n_qubits,
                            model.template.depth, model.template.rotation_axis)
-    full_params = np.concatenate([angles, model.qparams])
+    full_params = np.concatenate([angles, p["q"]])
     measured = list(range(model.template.n_qubits))
     z = circuit_expectations(circuit, full_params, measured)
-    logits = dense_forward(model.post, z)
+    logits = p["post_w"] @ z + p["post_b"]
     return pre_out, angles, circuit, full_params, measured, z, logits
 
 
@@ -221,24 +213,14 @@ def model_forward(model: HybridModel, features) -> np.ndarray:
     else:
         state = amplitude_embed(x)
         layers = build_layers(model.template)
-        logits = circuit_expectations(layers, model.qparams,
+        logits = circuit_expectations(layers, model.blocks["q"],
                                       list(range(model.n_classes)), state)
     return softmax(logits)
 
 
-@dataclass(frozen=True)
-class ModelGrads:
-    """Cross-entropy gradients per parameter block; None where absent."""
-
-    qparams: np.ndarray
-    pre_weights: np.ndarray | None = None
-    pre_bias: np.ndarray | None = None
-    post_weights: np.ndarray | None = None
-    post_bias: np.ndarray | None = None
-
-
-def model_backward(model: HybridModel, features, label: int) -> ModelGrads:
-    """Exact gradient of cross_entropy(model_forward(x), label).
+def model_backward(model: HybridModel, features, label: int) -> np.ndarray:
+    """Exact gradient of cross_entropy(model_forward(x), label), laid out
+    like ``model.theta``.
 
     Classical pieces are differentiated analytically; rotation angles
     (embedding and variational alike) via the parameter-shift rule,
@@ -251,90 +233,32 @@ def model_backward(model: HybridModel, features, label: int) -> ModelGrads:
         state = amplitude_embed(x)
         layers = build_layers(model.template)
         measured = list(range(model.n_classes))
-        logits = circuit_expectations(layers, model.qparams, measured, state)
+        logits = circuit_expectations(layers, model.blocks["q"], measured, state)
         dlogits = softmax(logits)
         dlogits[label] -= 1.0
-        dq = circuit_param_shift(layers, model.qparams, measured, dlogits, state)
-        return ModelGrads(qparams=dq)
+        return circuit_param_shift(layers, model.blocks["q"], measured, dlogits, state)
 
     pre_out, angles, circuit, full_params, measured, z, logits = _dqc_parts(model, x)
+    grad = np.empty_like(model.theta)
+    g = block_views(model.layout, grad)
     dlogits = softmax(logits)
     dlogits[label] -= 1.0
-    dpost_w = np.outer(dlogits, z)
-    dpost_b = dlogits
-    dz = model.post.weights.T @ dlogits
+    g["post_w"][...] = np.outer(dlogits, z)
+    g["post_b"][...] = dlogits
+    dz = model.blocks["post_w"].T @ dlogits
     dfull = circuit_param_shift(circuit, full_params, measured, dz)
     n_embed = angles.shape[0]
-    dangles, dq = dfull[:n_embed], dfull[n_embed:]
-    dpre_out = dangles * ANGLE_SCALE * (1.0 - np.tanh(pre_out) ** 2)
-    dpre_w = np.outer(dpre_out, x)
-    dpre_b = dpre_out
-    return ModelGrads(qparams=dq, pre_weights=dpre_w, pre_bias=dpre_b,
-                      post_weights=dpost_w, post_bias=dpost_b)
-
-
-# --- flat parameter vector (checkpoint order: pre W, pre b, q, post W, post b)
-
-def params_to_vector(model: HybridModel) -> np.ndarray:
-    parts = []
-    if model.pre is not None:
-        parts += [model.pre.weights.reshape(-1), model.pre.bias]
-    parts.append(model.qparams)
-    if model.post is not None:
-        parts += [model.post.weights.reshape(-1), model.post.bias]
-    return np.concatenate(parts)
-
-
-def grads_to_vector(model: HybridModel, grads: ModelGrads) -> np.ndarray:
-    parts = []
-    if model.pre is not None:
-        parts += [grads.pre_weights.reshape(-1), grads.pre_bias]
-    parts.append(grads.qparams)
-    if model.post is not None:
-        parts += [grads.post_weights.reshape(-1), grads.post_bias]
-    return np.concatenate(parts)
-
-
-def model_with_vector(model: HybridModel, vec: np.ndarray) -> HybridModel:
-    """Rebuild the model from a flat parameter vector (inverse of packing)."""
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (n_total_parameters(model),):
-        raise ValueError(
-            f"expected {n_total_parameters(model)} packed parameters, got shape {vec.shape}"
-        )
-    pos = 0
-
-    def take(count):
-        nonlocal pos
-        out = vec[pos : pos + count]
-        pos += count
-        return out
-
-    pre = post = None
-    if model.pre is not None:
-        w = take(model.pre.out_dim * model.pre.in_dim)
-        pre = DenseLayer(w.reshape(model.pre.out_dim, model.pre.in_dim),
-                         take(model.pre.out_dim))
-    qparams = take(model.template.n_params)
-    if model.post is not None:
-        w = take(model.post.out_dim * model.post.in_dim)
-        post = DenseLayer(w.reshape(model.post.out_dim, model.post.in_dim),
-                          take(model.post.out_dim))
-    return replace(model, pre=pre, post=post, qparams=qparams)
+    g["q"][...] = dfull[n_embed:]
+    dpre_out = dfull[:n_embed] * ANGLE_SCALE * (1.0 - np.tanh(pre_out) ** 2)
+    g["pre_w"][...] = np.outer(dpre_out, x)
+    g["pre_b"][...] = dpre_out
+    return grad
 
 
 def count_parameters(model: HybridModel) -> tuple[int, int]:
     """(classical, quantum) trainable parameter counts."""
-    classical = 0
-    for layer in (model.pre, model.post):
-        if layer is not None:
-            classical += layer.out_dim * (layer.in_dim + 1)
-    return classical, model.qparams.shape[0]
-
-
-def n_total_parameters(model: HybridModel) -> int:
-    classical, quantum = count_parameters(model)
-    return classical + quantum
+    quantum = model.blocks["q"].size
+    return model.theta.size - quantum, quantum
 
 
 # --- optimizer ----------------------------------------------------------

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -11,11 +12,8 @@ from .hybrid import (
     HybridModel,
     adam_step,
     cross_entropy,
-    grads_to_vector,
     model_backward,
     model_forward,
-    model_with_vector,
-    params_to_vector,
 )
 from .metrics import (
     MetricRecord,
@@ -55,10 +53,10 @@ def evaluate(model: HybridModel, samples, split: str = "test", epoch: int = 0) -
 
 
 def _batch_gradient(model: HybridModel, batch) -> np.ndarray:
-    """Mean packed gradient over a batch, accumulated in a fixed order."""
+    """Mean flat gradient over a batch, accumulated in a fixed order."""
     total = None
     for sample in batch:
-        g = grads_to_vector(model, model_backward(model, sample.features, sample.label))
+        g = model_backward(model, sample.features, sample.label)
         total = g if total is None else total + g
     return total / len(batch)
 
@@ -75,7 +73,7 @@ def train(model: HybridModel, train_set, val_set, *, epochs: int,
     descent (the full-batch sanity mode when batch_size covers the set).
 
     Fully deterministic for a given seed; raises TrainingAborted on a
-    non-finite loss.
+    non-finite loss, or on a non-finite batch gradient or update.
     """
     train_set = list(train_set)
     val_set = list(val_set)
@@ -84,21 +82,27 @@ def train(model: HybridModel, train_set, val_set, *, epochs: int,
     if optimizer not in ("adam", "gd"):
         raise ValueError(f"unknown optimizer {optimizer!r}")
 
-    params = params_to_vector(model)
-    adam = AdamState.init(params.shape[0], lr=lr, weight_decay=weight_decay)
+    adam = AdamState.init(model.theta.shape[0], lr=lr, weight_decay=weight_decay)
     history: list[MetricRecord] = []
     best_auroc = -math.inf
     best_model = model
 
     for epoch in range(1, epochs + 1):
         epoch_seed = derive_seed(seed, "shuffle", epoch)
-        for batch in batches(train_set, batch_size, epoch_seed):
-            grads = _batch_gradient(model, batch)
-            if optimizer == "adam":
-                params, adam = adam_step(adam, params, grads)
-            else:
-                params = params - lr * (grads + weight_decay * params)
-            model = model_with_vector(model, params)
+        for step, batch in enumerate(batches(train_set, batch_size, epoch_seed), start=1):
+            # a diverging run overflows here; the finiteness checks report it
+            with np.errstate(over="ignore", invalid="ignore"):
+                grads = _batch_gradient(model, batch)
+                if not np.all(np.isfinite(grads)):
+                    raise TrainingAborted(f"non-finite gradient at epoch {epoch}, step {step}")
+                if optimizer == "adam":
+                    theta, adam = adam_step(adam, model.theta, grads)
+                else:
+                    theta = model.theta - lr * (grads + weight_decay * model.theta)
+                if not np.all(np.isfinite(theta)):
+                    raise TrainingAborted(
+                        f"non-finite parameters at epoch {epoch}, step {step}")
+            model = replace(model, theta=theta)
 
         train_rec = evaluate(model, train_set, "train", epoch)
         val_rec = evaluate(model, val_set, "val", epoch)

@@ -27,7 +27,8 @@ from .sim import (
 # so the gradient self-check can be driven with a broken value in tests.
 PARAM_SHIFT = math.pi / 2
 
-_ROTATIONS = {"x": rx, "y": ry, "z": rz}
+ROTATION_AXES = ("x", "y", "z")  # index order is the checkpoint's axis tag
+_ROTATIONS = dict(zip(ROTATION_AXES, (rx, ry, rz)))
 
 
 @dataclass(frozen=True)
@@ -126,33 +127,3 @@ def circuit_param_shift(circuit: Circuit, params, measured_qubits, upstream,
         dz = (shifted[0] - shifted[1]) / 2.0
         grads[op.param_index] += float(upstream @ dz)
     return grads
-
-
-def _compose(embedding, template: VqcTemplate):
-    """Resolve an embedding (circuit or state) against template layers."""
-    layers = build_layers(template)
-    if isinstance(embedding, StateVector):
-        return layers, embedding
-    if isinstance(embedding, Circuit):
-        if embedding.n_params != 0:
-            raise ValueError("embedding circuit must have constant angles only")
-        if embedding.n_qubits != template.n_qubits:
-            raise ValueError(
-                f"embedding has {embedding.n_qubits} qubits, template {template.n_qubits}"
-            )
-        combined = Circuit(template.n_qubits, embedding.ops + layers.ops, layers.n_params)
-        return combined, None
-    raise TypeError(f"embedding must be a Circuit or StateVector, got {type(embedding)!r}")
-
-
-def vqc_forward(embedding, template: VqcTemplate, params, measured_qubits) -> np.ndarray:
-    """Embedding followed by the variational layers; returns measured <Z>."""
-    circuit, initial = _compose(embedding, template)
-    return circuit_expectations(circuit, params, measured_qubits, initial)
-
-
-def param_shift_grad(embedding, template: VqcTemplate, params, measured_qubits,
-                     upstream) -> np.ndarray:
-    """d(upstream . <Z>)/d(params) for the embedded variational circuit."""
-    circuit, initial = _compose(embedding, template)
-    return circuit_param_shift(circuit, params, measured_qubits, upstream, initial)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from qtlsim.checkpoint import MAGIC, CheckpointFormatError, load_checkpoint, save_checkpoint
-from qtlsim.hybrid import init_model, params_to_vector
+from qtlsim.hybrid import init_model
 from qtlsim.seeding import substream
 
 
@@ -15,7 +15,7 @@ def test_round_trip_dqc(tmp_path):
     assert back.mode == "dqc" and back.embedding == "dense_angle"
     assert back.template == model.template
     assert back.n_classes == 3 and back.in_dim == 32
-    np.testing.assert_array_equal(params_to_vector(back), params_to_vector(model))
+    np.testing.assert_array_equal(back.theta, model.theta)
 
 
 def test_round_trip_purevqc(tmp_path):
@@ -24,8 +24,8 @@ def test_round_trip_purevqc(tmp_path):
     save_checkpoint(path, model)
     back = load_checkpoint(path)
     assert back.mode == "purevqc"
-    assert back.pre is None and back.post is None
-    np.testing.assert_array_equal(back.qparams, model.qparams)
+    assert list(back.blocks) == ["q"]
+    np.testing.assert_array_equal(back.theta, model.theta)
 
 
 def test_magic_mismatch(tmp_path):

@@ -1,4 +1,7 @@
 """End-to-end command tests: artifacts, determinism, exit codes."""
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -81,6 +84,31 @@ def test_missing_data_file_exits_3(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(FAST_CONFIG.replace("data = synth", "data = /nonexistent.csv"))
     assert run_cli("train", "--config", cfg) == 3
+
+
+def test_class_names_a_manifest_cannot_reproduce_exit_2(fast_config, tmp_path, capsys):
+    """`tumor#1` would read back as `tumor`; rejected before any artifact."""
+    csv_path = tmp_path / "labels.csv"
+    dataset = synth_dataset(20, 2, 24, 8.0, seed=5)
+    write_feature_csv(csv_path, replace(dataset, class_names=("tumor#1", "healthy")))
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", fast_config, "--data", csv_path,
+                   "--out", out) == 2
+    assert "class_names" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_diverging_training_exits_4(fast_config, tmp_path, capsys):
+    cfg = tmp_path / "diverge.txt"
+    cfg.write_text(FAST_CONFIG.replace("lr = 0.003", "lr = 1e300"))
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("train", "--config", cfg, "--out", out) == 4
+    assert [str(w.message) for w in caught] == []  # no numpy overflow warnings
+    err = capsys.readouterr().err
+    assert err.startswith("numerical abort: ") and "epoch 1, step" in err
+    assert not out.exists()
 
 
 def test_evaluate_reproduces_best_val_metrics(fast_config, tmp_path, capsys):

@@ -1,12 +1,15 @@
 """Flat key=value config parsing and validation."""
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from qtlsim.config import (
     ConfigError,
     TrainConfig,
     config_to_text,
     parse_config_text,
+    validate_config,
     with_overrides,
 )
 
@@ -83,6 +86,37 @@ def test_numpy_float_overrides_round_trip_through_text():
     text = config_to_text(cfg)
     assert "np.float64" not in text
     assert parse_config_text(text) == cfg
+
+
+def test_numpy_scalar_overrides_round_trip_by_field_type():
+    cfg = with_overrides(TrainConfig(), balance=np.True_, lr=np.float32(0.01),
+                         seed=np.int64(7))
+    back = parse_config_text(config_to_text(cfg))
+    assert back == cfg
+    assert back.balance is True and back.seed == 7
+    assert float(back.lr) == float(cfg.lr)  # the float32 value the run used
+
+
+def test_class_names_must_survive_the_text_form():
+    for names in ("tumor#1,healthy", "a,b,c", "a,a", "a,", " a,b", "a, b", "a\nb,c"):
+        with pytest.raises(ConfigError, match="class_names"):
+            with_overrides(TrainConfig(), class_names=names)
+    assert with_overrides(TrainConfig(), class_names="tumor 1,healthy").class_name_list \
+        == ["tumor 1", "healthy"]
+
+
+@given(names=st.one_of(st.just([]), st.lists(st.text(), min_size=2, max_size=4)),
+       balance=st.sampled_from([True, False, np.True_, np.False_]),
+       lr=st.floats(1e-6, 1.0).flatmap(lambda v: st.sampled_from([v, np.float32(v)])),
+       seed=st.integers(0, 2**31).flatmap(lambda v: st.sampled_from([v, np.int64(v)])))
+def test_every_valid_config_round_trips_through_text(names, balance, lr, seed):
+    cfg = TrainConfig(class_names=",".join(names), n_classes=max(2, len(names)),
+                      balance=balance, lr=lr, seed=seed)
+    try:
+        validate_config(cfg)
+    except ConfigError:
+        assume(False)
+    assert parse_config_text(config_to_text(cfg)) == cfg
 
 
 def test_with_overrides_validates():

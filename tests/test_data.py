@@ -11,11 +11,9 @@ from qtlsim.data import (
     balanced_group_split,
     batches,
     load_feature_csv,
-    load_image_dir,
     synth_dataset,
     write_feature_csv,
 )
-from qtlsim.embeddings import GrayImage, write_pgm
 
 
 def make_grouped_dataset(rng, n_classes=3, n_groups_per_class=20, max_group=8, dim=2):
@@ -245,27 +243,8 @@ def test_batches_empty_dataset():
         batches([], 4, epoch_seed=0)
 
 
-# --- image directory --------------------------------------------------------
-
-def test_load_image_dir(tmp_path):
-    rng = np.random.default_rng(13)
-    for cls in ("covid", "normal"):
-        (tmp_path / cls).mkdir()
-        for g in range(2):
-            img = GrayImage(4, rng.integers(0, 256, size=16))
-            write_pgm(tmp_path / cls / f"p{g}__{0}.pgm", img)
-    ds = load_image_dir(tmp_path)
-    assert len(ds) == 4
-    assert ds.class_names == ("covid", "normal")
-    assert ds.samples[0].image is not None and ds.samples[0].features is None
-    assert {s.group_id for s in ds.samples} == {"p0", "p1"}
-
-
-def test_load_image_dir_empty(tmp_path):
-    with pytest.raises(DataError, match="no class"):
-        load_image_dir(tmp_path)
-
+# --- samples ----------------------------------------------------------------
 
 def test_sample_needs_exactly_one_payload():
-    with pytest.raises(ValueError, match="exactly one"):
-        Sample(0, "g", features=None, image=None)
+    with pytest.raises(ValueError, match="features"):
+        Sample(0, "g", features=None)

@@ -1,23 +1,20 @@
 """Classifier heads: forward math, analytic gradients, Adam, bookkeeping."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qtlsim.hybrid import (
     AdamState,
-    DenseLayer,
     HybridModel,
     adam_step,
     count_parameters,
     cross_entropy,
-    dense_forward,
-    grads_to_vector,
     init_model,
     model_backward,
     model_forward,
-    model_with_vector,
-    params_to_vector,
+    param_layout,
     softmax,
 )
 from qtlsim.seeding import substream
@@ -36,34 +33,19 @@ def small_purevqc(seed=0, n_qubits=4, depth=1, n_classes=2, in_dim=16):
     return init_model("purevqc", "amplitude", n_qubits, depth, n_classes, rng, in_dim=in_dim)
 
 
-# --- dense / softmax / cross-entropy ------------------------------------
-
-def test_dense_forward_identity():
-    layer = DenseLayer(np.eye(3), np.zeros(3))
-    x = np.array([1.0, -2.0, 3.0])
-    np.testing.assert_array_equal(dense_forward(layer, x), x)
-
-
-def test_dense_forward_zero_weights():
-    layer = DenseLayer(np.zeros((2, 3)), np.array([4.0, -1.0]))
-    np.testing.assert_array_equal(dense_forward(layer, np.ones(3)), [4.0, -1.0])
-
-
-def test_dense_forward_hand_case():
-    layer = DenseLayer(np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]]), np.array([1.0, -1.0]))
-    np.testing.assert_array_equal(dense_forward(layer, [1.0, 2.0, 3.0]), [8.0, 1.0])
+def with_blocks(model, **blocks):
+    """Copy of ``model`` with the named parameter blocks overwritten."""
+    theta = model.theta.copy()
+    start = 0
+    for name, shape in model.layout:
+        size = math.prod(shape)
+        if name in blocks:
+            theta[start : start + size] = np.ravel(blocks[name])
+        start += size
+    return replace(model, theta=theta)
 
 
-def test_dense_forward_dimension_mismatch():
-    layer = DenseLayer(np.zeros((2, 3)), np.zeros(2))
-    with pytest.raises(ValueError, match="length 3"):
-        dense_forward(layer, np.zeros(4))
-
-
-def test_dense_layer_rejects_nonfinite():
-    with pytest.raises(ValueError, match="finite"):
-        DenseLayer(np.array([[np.nan]]), np.zeros(1))
-
+# --- softmax / cross-entropy ---------------------------------------------
 
 def test_softmax_uniform():
     np.testing.assert_allclose(softmax([0.0, 0.0]), [0.5, 0.5], atol=1e-15)
@@ -101,17 +83,36 @@ def test_softmax_cross_entropy_gradient_is_probs_minus_onehot():
 
 def test_dqc_layer_shapes():
     m = small_dqc()
-    assert m.pre.in_dim == 16 and m.pre.out_dim == 4
-    assert m.post.in_dim == 4 and m.post.out_dim == 2
+    assert m.blocks["pre_w"].shape == (4, 16) and m.blocks["pre_b"].shape == (4,)
+    assert m.blocks["post_w"].shape == (2, 4) and m.blocks["post_b"].shape == (2,)
     m2 = small_dqc(embedding="dense_angle")
-    assert m2.pre.out_dim == 8  # two features per qubit
+    assert m2.blocks["pre_w"].shape == (8, 16)  # two features per qubit
+    assert [name for name, _ in m.layout] == ["pre_w", "pre_b", "q", "post_w", "post_b"]
+    assert [name for name, _ in small_purevqc().layout] == ["q"]
 
 
-def test_purevqc_rejects_classical_layers():
-    layer = DenseLayer(np.zeros((2, 4)), np.zeros(2))
-    with pytest.raises(ValueError, match="classical"):
-        HybridModel("purevqc", VqcTemplate(4, 1), np.zeros(4), 2, "amplitude",
-                    pre=layer, in_dim=16)
+def test_theta_length_and_finiteness_checked():
+    """theta must match the layout exactly and hold only finite values."""
+    n = sum(math.prod(shape) for _, shape in param_layout("dqc", "angle", 4, 1, 2, 16))
+    assert n == 4 * 16 + 4 + 4 + 2 * 4 + 2
+    with pytest.raises(ValueError, match="parameters"):
+        HybridModel("dqc", VqcTemplate(4, 1), np.zeros(n - 1), 2, "angle", in_dim=16)
+    with pytest.raises(ValueError, match="parameters"):  # purevqc has no dense blocks
+        HybridModel("purevqc", VqcTemplate(4, 1), np.zeros(4 + 10), 2, "amplitude",
+                    in_dim=16)
+    bad = np.zeros(n)
+    bad[3] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        HybridModel("dqc", VqcTemplate(4, 1), bad, 2, "angle", in_dim=16)
+
+
+def test_blocks_are_read_only_views_of_theta():
+    m = small_dqc(seed=2)
+    assert not m.theta.flags.writeable
+    for block in m.blocks.values():
+        assert np.shares_memory(block, m.theta)
+        with pytest.raises(ValueError):
+            block[...] = 0.0
 
 
 def test_purevqc_qubit_count_must_fit_features():
@@ -141,29 +142,30 @@ def test_parameter_counts_dqc_8q_3c():
 
 def test_parameter_vector_round_trip():
     m = small_dqc(seed=3)
-    vec = params_to_vector(m)
-    assert vec.shape[0] == sum(count_parameters(m))
-    m2 = model_with_vector(m, vec)
-    np.testing.assert_array_equal(params_to_vector(m2), vec)
+    assert m.theta.shape[0] == sum(count_parameters(m))
     rng = np.random.default_rng(4)
-    fresh = rng.standard_normal(vec.shape[0])
-    m3 = model_with_vector(m, fresh)
-    np.testing.assert_allclose(params_to_vector(m3), fresh)
+    fresh = rng.standard_normal(m.theta.shape[0])
+    m3 = replace(m, theta=fresh)
+    np.testing.assert_array_equal(m3.theta, fresh)
+    np.testing.assert_array_equal(m3.blocks["pre_w"].reshape(-1), fresh[:64])
+    np.testing.assert_array_equal(m3.blocks["q"], fresh[68:72])
+    np.testing.assert_array_equal(m3.blocks["post_b"], fresh[-2:])
+    fresh[0] = 123.0  # the model keeps its own copy
+    assert m3.theta[0] != 123.0
 
 
 # --- forward -------------------------------------------------------------
 
 def test_purevqc_uniform_features_give_uniform_prediction():
     m = small_purevqc()
-    m = model_with_vector(m, np.zeros(params_to_vector(m).shape[0]))
+    m = replace(m, theta=np.zeros(m.theta.shape[0]))
     probs = model_forward(m, np.ones(16))
     np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-12)
 
 
 def test_dqc_zero_parameters_hand_check():
     m = small_dqc()
-    vec = np.zeros(params_to_vector(m).shape[0])
-    m = model_with_vector(m, vec)
+    m = replace(m, theta=np.zeros(m.theta.shape[0]))
     # pre output 0 -> angles 0 -> identity embedding -> all <Z> = 1;
     # post is zero too, so logits are 0 and the prediction is uniform.
     probs = model_forward(m, np.ones(16))
@@ -171,13 +173,9 @@ def test_dqc_zero_parameters_hand_check():
 
 
 def test_dqc_zero_quantum_path_feeds_post_layer():
-    m = small_dqc()
-    post = DenseLayer(np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]]),
-                      np.array([0.5, 0.0]))
-    pre = DenseLayer(np.zeros((4, 16)), np.zeros(4))
-    from dataclasses import replace
-
-    m = replace(m, pre=pre, post=post, qparams=np.zeros(4))
+    m = with_blocks(small_dqc(), pre_w=np.zeros((4, 16)), pre_b=np.zeros(4), q=np.zeros(4),
+                    post_w=[[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]],
+                    post_b=[0.5, 0.0])
     probs = model_forward(m, np.ones(16))
     # all <Z> = 1, so logits = (1+2+3+4+0.5, 0) = (10.5, 0)
     np.testing.assert_allclose(probs, softmax([10.5, 0.0]), atol=1e-12)
@@ -201,12 +199,12 @@ def test_forward_checks_feature_width():
 # --- backward ------------------------------------------------------------
 
 def end_to_end_check(model, features, label):
-    analytic = grads_to_vector(model, model_backward(model, features, label))
+    analytic = model_backward(model, features, label)
 
     def loss(vec):
-        return cross_entropy(model_forward(model_with_vector(model, vec), features), label)
+        return cross_entropy(model_forward(replace(model, theta=vec), features), label)
 
-    numeric = finite_diff(loss, params_to_vector(model))
+    numeric = finite_diff(loss, model.theta)
     bound = 1e-5 * np.maximum(np.abs(analytic), np.abs(numeric)) + 1e-7
     assert np.all(np.abs(analytic - numeric) <= bound), (
         f"worst {np.max(np.abs(analytic - numeric) - bound)}"
@@ -239,21 +237,16 @@ def test_randomized_small_models_gradient_sweep():
 
 def test_saturated_prediction_has_zero_gradient():
     """When softmax underflows to an exact one-hot, every gradient vanishes."""
-    m = small_dqc()
-    from dataclasses import replace
-
-    post = DenseLayer(np.zeros((2, 4)), np.array([1000.0, 0.0]))
-    m = replace(m, post=post)
+    m = with_blocks(small_dqc(), post_w=np.zeros((2, 4)), post_b=[1000.0, 0.0])
     probs = model_forward(m, np.ones(16))
     assert probs[0] == 1.0 and probs[1] == 0.0
-    grads = grads_to_vector(m, model_backward(m, np.ones(16), 0))
+    grads = model_backward(m, np.ones(16), 0)
     assert np.max(np.abs(grads)) == 0.0
 
 
 def test_purevqc_gradient_only_quantum():
     g = model_backward(small_purevqc(), np.ones(16), 0)
-    assert g.pre_weights is None and g.post_weights is None
-    assert g.qparams.shape == (4,)
+    assert g.shape == (4,)  # the whole purevqc theta is the quantum block
 
 
 def test_backward_label_out_of_range():

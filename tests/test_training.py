@@ -4,7 +4,7 @@ import pytest
 
 import qtlsim.training as training_mod
 from qtlsim.data import SplitSpec, balanced_group_split, synth_dataset
-from qtlsim.hybrid import grads_to_vector, init_model, model_backward
+from qtlsim.hybrid import init_model, model_backward
 from qtlsim.metrics import MetricRecord
 from qtlsim.seeding import substream
 from qtlsim.training import TrainingAborted, best_val_epoch, evaluate, train
@@ -97,8 +97,7 @@ def test_batch_gradient_is_mean_of_sample_gradients():
     model = tiny_model(seed=13)
     batch = list(train_set.samples[:4])
     averaged = training_mod._batch_gradient(model, batch)
-    singles = [grads_to_vector(model, model_backward(model, s.features, s.label))
-               for s in batch]
+    singles = [model_backward(model, s.features, s.label) for s in batch]
     np.testing.assert_allclose(averaged, np.mean(singles, axis=0), atol=1e-15)
 
 
@@ -111,9 +110,9 @@ def test_evaluate_perfect_and_uniform_models():
         assert rec.auroc == 1.0
         assert np.trace(rec.confusion) == len(train_set)
     # fresh model with zeroed parameters predicts uniformly
-    from qtlsim.hybrid import model_with_vector, params_to_vector
+    from dataclasses import replace
 
-    zero = model_with_vector(tiny_model(), np.zeros_like(params_to_vector(tiny_model())))
+    zero = replace(tiny_model(), theta=np.zeros_like(tiny_model().theta))
     balanced = evaluate(zero, train_set.samples)
     assert abs(balanced.accuracy - 0.5) <= 0.5  # defined, no crash
     assert balanced.auroc == 0.5  # all scores identical -> tie convention
@@ -123,11 +122,13 @@ def test_evaluate_confusion_matrix_hand_case():
     from dataclasses import replace
 
     from qtlsim.data import Sample
-    from qtlsim.hybrid import DenseLayer
 
     model = tiny_model()
-    # saturate the post layer so the prediction is always class 0
-    model = replace(model, post=DenseLayer(np.zeros((2, 4)), np.array([5.0, 0.0])))
+    # saturate the post layer (the last 2*4 + 2 parameters) so the
+    # prediction is always class 0
+    theta = model.theta.copy()
+    theta[-10:] = [0.0] * 8 + [5.0, 0.0]
+    model = replace(model, theta=theta)
     samples = [Sample(label, f"g{i}", features=np.ones(32))
                for i, label in enumerate([0, 0, 1, 1])]
     rec = evaluate(model, samples)

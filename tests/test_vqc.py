@@ -5,17 +5,21 @@ import numpy as np
 import pytest
 
 from qtlsim.embeddings import angle_embed
-from qtlsim.sim import StateVector, run_circuit
+from qtlsim.sim import Circuit, StateVector, run_circuit
 from qtlsim.vqc import (
     VqcTemplate,
     build_layers,
     circuit_expectations,
     circuit_param_shift,
-    param_shift_grad,
-    vqc_forward,
 )
 
 from oracle import dense_run, finite_diff, random_state_amps, zexp_dense
+
+
+def embedded(embed: Circuit, template: VqcTemplate) -> Circuit:
+    """Constant-angle embedding followed by the template's trainable layers."""
+    return Circuit(template.n_qubits, embed.ops + build_layers(template).ops,
+                   template.n_params)
 
 
 def test_parameter_count_nine_by_four_is_36():
@@ -62,13 +66,14 @@ def test_invalid_template():
 
 
 def test_forward_zero_params_identity_embedding():
-    z = vqc_forward(StateVector.zero(4), VqcTemplate(4, 2), np.zeros(8), [0, 1, 2, 3])
+    z = circuit_expectations(build_layers(VqcTemplate(4, 2)), np.zeros(8), [0, 1, 2, 3],
+                             StateVector.zero(4))
     np.testing.assert_allclose(z, np.ones(4), atol=1e-12)
 
 
 def test_forward_single_qubit_is_cos_theta():
     for theta in (0.0, 0.4, 1.7, -2.2):
-        z = vqc_forward(StateVector.zero(1), VqcTemplate(1, 1), [theta], [0])
+        z = circuit_expectations(build_layers(VqcTemplate(1, 1)), [theta], [0])
         assert abs(z[0] - math.cos(theta)) < 1e-12
 
 
@@ -78,12 +83,9 @@ def test_forward_matches_dense_oracle():
         template = VqcTemplate(4, int(rng.integers(1, 4)))
         params = rng.uniform(-np.pi, np.pi, size=template.n_params)
         embed = angle_embed(rng.uniform(-np.pi, np.pi, 4), 4)
-        fast = vqc_forward(embed, template, params, [0, 1, 2, 3])
+        circuit = embedded(embed, template)
+        fast = circuit_expectations(circuit, params, [0, 1, 2, 3])
 
-        full_ops = embed.ops + build_layers(template).ops
-        from qtlsim.sim import Circuit
-
-        circuit = Circuit(4, full_ops, template.n_params)
         amps = dense_run(circuit, StateVector.zero(4).amplitudes, params)
         slow = [zexp_dense(amps, 4, q) for q in range(4)]
         assert np.max(np.abs(fast - slow)) < 1e-10
@@ -94,32 +96,27 @@ def test_forward_accepts_state_or_circuit():
     template = VqcTemplate(3, 1)
     params = rng.uniform(-1, 1, 3)
     feats = rng.uniform(-1, 1, 3)
-    via_circuit = vqc_forward(angle_embed(feats, 3), template, params, [0, 1, 2])
+    via_circuit = circuit_expectations(embedded(angle_embed(feats, 3), template), params,
+                                       [0, 1, 2])
     prepared = run_circuit(StateVector.zero(3), angle_embed(feats, 3))
-    via_state = vqc_forward(prepared, template, params, [0, 1, 2])
+    via_state = circuit_expectations(build_layers(template), params, [0, 1, 2], prepared)
     np.testing.assert_allclose(via_circuit, via_state, atol=1e-14)
 
 
-def test_forward_rejects_trainable_embedding():
-    from qtlsim.sim import Circuit, ry
-
-    embed = Circuit(2, (ry(0, param=0), ry(1, param=0)), 1)
-    with pytest.raises(ValueError, match="constant"):
-        vqc_forward(embed, VqcTemplate(2, 1), np.zeros(2), [0])
-
-
 def test_forward_dimension_mismatch():
+    layers = build_layers(VqcTemplate(2, 1))
     with pytest.raises(ValueError, match="parameters"):
-        vqc_forward(StateVector.zero(2), VqcTemplate(2, 1), np.zeros(3), [0])
+        circuit_expectations(layers, np.zeros(3), [0], StateVector.zero(2))
     with pytest.raises(ValueError, match="measured"):
-        vqc_forward(StateVector.zero(2), VqcTemplate(2, 1), np.zeros(2), [5])
+        circuit_expectations(layers, np.zeros(2), [5], StateVector.zero(2))
 
 
 def test_grad_single_qubit_ry():
     """d<Z>/dtheta = -sin(theta) for one RY."""
-    g = param_shift_grad(StateVector.zero(1), VqcTemplate(1, 1), [math.pi / 2], [0], [1.0])
+    layer = build_layers(VqcTemplate(1, 1))
+    g = circuit_param_shift(layer, [math.pi / 2], [0], [1.0], StateVector.zero(1))
     assert abs(g[0] + 1.0) < 1e-12
-    g0 = param_shift_grad(StateVector.zero(1), VqcTemplate(1, 1), [0.0], [0], [1.0])
+    g0 = circuit_param_shift(layer, [0.0], [0], [1.0], StateVector.zero(1))
     assert abs(g0[0]) < 1e-12
 
 
@@ -130,14 +127,14 @@ def test_grad_matches_finite_differences():
         depth = int(rng.integers(1, 3))
         template = VqcTemplate(n, depth)
         params = rng.uniform(-np.pi, np.pi, size=template.n_params)
-        embed = angle_embed(rng.uniform(-np.pi, np.pi, n), n)
+        circuit = embedded(angle_embed(rng.uniform(-np.pi, np.pi, n), n), template)
         measured = list(range(n))
         upstream = rng.standard_normal(n)
 
-        analytic = param_shift_grad(embed, template, params, measured, upstream)
+        analytic = circuit_param_shift(circuit, params, measured, upstream)
 
         def loss(p):
-            z = vqc_forward(embed, template, p, measured)
+            z = circuit_expectations(circuit, p, measured)
             return float(upstream @ z)
 
         numeric = finite_diff(loss, params)
@@ -148,20 +145,20 @@ def test_grad_deterministic():
     rng = np.random.default_rng(13)
     template = VqcTemplate(4, 2)
     params = rng.uniform(-np.pi, np.pi, template.n_params)
-    embed = angle_embed(rng.uniform(-1, 1, 4), 4)
-    a = param_shift_grad(embed, template, params, [0, 1], [0.5, -0.25])
-    b = param_shift_grad(embed, template, params, [0, 1], [0.5, -0.25])
+    circuit = embedded(angle_embed(rng.uniform(-1, 1, 4), 4), template)
+    a = circuit_param_shift(circuit, params, [0, 1], [0.5, -0.25])
+    b = circuit_param_shift(circuit, params, [0, 1], [0.5, -0.25])
     np.testing.assert_array_equal(a, b)
 
 
 def test_grad_upstream_shape_checked():
     with pytest.raises(ValueError, match="upstream"):
-        param_shift_grad(StateVector.zero(2), VqcTemplate(2, 1), np.zeros(2), [0, 1], [1.0])
+        circuit_param_shift(build_layers(VqcTemplate(2, 1)), np.zeros(2), [0, 1], [1.0])
 
 
 def test_shared_parameter_accumulates():
     """A slot used by two gates gets the sum of both shift contributions."""
-    from qtlsim.sim import Circuit, ry
+    from qtlsim.sim import ry
 
     circuit = Circuit(1, (ry(0, param=0), ry(0, param=0)), 1)
     theta = 0.37
