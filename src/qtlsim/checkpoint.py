@@ -1,10 +1,12 @@
 """Versioned binary model container.
 
-Layout: magic ``QTLSIM1``, mode/embedding/axis tag bytes, four u32
-dimensions (n_qubits, depth, n_classes, in_dim), then the model's flat
-parameter vector as little-endian float64, in ``param_layout`` order
-(pre W, pre b, qparams, post W, post b; classical blocks absent in
-purevqc mode). A new incompatible layout gets a new magic.
+Layout: magic ``QTLSIM2``, mode/embedding/axis tag bytes, four u32
+dimensions (n_qubits, depth, n_classes, in_dim), a u32 byte count and
+that many bytes of UTF-8 class names joined by newlines (none if 0),
+then the model's flat parameter vector as little-endian float64, in
+``param_layout`` order (pre W, pre b, qparams, post W, post b; classical
+blocks absent in purevqc mode). ``QTLSIM1``, the same without the class
+names, still loads. A new incompatible layout gets a new magic.
 """
 from __future__ import annotations
 
@@ -15,8 +17,10 @@ import numpy as np
 from .hybrid import EMBEDDINGS, MODES, HybridModel, layout_size, param_layout
 from .vqc import ROTATION_AXES, VqcTemplate
 
-MAGIC = b"QTLSIM1"
+MAGIC = b"QTLSIM2"
+MAGIC_V1 = b"QTLSIM1"  # no class names
 _HEADER = struct.Struct("<7s3B4I")
+_NAMES_SIZE = struct.Struct("<I")
 
 
 class CheckpointFormatError(Exception):
@@ -34,8 +38,9 @@ def save_checkpoint(path, model: HybridModel):
         model.n_classes,
         model.in_dim,
     )
+    names = "\n".join(model.class_names).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(header)
+        fh.write(header + _NAMES_SIZE.pack(len(names)) + names)
         fh.write(model.theta.astype("<f8").tobytes())
 
 
@@ -49,7 +54,7 @@ def load_checkpoint(path) -> HybridModel:
         raise CheckpointFormatError(f"{path}: truncated header")
     magic, mode_tag, embed_tag, axis_tag, n_qubits, depth, n_classes, in_dim = \
         _HEADER.unpack_from(data)
-    if magic != MAGIC:
+    if magic not in (MAGIC, MAGIC_V1):
         raise CheckpointFormatError(
             f"{path}: magic {magic!r} does not match {MAGIC!r}; "
             f"incompatible checkpoint version"
@@ -61,15 +66,27 @@ def load_checkpoint(path) -> HybridModel:
     except IndexError:
         raise CheckpointFormatError(f"{path}: unknown mode/embedding/axis tag") from None
 
+    start, names = _HEADER.size, b""
+    if magic == MAGIC:
+        if start + _NAMES_SIZE.size > len(data):
+            raise CheckpointFormatError(f"{path}: truncated class names")
+        (size,) = _NAMES_SIZE.unpack_from(data, start)
+        start += _NAMES_SIZE.size + size
+        if start > len(data):
+            raise CheckpointFormatError(f"{path}: truncated class names")
+        names = data[start - size : start]
+
     count = layout_size(param_layout(mode, embedding, n_qubits, depth, n_classes, in_dim))
-    end = _HEADER.size + 8 * count
+    end = start + 8 * count
     if end > len(data):
         raise CheckpointFormatError(f"{path}: truncated parameter data")
     if end != len(data):
         raise CheckpointFormatError(f"{path}: {len(data) - end} trailing bytes")
-    theta = np.frombuffer(data, dtype="<f8", count=count, offset=_HEADER.size)
+    theta = np.frombuffer(data, dtype="<f8", count=count, offset=start)
     try:
         template = VqcTemplate(n_qubits, depth, axis)
-        return HybridModel(mode, template, theta, n_classes, embedding, in_dim=in_dim)
+        class_names = tuple(names.decode("utf-8").split("\n")) if names else ()
+        return HybridModel(mode, template, theta, n_classes, embedding, in_dim=in_dim,
+                           class_names=class_names)
     except ValueError as exc:
         raise CheckpointFormatError(f"{path}: inconsistent model: {exc}") from exc

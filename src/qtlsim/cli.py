@@ -9,6 +9,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -98,6 +99,7 @@ def cmd_train(args) -> int:
     model = init_model(config.mode, config.embedding, config.n_qubits, config.depth,
                        config.n_classes, substream(config.seed, "init"),
                        in_dim=config.in_dim)
+    model = replace(model, class_names=dataset.class_names)
     best, history = train(
         model, train_set, val_set,
         epochs=config.epochs, batch_size=config.batch_size, lr=config.lr,
@@ -139,7 +141,8 @@ def cmd_evaluate(args) -> int:
         config = with_overrides(config, data=args.data)
         dataset = _load_dataset(config)
     elif args.data is not None:
-        dataset = load_feature_csv(args.data)
+        # the checkpoint's names pin the label mapping; a QTLSIM1 file has none
+        dataset = load_feature_csv(args.data, class_names=model.class_names or None)
     else:
         raise DataError("no data source: pass --data or --manifest")
 

@@ -103,14 +103,19 @@ def amplitude_embed(features) -> StateVector:
     L2-normalized (pad-then-normalize never changes relative weights),
     so 512 features land on exactly 9 qubits.
     """
-    vals = _check_features(features)
-    norm = float(np.linalg.norm(vals))
-    if norm == 0.0:
+    amps = amplitude_rows(_check_features(features)[None])[0]
+    return StateVector(amps.shape[0].bit_length() - 1, amps)
+
+
+def amplitude_rows(rows: np.ndarray) -> np.ndarray:
+    """``amplitude_embed`` of each row of a finite (B, d) array, as (B, 2**n)."""
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    if np.any(norms == 0.0):
         raise ValueError("cannot amplitude-embed an all-zero vector")
-    n_qubits = max(1, int(math.ceil(math.log2(vals.shape[0]))))
-    padded = np.zeros(2**n_qubits, dtype=complex)
-    padded[: vals.shape[0]] = vals
-    return StateVector(n_qubits, padded / norm)
+    n_qubits = max(1, int(math.ceil(math.log2(rows.shape[1]))))
+    amps = np.zeros((rows.shape[0], 2**n_qubits), dtype=complex)
+    amps[:, : rows.shape[1]] = rows / norms
+    return amps
 
 
 def pixel_angles(image: GrayImage) -> np.ndarray:

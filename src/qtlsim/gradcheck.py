@@ -12,13 +12,14 @@ def finite_difference_grads(model: HybridModel, features, label: int,
                             h: float = 1e-5) -> np.ndarray:
     """Central differences of the cross-entropy loss over every parameter."""
     base = model.theta
+    row = np.asarray(features, dtype=float)[None]
     grads = np.empty_like(base)
     for i in range(base.shape[0]):
         probe = base.copy()
         probe[i] = base[i] + h
-        up = cross_entropy(model_forward(replace(model, theta=probe), features), label)
+        up = cross_entropy(model_forward(replace(model, theta=probe), row)[0], label)
         probe[i] = base[i] - h
-        down = cross_entropy(model_forward(replace(model, theta=probe), features), label)
+        down = cross_entropy(model_forward(replace(model, theta=probe), row)[0], label)
         grads[i] = (up - down) / (2.0 * h)
     return grads
 
@@ -33,6 +34,6 @@ def max_discrepancy(analytic, numeric, floor: float = 1e-3) -> float:
 
 def run_grad_check(model: HybridModel, features, label: int, h: float = 1e-5) -> float:
     """Max relative discrepancy between analytic and numeric gradients."""
-    analytic = model_backward(model, features, label)
+    analytic = model_backward(model, np.asarray(features, dtype=float)[None], [label])
     numeric = finite_difference_grads(model, features, label, h=h)
     return max_discrepancy(analytic, numeric)

@@ -19,9 +19,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .embeddings import amplitude_embed
-from .sim import Circuit, rx, ry
-from .vqc import VqcTemplate, build_layers, circuit_expectations, circuit_param_shift
+from .embeddings import amplitude_rows
+from .sim import Circuit, run_circuit_raw, rx, ry, z_expectations
+from .vqc import VqcTemplate, build_layers, circuit_adjoint, circuit_expectations
 
 # mode -> the embeddings it accepts; MODES and EMBEDDINGS orders are the
 # checkpoint tag values, so only ever append to them
@@ -90,14 +90,19 @@ def block_views(layout, vec: np.ndarray) -> dict[str, np.ndarray]:
     return views
 
 
+class NonFiniteLogits(ValueError):
+    """The forward pass overflowed: a logit is inf or nan."""
+
+
 def softmax(logits) -> np.ndarray:
-    """Max-subtracted softmax; safe for arbitrarily large logits."""
+    """Max-subtracted softmax over the last axis; safe for arbitrarily
+    large finite logits."""
     z = np.asarray(logits, dtype=float)
     if not np.all(np.isfinite(z)):
-        raise ValueError("logits must be finite")
-    z = z - z.max()
+        raise NonFiniteLogits("logits must be finite")
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def cross_entropy(probs, label: int) -> float:
@@ -114,6 +119,8 @@ class HybridModel:
 
     ``blocks`` maps each ``param_layout`` name to a read-only view of
     ``theta``; a new model is ``replace(model, theta=...)``.
+    ``class_names`` is the label mapping the model was trained on, one
+    name per class, or empty when unknown.
     """
 
     mode: str
@@ -122,6 +129,7 @@ class HybridModel:
     n_classes: int
     embedding: str
     in_dim: int = 512
+    class_names: tuple[str, ...] = ()
     blocks: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -133,8 +141,14 @@ class HybridModel:
             raise ValueError(f"expected {layout_size(layout)} parameters, got shape {theta.shape}")
         if not np.all(np.isfinite(theta)):
             raise ValueError("parameters must be finite")
+        names = tuple(self.class_names)
+        if names and not (len(set(names)) == len(names) == self.n_classes
+                          and all(name and "\n" not in name for name in names)):
+            raise ValueError(f"class_names must be {self.n_classes} distinct non-empty "
+                             f"names without line breaks, got {names!r}")
         theta.flags.writeable = False
         object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "class_names", names)
         object.__setattr__(self, "blocks", block_views(layout, theta))
 
     @property
@@ -167,8 +181,8 @@ def _dqc_circuit(embedding: str, n_qubits: int, depth: int, axis: str) -> Circui
 
     Slots 0..E-1 are the embedding angles in feature order (angle: RY
     per qubit; dense_angle: RX then RY per qubit), slots E.. the layer
-    parameters; one parameter-shift pass then yields gradients on both
-    sides of the classical/quantum boundary.
+    parameters; one adjoint sweep then yields gradients on both sides of
+    the classical/quantum boundary.
     """
     if embedding == "angle":
         embed = [ry(q, param=q) for q in range(n_qubits)]
@@ -182,77 +196,75 @@ def _dqc_circuit(embedding: str, n_qubits: int, depth: int, axis: str) -> Circui
     return Circuit(n_qubits, tuple(embed + shifted), len(embed) + layers.n_params)
 
 
-def _check_input(model: HybridModel, features) -> np.ndarray:
+def _check_batch(model: HybridModel, features) -> np.ndarray:
     x = np.asarray(features, dtype=float)
-    if x.shape != (model.in_dim,):
-        raise ValueError(f"expected {model.in_dim} features, got shape {x.shape}")
+    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != model.in_dim:
+        raise ValueError(f"expected (B, {model.in_dim}) features, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("features must be finite")
     return x
 
 
-def _dqc_parts(model: HybridModel, x: np.ndarray):
-    """Shared forward pieces of the dressed circuit up to the logits."""
+def _circuit_inputs(model: HybridModel, x: np.ndarray):
+    """(circuit, params, measured qubits, initial states, pre-layer output)
+    of a feature batch; the pre-layer output is None in purevqc."""
+    t = model.template
+    if model.mode == "purevqc":
+        return (build_layers(t), model.blocks["q"], range(model.n_classes),
+                amplitude_rows(x), None)
     p = model.blocks
-    pre_out = p["pre_w"] @ x + p["pre_b"]
-    angles = np.tanh(pre_out) * ANGLE_SCALE
-    circuit = _dqc_circuit(model.embedding, model.template.n_qubits,
-                           model.template.depth, model.template.rotation_axis)
-    full_params = np.concatenate([angles, p["q"]])
-    measured = list(range(model.template.n_qubits))
-    z = circuit_expectations(circuit, full_params, measured)
-    logits = p["post_w"] @ z + p["post_b"]
-    return pre_out, angles, circuit, full_params, measured, z, logits
+    pre_out = x @ p["pre_w"].T + p["pre_b"]
+    angles = np.tanh(pre_out) * ANGLE_SCALE  # one per-row slot per embedding gate
+    initial = np.eye(1, 2**t.n_qubits, dtype=complex).repeat(x.shape[0], axis=0)  # all |0>
+    circuit = _dqc_circuit(model.embedding, t.n_qubits, t.depth, t.rotation_axis)
+    return circuit, [*angles.T, *p["q"]], range(t.n_qubits), initial, pre_out
+
+
+def _logits(model: HybridModel, z: np.ndarray) -> np.ndarray:
+    if model.mode == "purevqc":
+        return z
+    return z @ model.blocks["post_w"].T + model.blocks["post_b"]
 
 
 def model_forward(model: HybridModel, features) -> np.ndarray:
-    """Class probability vector for one sample."""
-    x = _check_input(model, features)
-    if model.mode == "dqc":
-        logits = _dqc_parts(model, x)[-1]
-    else:
-        state = amplitude_embed(x)
-        layers = build_layers(model.template)
-        logits = circuit_expectations(layers, model.blocks["q"],
-                                      list(range(model.n_classes)), state)
-    return softmax(logits)
+    """(B, n_classes) class probabilities of a (B, in_dim) feature batch."""
+    circuit, params, measured, initial, _ = _circuit_inputs(model, _check_batch(model, features))
+    return softmax(_logits(model, circuit_expectations(circuit, params, measured, initial)))
 
 
-def model_backward(model: HybridModel, features, label: int) -> np.ndarray:
-    """Exact gradient of cross_entropy(model_forward(x), label), laid out
-    like ``model.theta``.
+def model_backward(model: HybridModel, features, labels) -> np.ndarray:
+    """Exact batch-mean gradient of the cross-entropy of
+    ``model_forward(features)`` against ``labels``, laid out like
+    ``model.theta``.
 
-    Classical pieces are differentiated analytically; rotation angles
-    (embedding and variational alike) via the parameter-shift rule,
-    chained through the tanh squash into the pre-layer.
+    One forward run of the whole batch and one adjoint reverse sweep give
+    every rotation angle's gradient, embedding and variational alike; the
+    classical pieces are differentiated analytically, chained through the
+    tanh squash into the pre-layer.
     """
-    x = _check_input(model, features)
-    if not 0 <= label < model.n_classes:
-        raise ValueError(f"label {label} out of range for {model.n_classes} classes")
+    x = _check_batch(model, features)
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (x.shape[0],) or np.any((labels < 0) | (labels >= model.n_classes)):
+        raise ValueError(f"expected {x.shape[0]} labels in [0, {model.n_classes}), got {labels!r}")
+    circuit, params, measured, initial, pre_out = _circuit_inputs(model, x)
+    final = run_circuit_raw(initial, circuit, params)
+    z = z_expectations(final, measured)
+    dlogits = softmax(_logits(model, z))
+    dlogits[np.arange(x.shape[0]), labels] -= 1.0
     if model.mode == "purevqc":
-        state = amplitude_embed(x)
-        layers = build_layers(model.template)
-        measured = list(range(model.n_classes))
-        logits = circuit_expectations(layers, model.blocks["q"], measured, state)
-        dlogits = softmax(logits)
-        dlogits[label] -= 1.0
-        return circuit_param_shift(layers, model.blocks["q"], measured, dlogits, state)
+        return circuit_adjoint(circuit, params, measured, final, dlogits).sum(axis=0) / x.shape[0]
 
-    pre_out, angles, circuit, full_params, measured, z, logits = _dqc_parts(model, x)
     grad = np.empty_like(model.theta)
     g = block_views(model.layout, grad)
-    dlogits = softmax(logits)
-    dlogits[label] -= 1.0
-    g["post_w"][...] = np.outer(dlogits, z)
-    g["post_b"][...] = dlogits
-    dz = model.blocks["post_w"].T @ dlogits
-    dfull = circuit_param_shift(circuit, full_params, measured, dz)
-    n_embed = angles.shape[0]
-    g["q"][...] = dfull[n_embed:]
-    dpre_out = dfull[:n_embed] * ANGLE_SCALE * (1.0 - np.tanh(pre_out) ** 2)
-    g["pre_w"][...] = np.outer(dpre_out, x)
-    g["pre_b"][...] = dpre_out
-    return grad
+    g["post_w"][...] = dlogits.T @ z
+    g["post_b"][...] = dlogits.sum(axis=0)
+    dfull = circuit_adjoint(circuit, params, measured, final, dlogits @ model.blocks["post_w"])
+    n_embed = pre_out.shape[1]
+    g["q"][...] = dfull[:, n_embed:].sum(axis=0)
+    dpre_out = dfull[:, :n_embed] * ANGLE_SCALE * (1.0 - np.tanh(pre_out) ** 2)
+    g["pre_w"][...] = dpre_out.T @ x
+    g["pre_b"][...] = dpre_out.sum(axis=0)
+    return grad / x.shape[0]
 
 
 def count_parameters(model: HybridModel) -> tuple[int, int]:

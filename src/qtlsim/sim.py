@@ -8,11 +8,19 @@ basis index 4 = 0b100 is |100>, i.e. qubit 0 in |1> and qubits 1, 2 in
 Rotation gates follow the standard -i*theta/2 generator convention,
 so RY(theta) = [[cos t/2, -sin t/2], [sin t/2, cos t/2]] and the
 Z expectation after RY(theta)|0> is cos(theta).
+
+The kernel runs a ``(B, 2**n)`` batch, one state per row: a rotation
+applies one 2x2 matrix, or a (B, 2, 2) stack when its angle varies per
+row, and each run of consecutive CNOTs is one fused index permutation.
+``StateVector``, ``apply_gate`` and ``run_circuit`` are B = 1 wrappers.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,21 +29,24 @@ GATE_KINDS = ROTATION_KINDS | frozenset({"h", "x", "cnot"})
 
 _NORM_TOL = 1e-10
 
-_H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_X_MATRIX = np.array([[0, 1], [1, 0]], dtype=complex)
+_FIXED_MATRICES = {"h": np.array([[1, 1], [1, -1]]) / math.sqrt(2),
+                   "x": np.array([[0, 1], [1, 0]])}
 
 
-def rotation_matrix(kind: str, angle: float) -> np.ndarray:
-    """2x2 unitary for an rx/ry/rz gate at the given angle (radians)."""
-    c = math.cos(angle / 2.0)
-    s = math.sin(angle / 2.0)
+def rotation_matrix(kind: str, angle) -> np.ndarray:
+    """2x2 unitary of an rx/ry/rz gate at ``angle`` (radians); a (B,)
+    array of angles gives a (B, 2, 2) stack."""
+    half = np.multiply(angle, 0.5)
+    c, s = np.cos(half), np.sin(half)
     if kind == "rx":
-        return np.array([[c, -1j * s], [-1j * s, c]])
-    if kind == "ry":
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    if kind == "rz":
-        return np.array([[c - 1j * s, 0], [0, c + 1j * s]])
-    raise ValueError(f"not a rotation gate: {kind!r}")
+        m = [[c, -1j * s], [-1j * s, c]]
+    elif kind == "ry":
+        m = [[c, -s], [s, c]]
+    elif kind == "rz":
+        m = [[c - 1j * s, 0 * s], [0 * s, c + 1j * s]]
+    else:
+        raise ValueError(f"not a rotation gate: {kind!r}")
+    return np.array(m, dtype=complex).T.swapaxes(-1, -2)  # (2, 2, B) -> (B, 2, 2)
 
 
 @dataclass(frozen=True)
@@ -127,6 +138,26 @@ def cnot(control: int, target: int) -> GateOp:
     return GateOp("cnot", target, control=control)
 
 
+class Permutation(NamedTuple):
+    """A basis permutation of the amplitudes: ``new[..., i] = old[..., gather[i]]``."""
+
+    gather: np.ndarray
+    inverse: np.ndarray
+
+
+def _fuse_cnots(n_qubits: int, cnots) -> Permutation:
+    """One permutation equal to the CNOTs applied in order."""
+    idx = np.arange(2**n_qubits)
+    gather = idx
+    for op in cnots:
+        control = 1 << (n_qubits - 1 - op.control)
+        flip = np.where(idx & control, 1 << (n_qubits - 1 - op.target), 0)
+        gather = gather[idx ^ flip]
+    inverse = np.empty_like(gather)
+    inverse[gather] = idx
+    return Permutation(gather, inverse)
+
+
 @dataclass(frozen=True)
 class Circuit:
     """Ordered gate program over n_qubits wires with n_params trainables."""
@@ -143,14 +174,7 @@ class Circuit:
         object.__setattr__(self, "ops", tuple(self.ops))
         seen = set()
         for op in self.ops:
-            if not 0 <= op.target < self.n_qubits:
-                raise ValueError(
-                    f"target {op.target} out of range for {self.n_qubits} qubits"
-                )
-            if op.control is not None and not 0 <= op.control < self.n_qubits:
-                raise ValueError(
-                    f"control {op.control} out of range for {self.n_qubits} qubits"
-                )
+            _check_wires(op, self.n_qubits)
             if op.param_index is not None:
                 if not 0 <= op.param_index < self.n_params:
                     raise ValueError(
@@ -162,66 +186,69 @@ class Circuit:
         if missing:
             raise ValueError(f"unreferenced parameter indices: {sorted(missing)}")
 
-
-def _sel(n: int, axis_bits: dict[int, int]) -> tuple:
-    """Index tuple fixing bit values on the given qubit axes."""
-    sel: list = [slice(None)] * n
-    for axis, bit in axis_bits.items():
-        sel[axis] = bit
-    return tuple(sel)
-
-
-def _apply_single_raw(amps: np.ndarray, n: int, target: int, m: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 matrix on one qubit without materializing the full unitary."""
-    a = amps.reshape([2] * n)
-    a0 = np.take(a, 0, axis=target)
-    a1 = np.take(a, 1, axis=target)
-    out = np.empty_like(a)
-    out[_sel(n, {target: 0})] = m[0, 0] * a0 + m[0, 1] * a1
-    out[_sel(n, {target: 1})] = m[1, 0] * a0 + m[1, 1] * a1
-    return out.reshape(-1)
+    @cached_property
+    def program(self) -> tuple:
+        """The kernel's steps: each single-qubit ``GateOp`` as is, each run
+        of consecutive CNOTs fused into one ``Permutation``."""
+        steps = []
+        for is_cnot, ops in groupby(self.ops, key=lambda op: op.kind == "cnot"):
+            steps.extend([_fuse_cnots(self.n_qubits, ops)] if is_cnot else ops)
+        return tuple(steps)
 
 
-def _apply_cnot_raw(amps: np.ndarray, n: int, control: int, target: int) -> np.ndarray:
-    a = amps.reshape([2] * n)
-    out = a.copy()
-    sel10 = _sel(n, {control: 1, target: 0})
-    sel11 = _sel(n, {control: 1, target: 1})
-    out[sel10] = a[sel11]
-    out[sel11] = a[sel10]
-    return out.reshape(-1)
+def _check_wires(op: GateOp, n_qubits: int):
+    for wire in (op.target, op.control):
+        if wire is not None and not 0 <= wire < n_qubits:
+            raise ValueError(f"{op.kind} wire {wire} out of range for {n_qubits} qubits")
 
 
-def resolve_angle(op: GateOp, params) -> float | None:
-    """Concrete rotation angle for an op, pulling trainables from params."""
-    if op.param_index is None:
-        return op.angle
-    params = np.asarray(params, dtype=float)
-    if op.param_index >= params.shape[0]:
-        raise ValueError(
-            f"unbound parameter index {op.param_index} "
-            f"(got {params.shape[0]} parameters)"
-        )
-    return float(params[op.param_index])
+def apply_matrix(amps: np.ndarray, n_qubits: int, target: int, m: np.ndarray) -> np.ndarray:
+    """Apply a 2x2 matrix, or a (B, 2, 2) stack one per row, to the target
+    qubit of every state in ``amps`` (shape ``(..., B, 2**n)``)."""
+    s = amps.reshape(amps.shape[:-1] + (2**target, 2, 2 ** (n_qubits - target - 1)))
+    if m.ndim == 3:
+        m = m[:, None, None]  # (B, 1, 1, 2, 2): broadcast over the split axes
+    a0, a1 = s[..., 0, :], s[..., 1, :]
+    out = np.empty_like(s)
+    out[..., 0, :] = m[..., 0, 0] * a0 + m[..., 0, 1] * a1
+    out[..., 1, :] = m[..., 1, 0] * a0 + m[..., 1, 1] * a1
+    return out.reshape(amps.shape)
 
 
-def _apply_op_raw(amps: np.ndarray, n: int, op: GateOp, angle: float | None) -> np.ndarray:
-    if op.target >= n or (op.control is not None and op.control >= n):
-        raise ValueError(f"gate {op.kind} wires out of range for {n} qubits")
-    if op.kind == "cnot":
-        return _apply_cnot_raw(amps, n, op.control, op.target)
-    if op.kind == "h":
-        return _apply_single_raw(amps, n, op.target, _H_MATRIX)
-    if op.kind == "x":
-        return _apply_single_raw(amps, n, op.target, _X_MATRIX)
-    return _apply_single_raw(amps, n, op.target, rotation_matrix(op.kind, angle))
+def apply_step(amps: np.ndarray, n_qubits: int, step, params, adjoint: bool = False) -> np.ndarray:
+    """Apply one ``Circuit.program`` step, or its inverse when ``adjoint``."""
+    if isinstance(step, Permutation):
+        return amps[..., step.inverse if adjoint else step.gather]
+    if step.kind in _FIXED_MATRICES:
+        m = _FIXED_MATRICES[step.kind]
+    else:
+        m = rotation_matrix(step.kind, step.angle if step.param_index is None
+                            else params[step.param_index])
+    if adjoint:
+        m = np.conj(np.swapaxes(m, -1, -2))
+    return apply_matrix(amps, n_qubits, step.target, m)
+
+
+def run_circuit_raw(amps: np.ndarray, circuit: Circuit, params) -> np.ndarray:
+    """Run the circuit on a (B, 2**n) batch of states, unvalidated.
+
+    ``params`` holds one entry per slot: a float shared by all rows or a
+    (B,) array of per-row angles."""
+    n = circuit.n_qubits
+    for step in circuit.program:
+        amps = apply_step(amps, n, step, params)
+    return amps
 
 
 def apply_gate(state: StateVector, op: GateOp, params=()) -> StateVector:
     """Apply a single gate, returning a new state (value semantics)."""
-    angle = resolve_angle(op, params)
-    amps = _apply_op_raw(state.amplitudes, state.n_qubits, op, angle)
-    return StateVector(state.n_qubits, amps)
+    _check_wires(op, state.n_qubits)
+    if op.param_index is not None and op.param_index >= len(params):
+        raise ValueError(f"unbound parameter index {op.param_index} "
+                         f"(got {len(params)} parameters)")
+    step = _fuse_cnots(state.n_qubits, [op]) if op.kind == "cnot" else op
+    amps = apply_step(state.amplitudes[None], state.n_qubits, step, np.asarray(params, float))
+    return StateVector(state.n_qubits, amps[0])
 
 
 def run_circuit(initial: StateVector, circuit: Circuit, params=()) -> StateVector:
@@ -235,24 +262,8 @@ def run_circuit(initial: StateVector, circuit: Circuit, params=()) -> StateVecto
         raise ValueError(
             f"expected {circuit.n_params} parameters, got shape {params.shape}"
         )
-    amps = run_circuit_raw(initial.amplitudes, circuit, params)
-    return StateVector(circuit.n_qubits, amps)
-
-
-def run_circuit_raw(amps: np.ndarray, circuit: Circuit, params, angle_override=None) -> np.ndarray:
-    """Raw-array circuit run; ``angle_override`` maps op position -> angle.
-
-    Validation lives in run_circuit; this path is reused by the gradient
-    code, which re-runs a circuit many times with one angle shifted.
-    """
-    n = circuit.n_qubits
-    for j, op in enumerate(circuit.ops):
-        if angle_override is not None and j in angle_override:
-            angle = angle_override[j]
-        else:
-            angle = resolve_angle(op, params)
-        amps = _apply_op_raw(amps, n, op, angle)
-    return amps
+    amps = run_circuit_raw(initial.amplitudes[None], circuit, params)
+    return StateVector(circuit.n_qubits, amps[0])
 
 
 def probabilities(state: StateVector) -> np.ndarray:
@@ -260,18 +271,29 @@ def probabilities(state: StateVector) -> np.ndarray:
     return np.abs(state.amplitudes) ** 2
 
 
-def _check_qubit(state: StateVector, qubit: int):
-    if not 0 <= qubit < state.n_qubits:
-        raise ValueError(f"qubit {qubit} out of range for {state.n_qubits} qubits")
+@lru_cache(maxsize=None)
+def z_signs(n_qubits: int, measured_qubits: tuple[int, ...]) -> np.ndarray:
+    """(M, 2**n) table: row k is the Z eigenvalue (+-1) of qubit
+    ``measured_qubits[k]`` on each basis state."""
+    if not all(0 <= q < n_qubits for q in measured_qubits):
+        raise ValueError(f"measured qubits {measured_qubits} out of range for {n_qubits} qubits")
+    bits = (np.arange(2**n_qubits) >> (n_qubits - 1 - np.array(measured_qubits))[:, None]) & 1
+    signs = 1.0 - 2.0 * bits
+    signs.flags.writeable = False
+    return signs
+
+
+def z_expectations(amps: np.ndarray, measured_qubits) -> np.ndarray:
+    """(B, M) Z expectations of the measured qubits: |psi|^2 @ signs^T."""
+    n = amps.shape[-1].bit_length() - 1
+    return (amps.real**2 + amps.imag**2) @ z_signs(n, tuple(measured_qubits)).T
 
 
 def marginal_prob_one(state: StateVector, qubit: int) -> float:
     """Probability that the given qubit reads 1."""
-    _check_qubit(state, qubit)
-    p = probabilities(state).reshape([2] * state.n_qubits)
-    return float(np.take(p, 1, axis=qubit).sum())
+    return (1.0 - expectation_z(state, qubit)) / 2.0
 
 
 def expectation_z(state: StateVector, qubit: int) -> float:
     """Pauli-Z expectation <Z> = P(0) - P(1) of one qubit, in [-1, 1]."""
-    return 1.0 - 2.0 * marginal_prob_one(state, qubit)
+    return float(z_expectations(state.amplitudes[None], [qubit])[0, 0])

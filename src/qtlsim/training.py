@@ -10,6 +10,7 @@ from .data import batches
 from .hybrid import (
     AdamState,
     HybridModel,
+    NonFiniteLogits,
     adam_step,
     cross_entropy,
     model_backward,
@@ -34,7 +35,11 @@ def evaluate(model: HybridModel, samples, split: str = "test", epoch: int = 0) -
     samples = list(samples)
     if not samples:
         raise ValueError(f"cannot evaluate on an empty {split} split")
-    probs = np.stack([model_forward(model, s.features) for s in samples])
+    chunk = max(1, 2**13 >> model.template.n_qubits)  # 2**13 amplitudes per state batch
+    probs = np.concatenate([
+        model_forward(model, np.stack([s.features for s in samples[i : i + chunk]]))
+        for i in range(0, len(samples), chunk)
+    ])
     labels = np.array([s.label for s in samples], dtype=np.int64)
     loss = float(np.mean([cross_entropy(probs[i], labels[i]) for i in range(len(samples))]))
     preds = probs.argmax(axis=1)
@@ -53,12 +58,9 @@ def evaluate(model: HybridModel, samples, split: str = "test", epoch: int = 0) -
 
 
 def _batch_gradient(model: HybridModel, batch) -> np.ndarray:
-    """Mean flat gradient over a batch, accumulated in a fixed order."""
-    total = None
-    for sample in batch:
-        g = model_backward(model, sample.features, sample.label)
-        total = g if total is None else total + g
-    return total / len(batch)
+    """Mean flat gradient over a batch, from one batched backward pass."""
+    features = np.stack([s.features for s in batch])
+    return model_backward(model, features, np.array([s.label for s in batch]))
 
 
 def train(model: HybridModel, train_set, val_set, *, epochs: int,
@@ -73,7 +75,8 @@ def train(model: HybridModel, train_set, val_set, *, epochs: int,
     descent (the full-batch sanity mode when batch_size covers the set).
 
     Fully deterministic for a given seed; raises TrainingAborted on a
-    non-finite loss, or on a non-finite batch gradient or update.
+    non-finite loss, or on a non-finite forward pass, batch gradient or
+    update.
     """
     train_set = list(train_set)
     val_set = list(val_set)
@@ -92,7 +95,11 @@ def train(model: HybridModel, train_set, val_set, *, epochs: int,
         for step, batch in enumerate(batches(train_set, batch_size, epoch_seed), start=1):
             # a diverging run overflows here; the finiteness checks report it
             with np.errstate(over="ignore", invalid="ignore"):
-                grads = _batch_gradient(model, batch)
+                try:
+                    grads = _batch_gradient(model, batch)
+                except NonFiniteLogits:
+                    raise TrainingAborted(
+                        f"non-finite forward pass at epoch {epoch}, step {step}") from None
                 if not np.all(np.isfinite(grads)):
                     raise TrainingAborted(f"non-finite gradient at epoch {epoch}, step {step}")
                 if optimizer == "adam":

@@ -1,34 +1,32 @@
-"""Layered variational circuits and exact parameter-shift gradients.
+"""Layered variational circuits, their batched forward and adjoint gradients.
 
 A template layer is one trainable rotation per qubit followed by a ring
 of CNOTs: adjacent pairs in ascending order, then a wraparound CNOT from
 the last qubit back to the first. Layers repeat ``depth`` times, so the
 parameter count is always n_qubits * depth.
+
+Everything here works on a batch of B states, shaped ``(B, 2**n)``.
+Gradients come from adjoint differentiation (Jones & Gacon,
+arXiv:2009.02823): one forward run plus one reverse sweep gives the
+derivative for every rotation, per row.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .sim import (
-    Circuit,
-    StateVector,
-    cnot,
-    resolve_angle,
-    run_circuit_raw,
-    rx,
-    ry,
-    rz,
-)
-
-# Shifted-evaluation offset of the two-point gradient rule. Module-level
-# so the gradient self-check can be driven with a broken value in tests.
-PARAM_SHIFT = math.pi / 2
+from .sim import (Circuit, GateOp, apply_matrix, apply_step, cnot, run_circuit_raw, rx, ry, rz,
+                  z_expectations, z_signs)
 
 ROTATION_AXES = ("x", "y", "z")  # index order is the checkpoint's axis tag
 _ROTATIONS = dict(zip(ROTATION_AXES, (rx, ry, rz)))
+
+# Pauli generator sigma of each rotation exp(-i theta sigma / 2); module
+# level so the gradient self-check can be driven with a broken value.
+GENERATORS = {"rx": np.array([[0, 1], [1, 0]]), "ry": np.array([[0, -1j], [1j, 0]]),
+              "rz": np.diag([1, -1])}
 
 
 @dataclass(frozen=True)
@@ -50,8 +48,12 @@ class VqcTemplate:
         return self.n_qubits * self.depth
 
 
+@lru_cache(maxsize=None)
 def build_layers(template: VqcTemplate) -> Circuit:
-    """Depth-repeated rotation + ring-CNOT layers as a trainable circuit."""
+    """Depth-repeated rotation + ring-CNOT layers as a trainable circuit.
+
+    Cached, so the circuit's compiled program is built once per template.
+    """
     n = template.n_qubits
     gate = _ROTATIONS[template.rotation_axis]
     ops = []
@@ -65,65 +67,45 @@ def build_layers(template: VqcTemplate) -> Circuit:
     return Circuit(n, tuple(ops), template.n_params)
 
 
-def zexp_from_amps(amps: np.ndarray, n: int, measured_qubits) -> np.ndarray:
-    """Per-qubit Z expectations of a raw amplitude array."""
-    p = (np.abs(amps) ** 2).reshape([2] * n)
-    out = np.empty(len(measured_qubits))
-    for k, q in enumerate(measured_qubits):
-        if not 0 <= q < n:
-            raise ValueError(f"measured qubit {q} out of range for {n} qubits")
-        out[k] = 1.0 - 2.0 * float(np.take(p, 1, axis=q).sum())
-    return out
-
-
 def circuit_expectations(circuit: Circuit, params, measured_qubits,
-                         initial: StateVector | None = None) -> np.ndarray:
-    """Run a circuit and return <Z> on the measured qubits, in order."""
-    params = np.asarray(params, dtype=float)
-    if params.shape != (circuit.n_params,):
-        raise ValueError(f"expected {circuit.n_params} parameters, got shape {params.shape}")
-    if initial is None:
-        initial = StateVector.zero(circuit.n_qubits)
-    elif initial.n_qubits != circuit.n_qubits:
-        raise ValueError(
-            f"initial state has {initial.n_qubits} qubits, circuit {circuit.n_qubits}"
-        )
-    amps = run_circuit_raw(initial.amplitudes, circuit, params)
-    return zexp_from_amps(amps, circuit.n_qubits, measured_qubits)
+                         initial: np.ndarray | None = None) -> np.ndarray:
+    """Run the circuit on each row of ``initial`` (default: one all-|0>
+    row) and return the (B, M) Z expectations of the measured qubits.
 
-
-def circuit_param_shift(circuit: Circuit, params, measured_qubits, upstream,
-                        initial: StateVector | None = None) -> np.ndarray:
-    """Gradient of upstream . <Z_measured> w.r.t. the trainable parameters.
-
-    Each trainable rotation is evaluated at +-PARAM_SHIFT; the halved
-    difference is the exact derivative for rx/ry/rz generators. Two runs
-    per trainable gate; gates sharing a parameter index accumulate.
+    ``params`` holds one entry per slot: a float shared by all rows or a
+    (B,) array of per-row angles.
     """
-    params = np.asarray(params, dtype=float)
-    upstream = np.asarray(upstream, dtype=float)
-    if params.shape != (circuit.n_params,):
-        raise ValueError(f"expected {circuit.n_params} parameters, got shape {params.shape}")
-    if upstream.shape != (len(measured_qubits),):
-        raise ValueError(
-            f"upstream shape {upstream.shape} does not match "
-            f"{len(measured_qubits)} measured qubits"
-        )
+    if len(params) != circuit.n_params:
+        raise ValueError(f"expected {circuit.n_params} parameters, got {len(params)}")
     if initial is None:
-        initial = StateVector.zero(circuit.n_qubits)
-    grads = np.zeros(circuit.n_params)
+        initial = np.eye(1, 2**circuit.n_qubits, dtype=complex)
+    if initial.ndim != 2 or initial.shape[1] != 2**circuit.n_qubits:
+        raise ValueError(f"states must be (B, {2**circuit.n_qubits}), got shape {initial.shape}")
+    return z_expectations(run_circuit_raw(initial, circuit, params), measured_qubits)
+
+
+def circuit_adjoint(circuit: Circuit, params, measured_qubits, final: np.ndarray,
+                    upstream) -> np.ndarray:
+    """Per-row gradient (B, n_params) of sum_k upstream[b, k] <Z_k>.
+
+    ``final`` is the circuit's output batch for ``params``. The sweep
+    starts from lambda = (upstream @ signs) * psi, the observable applied
+    to the output. Going back gate by gate, a trainable rotation
+    exp(-i theta sigma / 2) contributes Im<lambda|sigma|phi>, and then
+    both phi and lambda are un-applied. Gates sharing a slot accumulate.
+    """
+    upstream = np.asarray(upstream, dtype=float)
+    if upstream.shape != (final.shape[0], len(measured_qubits)):
+        raise ValueError(f"upstream shape {upstream.shape} does not match "
+                         f"{final.shape[0]} rows x {len(measured_qubits)} measured qubits")
     n = circuit.n_qubits
-    for j, op in enumerate(circuit.ops):
-        if op.param_index is None:
-            continue
-        base = resolve_angle(op, params)
-        shifted = []
-        for sign in (1.0, -1.0):
-            amps = run_circuit_raw(
-                initial.amplitudes, circuit, params,
-                angle_override={j: base + sign * PARAM_SHIFT},
-            )
-            shifted.append(zexp_from_amps(amps, n, measured_qubits))
-        dz = (shifted[0] - shifted[1]) / 2.0
-        grads[op.param_index] += float(upstream @ dz)
+    observable = upstream @ z_signs(n, tuple(measured_qubits))
+    both = np.stack([final, observable * final])  # phi, lambda
+    grads = np.zeros((final.shape[0], circuit.n_params))
+    for step in reversed(circuit.program):
+        if isinstance(step, GateOp) and step.param_index is not None:
+            phi, lam = both
+            sigma_phi = apply_matrix(phi, n, step.target, GENERATORS[step.kind])
+            grads[:, step.param_index] += np.einsum("bi,bi->b", lam.conj(), sigma_phi).imag
+        both = apply_step(both, n, step, params, adjoint=True)
     return grads

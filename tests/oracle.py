@@ -1,9 +1,12 @@
 """Independent brute-force oracles the fast implementations are tested against.
 
 Everything here is deliberately naive: dense Kronecker-product unitaries,
-O(n^2) pair counting, explicit finite differences. None of it shares code
-with the library paths it checks.
+O(n^2) pair counting, explicit finite differences, the two-point
+parameter-shift rule. None of it shares code with the library paths it
+checks.
 """
+from dataclasses import replace
+
 import numpy as np
 
 from qtlsim.sim import rotation_matrix
@@ -53,6 +56,32 @@ def dense_circuit_matrix(circuit, params=()):
 
 def dense_run(circuit, initial_amps, params=()):
     return dense_circuit_matrix(circuit, params) @ initial_amps
+
+
+def circuit_param_shift(circuit, params, measured_qubits, upstream, initial_amps,
+                        shift=np.pi / 2):
+    """Gradient of upstream . <Z_measured> over the trainable slots.
+
+    Each trainable gate in turn is evaluated at its angle +-shift with
+    dense matrices; the halved difference is the exact derivative for
+    rx/ry/rz (Schuld et al., arXiv:1811.11184). Gates sharing a slot
+    accumulate.
+    """
+    n = circuit.n_qubits
+    grads = np.zeros(circuit.n_params)
+    for j, op in enumerate(circuit.ops):
+        if op.param_index is None:
+            continue
+        dz = np.zeros(len(measured_qubits))
+        for sign in (1.0, -1.0):
+            shifted = replace(op, angle=float(params[op.param_index]) + sign * shift,
+                              param_index=None)
+            amps = np.asarray(initial_amps, dtype=complex)
+            for k, gate in enumerate(circuit.ops):
+                amps = dense_gate_matrix(shifted if k == j else gate, n, params) @ amps
+            dz += sign / 2.0 * np.array([zexp_dense(amps, n, q) for q in measured_qubits])
+        grads[op.param_index] += float(np.dot(upstream, dz))
+    return grads
 
 
 def zexp_dense(amps, n, qubit):
@@ -131,3 +160,14 @@ def random_circuit(rng, n, max_gates=12, trainable=False):
             ops.append(x(target))
     circuit = Circuit(n, tuple(ops), len(param_vals))
     return circuit, np.array(param_vals)
+
+
+def random_binding(rng, circuit, batch):
+    """Angles for a batched run: per slot, a shared float or a (batch,) array."""
+    return [float(rng.uniform(-np.pi, np.pi)) if rng.integers(2)
+            else rng.uniform(-np.pi, np.pi, batch) for _ in range(circuit.n_params)]
+
+
+def row_params(binding, row):
+    """The flat parameter vector one row of a batched run sees."""
+    return np.array([a if np.ndim(a) == 0 else a[row] for a in binding])

@@ -1,4 +1,7 @@
 """Binary checkpoint container round trips and corruption handling."""
+import struct
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -61,3 +64,38 @@ def test_trailing_garbage(tmp_path):
 def test_missing_file(tmp_path):
     with pytest.raises(CheckpointFormatError, match="cannot read"):
         load_checkpoint(tmp_path / "nope.bin")
+
+
+def test_class_names_round_trip(tmp_path):
+    model = init_model("dqc", "angle", 3, 1, 3, substream(6, "init"), in_dim=8)
+    model = replace(model, class_names=("tumor", "healthy", "covid-19 \u00e9"))
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, model)
+    assert path.read_bytes()[:7] == MAGIC == b"QTLSIM2"
+    back = load_checkpoint(path)
+    assert back.class_names == model.class_names
+    np.testing.assert_array_equal(back.theta, model.theta)
+
+
+def test_version_1_checkpoint_still_loads(tmp_path):
+    """QTLSIM1: the same header and parameters, no class names."""
+    model = init_model("dqc", "dense_angle", 2, 2, 2, substream(7, "init"), in_dim=6)
+    path = tmp_path / "v1.bin"
+    header = struct.pack("<7s3B4I", b"QTLSIM1", 0, 1, 1, 2, 2, 2, 6)
+    path.write_bytes(header + model.theta.astype("<f8").tobytes())
+    back = load_checkpoint(path)
+    assert back.embedding == "dense_angle" and back.class_names == ()
+    np.testing.assert_array_equal(back.theta, model.theta)
+
+
+def test_truncated_class_names(tmp_path):
+    model = init_model("purevqc", "amplitude", 4, 1, 2, substream(8, "init"), in_dim=16)
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, replace(model, class_names=("a", "b")))
+    path.write_bytes(path.read_bytes()[:29])  # inside the name block's size
+    with pytest.raises(CheckpointFormatError, match="truncated class names"):
+        load_checkpoint(path)
+    data = bytearray(path.read_bytes()[:26] + struct.pack("<I", 1000) + b"a\nb")
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointFormatError, match="truncated class names"):
+        load_checkpoint(path)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import qtlsim.cli as cli
 import qtlsim.vqc as vqc_mod
 from qtlsim.cli import main
 from qtlsim.data import synth_dataset, write_feature_csv
@@ -222,9 +223,84 @@ def test_grad_check_passes_for_purevqc(tmp_path, capsys):
     assert run_cli("grad-check", "--config", cfg) == 0
 
 
-def test_grad_check_fails_with_broken_shift_constant(tmp_path, monkeypatch, capsys):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("mode = dqc\nn_qubits = 3\ndepth = 1\nin_dim = 12\nseed = 3\n")
-    monkeypatch.setattr(vqc_mod, "PARAM_SHIFT", 1.3)  # anything but pi/2
-    assert run_cli("grad-check", "--config", cfg) == 1
-    assert "FAIL" in capsys.readouterr().err
+def test_overflowing_forward_exits_4(fast_config, tmp_path, capsys):
+    """At lr 1e308 step 1 leaves theta finite, and the next forward pass
+    overflows: still a numerical abort naming the epoch and step."""
+    cfg = tmp_path / "diverge.txt"
+    cfg.write_text(FAST_CONFIG.replace("lr = 0.003", "lr = 1e308")
+                   .replace("in_dim = 24", "in_dim = 64"))
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", cfg, "--out", out) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical abort: ") and "epoch 1, step 2" in err
+    assert not out.exists()
+
+
+def test_every_documented_exit_code(tmp_path, monkeypatch, capsys):
+    """One failure per code of the cli docstring, with its stderr prefix."""
+    small = tmp_path / "small.txt"
+    small.write_text("mode = dqc\nn_qubits = 3\ndepth = 1\nin_dim = 12\nseed = 3\n")
+    bad_combo = tmp_path / "bad.txt"
+    bad_combo.write_text("mode = purevqc\nembedding = angle\n")
+    no_data = tmp_path / "no_data.txt"
+    no_data.write_text(FAST_CONFIG.replace("data = synth", "data = /nonexistent.csv"))
+    overflow = tmp_path / "overflow.txt"
+    overflow.write_text(FAST_CONFIG.replace("lr = 0.003", "lr = 1e308"))
+    future = tmp_path / "future.bin"
+    future.write_bytes(b"QTLSIM9" + bytes(64))
+    broken_generator = {"ry": 1.3 * vqc_mod.GENERATORS["ry"]}  # anything but Y
+    table = [
+        (0, "", ["grad-check", "--config", small], {}),
+        (cli.EXIT_GRAD_CHECK, "FAIL", ["grad-check", "--config", small], broken_generator),
+        (cli.EXIT_CONFIG, "config error: ", ["train", "--config", bad_combo], {}),
+        (cli.EXIT_DATA, "data error: ", ["train", "--config", no_data], {}),
+        (cli.EXIT_NUMERICAL, "numerical abort: ",
+         ["train", "--config", overflow, "--out", tmp_path / "run"], {}),
+        (cli.EXIT_VERSION, "checkpoint error: ", ["evaluate", future, "--data", future], {}),
+    ]
+    assert [row[0] for row in table] == [0, 1, 2, 3, 4, 5]
+    for code, prefix, argv, generators in table:
+        with monkeypatch.context() as patch:
+            for kind, matrix in generators.items():
+                patch.setitem(vqc_mod.GENERATORS, kind, matrix)
+            assert run_cli(*argv) == code, argv
+        assert capsys.readouterr().err.startswith(prefix), argv
+
+
+def write_shuffled_csvs(tmp_path):
+    """The training rows twice: first a class1 row first, then a class0 row first."""
+    dataset = synth_dataset(20, 2, 24, 8.0, seed=5)
+    rows = sorted(dataset.samples, key=lambda s: -s.label)
+    paths = []
+    for name, order in (("class1_first.csv", rows), ("class0_first.csv", rows[::-1])):
+        paths.append(tmp_path / name)
+        write_feature_csv(paths[-1], replace(dataset, samples=tuple(order)))
+    return paths
+
+
+def test_evaluate_without_manifest_pins_the_checkpoint_labels(fast_config, tmp_path, capsys):
+    """Class names from the checkpoint, not the CSV's row order, fix the labels."""
+    assert run_cli("train", "--config", fast_config, "--out", tmp_path / "run") == 0
+    lone = tmp_path / "lone"
+    lone.mkdir()
+    (lone / "checkpoint.bin").write_bytes((tmp_path / "run" / "checkpoint.bin").read_bytes())
+    outputs = []
+    for csv_path in write_shuffled_csvs(tmp_path):
+        capsys.readouterr()
+        assert run_cli("evaluate", lone / "checkpoint.bin", "--data", csv_path) == 0
+        outputs.append(capsys.readouterr().out.splitlines())
+    assert outputs[0][1].split(",")[4] == outputs[1][1].split(",")[4]  # AUROC
+    assert outputs[0][3:] == outputs[1][3:]  # confusion matrix
+    assert float(outputs[0][1].split(",")[4]) > 0.5  # a swapped mapping reads 1 - AUROC
+
+
+def test_evaluate_label_unknown_to_the_checkpoint_exits_3(fast_config, tmp_path, capsys):
+    assert run_cli("train", "--config", fast_config, "--out", tmp_path / "run") == 0
+    csv_path = tmp_path / "renamed.csv"
+    dataset = synth_dataset(4, 2, 24, 8.0, seed=1)
+    write_feature_csv(csv_path, replace(dataset, class_names=("class0", "tumor")))
+    lone = tmp_path / "lone"
+    lone.mkdir()
+    (lone / "checkpoint.bin").write_bytes((tmp_path / "run" / "checkpoint.bin").read_bytes())
+    assert run_cli("evaluate", lone / "checkpoint.bin", "--data", csv_path) == 3
+    assert "unknown label 'tumor'" in capsys.readouterr().err

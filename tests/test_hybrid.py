@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qtlsim.hybrid import (
     AdamState,
@@ -106,6 +108,16 @@ def test_theta_length_and_finiteness_checked():
         HybridModel("dqc", VqcTemplate(4, 1), bad, 2, "angle", in_dim=16)
 
 
+def test_class_names_checked():
+    """Empty, or one distinct, non-empty, single-line name per class."""
+    m = small_dqc()
+    assert m.class_names == ()
+    assert replace(m, class_names=["a", "b"]).class_names == ("a", "b")
+    for bad in (["a"], ["a", "a"], ["a", ""], ["a", "b\nc"]):
+        with pytest.raises(ValueError, match="class_names"):
+            replace(m, class_names=bad)
+
+
 def test_blocks_are_read_only_views_of_theta():
     m = small_dqc(seed=2)
     assert not m.theta.flags.writeable
@@ -159,8 +171,8 @@ def test_parameter_vector_round_trip():
 def test_purevqc_uniform_features_give_uniform_prediction():
     m = small_purevqc()
     m = replace(m, theta=np.zeros(m.theta.shape[0]))
-    probs = model_forward(m, np.ones(16))
-    np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-12)
+    probs = model_forward(m, np.ones((1, 16)))
+    np.testing.assert_allclose(probs, [[0.5, 0.5]], atol=1e-12)
 
 
 def test_dqc_zero_parameters_hand_check():
@@ -168,17 +180,17 @@ def test_dqc_zero_parameters_hand_check():
     m = replace(m, theta=np.zeros(m.theta.shape[0]))
     # pre output 0 -> angles 0 -> identity embedding -> all <Z> = 1;
     # post is zero too, so logits are 0 and the prediction is uniform.
-    probs = model_forward(m, np.ones(16))
-    np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-12)
+    probs = model_forward(m, np.ones((1, 16)))
+    np.testing.assert_allclose(probs, [[0.5, 0.5]], atol=1e-12)
 
 
 def test_dqc_zero_quantum_path_feeds_post_layer():
     m = with_blocks(small_dqc(), pre_w=np.zeros((4, 16)), pre_b=np.zeros(4), q=np.zeros(4),
                     post_w=[[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]],
                     post_b=[0.5, 0.0])
-    probs = model_forward(m, np.ones(16))
+    probs = model_forward(m, np.ones((1, 16)))
     # all <Z> = 1, so logits = (1+2+3+4+0.5, 0) = (10.5, 0)
-    np.testing.assert_allclose(probs, softmax([10.5, 0.0]), atol=1e-12)
+    np.testing.assert_allclose(probs, [softmax([10.5, 0.0])], atol=1e-12)
 
 
 def test_forward_returns_distribution():
@@ -186,23 +198,25 @@ def test_forward_returns_distribution():
     for seed in range(3):
         for m in (small_dqc(seed=seed), small_purevqc(seed=seed),
                   small_dqc(seed=seed, embedding="dense_angle")):
-            probs = model_forward(m, rng.standard_normal(16))
-            assert np.all(probs > 0)
-            assert abs(probs.sum() - 1.0) < 1e-10
+            probs = model_forward(m, rng.standard_normal((3, 16)))
+            assert probs.shape == (3, 2) and np.all(probs > 0)
+            np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-10)
 
 
 def test_forward_checks_feature_width():
     with pytest.raises(ValueError, match="features"):
-        model_forward(small_dqc(), np.zeros(17))
+        model_forward(small_dqc(), np.zeros((1, 17)))
+    with pytest.raises(ValueError, match="features"):
+        model_forward(small_dqc(), np.zeros(16))  # one row is a (1, in_dim) batch
 
 
 # --- backward ------------------------------------------------------------
 
 def end_to_end_check(model, features, label):
-    analytic = model_backward(model, features, label)
+    analytic = model_backward(model, features[None], [label])
 
     def loss(vec):
-        return cross_entropy(model_forward(replace(model, theta=vec), features), label)
+        return cross_entropy(model_forward(replace(model, theta=vec), features[None])[0], label)
 
     numeric = finite_diff(loss, model.theta)
     bound = 1e-5 * np.maximum(np.abs(analytic), np.abs(numeric)) + 1e-7
@@ -238,20 +252,46 @@ def test_randomized_small_models_gradient_sweep():
 def test_saturated_prediction_has_zero_gradient():
     """When softmax underflows to an exact one-hot, every gradient vanishes."""
     m = with_blocks(small_dqc(), post_w=np.zeros((2, 4)), post_b=[1000.0, 0.0])
-    probs = model_forward(m, np.ones(16))
+    probs = model_forward(m, np.ones((1, 16)))[0]
     assert probs[0] == 1.0 and probs[1] == 0.0
-    grads = model_backward(m, np.ones(16), 0)
+    grads = model_backward(m, np.ones((1, 16)), [0])
     assert np.max(np.abs(grads)) == 0.0
 
 
+@given(seed=st.integers(0, 2**32 - 1), head=st.sampled_from(["angle", "dense_angle", "amplitude"]),
+       batch=st.integers(1, 5))
+def test_batched_pass_equals_single_rows(seed, head, batch):
+    """A batch gives each row's forward, and the mean of the rows' B = 1
+    backward passes, to 1e-12."""
+    rng = np.random.default_rng(seed)
+    n_qubits = int(rng.integers(2, 5))
+    n_classes = int(rng.integers(2, n_qubits + 1))
+    if head == "amplitude":
+        in_dim = 2**n_qubits
+        model = small_purevqc(seed, n_qubits, int(rng.integers(1, 3)), n_classes, in_dim)
+    else:
+        in_dim = int(rng.integers(3, 9))
+        model = small_dqc(seed, head, n_qubits, int(rng.integers(1, 3)), n_classes, in_dim)
+    x = rng.standard_normal((batch, in_dim))
+    labels = rng.integers(n_classes, size=batch)
+    probs = model_forward(model, x)
+    singles = [model_forward(model, x[b : b + 1])[0] for b in range(batch)]
+    assert np.max(np.abs(probs - singles)) <= 1e-12
+    grads = model_backward(model, x, labels)
+    singles = [model_backward(model, x[b : b + 1], labels[b : b + 1]) for b in range(batch)]
+    assert np.max(np.abs(grads - np.mean(singles, axis=0))) <= 1e-12
+
+
 def test_purevqc_gradient_only_quantum():
-    g = model_backward(small_purevqc(), np.ones(16), 0)
+    g = model_backward(small_purevqc(), np.ones((1, 16)), [0])
     assert g.shape == (4,)  # the whole purevqc theta is the quantum block
 
 
 def test_backward_label_out_of_range():
     with pytest.raises(ValueError, match="label"):
-        model_backward(small_dqc(), np.ones(16), 2)
+        model_backward(small_dqc(), np.ones((2, 16)), [0, 2])
+    with pytest.raises(ValueError, match="labels"):
+        model_backward(small_dqc(), np.ones((2, 16)), [0])
 
 
 # --- Adam ----------------------------------------------------------------

@@ -3,24 +3,35 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qtlsim.sim import (
     Circuit,
     StateVector,
     apply_gate,
+    apply_step,
     cnot,
     expectation_z,
     h,
     marginal_prob_one,
     probabilities,
     run_circuit,
+    run_circuit_raw,
     rx,
     ry,
     rz,
     x,
 )
 
-from oracle import dense_run, random_circuit, random_state_amps, zexp_dense
+from oracle import (
+    dense_run,
+    random_binding,
+    random_circuit,
+    random_state_amps,
+    row_params,
+    zexp_dense,
+)
 
 S2 = 1.0 / math.sqrt(2)
 
@@ -226,3 +237,42 @@ def test_ry_composition():
         composed = apply_gate(apply_gate(s, ry(0, b)), ry(0, a))
         direct = apply_gate(s, ry(0, a + b))
         assert np.max(np.abs(composed.amplitudes - direct.amplitudes)) < 1e-12
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), batch=st.integers(1, 5),
+       trainable=st.booleans())
+def test_batched_run_matches_dense_oracle(seed, n, batch, trainable):
+    """Each row of a batched run, with a mix of shared and per-row angles,
+    equals the dense Kronecker-product run of that row, and keeps its norm."""
+    rng = np.random.default_rng(seed)
+    circuit, _ = random_circuit(rng, n, max_gates=20, trainable=trainable)
+    binding = random_binding(rng, circuit, batch)
+    initial = np.stack([random_state_amps(rng, n) for _ in range(batch)])
+    out = run_circuit_raw(initial, circuit, binding)
+    assert out.shape == (batch, 2**n)
+    for b in range(batch):
+        expected = dense_run(circuit, initial[b], row_params(binding, b))
+        assert np.max(np.abs(out[b] - expected)) < 1e-12
+    assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) < 1e-12
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), batch=st.integers(1, 5))
+def test_reverse_steps_undo_the_run(seed, n, batch):
+    """Un-applying every compiled step in reverse order, as the adjoint
+    sweep does, returns the initial batch: each step is unitary."""
+    rng = np.random.default_rng(seed)
+    circuit, _ = random_circuit(rng, n, max_gates=20, trainable=True)
+    binding = random_binding(rng, circuit, batch)
+    initial = np.stack([random_state_amps(rng, n) for _ in range(batch)])
+    amps = run_circuit_raw(initial, circuit, binding)
+    for step in reversed(circuit.program):
+        amps = apply_step(amps, n, step, binding, adjoint=True)
+    assert np.max(np.abs(amps - initial)) < 1e-12
+
+
+def test_cnot_runs_fuse_into_one_step():
+    """A ring of n CNOTs is one permutation step of the compiled program."""
+    ops = (ry(0, 0.3), cnot(0, 1), cnot(1, 2), cnot(2, 0), ry(1, 0.2))
+    program = Circuit(3, ops).program
+    assert len(program) == 3
+    assert program[0] is ops[0] and program[2] is ops[4]

@@ -97,7 +97,7 @@ def test_batch_gradient_is_mean_of_sample_gradients():
     model = tiny_model(seed=13)
     batch = list(train_set.samples[:4])
     averaged = training_mod._batch_gradient(model, batch)
-    singles = [model_backward(model, s.features, s.label) for s in batch]
+    singles = [model_backward(model, s.features[None], [s.label]) for s in batch]
     np.testing.assert_allclose(averaged, np.mean(singles, axis=0), atol=1e-15)
 
 

@@ -1,25 +1,43 @@
-"""Variational template structure and parameter-shift gradients."""
+"""Variational template structure, batched readout and adjoint gradients."""
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qtlsim.embeddings import angle_embed
-from qtlsim.sim import Circuit, StateVector, run_circuit
+from qtlsim.sim import Circuit, StateVector, run_circuit, run_circuit_raw
 from qtlsim.vqc import (
     VqcTemplate,
     build_layers,
+    circuit_adjoint,
     circuit_expectations,
-    circuit_param_shift,
 )
 
-from oracle import dense_run, finite_diff, random_state_amps, zexp_dense
+from oracle import (
+    circuit_param_shift,
+    dense_run,
+    finite_diff,
+    random_binding,
+    random_circuit,
+    random_state_amps,
+    row_params,
+    zexp_dense,
+)
 
 
 def embedded(embed: Circuit, template: VqcTemplate) -> Circuit:
     """Constant-angle embedding followed by the template's trainable layers."""
     return Circuit(template.n_qubits, embed.ops + build_layers(template).ops,
                    template.n_params)
+
+
+def adjoint_grad(circuit, params, measured, upstream, initial=None):
+    """circuit_adjoint for one row, from the single-state run's output."""
+    start = StateVector.zero(circuit.n_qubits) if initial is None else initial
+    final = run_circuit(start, circuit, params).amplitudes[None]
+    return circuit_adjoint(circuit, params, measured, final, [upstream])[0]
 
 
 def test_parameter_count_nine_by_four_is_36():
@@ -67,14 +85,15 @@ def test_invalid_template():
 
 def test_forward_zero_params_identity_embedding():
     z = circuit_expectations(build_layers(VqcTemplate(4, 2)), np.zeros(8), [0, 1, 2, 3],
-                             StateVector.zero(4))
-    np.testing.assert_allclose(z, np.ones(4), atol=1e-12)
+                             StateVector.zero(4).amplitudes[None])
+    np.testing.assert_allclose(z, np.ones((1, 4)), atol=1e-12)
 
 
 def test_forward_single_qubit_is_cos_theta():
     for theta in (0.0, 0.4, 1.7, -2.2):
         z = circuit_expectations(build_layers(VqcTemplate(1, 1)), [theta], [0])
-        assert abs(z[0] - math.cos(theta)) < 1e-12
+        assert z.shape == (1, 1)
+        assert abs(z[0, 0] - math.cos(theta)) < 1e-12
 
 
 def test_forward_matches_dense_oracle():
@@ -84,7 +103,7 @@ def test_forward_matches_dense_oracle():
         params = rng.uniform(-np.pi, np.pi, size=template.n_params)
         embed = angle_embed(rng.uniform(-np.pi, np.pi, 4), 4)
         circuit = embedded(embed, template)
-        fast = circuit_expectations(circuit, params, [0, 1, 2, 3])
+        fast = circuit_expectations(circuit, params, [0, 1, 2, 3])[0]
 
         amps = dense_run(circuit, StateVector.zero(4).amplitudes, params)
         slow = [zexp_dense(amps, 4, q) for q in range(4)]
@@ -99,24 +118,28 @@ def test_forward_accepts_state_or_circuit():
     via_circuit = circuit_expectations(embedded(angle_embed(feats, 3), template), params,
                                        [0, 1, 2])
     prepared = run_circuit(StateVector.zero(3), angle_embed(feats, 3))
-    via_state = circuit_expectations(build_layers(template), params, [0, 1, 2], prepared)
+    via_state = circuit_expectations(build_layers(template), params, [0, 1, 2],
+                                     prepared.amplitudes[None])
     np.testing.assert_allclose(via_circuit, via_state, atol=1e-14)
 
 
 def test_forward_dimension_mismatch():
     layers = build_layers(VqcTemplate(2, 1))
+    zero = StateVector.zero(2).amplitudes[None]
     with pytest.raises(ValueError, match="parameters"):
-        circuit_expectations(layers, np.zeros(3), [0], StateVector.zero(2))
+        circuit_expectations(layers, np.zeros(3), [0], zero)
     with pytest.raises(ValueError, match="measured"):
-        circuit_expectations(layers, np.zeros(2), [5], StateVector.zero(2))
+        circuit_expectations(layers, np.zeros(2), [5], zero)
+    with pytest.raises(ValueError, match="states"):
+        circuit_expectations(layers, np.zeros(2), [0], zero[0])
 
 
 def test_grad_single_qubit_ry():
     """d<Z>/dtheta = -sin(theta) for one RY."""
     layer = build_layers(VqcTemplate(1, 1))
-    g = circuit_param_shift(layer, [math.pi / 2], [0], [1.0], StateVector.zero(1))
+    g = adjoint_grad(layer, [math.pi / 2], [0], [1.0])
     assert abs(g[0] + 1.0) < 1e-12
-    g0 = circuit_param_shift(layer, [0.0], [0], [1.0], StateVector.zero(1))
+    g0 = adjoint_grad(layer, [0.0], [0], [1.0])
     assert abs(g0[0]) < 1e-12
 
 
@@ -131,10 +154,10 @@ def test_grad_matches_finite_differences():
         measured = list(range(n))
         upstream = rng.standard_normal(n)
 
-        analytic = circuit_param_shift(circuit, params, measured, upstream)
+        analytic = adjoint_grad(circuit, params, measured, upstream)
 
         def loss(p):
-            z = circuit_expectations(circuit, p, measured)
+            z = circuit_expectations(circuit, p, measured)[0]
             return float(upstream @ z)
 
         numeric = finite_diff(loss, params)
@@ -146,24 +169,55 @@ def test_grad_deterministic():
     template = VqcTemplate(4, 2)
     params = rng.uniform(-np.pi, np.pi, template.n_params)
     circuit = embedded(angle_embed(rng.uniform(-1, 1, 4), 4), template)
-    a = circuit_param_shift(circuit, params, [0, 1], [0.5, -0.25])
-    b = circuit_param_shift(circuit, params, [0, 1], [0.5, -0.25])
+    a = adjoint_grad(circuit, params, [0, 1], [0.5, -0.25])
+    b = adjoint_grad(circuit, params, [0, 1], [0.5, -0.25])
     np.testing.assert_array_equal(a, b)
 
 
 def test_grad_upstream_shape_checked():
+    layers = build_layers(VqcTemplate(2, 1))
+    final = run_circuit(StateVector.zero(2), layers, np.zeros(2)).amplitudes[None]
     with pytest.raises(ValueError, match="upstream"):
-        circuit_param_shift(build_layers(VqcTemplate(2, 1)), np.zeros(2), [0, 1], [1.0])
+        circuit_adjoint(layers, np.zeros(2), [0, 1], final, [1.0])
+    with pytest.raises(ValueError, match="upstream"):
+        circuit_adjoint(layers, np.zeros(2), [0, 1], final, [[1.0]])
 
 
 def test_shared_parameter_accumulates():
-    """A slot used by two gates gets the sum of both shift contributions."""
+    """A slot used by two gates gets the sum of both gates' contributions."""
     from qtlsim.sim import ry
 
     circuit = Circuit(1, (ry(0, param=0), ry(0, param=0)), 1)
     theta = 0.37
-    g = circuit_param_shift(circuit, [theta], [0], [1.0])
+    g = adjoint_grad(circuit, [theta], [0], [1.0])
     # <Z> = cos(2 theta), so d/dtheta = -2 sin(2 theta)
     assert abs(g[0] + 2.0 * math.sin(2 * theta)) < 1e-10
     z = circuit_expectations(circuit, [theta], [0])
-    assert abs(z[0] - math.cos(2 * theta)) < 1e-12
+    assert abs(z[0, 0] - math.cos(2 * theta)) < 1e-12
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), batch=st.integers(1, 5))
+def test_adjoint_matches_param_shift_and_finite_differences(seed, n, batch):
+    """Per row, the batched adjoint equals the dense parameter-shift oracle
+    to 1e-12 and central differences of the dense forward to 1e-6."""
+    rng = np.random.default_rng(seed)
+    circuit, _ = random_circuit(rng, n, max_gates=16, trainable=True)
+    binding = random_binding(rng, circuit, batch)
+    initial = np.stack([random_state_amps(rng, n) for _ in range(batch)])
+    measured = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
+    upstream = rng.standard_normal((batch, len(measured)))
+
+    final = run_circuit_raw(initial, circuit, binding)
+    grads = circuit_adjoint(circuit, binding, measured, final, upstream)
+    assert grads.shape == (batch, circuit.n_params)
+    for b in range(batch):
+        params = row_params(binding, b)
+        shift = circuit_param_shift(circuit, params, measured, upstream[b], initial[b])
+        assert np.max(np.abs(grads[b] - shift), initial=0.0) <= 1e-12
+
+        def loss(p):
+            amps = dense_run(circuit, initial[b], p)
+            return float(upstream[b] @ [zexp_dense(amps, n, q) for q in measured])
+
+        numeric = finite_diff(loss, params)
+        assert np.max(np.abs(grads[b] - numeric), initial=0.0) < 1e-6
