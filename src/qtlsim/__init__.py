@@ -1,7 +1,8 @@
 """Hybrid quantum-classical transfer-learning classifiers on an exact
 statevector simulator: feature/image embeddings, layered variational
 circuits simulated on (B, 2**n) state batches with adjoint-differentiation
-gradients, two classifier heads, and a seeded experiment CLI."""
+gradients, two classifier heads, and a seeded experiment CLI. Real circuits
+run on float64 batches, one matmul per gate; others on complex128."""
 
 __version__ = "0.1.0"
 

@@ -108,12 +108,13 @@ def amplitude_embed(features) -> StateVector:
 
 
 def amplitude_rows(rows: np.ndarray) -> np.ndarray:
-    """``amplitude_embed`` of each row of a finite (B, d) array, as (B, 2**n)."""
+    """``amplitude_embed`` of each row of a finite (B, d) array, as a
+    float64 (B, 2**n) batch, which the kernel runs in real arithmetic."""
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise ValueError("cannot amplitude-embed an all-zero vector")
     n_qubits = max(1, int(math.ceil(math.log2(rows.shape[1]))))
-    amps = np.zeros((rows.shape[0], 2**n_qubits), dtype=complex)
+    amps = np.zeros((rows.shape[0], 2**n_qubits))
     amps[:, : rows.shape[1]] = rows / norms
     return amps
 

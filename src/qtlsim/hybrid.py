@@ -215,8 +215,9 @@ def _circuit_inputs(model: HybridModel, x: np.ndarray):
     p = model.blocks
     pre_out = x @ p["pre_w"].T + p["pre_b"]
     angles = np.tanh(pre_out) * ANGLE_SCALE  # one per-row slot per embedding gate
-    initial = np.eye(1, 2**t.n_qubits, dtype=complex).repeat(x.shape[0], axis=0)  # all |0>
     circuit = _dqc_circuit(model.embedding, t.n_qubits, t.depth, t.rotation_axis)
+    real = not any(op.kind in ("rx", "rz") for op in circuit.ops)  # else complex from the start
+    initial = np.eye(1, 2**t.n_qubits, dtype=float if real else complex).repeat(x.shape[0], axis=0)
     return circuit, [*angles.T, *p["q"]], range(t.n_qubits), initial, pre_out
 
 

@@ -12,7 +12,9 @@ Z expectation after RY(theta)|0> is cos(theta).
 The kernel runs a ``(B, 2**n)`` batch, one state per row: a rotation
 applies one 2x2 matrix, or a (B, 2, 2) stack when its angle varies per
 row, and each run of consecutive CNOTs is one fused index permutation.
-``StateVector``, ``apply_gate`` and ``run_circuit`` are B = 1 wrappers.
+A float64 batch (real input through ry/h/x/cnot) takes one matmul per
+gate, a complex128 one (after any rx or rz) an element-wise update.
+``StateVector`` (complex), ``apply_gate`` and ``run_circuit`` are B = 1 wrappers.
 """
 from __future__ import annotations
 
@@ -34,8 +36,8 @@ _FIXED_MATRICES = {"h": np.array([[1, 1], [1, -1]]) / math.sqrt(2),
 
 
 def rotation_matrix(kind: str, angle) -> np.ndarray:
-    """2x2 unitary of an rx/ry/rz gate at ``angle`` (radians); a (B,)
-    array of angles gives a (B, 2, 2) stack."""
+    """2x2 unitary of an rx/ry/rz gate at ``angle`` (radians), float64 for ry
+    and complex128 otherwise; a (B,) array of angles gives a (B, 2, 2) stack."""
     half = np.multiply(angle, 0.5)
     c, s = np.cos(half), np.sin(half)
     if kind == "rx":
@@ -46,7 +48,8 @@ def rotation_matrix(kind: str, angle) -> np.ndarray:
         m = [[c - 1j * s, 0 * s], [0 * s, c + 1j * s]]
     else:
         raise ValueError(f"not a rotation gate: {kind!r}")
-    return np.array(m, dtype=complex).T.swapaxes(-1, -2)  # (2, 2, B) -> (B, 2, 2)
+    m = np.array(m, dtype=float if kind == "ry" else complex)
+    return m.T.swapaxes(-1, -2)  # (2, 2, B) -> (B, 2, 2)
 
 
 @dataclass(frozen=True)
@@ -204,8 +207,19 @@ def _check_wires(op: GateOp, n_qubits: int):
 
 def apply_matrix(amps: np.ndarray, n_qubits: int, target: int, m: np.ndarray) -> np.ndarray:
     """Apply a 2x2 matrix, or a (B, 2, 2) stack one per row, to the target
-    qubit of every state in ``amps`` (shape ``(..., B, 2**n)``)."""
+    qubit of every state in ``amps`` (shape ``(..., B, 2**n)``): one matmul
+    on a float64 batch (a complex ``m`` promotes it), an element-wise update
+    on a complex128 one, where numpy's matmul of 2x2 blocks is slower."""
+    real = amps.dtype == float
+    if real and target == n_qubits - 1:  # s @ m^T: the left form is slow on the last qubit
+        s = amps.reshape(amps.shape[:-1] + (2 ** (n_qubits - 1), 2))
+        return (s @ np.swapaxes(m, -1, -2)).reshape(amps.shape)
     s = amps.reshape(amps.shape[:-1] + (2**target, 2, 2 ** (n_qubits - target - 1)))
+    if real:
+        if m.ndim == 3:
+            m = m[:, None]  # (B, 1, 2, 2): broadcast over the 2**target axis
+        return (m @ s).reshape(amps.shape)
+    m = m.astype(complex, copy=False)  # one cast here, not one per product below
     if m.ndim == 3:
         m = m[:, None, None]  # (B, 1, 1, 2, 2): broadcast over the split axes
     a0, a1 = s[..., 0, :], s[..., 1, :]
@@ -286,7 +300,8 @@ def z_signs(n_qubits: int, measured_qubits: tuple[int, ...]) -> np.ndarray:
 def z_expectations(amps: np.ndarray, measured_qubits) -> np.ndarray:
     """(B, M) Z expectations of the measured qubits: |psi|^2 @ signs^T."""
     n = amps.shape[-1].bit_length() - 1
-    return (amps.real**2 + amps.imag**2) @ z_signs(n, tuple(measured_qubits)).T
+    probs = amps * amps if amps.dtype == float else amps.real**2 + amps.imag**2
+    return probs @ z_signs(n, tuple(measured_qubits)).T
 
 
 def marginal_prob_one(state: StateVector, qubit: int) -> float:

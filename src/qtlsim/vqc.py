@@ -78,7 +78,7 @@ def circuit_expectations(circuit: Circuit, params, measured_qubits,
     if len(params) != circuit.n_params:
         raise ValueError(f"expected {circuit.n_params} parameters, got {len(params)}")
     if initial is None:
-        initial = np.eye(1, 2**circuit.n_qubits, dtype=complex)
+        initial = np.eye(1, 2**circuit.n_qubits)
     if initial.ndim != 2 or initial.shape[1] != 2**circuit.n_qubits:
         raise ValueError(f"states must be (B, {2**circuit.n_qubits}), got shape {initial.shape}")
     return z_expectations(run_circuit_raw(initial, circuit, params), measured_qubits)
@@ -91,8 +91,10 @@ def circuit_adjoint(circuit: Circuit, params, measured_qubits, final: np.ndarray
     ``final`` is the circuit's output batch for ``params``. The sweep
     starts from lambda = (upstream @ signs) * psi, the observable applied
     to the output. Going back gate by gate, a trainable rotation
-    exp(-i theta sigma / 2) contributes Im<lambda|sigma|phi>, and then
-    both phi and lambda are un-applied. Gates sharing a slot accumulate.
+    exp(-i theta sigma / 2) contributes Re<lambda|G phi> with G = -i sigma,
+    and then both phi and lambda are un-applied. Gates sharing a slot
+    accumulate. G is real for ry, so a float64 batch, whose trainable
+    gates are all ry, stays float64.
     """
     upstream = np.asarray(upstream, dtype=float)
     if upstream.shape != (final.shape[0], len(measured_qubits)):
@@ -100,12 +102,14 @@ def circuit_adjoint(circuit: Circuit, params, measured_qubits, final: np.ndarray
                          f"{final.shape[0]} rows x {len(measured_qubits)} measured qubits")
     n = circuit.n_qubits
     observable = upstream @ z_signs(n, tuple(measured_qubits))
+    gens = {kind: -1j * np.asarray(sigma) for kind, sigma in GENERATORS.items()}
+    gens = {kind: g if g.imag.any() else g.real for kind, g in gens.items()}  # real G for ry
     both = np.stack([final, observable * final])  # phi, lambda
     grads = np.zeros((final.shape[0], circuit.n_params))
     for step in reversed(circuit.program):
         if isinstance(step, GateOp) and step.param_index is not None:
             phi, lam = both
-            sigma_phi = apply_matrix(phi, n, step.target, GENERATORS[step.kind])
-            grads[:, step.param_index] += np.einsum("bi,bi->b", lam.conj(), sigma_phi).imag
+            g_phi = apply_matrix(phi, n, step.target, gens[step.kind])
+            grads[:, step.param_index] += np.einsum("bi,bi->b", lam.conj(), g_phi).real
         both = apply_step(both, n, step, params, adjoint=True)
     return grads

@@ -68,6 +68,7 @@ def circuit_param_shift(circuit, params, measured_qubits, upstream, initial_amps
     accumulate.
     """
     n = circuit.n_qubits
+    unshifted = [dense_gate_matrix(gate, n, params) for gate in circuit.ops]
     grads = np.zeros(circuit.n_params)
     for j, op in enumerate(circuit.ops):
         if op.param_index is None:
@@ -77,8 +78,8 @@ def circuit_param_shift(circuit, params, measured_qubits, upstream, initial_amps
             shifted = replace(op, angle=float(params[op.param_index]) + sign * shift,
                               param_index=None)
             amps = np.asarray(initial_amps, dtype=complex)
-            for k, gate in enumerate(circuit.ops):
-                amps = dense_gate_matrix(shifted if k == j else gate, n, params) @ amps
+            for k, matrix in enumerate(unshifted):
+                amps = (dense_gate_matrix(shifted, n) if k == j else matrix) @ amps
             dz += sign / 2.0 * np.array([zexp_dense(amps, n, q) for q in measured_qubits])
         grads[op.param_index] += float(np.dot(upstream, dz))
     return grads
@@ -122,20 +123,25 @@ def finite_diff(f, x0, h=1e-5):
     return out
 
 
-def random_state_amps(rng, n):
-    amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+def random_state_amps(rng, n, real=False):
+    """A normalised random state: complex128, or float64 when ``real``."""
+    amps = rng.standard_normal(2**n)
+    if not real:
+        amps = amps + 1j * rng.standard_normal(2**n)
     return amps / np.linalg.norm(amps)
 
 
-def random_circuit(rng, n, max_gates=12, trainable=False):
-    """Random mixed circuit; returns (circuit, params)."""
+def random_circuit(rng, n, max_gates=12, trainable=False, real=False):
+    """Random mixed circuit, or only ry/h/x/cnot gates when ``real``;
+    returns (circuit, params)."""
     from qtlsim.sim import Circuit, cnot, h, rx, ry, rz, x
 
     n_gates = int(rng.integers(1, max_gates + 1))
     ops = []
     param_vals = []
+    kinds = ["ry", "h", "x", "cnot"] if real else ["rx", "ry", "rz", "h", "x", "cnot"]
     for _ in range(n_gates):
-        kind = rng.choice(["rx", "ry", "rz", "h", "x", "cnot"])
+        kind = rng.choice(kinds)
         target = int(rng.integers(n))
         if kind == "cnot":
             if n < 2:

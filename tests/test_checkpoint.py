@@ -1,13 +1,70 @@
 """Binary checkpoint container round trips and corruption handling."""
 import struct
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qtlsim.checkpoint import MAGIC, CheckpointFormatError, load_checkpoint, save_checkpoint
-from qtlsim.hybrid import init_model
+from qtlsim.hybrid import PAIRINGS, init_model
 from qtlsim.seeding import substream
+from qtlsim.vqc import ROTATION_AXES
+
+_NAME = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"),
+                min_size=1, max_size=8)
+
+
+@st.composite
+def models(draw):
+    """A random valid head: any mode/embedding pairing, rotation axis, shape,
+    class names (or none) and finite parameters."""
+    mode, embedding = draw(st.sampled_from([(m, e) for m, es in PAIRINGS.items() for e in es]))
+    if mode == "purevqc":  # the qubit count follows in_dim, one qubit per class
+        n_qubits = draw(st.integers(2, 6))
+        in_dim = draw(st.integers(2 ** (n_qubits - 1) + 1, 2**n_qubits))
+        n_classes = draw(st.integers(2, n_qubits))
+    else:
+        n_qubits = draw(st.integers(1, 6))
+        in_dim = draw(st.integers(1, 40))
+        n_classes = draw(st.integers(2, 5))
+    model = init_model(mode, embedding, n_qubits, draw(st.integers(1, 4)), n_classes,
+                       np.random.default_rng(draw(st.integers(0, 2**32 - 1))), in_dim=in_dim)
+    names = draw(st.one_of(st.just(()), st.lists(_NAME, min_size=n_classes,
+                                                 max_size=n_classes, unique=True)))
+    template = replace(model.template, rotation_axis=draw(st.sampled_from(ROTATION_AXES)))
+    return replace(model, template=template, class_names=tuple(names),
+                   theta=model.theta * draw(st.floats(1e-300, 1e300)))
+
+
+@given(model=models())
+def test_every_valid_model_round_trips(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.bin"
+        save_checkpoint(path, model)
+        back = load_checkpoint(path)
+    assert (back.mode, back.embedding, back.template) == (model.mode, model.embedding,
+                                                           model.template)
+    assert (back.n_classes, back.in_dim, back.class_names) == (model.n_classes, model.in_dim,
+                                                               model.class_names)
+    assert back.theta.tobytes() == model.theta.tobytes()
+
+
+def test_every_truncation_is_a_format_error(tmp_path):
+    """Each proper prefix of a QTLSIM2 file, with and without class names,
+    raises CheckpointFormatError and nothing else."""
+    for i, names in enumerate([(), ("a", "b\u00e9")]):
+        model = init_model("dqc", "dense_angle", 2, 1, 2, substream(9, "init"), in_dim=3)
+        path = tmp_path / f"model{i}.bin"
+        save_checkpoint(path, replace(model, class_names=names))
+        data = path.read_bytes()
+        for length in range(len(data)):
+            path.write_bytes(data[:length])
+            with pytest.raises(CheckpointFormatError):
+                load_checkpoint(path)
 
 
 def test_round_trip_dqc(tmp_path):

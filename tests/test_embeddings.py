@@ -7,6 +7,7 @@ import pytest
 from qtlsim.embeddings import (
     GrayImage,
     amplitude_embed,
+    amplitude_rows,
     angle_embed,
     center_crop_pow2,
     dense_angle_embed,
@@ -133,6 +134,16 @@ def test_amplitude_embed_pads_then_normalizes():
     )
     probs = np.abs(s.amplitudes) ** 2
     np.testing.assert_allclose(probs, [1 / 3, 1 / 3, 1 / 3, 0.0], atol=1e-12)
+
+
+def test_amplitude_rows_are_a_float64_batch():
+    """The batched embedding is real, so the kernel runs it with matmuls;
+    each row equals amplitude_embed of that row."""
+    rows = np.array([[3.0, 4.0, 0.0], [1.0, 1.0, 1.0]])
+    amps = amplitude_rows(rows)
+    assert amps.dtype == np.float64 and amps.shape == (2, 4)
+    for row, state in zip(rows, amps):
+        np.testing.assert_array_equal(state, amplitude_embed(row).amplitudes.real)
 
 
 def test_amplitude_embed_rejects_zero_vector():

@@ -239,35 +239,77 @@ def test_ry_composition():
         assert np.max(np.abs(composed.amplitudes - direct.amplitudes)) < 1e-12
 
 
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), batch=st.integers(1, 5),
-       trainable=st.booleans())
-def test_batched_run_matches_dense_oracle(seed, n, batch, trainable):
+def stays_real(initial, circuit) -> bool:
+    """The dtype rule: a float64 batch stays float64 until an rx or rz gate."""
+    return initial.dtype == float and not any(op.kind in ("rx", "rz") for op in circuit.ops)
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), batch=st.integers(1, 5),
+       trainable=st.booleans(), real_circuit=st.booleans(), real_state=st.booleans())
+def test_batched_run_matches_dense_oracle(seed, n, batch, trainable, real_circuit, real_state):
     """Each row of a batched run, with a mix of shared and per-row angles,
-    equals the dense Kronecker-product run of that row, and keeps its norm."""
+    equals the dense Kronecker-product run of that row, and keeps its norm.
+    Real circuits on float64 batches (the matmul form) return float64."""
     rng = np.random.default_rng(seed)
-    circuit, _ = random_circuit(rng, n, max_gates=20, trainable=trainable)
+    circuit, _ = random_circuit(rng, n, max_gates=20, trainable=trainable, real=real_circuit)
     binding = random_binding(rng, circuit, batch)
-    initial = np.stack([random_state_amps(rng, n) for _ in range(batch)])
+    initial = np.stack([random_state_amps(rng, n, real=real_state) for _ in range(batch)])
     out = run_circuit_raw(initial, circuit, binding)
     assert out.shape == (batch, 2**n)
+    assert out.dtype == (float if stays_real(initial, circuit) else complex)
     for b in range(batch):
         expected = dense_run(circuit, initial[b], row_params(binding, b))
         assert np.max(np.abs(out[b] - expected)) < 1e-12
     assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) < 1e-12
 
 
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), batch=st.integers(1, 5))
-def test_reverse_steps_undo_the_run(seed, n, batch):
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), batch=st.integers(1, 5),
+       real=st.booleans())
+def test_reverse_steps_undo_the_run(seed, n, batch, real):
     """Un-applying every compiled step in reverse order, as the adjoint
-    sweep does, returns the initial batch: each step is unitary."""
+    sweep does, returns the initial batch: each step is unitary. A real
+    circuit on a float64 batch stays float64 both ways."""
     rng = np.random.default_rng(seed)
-    circuit, _ = random_circuit(rng, n, max_gates=20, trainable=True)
+    circuit, _ = random_circuit(rng, n, max_gates=20, trainable=True, real=real)
     binding = random_binding(rng, circuit, batch)
-    initial = np.stack([random_state_amps(rng, n) for _ in range(batch)])
+    initial = np.stack([random_state_amps(rng, n, real=real) for _ in range(batch)])
     amps = run_circuit_raw(initial, circuit, binding)
     for step in reversed(circuit.program):
         amps = apply_step(amps, n, step, binding, adjoint=True)
+    assert amps.dtype == initial.dtype
     assert np.max(np.abs(amps - initial)) < 1e-12
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), batch=st.integers(1, 5))
+def test_real_batch_matches_its_complex_cast(seed, n, batch):
+    """A real circuit gives the same states on a float64 batch (one matmul
+    per gate) as on the same batch cast to complex128 (element-wise), and
+    the complex run's imaginary part stays exactly 0."""
+    rng = np.random.default_rng(seed)
+    circuit, _ = random_circuit(rng, n, max_gates=20, trainable=True, real=True)
+    binding = random_binding(rng, circuit, batch)
+    initial = np.stack([random_state_amps(rng, n, real=True) for _ in range(batch)])
+    real_out = run_circuit_raw(initial, circuit, binding)
+    complex_out = run_circuit_raw(initial.astype(complex), circuit, binding)
+    assert real_out.dtype == float and complex_out.dtype == complex
+    assert np.all(complex_out.imag == 0.0)
+    assert np.max(np.abs(real_out - complex_out.real)) <= 1e-14
+
+
+@pytest.mark.parametrize("gate", [rx, rz])
+def test_rotation_gates_promote_a_real_batch(gate):
+    """A float64 batch meeting an rx or rz gate, on any qubit, turns
+    complex128 and still matches the dense oracle row by row."""
+    rng = np.random.default_rng(5)
+    initial = np.stack([random_state_amps(rng, 3, real=True) for _ in range(2)])
+    for target in range(3):
+        circuit = Circuit(3, (ry(0, 0.4), gate(target, param=0), h(2), cnot(2, 0), ry(1, 0.9)), 1)
+        binding = [np.array([0.7, -1.9])]
+        out = run_circuit_raw(initial, circuit, binding)
+        assert out.dtype == complex
+        for b in range(2):
+            expected = dense_run(circuit, initial[b], row_params(binding, b))
+            assert np.max(np.abs(out[b] - expected)) < 1e-12
 
 
 def test_cnot_runs_fuse_into_one_step():

@@ -196,20 +196,25 @@ def test_shared_parameter_accumulates():
     assert abs(z[0, 0] - math.cos(2 * theta)) < 1e-12
 
 
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), batch=st.integers(1, 5))
-def test_adjoint_matches_param_shift_and_finite_differences(seed, n, batch):
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), batch=st.integers(1, 5),
+       real_circuit=st.booleans(), real_state=st.booleans())
+def test_adjoint_matches_param_shift_and_finite_differences(seed, n, batch, real_circuit,
+                                                            real_state):
     """Per row, the batched adjoint equals the dense parameter-shift oracle
-    to 1e-12 and central differences of the dense forward to 1e-6."""
+    to 1e-12 and central differences of the dense forward to 1e-6, on real
+    circuits over float64 batches (which stay float64) and on complex ones."""
     rng = np.random.default_rng(seed)
-    circuit, _ = random_circuit(rng, n, max_gates=16, trainable=True)
+    circuit, _ = random_circuit(rng, n, max_gates=16, trainable=True, real=real_circuit)
     binding = random_binding(rng, circuit, batch)
-    initial = np.stack([random_state_amps(rng, n) for _ in range(batch)])
+    initial = np.stack([random_state_amps(rng, n, real=real_state) for _ in range(batch)])
     measured = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
     upstream = rng.standard_normal((batch, len(measured)))
 
     final = run_circuit_raw(initial, circuit, binding)
+    if real_circuit and real_state:
+        assert final.dtype == float
     grads = circuit_adjoint(circuit, binding, measured, final, upstream)
-    assert grads.shape == (batch, circuit.n_params)
+    assert grads.shape == (batch, circuit.n_params) and grads.dtype == float
     for b in range(batch):
         params = row_params(binding, b)
         shift = circuit_param_shift(circuit, params, measured, upstream[b], initial[b])
@@ -221,3 +226,25 @@ def test_adjoint_matches_param_shift_and_finite_differences(seed, n, batch):
 
         numeric = finite_diff(loss, params)
         assert np.max(np.abs(grads[b] - numeric), initial=0.0) < 1e-6
+
+
+@pytest.mark.parametrize("broken", [
+    1.3 * np.array([[0, -1j], [1j, 0]]),  # a scaled Y: G stays real, the gradient scales
+    np.array([[0, 1], [1, 0]]),  # X: G = -iX is imaginary and the gradient vanishes
+], ids=["scaled_y", "pauli_x"])
+def test_broken_ry_generator_changes_the_real_adjoint(monkeypatch, broken):
+    """The sweep derives G = -i sigma from GENERATORS at call time, also on
+    a float64 batch, so a wrong ry generator gives a wrong gradient."""
+    import qtlsim.vqc as vqc_mod
+
+    rng = np.random.default_rng(21)
+    circuit = build_layers(VqcTemplate(3, 2))
+    params = rng.uniform(-np.pi, np.pi, circuit.n_params)
+    initial = np.stack([random_state_amps(rng, 3, real=True) for _ in range(2)])
+    final = run_circuit_raw(initial, circuit, params)
+    assert final.dtype == float
+    upstream = rng.standard_normal((2, 3))
+    good = circuit_adjoint(circuit, params, [0, 1, 2], final, upstream)
+    monkeypatch.setitem(vqc_mod.GENERATORS, "ry", broken)
+    bad = circuit_adjoint(circuit, params, [0, 1, 2], final, upstream)
+    assert np.max(np.abs(bad - good)) > 1e-3
