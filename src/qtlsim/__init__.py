@@ -10,13 +10,13 @@ from .sim import Circuit, GateOp, StateVector, apply_gate, expectation_z, margin
 from .embeddings import GrayImage, amplitude_embed, angle_embed, dense_angle_embed, frqi_decode, frqi_encode, neqr_decode, neqr_encode
 from .vqc import VqcTemplate, build_layers, circuit_adjoint, circuit_expectations
 from .hybrid import AdamState, HybridModel, adam_step, cross_entropy, init_model, model_backward, model_forward, param_layout, softmax
-from .data import Dataset, Sample, SplitSpec, balanced_group_split, batches, load_feature_csv, synth_dataset
+from .data import Dataset, SplitSpec, balanced_group_split, batches, load_feature_csv, synth_dataset
 from .metrics import MetricRecord, accuracy, auroc_binary, auroc_macro_ovr, confusion_matrix
 from .training import evaluate, train
 
 __all__ = [
     "AdamState", "Circuit", "Dataset", "GateOp", "GrayImage",
-    "HybridModel", "MetricRecord", "Sample", "SplitSpec", "StateVector",
+    "HybridModel", "MetricRecord", "SplitSpec", "StateVector",
     "VqcTemplate", "accuracy", "adam_step", "amplitude_embed", "angle_embed",
     "apply_gate", "auroc_binary", "auroc_macro_ovr", "balanced_group_split",
     "batches", "build_layers", "circuit_adjoint", "circuit_expectations",

@@ -51,20 +51,17 @@ def write_metrics_csv(path, history):
 
 def _load_dataset(config: TrainConfig) -> Dataset:
     if config.data == "synth":
-        return synth_dataset(
-            config.synth_per_class, config.n_classes, config.in_dim,
-            config.synth_separation, config.seed,
-            group_size=config.synth_group_size,
-        )
+        return synth_dataset(config.synth_per_class, config.n_classes, config.in_dim,
+                             config.synth_separation, config.seed,
+                             group_size=config.synth_group_size)
     return load_feature_csv(config.data, class_names=config.class_name_list)
 
 
 def _split(config: TrainConfig, dataset: Dataset):
     if dataset.n_classes != config.n_classes:
-        raise DataError(
-            f"data has {dataset.n_classes} classes, config expects {config.n_classes}"
-        )
-    if any(s.features.shape[0] != config.in_dim for s in dataset.samples):
+        raise DataError(f"data has {dataset.n_classes} classes, "
+                        f"config expects {config.n_classes}")
+    if dataset.features.shape[1] != config.in_dim:
         raise DataError(f"all samples must carry {config.in_dim}-dim feature vectors")
     spec = SplitSpec(ratios=config.ratios, seed=config.seed, balance=config.balance)
     return balanced_group_split(dataset, spec)
@@ -90,16 +87,16 @@ def write_manifest(path, config: TrainConfig, splits, history):
 def cmd_train(args) -> int:
     config = load_config(args.config)
     config = with_overrides(config, seed=args.seed, data=args.data)
-    dataset = _load_dataset(config)
-    splits = _split(config, dataset)
-    # pinned now, so names the manifest cannot reproduce fail before training
-    config = with_overrides(config, class_names=",".join(dataset.class_names))
+    # only the splits' own row copies live on through training
+    splits = _split(config, _load_dataset(config))
     train_set, val_set, _ = splits
+    # pinned now, so names the manifest cannot reproduce fail before training
+    config = with_overrides(config, class_names=",".join(train_set.class_names))
 
     model = init_model(config.mode, config.embedding, config.n_qubits, config.depth,
                        config.n_classes, substream(config.seed, "init"),
                        in_dim=config.in_dim)
-    model = replace(model, class_names=dataset.class_names)
+    model = replace(model, class_names=train_set.class_names)
     best, history = train(
         model, train_set, val_set,
         epochs=config.epochs, batch_size=config.batch_size, lr=config.lr,
@@ -128,14 +125,10 @@ def cmd_evaluate(args) -> int:
     if manifest_path is None:
         sibling = os.path.join(os.path.dirname(args.checkpoint) or ".", "manifest.txt")
         manifest_path = sibling if os.path.exists(sibling) else None
-    config = None
-    if manifest_path is not None:
-        config = load_config(manifest_path)
+    config = load_config(manifest_path) if manifest_path is not None else None
     if args.split != "all" and config is None:
-        raise ConfigError(
-            f"--split {args.split} needs the run manifest to rebuild the split; "
-            f"pass --manifest"
-        )
+        raise ConfigError(f"--split {args.split} needs the run manifest to rebuild "
+                          f"the split; pass --manifest")
 
     if config is not None:
         config = with_overrides(config, data=args.data)
@@ -146,14 +139,10 @@ def cmd_evaluate(args) -> int:
     else:
         raise DataError("no data source: pass --data or --manifest")
 
-    best_epoch = 0
-    if args.split == "all":
-        subset = list(dataset.samples)
-    else:
-        splits = dict(zip(("train", "val", "test"), _split(config, dataset)))
-        subset = list(splits[args.split])
-        if manifest_path is not None:
-            best_epoch = _manifest_best_epoch(manifest_path)
+    subset, best_epoch = dataset, 0
+    if args.split != "all":  # a split needs the manifest, checked above
+        subset = dict(zip(("train", "val", "test"), _split(config, dataset)))[args.split]
+        best_epoch = _manifest_best_epoch(manifest_path)
     rec = evaluate(model, subset, split=args.split, epoch=best_epoch)
     print("split,epoch,loss,accuracy,auroc")
     print(_metric_row(rec))

@@ -1,13 +1,15 @@
 """Dataset ingestion, synthetic generators, and group-aware splitting.
 
-Samples carry a group identifier (the patient in the original data);
-splitting treats groups as atomic so correlated samples never straddle
-the train/validation/test boundary.
+A ``Dataset`` is columnar: a read-only ``(N, d)`` float64 feature matrix,
+``(N,)`` int64 labels and one group id per row (the patient in the
+original data). Subsets and minibatches are row-index arrays into those
+columns. Splitting treats groups as atomic so correlated rows never
+straddle the train/validation/test boundary.
 """
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,51 +25,49 @@ class SplitError(DataError):
 
 
 @dataclass(frozen=True)
-class Sample:
-    label: int
-    group_id: str
-    features: np.ndarray
-
-    def __post_init__(self):
-        if self.label < 0:
-            raise ValueError(f"label must be non-negative, got {self.label}")
-        f = np.asarray(self.features, dtype=float)
-        if f.ndim != 1 or not np.all(np.isfinite(f)):
-            raise ValueError("features must be a finite 1-D vector")
-        f = f.copy()
-        f.flags.writeable = False
-        object.__setattr__(self, "features", f)
-
-
-@dataclass(frozen=True)
 class Dataset:
-    samples: tuple[Sample, ...]
+    """N rows by column: ``features`` a read-only (N, d) float64 matrix of
+    finite values, ``labels`` (N,) int64 indices into ``class_names``, and
+    one group id per row. A writeable ``features`` array is copied once; a
+    read-only one, such as a loader's fresh matrix, is taken over as is."""
+
+    features: np.ndarray
+    labels: np.ndarray
+    group_ids: tuple[str, ...]
     class_names: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
+        features = np.asarray(self.features, dtype=float)
+        features = features.copy() if features.flags.writeable else features
+        labels = np.array(self.labels, dtype=np.int64)
+        features.flags.writeable = labels.flags.writeable = False
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "group_ids", tuple(self.group_ids))
         object.__setattr__(self, "class_names", tuple(self.class_names))
-        for s in self.samples:
-            if s.label >= len(self.class_names):
-                raise ValueError(
-                    f"label {s.label} out of range for {len(self.class_names)} classes"
-                )
+        n = len(self.group_ids)
+        if features.ndim != 2 or features.shape[0] != n or labels.shape != (n,):
+            raise ValueError(f"need an (N, d) feature matrix, N labels and N group ids, got "
+                             f"{features.shape}, {labels.shape} and {n}")
+        if not np.all(np.isfinite(features)):
+            raise ValueError("features must be finite")
+        if n and not 0 <= labels.min() <= labels.max() < self.n_classes:
+            raise ValueError(f"labels out of range for {self.n_classes} classes")
 
     def __len__(self) -> int:
-        return len(self.samples)
-
-    def __iter__(self):
-        return iter(self.samples)
+        return len(self.group_ids)
 
     @property
     def n_classes(self) -> int:
         return len(self.class_names)
 
-    def labels(self) -> np.ndarray:
-        return np.array([s.label for s in self.samples], dtype=np.int64)
-
-    def subset(self, indices) -> "Dataset":
-        return replace(self, samples=tuple(self.samples[i] for i in indices))
+    def subset(self, rows) -> "Dataset":
+        """The rows at index array ``rows``, in that order, in a new matrix."""
+        rows = np.asarray(rows, dtype=np.intp)
+        features = self.features[rows]
+        features.flags.writeable = False
+        return Dataset(features, self.labels[rows],
+                       [self.group_ids[i] for i in rows], self.class_names)
 
 
 @dataclass(frozen=True)
@@ -83,66 +83,102 @@ class SplitSpec:
             raise ValueError(f"ratios must sum to 1, got {sum(self.ratios)!r}")
 
 
+# comments=None: with numpy's default "#", the token 3#x would read as 3
+_LOADTXT = dict(delimiter=",", dtype=float, ndmin=2, comments=None)
+
+
 def load_feature_csv(path, class_names=None) -> Dataset:
-    """Parse a `group_id,label,f0,...,fN` feature table.
+    """Parse a ``group_id,label,f0,...,f{d-1}`` feature table.
 
     Class names map to indices in first-appearance order unless an
     explicit ``class_names`` list pins the mapping, in which case an
     unknown label is an error.
+
+    Read line by line; each line is split once at its first two commas and
+    the feature text of all lines goes through one ``np.loadtxt`` call. So
+    a feature is what numpy's float parser takes: decimal and exponent
+    forms, surrounding whitespace, ``inf``/``nan`` (then rejected as
+    non-finite), but not ``1_000`` or non-ASCII digits, which ``float()``
+    takes, nor ``3#x`` (comments are off). A line holding a double quote is
+    split by ``csv.reader``, so a quoted group id with a comma loads; a
+    record may not span lines. Blank lines are skipped. Every ``DataError``
+    names its line: the first malformed one in file order, else the first
+    with an unknown label, else the first with a non-finite value.
     """
-    names = list(class_names) if class_names is not None else []
-    strict = class_names is not None
-    samples = []
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+        header = fh.readline()
+        if not header:
+            raise DataError(f"{path}: empty file")
+        header = next(csv.reader([header]))
         if len(header) < 3 or header[0] != "group_id" or header[1] != "label":
             raise DataError(f"{path}: header must start with group_id,label,f0,...")
         width = len(header) - 2
         if [c.strip() for c in header[2:]] != [f"f{i}" for i in range(width)]:
             raise DataError(f"{path}: feature columns must be named f0..f{width - 1}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width + 2:
-                raise DataError(
-                    f"{path}: line {lineno}: expected {width + 2} fields, got {len(row)}"
-                )
-            group_id, label_name = row[0], row[1]
-            if label_name not in names:
-                if strict:
-                    raise DataError(f"{path}: line {lineno}: unknown label {label_name!r}")
-                names.append(label_name)
-            try:
-                values = np.array([float(v) for v in row[2:]], dtype=float)
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from exc
-            if not np.all(np.isfinite(values)):
-                raise DataError(f"{path}: line {lineno}: non-finite feature value")
-            samples.append(Sample(names.index(label_name), group_id, features=values))
-    if not samples:
+        heads = []  # (line number, group id, label) of each data row
+        try:
+            features = np.loadtxt(_feature_text(path, fh, width, heads), **_LOADTXT)
+        except (ValueError, DataError):
+            features = None
+    if features is None or len(features) != len(heads):  # loadtxt skips an empty line
+        _raise_first_bad_line(path, width)
+    linenos, group_ids, label_names = zip(*heads)
+
+    names = list(dict.fromkeys(label_names) if class_names is None else class_names)
+    if unknown := set(label_names).difference(names):
+        k = next(k for k, name in enumerate(label_names) if name in unknown)
+        raise DataError(f"{path}: line {linenos[k]}: unknown label {label_names[k]!r}")
+    bad = ~np.isfinite(features).all(axis=1)
+    if bad.any():
+        raise DataError(f"{path}: line {linenos[bad.argmax()]}: non-finite feature value")
+    features.flags.writeable = False
+    return Dataset(features, [names.index(name) for name in label_names], group_ids, names)
+
+
+def _feature_text(path, lines, width, heads):
+    """The feature text of each non-blank data line, its field count checked;
+    appends the line's (line number, group id, label) to ``heads``."""
+    for lineno, line in enumerate(lines, start=2):
+        if line == "\n":
+            continue
+        fields = line.split(",", 2)
+        if '"' in line or len(fields) < 3:
+            row = next(csv.reader([line]))
+            fields = row[:2] + [",".join(row[2:])] if len(row) > 2 else row
+        n_fields = len(fields) + fields[2].count(",") if len(fields) == 3 else len(fields)
+        if n_fields != width + 2:
+            raise DataError(f"{path}: line {lineno}: expected {width + 2} fields, got {n_fields}")
+        heads.append((lineno, fields[0], fields[1]))
+        yield fields[2]
+    if not heads:
         raise DataError(f"{path}: no data rows")
-    return Dataset(tuple(samples), tuple(names))
 
 
-def write_feature_csv(path, dataset: Dataset):
-    """Inverse of load_feature_csv; floats written in exact round-trip form."""
-    width = dataset.samples[0].features.shape[0]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group_id", "label"] + [f"f{i}" for i in range(width)])
-        for s in dataset.samples:
-            writer.writerow(
-                [s.group_id, dataset.class_names[s.label]]
-                + [repr(float(v)) for v in s.features]
-            )
+def _raise_first_bad_line(path, width):
+    """After a failed bulk parse, re-read the file and raise the ``DataError``
+    of its first line that is malformed or does not parse on its own."""
+    heads = []
+    with open(path, encoding="utf-8") as fh:
+        fh.readline()
+        for text in _feature_text(path, fh, width, heads):
+            if not _parses(text, width):
+                k, token = next(((k, t) for k, t in enumerate(text.split(","))
+                                 if not _parses(t, 1)), (0, text))
+                raise DataError(f"{path}: line {heads[-1][0]}: f{k} is not a number: "
+                                f"{token.strip()!r}")
+    raise DataError(f"{path}: feature values do not parse")
+
+
+def _parses(text: str, n: int) -> bool:
+    """Whether ``text`` alone is ``n`` numbers to the bulk parse."""
+    try:
+        return bool(text.strip()) and np.loadtxt([text], **_LOADTXT).size == n
+    except ValueError:
+        return False
 
 
 def synth_dataset(n_per_class: int, n_classes: int, dim: int, separation: float,
@@ -150,30 +186,20 @@ def synth_dataset(n_per_class: int, n_classes: int, dim: int, separation: float,
     """Gaussian class clusters, centers along random orthogonal directions.
 
     Each center sits at distance ``separation`` from the origin along its
-    own orthonormal direction; unit-variance isotropic noise. Groups are
-    one-per-sample unless ``group_size`` assigns consecutive samples of a
-    class to a shared group id.
+    own orthonormal direction; unit-variance isotropic noise. Rows are
+    ordered by class. Groups are one-per-sample unless ``group_size``
+    assigns consecutive samples of a class to a shared group id.
     """
     if n_per_class < 1 or n_classes < 2 or dim < n_classes or group_size < 1:
         raise ValueError("invalid synthetic dataset shape")
     rng = substream(seed, "synth")
     basis, _ = np.linalg.qr(rng.standard_normal((dim, n_classes)))
-    samples = []
+    features = np.empty((n_classes, n_per_class, dim))
     for c in range(n_classes):
-        center = separation * basis[:, c]
-        points = center + rng.standard_normal((n_per_class, dim))
-        for k in range(n_per_class):
-            group = f"g{c}_{k // group_size}"
-            samples.append(Sample(c, group, features=points[k]))
-    names = tuple(f"class{c}" for c in range(n_classes))
-    return Dataset(tuple(samples), names)
-
-
-def _group_table(dataset: Dataset) -> dict[str, list[int]]:
-    groups: dict[str, list[int]] = {}
-    for i, s in enumerate(dataset.samples):
-        groups.setdefault(s.group_id, []).append(i)
-    return groups
+        features[c] = separation * basis[:, c] + rng.standard_normal((n_per_class, dim))
+    group_ids = [f"g{c}_{k // group_size}" for c in range(n_classes) for k in range(n_per_class)]
+    return Dataset(features.reshape(-1, dim), np.repeat(np.arange(n_classes), n_per_class),
+                   group_ids, [f"class{c}" for c in range(n_classes)])
 
 
 def balanced_group_split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
@@ -185,30 +211,26 @@ def balanced_group_split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Da
     group's majority class. With balance on, each subset is then trimmed
     (seeded) to exactly equal per-class counts.
     """
-    n_classes = dataset.n_classes
-    labels = dataset.labels()
+    n_classes, labels = dataset.n_classes, dataset.labels
     class_totals = np.bincount(labels, minlength=n_classes)
     if np.any(class_totals == 0):
         missing = dataset.class_names[int(np.argmin(class_totals))]
         raise SplitError(f"class {missing!r} has no samples")
-    min_count = int(class_totals.min())
-    targets = np.outer(spec.ratios, np.full(n_classes, min_count))  # (3, C)
+    targets = np.outer(spec.ratios, np.full(n_classes, int(class_totals.min())))  # (3, C)
 
+    groups: dict[str, list[int]] = {}
+    for i, group_id in enumerate(dataset.group_ids):
+        groups.setdefault(group_id, []).append(i)
     rng = substream(spec.seed, "split")
-    groups = _group_table(dataset)
-    order = sorted(
-        groups.items(),
-        key=lambda kv: (-len(kv[1]), rng.random()),
-    )
+    order = sorted(groups.values(), key=lambda rows: (-len(rows), rng.random()))
 
     assigned = np.zeros((3, n_classes))
     members: list[list[int]] = [[], [], []]
-    for _, indices in order:
+    for indices in order:
         counts = np.bincount(labels[indices], minlength=n_classes)
         major = int(np.argmax(counts))  # ties resolve to the lowest class
         deficit = targets[:, major] - assigned[:, major]
-        best = deficit.max()
-        candidates = np.flatnonzero(deficit >= best - 1e-12)
+        candidates = np.flatnonzero(deficit >= deficit.max() - 1e-12)
         choice = int(candidates[0]) if len(candidates) == 1 else int(rng.choice(candidates))
         assigned[choice] += counts
         members[choice].extend(indices)
@@ -217,19 +239,15 @@ def balanced_group_split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Da
     subset_names = ("train", "val", "test")
     for s, indices in enumerate(members):
         if not indices:
-            raise SplitError(
-                f"{subset_names[s]} subset is empty; group structure cannot "
-                f"satisfy ratios {spec.ratios}"
-            )
+            raise SplitError(f"{subset_names[s]} subset is empty; group structure "
+                             f"cannot satisfy ratios {spec.ratios}")
         indices = sorted(indices)
         if spec.balance:
             counts = np.bincount(labels[indices], minlength=n_classes)
             if np.any(counts == 0):
                 missing = dataset.class_names[int(np.argmin(counts))]
-                raise SplitError(
-                    f"class {missing!r} missing from {subset_names[s]} subset; "
-                    f"cannot balance"
-                )
+                raise SplitError(f"class {missing!r} missing from {subset_names[s]} "
+                                 f"subset; cannot balance")
             keep_per_class = int(counts.min())
             trim_rng = substream(spec.seed, "trim", s)
             kept = []
@@ -244,13 +262,13 @@ def balanced_group_split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Da
     return tuple(parts)
 
 
-def batches(samples, batch_size: int, epoch_seed: int) -> list[list[Sample]]:
-    """Seeded shuffle chopped into contiguous chunks; the remainder is kept."""
-    samples = list(samples)
-    if not samples:
+def batches(n_rows: int, batch_size: int, epoch_seed: int) -> list[np.ndarray]:
+    """Row-index arrays of one epoch: a seeded shuffle of ``range(n_rows)``
+    chopped into contiguous chunks of ``batch_size``; the remainder is kept
+    as a last, shorter batch."""
+    if n_rows < 1:
         raise DataError("cannot batch an empty dataset")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    order = np.random.default_rng(epoch_seed).permutation(len(samples))
-    shuffled = [samples[i] for i in order]
-    return [shuffled[i : i + batch_size] for i in range(0, len(shuffled), batch_size)]
+    order = np.random.default_rng(epoch_seed).permutation(n_rows)
+    return [order[i : i + batch_size] for i in range(0, n_rows, batch_size)]

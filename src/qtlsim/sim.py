@@ -208,9 +208,10 @@ def _check_wires(op: GateOp, n_qubits: int):
 def apply_matrix(amps: np.ndarray, n_qubits: int, target: int, m: np.ndarray) -> np.ndarray:
     """Apply a 2x2 matrix, or a (B, 2, 2) stack one per row, to the target
     qubit of every state in ``amps`` (shape ``(..., B, 2**n)``): one matmul
-    on a float64 batch (a complex ``m`` promotes it), an element-wise update
-    on a complex128 one, where numpy's matmul of 2x2 blocks is slower."""
-    real = amps.dtype == float
+    for a float64 batch and a real ``m``, else an element-wise update on the
+    batch as complex128 (cast once), where numpy's 2x2 matmul is slower."""
+    real = amps.dtype == float and not np.iscomplexobj(m)
+    amps = amps if real else amps.astype(complex, copy=False)
     if real and target == n_qubits - 1:  # s @ m^T: the left form is slow on the last qubit
         s = amps.reshape(amps.shape[:-1] + (2 ** (n_qubits - 1), 2))
         return (s @ np.swapaxes(m, -1, -2)).reshape(amps.shape)

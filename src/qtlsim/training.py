@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .data import batches
+from .data import Dataset, batches
 from .hybrid import (
     AdamState,
     HybridModel,
@@ -30,18 +30,18 @@ class TrainingAborted(RuntimeError):
     """Training hit a non-finite loss or gradient."""
 
 
-def evaluate(model: HybridModel, samples, split: str = "test", epoch: int = 0) -> MetricRecord:
-    """Loss, accuracy, AUROC and confusion matrix over one split."""
-    samples = list(samples)
-    if not samples:
+def evaluate(model: HybridModel, dataset: Dataset, split: str = "test",
+             epoch: int = 0) -> MetricRecord:
+    """Loss, accuracy, AUROC and confusion matrix over one split. The forward
+    pass runs on contiguous row slices of ``dataset.features`` (views, not
+    copies), 2**13 amplitudes' worth of states at a time."""
+    features, labels = dataset.features, dataset.labels
+    if not len(labels):
         raise ValueError(f"cannot evaluate on an empty {split} split")
     chunk = max(1, 2**13 >> model.template.n_qubits)  # 2**13 amplitudes per state batch
-    probs = np.concatenate([
-        model_forward(model, np.stack([s.features for s in samples[i : i + chunk]]))
-        for i in range(0, len(samples), chunk)
-    ])
-    labels = np.array([s.label for s in samples], dtype=np.int64)
-    loss = float(np.mean([cross_entropy(probs[i], labels[i]) for i in range(len(samples))]))
+    probs = np.concatenate([model_forward(model, features[i : i + chunk])
+                            for i in range(0, len(labels), chunk)])
+    loss = float(np.mean([cross_entropy(probs[i], labels[i]) for i in range(len(labels))]))
     preds = probs.argmax(axis=1)
     if model.n_classes == 2:
         auroc = auroc_binary(probs[:, 1], (labels == 1).astype(int))
@@ -57,13 +57,12 @@ def evaluate(model: HybridModel, samples, split: str = "test", epoch: int = 0) -
     )
 
 
-def _batch_gradient(model: HybridModel, batch) -> np.ndarray:
-    """Mean flat gradient over a batch, from one batched backward pass."""
-    features = np.stack([s.features for s in batch])
-    return model_backward(model, features, np.array([s.label for s in batch]))
+def _batch_gradient(model: HybridModel, dataset: Dataset, rows) -> np.ndarray:
+    """Mean flat gradient over the rows at index array ``rows``, in one backward pass."""
+    return model_backward(model, dataset.features[rows], dataset.labels[rows])
 
 
-def train(model: HybridModel, train_set, val_set, *, epochs: int,
+def train(model: HybridModel, train_set: Dataset, val_set: Dataset, *, epochs: int,
           batch_size: int = 8, lr: float = 1e-4, weight_decay: float = 0.01,
           seed: int = 0, optimizer: str = "adam",
           ) -> tuple[HybridModel, list[MetricRecord]]:
@@ -78,9 +77,7 @@ def train(model: HybridModel, train_set, val_set, *, epochs: int,
     non-finite loss, or on a non-finite forward pass, batch gradient or
     update.
     """
-    train_set = list(train_set)
-    val_set = list(val_set)
-    if not train_set or not val_set:
+    if not len(train_set) or not len(val_set):
         raise ValueError("train and val splits must be non-empty")
     if optimizer not in ("adam", "gd"):
         raise ValueError(f"unknown optimizer {optimizer!r}")
@@ -92,11 +89,11 @@ def train(model: HybridModel, train_set, val_set, *, epochs: int,
 
     for epoch in range(1, epochs + 1):
         epoch_seed = derive_seed(seed, "shuffle", epoch)
-        for step, batch in enumerate(batches(train_set, batch_size, epoch_seed), start=1):
+        for step, rows in enumerate(batches(len(train_set), batch_size, epoch_seed), start=1):
             # a diverging run overflows here; the finiteness checks report it
             with np.errstate(over="ignore", invalid="ignore"):
                 try:
-                    grads = _batch_gradient(model, batch)
+                    grads = _batch_gradient(model, train_set, rows)
                 except NonFiniteLogits:
                     raise TrainingAborted(
                         f"non-finite forward pass at epoch {epoch}, step {step}") from None
@@ -129,12 +126,7 @@ def train(model: HybridModel, train_set, val_set, *, epochs: int,
 
 def best_val_epoch(history) -> int:
     """Epoch whose validation AUROC was selected (ties -> earliest)."""
-    best = None
-    for rec in history:
-        if rec.split != "val":
-            continue
-        if best is None or rec.auroc > best.auroc:
-            best = rec
-    if best is None:
+    val = [rec for rec in history if rec.split == "val"]
+    if not val:
         raise ValueError("history contains no validation records")
-    return best.epoch
+    return max(val, key=lambda rec: rec.auroc).epoch  # max keeps the first of equals

@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive: dense Kronecker-product unitaries,
 O(n^2) pair counting, explicit finite differences, the two-point
-parameter-shift rule. None of it shares code with the library paths it
-checks.
+parameter-shift rule, ``csv.reader`` with ``float()``. None of it shares
+code with the library paths it checks. ``write_feature_csv`` is the
+writer the data tests build their input files with.
 """
+import csv
 from dataclasses import replace
 
 import numpy as np
@@ -177,3 +179,23 @@ def random_binding(rng, circuit, batch):
 def row_params(binding, row):
     """The flat parameter vector one row of a batched run sees."""
     return np.array([a if np.ndim(a) == 0 else a[row] for a in binding])
+
+
+def read_feature_csv(path):
+    """(group ids, label names, (N, d) features) of a feature table, by
+    ``csv.reader`` and Python ``float()`` on every value, row by row."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [row for row in csv.reader(fh) if row][1:]
+    features = np.array([[float(v) for v in row[2:]] for row in rows], dtype=float)
+    return [row[0] for row in rows], [row[1] for row in rows], features
+
+
+def write_feature_csv(path, dataset):
+    """A ``Dataset`` as a feature table, floats in exact round-trip form."""
+    width = dataset.features.shape[1]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["group_id", "label"] + [f"f{i}" for i in range(width)])
+        for group_id, label, row in zip(dataset.group_ids, dataset.labels, dataset.features):
+            writer.writerow([group_id, dataset.class_names[label]]
+                            + [repr(float(v)) for v in row])

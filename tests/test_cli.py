@@ -8,8 +8,10 @@ import pytest
 import qtlsim.cli as cli
 import qtlsim.vqc as vqc_mod
 from qtlsim.cli import main
-from qtlsim.data import synth_dataset, write_feature_csv
+from qtlsim.data import synth_dataset
 from qtlsim.embeddings import GrayImage, write_pgm
+
+from oracle import write_feature_csv
 
 FAST_CONFIG = """\
 mode = dqc
@@ -270,11 +272,11 @@ def test_every_documented_exit_code(tmp_path, monkeypatch, capsys):
 def write_shuffled_csvs(tmp_path):
     """The training rows twice: first a class1 row first, then a class0 row first."""
     dataset = synth_dataset(20, 2, 24, 8.0, seed=5)
-    rows = sorted(dataset.samples, key=lambda s: -s.label)
+    rows = np.argsort(-dataset.labels, kind="stable")
     paths = []
     for name, order in (("class1_first.csv", rows), ("class0_first.csv", rows[::-1])):
         paths.append(tmp_path / name)
-        write_feature_csv(paths[-1], replace(dataset, samples=tuple(order)))
+        write_feature_csv(paths[-1], dataset.subset(order))
     return paths
 
 

@@ -10,12 +10,14 @@ from qtlsim.sim import (
     Circuit,
     StateVector,
     apply_gate,
+    apply_matrix,
     apply_step,
     cnot,
     expectation_z,
     h,
     marginal_prob_one,
     probabilities,
+    rotation_matrix,
     run_circuit,
     run_circuit_raw,
     rx,
@@ -310,6 +312,22 @@ def test_rotation_gates_promote_a_real_batch(gate):
         for b in range(2):
             expected = dense_run(circuit, initial[b], row_params(binding, b))
             assert np.max(np.abs(out[b] - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["rx", "rz"])
+def test_complex_gate_casts_a_real_batch_then_updates_element_wise(kind):
+    """On every target, an rx or rz gate on a float64 batch equals the same
+    gate on the batch cast to complex128 bit for bit, for a shared and a
+    per-row angle: the cast comes first and the element-wise update follows."""
+    rng = np.random.default_rng(11)
+    n = 5
+    amps = np.stack([random_state_amps(rng, n, real=True) for _ in range(3)])
+    for angle in (0.7, np.array([0.3, -1.2, 2.9])):
+        m = rotation_matrix(kind, angle)
+        for target in range(n):
+            out = apply_matrix(amps, n, target, m)
+            assert out.dtype == complex
+            assert out.tobytes() == apply_matrix(amps.astype(complex), n, target, m).tobytes()
 
 
 def test_cnot_runs_fuse_into_one_step():

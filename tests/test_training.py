@@ -21,7 +21,7 @@ def tiny_model(seed=7, dim=32):
 
 def test_training_learns_separable_data():
     train_set, val_set, _ = separable_splits()
-    best, history = train(tiny_model(), train_set.samples, val_set.samples,
+    best, history = train(tiny_model(), train_set, val_set,
                           epochs=20, batch_size=8, lr=3e-3, weight_decay=0.01, seed=7)
     train_acc = [r.accuracy for r in history if r.split == "train"]
     assert max(train_acc) >= 0.95
@@ -33,7 +33,7 @@ def test_training_is_deterministic():
     train_set, val_set, _ = separable_splits(seed=3)
     runs = []
     for _ in range(2):
-        _, history = train(tiny_model(seed=3), train_set.samples, val_set.samples,
+        _, history = train(tiny_model(seed=3), train_set, val_set,
                            epochs=3, batch_size=8, lr=1e-3, seed=3)
         runs.append([(r.split, r.epoch, r.loss, r.accuracy, r.auroc) for r in history])
     assert runs[0] == runs[1]  # bitwise-identical metric histories
@@ -42,7 +42,7 @@ def test_training_is_deterministic():
 def test_full_batch_gd_loss_non_increasing():
     """Sanity mode: plain full-batch gradient descent on separable data."""
     train_set, val_set, _ = separable_splits(seed=5)
-    _, history = train(tiny_model(seed=5), train_set.samples, val_set.samples,
+    _, history = train(tiny_model(seed=5), train_set, val_set,
                        epochs=10, batch_size=len(train_set), lr=0.05,
                        weight_decay=0.0, seed=5, optimizer="gd")
     losses = [r.loss for r in history if r.split == "train"]
@@ -52,13 +52,13 @@ def test_full_batch_gd_loss_non_increasing():
 
 def test_best_model_selected_by_val_auroc():
     train_set, val_set, _ = separable_splits(seed=11)
-    best, history = train(tiny_model(seed=11), train_set.samples, val_set.samples,
+    best, history = train(tiny_model(seed=11), train_set, val_set,
                           epochs=5, batch_size=8, lr=1e-3, seed=11)
     best_epoch = best_val_epoch(history)
     best_rec = next(r for r in history if r.split == "val" and r.epoch == best_epoch)
     assert best_rec.auroc == max(r.auroc for r in history if r.split == "val")
     # the returned model reproduces exactly the recorded best-epoch metrics
-    recheck = evaluate(best, val_set.samples, "val", best_epoch)
+    recheck = evaluate(best, val_set, "val", best_epoch)
     assert recheck.loss == best_rec.loss
     assert recheck.auroc == best_rec.auroc
 
@@ -74,38 +74,39 @@ def test_best_val_epoch_tie_keeps_earlier():
 def test_empty_split_rejected():
     train_set, val_set, _ = separable_splits()
     with pytest.raises(ValueError, match="non-empty"):
-        train(tiny_model(), [], val_set.samples, epochs=1, seed=0)
+        train(tiny_model(), train_set.subset([]), val_set, epochs=1, seed=0)
     with pytest.raises(ValueError, match="empty"):
-        evaluate(tiny_model(), [])
+        evaluate(tiny_model(), val_set.subset([]))
 
 
 def test_nan_loss_aborts_with_diagnostic(monkeypatch):
     train_set, val_set, _ = separable_splits()
 
-    def poisoned_evaluate(model, samples, split="test", epoch=0):
+    def poisoned_evaluate(model, dataset, split="test", epoch=0):
         return MetricRecord(split, epoch, float("nan"), 0.0, 0.5,
                             np.zeros((2, 2), dtype=int))
 
     monkeypatch.setattr(training_mod, "evaluate", poisoned_evaluate)
     with pytest.raises(TrainingAborted, match="non-finite loss"):
-        training_mod.train(tiny_model(), train_set.samples, val_set.samples,
+        training_mod.train(tiny_model(), train_set, val_set,
                            epochs=1, batch_size=8, seed=0)
 
 
 def test_batch_gradient_is_mean_of_sample_gradients():
     train_set, _, _ = separable_splits(seed=13)
     model = tiny_model(seed=13)
-    batch = list(train_set.samples[:4])
-    averaged = training_mod._batch_gradient(model, batch)
-    singles = [model_backward(model, s.features[None], [s.label]) for s in batch]
+    rows = np.array([5, 0, 3, 1])
+    averaged = training_mod._batch_gradient(model, train_set, rows)
+    singles = [model_backward(model, train_set.features[[i]], train_set.labels[[i]])
+               for i in rows]
     np.testing.assert_allclose(averaged, np.mean(singles, axis=0), atol=1e-15)
 
 
 def test_evaluate_perfect_and_uniform_models():
     train_set, val_set, _ = separable_splits(seed=17)
-    best, _ = train(tiny_model(seed=17), train_set.samples, val_set.samples,
+    best, _ = train(tiny_model(seed=17), train_set, val_set,
                     epochs=15, batch_size=8, lr=1e-3, seed=17)
-    rec = evaluate(best, train_set.samples)
+    rec = evaluate(best, train_set)
     if rec.accuracy == 1.0:
         assert rec.auroc == 1.0
         assert np.trace(rec.confusion) == len(train_set)
@@ -113,7 +114,7 @@ def test_evaluate_perfect_and_uniform_models():
     from dataclasses import replace
 
     zero = replace(tiny_model(), theta=np.zeros_like(tiny_model().theta))
-    balanced = evaluate(zero, train_set.samples)
+    balanced = evaluate(zero, train_set)
     assert abs(balanced.accuracy - 0.5) <= 0.5  # defined, no crash
     assert balanced.auroc == 0.5  # all scores identical -> tie convention
 
@@ -121,7 +122,7 @@ def test_evaluate_perfect_and_uniform_models():
 def test_evaluate_confusion_matrix_hand_case():
     from dataclasses import replace
 
-    from qtlsim.data import Sample
+    from qtlsim.data import Dataset
 
     model = tiny_model()
     # saturate the post layer (the last 2*4 + 2 parameters) so the
@@ -129,8 +130,8 @@ def test_evaluate_confusion_matrix_hand_case():
     theta = model.theta.copy()
     theta[-10:] = [0.0] * 8 + [5.0, 0.0]
     model = replace(model, theta=theta)
-    samples = [Sample(label, f"g{i}", features=np.ones(32))
-               for i, label in enumerate([0, 0, 1, 1])]
-    rec = evaluate(model, samples)
+    dataset = Dataset(np.ones((4, 32)), [0, 0, 1, 1], ["g0", "g1", "g2", "g3"],
+                      ("class0", "class1"))
+    rec = evaluate(model, dataset)
     np.testing.assert_array_equal(rec.confusion, [[2, 0], [2, 0]])
     assert rec.accuracy == 0.5
