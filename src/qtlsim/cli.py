@@ -161,18 +161,19 @@ def _manifest_best_epoch(path) -> int:
 
 
 def _read_feature_file(path) -> np.ndarray:
+    """Comma- or whitespace-separated numbers, each parsed by numpy's float
+    parser, as ``load_feature_csv`` parses its features."""
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            tokens = fh.read().replace(",", " ").split()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    if not tokens:
+        raise DataError(f"{path}: no numeric values")
     try:
-        values = [float(tok) for tok in text.replace(",", " ").split()]
+        return np.loadtxt(tokens, dtype=float, comments=None, ndmin=1)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
-    if not values:
-        raise DataError(f"{path}: no numeric values")
-    return np.array(values)
 
 
 def cmd_encode_demo(args) -> int:

@@ -1,5 +1,8 @@
 """Classical-to-quantum feature and image embeddings, with exact decoders.
 
+``StateVector`` is the validated, read-only state these encoders return.
+The dqc head's angle embeddings are the first gates of ``hybrid._dqc_circuit``.
+
 The image encoders build their states by direct amplitude assignment
 rather than by compiling multi-controlled rotations; gate-level
 synthesis of these representations is out of scope. The decoders exist
@@ -12,9 +15,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import Circuit, StateVector, rx, ry
-
 GRAY_LEVELS = 256  # 8-bit grayscale; intensity 0 is black, 255 white
+
+_NORM_TOL = 1e-10
+
+
+@dataclass(frozen=True)
+class StateVector:
+    """Normalized complex amplitudes over the 2**n_qubits basis states."""
+
+    n_qubits: int
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        if self.n_qubits < 1:
+            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        amps = np.asarray(self.amplitudes, dtype=complex)
+        if amps.ndim != 1 or amps.shape[0] != 2**self.n_qubits:
+            raise ValueError(
+                f"expected {2**self.n_qubits} amplitudes for "
+                f"{self.n_qubits} qubits, got shape {amps.shape}"
+            )
+        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        if abs(norm_sq - 1.0) > _NORM_TOL:
+            raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
+        amps = amps.copy()
+        amps.flags.writeable = False
+        object.__setattr__(self, "amplitudes", amps)
 
 
 @dataclass(frozen=True)
@@ -61,41 +88,6 @@ class GrayImage:
         return self.pixels.reshape(self.side, self.side)
 
 
-def _check_features(features) -> np.ndarray:
-    vals = np.asarray(features, dtype=float)
-    if vals.ndim != 1 or vals.shape[0] < 1:
-        raise ValueError(f"features must be a non-empty 1-D vector, got shape {vals.shape}")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("features must be finite")
-    return vals
-
-
-def angle_embed(features, n_qubits: int, axis: str = "y") -> Circuit:
-    """One constant rotation per qubit; feature i is the angle on qubit i."""
-    vals = _check_features(features)
-    if vals.shape[0] != n_qubits:
-        raise ValueError(f"need {n_qubits} features for {n_qubits} qubits, got {vals.shape[0]}")
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    gate = rx if axis == "x" else ry
-    ops = tuple(gate(q, float(vals[q])) for q in range(n_qubits))
-    return Circuit(n_qubits, ops)
-
-
-def dense_angle_embed(features, n_qubits: int) -> Circuit:
-    """Two features per qubit: RX(features[2i]) then RY(features[2i+1])."""
-    vals = _check_features(features)
-    if vals.shape[0] != 2 * n_qubits:
-        raise ValueError(
-            f"need {2 * n_qubits} features for {n_qubits} qubits, got {vals.shape[0]}"
-        )
-    ops = []
-    for q in range(n_qubits):
-        ops.append(rx(q, float(vals[2 * q])))
-        ops.append(ry(q, float(vals[2 * q + 1])))
-    return Circuit(n_qubits, tuple(ops))
-
-
 def amplitude_embed(features) -> StateVector:
     """Write the feature vector into state amplitudes.
 
@@ -103,7 +95,12 @@ def amplitude_embed(features) -> StateVector:
     L2-normalized (pad-then-normalize never changes relative weights),
     so 512 features land on exactly 9 qubits.
     """
-    amps = amplitude_rows(_check_features(features)[None])[0]
+    vals = np.asarray(features, dtype=float)
+    if vals.ndim != 1 or vals.shape[0] < 1:
+        raise ValueError(f"features must be a non-empty 1-D vector, got shape {vals.shape}")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("features must be finite")
+    amps = amplitude_rows(vals[None])[0]
     return StateVector(amps.shape[0].bit_length() - 1, amps)
 
 
@@ -266,12 +263,3 @@ def center_crop_pow2(arr: np.ndarray) -> GrayImage:
     top = (height - side) // 2
     left = (width - side) // 2
     return GrayImage.from_array(arr[top : top + side, left : left + side])
-
-
-def write_pgm(path, image: GrayImage):
-    """Write an ASCII (P2) PGM file."""
-    rows = image.as_array()
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"P2\n{image.side} {image.side}\n255\n")
-        for row in rows:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")

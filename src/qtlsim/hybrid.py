@@ -276,24 +276,24 @@ def count_parameters(model: HybridModel) -> tuple[int, int]:
 
 # --- optimizer ----------------------------------------------------------
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class AdamState:
-    """Adam moments plus hyperparameters; weight decay is coupled L2."""
+    """Adam moments, learning rate and weight decay (coupled L2)."""
 
     step: int
     m: np.ndarray
     v: np.ndarray
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.0
 
     @classmethod
-    def init(cls, n_params: int, lr: float = 1e-4, weight_decay: float = 0.0,
-             beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(0, np.zeros(n_params), np.zeros(n_params), lr, beta1, beta2,
-                   eps, weight_decay)
+    def init(cls, n_params: int, lr: float = 1e-4, weight_decay: float = 0.0) -> "AdamState":
+        return cls(0, np.zeros(n_params), np.zeros(n_params), lr, weight_decay)
 
 
 def adam_step(state: AdamState, params, grads) -> tuple[np.ndarray, AdamState]:
@@ -309,9 +309,9 @@ def adam_step(state: AdamState, params, grads) -> tuple[np.ndarray, AdamState]:
         raise ValueError("non-finite gradients")
     g = grads + state.weight_decay * params
     t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return new_params, replace(state, step=t, m=m, v=v)

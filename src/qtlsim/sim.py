@@ -14,7 +14,6 @@ applies one 2x2 matrix, or a (B, 2, 2) stack when its angle varies per
 row, and each run of consecutive CNOTs is one fused index permutation.
 A float64 batch (real input through ry/h/x/cnot) takes one matmul per
 gate, a complex128 one (after any rx or rz) an element-wise update.
-``StateVector`` (complex), ``apply_gate`` and ``run_circuit`` are B = 1 wrappers.
 """
 from __future__ import annotations
 
@@ -28,8 +27,6 @@ import numpy as np
 
 ROTATION_KINDS = frozenset({"rx", "ry", "rz"})
 GATE_KINDS = ROTATION_KINDS | frozenset({"h", "x", "cnot"})
-
-_NORM_TOL = 1e-10
 
 _FIXED_MATRICES = {"h": np.array([[1, 1], [1, -1]]) / math.sqrt(2),
                    "x": np.array([[0, 1], [1, 0]])}
@@ -50,37 +47,6 @@ def rotation_matrix(kind: str, angle) -> np.ndarray:
         raise ValueError(f"not a rotation gate: {kind!r}")
     m = np.array(m, dtype=float if kind == "ry" else complex)
     return m.T.swapaxes(-1, -2)  # (2, 2, B) -> (B, 2, 2)
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Normalized complex amplitudes over the 2**n_qubits basis states."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.ndim != 1 or amps.shape[0] != 2**self.n_qubits:
-            raise ValueError(
-                f"expected {2**self.n_qubits} amplitudes for "
-                f"{self.n_qubits} qubits, got shape {amps.shape}"
-            )
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > _NORM_TOL:
-            raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
-        amps = amps.copy()
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def zero(cls, n_qubits: int) -> "StateVector":
-        """The all-|0> computational basis state."""
-        amps = np.zeros(2**n_qubits, dtype=complex)
-        amps[0] = 1.0
-        return cls(n_qubits, amps)
 
 
 @dataclass(frozen=True)
@@ -177,7 +143,10 @@ class Circuit:
         object.__setattr__(self, "ops", tuple(self.ops))
         seen = set()
         for op in self.ops:
-            _check_wires(op, self.n_qubits)
+            for wire in (op.target, op.control):
+                if wire is not None and not 0 <= wire < self.n_qubits:
+                    raise ValueError(f"{op.kind} wire {wire} out of range "
+                                     f"for {self.n_qubits} qubits")
             if op.param_index is not None:
                 if not 0 <= op.param_index < self.n_params:
                     raise ValueError(
@@ -197,12 +166,6 @@ class Circuit:
         for is_cnot, ops in groupby(self.ops, key=lambda op: op.kind == "cnot"):
             steps.extend([_fuse_cnots(self.n_qubits, ops)] if is_cnot else ops)
         return tuple(steps)
-
-
-def _check_wires(op: GateOp, n_qubits: int):
-    for wire in (op.target, op.control):
-        if wire is not None and not 0 <= wire < n_qubits:
-            raise ValueError(f"{op.kind} wire {wire} out of range for {n_qubits} qubits")
 
 
 def apply_matrix(amps: np.ndarray, n_qubits: int, target: int, m: np.ndarray) -> np.ndarray:
@@ -255,37 +218,6 @@ def run_circuit_raw(amps: np.ndarray, circuit: Circuit, params) -> np.ndarray:
     return amps
 
 
-def apply_gate(state: StateVector, op: GateOp, params=()) -> StateVector:
-    """Apply a single gate, returning a new state (value semantics)."""
-    _check_wires(op, state.n_qubits)
-    if op.param_index is not None and op.param_index >= len(params):
-        raise ValueError(f"unbound parameter index {op.param_index} "
-                         f"(got {len(params)} parameters)")
-    step = _fuse_cnots(state.n_qubits, [op]) if op.kind == "cnot" else op
-    amps = apply_step(state.amplitudes[None], state.n_qubits, step, np.asarray(params, float))
-    return StateVector(state.n_qubits, amps[0])
-
-
-def run_circuit(initial: StateVector, circuit: Circuit, params=()) -> StateVector:
-    """Run every op of the circuit in order, starting from ``initial``."""
-    params = np.asarray(params, dtype=float)
-    if circuit.n_qubits != initial.n_qubits:
-        raise ValueError(
-            f"circuit has {circuit.n_qubits} qubits, state has {initial.n_qubits}"
-        )
-    if params.shape != (circuit.n_params,):
-        raise ValueError(
-            f"expected {circuit.n_params} parameters, got shape {params.shape}"
-        )
-    amps = run_circuit_raw(initial.amplitudes[None], circuit, params)
-    return StateVector(circuit.n_qubits, amps[0])
-
-
-def probabilities(state: StateVector) -> np.ndarray:
-    """Measurement probabilities |amplitude|^2 per basis state."""
-    return np.abs(state.amplitudes) ** 2
-
-
 @lru_cache(maxsize=None)
 def z_signs(n_qubits: int, measured_qubits: tuple[int, ...]) -> np.ndarray:
     """(M, 2**n) table: row k is the Z eigenvalue (+-1) of qubit
@@ -303,13 +235,3 @@ def z_expectations(amps: np.ndarray, measured_qubits) -> np.ndarray:
     n = amps.shape[-1].bit_length() - 1
     probs = amps * amps if amps.dtype == float else amps.real**2 + amps.imag**2
     return probs @ z_signs(n, tuple(measured_qubits)).T
-
-
-def marginal_prob_one(state: StateVector, qubit: int) -> float:
-    """Probability that the given qubit reads 1."""
-    return (1.0 - expectation_z(state, qubit)) / 2.0
-
-
-def expectation_z(state: StateVector, qubit: int) -> float:
-    """Pauli-Z expectation <Z> = P(0) - P(1) of one qubit, in [-1, 1]."""
-    return float(z_expectations(state.amplitudes[None], [qubit])[0, 0])

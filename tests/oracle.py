@@ -3,8 +3,8 @@
 Everything here is deliberately naive: dense Kronecker-product unitaries,
 O(n^2) pair counting, explicit finite differences, the two-point
 parameter-shift rule, ``csv.reader`` with ``float()``. None of it shares
-code with the library paths it checks. ``write_feature_csv`` is the
-writer the data tests build their input files with.
+code with the library paths it checks. ``write_feature_csv`` and
+``write_pgm`` are the writers the tests build their input files with.
 """
 import csv
 from dataclasses import replace
@@ -199,3 +199,11 @@ def write_feature_csv(path, dataset):
         for group_id, label, row in zip(dataset.group_ids, dataset.labels, dataset.features):
             writer.writerow([group_id, dataset.class_names[label]]
                             + [repr(float(v)) for v in row])
+
+
+def write_pgm(path, image):
+    """A ``GrayImage`` as an ASCII (P2) PGM file."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"P2\n{image.side} {image.side}\n255\n")
+        for row in image.as_array():
+            fh.write(" ".join(str(int(v)) for v in row) + "\n")

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qtlsim.checkpoint import MAGIC, CheckpointFormatError, load_checkpoint, save_checkpoint
-from qtlsim.hybrid import PAIRINGS, init_model
+from qtlsim.hybrid import PAIRINGS, HybridModel, init_model
 from qtlsim.seeding import substream
 from qtlsim.vqc import ROTATION_AXES
 
@@ -65,6 +65,26 @@ def test_every_truncation_is_a_format_error(tmp_path):
             path.write_bytes(data[:length])
             with pytest.raises(CheckpointFormatError):
                 load_checkpoint(path)
+
+
+def test_every_header_bit_flip_loads_or_is_a_format_error(tmp_path):
+    """Flipping any one bit of the header, the class-name byte count or the
+    names gives a valid model or CheckpointFormatError, never another error."""
+    model = init_model("dqc", "angle", 2, 1, 2, substream(10, "init"), in_dim=3)
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, replace(model, class_names=("a", "b")))
+    data = path.read_bytes()
+    loads = errors = 0
+    for bit in range(8 * (26 + 4 + len(b"a\nb"))):  # header, name byte count, names
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(flipped))
+        try:
+            assert isinstance(load_checkpoint(path), HybridModel)
+            loads += 1
+        except CheckpointFormatError:
+            errors += 1
+    assert loads > 0 and errors > 0
 
 
 def test_round_trip_dqc(tmp_path):

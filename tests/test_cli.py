@@ -1,4 +1,5 @@
 """End-to-end command tests: artifacts, determinism, exit codes."""
+import hashlib
 import warnings
 from dataclasses import replace
 
@@ -9,9 +10,9 @@ import qtlsim.cli as cli
 import qtlsim.vqc as vqc_mod
 from qtlsim.cli import main
 from qtlsim.data import synth_dataset
-from qtlsim.embeddings import GrayImage, write_pgm
+from qtlsim.embeddings import GrayImage
 
-from oracle import write_feature_csv
+from oracle import write_feature_csv, write_pgm
 
 FAST_CONFIG = """\
 mode = dqc
@@ -58,6 +59,42 @@ def test_train_rerun_is_byte_identical(fast_config, tmp_path):
            (tmp_path / "b" / "metrics.csv").read_bytes()
     assert (tmp_path / "a" / "checkpoint.bin").read_bytes() == \
            (tmp_path / "b" / "checkpoint.bin").read_bytes()
+
+
+# SHA-256 of the fixed-seed artifacts of FAST_CONFIG per head, recorded
+# with numpy 2.4.6 (OpenBLAS) on x86-64. A change that alters the
+# arithmetic on purpose updates them; any other change must leave them.
+PINNED_ARTIFACTS = {
+    ("dqc", "angle"): {
+        "metrics.csv": "cb143929b348d78b82fa4a68d9c05efeb42862b4e85809534238926dae9d4729",
+        "checkpoint.bin": "7c51108c98d328a8d9b992d6950bd0f98a276477c87154ff980fa43699e0ead1",
+        "manifest.txt": "8b7a035a3495af32462385328b427c14008c4159e2dd0c7e9b3e20886c2b4ab0",
+    },
+    ("dqc", "dense_angle"): {
+        "metrics.csv": "d61380735093f71d3b75a6112ce30b7fd6491c639a1c3607648101621d44dde7",
+        "checkpoint.bin": "d06c7df2b0341033e89b5685f1066318e82c8a21f4017f74c845dc2cf7ddf80e",
+        "manifest.txt": "9ef5129668f9d68b5e396aa52c3e36a8d4550b076012fc782f5b6dd114dbc54e",
+    },
+    ("purevqc", "amplitude"): {
+        "metrics.csv": "f808015ef1ff56f78b4d7a075fef9a17130bd58fe8c4626b17a3311d948bc7c7",
+        "checkpoint.bin": "1d5250200cf2af3500bbf86e51b6251fae84e9a2a13557ba27040a866c955845",
+        "manifest.txt": "2fd96372e9a2e27476d10b2fa52d692a97c2c23a545c90bfc5a7fd929ac643a6",
+    },
+}
+
+
+@pytest.mark.parametrize("mode, embedding", list(PINNED_ARTIFACTS))
+def test_fixed_seed_artifacts_are_pinned(tmp_path, mode, embedding):
+    text = FAST_CONFIG.replace("mode = dqc", f"mode = {mode}") \
+                      .replace("embedding = angle", f"embedding = {embedding}")
+    if mode == "purevqc":  # amplitude embedding of 24 features takes 5 qubits
+        text = text.replace("n_qubits = 4", "n_qubits = 5")
+    cfg = tmp_path / "config.txt"
+    cfg.write_text(text)
+    assert run_cli("train", "--config", cfg, "--out", tmp_path / "run") == 0
+    digests = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+               for name in PINNED_ARTIFACTS[mode, embedding]}
+    assert digests == PINNED_ARTIFACTS[mode, embedding]
 
 
 def test_train_seed_override_changes_metrics(fast_config, tmp_path):
@@ -203,6 +240,20 @@ def test_encode_demo_rejects_numpy_scalar_repr(tmp_path, capsys):
     path.write_text("0.25 np.float64(0.5) 0.75 1.0")
     assert run_cli("encode-demo", path, "--scheme", "amplitude") == 3
     assert "np.float64(0.5)" in capsys.readouterr().err
+
+
+def test_encode_demo_parses_numbers_as_the_csv_loader_does(tmp_path, capsys):
+    """Commas and whitespace both separate; each token goes through numpy's
+    float parser, as in load_feature_csv, so `1_000` and a non-ASCII digit,
+    which Python float() takes, are errors."""
+    path = tmp_path / "features.txt"
+    path.write_text("1, 2\n3 4", encoding="utf-8")
+    assert run_cli("encode-demo", path, "--scheme", "amplitude") == 0
+    assert "state size: 4" in capsys.readouterr().out
+    for text, bad in (("1_000, 2, \u0663, 4", "1_000"), ("1, 2, \u0663, 4", "\u0663")):
+        path.write_text(text, encoding="utf-8")
+        assert run_cli("encode-demo", path, "--scheme", "amplitude") == 3
+        assert bad in capsys.readouterr().err
 
 
 def test_encode_demo_frqi_needs_image(tmp_path):

@@ -6,80 +6,88 @@ import pytest
 
 from qtlsim.embeddings import (
     GrayImage,
+    StateVector,
     amplitude_embed,
     amplitude_rows,
-    angle_embed,
     center_crop_pow2,
-    dense_angle_embed,
     frqi_decode,
     frqi_encode,
     neqr_decode,
     neqr_encode,
     pixel_angles,
     read_pgm,
-    write_pgm,
 )
-from qtlsim.sim import StateVector, marginal_prob_one, run_circuit, rotation_matrix
+from qtlsim.hybrid import _dqc_circuit
+from qtlsim.sim import Circuit, rotation_matrix, run_circuit_raw, z_expectations
 
-from oracle import dense_run
+from oracle import write_pgm
 
 
 def random_image(rng, side):
     return GrayImage(side, rng.integers(0, 256, size=side * side))
 
 
-# --- angle / dense-angle -------------------------------------------------
+# --- angle / dense-angle: the first E slots of the dqc circuit ------------
+
+def embed(embedding, features):
+    """The dqc circuit's embedding gates, its first E ops, run on |0...0>
+    with feature k bound to slot k; the output state."""
+    n = len(features) if embedding == "angle" else len(features) // 2
+    ops = _dqc_circuit(embedding, n, 1, "y").ops[: len(features)]
+    circuit = Circuit(n, ops, len(features))  # rejects an op outside slots 0..E-1
+    return run_circuit_raw(np.eye(1, 2**n), circuit, np.asarray(features, dtype=float))[0]
+
+
+def prob_one(amps):
+    """Per-qubit P(1) = (1 - <Z>) / 2 of one state."""
+    n = amps.shape[0].bit_length() - 1
+    return (1.0 - z_expectations(amps[None], range(n))[0]) / 2.0
+
 
 def test_angle_embed_zero_features_is_identity():
-    c = angle_embed(np.zeros(3), 3)
-    out = run_circuit(StateVector.zero(3), c)
-    np.testing.assert_allclose(out.amplitudes, StateVector.zero(3).amplitudes, atol=1e-12)
+    np.testing.assert_allclose(embed("angle", np.zeros(3)), np.eye(1, 8)[0], atol=1e-12)
 
 
 def test_angle_embed_pi_gives_one():
-    out = run_circuit(StateVector.zero(1), angle_embed([math.pi], 1))
-    assert abs(marginal_prob_one(out, 0) - 1.0) < 1e-12
+    assert abs(prob_one(embed("angle", [math.pi]))[0] - 1.0) < 1e-12
 
 
 def test_angle_embed_marginals():
     """Per-qubit P(1) = sin^2(x_i / 2)."""
     rng = np.random.default_rng(0)
-    for axis in ("x", "y"):
-        feats = rng.uniform(-math.pi, math.pi, size=4)
-        out = run_circuit(StateVector.zero(4), angle_embed(feats, 4, axis=axis))
-        for q in range(4):
-            assert abs(marginal_prob_one(out, q) - math.sin(feats[q] / 2) ** 2) < 1e-12
+    feats = rng.uniform(-math.pi, math.pi, size=4)
+    np.testing.assert_allclose(prob_one(embed("angle", feats)), np.sin(feats / 2) ** 2,
+                               rtol=0, atol=1e-12)
 
 
 def test_angle_embed_structure():
-    c = angle_embed(np.arange(5.0), 5)
-    assert c.n_params == 0
-    assert len(c.ops) == 5  # exactly one rotation per qubit, no entanglers
-    assert all(op.kind == "ry" for op in c.ops)
-
-
-def test_angle_embed_length_mismatch():
-    with pytest.raises(ValueError, match="features"):
-        angle_embed(np.zeros(3), 4)
+    """Slot k carries feature k: one RY per qubit (angle), RX then RY per
+    qubit (dense_angle), before any layer gate."""
+    angle = _dqc_circuit("angle", 5, 1, "y")
+    assert [(op.kind, op.target, op.param_index) for op in angle.ops[:5]] == \
+        [("ry", q, q) for q in range(5)]
+    dense = _dqc_circuit("dense_angle", 3, 1, "y")
+    assert [(op.kind, op.target, op.param_index) for op in dense.ops[:6]] == \
+        [(kind, q, 2 * q + k) for q in range(3) for k, kind in enumerate(("rx", "ry"))]
+    for circuit, n_embed in ((angle, 5), (dense, 6)):
+        assert all(op.param_index is None or op.param_index >= n_embed
+                   for op in circuit.ops[n_embed:])
 
 
 def test_dense_angle_zero_is_identity():
-    out = run_circuit(StateVector.zero(2), dense_angle_embed(np.zeros(4), 2))
-    np.testing.assert_allclose(out.amplitudes, StateVector.zero(2).amplitudes, atol=1e-12)
+    np.testing.assert_allclose(embed("dense_angle", np.zeros(4)), np.eye(1, 4)[0], atol=1e-12)
 
 
 def test_dense_angle_rx_pi():
     """RX(pi)|0> = -i|1>, so P(1) = 1 for features [pi, 0]."""
-    out = run_circuit(StateVector.zero(1), dense_angle_embed([math.pi, 0.0], 1))
-    assert abs(marginal_prob_one(out, 0) - 1.0) < 1e-12
+    assert abs(prob_one(embed("dense_angle", [math.pi, 0.0]))[0] - 1.0) < 1e-12
 
 
 def test_dense_angle_per_qubit_state():
     """Each qubit carries RY(x_{2i+1}) RX(x_{2i}) |0> exactly."""
     rng = np.random.default_rng(1)
     feats = rng.uniform(-math.pi, math.pi, size=8)
-    out = run_circuit(StateVector.zero(4), dense_angle_embed(feats, 4))
-    amps = out.amplitudes.reshape([2] * 4)
+    amps = embed("dense_angle", feats).reshape([2] * 4)
     for q in range(4):
         expected = (
             rotation_matrix("ry", feats[2 * q + 1])
@@ -98,11 +106,6 @@ def test_dense_angle_per_qubit_state():
             for k in range(4) if k != q
         ])
         np.testing.assert_allclose(got, expected * weight, atol=1e-12)
-
-
-def test_dense_angle_needs_two_features_per_qubit():
-    with pytest.raises(ValueError, match="features"):
-        dense_angle_embed(np.zeros(5), 4)
 
 
 # --- amplitude -----------------------------------------------------------
@@ -151,13 +154,22 @@ def test_amplitude_embed_rejects_zero_vector():
         amplitude_embed(np.zeros(8))
 
 
+def test_amplitude_embed_rejects_bad_features():
+    with pytest.raises(ValueError, match="1-D"):
+        amplitude_embed(np.ones((2, 2)))
+    with pytest.raises(ValueError, match="non-empty"):
+        amplitude_embed([])
+    with pytest.raises(ValueError, match="finite"):
+        amplitude_embed([1.0, np.nan])
+
+
 def test_qubit_count_laws():
     """angle: N qubits; dense-angle: N/2; amplitude: ceil(log2 N)."""
     n = 8
-    feats = np.linspace(-1, 1, n)
-    assert angle_embed(feats, n).n_qubits == n
-    assert dense_angle_embed(feats, n // 2).n_qubits == n // 2
-    assert amplitude_embed(feats).n_qubits == 3
+    for embedding, n_qubits in (("angle", n), ("dense_angle", n // 2)):
+        # n embedding slots, then n_qubits layer slots at depth 1
+        assert _dqc_circuit(embedding, n_qubits, 1, "y").n_params == n + n_qubits
+    assert amplitude_embed(np.linspace(-1, 1, n)).n_qubits == 3
 
 
 # --- FRQI ----------------------------------------------------------------
@@ -219,7 +231,7 @@ def test_frqi_round_trip_random_images():
 
 def test_frqi_decode_rejects_non_frqi_state():
     with pytest.raises(ValueError, match="zero probability"):
-        frqi_decode(StateVector.zero(3), 1)  # positions 1..3 unpopulated
+        frqi_decode(StateVector(3, np.eye(8)[0]), 1)  # positions 1..3 unpopulated
 
 
 # --- NEQR ----------------------------------------------------------------
@@ -266,7 +278,7 @@ def test_neqr_intensity_out_of_range():
 
 def test_neqr_decode_rejects_malformed():
     with pytest.raises(ValueError, match="color branches"):
-        neqr_decode(StateVector.zero(4), 1, color_bits=2)
+        neqr_decode(StateVector(4, np.eye(16)[0]), 1, color_bits=2)
 
 
 # --- normalization + GrayImage validation --------------------------------
@@ -275,14 +287,14 @@ def test_all_embeddings_normalized():
     rng = np.random.default_rng(7)
     img = random_image(rng, 4)
     states = [
-        frqi_encode(img),
-        neqr_encode(img),
-        amplitude_embed(rng.standard_normal(100)),
-        run_circuit(StateVector.zero(3), angle_embed(rng.uniform(-3, 3, 3), 3)),
-        run_circuit(StateVector.zero(3), dense_angle_embed(rng.uniform(-3, 3, 6), 3)),
+        frqi_encode(img).amplitudes,
+        neqr_encode(img).amplitudes,
+        amplitude_embed(rng.standard_normal(100)).amplitudes,
+        embed("angle", rng.uniform(-3, 3, 3)),
+        embed("dense_angle", rng.uniform(-3, 3, 6)),
     ]
-    for s in states:
-        assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-10
+    for amps in states:
+        assert abs(np.linalg.norm(amps) - 1.0) < 1e-10
 
 
 def test_gray_image_validation():

@@ -1,4 +1,5 @@
-"""Statevector simulator: known states, gate algebra, dense-matrix oracle."""
+"""Statevector simulator: the state container, known states, gate algebra,
+dense-matrix oracle."""
 import math
 
 import numpy as np
@@ -6,24 +7,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qtlsim.embeddings import StateVector
 from qtlsim.sim import (
     Circuit,
-    StateVector,
-    apply_gate,
     apply_matrix,
     apply_step,
     cnot,
-    expectation_z,
     h,
-    marginal_prob_one,
-    probabilities,
     rotation_matrix,
-    run_circuit,
     run_circuit_raw,
     rx,
     ry,
     rz,
     x,
+    z_expectations,
 )
 
 from oracle import (
@@ -38,10 +35,16 @@ from oracle import (
 S2 = 1.0 / math.sqrt(2)
 
 
-def test_zero_state():
-    s = StateVector.zero(3)
-    assert s.amplitudes.shape == (8,)
-    assert s.amplitudes[0] == 1.0
+def run_one(n, ops, amps=None, params=()):
+    """One state through the batched kernel as a (1, 2**n) batch, default
+    |0...0>; returns the output row."""
+    initial = np.eye(1, 2**n) if amps is None else np.asarray(amps)[None]
+    return run_circuit_raw(initial, Circuit(n, tuple(ops), len(params)), params)[0]
+
+
+def z_of(amps, qubit):
+    """<Z> of one qubit of one state."""
+    return float(z_expectations(np.asarray(amps)[None], [qubit])[0, 0])
 
 
 def test_statevector_rejects_unnormalized():
@@ -56,45 +59,29 @@ def test_statevector_rejects_wrong_length():
 
 def test_ry_pi_flips_zero():
     """RY(pi)|0> = |1>"""
-    s = apply_gate(StateVector.zero(1), ry(0, math.pi))
-    np.testing.assert_allclose(s.amplitudes, [0, 1], atol=1e-12)
+    np.testing.assert_allclose(run_one(1, [ry(0, math.pi)]), [0, 1], atol=1e-12)
 
 
 def test_h_twice_is_identity():
-    s = apply_gate(apply_gate(StateVector.zero(1), h(0)), h(0))
-    np.testing.assert_allclose(s.amplitudes, [1, 0], atol=1e-12)
+    np.testing.assert_allclose(run_one(1, [h(0), h(0)]), [1, 0], atol=1e-12)
 
 
 def test_cnot_builds_bell_state():
-    s = apply_gate(StateVector.zero(2), h(0))
-    s = apply_gate(s, cnot(0, 1))
-    np.testing.assert_allclose(s.amplitudes, [S2, 0, 0, S2], atol=1e-12)
+    s = run_one(2, [h(0), cnot(0, 1)])
+    np.testing.assert_allclose(s, [S2, 0, 0, S2], atol=1e-12)
 
 
 def test_x_on_qubit0_is_msb():
     # Qubit 0 is the most significant bit: X(0) on |000> gives index 4.
-    s = apply_gate(StateVector.zero(3), x(0))
+    s = run_one(3, [x(0)])
     expected = np.zeros(8)
     expected[4] = 1.0
-    np.testing.assert_allclose(s.amplitudes, expected, atol=1e-12)
+    np.testing.assert_allclose(s, expected, atol=1e-12)
 
 
-def test_apply_gate_value_semantics():
-    s = StateVector.zero(1)
-    apply_gate(s, x(0))
-    np.testing.assert_array_equal(s.amplitudes, [1, 0])
-    with pytest.raises(ValueError):
-        s.amplitudes[0] = 0.5  # read-only
-
-
-def test_apply_gate_target_out_of_range():
+def test_gate_wire_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
-        apply_gate(StateVector.zero(2), x(3))
-
-
-def test_apply_gate_unbound_parameter():
-    with pytest.raises(ValueError, match="unbound parameter"):
-        apply_gate(StateVector.zero(1), ry(0, param=0), params=[])
+        Circuit(2, (x(3),))
 
 
 def test_gateop_validation():
@@ -110,95 +97,52 @@ def test_gateop_validation():
 
 def test_empty_circuit_is_identity():
     rng = np.random.default_rng(0)
-    s = StateVector(3, random_state_amps(rng, 3))
-    out = run_circuit(s, Circuit(3, ()))
-    np.testing.assert_array_equal(out.amplitudes, s.amplitudes)
+    s = random_state_amps(rng, 3)
+    np.testing.assert_array_equal(run_one(3, [], amps=s), s)
 
 
 def test_trainable_ry_half_pi():
-    c = Circuit(1, (ry(0, param=0),), n_params=1)
-    out = run_circuit(StateVector.zero(1), c, params=[math.pi / 2])
-    np.testing.assert_allclose(out.amplitudes, [S2, S2], atol=1e-12)
-
-
-def test_run_circuit_dimension_mismatch():
-    with pytest.raises(ValueError, match="qubits"):
-        run_circuit(StateVector.zero(2), Circuit(3, ()))
-    with pytest.raises(ValueError, match="parameters"):
-        run_circuit(StateVector.zero(1), Circuit(1, (ry(0, param=0),), 1), params=[])
-
-
-def test_run_circuit_matches_dense_oracle():
-    """Stride-based gate application == explicit Kronecker-product matrices."""
-    rng = np.random.default_rng(42)
-    for trial in range(30):
-        n = int(rng.integers(1, 5))
-        circuit, params = random_circuit(rng, n, trainable=bool(trial % 2))
-        initial = StateVector(n, random_state_amps(rng, n))
-        fast = run_circuit(initial, circuit, params).amplitudes
-        slow = dense_run(circuit, initial.amplitudes, params)
-        assert np.max(np.abs(fast - slow)) < 1e-10
+    out = run_one(1, [ry(0, param=0)], params=[math.pi / 2])
+    np.testing.assert_allclose(out, [S2, S2], atol=1e-12)
 
 
 def test_probabilities_known_states():
-    one = apply_gate(StateVector.zero(1), x(0))
-    np.testing.assert_allclose(probabilities(one), [0, 1], atol=1e-12)
-    bell = apply_gate(apply_gate(StateVector.zero(2), h(0)), cnot(0, 1))
-    np.testing.assert_allclose(probabilities(bell), [0.5, 0, 0, 0.5], atol=1e-12)
-
-
-def test_probabilities_sum_to_one():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        n = int(rng.integers(1, 6))
-        s = StateVector(n, random_state_amps(rng, n))
-        assert abs(probabilities(s).sum() - 1.0) < 1e-10
+    one = run_one(1, [x(0)])
+    np.testing.assert_allclose(np.abs(one) ** 2, [0, 1], atol=1e-12)
+    bell = run_one(2, [h(0), cnot(0, 1)])
+    np.testing.assert_allclose(np.abs(bell) ** 2, [0.5, 0, 0, 0.5], atol=1e-12)
 
 
 def test_expectation_z_basics():
-    assert expectation_z(StateVector.zero(1), 0) == 1.0
-    s = apply_gate(StateVector.zero(1), ry(0, math.pi / 2))
-    assert abs(expectation_z(s, 0)) < 1e-12
+    assert z_of(np.eye(1, 2)[0], 0) == 1.0
+    assert abs(z_of(run_one(1, [ry(0, math.pi / 2)]), 0)) < 1e-12
 
 
 @pytest.mark.parametrize("theta", [0.3, 1.1, 2.5])
 def test_expectation_z_after_ry_is_cos(theta):
-    s = apply_gate(StateVector.zero(1), ry(0, theta))
-    assert abs(expectation_z(s, 0) - math.cos(theta)) < 1e-12
+    assert abs(z_of(run_one(1, [ry(0, theta)]), 0) - math.cos(theta)) < 1e-12
 
 
 def test_expectation_z_matches_dense_sign_sum():
     rng = np.random.default_rng(2)
     for _ in range(20):
         n = int(rng.integers(1, 5))
-        s = StateVector(n, random_state_amps(rng, n))
+        s = random_state_amps(rng, n)
         q = int(rng.integers(n))
-        assert abs(expectation_z(s, q) - zexp_dense(s.amplitudes, n, q)) < 1e-12
+        assert abs(z_of(s, q) - zexp_dense(s, n, q)) < 1e-12
 
 
 def test_marginal_prob_one_known_states():
-    one = apply_gate(StateVector.zero(1), x(0))
-    assert marginal_prob_one(one, 0) == 1.0
-    bell = apply_gate(apply_gate(StateVector.zero(2), h(0)), cnot(0, 1))
-    assert abs(marginal_prob_one(bell, 0) - 0.5) < 1e-12
-    assert abs(marginal_prob_one(bell, 1) - 0.5) < 1e-12
-
-
-def test_marginal_consistent_with_expectation():
-    """1 - P(1) == (1 + <Z>)/2 on random states."""
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        n = int(rng.integers(1, 5))
-        s = StateVector(n, random_state_amps(rng, n))
-        for q in range(n):
-            lhs = 1.0 - marginal_prob_one(s, q)
-            rhs = (1.0 + expectation_z(s, q)) / 2.0
-            assert abs(lhs - rhs) < 1e-12
+    """P(1) = (1 - <Z>) / 2: X|0> reads 1, each Bell qubit half the time."""
+    one = z_expectations(run_one(1, [x(0)])[None], [0])
+    np.testing.assert_array_equal((1.0 - one) / 2.0, [[1.0]])
+    bell = z_expectations(run_one(2, [h(0), cnot(0, 1)])[None], [0, 1])
+    np.testing.assert_allclose((1.0 - bell) / 2.0, [[0.5, 0.5]], atol=1e-12)
 
 
 def test_marginal_qubit_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
-        marginal_prob_one(StateVector.zero(2), 2)
+        z_expectations(np.eye(1, 4), [2])
 
 
 def test_gates_preserve_norm():
@@ -209,36 +153,36 @@ def test_gates_preserve_norm():
               lambda t: rz(t, rng.uniform(-7, 7))]
     for _ in range(20):
         n = int(rng.integers(1, 5))
-        s = StateVector(n, random_state_amps(rng, n))
+        s = random_state_amps(rng, n)
         for make in makers:
-            out = apply_gate(s, make(int(rng.integers(n))))
-            assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
+            out = run_one(n, [make(int(rng.integers(n)))], amps=s)
+            assert abs(np.linalg.norm(out) - 1.0) < 1e-10
         if n >= 2:
             c = int(rng.integers(n - 1))
-            out = apply_gate(s, cnot(c, n - 1) if c != n - 1 else cnot(0, 1))
-            assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
+            out = run_one(n, [cnot(c, n - 1) if c != n - 1 else cnot(0, 1)], amps=s)
+            assert abs(np.linalg.norm(out) - 1.0) < 1e-10
 
 
 def test_involutions():
     """X^2 = H^2 = CNOT^2 = identity on random states."""
     rng = np.random.default_rng(5)
     for _ in range(10):
-        s = StateVector(3, random_state_amps(rng, 3))
+        s = random_state_amps(rng, 3)
         t = int(rng.integers(3))
         for op in (x(t), h(t), cnot((t + 1) % 3, t)):
-            twice = apply_gate(apply_gate(s, op), op)
-            assert np.max(np.abs(twice.amplitudes - s.amplitudes)) < 1e-12
+            twice = run_one(3, [op, op], amps=s)
+            assert np.max(np.abs(twice - s)) < 1e-12
 
 
 def test_ry_composition():
     """RY(a) RY(b) == RY(a+b) on random single-qubit states."""
     rng = np.random.default_rng(6)
     for _ in range(10):
-        s = StateVector(1, random_state_amps(rng, 1))
+        s = random_state_amps(rng, 1)
         a, b = rng.uniform(-np.pi, np.pi, size=2)
-        composed = apply_gate(apply_gate(s, ry(0, b)), ry(0, a))
-        direct = apply_gate(s, ry(0, a + b))
-        assert np.max(np.abs(composed.amplitudes - direct.amplitudes)) < 1e-12
+        composed = run_one(1, [ry(0, b), ry(0, a)], amps=s)
+        direct = run_one(1, [ry(0, a + b)], amps=s)
+        assert np.max(np.abs(composed - direct)) < 1e-12
 
 
 def stays_real(initial, circuit) -> bool:

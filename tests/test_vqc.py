@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qtlsim.embeddings import angle_embed
-from qtlsim.sim import Circuit, StateVector, run_circuit, run_circuit_raw
+from qtlsim.sim import Circuit, ry, run_circuit_raw
 from qtlsim.vqc import (
     VqcTemplate,
     build_layers,
@@ -27,16 +26,20 @@ from oracle import (
 )
 
 
-def embedded(embed: Circuit, template: VqcTemplate) -> Circuit:
+def angle_ops(features) -> tuple:
+    """Constant-angle RY embedding: feature i is the angle on qubit i."""
+    return tuple(ry(q, float(f)) for q, f in enumerate(features))
+
+
+def embedded(features, template: VqcTemplate) -> Circuit:
     """Constant-angle embedding followed by the template's trainable layers."""
-    return Circuit(template.n_qubits, embed.ops + build_layers(template).ops,
+    return Circuit(template.n_qubits, angle_ops(features) + build_layers(template).ops,
                    template.n_params)
 
 
-def adjoint_grad(circuit, params, measured, upstream, initial=None):
-    """circuit_adjoint for one row, from the single-state run's output."""
-    start = StateVector.zero(circuit.n_qubits) if initial is None else initial
-    final = run_circuit(start, circuit, params).amplitudes[None]
+def adjoint_grad(circuit, params, measured, upstream):
+    """circuit_adjoint for one row, from the run of |0...0> as a one-row batch."""
+    final = run_circuit_raw(np.eye(1, 2**circuit.n_qubits), circuit, params)
     return circuit_adjoint(circuit, params, measured, final, [upstream])[0]
 
 
@@ -85,7 +88,7 @@ def test_invalid_template():
 
 def test_forward_zero_params_identity_embedding():
     z = circuit_expectations(build_layers(VqcTemplate(4, 2)), np.zeros(8), [0, 1, 2, 3],
-                             StateVector.zero(4).amplitudes[None])
+                             np.eye(1, 16))
     np.testing.assert_allclose(z, np.ones((1, 4)), atol=1e-12)
 
 
@@ -101,11 +104,10 @@ def test_forward_matches_dense_oracle():
     for _ in range(20):
         template = VqcTemplate(4, int(rng.integers(1, 4)))
         params = rng.uniform(-np.pi, np.pi, size=template.n_params)
-        embed = angle_embed(rng.uniform(-np.pi, np.pi, 4), 4)
-        circuit = embedded(embed, template)
+        circuit = embedded(rng.uniform(-np.pi, np.pi, 4), template)
         fast = circuit_expectations(circuit, params, [0, 1, 2, 3])[0]
 
-        amps = dense_run(circuit, StateVector.zero(4).amplitudes, params)
+        amps = dense_run(circuit, np.eye(16)[0], params)
         slow = [zexp_dense(amps, 4, q) for q in range(4)]
         assert np.max(np.abs(fast - slow)) < 1e-10
 
@@ -115,17 +117,15 @@ def test_forward_accepts_state_or_circuit():
     template = VqcTemplate(3, 1)
     params = rng.uniform(-1, 1, 3)
     feats = rng.uniform(-1, 1, 3)
-    via_circuit = circuit_expectations(embedded(angle_embed(feats, 3), template), params,
-                                       [0, 1, 2])
-    prepared = run_circuit(StateVector.zero(3), angle_embed(feats, 3))
-    via_state = circuit_expectations(build_layers(template), params, [0, 1, 2],
-                                     prepared.amplitudes[None])
+    via_circuit = circuit_expectations(embedded(feats, template), params, [0, 1, 2])
+    prepared = run_circuit_raw(np.eye(1, 8), Circuit(3, angle_ops(feats)), ())
+    via_state = circuit_expectations(build_layers(template), params, [0, 1, 2], prepared)
     np.testing.assert_allclose(via_circuit, via_state, atol=1e-14)
 
 
 def test_forward_dimension_mismatch():
     layers = build_layers(VqcTemplate(2, 1))
-    zero = StateVector.zero(2).amplitudes[None]
+    zero = np.eye(1, 4)
     with pytest.raises(ValueError, match="parameters"):
         circuit_expectations(layers, np.zeros(3), [0], zero)
     with pytest.raises(ValueError, match="measured"):
@@ -150,7 +150,7 @@ def test_grad_matches_finite_differences():
         depth = int(rng.integers(1, 3))
         template = VqcTemplate(n, depth)
         params = rng.uniform(-np.pi, np.pi, size=template.n_params)
-        circuit = embedded(angle_embed(rng.uniform(-np.pi, np.pi, n), n), template)
+        circuit = embedded(rng.uniform(-np.pi, np.pi, n), template)
         measured = list(range(n))
         upstream = rng.standard_normal(n)
 
@@ -168,7 +168,7 @@ def test_grad_deterministic():
     rng = np.random.default_rng(13)
     template = VqcTemplate(4, 2)
     params = rng.uniform(-np.pi, np.pi, template.n_params)
-    circuit = embedded(angle_embed(rng.uniform(-1, 1, 4), 4), template)
+    circuit = embedded(rng.uniform(-1, 1, 4), template)
     a = adjoint_grad(circuit, params, [0, 1], [0.5, -0.25])
     b = adjoint_grad(circuit, params, [0, 1], [0.5, -0.25])
     np.testing.assert_array_equal(a, b)
@@ -176,7 +176,7 @@ def test_grad_deterministic():
 
 def test_grad_upstream_shape_checked():
     layers = build_layers(VqcTemplate(2, 1))
-    final = run_circuit(StateVector.zero(2), layers, np.zeros(2)).amplitudes[None]
+    final = run_circuit_raw(np.eye(1, 4), layers, np.zeros(2))
     with pytest.raises(ValueError, match="upstream"):
         circuit_adjoint(layers, np.zeros(2), [0, 1], final, [1.0])
     with pytest.raises(ValueError, match="upstream"):
@@ -185,8 +185,6 @@ def test_grad_upstream_shape_checked():
 
 def test_shared_parameter_accumulates():
     """A slot used by two gates gets the sum of both gates' contributions."""
-    from qtlsim.sim import ry
-
     circuit = Circuit(1, (ry(0, param=0), ry(0, param=0)), 1)
     theta = 0.37
     g = adjoint_grad(circuit, [theta], [0], [1.0])
