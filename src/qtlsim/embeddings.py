@@ -84,9 +84,6 @@ class GrayImage:
         """Position-register half-width: the image is 2^n x 2^n."""
         return self.side.bit_length() - 1
 
-    def as_array(self) -> np.ndarray:
-        return self.pixels.reshape(self.side, self.side)
-
 
 def amplitude_embed(features) -> StateVector:
     """Write the feature vector into state amplitudes.

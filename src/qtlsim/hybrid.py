@@ -20,8 +20,9 @@ from functools import lru_cache
 import numpy as np
 
 from .embeddings import amplitude_rows
-from .sim import Circuit, run_circuit_raw, rx, ry, z_expectations
-from .vqc import VqcTemplate, build_layers, circuit_adjoint, circuit_expectations
+from .sim import (Circuit, product_state, run_circuit_raw, rx, ry, transfer_matrix,
+                  z_expectations)
+from .vqc import VqcTemplate, build_layers, circuit_adjoint
 
 # mode -> the embeddings it accepts; MODES and EMBEDDINGS orders are the
 # checkpoint tag values, so only ever append to them
@@ -206,19 +207,21 @@ def _check_batch(model: HybridModel, features) -> np.ndarray:
 
 
 def _circuit_inputs(model: HybridModel, x: np.ndarray):
-    """(circuit, params, measured qubits, initial states, pre-layer output)
-    of a feature batch; the pre-layer output is None in purevqc."""
+    """(circuit, params, measured qubits, initial states, first program step
+    left to run, pre-layer output) of a feature batch; the pre-layer output
+    is None in purevqc. A dqc batch starts from the circuit's product
+    prefix, run on |0...0>."""
     t = model.template
     if model.mode == "purevqc":
         return (build_layers(t), model.blocks["q"], range(model.n_classes),
-                amplitude_rows(x), None)
+                amplitude_rows(x), 0, None)
     p = model.blocks
     pre_out = x @ p["pre_w"].T + p["pre_b"]
     angles = np.tanh(pre_out) * ANGLE_SCALE  # one per-row slot per embedding gate
     circuit = _dqc_circuit(model.embedding, t.n_qubits, t.depth, t.rotation_axis)
-    real = not any(op.kind in ("rx", "rz") for op in circuit.ops)  # else complex from the start
-    initial = np.eye(1, 2**t.n_qubits, dtype=float if real else complex).repeat(x.shape[0], axis=0)
-    return circuit, [*angles.T, *p["q"]], range(t.n_qubits), initial, pre_out
+    params = [*angles.T, *p["q"]]
+    return (circuit, params, range(t.n_qubits), product_state(circuit, params, x.shape[0]),
+            circuit.prefix_len, pre_out)
 
 
 def _logits(model: HybridModel, z: np.ndarray) -> np.ndarray:
@@ -228,9 +231,35 @@ def _logits(model: HybridModel, z: np.ndarray) -> np.ndarray:
 
 
 def model_forward(model: HybridModel, features) -> np.ndarray:
-    """(B, n_classes) class probabilities of a (B, in_dim) feature batch."""
-    circuit, params, measured, initial, _ = _circuit_inputs(model, _check_batch(model, features))
-    return softmax(_logits(model, circuit_expectations(circuit, params, measured, initial)))
+    """(B, n_classes) class probabilities of a (B, in_dim) feature batch.
+
+    The circuit runs on contiguous row slices of ``features`` (views, not
+    copies), 2**13 amplitudes' worth of states at a time. When B >= 2**n
+    and 2**n * 2**n <= B * in_dim, the program steps left after the
+    initial states (dqc: after the product prefix) are built once per call
+    into the transfer matrix T: their run on the 2**n basis states, which
+    costs what 2**n rows through the gates cost and holds no more numbers
+    than the features. Each slice's initial states then take one matrix
+    product with T, or two real ones for complex states and a real T.
+    Smaller batches run gate by gate.
+    """
+    x = _check_batch(model, features)
+    n = model.template.n_qubits
+    chunk = max(1, 2**13 >> n)  # 2**13 amplitudes per state batch
+    use_transfer = x.shape[0] >= 2**n and 4**n <= x.size
+    transfer, z = None, []
+    for i in range(0, x.shape[0], chunk):
+        circuit, params, measured, amps, start, _ = _circuit_inputs(model, x[i : i + chunk])
+        if use_transfer and transfer is None:
+            transfer = transfer_matrix(circuit, params, start)
+        if transfer is None:
+            amps = run_circuit_raw(amps, circuit, params, start)
+        elif np.iscomplexobj(amps) and not np.iscomplexobj(transfer):
+            amps = amps.real @ transfer + 1j * (amps.imag @ transfer)
+        else:
+            amps = amps @ transfer
+        z.append(z_expectations(amps, measured))
+    return softmax(_logits(model, np.concatenate(z)))
 
 
 def model_backward(model: HybridModel, features, labels) -> np.ndarray:
@@ -247,8 +276,8 @@ def model_backward(model: HybridModel, features, labels) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (x.shape[0],) or np.any((labels < 0) | (labels >= model.n_classes)):
         raise ValueError(f"expected {x.shape[0]} labels in [0, {model.n_classes}), got {labels!r}")
-    circuit, params, measured, initial, pre_out = _circuit_inputs(model, x)
-    final = run_circuit_raw(initial, circuit, params)
+    circuit, params, measured, initial, start, pre_out = _circuit_inputs(model, x)
+    final = run_circuit_raw(initial, circuit, params, start)
     z = z_expectations(final, measured)
     dlogits = softmax(_logits(model, z))
     dlogits[np.arange(x.shape[0]), labels] -= 1.0

@@ -14,6 +14,16 @@ applies one 2x2 matrix, or a (B, 2, 2) stack when its angle varies per
 row, and each run of consecutive CNOTs is one fused index permutation.
 A float64 batch (real input through ry/h/x/cnot) takes one matmul per
 gate, a complex128 one (after any rx or rz) an element-wise update.
+
+A run from |0...0> starts from a product state. The program steps before
+the first fused CNOT step (``Circuit.prefix_len`` of them) are
+single-qubit gates, so ``product_state`` applies them to one 2-vector per
+qubit, or one per row and qubit after a per-row angle, and
+Kronecker-multiplies the vectors into the batch, qubit 0 most
+significant; ``run_circuit_raw(..., start=circuit.prefix_len)`` then runs
+the rest. ``transfer_matrix`` turns the steps from ``start`` on, when all
+their angles are shared, into one matrix T, so that a batch run through
+them is ``amps @ T``.
 """
 from __future__ import annotations
 
@@ -167,6 +177,13 @@ class Circuit:
             steps.extend([_fuse_cnots(self.n_qubits, ops)] if is_cnot else ops)
         return tuple(steps)
 
+    @cached_property
+    def prefix_len(self) -> int:
+        """Number of leading program steps before the first fused CNOT
+        step: single-qubit gates, which keep a product state a product."""
+        return next((i for i, step in enumerate(self.program) if isinstance(step, Permutation)),
+                    len(self.program))
+
 
 def apply_matrix(amps: np.ndarray, n_qubits: int, target: int, m: np.ndarray) -> np.ndarray:
     """Apply a 2x2 matrix, or a (B, 2, 2) stack one per row, to the target
@@ -193,29 +210,67 @@ def apply_matrix(amps: np.ndarray, n_qubits: int, target: int, m: np.ndarray) ->
     return out.reshape(amps.shape)
 
 
+def gate_matrix(op: GateOp, params) -> np.ndarray:
+    """2x2 matrix of a single-qubit gate, or a (B, 2, 2) stack when it reads
+    a per-row angle from ``params``."""
+    if op.kind in _FIXED_MATRICES:
+        return _FIXED_MATRICES[op.kind]
+    return rotation_matrix(op.kind, op.angle if op.param_index is None else params[op.param_index])
+
+
 def apply_step(amps: np.ndarray, n_qubits: int, step, params, adjoint: bool = False) -> np.ndarray:
     """Apply one ``Circuit.program`` step, or its inverse when ``adjoint``."""
     if isinstance(step, Permutation):
         return amps[..., step.inverse if adjoint else step.gather]
-    if step.kind in _FIXED_MATRICES:
-        m = _FIXED_MATRICES[step.kind]
-    else:
-        m = rotation_matrix(step.kind, step.angle if step.param_index is None
-                            else params[step.param_index])
+    m = gate_matrix(step, params)
     if adjoint:
         m = np.conj(np.swapaxes(m, -1, -2))
     return apply_matrix(amps, n_qubits, step.target, m)
 
 
-def run_circuit_raw(amps: np.ndarray, circuit: Circuit, params) -> np.ndarray:
-    """Run the circuit on a (B, 2**n) batch of states, unvalidated.
+def run_circuit_raw(amps: np.ndarray, circuit: Circuit, params, start: int = 0) -> np.ndarray:
+    """Run the circuit's program from step ``start`` on a (B, 2**n) batch
+    of states, unvalidated.
 
     ``params`` holds one entry per slot: a float shared by all rows or a
     (B,) array of per-row angles."""
     n = circuit.n_qubits
-    for step in circuit.program:
+    for step in circuit.program[start:]:
         amps = apply_step(amps, n, step, params)
     return amps
+
+
+def product_state(circuit: Circuit, params, batch: int) -> np.ndarray:
+    """The (batch, 2**n) states that the first ``circuit.prefix_len``
+    program steps make from |0...0>; continue with ``run_circuit_raw(...,
+    start=circuit.prefix_len)``.
+
+    The steps act, in op order, on one 2-vector per qubit, or a (batch, 2)
+    stack once a per-row angle reaches it. float64 when every prefix
+    matrix is real, complex128 otherwise."""
+    qubits = [np.array([1.0, 0.0])] * circuit.n_qubits
+    for op in circuit.program[: circuit.prefix_len]:
+        qubits[op.target] = (gate_matrix(op, params) @ qubits[op.target][..., None])[..., 0]
+    amps = np.ones((batch, 1))
+    for v in qubits:  # qubit 0 ends up the most significant bit
+        amps = (amps[:, :, None] * v[..., None, :]).reshape(batch, -1)
+    return amps
+
+
+def transfer_matrix(circuit: Circuit, params, start: int = 0) -> np.ndarray:
+    """(2**n, 2**n) matrix T of the program steps from ``start`` on: for any
+    (B, 2**n) batch, ``run_circuit_raw(amps, circuit, params, start)`` equals
+    ``amps @ T``. It is their run on ``np.eye(2**n)``, so float64 when those
+    steps are real.
+
+    Raises ValueError when one of those steps reads a per-row angle: T is
+    shared by every row."""
+    for op in circuit.program[start:]:
+        if isinstance(op, GateOp) and op.param_index is not None \
+                and np.ndim(params[op.param_index]) != 0:
+            raise ValueError(f"{op.kind} on qubit {op.target} reads per-row angle slot "
+                             f"{op.param_index}; a transfer matrix needs shared angles")
+    return run_circuit_raw(np.eye(2**circuit.n_qubits), circuit, params, start)
 
 
 @lru_cache(maxsize=None)

@@ -32,15 +32,12 @@ class TrainingAborted(RuntimeError):
 
 def evaluate(model: HybridModel, dataset: Dataset, split: str = "test",
              epoch: int = 0) -> MetricRecord:
-    """Loss, accuracy, AUROC and confusion matrix over one split. The forward
-    pass runs on contiguous row slices of ``dataset.features`` (views, not
-    copies), 2**13 amplitudes' worth of states at a time."""
-    features, labels = dataset.features, dataset.labels
+    """Loss, accuracy, AUROC and confusion matrix over one split, from one
+    ``model_forward`` call over all of its rows."""
+    labels = dataset.labels
     if not len(labels):
         raise ValueError(f"cannot evaluate on an empty {split} split")
-    chunk = max(1, 2**13 >> model.template.n_qubits)  # 2**13 amplitudes per state batch
-    probs = np.concatenate([model_forward(model, features[i : i + chunk])
-                            for i in range(0, len(labels), chunk)])
+    probs = model_forward(model, dataset.features)
     loss = float(np.mean([cross_entropy(probs[i], labels[i]) for i in range(len(labels))]))
     preds = probs.argmax(axis=1)
     if model.n_classes == 2:

@@ -205,5 +205,5 @@ def write_pgm(path, image):
     """A ``GrayImage`` as an ASCII (P2) PGM file."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"P2\n{image.side} {image.side}\n255\n")
-        for row in image.as_array():
+        for row in image.pixels.reshape(image.side, image.side):
             fh.write(" ".join(str(int(v)) for v in row) + "\n")

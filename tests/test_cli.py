@@ -67,13 +67,13 @@ def test_train_rerun_is_byte_identical(fast_config, tmp_path):
 PINNED_ARTIFACTS = {
     ("dqc", "angle"): {
         "metrics.csv": "cb143929b348d78b82fa4a68d9c05efeb42862b4e85809534238926dae9d4729",
-        "checkpoint.bin": "7c51108c98d328a8d9b992d6950bd0f98a276477c87154ff980fa43699e0ead1",
+        "checkpoint.bin": "ea16c46d28de61003a1ceb5ab268d0e188d8ecbf535095ecc8efc9f7dfa534da",
         "manifest.txt": "8b7a035a3495af32462385328b427c14008c4159e2dd0c7e9b3e20886c2b4ab0",
     },
     ("dqc", "dense_angle"): {
-        "metrics.csv": "d61380735093f71d3b75a6112ce30b7fd6491c639a1c3607648101621d44dde7",
-        "checkpoint.bin": "d06c7df2b0341033e89b5685f1066318e82c8a21f4017f74c845dc2cf7ddf80e",
-        "manifest.txt": "9ef5129668f9d68b5e396aa52c3e36a8d4550b076012fc782f5b6dd114dbc54e",
+        "metrics.csv": "0d2b55e5f73130bd83a1917ae8a3814b97eddb486aeb806af9efab66f15900b9",
+        "checkpoint.bin": "4dcbde7236f5e650bbc3d6bd966b4451d6e02cde7426f58a9b1b5d23d44641a9",
+        "manifest.txt": "20d29bea4f396beacd35da91462ab7129273154c647240ec8f7d2ccecf3a24a4",
     },
     ("purevqc", "amplitude"): {
         "metrics.csv": "f808015ef1ff56f78b4d7a075fef9a17130bd58fe8c4626b17a3311d948bc7c7",

@@ -1,5 +1,6 @@
 """Ingestion, synthetic data, group-aware splitting, batching."""
 import csv
+import re
 import tempfile
 from pathlib import Path
 
@@ -292,6 +293,53 @@ def test_split_deterministic_under_seed():
     b = balanced_group_split(ds, SplitSpec(seed=3))
     for pa, pb in zip(a, b):
         assert pa.group_ids == pb.group_ids
+
+
+@given(seed=st.integers(0, 2**32 - 1), split_seed=st.integers(0, 2**16), balance=st.booleans(),
+       n_classes=st.integers(2, 4), n_groups=st.integers(3, 60), max_group=st.integers(1, 8),
+       mixed=st.floats(0.0, 0.5))
+def test_split_invariants_over_random_group_structures(seed, split_seed, balance, n_classes,
+                                                       n_groups, max_group, mixed):
+    """Any group structure, some groups mixing classes: no group straddles
+    two subsets, the subsets are disjoint and (without balance) cover every
+    row, each row keeps its label and group, balance gives exactly equal
+    per-class counts, and the same seed gives the same split or the same
+    SplitError."""
+    rng = np.random.default_rng(seed)
+    labels, group_ids = [], []
+    for g in range(n_groups):
+        major = int(rng.integers(n_classes))
+        for _ in range(int(rng.integers(1, max_group + 1))):
+            labels.append(int(rng.integers(n_classes)) if rng.random() < mixed else major)
+            group_ids.append(f"g{g}")
+    rows = np.arange(len(labels), dtype=float)[:, None]  # feature 0 is the row number
+    ds = Dataset(rows, labels, group_ids, tuple(f"c{c}" for c in range(n_classes)))
+    spec = SplitSpec(seed=split_seed, balance=balance)
+    try:
+        parts = balanced_group_split(ds, spec)
+    except SplitError as err:
+        with pytest.raises(SplitError, match=re.escape(str(err))):
+            balanced_group_split(ds, spec)
+        return
+    again = balanced_group_split(ds, spec)
+    for part, repeat in zip(parts, again):
+        assert part.features.tobytes() == repeat.features.tobytes()
+        assert part.labels.tobytes() == repeat.labels.tobytes()
+        assert part.group_ids == repeat.group_ids
+    taken = [part.features[:, 0].astype(int) for part in parts]
+    every = np.concatenate(taken)
+    assert len(np.unique(every)) == len(every)
+    if not balance:
+        assert sorted(every) == list(range(len(ds)))
+    group_sets = [set(part.group_ids) for part in parts]
+    assert all(not group_sets[i] & group_sets[j] for i in range(3) for j in range(i + 1, 3))
+    for part, idx in zip(parts, taken):
+        assert len(part) > 0
+        assert part.labels.tolist() == ds.labels[idx].tolist()
+        assert list(part.group_ids) == [ds.group_ids[i] for i in idx]
+        if balance:
+            counts = np.bincount(part.labels, minlength=n_classes)
+            assert counts.min() == counts.max() > 0
 
 
 def test_split_giant_group_is_an_error():

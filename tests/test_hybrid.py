@@ -1,12 +1,14 @@
 """Classifier heads: forward math, analytic gradients, Adam, bookkeeping."""
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qtlsim.hybrid
 from qtlsim.hybrid import (
     AdamState,
     HybridModel,
@@ -280,6 +282,49 @@ def test_batched_pass_equals_single_rows(seed, head, batch):
     grads = model_backward(model, x, labels)
     singles = [model_backward(model, x[b : b + 1], labels[b : b + 1]) for b in range(batch)]
     assert np.max(np.abs(grads - np.mean(singles, axis=0))) <= 1e-12
+
+
+def counting_transfer_matrix():
+    """A patch of ``hybrid.transfer_matrix`` that counts its calls."""
+    return mock.patch.object(qtlsim.hybrid, "transfer_matrix",
+                             side_effect=qtlsim.hybrid.transfer_matrix)
+
+
+@given(seed=st.integers(0, 2**32 - 1), head=st.sampled_from(["angle", "dense_angle", "amplitude"]),
+       axis=st.sampled_from(["y", "x"]), n_qubits=st.integers(2, 4))
+def test_forward_through_the_transfer_matrix_equals_single_rows(seed, head, axis, n_qubits):
+    """2**n rows, with at least 2**n features each, go through one transfer
+    matrix (complex for the x axis), 2**n - 1 rows gate by gate; each row's
+    probabilities equal its own one-row call to 1e-12."""
+    rng = np.random.default_rng(seed)
+    n_classes = int(rng.integers(2, n_qubits + 1))
+    depth = int(rng.integers(1, 3))
+    if head == "amplitude":
+        in_dim = 2**n_qubits
+        model = small_purevqc(seed, n_qubits, depth, n_classes, in_dim)
+    else:
+        in_dim = int(rng.integers(2**n_qubits, 2**n_qubits + 5))
+        model = small_dqc(seed, head, n_qubits, depth, n_classes, in_dim)
+    model = replace(model, template=VqcTemplate(n_qubits, depth, axis))
+    x = rng.standard_normal((2**n_qubits, in_dim))
+    singles = np.concatenate([model_forward(model, x[b : b + 1]) for b in range(len(x))])
+    for rows, builds in ((len(x) - 1, 0), (len(x), 1)):
+        with counting_transfer_matrix() as spy:
+            probs = model_forward(model, x[:rows])
+        assert spy.call_count == builds
+        assert np.max(np.abs(probs - singles[:rows])) <= 1e-12
+
+
+def test_forward_chunks_share_one_transfer_matrix():
+    """Over several 2**13-amplitude chunks, the transfer matrix is built
+    once and gives what gate-by-gate slices of 2**n - 1 rows give."""
+    model = small_dqc(3, "dense_angle", n_qubits=5, depth=2, n_classes=3, in_dim=32)
+    x = np.random.default_rng(3).standard_normal((600, 32))  # chunks of 256 rows
+    with counting_transfer_matrix() as spy:
+        probs = model_forward(model, x)
+    assert spy.call_count == 1
+    slices = np.concatenate([model_forward(model, x[i : i + 31]) for i in range(0, 600, 31)])
+    assert np.max(np.abs(probs - slices)) <= 1e-12
 
 
 def test_purevqc_gradient_only_quantum():

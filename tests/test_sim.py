@@ -1,6 +1,7 @@
 """Statevector simulator: the state container, known states, gate algebra,
 dense-matrix oracle."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,11 +15,13 @@ from qtlsim.sim import (
     apply_step,
     cnot,
     h,
+    product_state,
     rotation_matrix,
     run_circuit_raw,
     rx,
     ry,
     rz,
+    transfer_matrix,
     x,
     z_expectations,
 )
@@ -280,3 +283,86 @@ def test_cnot_runs_fuse_into_one_step():
     program = Circuit(3, ops).program
     assert len(program) == 3
     assert program[0] is ops[0] and program[2] is ops[4]
+
+
+def prefixed_circuit(rng, n):
+    """A random circuit on n >= 2 qubits: up to 10 single-qubit gates
+    (rx/ry/rz/h/x on any qubit, repeats allowed, each rotation trainable or
+    constant), then a CNOT and a random tail. Returns (circuit, prefix ops,
+    number of trainable prefix slots)."""
+    makers = {"rx": rx, "ry": ry, "rz": rz}
+    prefix, n_params = [], 0
+    for _ in range(int(rng.integers(0, 11))):
+        kind, q = str(rng.choice(["rx", "ry", "rz", "h", "x"])), int(rng.integers(n))
+        if kind in ("h", "x"):
+            prefix.append(h(q) if kind == "h" else x(q))
+        elif rng.integers(2):
+            prefix.append(makers[kind](q, param=n_params))
+            n_params += 1
+        else:
+            prefix.append(makers[kind](q, float(rng.uniform(-np.pi, np.pi))))
+    tail, _ = random_circuit(rng, n, max_gates=12, trainable=True)
+    tail_ops = [op if op.param_index is None else replace(op, param_index=op.param_index + n_params)
+                for op in tail.ops]
+    control = int(rng.integers(n))
+    ops = (*prefix, cnot(control, (control + 1) % n), *tail_ops)
+    return Circuit(n, ops, n_params + tail.n_params), tuple(prefix), n_params
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), batch=st.integers(1, 5))
+def test_product_prefix_run_matches_the_gate_run(seed, n, batch):
+    """Starting from the product state of the single-qubit prefix and
+    running the rest equals running every gate on |0...0> rows, and the
+    dense Kronecker oracle, to 1e-12, with shared and per-row angles. The
+    product state is float64 exactly when no prefix gate is rx or rz."""
+    rng = np.random.default_rng(seed)
+    circuit, prefix, n_prefix_params = prefixed_circuit(rng, n)
+    binding = random_binding(rng, circuit, batch)
+    assert circuit.prefix_len == len(prefix)
+    state = product_state(circuit, binding, batch)
+    assert state.shape == (batch, 2**n)
+    assert state.dtype == (complex if any(op.kind in ("rx", "rz") for op in prefix) else float)
+    out = run_circuit_raw(state, circuit, binding, circuit.prefix_len)
+    zero = np.eye(1, 2**n)[0]
+    gate_run = run_circuit_raw(np.repeat(zero[None], batch, axis=0), circuit, binding)
+    assert np.max(np.abs(out - gate_run)) <= 1e-12
+    prefix_circuit = Circuit(n, prefix, n_prefix_params)
+    for b in range(batch):
+        row = row_params(binding, b)
+        assert np.max(np.abs(state[b] - dense_run(prefix_circuit, zero, row))) <= 1e-12
+        assert np.max(np.abs(out[b] - dense_run(circuit, zero, row))) <= 1e-12
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), batch=st.integers(1, 5),
+       real_circuit=st.booleans(), real_state=st.booleans())
+def test_transfer_matrix_equals_the_run(seed, n, batch, real_circuit, real_state):
+    """With shared angles, a batch times the transfer matrix of the steps
+    from any start equals the kernel's run of those steps, to 1e-12; the
+    matrix is float64 exactly when those steps are real."""
+    rng = np.random.default_rng(seed)
+    circuit, params = random_circuit(rng, n, max_gates=20, trainable=True, real=real_circuit)
+    start = int(rng.integers(len(circuit.program) + 1))
+    initial = np.stack([random_state_amps(rng, n, real=real_state) for _ in range(batch)])
+    t = transfer_matrix(circuit, params, start)
+    steps = circuit.program[start:]
+    real_steps = not any(getattr(op, "kind", None) in ("rx", "rz") for op in steps)
+    assert t.shape == (2**n, 2**n) and t.dtype == (float if real_steps else complex)
+    expected = run_circuit_raw(initial, circuit, params, start)
+    assert np.max(np.abs(initial @ t - expected)) <= 1e-12
+
+
+def test_transfer_matrix_refuses_per_row_angles():
+    """A per-row angle in any step the matrix would fuse is refused, even
+    one with 2**n rows, which would broadcast over the basis states; a
+    per-row angle before ``start`` is not read."""
+    ops = (ry(0, param=0), rx(1, param=1), cnot(0, 1), rz(1, param=2), h(0), ry(0, param=3))
+    circuit = Circuit(2, ops, 4)
+    shared = [0.3, -0.8, 1.1, 2.0]
+    for slot in range(4):
+        per_row = list(shared)
+        per_row[slot] = np.full(4, 0.5)
+        with pytest.raises(ValueError, match=f"per-row angle slot {slot}"):
+            transfer_matrix(circuit, per_row, 0)
+        if slot < 2:
+            t = transfer_matrix(circuit, per_row, circuit.prefix_len)
+            np.testing.assert_array_equal(t, transfer_matrix(circuit, shared, circuit.prefix_len))
