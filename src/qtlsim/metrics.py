@@ -37,16 +37,13 @@ def confusion_matrix(pred_labels, true_labels, n_classes: int) -> np.ndarray:
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties assigned their midrank."""
+    n = values.shape[0]
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.shape[0])
     sorted_vals = values[order]
-    i = 0
-    while i < values.shape[0]:
-        j = i
-        while j + 1 < values.shape[0] and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
+    ends = np.r_[starts[1:], n] - 1
+    ranks = np.empty(n)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 

@@ -12,8 +12,10 @@ Z expectation after RY(theta)|0> is cos(theta).
 The kernel runs a ``(B, 2**n)`` batch, one state per row: a rotation
 applies one 2x2 matrix, or a (B, 2, 2) stack when its angle varies per
 row, and each run of consecutive CNOTs is one fused index permutation.
-A float64 batch (real input through ry/h/x/cnot) takes one matmul per
-gate, a complex128 one (after any rx or rz) an element-wise update.
+Every single-qubit gate is an rx/ry/rz rotation that reads its angle from
+a parameter slot. A float64 batch (real input through ry/cnot) takes one
+matmul per gate, a complex128 one (after any rx or rz) an element-wise
+update.
 
 A run from |0...0> starts from a product state. The program steps before
 the first fused CNOT step (``Circuit.prefix_len`` of them) are
@@ -27,7 +29,6 @@ them is ``amps @ T``.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import groupby
@@ -35,11 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-ROTATION_KINDS = frozenset({"rx", "ry", "rz"})
-GATE_KINDS = ROTATION_KINDS | frozenset({"h", "x", "cnot"})
-
-_FIXED_MATRICES = {"h": np.array([[1, 1], [1, -1]]) / math.sqrt(2),
-                   "x": np.array([[0, 1], [1, 0]])}
+GATE_KINDS = frozenset({"rx", "ry", "rz", "cnot"})
 
 
 def rotation_matrix(kind: str, angle) -> np.ndarray:
@@ -61,56 +58,36 @@ def rotation_matrix(kind: str, angle) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GateOp:
-    """One gate: a kind, target/control wires, and an angle binding.
-
-    Rotation gates carry either a constant ``angle`` (radians) or a
-    ``param_index`` into the circuit's trainable parameter vector,
-    never both. Non-rotation gates carry neither.
-    """
+    """One gate: an rx/ry/rz rotation on ``target`` whose angle is
+    ``params[param_index]``, or a cnot from ``control`` to ``target``."""
 
     kind: str
     target: int
     control: int | None = None
-    angle: float | None = None
     param_index: int | None = None
 
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if self.kind in ROTATION_KINDS:
-            if (self.angle is None) == (self.param_index is None):
-                raise ValueError(
-                    f"{self.kind} needs exactly one of angle / param_index"
-                )
-        elif self.angle is not None or self.param_index is not None:
-            raise ValueError(f"{self.kind} takes no angle binding")
         if self.kind == "cnot":
-            if self.control is None:
-                raise ValueError("cnot requires a control qubit")
+            if self.control is None or self.param_index is not None:
+                raise ValueError("cnot requires a control qubit and reads no slot")
             if self.control == self.target:
                 raise ValueError("cnot control and target must differ")
-        elif self.control is not None:
-            raise ValueError(f"{self.kind} takes no control qubit")
+        elif self.param_index is None or self.control is not None:
+            raise ValueError(f"{self.kind} requires a parameter slot and takes no control")
 
 
-def rx(target: int, angle: float | None = None, *, param: int | None = None) -> GateOp:
-    return GateOp("rx", target, angle=angle, param_index=param)
+def rx(target: int, *, param: int) -> GateOp:
+    return GateOp("rx", target, param_index=param)
 
 
-def ry(target: int, angle: float | None = None, *, param: int | None = None) -> GateOp:
-    return GateOp("ry", target, angle=angle, param_index=param)
+def ry(target: int, *, param: int) -> GateOp:
+    return GateOp("ry", target, param_index=param)
 
 
-def rz(target: int, angle: float | None = None, *, param: int | None = None) -> GateOp:
-    return GateOp("rz", target, angle=angle, param_index=param)
-
-
-def h(target: int) -> GateOp:
-    return GateOp("h", target)
-
-
-def x(target: int) -> GateOp:
-    return GateOp("x", target)
+def rz(target: int, *, param: int) -> GateOp:
+    return GateOp("rz", target, param_index=param)
 
 
 def cnot(control: int, target: int) -> GateOp:
@@ -210,19 +187,11 @@ def apply_matrix(amps: np.ndarray, n_qubits: int, target: int, m: np.ndarray) ->
     return out.reshape(amps.shape)
 
 
-def gate_matrix(op: GateOp, params) -> np.ndarray:
-    """2x2 matrix of a single-qubit gate, or a (B, 2, 2) stack when it reads
-    a per-row angle from ``params``."""
-    if op.kind in _FIXED_MATRICES:
-        return _FIXED_MATRICES[op.kind]
-    return rotation_matrix(op.kind, op.angle if op.param_index is None else params[op.param_index])
-
-
 def apply_step(amps: np.ndarray, n_qubits: int, step, params, adjoint: bool = False) -> np.ndarray:
     """Apply one ``Circuit.program`` step, or its inverse when ``adjoint``."""
     if isinstance(step, Permutation):
         return amps[..., step.inverse if adjoint else step.gather]
-    m = gate_matrix(step, params)
+    m = rotation_matrix(step.kind, params[step.param_index])
     if adjoint:
         m = np.conj(np.swapaxes(m, -1, -2))
     return apply_matrix(amps, n_qubits, step.target, m)
@@ -250,7 +219,8 @@ def product_state(circuit: Circuit, params, batch: int) -> np.ndarray:
     matrix is real, complex128 otherwise."""
     qubits = [np.array([1.0, 0.0])] * circuit.n_qubits
     for op in circuit.program[: circuit.prefix_len]:
-        qubits[op.target] = (gate_matrix(op, params) @ qubits[op.target][..., None])[..., 0]
+        m = rotation_matrix(op.kind, params[op.param_index])
+        qubits[op.target] = (m @ qubits[op.target][..., None])[..., 0]
     amps = np.ones((batch, 1))
     for v in qubits:  # qubit 0 ends up the most significant bit
         amps = (amps[:, :, None] * v[..., None, :]).reshape(batch, -1)
@@ -266,8 +236,7 @@ def transfer_matrix(circuit: Circuit, params, start: int = 0) -> np.ndarray:
     Raises ValueError when one of those steps reads a per-row angle: T is
     shared by every row."""
     for op in circuit.program[start:]:
-        if isinstance(op, GateOp) and op.param_index is not None \
-                and np.ndim(params[op.param_index]) != 0:
+        if isinstance(op, GateOp) and np.ndim(params[op.param_index]) != 0:
             raise ValueError(f"{op.kind} on qubit {op.target} reads per-row angle slot "
                              f"{op.param_index}; a transfer matrix needs shared angles")
     return run_circuit_raw(np.eye(2**circuit.n_qubits), circuit, params, start)

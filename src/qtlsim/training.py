@@ -54,21 +54,14 @@ def evaluate(model: HybridModel, dataset: Dataset, split: str = "test",
     )
 
 
-def _batch_gradient(model: HybridModel, dataset: Dataset, rows) -> np.ndarray:
-    """Mean flat gradient over the rows at index array ``rows``, in one backward pass."""
-    return model_backward(model, dataset.features[rows], dataset.labels[rows])
-
-
 def train(model: HybridModel, train_set: Dataset, val_set: Dataset, *, epochs: int,
           batch_size: int = 8, lr: float = 1e-4, weight_decay: float = 0.01,
-          seed: int = 0, optimizer: str = "adam",
-          ) -> tuple[HybridModel, list[MetricRecord]]:
+          seed: int = 0) -> tuple[HybridModel, list[MetricRecord]]:
     """Train and return (best model by validation AUROC, metric history).
 
     Per epoch: seeded shuffle, minibatch steps with batch-averaged
     gradients, then train and val metrics. Ties in validation AUROC keep
-    the earlier epoch. ``optimizer="gd"`` swaps Adam for plain gradient
-    descent (the full-batch sanity mode when batch_size covers the set).
+    the earlier epoch.
 
     Fully deterministic for a given seed; raises TrainingAborted on a
     non-finite loss, or on a non-finite forward pass, batch gradient or
@@ -76,8 +69,6 @@ def train(model: HybridModel, train_set: Dataset, val_set: Dataset, *, epochs: i
     """
     if not len(train_set) or not len(val_set):
         raise ValueError("train and val splits must be non-empty")
-    if optimizer not in ("adam", "gd"):
-        raise ValueError(f"unknown optimizer {optimizer!r}")
 
     adam = AdamState.init(model.theta.shape[0], lr=lr, weight_decay=weight_decay)
     history: list[MetricRecord] = []
@@ -90,16 +81,14 @@ def train(model: HybridModel, train_set: Dataset, val_set: Dataset, *, epochs: i
             # a diverging run overflows here; the finiteness checks report it
             with np.errstate(over="ignore", invalid="ignore"):
                 try:
-                    grads = _batch_gradient(model, train_set, rows)
+                    grads = model_backward(model, train_set.features[rows],
+                                           train_set.labels[rows])
                 except NonFiniteLogits:
                     raise TrainingAborted(
                         f"non-finite forward pass at epoch {epoch}, step {step}") from None
                 if not np.all(np.isfinite(grads)):
                     raise TrainingAborted(f"non-finite gradient at epoch {epoch}, step {step}")
-                if optimizer == "adam":
-                    theta, adam = adam_step(adam, model.theta, grads)
-                else:
-                    theta = model.theta - lr * (grads + weight_decay * model.theta)
+                theta, adam = adam_step(adam, model.theta, grads)
                 if not np.all(np.isfinite(theta)):
                     raise TrainingAborted(
                         f"non-finite parameters at epoch {epoch}, step {step}")

@@ -90,11 +90,11 @@ def circuit_adjoint(circuit: Circuit, params, measured_qubits, final: np.ndarray
 
     ``final`` is the circuit's output batch for ``params``. The sweep
     starts from lambda = (upstream @ signs) * psi, the observable applied
-    to the output. Going back gate by gate, a trainable rotation
-    exp(-i theta sigma / 2) contributes Re<lambda|G phi> with G = -i sigma,
-    and then both phi and lambda are un-applied. Gates sharing a slot
-    accumulate. G is real for ry, so a float64 batch, whose trainable
-    gates are all ry, stays float64.
+    to the output. Going back step by step, each rotation
+    exp(-i theta sigma / 2) adds Re<lambda|G phi> with G = -i sigma to its
+    slot, and then both phi and lambda are un-applied. Gates sharing a slot
+    accumulate. G is real for ry, so a float64 batch, whose rotations are
+    all ry, stays float64.
     """
     upstream = np.asarray(upstream, dtype=float)
     if upstream.shape != (final.shape[0], len(measured_qubits)):
@@ -107,7 +107,7 @@ def circuit_adjoint(circuit: Circuit, params, measured_qubits, final: np.ndarray
     both = np.stack([final, observable * final])  # phi, lambda
     grads = np.zeros((final.shape[0], circuit.n_params))
     for step in reversed(circuit.program):
-        if isinstance(step, GateOp) and step.param_index is not None:
+        if isinstance(step, GateOp):
             phi, lam = both
             g_phi = apply_matrix(phi, n, step.target, gens[step.kind])
             grads[:, step.param_index] += np.einsum("bi,bi->b", lam.conj(), g_phi).real

@@ -7,7 +7,6 @@ code with the library paths it checks. ``write_feature_csv`` and
 ``write_pgm`` are the writers the tests build their input files with.
 """
 import csv
-from dataclasses import replace
 
 import numpy as np
 
@@ -17,7 +16,6 @@ _I2 = np.eye(2, dtype=complex)
 _P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 _P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 def _kron_chain(factors):
@@ -27,7 +25,15 @@ def _kron_chain(factors):
     return out
 
 
-def dense_gate_matrix(op, n, params=()):
+def _on_qubit(single, target, n):
+    """Full 2^n x 2^n unitary of a 2x2 matrix on one qubit, qubit 0 on the
+    most significant bit."""
+    factors = [_I2] * n
+    factors[target] = single
+    return _kron_chain(factors)
+
+
+def dense_gate_matrix(op, n, params):
     """Full 2^n x 2^n unitary of one gate, qubit 0 on the most significant bit."""
     if op.kind == "cnot":
         idle = [_I2] * n
@@ -37,16 +43,7 @@ def dense_gate_matrix(op, n, params=()):
         on[op.control] = _P1
         on[op.target] = _X
         return _kron_chain(off) + _kron_chain(on)
-    if op.kind == "h":
-        single = _H
-    elif op.kind == "x":
-        single = _X
-    else:
-        angle = op.angle if op.param_index is None else float(params[op.param_index])
-        single = rotation_matrix(op.kind, angle)
-    factors = [_I2] * n
-    factors[op.target] = single
-    return _kron_chain(factors)
+    return _on_qubit(rotation_matrix(op.kind, float(params[op.param_index])), op.target, n)
 
 
 def dense_circuit_matrix(circuit, params=()):
@@ -62,9 +59,9 @@ def dense_run(circuit, initial_amps, params=()):
 
 def circuit_param_shift(circuit, params, measured_qubits, upstream, initial_amps,
                         shift=np.pi / 2):
-    """Gradient of upstream . <Z_measured> over the trainable slots.
+    """Gradient of upstream . <Z_measured> over the parameter slots.
 
-    Each trainable gate in turn is evaluated at its angle +-shift with
+    Each rotation in turn is evaluated at its slot's angle +-shift with
     dense matrices; the halved difference is the exact derivative for
     rx/ry/rz (Schuld et al., arXiv:1811.11184). Gates sharing a slot
     accumulate.
@@ -73,15 +70,15 @@ def circuit_param_shift(circuit, params, measured_qubits, upstream, initial_amps
     unshifted = [dense_gate_matrix(gate, n, params) for gate in circuit.ops]
     grads = np.zeros(circuit.n_params)
     for j, op in enumerate(circuit.ops):
-        if op.param_index is None:
+        if op.kind == "cnot":
             continue
         dz = np.zeros(len(measured_qubits))
         for sign in (1.0, -1.0):
-            shifted = replace(op, angle=float(params[op.param_index]) + sign * shift,
-                              param_index=None)
+            angle = float(params[op.param_index]) + sign * shift
+            shifted = _on_qubit(rotation_matrix(op.kind, angle), op.target, n)
             amps = np.asarray(initial_amps, dtype=complex)
             for k, matrix in enumerate(unshifted):
-                amps = (dense_gate_matrix(shifted, n) if k == j else matrix) @ amps
+                amps = (shifted if k == j else matrix) @ amps
             dz += sign / 2.0 * np.array([zexp_dense(amps, n, q) for q in measured_qubits])
         grads[op.param_index] += float(np.dot(upstream, dz))
     return grads
@@ -133,39 +130,29 @@ def random_state_amps(rng, n, real=False):
     return amps / np.linalg.norm(amps)
 
 
-def random_circuit(rng, n, max_gates=12, trainable=False, real=False):
-    """Random mixed circuit, or only ry/h/x/cnot gates when ``real``;
-    returns (circuit, params)."""
-    from qtlsim.sim import Circuit, cnot, h, rx, ry, rz, x
+def random_circuit(rng, n, max_gates=12, real=False):
+    """Random circuit of rx/ry/rz/cnot gates, or only ry/cnot when ``real``,
+    each rotation on a slot of its own; returns (circuit, params)."""
+    from qtlsim.sim import Circuit, cnot, rx, ry, rz
 
+    makers = {"rx": rx, "ry": ry, "rz": rz}
     n_gates = int(rng.integers(1, max_gates + 1))
     ops = []
     param_vals = []
-    kinds = ["ry", "h", "x", "cnot"] if real else ["rx", "ry", "rz", "h", "x", "cnot"]
+    kinds = ["ry", "cnot"] if real else ["rx", "ry", "rz", "cnot"]
     for _ in range(n_gates):
         kind = rng.choice(kinds)
         target = int(rng.integers(n))
+        if kind == "cnot" and n < 2:
+            kind = "ry"  # no second wire for a control
         if kind == "cnot":
-            if n < 2:
-                kind = "x"
-            else:
-                control = int(rng.integers(n - 1))
-                if control >= target:
-                    control += 1
-                ops.append(cnot(control, target))
-                continue
-        if kind in ("rx", "ry", "rz"):
-            angle = float(rng.uniform(-np.pi, np.pi))
-            maker = {"rx": rx, "ry": ry, "rz": rz}[kind]
-            if trainable:
-                ops.append(maker(target, param=len(param_vals)))
-                param_vals.append(angle)
-            else:
-                ops.append(maker(target, angle))
-        elif kind == "h":
-            ops.append(h(target))
+            control = int(rng.integers(n - 1))
+            if control >= target:
+                control += 1
+            ops.append(cnot(control, target))
         else:
-            ops.append(x(target))
+            ops.append(makers[kind](target, param=len(param_vals)))
+            param_vals.append(float(rng.uniform(-np.pi, np.pi)))
     circuit = Circuit(n, tuple(ops), len(param_vals))
     return circuit, np.array(param_vals)
 

@@ -1,7 +1,7 @@
 """Statevector simulator: the state container, known states, gate algebra,
 dense-matrix oracle."""
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from qtlsim.embeddings import StateVector
 from qtlsim.sim import (
+    GATE_KINDS,
     Circuit,
+    GateOp,
     apply_matrix,
     apply_step,
     cnot,
-    h,
     product_state,
     rotation_matrix,
     run_circuit_raw,
@@ -22,7 +23,6 @@ from qtlsim.sim import (
     ry,
     rz,
     transfer_matrix,
-    x,
     z_expectations,
 )
 
@@ -40,7 +40,7 @@ S2 = 1.0 / math.sqrt(2)
 
 def run_one(n, ops, amps=None, params=()):
     """One state through the batched kernel as a (1, 2**n) batch, default
-    |0...0>; returns the output row."""
+    |0...0>, with slot k bound to ``params[k]``; returns the output row."""
     initial = np.eye(1, 2**n) if amps is None else np.asarray(amps)[None]
     return run_circuit_raw(initial, Circuit(n, tuple(ops), len(params)), params)[0]
 
@@ -60,23 +60,34 @@ def test_statevector_rejects_wrong_length():
         StateVector(2, np.array([1.0, 0.0]))
 
 
+def flip():
+    """RY(pi)|0> on one qubit: |1> up to rounding."""
+    return run_one(1, [ry(0, param=0)], params=[math.pi])
+
+
+def bell():
+    """RY(pi/2) on qubit 0, then CNOT(0, 1), on |00>."""
+    return run_one(2, [ry(0, param=0), cnot(0, 1)], params=[math.pi / 2])
+
+
 def test_ry_pi_flips_zero():
     """RY(pi)|0> = |1>"""
-    np.testing.assert_allclose(run_one(1, [ry(0, math.pi)]), [0, 1], atol=1e-12)
+    np.testing.assert_allclose(flip(), [0, 1], atol=1e-12)
 
 
-def test_h_twice_is_identity():
-    np.testing.assert_allclose(run_one(1, [h(0), h(0)]), [1, 0], atol=1e-12)
+def test_ry_then_negative_angle_is_identity():
+    """RY(a) then RY(-a) on two slots returns |0>."""
+    out = run_one(1, [ry(0, param=0), ry(0, param=1)], params=[1.3, -1.3])
+    np.testing.assert_allclose(out, [1, 0], atol=1e-12)
 
 
 def test_cnot_builds_bell_state():
-    s = run_one(2, [h(0), cnot(0, 1)])
-    np.testing.assert_allclose(s, [S2, 0, 0, S2], atol=1e-12)
+    np.testing.assert_allclose(bell(), [S2, 0, 0, S2], atol=1e-12)
 
 
-def test_x_on_qubit0_is_msb():
-    # Qubit 0 is the most significant bit: X(0) on |000> gives index 4.
-    s = run_one(3, [x(0)])
+def test_ry_pi_on_qubit0_is_msb():
+    # Qubit 0 is the most significant bit: RY(pi) on qubit 0 of |000> gives index 4.
+    s = run_one(3, [ry(0, param=0)], params=[math.pi])
     expected = np.zeros(8)
     expected[4] = 1.0
     np.testing.assert_allclose(s, expected, atol=1e-12)
@@ -84,18 +95,32 @@ def test_x_on_qubit0_is_msb():
 
 def test_gate_wire_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
-        Circuit(2, (x(3),))
+        Circuit(2, (ry(3, param=0),), 1)
 
 
 def test_gateop_validation():
     with pytest.raises(ValueError):
-        ry(0)  # no binding at all
-    with pytest.raises(ValueError):
-        ry(0, 1.0, param=0)  # both bindings
-    with pytest.raises(ValueError):
         cnot(1, 1)  # control == target
     with pytest.raises(ValueError):
-        Circuit(1, (h(0),), n_params=1)  # unreferenced parameter
+        Circuit(1, (ry(0, param=0),), n_params=2)  # unreferenced parameter
+
+
+@pytest.mark.parametrize("kind, control, param_index", [
+    ("ry", None, None),  # a rotation without a slot
+    ("rx", 1, 0),  # a rotation with a control
+    ("cnot", 1, 0),  # a cnot reading a slot
+    ("cnot", None, None),  # a cnot without a control
+    ("h", None, None),
+    ("x", None, None),
+], ids=["rotation_no_slot", "rotation_with_control", "cnot_with_slot", "cnot_no_control",
+        "h", "x"])
+def test_gates_are_slot_bound_rotations_or_cnots(kind, control, param_index):
+    """The gate set is rx/ry/rz reading one slot each, and cnot; anything
+    else is refused when the gate is made."""
+    assert GATE_KINDS == {"rx", "ry", "rz", "cnot"}
+    assert "angle" not in {f.name for f in fields(GateOp)}
+    with pytest.raises(ValueError):
+        GateOp(kind, 0, control=control, param_index=param_index)
 
 
 def test_empty_circuit_is_identity():
@@ -110,20 +135,18 @@ def test_trainable_ry_half_pi():
 
 
 def test_probabilities_known_states():
-    one = run_one(1, [x(0)])
-    np.testing.assert_allclose(np.abs(one) ** 2, [0, 1], atol=1e-12)
-    bell = run_one(2, [h(0), cnot(0, 1)])
-    np.testing.assert_allclose(np.abs(bell) ** 2, [0.5, 0, 0, 0.5], atol=1e-12)
+    np.testing.assert_allclose(np.abs(flip()) ** 2, [0, 1], atol=1e-12)
+    np.testing.assert_allclose(np.abs(bell()) ** 2, [0.5, 0, 0, 0.5], atol=1e-12)
 
 
 def test_expectation_z_basics():
     assert z_of(np.eye(1, 2)[0], 0) == 1.0
-    assert abs(z_of(run_one(1, [ry(0, math.pi / 2)]), 0)) < 1e-12
+    assert abs(z_of(run_one(1, [ry(0, param=0)], params=[math.pi / 2]), 0)) < 1e-12
 
 
 @pytest.mark.parametrize("theta", [0.3, 1.1, 2.5])
 def test_expectation_z_after_ry_is_cos(theta):
-    assert abs(z_of(run_one(1, [ry(0, theta)]), 0) - math.cos(theta)) < 1e-12
+    assert abs(z_of(run_one(1, [ry(0, param=0)], params=[theta]), 0) - math.cos(theta)) < 1e-12
 
 
 def test_expectation_z_matches_dense_sign_sum():
@@ -136,11 +159,11 @@ def test_expectation_z_matches_dense_sign_sum():
 
 
 def test_marginal_prob_one_known_states():
-    """P(1) = (1 - <Z>) / 2: X|0> reads 1, each Bell qubit half the time."""
-    one = z_expectations(run_one(1, [x(0)])[None], [0])
+    """P(1) = (1 - <Z>) / 2: RY(pi)|0> reads 1, each Bell qubit half the time."""
+    one = z_expectations(flip()[None], [0])
     np.testing.assert_array_equal((1.0 - one) / 2.0, [[1.0]])
-    bell = z_expectations(run_one(2, [h(0), cnot(0, 1)])[None], [0, 1])
-    np.testing.assert_allclose((1.0 - bell) / 2.0, [[0.5, 0.5]], atol=1e-12)
+    both = z_expectations(bell()[None], [0, 1])
+    np.testing.assert_allclose((1.0 - both) / 2.0, [[0.5, 0.5]], atol=1e-12)
 
 
 def test_marginal_qubit_out_of_range():
@@ -150,15 +173,12 @@ def test_marginal_qubit_out_of_range():
 
 def test_gates_preserve_norm():
     rng = np.random.default_rng(4)
-    makers = [lambda t: h(t), lambda t: x(t),
-              lambda t: rx(t, rng.uniform(-7, 7)),
-              lambda t: ry(t, rng.uniform(-7, 7)),
-              lambda t: rz(t, rng.uniform(-7, 7))]
     for _ in range(20):
         n = int(rng.integers(1, 5))
         s = random_state_amps(rng, n)
-        for make in makers:
-            out = run_one(n, [make(int(rng.integers(n)))], amps=s)
+        for make in (rx, ry, rz):
+            out = run_one(n, [make(int(rng.integers(n)), param=0)], amps=s,
+                          params=[rng.uniform(-7, 7)])
             assert abs(np.linalg.norm(out) - 1.0) < 1e-10
         if n >= 2:
             c = int(rng.integers(n - 1))
@@ -167,12 +187,12 @@ def test_gates_preserve_norm():
 
 
 def test_involutions():
-    """X^2 = H^2 = CNOT^2 = identity on random states."""
+    """CNOT^2 = identity on random states, for every control/target pair."""
     rng = np.random.default_rng(5)
     for _ in range(10):
         s = random_state_amps(rng, 3)
         t = int(rng.integers(3))
-        for op in (x(t), h(t), cnot((t + 1) % 3, t)):
+        for op in (cnot((t + 1) % 3, t), cnot((t + 2) % 3, t)):
             twice = run_one(3, [op, op], amps=s)
             assert np.max(np.abs(twice - s)) < 1e-12
 
@@ -183,8 +203,8 @@ def test_ry_composition():
     for _ in range(10):
         s = random_state_amps(rng, 1)
         a, b = rng.uniform(-np.pi, np.pi, size=2)
-        composed = run_one(1, [ry(0, b), ry(0, a)], amps=s)
-        direct = run_one(1, [ry(0, a + b)], amps=s)
+        composed = run_one(1, [ry(0, param=0), ry(0, param=1)], amps=s, params=[b, a])
+        direct = run_one(1, [ry(0, param=0)], amps=s, params=[a + b])
         assert np.max(np.abs(composed - direct)) < 1e-12
 
 
@@ -194,13 +214,13 @@ def stays_real(initial, circuit) -> bool:
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), batch=st.integers(1, 5),
-       trainable=st.booleans(), real_circuit=st.booleans(), real_state=st.booleans())
-def test_batched_run_matches_dense_oracle(seed, n, batch, trainable, real_circuit, real_state):
+       real_circuit=st.booleans(), real_state=st.booleans())
+def test_batched_run_matches_dense_oracle(seed, n, batch, real_circuit, real_state):
     """Each row of a batched run, with a mix of shared and per-row angles,
     equals the dense Kronecker-product run of that row, and keeps its norm.
     Real circuits on float64 batches (the matmul form) return float64."""
     rng = np.random.default_rng(seed)
-    circuit, _ = random_circuit(rng, n, max_gates=20, trainable=trainable, real=real_circuit)
+    circuit, _ = random_circuit(rng, n, max_gates=20, real=real_circuit)
     binding = random_binding(rng, circuit, batch)
     initial = np.stack([random_state_amps(rng, n, real=real_state) for _ in range(batch)])
     out = run_circuit_raw(initial, circuit, binding)
@@ -219,7 +239,7 @@ def test_reverse_steps_undo_the_run(seed, n, batch, real):
     sweep does, returns the initial batch: each step is unitary. A real
     circuit on a float64 batch stays float64 both ways."""
     rng = np.random.default_rng(seed)
-    circuit, _ = random_circuit(rng, n, max_gates=20, trainable=True, real=real)
+    circuit, _ = random_circuit(rng, n, max_gates=20, real=real)
     binding = random_binding(rng, circuit, batch)
     initial = np.stack([random_state_amps(rng, n, real=real) for _ in range(batch)])
     amps = run_circuit_raw(initial, circuit, binding)
@@ -235,7 +255,7 @@ def test_real_batch_matches_its_complex_cast(seed, n, batch):
     per gate) as on the same batch cast to complex128 (element-wise), and
     the complex run's imaginary part stays exactly 0."""
     rng = np.random.default_rng(seed)
-    circuit, _ = random_circuit(rng, n, max_gates=20, trainable=True, real=True)
+    circuit, _ = random_circuit(rng, n, max_gates=20, real=True)
     binding = random_binding(rng, circuit, batch)
     initial = np.stack([random_state_amps(rng, n, real=True) for _ in range(batch)])
     real_out = run_circuit_raw(initial, circuit, binding)
@@ -252,8 +272,9 @@ def test_rotation_gates_promote_a_real_batch(gate):
     rng = np.random.default_rng(5)
     initial = np.stack([random_state_amps(rng, 3, real=True) for _ in range(2)])
     for target in range(3):
-        circuit = Circuit(3, (ry(0, 0.4), gate(target, param=0), h(2), cnot(2, 0), ry(1, 0.9)), 1)
-        binding = [np.array([0.7, -1.9])]
+        circuit = Circuit(3, (ry(0, param=1), gate(target, param=0), ry(2, param=2), cnot(2, 0),
+                              ry(1, param=3)), 4)
+        binding = [np.array([0.7, -1.9]), 0.4, math.pi / 2, 0.9]
         out = run_circuit_raw(initial, circuit, binding)
         assert out.dtype == complex
         for b in range(2):
@@ -279,30 +300,21 @@ def test_complex_gate_casts_a_real_batch_then_updates_element_wise(kind):
 
 def test_cnot_runs_fuse_into_one_step():
     """A ring of n CNOTs is one permutation step of the compiled program."""
-    ops = (ry(0, 0.3), cnot(0, 1), cnot(1, 2), cnot(2, 0), ry(1, 0.2))
-    program = Circuit(3, ops).program
+    ops = (ry(0, param=0), cnot(0, 1), cnot(1, 2), cnot(2, 0), ry(1, param=1))
+    program = Circuit(3, ops, 2).program
     assert len(program) == 3
     assert program[0] is ops[0] and program[2] is ops[4]
 
 
 def prefixed_circuit(rng, n):
-    """A random circuit on n >= 2 qubits: up to 10 single-qubit gates
-    (rx/ry/rz/h/x on any qubit, repeats allowed, each rotation trainable or
-    constant), then a CNOT and a random tail. Returns (circuit, prefix ops,
-    number of trainable prefix slots)."""
-    makers = {"rx": rx, "ry": ry, "rz": rz}
-    prefix, n_params = [], 0
-    for _ in range(int(rng.integers(0, 11))):
-        kind, q = str(rng.choice(["rx", "ry", "rz", "h", "x"])), int(rng.integers(n))
-        if kind in ("h", "x"):
-            prefix.append(h(q) if kind == "h" else x(q))
-        elif rng.integers(2):
-            prefix.append(makers[kind](q, param=n_params))
-            n_params += 1
-        else:
-            prefix.append(makers[kind](q, float(rng.uniform(-np.pi, np.pi))))
-    tail, _ = random_circuit(rng, n, max_gates=12, trainable=True)
-    tail_ops = [op if op.param_index is None else replace(op, param_index=op.param_index + n_params)
+    """A random circuit on n >= 2 qubits: up to 10 rotations (rx/ry/rz on
+    any qubit, repeats allowed, each on a slot of its own), then a CNOT and a
+    random tail. Returns (circuit, prefix ops, number of prefix slots)."""
+    makers = (rx, ry, rz)
+    n_params = int(rng.integers(0, 11))
+    prefix = [makers[rng.integers(3)](int(rng.integers(n)), param=k) for k in range(n_params)]
+    tail, _ = random_circuit(rng, n, max_gates=12)
+    tail_ops = [op if op.kind == "cnot" else replace(op, param_index=op.param_index + n_params)
                 for op in tail.ops]
     control = int(rng.integers(n))
     ops = (*prefix, cnot(control, (control + 1) % n), *tail_ops)
@@ -311,10 +323,10 @@ def prefixed_circuit(rng, n):
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), batch=st.integers(1, 5))
 def test_product_prefix_run_matches_the_gate_run(seed, n, batch):
-    """Starting from the product state of the single-qubit prefix and
-    running the rest equals running every gate on |0...0> rows, and the
-    dense Kronecker oracle, to 1e-12, with shared and per-row angles. The
-    product state is float64 exactly when no prefix gate is rx or rz."""
+    """Starting from the product state of the rotation prefix and running
+    the rest equals running every gate on |0...0> rows, and the dense
+    Kronecker oracle, to 1e-12, with shared and per-row angles. The product
+    state is float64 exactly when no prefix gate is rx or rz."""
     rng = np.random.default_rng(seed)
     circuit, prefix, n_prefix_params = prefixed_circuit(rng, n)
     binding = random_binding(rng, circuit, batch)
@@ -340,7 +352,7 @@ def test_transfer_matrix_equals_the_run(seed, n, batch, real_circuit, real_state
     from any start equals the kernel's run of those steps, to 1e-12; the
     matrix is float64 exactly when those steps are real."""
     rng = np.random.default_rng(seed)
-    circuit, params = random_circuit(rng, n, max_gates=20, trainable=True, real=real_circuit)
+    circuit, params = random_circuit(rng, n, max_gates=20, real=real_circuit)
     start = int(rng.integers(len(circuit.program) + 1))
     initial = np.stack([random_state_amps(rng, n, real=real_state) for _ in range(batch)])
     t = transfer_matrix(circuit, params, start)
@@ -355,7 +367,7 @@ def test_transfer_matrix_refuses_per_row_angles():
     """A per-row angle in any step the matrix would fuse is refused, even
     one with 2**n rows, which would broadcast over the basis states; a
     per-row angle before ``start`` is not read."""
-    ops = (ry(0, param=0), rx(1, param=1), cnot(0, 1), rz(1, param=2), h(0), ry(0, param=3))
+    ops = (ry(0, param=0), rx(1, param=1), cnot(0, 1), rz(1, param=2), ry(0, param=3))
     circuit = Circuit(2, ops, 4)
     shared = [0.3, -0.8, 1.1, 2.0]
     for slot in range(4):

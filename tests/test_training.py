@@ -1,4 +1,6 @@
 """Training loop: convergence, determinism, model selection, aborts."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -40,12 +42,15 @@ def test_training_is_deterministic():
 
 
 def test_full_batch_gd_loss_non_increasing():
-    """Sanity mode: plain full-batch gradient descent on separable data."""
-    train_set, val_set, _ = separable_splits(seed=5)
-    _, history = train(tiny_model(seed=5), train_set, val_set,
-                       epochs=10, batch_size=len(train_set), lr=0.05,
-                       weight_decay=0.0, seed=5, optimizer="gd")
-    losses = [r.loss for r in history if r.split == "train"]
+    """Sanity check of the gradient: ten plain full-batch gradient-descent
+    steps, theta <- theta - 0.05 * grad, never raise the train loss."""
+    train_set, _, _ = separable_splits(seed=5)
+    model = tiny_model(seed=5)
+    losses = []
+    for _ in range(10):
+        grads = model_backward(model, train_set.features, train_set.labels)
+        model = replace(model, theta=model.theta - 0.05 * grads)
+        losses.append(evaluate(model, train_set, "train").loss)
     for earlier, later in zip(losses, losses[1:]):
         assert later <= earlier + 1e-9
 
@@ -96,7 +101,7 @@ def test_batch_gradient_is_mean_of_sample_gradients():
     train_set, _, _ = separable_splits(seed=13)
     model = tiny_model(seed=13)
     rows = np.array([5, 0, 3, 1])
-    averaged = training_mod._batch_gradient(model, train_set, rows)
+    averaged = model_backward(model, train_set.features[rows], train_set.labels[rows])
     singles = [model_backward(model, train_set.features[[i]], train_set.labels[[i]])
                for i in rows]
     np.testing.assert_allclose(averaged, np.mean(singles, axis=0), atol=1e-15)
@@ -111,8 +116,6 @@ def test_evaluate_perfect_and_uniform_models():
         assert rec.auroc == 1.0
         assert np.trace(rec.confusion) == len(train_set)
     # fresh model with zeroed parameters predicts uniformly
-    from dataclasses import replace
-
     zero = replace(tiny_model(), theta=np.zeros_like(tiny_model().theta))
     balanced = evaluate(zero, train_set)
     assert abs(balanced.accuracy - 0.5) <= 0.5  # defined, no crash
@@ -120,8 +123,6 @@ def test_evaluate_perfect_and_uniform_models():
 
 
 def test_evaluate_confusion_matrix_hand_case():
-    from dataclasses import replace
-
     from qtlsim.data import Dataset
 
     model = tiny_model()

@@ -26,15 +26,16 @@ from oracle import (
 )
 
 
-def angle_ops(features) -> tuple:
-    """Constant-angle RY embedding: feature i is the angle on qubit i."""
-    return tuple(ry(q, float(f)) for q, f in enumerate(features))
+def angle_ops(n, first_slot=0) -> tuple:
+    """RY angle embedding: qubit q reads slot ``first_slot + q``."""
+    return tuple(ry(q, param=first_slot + q) for q in range(n))
 
 
-def embedded(features, template: VqcTemplate) -> Circuit:
-    """Constant-angle embedding followed by the template's trainable layers."""
-    return Circuit(template.n_qubits, angle_ops(features) + build_layers(template).ops,
-                   template.n_params)
+def embedded(template: VqcTemplate) -> Circuit:
+    """The template's layers after an RY angle embedding on the slots past
+    the layers' own: run it with ``np.concatenate([params, features])``."""
+    n, p = template.n_qubits, template.n_params
+    return Circuit(n, angle_ops(n, p) + build_layers(template).ops, p + n)
 
 
 def adjoint_grad(circuit, params, measured, upstream):
@@ -74,9 +75,9 @@ def test_single_qubit_template_has_no_entanglers():
 
 def test_rotation_axis_selects_gate():
     assert all(op.kind == "rx" for op in build_layers(VqcTemplate(2, 1, "x")).ops
-               if op.param_index is not None)
+               if op.kind != "cnot")
     assert all(op.kind == "rz" for op in build_layers(VqcTemplate(2, 1, "z")).ops
-               if op.param_index is not None)
+               if op.kind != "cnot")
 
 
 def test_invalid_template():
@@ -103,8 +104,9 @@ def test_forward_matches_dense_oracle():
     rng = np.random.default_rng(10)
     for _ in range(20):
         template = VqcTemplate(4, int(rng.integers(1, 4)))
-        params = rng.uniform(-np.pi, np.pi, size=template.n_params)
-        circuit = embedded(rng.uniform(-np.pi, np.pi, 4), template)
+        params = np.concatenate([rng.uniform(-np.pi, np.pi, size=template.n_params),
+                                 rng.uniform(-np.pi, np.pi, 4)])
+        circuit = embedded(template)
         fast = circuit_expectations(circuit, params, [0, 1, 2, 3])[0]
 
         amps = dense_run(circuit, np.eye(16)[0], params)
@@ -117,8 +119,9 @@ def test_forward_accepts_state_or_circuit():
     template = VqcTemplate(3, 1)
     params = rng.uniform(-1, 1, 3)
     feats = rng.uniform(-1, 1, 3)
-    via_circuit = circuit_expectations(embedded(feats, template), params, [0, 1, 2])
-    prepared = run_circuit_raw(np.eye(1, 8), Circuit(3, angle_ops(feats)), ())
+    via_circuit = circuit_expectations(embedded(template), np.concatenate([params, feats]),
+                                       [0, 1, 2])
+    prepared = run_circuit_raw(np.eye(1, 8), Circuit(3, angle_ops(3), 3), feats)
     via_state = circuit_expectations(build_layers(template), params, [0, 1, 2], prepared)
     np.testing.assert_allclose(via_circuit, via_state, atol=1e-14)
 
@@ -149,8 +152,8 @@ def test_grad_matches_finite_differences():
         n = int(rng.integers(1, 5))
         depth = int(rng.integers(1, 3))
         template = VqcTemplate(n, depth)
-        params = rng.uniform(-np.pi, np.pi, size=template.n_params)
-        circuit = embedded(rng.uniform(-np.pi, np.pi, n), template)
+        params = rng.uniform(-np.pi, np.pi, size=template.n_params + n)
+        circuit = embedded(template)
         measured = list(range(n))
         upstream = rng.standard_normal(n)
 
@@ -167,8 +170,9 @@ def test_grad_matches_finite_differences():
 def test_grad_deterministic():
     rng = np.random.default_rng(13)
     template = VqcTemplate(4, 2)
-    params = rng.uniform(-np.pi, np.pi, template.n_params)
-    circuit = embedded(rng.uniform(-1, 1, 4), template)
+    params = np.concatenate([rng.uniform(-np.pi, np.pi, template.n_params),
+                             rng.uniform(-1, 1, 4)])
+    circuit = embedded(template)
     a = adjoint_grad(circuit, params, [0, 1], [0.5, -0.25])
     b = adjoint_grad(circuit, params, [0, 1], [0.5, -0.25])
     np.testing.assert_array_equal(a, b)
@@ -202,7 +206,7 @@ def test_adjoint_matches_param_shift_and_finite_differences(seed, n, batch, real
     to 1e-12 and central differences of the dense forward to 1e-6, on real
     circuits over float64 batches (which stay float64) and on complex ones."""
     rng = np.random.default_rng(seed)
-    circuit, _ = random_circuit(rng, n, max_gates=16, trainable=True, real=real_circuit)
+    circuit, _ = random_circuit(rng, n, max_gates=16, real=real_circuit)
     binding = random_binding(rng, circuit, batch)
     initial = np.stack([random_state_amps(rng, n, real=real_state) for _ in range(batch)])
     measured = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
