@@ -20,8 +20,8 @@ from functools import lru_cache
 import numpy as np
 
 from .embeddings import amplitude_rows
-from .sim import (Circuit, product_state, run_circuit_raw, rx, ry, transfer_matrix,
-                  z_expectations)
+from .sim import (Circuit, prefix_vectors, product_state, run_circuit_raw, rx, ry,
+                  transfer_matrix, z_expectations, z_signs)
 from .vqc import VqcTemplate, build_layers, circuit_adjoint
 
 # mode -> the embeddings it accepts; MODES and EMBEDDINGS orders are the
@@ -209,18 +209,22 @@ def _check_batch(model: HybridModel, features) -> np.ndarray:
 def _circuit_inputs(model: HybridModel, x: np.ndarray):
     """(circuit, params, measured qubits, initial states, first program step
     left to run, pre-layer output) of a feature batch; the pre-layer output
-    is None in purevqc. A dqc batch starts from the circuit's product
-    prefix, run on |0...0>."""
+    is None in purevqc. ``initial(rows)`` gives the initial states of the
+    row slice ``rows``: for dqc, the circuit's product prefix run on
+    |0...0>, whose per-qubit vectors are built here once for all rows; for
+    purevqc, the amplitude embedding. The steps from the returned start on
+    read shared slots only, so any row slice runs them with ``params``."""
     t = model.template
     if model.mode == "purevqc":
         return (build_layers(t), model.blocks["q"], range(model.n_classes),
-                amplitude_rows(x), 0, None)
+                lambda rows: amplitude_rows(x[rows]), 0, None)
     p = model.blocks
     pre_out = x @ p["pre_w"].T + p["pre_b"]
     angles = np.tanh(pre_out) * ANGLE_SCALE  # one per-row slot per embedding gate
     circuit = _dqc_circuit(model.embedding, t.n_qubits, t.depth, t.rotation_axis)
     params = [*angles.T, *p["q"]]
-    return (circuit, params, range(t.n_qubits), product_state(circuit, params, x.shape[0]),
+    vectors = prefix_vectors(circuit, params)
+    return (circuit, params, range(t.n_qubits), lambda rows: product_state(vectors, rows),
             circuit.prefix_len, pre_out)
 
 
@@ -233,32 +237,36 @@ def _logits(model: HybridModel, z: np.ndarray) -> np.ndarray:
 def model_forward(model: HybridModel, features) -> np.ndarray:
     """(B, n_classes) class probabilities of a (B, in_dim) feature batch.
 
-    The circuit runs on contiguous row slices of ``features`` (views, not
-    copies), 2**13 amplitudes' worth of states at a time. When B >= 2**n
-    and 2**n * 2**n <= B * in_dim, the program steps left after the
-    initial states (dqc: after the product prefix) are built once per call
-    into the transfer matrix T: their run on the 2**n basis states, which
-    costs what 2**n rows through the gates cost and holds no more numbers
-    than the features. Each slice's initial states then take one matrix
-    product with T, or two real ones for complex states and a real T.
-    Smaller batches run gate by gate.
+    The pre-layer, tanh squash and (dqc) per-qubit prefix vectors are
+    computed once per call for all rows; the circuit then runs on
+    contiguous row slices, 2**13 amplitudes' worth of states at a time.
+    When B >= 2**n and 2**n * 2**n <= B * in_dim, the program steps left
+    after the initial states (dqc: after the product prefix) are built once
+    per call into the transfer matrix T: their run on the 2**n basis
+    states, which costs what 2**n rows through the gates cost and holds no
+    more numbers than the features. Each slice's initial states then take
+    one matrix product with T; complex states a + ib against a real T take
+    one real product of the stacked rows [a; b], whose squared halves sum
+    to the probabilities. Smaller batches run gate by gate.
     """
     x = _check_batch(model, features)
     n = model.template.n_qubits
+    circuit, params, measured, initial, start, _ = _circuit_inputs(model, x)
+    transfer = None
+    if x.shape[0] >= 2**n and 4**n <= x.size:
+        transfer = transfer_matrix(circuit, params, start)
     chunk = max(1, 2**13 >> n)  # 2**13 amplitudes per state batch
-    use_transfer = x.shape[0] >= 2**n and 4**n <= x.size
-    transfer, z = None, []
+    z = []
     for i in range(0, x.shape[0], chunk):
-        circuit, params, measured, amps, start, _ = _circuit_inputs(model, x[i : i + chunk])
-        if use_transfer and transfer is None:
-            transfer = transfer_matrix(circuit, params, start)
+        amps = initial(slice(i, min(i + chunk, x.shape[0])))
         if transfer is None:
-            amps = run_circuit_raw(amps, circuit, params, start)
+            z.append(z_expectations(run_circuit_raw(amps, circuit, params, start), measured))
         elif np.iscomplexobj(amps) and not np.iscomplexobj(transfer):
-            amps = amps.real @ transfer + 1j * (amps.imag @ transfer)
+            halves = np.concatenate([amps.real, amps.imag]) @ transfer
+            probs = halves[: len(amps)] ** 2 + halves[len(amps) :] ** 2
+            z.append(probs @ z_signs(n, tuple(measured)).T)
         else:
-            amps = amps @ transfer
-        z.append(z_expectations(amps, measured))
+            z.append(z_expectations(amps @ transfer, measured))
     return softmax(_logits(model, np.concatenate(z)))
 
 
@@ -277,7 +285,7 @@ def model_backward(model: HybridModel, features, labels) -> np.ndarray:
     if labels.shape != (x.shape[0],) or np.any((labels < 0) | (labels >= model.n_classes)):
         raise ValueError(f"expected {x.shape[0]} labels in [0, {model.n_classes}), got {labels!r}")
     circuit, params, measured, initial, start, pre_out = _circuit_inputs(model, x)
-    final = run_circuit_raw(initial, circuit, params, start)
+    final = run_circuit_raw(initial(slice(0, x.shape[0])), circuit, params, start)
     z = z_expectations(final, measured)
     dlogits = softmax(_logits(model, z))
     dlogits[np.arange(x.shape[0]), labels] -= 1.0

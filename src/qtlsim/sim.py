@@ -19,13 +19,13 @@ update.
 
 A run from |0...0> starts from a product state. The program steps before
 the first fused CNOT step (``Circuit.prefix_len`` of them) are
-single-qubit gates, so ``product_state`` applies them to one 2-vector per
-qubit, or one per row and qubit after a per-row angle, and
-Kronecker-multiplies the vectors into the batch, qubit 0 most
-significant; ``run_circuit_raw(..., start=circuit.prefix_len)`` then runs
-the rest. ``transfer_matrix`` turns the steps from ``start`` on, when all
-their angles are shared, into one matrix T, so that a batch run through
-them is ``amps @ T``.
+single-qubit gates, so ``prefix_vectors`` applies them, once per batch,
+to one 2-vector per qubit, or one per row and qubit after a per-row
+angle. ``product_state`` Kronecker-multiplies the vectors of any row
+slice into states, qubit 0 most significant, and ``run_circuit_raw(...,
+start=circuit.prefix_len)`` runs the rest. ``transfer_matrix`` turns the
+steps from ``start`` on, when all their angles are shared, into one
+matrix T, so that a batch run through them is ``amps @ T``.
 """
 from __future__ import annotations
 
@@ -209,21 +209,31 @@ def run_circuit_raw(amps: np.ndarray, circuit: Circuit, params, start: int = 0) 
     return amps
 
 
-def product_state(circuit: Circuit, params, batch: int) -> np.ndarray:
-    """The (batch, 2**n) states that the first ``circuit.prefix_len``
-    program steps make from |0...0>; continue with ``run_circuit_raw(...,
-    start=circuit.prefix_len)``.
-
-    The steps act, in op order, on one 2-vector per qubit, or a (batch, 2)
-    stack once a per-row angle reaches it. float64 when every prefix
-    matrix is real, complex128 otherwise."""
-    qubits = [np.array([1.0, 0.0])] * circuit.n_qubits
+def prefix_vectors(circuit: Circuit, params) -> list[np.ndarray]:
+    """Per qubit, the 2-vector that the first ``circuit.prefix_len``
+    program steps make from |0>, applied in op order: shape (2,), or a
+    (B, 2) stack once a per-row angle reaches it. float64 when every
+    prefix matrix on that qubit is real, complex128 otherwise."""
+    vectors = [np.array([1.0, 0.0])] * circuit.n_qubits
     for op in circuit.program[: circuit.prefix_len]:
         m = rotation_matrix(op.kind, params[op.param_index])
-        qubits[op.target] = (m @ qubits[op.target][..., None])[..., 0]
-    amps = np.ones((batch, 1))
-    for v in qubits:  # qubit 0 ends up the most significant bit
-        amps = (amps[:, :, None] * v[..., None, :]).reshape(batch, -1)
+        vectors[op.target] = (m @ vectors[op.target][..., None])[..., 0]
+    return vectors
+
+
+def product_state(vectors, rows: slice) -> np.ndarray:
+    """The (rows.stop - rows.start, 2**n) Kronecker products of the
+    ``prefix_vectors`` of those rows, qubit 0 most significant: the states
+    that the prefix makes from |0...0>. Continue with ``run_circuit_raw(...,
+    start=circuit.prefix_len)``. float64 when every vector is real,
+    complex128 otherwise."""
+    amps = np.ones((rows.stop - rows.start, 1))
+    for v in vectors:  # left to right: qubit 0 ends up the most significant bit
+        v = v[rows] if v.ndim == 2 else v
+        out = np.empty(amps.shape + (2,), np.result_type(amps, v))
+        for bit in (0, 1):  # two long multiplies, not one broadcast over a length-2 axis
+            np.multiply(amps, v[..., bit, None], out=out[:, :, bit])
+        amps = out.reshape(len(amps), -1)
     return amps
 
 

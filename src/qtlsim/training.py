@@ -12,7 +12,6 @@ from .hybrid import (
     HybridModel,
     NonFiniteLogits,
     adam_step,
-    cross_entropy,
     model_backward,
     model_forward,
 )
@@ -37,8 +36,13 @@ def evaluate(model: HybridModel, dataset: Dataset, split: str = "test",
     labels = dataset.labels
     if not len(labels):
         raise ValueError(f"cannot evaluate on an empty {split} split")
+    if labels.max() >= model.n_classes:
+        raise ValueError(f"label {labels.max()} out of range for {model.n_classes} classes")
     probs = model_forward(model, dataset.features)
-    loss = float(np.mean([cross_entropy(probs[i], labels[i]) for i in range(len(labels))]))
+    # hybrid.cross_entropy of each row, from one gather; math.log, because
+    # np.log differs from it by 1 ulp on some probabilities
+    true_class = np.maximum(probs[np.arange(len(labels)), labels], 1e-12)
+    loss = float(np.mean([-math.log(p) for p in true_class.tolist()]))
     preds = probs.argmax(axis=1)
     if model.n_classes == 2:
         auroc = auroc_binary(probs[:, 1], (labels == 1).astype(int))

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qtlsim.hybrid
+import qtlsim.sim
 from qtlsim.hybrid import (
     AdamState,
     HybridModel,
@@ -325,6 +326,27 @@ def test_forward_chunks_share_one_transfer_matrix():
     assert spy.call_count == 1
     slices = np.concatenate([model_forward(model, x[i : i + 31]) for i in range(0, 600, 31)])
     assert np.max(np.abs(probs - slices)) <= 1e-12
+
+
+@pytest.mark.parametrize("rows, builds", [(100, 0), (300, 1)])
+def test_forward_builds_the_prefix_once_per_call(rows, builds):
+    """A q8 dense_angle head over several 32-row chunks with a ragged last
+    one, gate by gate (100 rows) and through the transfer matrix (300
+    rows): each row's probabilities equal its own one-row call to 1e-12,
+    and the prefix is built once per call, so ``rotation_matrix`` runs
+    ``prefix_len`` times whatever the row count (depth 1 leaves no rotation
+    after the prefix)."""
+    model = small_dqc(5, "dense_angle", n_qubits=8, depth=1, n_classes=3, in_dim=256)
+    prefix_len = qtlsim.hybrid._dqc_circuit("dense_angle", 8, 1, "y").prefix_len
+    x = np.random.default_rng(5).standard_normal((rows, 256))
+    rotations = mock.patch.object(qtlsim.sim, "rotation_matrix",
+                                  side_effect=qtlsim.sim.rotation_matrix)
+    with counting_transfer_matrix() as transfer_spy, rotations as rotation_spy:
+        probs = model_forward(model, x)
+    assert transfer_spy.call_count == builds
+    assert rotation_spy.call_count == prefix_len
+    singles = np.concatenate([model_forward(model, x[b : b + 1]) for b in range(rows)])
+    assert np.max(np.abs(probs - singles)) <= 1e-12
 
 
 def test_purevqc_gradient_only_quantum():

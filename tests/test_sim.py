@@ -16,6 +16,7 @@ from qtlsim.sim import (
     apply_matrix,
     apply_step,
     cnot,
+    prefix_vectors,
     product_state,
     rotation_matrix,
     run_circuit_raw,
@@ -306,14 +307,16 @@ def test_cnot_runs_fuse_into_one_step():
     assert program[0] is ops[0] and program[2] is ops[4]
 
 
-def prefixed_circuit(rng, n):
+def prefixed_circuit(rng, n, real=False):
     """A random circuit on n >= 2 qubits: up to 10 rotations (rx/ry/rz on
-    any qubit, repeats allowed, each on a slot of its own), then a CNOT and a
-    random tail. Returns (circuit, prefix ops, number of prefix slots)."""
-    makers = (rx, ry, rz)
+    any qubit, or ry only when ``real``; repeats allowed, each on a slot of
+    its own), then a CNOT and a random tail. Returns (circuit, prefix ops,
+    number of prefix slots)."""
+    makers = (ry,) if real else (rx, ry, rz)
     n_params = int(rng.integers(0, 11))
-    prefix = [makers[rng.integers(3)](int(rng.integers(n)), param=k) for k in range(n_params)]
-    tail, _ = random_circuit(rng, n, max_gates=12)
+    prefix = [makers[rng.integers(len(makers))](int(rng.integers(n)), param=k)
+              for k in range(n_params)]
+    tail, _ = random_circuit(rng, n, max_gates=12, real=real)
     tail_ops = [op if op.kind == "cnot" else replace(op, param_index=op.param_index + n_params)
                 for op in tail.ops]
     control = int(rng.integers(n))
@@ -331,7 +334,7 @@ def test_product_prefix_run_matches_the_gate_run(seed, n, batch):
     circuit, prefix, n_prefix_params = prefixed_circuit(rng, n)
     binding = random_binding(rng, circuit, batch)
     assert circuit.prefix_len == len(prefix)
-    state = product_state(circuit, binding, batch)
+    state = product_state(prefix_vectors(circuit, binding), slice(0, batch))
     assert state.shape == (batch, 2**n)
     assert state.dtype == (complex if any(op.kind in ("rx", "rz") for op in prefix) else float)
     out = run_circuit_raw(state, circuit, binding, circuit.prefix_len)
@@ -343,6 +346,45 @@ def test_product_prefix_run_matches_the_gate_run(seed, n, batch):
         row = row_params(binding, b)
         assert np.max(np.abs(state[b] - dense_run(prefix_circuit, zero, row))) <= 1e-12
         assert np.max(np.abs(out[b] - dense_run(circuit, zero, row))) <= 1e-12
+
+
+def broadcast_product_state(circuit, params, batch):
+    """The prefix's product state of a batch, one broadcast Kronecker step
+    per qubit: the formula whose rows ``prefix_vectors`` and
+    ``product_state`` must match bit for bit."""
+    qubits = [np.array([1.0, 0.0])] * circuit.n_qubits
+    for op in circuit.program[: circuit.prefix_len]:
+        m = rotation_matrix(op.kind, params[op.param_index])
+        qubits[op.target] = (m @ qubits[op.target][..., None])[..., 0]
+    amps = np.ones((batch, 1))
+    for v in qubits:
+        amps = (amps[:, :, None] * v[..., None, :]).reshape(batch, -1)
+    return amps
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), batch=st.integers(1, 7),
+       real=st.booleans())
+def test_product_state_of_row_slices_matches_the_broadcast_formula(seed, n, batch, real):
+    """Prefix vectors built once for the whole batch, then Kronecker-multiplied
+    per row slice (a random slice size, the last slice ragged), equal the
+    rows of the broadcast formula exactly, dtype included, for real and
+    complex prefixes and shared and per-row angles; each row is within
+    1e-12 of the dense oracle's run of the prefix."""
+    rng = np.random.default_rng(seed)
+    circuit, prefix, n_prefix_params = prefixed_circuit(rng, n, real)
+    binding = random_binding(rng, circuit, batch)
+    vectors = prefix_vectors(circuit, binding)
+    expected = broadcast_product_state(circuit, binding, batch)
+    size = int(rng.integers(1, batch + 1))
+    prefix_circuit = Circuit(n, prefix, n_prefix_params)
+    zero = np.eye(1, 2**n)[0]
+    for start in range(0, batch, size):
+        rows = slice(start, min(start + size, batch))
+        state = product_state(vectors, rows)
+        assert state.dtype == expected.dtype and np.array_equal(state, expected[rows])
+        for b in range(start, rows.stop):
+            dense = dense_run(prefix_circuit, zero, row_params(binding, b))
+            assert np.max(np.abs(state[b - start] - dense)) <= 1e-12
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), batch=st.integers(1, 5),

@@ -6,7 +6,7 @@ import pytest
 
 import qtlsim.training as training_mod
 from qtlsim.data import SplitSpec, balanced_group_split, synth_dataset
-from qtlsim.hybrid import init_model, model_backward
+from qtlsim.hybrid import cross_entropy, init_model, model_backward, model_forward
 from qtlsim.metrics import MetricRecord
 from qtlsim.seeding import substream
 from qtlsim.training import TrainingAborted, best_val_epoch, evaluate, train
@@ -136,3 +136,24 @@ def test_evaluate_confusion_matrix_hand_case():
     rec = evaluate(model, dataset)
     np.testing.assert_array_equal(rec.confusion, [[2, 0], [2, 0]])
     assert rec.accuracy == 0.5
+
+
+def test_evaluate_loss_is_the_mean_per_row_cross_entropy():
+    """On a 3-class head, fresh and with a saturated post-layer whose
+    probabilities hit the 1e-12 clamp, the loss equals the mean of the
+    per-row ``cross_entropy`` exactly; a label the head has no class for
+    raises."""
+    from qtlsim.data import Dataset
+
+    ds = synth_dataset(10, 3, 32, 4.0, seed=19)
+    fresh = init_model("dqc", "dense_angle", 4, 1, 3, substream(19, "init"), in_dim=32)
+    theta = fresh.theta.copy()
+    theta[-3:] = [1000.0, 0.0, 0.0]  # post_b: class 0 takes all the mass
+    for model in (fresh, replace(fresh, theta=theta)):
+        probs = model_forward(model, ds.features)
+        per_row = [cross_entropy(probs[i], ds.labels[i]) for i in range(len(ds))]
+        assert evaluate(model, ds).loss == float(np.mean(per_row))
+    four = Dataset(ds.features, np.where(ds.labels == 2, 3, ds.labels), ds.group_ids,
+                   ds.class_names + ("extra",))
+    with pytest.raises(ValueError, match="label 3 out of range for 3 classes"):
+        evaluate(fresh, four)
