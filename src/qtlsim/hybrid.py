@@ -247,7 +247,7 @@ def model_forward(model: HybridModel, features) -> np.ndarray:
     more numbers than the features. Each slice's initial states then take
     one matrix product with T; complex states a + ib against a real T take
     one real product of the stacked rows [a; b], whose squared halves sum
-    to the probabilities. Smaller batches run gate by gate.
+    to the probabilities. Smaller batches run the program step by step.
     """
     x = _check_batch(model, features)
     n = model.template.n_qubits

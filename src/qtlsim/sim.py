@@ -9,17 +9,27 @@ Rotation gates follow the standard -i*theta/2 generator convention,
 so RY(theta) = [[cos t/2, -sin t/2], [sin t/2, cos t/2]] and the
 Z expectation after RY(theta)|0> is cos(theta).
 
-The kernel runs a ``(B, 2**n)`` batch, one state per row: a rotation
-applies one 2x2 matrix, or a (B, 2, 2) stack when its angle varies per
-row, and each run of consecutive CNOTs is one fused index permutation.
-Every single-qubit gate is an rx/ry/rz rotation that reads its angle from
-a parameter slot. A float64 batch (real input through ry/cnot) takes one
-matmul per gate, a complex128 one (after any rx or rz) an element-wise
-update.
+The kernel runs a ``(B, 2**n)`` batch, one state per row, through the
+circuit's program of three step kinds. Every single-qubit gate is an
+rx/ry/rz rotation that reads its angle from a parameter slot, a shared
+float or a per-row array, and each run of consecutive CNOTs is one fused
+index permutation (``Permutation``). Below ``FUSE_MIN_QUBITS`` qubits each
+rotation is its own ``GateOp`` step: one 2x2 matrix, or a (B, 2, 2) stack
+for a per-row angle, applied by one matmul on a float64 batch (real input
+through ry/cnot) or an element-wise update on a complex128 one (after any
+rx or rz). From ``FUSE_MIN_QUBITS`` qubits on, each run of rotations
+becomes ``RotationLayer`` steps, the k-th rotation on each qubit in layer
+k. A layer applies the Kronecker product of its matrices as two factors
+of about 2**(n/2) rows each, built by gathering and multiplying the 2x2
+entries, so each state takes one matmul per factor (the gather-and-apply
+form of gate fusion, Smelyanskiy et al., arXiv:1601.07195). The size rule
+comes from a recorded sweep of ``hybrid.model_backward`` and
+``hybrid.model_forward``: fused layers lose below 4 qubits, tie at 4 and
+win from 5 on.
 
 A run from |0...0> starts from a product state. The program steps before
-the first fused CNOT step (``Circuit.prefix_len`` of them) are
-single-qubit gates, so ``prefix_vectors`` applies them, once per batch,
+the first fused CNOT step (``Circuit.prefix_len`` of them) hold only
+rotations, so ``prefix_vectors`` applies them, once per batch,
 to one 2-vector per qubit, or one per row and qubit after a per-row
 angle. ``product_state`` Kronecker-multiplies the vectors of any row
 slice into states, qubit 0 most significant, and ``run_circuit_raw(...,
@@ -37,6 +47,13 @@ from typing import NamedTuple
 import numpy as np
 
 GATE_KINDS = frozenset({"rx", "ry", "rz", "cnot"})
+
+_I2 = np.eye(2)
+
+# Circuits on at least this many qubits run each run of rotations as
+# RotationLayer steps, smaller ones gate by gate: the module docstring and
+# ROADMAP Direction 4 give the sweep this comes from.
+FUSE_MIN_QUBITS = 5
 
 
 def rotation_matrix(kind: str, angle) -> np.ndarray:
@@ -94,6 +111,40 @@ def cnot(control: int, target: int) -> GateOp:
     return GateOp("cnot", target, control=control)
 
 
+@dataclass(frozen=True)
+class RotationLayer:
+    """Rotations on distinct qubits, in program order: one step that
+    applies the Kronecker product of their 2x2 matrices."""
+
+    ops: tuple[GateOp, ...]
+
+    def __post_init__(self):
+        targets = [op.target for op in self.ops]
+        if not targets or len(set(targets)) < len(targets) or "cnot" in {op.kind for op in self.ops}:
+            raise ValueError(f"a layer holds rotations on distinct qubits, got {self.ops}")
+
+    @cached_property
+    def by_kind(self) -> tuple[tuple[str, list[int], list[int]], ...]:
+        """(kind, targets, slots) of the layer's rotations of each kind."""
+        return tuple((kind, [op.target for op in self.ops if op.kind == kind],
+                      [op.param_index for op in self.ops if op.kind == kind])
+                     for kind in dict.fromkeys(op.kind for op in self.ops))
+
+
+def _rotation_layers(ops) -> list[RotationLayer]:
+    """A run of rotations as layers: the k-th rotation on each qubit goes
+    into layer k. Rotations on distinct qubits commute, so running the
+    layers in order equals running the ops in order."""
+    layers, seen = [], {}
+    for op in ops:
+        k = seen.get(op.target, 0)
+        seen[op.target] = k + 1
+        if k == len(layers):
+            layers.append([])
+        layers[k].append(op)
+    return [RotationLayer(tuple(layer)) for layer in layers]
+
+
 class Permutation(NamedTuple):
     """A basis permutation of the amplitudes: ``new[..., i] = old[..., gather[i]]``."""
 
@@ -147,11 +198,18 @@ class Circuit:
 
     @cached_property
     def program(self) -> tuple:
-        """The kernel's steps: each single-qubit ``GateOp`` as is, each run
-        of consecutive CNOTs fused into one ``Permutation``."""
+        """The kernel's steps: each run of consecutive CNOTs fused into one
+        ``Permutation``; each run of rotations as ``RotationLayer`` steps
+        from ``FUSE_MIN_QUBITS`` qubits on, below that one ``GateOp`` step
+        per rotation."""
         steps = []
         for is_cnot, ops in groupby(self.ops, key=lambda op: op.kind == "cnot"):
-            steps.extend([_fuse_cnots(self.n_qubits, ops)] if is_cnot else ops)
+            if is_cnot:
+                steps.append(_fuse_cnots(self.n_qubits, ops))
+            elif self.n_qubits >= FUSE_MIN_QUBITS:
+                steps.extend(_rotation_layers(ops))
+            else:
+                steps.extend(ops)
         return tuple(steps)
 
     @cached_property
@@ -187,10 +245,68 @@ def apply_matrix(amps: np.ndarray, n_qubits: int, target: int, m: np.ndarray) ->
     return out.reshape(amps.shape)
 
 
+@lru_cache(maxsize=None)
+def factor_bits(k: int) -> np.ndarray:
+    """(k, 2**k) table: row p holds bit p of every index of a k-qubit
+    factor, qubit 0 most significant."""
+    return (np.arange(2**k) >> (k - 1 - np.arange(k))[:, None]) & 1
+
+
+@lru_cache(maxsize=None)
+def _kron_index(k: int) -> np.ndarray:
+    """(k, 2**k, 2**k) table: entry [p, i, j] is the flat position, in a
+    (k, 2, 2) stack, of matrix p's entry (bit p of i, bit p of j)."""
+    bits = factor_bits(k)
+    return 4 * np.arange(k)[:, None, None] + 2 * bits[:, :, None] + bits[:, None, :]
+
+
+def _kron(mats: np.ndarray) -> np.ndarray:
+    """Kronecker product of a (..., k, 2, 2) stack, first matrix most
+    significant: entry (i, j) is the product over p of
+    ``mats[..., p, bit p of i, bit p of j]``, one gather and one product."""
+    k = mats.shape[-3]
+    flat = mats.reshape(mats.shape[:-3] + (4 * k,))
+    return np.take(flat, _kron_index(k), axis=-1).prod(axis=-3)
+
+
+def layer_factors(n_qubits: int, layer: RotationLayer, params,
+                  adjoint: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(high, low): the layer's Kronecker product split into the factor on
+    qubits [0, n // 2) and the one on [n // 2, n), identity on qubits the
+    layer leaves alone; conjugate-transposed when ``adjoint``. Each factor
+    is (d, d), or (B, d, d) once a per-row angle reaches it. The rotations
+    of each kind are built in one ``rotation_matrix`` call."""
+    blocks = []
+    for kind, targets, slots in layer.by_kind:
+        angles = [params[i] for i in slots]
+        if any(getattr(a, "ndim", 0) for a in angles):
+            angles = np.broadcast_arrays(*angles)  # per-row (B,) next to shared floats
+        blocks.append((targets, rotation_matrix(kind, np.array(angles))))
+    lead = np.broadcast_shapes(*[m.shape[:-3] for _, m in blocks])
+    mats = np.empty(lead + (n_qubits, 2, 2), np.result_type(*[m for _, m in blocks]))
+    mats[...] = _I2
+    for targets, m in blocks:  # (k, 2, 2), or (B, k, 2, 2) after per-row angles
+        mats[..., targets, :, :] = m
+    if adjoint:
+        mats = np.conj(np.swapaxes(mats, -1, -2))
+    split = n_qubits // 2
+    return _kron(mats[..., :split, :, :]), _kron(mats[..., split:, :, :])
+
+
+def apply_factors(amps: np.ndarray, high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """Apply high (x) low to every state in ``amps`` (shape ``(..., B,
+    2**n)``): each state as a (d_high, d_low) matrix S becomes
+    high @ S @ low^T, one matmul per factor."""
+    s = amps.reshape(amps.shape[:-1] + (high.shape[-1], low.shape[-1]))
+    return (high @ (s @ np.swapaxes(low, -1, -2))).reshape(amps.shape)
+
+
 def apply_step(amps: np.ndarray, n_qubits: int, step, params, adjoint: bool = False) -> np.ndarray:
     """Apply one ``Circuit.program`` step, or its inverse when ``adjoint``."""
     if isinstance(step, Permutation):
         return amps[..., step.inverse if adjoint else step.gather]
+    if isinstance(step, RotationLayer):
+        return apply_factors(amps, *layer_factors(n_qubits, step, params, adjoint))
     m = rotation_matrix(step.kind, params[step.param_index])
     if adjoint:
         m = np.conj(np.swapaxes(m, -1, -2))
@@ -209,13 +325,22 @@ def run_circuit_raw(amps: np.ndarray, circuit: Circuit, params, start: int = 0) 
     return amps
 
 
+def rotations(steps):
+    """The rotation ops of program steps, in order, layers opened up."""
+    for step in steps:
+        if isinstance(step, RotationLayer):
+            yield from step.ops
+        elif isinstance(step, GateOp):
+            yield step
+
+
 def prefix_vectors(circuit: Circuit, params) -> list[np.ndarray]:
     """Per qubit, the 2-vector that the first ``circuit.prefix_len``
     program steps make from |0>, applied in op order: shape (2,), or a
     (B, 2) stack once a per-row angle reaches it. float64 when every
     prefix matrix on that qubit is real, complex128 otherwise."""
     vectors = [np.array([1.0, 0.0])] * circuit.n_qubits
-    for op in circuit.program[: circuit.prefix_len]:
+    for op in rotations(circuit.program[: circuit.prefix_len]):
         m = rotation_matrix(op.kind, params[op.param_index])
         vectors[op.target] = (m @ vectors[op.target][..., None])[..., 0]
     return vectors
@@ -245,8 +370,8 @@ def transfer_matrix(circuit: Circuit, params, start: int = 0) -> np.ndarray:
 
     Raises ValueError when one of those steps reads a per-row angle: T is
     shared by every row."""
-    for op in circuit.program[start:]:
-        if isinstance(op, GateOp) and np.ndim(params[op.param_index]) != 0:
+    for op in rotations(circuit.program[start:]):
+        if np.ndim(params[op.param_index]) != 0:
             raise ValueError(f"{op.kind} on qubit {op.target} reads per-row angle slot "
                              f"{op.param_index}; a transfer matrix needs shared angles")
     return run_circuit_raw(np.eye(2**circuit.n_qubits), circuit, params, start)

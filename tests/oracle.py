@@ -54,7 +54,12 @@ def dense_circuit_matrix(circuit, params=()):
 
 
 def dense_run(circuit, initial_amps, params=()):
-    return dense_circuit_matrix(circuit, params) @ initial_amps
+    """``dense_circuit_matrix(circuit, params) @ initial_amps``, one dense
+    gate matrix at a time."""
+    amps = np.asarray(initial_amps, dtype=complex)
+    for op in circuit.ops:
+        amps = dense_gate_matrix(op, circuit.n_qubits, params) @ amps
+    return amps
 
 
 def circuit_param_shift(circuit, params, measured_qubits, upstream, initial_amps,
@@ -155,6 +160,29 @@ def random_circuit(rng, n, max_gates=12, real=False):
             param_vals.append(float(rng.uniform(-np.pi, np.pi)))
     circuit = Circuit(n, tuple(ops), len(param_vals))
     return circuit, np.array(param_vals)
+
+
+def random_layered_circuit(rng, n, real=False):
+    """Random circuit of one to three blocks, each a run of 1 to n + 2
+    rx/ry/rz rotations (ry only when ``real``) on random qubits, repeats
+    allowed, then one CNOT when n >= 2. About one rotation in four reuses
+    an earlier slot. Returns (circuit, params)."""
+    from qtlsim.sim import Circuit, cnot, rx, ry, rz
+
+    makers = {"rx": rx, "ry": ry, "rz": rz}
+    kinds = ["ry"] if real else list(makers)
+    ops, n_slots = [], 0
+    for _ in range(int(rng.integers(1, 4))):
+        for _ in range(int(rng.integers(1, n + 3))):
+            if n_slots and rng.integers(4) == 0:
+                slot = int(rng.integers(n_slots))
+            else:
+                slot, n_slots = n_slots, n_slots + 1
+            ops.append(makers[rng.choice(kinds)](int(rng.integers(n)), param=slot))
+        if n >= 2:
+            control = int(rng.integers(n))
+            ops.append(cnot(control, (control + 1) % n))
+    return Circuit(n, tuple(ops), n_slots), rng.uniform(-np.pi, np.pi, n_slots)
 
 
 def random_binding(rng, circuit, batch):

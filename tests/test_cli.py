@@ -11,6 +11,7 @@ import qtlsim.vqc as vqc_mod
 from qtlsim.cli import main
 from qtlsim.data import synth_dataset
 from qtlsim.embeddings import GrayImage
+from qtlsim.sim import FUSE_MIN_QUBITS
 
 from oracle import write_feature_csv, write_pgm
 
@@ -76,9 +77,9 @@ PINNED_ARTIFACTS = {
         "manifest.txt": "20d29bea4f396beacd35da91462ab7129273154c647240ec8f7d2ccecf3a24a4",
     },
     ("purevqc", "amplitude"): {
-        "metrics.csv": "f808015ef1ff56f78b4d7a075fef9a17130bd58fe8c4626b17a3311d948bc7c7",
+        "metrics.csv": "fe3e521ccd4bebe76bf4b39e19b70a206852ced82ef5b1eb44c94ad71620f9b7",
         "checkpoint.bin": "1d5250200cf2af3500bbf86e51b6251fae84e9a2a13557ba27040a866c955845",
-        "manifest.txt": "2fd96372e9a2e27476d10b2fa52d692a97c2c23a545c90bfc5a7fd929ac643a6",
+        "manifest.txt": "2ece5baf1cbd95d3fa09fdb7eef609282e8be338b041c71d84452751ce3ee31d",
     },
 }
 
@@ -293,6 +294,8 @@ def test_every_documented_exit_code(tmp_path, monkeypatch, capsys):
     """One failure per code of the cli docstring, with its stderr prefix."""
     small = tmp_path / "small.txt"
     small.write_text("mode = dqc\nn_qubits = 3\ndepth = 1\nin_dim = 12\nseed = 3\n")
+    fused = tmp_path / "fused.txt"  # rotations run as fused layers at this size
+    fused.write_text(f"mode = dqc\nn_qubits = {FUSE_MIN_QUBITS}\ndepth = 1\nin_dim = 12\nseed = 3\n")
     bad_combo = tmp_path / "bad.txt"
     bad_combo.write_text("mode = purevqc\nembedding = angle\n")
     no_data = tmp_path / "no_data.txt"
@@ -305,13 +308,15 @@ def test_every_documented_exit_code(tmp_path, monkeypatch, capsys):
     table = [
         (0, "", ["grad-check", "--config", small], {}),
         (cli.EXIT_GRAD_CHECK, "FAIL", ["grad-check", "--config", small], broken_generator),
+        (0, "", ["grad-check", "--config", fused], {}),
+        (cli.EXIT_GRAD_CHECK, "FAIL", ["grad-check", "--config", fused], broken_generator),
         (cli.EXIT_CONFIG, "config error: ", ["train", "--config", bad_combo], {}),
         (cli.EXIT_DATA, "data error: ", ["train", "--config", no_data], {}),
         (cli.EXIT_NUMERICAL, "numerical abort: ",
          ["train", "--config", overflow, "--out", tmp_path / "run"], {}),
         (cli.EXIT_VERSION, "checkpoint error: ", ["evaluate", future, "--data", future], {}),
     ]
-    assert [row[0] for row in table] == [0, 1, 2, 3, 4, 5]
+    assert sorted({row[0] for row in table}) == [0, 1, 2, 3, 4, 5]
     for code, prefix, argv, generators in table:
         with monkeypatch.context() as patch:
             for kind, matrix in generators.items():

@@ -331,20 +331,20 @@ def test_forward_chunks_share_one_transfer_matrix():
 @pytest.mark.parametrize("rows, builds", [(100, 0), (300, 1)])
 def test_forward_builds_the_prefix_once_per_call(rows, builds):
     """A q8 dense_angle head over several 32-row chunks with a ragged last
-    one, gate by gate (100 rows) and through the transfer matrix (300
+    one, step by step (100 rows) and through the transfer matrix (300
     rows): each row's probabilities equal its own one-row call to 1e-12,
-    and the prefix is built once per call, so ``rotation_matrix`` runs
-    ``prefix_len`` times whatever the row count (depth 1 leaves no rotation
-    after the prefix)."""
+    and the prefix is built once per call: ``prefix_vectors`` runs once,
+    while ``product_state`` runs once per chunk."""
     model = small_dqc(5, "dense_angle", n_qubits=8, depth=1, n_classes=3, in_dim=256)
-    prefix_len = qtlsim.hybrid._dqc_circuit("dense_angle", 8, 1, "y").prefix_len
     x = np.random.default_rng(5).standard_normal((rows, 256))
-    rotations = mock.patch.object(qtlsim.sim, "rotation_matrix",
-                                  side_effect=qtlsim.sim.rotation_matrix)
-    with counting_transfer_matrix() as transfer_spy, rotations as rotation_spy:
+    spies = [mock.patch.object(qtlsim.hybrid, name, side_effect=getattr(qtlsim.hybrid, name))
+             for name in ("prefix_vectors", "product_state")]
+    with counting_transfer_matrix() as transfer_spy, spies[0] as prefix_spy, \
+            spies[1] as product_spy:
         probs = model_forward(model, x)
     assert transfer_spy.call_count == builds
-    assert rotation_spy.call_count == prefix_len
+    assert prefix_spy.call_count == 1
+    assert product_spy.call_count == math.ceil(rows / 32)
     singles = np.concatenate([model_forward(model, x[b : b + 1]) for b in range(rows)])
     assert np.max(np.abs(probs - singles)) <= 1e-12
 

@@ -10,15 +10,19 @@ from hypothesis import strategies as st
 
 from qtlsim.embeddings import StateVector
 from qtlsim.sim import (
+    FUSE_MIN_QUBITS,
     GATE_KINDS,
     Circuit,
     GateOp,
+    Permutation,
+    RotationLayer,
     apply_matrix,
     apply_step,
     cnot,
     prefix_vectors,
     product_state,
     rotation_matrix,
+    rotations,
     run_circuit_raw,
     rx,
     ry,
@@ -31,6 +35,7 @@ from oracle import (
     dense_run,
     random_binding,
     random_circuit,
+    random_layered_circuit,
     random_state_amps,
     row_params,
     zexp_dense,
@@ -324,16 +329,23 @@ def prefixed_circuit(rng, n, real=False):
     return Circuit(n, ops, n_params + tail.n_params), tuple(prefix), n_params
 
 
+def sorted_ops(ops):
+    """Rotation ops in slot order, to compare runs whose slots are distinct."""
+    return sorted(ops, key=lambda op: op.param_index)
+
+
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), batch=st.integers(1, 5))
 def test_product_prefix_run_matches_the_gate_run(seed, n, batch):
-    """Starting from the product state of the rotation prefix and running
-    the rest equals running every gate on |0...0> rows, and the dense
-    Kronecker oracle, to 1e-12, with shared and per-row angles. The product
-    state is float64 exactly when no prefix gate is rx or rz."""
+    """The prefix steps hold the prefix's rotations, as layers from
+    FUSE_MIN_QUBITS qubits on. Starting from the product state of the
+    rotation prefix and running the rest equals running every gate on
+    |0...0> rows, and the dense Kronecker oracle, to 1e-12, with shared and
+    per-row angles. The product state is float64 exactly when no prefix
+    gate is rx or rz."""
     rng = np.random.default_rng(seed)
     circuit, prefix, n_prefix_params = prefixed_circuit(rng, n)
     binding = random_binding(rng, circuit, batch)
-    assert circuit.prefix_len == len(prefix)
+    assert sorted_ops(rotations(circuit.program[: circuit.prefix_len])) == sorted_ops(prefix)
     state = product_state(prefix_vectors(circuit, binding), slice(0, batch))
     assert state.shape == (batch, 2**n)
     assert state.dtype == (complex if any(op.kind in ("rx", "rz") for op in prefix) else float)
@@ -353,7 +365,7 @@ def broadcast_product_state(circuit, params, batch):
     per qubit: the formula whose rows ``prefix_vectors`` and
     ``product_state`` must match bit for bit."""
     qubits = [np.array([1.0, 0.0])] * circuit.n_qubits
-    for op in circuit.program[: circuit.prefix_len]:
+    for op in rotations(circuit.program[: circuit.prefix_len]):
         m = rotation_matrix(op.kind, params[op.param_index])
         qubits[op.target] = (m @ qubits[op.target][..., None])[..., 0]
     amps = np.ones((batch, 1))
@@ -399,7 +411,7 @@ def test_transfer_matrix_equals_the_run(seed, n, batch, real_circuit, real_state
     initial = np.stack([random_state_amps(rng, n, real=real_state) for _ in range(batch)])
     t = transfer_matrix(circuit, params, start)
     steps = circuit.program[start:]
-    real_steps = not any(getattr(op, "kind", None) in ("rx", "rz") for op in steps)
+    real_steps = not any(op.kind in ("rx", "rz") for op in rotations(steps))
     assert t.shape == (2**n, 2**n) and t.dtype == (float if real_steps else complex)
     expected = run_circuit_raw(initial, circuit, params, start)
     assert np.max(np.abs(initial @ t - expected)) <= 1e-12
@@ -407,16 +419,102 @@ def test_transfer_matrix_equals_the_run(seed, n, batch, real_circuit, real_state
 
 def test_transfer_matrix_refuses_per_row_angles():
     """A per-row angle in any step the matrix would fuse is refused, even
-    one with 2**n rows, which would broadcast over the basis states; a
-    per-row angle before ``start`` is not read."""
+    one with 2**n rows, which would broadcast over the basis states, also
+    inside a fused layer; a per-row angle before ``start`` is not read."""
     ops = (ry(0, param=0), rx(1, param=1), cnot(0, 1), rz(1, param=2), ry(0, param=3))
-    circuit = Circuit(2, ops, 4)
     shared = [0.3, -0.8, 1.1, 2.0]
-    for slot in range(4):
-        per_row = list(shared)
-        per_row[slot] = np.full(4, 0.5)
-        with pytest.raises(ValueError, match=f"per-row angle slot {slot}"):
-            transfer_matrix(circuit, per_row, 0)
-        if slot < 2:
-            t = transfer_matrix(circuit, per_row, circuit.prefix_len)
-            np.testing.assert_array_equal(t, transfer_matrix(circuit, shared, circuit.prefix_len))
+    for n in (2, FUSE_MIN_QUBITS):
+        circuit = Circuit(n, ops, 4)
+        assert isinstance(circuit.program[-1], RotationLayer) == (n >= FUSE_MIN_QUBITS)
+        for slot in range(4):
+            per_row = list(shared)
+            per_row[slot] = np.full(2**n, 0.5)
+            with pytest.raises(ValueError, match=f"per-row angle slot {slot}"):
+                transfer_matrix(circuit, per_row, 0)
+            if slot < 2:
+                t = transfer_matrix(circuit, per_row, circuit.prefix_len)
+                np.testing.assert_array_equal(t, transfer_matrix(circuit, shared,
+                                                                 circuit.prefix_len))
+
+
+# --- fused rotation layers ------------------------------------------------
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), batch=st.integers(1, 3),
+       stack=st.sampled_from([(), (2,)]), real=st.booleans())
+def test_rotation_layer_matches_the_dense_kronecker_unitary(seed, n, batch, stack, real):
+    """One layer step on a random qubit subset, with mixed rx/ry/rz (ry only
+    when ``real``) on shared and per-row slots, applied to a (B, 2**n)
+    batch with or without a leading stack axis, equals the dense oracle's
+    run of its ops to 1e-12, and its adjoint step undoes that run. A real
+    batch through ry only stays float64."""
+    rng = np.random.default_rng(seed)
+    makers = (ry,) if real else (rx, ry, rz)
+    qubits = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+    ops = tuple(makers[rng.integers(len(makers))](int(q), param=k) for k, q in enumerate(qubits))
+    circuit = Circuit(n, ops, len(ops))
+    binding = random_binding(rng, circuit, batch)
+    amps = np.stack([random_state_amps(rng, n, real=real)
+                     for _ in range(math.prod(stack) * batch)]).reshape(stack + (batch, 2**n))
+    out = apply_step(amps, n, RotationLayer(ops), binding)
+    back = apply_step(out, n, RotationLayer(ops), binding, adjoint=True)
+    assert out.shape == amps.shape and (out.dtype == float) == real
+    for index in np.ndindex(*stack, batch):
+        row = row_params(binding, index[-1])
+        assert np.max(np.abs(out[index] - dense_run(circuit, amps[index], row))) <= 1e-12
+    assert np.max(np.abs(back - amps)) <= 1e-12
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), batch=st.integers(1, 3),
+       real=st.booleans())
+def test_programs_fuse_by_the_size_rule_and_match_the_dense_oracle(seed, n, batch, real):
+    """From FUSE_MIN_QUBITS qubits on, and only there, the program runs its
+    rotations as layers; either way the run equals the dense oracle to
+    1e-12, with shared and per-row slots."""
+    rng = np.random.default_rng(seed)
+    circuit, _ = random_layered_circuit(rng, n, real=real)
+    binding = random_binding(rng, circuit, batch)
+    fused = any(isinstance(step, RotationLayer) for step in circuit.program)
+    assert fused == (n >= FUSE_MIN_QUBITS)
+    initial = np.stack([random_state_amps(rng, n, real=real) for _ in range(batch)])
+    out = run_circuit_raw(initial, circuit, binding)
+    for b in range(batch):
+        expected = dense_run(circuit, initial[b], row_params(binding, b))
+        assert np.max(np.abs(out[b] - expected)) <= 1e-12
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(FUSE_MIN_QUBITS, 9))
+def test_rotation_runs_group_into_layers(seed, n):
+    """Within each layer every qubit appears at most once; the layers of a
+    run, flattened, hold exactly that run's ops, each qubit's in run order,
+    and the k-th rotation on a qubit sits in layer k."""
+    rng = np.random.default_rng(seed)
+    circuit, _ = random_layered_circuit(rng, n)
+    runs, layers = [[]], [[]]
+    for op in circuit.ops:
+        if op.kind == "cnot":
+            runs.append([])
+        else:
+            runs[-1].append(op)
+    for step in circuit.program:
+        if isinstance(step, Permutation):
+            layers.append([])
+        else:
+            assert isinstance(step, RotationLayer)
+            targets = [op.target for op in step.ops]
+            assert len(set(targets)) == len(targets)
+            layers[-1].append(step.ops)
+    assert len(runs) == len(layers)
+    for run, run_layers in zip(runs, layers):
+        for q in range(n):
+            placed = [(k, op) for k, ops in enumerate(run_layers) for op in ops if op.target == q]
+            assert [op for _, op in placed] == [op for op in run if op.target == q]
+            assert [k for k, _ in placed] == list(range(len(placed)))
+
+
+def test_rotation_layer_rejects_a_repeated_qubit_and_cnots():
+    with pytest.raises(ValueError, match="distinct qubits"):
+        RotationLayer((ry(1, param=0), rx(1, param=1)))
+    with pytest.raises(ValueError, match="distinct qubits"):
+        RotationLayer((cnot(0, 1),))
+    with pytest.raises(ValueError, match="distinct qubits"):
+        RotationLayer(())

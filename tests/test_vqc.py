@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qtlsim.sim import Circuit, ry, run_circuit_raw
+from qtlsim.sim import FUSE_MIN_QUBITS, Circuit, RotationLayer, ry, run_circuit_raw
 from qtlsim.vqc import (
     VqcTemplate,
     build_layers,
@@ -20,6 +20,7 @@ from oracle import (
     finite_diff,
     random_binding,
     random_circuit,
+    random_layered_circuit,
     random_state_amps,
     row_params,
     zexp_dense,
@@ -236,17 +237,45 @@ def test_adjoint_matches_param_shift_and_finite_differences(seed, n, batch, real
 ], ids=["scaled_y", "pauli_x"])
 def test_broken_ry_generator_changes_the_real_adjoint(monkeypatch, broken):
     """The sweep derives G = -i sigma from GENERATORS at call time, also on
-    a float64 batch, so a wrong ry generator gives a wrong gradient."""
+    a float64 batch and over fused layers (from FUSE_MIN_QUBITS qubits on),
+    so a wrong ry generator gives a wrong gradient."""
     import qtlsim.vqc as vqc_mod
 
     rng = np.random.default_rng(21)
-    circuit = build_layers(VqcTemplate(3, 2))
-    params = rng.uniform(-np.pi, np.pi, circuit.n_params)
-    initial = np.stack([random_state_amps(rng, 3, real=True) for _ in range(2)])
-    final = run_circuit_raw(initial, circuit, params)
-    assert final.dtype == float
-    upstream = rng.standard_normal((2, 3))
-    good = circuit_adjoint(circuit, params, [0, 1, 2], final, upstream)
-    monkeypatch.setitem(vqc_mod.GENERATORS, "ry", broken)
-    bad = circuit_adjoint(circuit, params, [0, 1, 2], final, upstream)
-    assert np.max(np.abs(bad - good)) > 1e-3
+    for n in (3, FUSE_MIN_QUBITS):
+        circuit = build_layers(VqcTemplate(n, 2))
+        fused = any(isinstance(step, RotationLayer) for step in circuit.program)
+        assert fused == (n >= FUSE_MIN_QUBITS)
+        params = rng.uniform(-np.pi, np.pi, circuit.n_params)
+        initial = np.stack([random_state_amps(rng, n, real=True) for _ in range(2)])
+        final = run_circuit_raw(initial, circuit, params)
+        assert final.dtype == float
+        upstream = rng.standard_normal((2, n))
+        good = circuit_adjoint(circuit, params, range(n), final, upstream)
+        with monkeypatch.context() as patch:
+            patch.setitem(vqc_mod.GENERATORS, "ry", broken)
+            bad = circuit_adjoint(circuit, params, range(n), final, upstream)
+        assert np.max(np.abs(bad - good)) > 1e-3
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(FUSE_MIN_QUBITS, 7),
+       batch=st.integers(1, 2), real=st.booleans())
+def test_adjoint_over_fused_layers_matches_param_shift(seed, n, batch, real):
+    """On circuits whose rotation runs become layers, with repeated qubits
+    in a run, slots shared between gates, mixed rx/ry/rz (ry only when
+    ``real``) and shared and per-row slots, each row's adjoint gradient
+    equals the dense parameter-shift oracle to 1e-12."""
+    rng = np.random.default_rng(seed)
+    circuit, _ = random_layered_circuit(rng, n, real=real)
+    assert any(isinstance(step, RotationLayer) for step in circuit.program)
+    binding = random_binding(rng, circuit, batch)
+    initial = np.stack([random_state_amps(rng, n, real=real) for _ in range(batch)])
+    measured = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
+    upstream = rng.standard_normal((batch, len(measured)))
+    final = run_circuit_raw(initial, circuit, binding)
+    grads = circuit_adjoint(circuit, binding, measured, final, upstream)
+    assert grads.shape == (batch, circuit.n_params) and grads.dtype == float
+    for b in range(batch):
+        shift = circuit_param_shift(circuit, row_params(binding, b), measured, upstream[b],
+                                    initial[b])
+        assert np.max(np.abs(grads[b] - shift)) <= 1e-12
