@@ -1,9 +1,9 @@
 """Hybrid quantum-classical transfer-learning classifiers on an exact
 statevector simulator: one batched kernel runs every circuit on (B, 2**n)
 states with adjoint-differentiation gradients; two classifier heads, image
-encoders and a seeded experiment CLI. Real circuits run on float64 batches,
-others on complex128; from 5 qubits on each layer of rotations is one
-Kronecker step."""
+encoders and a seeded experiment CLI. The kernel is float64 only: complex
+product states run as their real halves; from 5 qubits on each layer of
+rotations is one Kronecker step."""
 
 __version__ = "0.1.0"
 

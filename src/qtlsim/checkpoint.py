@@ -5,8 +5,9 @@ dimensions (n_qubits, depth, n_classes, in_dim), a u32 byte count and
 that many bytes of UTF-8 class names joined by newlines (none if 0),
 then the model's flat parameter vector as little-endian float64, in
 ``param_layout`` order (pre W, pre b, qparams, post W, post b; classical
-blocks absent in purevqc mode). ``QTLSIM1``, the same without the class
-names, still loads. A new incompatible layout gets a new magic.
+blocks absent in purevqc mode). Layers are RY, axis tag 1; x and z (0 and
+2) do not load. ``QTLSIM1``, the same without the class names, still
+loads. A new incompatible layout gets a new magic.
 """
 from __future__ import annotations
 
@@ -15,12 +16,13 @@ import struct
 import numpy as np
 
 from .hybrid import EMBEDDINGS, MODES, HybridModel, layout_size, param_layout
-from .vqc import ROTATION_AXES, VqcTemplate
+from .vqc import VqcTemplate
 
 MAGIC = b"QTLSIM2"
 MAGIC_V1 = b"QTLSIM1"  # no class names
 _HEADER = struct.Struct("<7s3B4I")
 _NAMES_SIZE = struct.Struct("<I")
+_RY_AXIS = 1  # the axis tag: x, y, z were 0, 1, 2
 
 
 class CheckpointFormatError(Exception):
@@ -32,7 +34,7 @@ def save_checkpoint(path, model: HybridModel):
         MAGIC,
         MODES.index(model.mode),
         EMBEDDINGS.index(model.embedding),
-        ROTATION_AXES.index(model.template.rotation_axis),
+        _RY_AXIS,
         model.template.n_qubits,
         model.template.depth,
         model.n_classes,
@@ -62,9 +64,10 @@ def load_checkpoint(path) -> HybridModel:
     try:
         mode = MODES[mode_tag]
         embedding = EMBEDDINGS[embed_tag]
-        axis = ROTATION_AXES[axis_tag]
     except IndexError:
-        raise CheckpointFormatError(f"{path}: unknown mode/embedding/axis tag") from None
+        raise CheckpointFormatError(f"{path}: unknown mode/embedding tag") from None
+    if axis_tag != _RY_AXIS:
+        raise CheckpointFormatError(f"{path}: axis tag {axis_tag}: layers are RY ({_RY_AXIS})")
 
     start, names = _HEADER.size, b""
     if magic == MAGIC:
@@ -84,7 +87,7 @@ def load_checkpoint(path) -> HybridModel:
         raise CheckpointFormatError(f"{path}: {len(data) - end} trailing bytes")
     theta = np.frombuffer(data, dtype="<f8", count=count, offset=start)
     try:
-        template = VqcTemplate(n_qubits, depth, axis)
+        template = VqcTemplate(n_qubits, depth)
         class_names = tuple(names.decode("utf-8").split("\n")) if names else ()
         return HybridModel(mode, template, theta, n_classes, embedding, in_dim=in_dim,
                            class_names=class_names)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .embeddings import amplitude_rows
 from .sim import (Circuit, prefix_vectors, product_state, run_circuit_raw, rx, ry,
-                  transfer_matrix, z_expectations, z_signs)
+                  transfer_matrix, z_expectations)
 from .vqc import VqcTemplate, build_layers, circuit_adjoint
 
 # mode -> the embeddings it accepts; MODES and EMBEDDINGS orders are the
@@ -177,7 +177,7 @@ def init_model(mode: str, embedding: str, n_qubits: int, depth: int,
 
 
 @lru_cache(maxsize=None)
-def _dqc_circuit(embedding: str, n_qubits: int, depth: int, axis: str) -> Circuit:
+def _dqc_circuit(embedding: str, n_qubits: int, depth: int) -> Circuit:
     """Embedding + layers with every rotation angle exposed as trainable.
 
     Slots 0..E-1 are the embedding angles in feature order (angle: RY
@@ -190,7 +190,7 @@ def _dqc_circuit(embedding: str, n_qubits: int, depth: int, axis: str) -> Circui
     else:
         embed = [gate(q, param=2 * q + k) for q in range(n_qubits)
                  for k, gate in enumerate((rx, ry))]
-    layers = build_layers(VqcTemplate(n_qubits, depth, axis))
+    layers = build_layers(VqcTemplate(n_qubits, depth))
     shifted = [op if op.param_index is None
                else replace(op, param_index=op.param_index + len(embed))
                for op in layers.ops]
@@ -207,25 +207,23 @@ def _check_batch(model: HybridModel, features) -> np.ndarray:
 
 
 def _circuit_inputs(model: HybridModel, x: np.ndarray):
-    """(circuit, params, measured qubits, initial states, first program step
-    left to run, pre-layer output) of a feature batch; the pre-layer output
-    is None in purevqc. ``initial(rows)`` gives the initial states of the
-    row slice ``rows``: for dqc, the circuit's product prefix run on
-    |0...0>, whose per-qubit vectors are built here once for all rows; for
-    purevqc, the amplitude embedding. The steps from the returned start on
-    read shared slots only, so any row slice runs them with ``params``."""
+    """(circuit, params, measured qubits, initial states, first step left to
+    run, prefix vectors, pre-layer output) of a feature batch, the last two
+    None in purevqc. ``initial(rows)`` gives a row slice's amplitude rows or
+    ``product_state``. The steps from the returned start on read shared
+    slots only, so any row slice runs them with ``params``."""
     t = model.template
     if model.mode == "purevqc":
         return (build_layers(t), model.blocks["q"], range(model.n_classes),
-                lambda rows: amplitude_rows(x[rows]), 0, None)
+                lambda rows: amplitude_rows(x[rows]), 0, None, None)
     p = model.blocks
     pre_out = x @ p["pre_w"].T + p["pre_b"]
     angles = np.tanh(pre_out) * ANGLE_SCALE  # one per-row slot per embedding gate
-    circuit = _dqc_circuit(model.embedding, t.n_qubits, t.depth, t.rotation_axis)
+    circuit = _dqc_circuit(model.embedding, t.n_qubits, t.depth)
     params = [*angles.T, *p["q"]]
     vectors = prefix_vectors(circuit, params)
     return (circuit, params, range(t.n_qubits), lambda rows: product_state(vectors, rows),
-            circuit.prefix_len, pre_out)
+            circuit.prefix_len, vectors, pre_out)
 
 
 def _logits(model: HybridModel, z: np.ndarray) -> np.ndarray:
@@ -238,20 +236,16 @@ def model_forward(model: HybridModel, features) -> np.ndarray:
     """(B, n_classes) class probabilities of a (B, in_dim) feature batch.
 
     The pre-layer, tanh squash and (dqc) per-qubit prefix vectors are
-    computed once per call for all rows; the circuit then runs on
-    contiguous row slices, 2**13 amplitudes' worth of states at a time.
-    When B >= 2**n and 2**n * 2**n <= B * in_dim, the program steps left
-    after the initial states (dqc: after the product prefix) are built once
-    per call into the transfer matrix T: their run on the 2**n basis
-    states, which costs what 2**n rows through the gates cost and holds no
-    more numbers than the features. Each slice's initial states then take
-    one matrix product with T; complex states a + ib against a real T take
-    one real product of the stacked rows [a; b], whose squared halves sum
-    to the probabilities. Smaller batches run the program step by step.
+    computed once per call; the circuit then runs on row slices of 2**13
+    amplitudes. When B >= 2**n and 2**n * 2**n <= B * in_dim, the steps
+    after the initial states are built once into the transfer matrix T,
+    their run on the 2**n basis states: that costs what 2**n rows cost and
+    holds no more numbers than the features. Each slice then takes one
+    GEMM with T. Smaller batches run step by step.
     """
     x = _check_batch(model, features)
     n = model.template.n_qubits
-    circuit, params, measured, initial, start, _ = _circuit_inputs(model, x)
+    circuit, params, measured, initial, start, _, _ = _circuit_inputs(model, x)
     transfer = None
     if x.shape[0] >= 2**n and 4**n <= x.size:
         transfer = transfer_matrix(circuit, params, start)
@@ -259,14 +253,9 @@ def model_forward(model: HybridModel, features) -> np.ndarray:
     z = []
     for i in range(0, x.shape[0], chunk):
         amps = initial(slice(i, min(i + chunk, x.shape[0])))
-        if transfer is None:
-            z.append(z_expectations(run_circuit_raw(amps, circuit, params, start), measured))
-        elif np.iscomplexobj(amps) and not np.iscomplexobj(transfer):
-            halves = np.concatenate([amps.real, amps.imag]) @ transfer
-            probs = halves[: len(amps)] ** 2 + halves[len(amps) :] ** 2
-            z.append(probs @ z_signs(n, tuple(measured)).T)
-        else:
-            z.append(z_expectations(amps @ transfer, measured))
+        amps = (run_circuit_raw(amps, circuit, params, start) if transfer is None
+                else (amps.reshape(-1, 2**n) @ transfer).reshape(amps.shape))  # halves: 2B rows
+        z.append(z_expectations(amps, measured))
     return softmax(_logits(model, np.concatenate(z)))
 
 
@@ -275,8 +264,9 @@ def model_backward(model: HybridModel, features, labels) -> np.ndarray:
     ``model_forward(features)`` against ``labels``, laid out like
     ``model.theta``.
 
-    One forward run of the whole batch and one adjoint reverse sweep give
-    every rotation angle's gradient, embedding and variational alike; the
+    One forward run of the whole batch and one adjoint reverse sweep (for
+    dqc down to the product prefix, then on its vectors) give every
+    rotation angle's gradient, embedding and variational alike; the
     classical pieces are differentiated analytically, chained through the
     tanh squash into the pre-layer.
     """
@@ -284,7 +274,7 @@ def model_backward(model: HybridModel, features, labels) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (x.shape[0],) or np.any((labels < 0) | (labels >= model.n_classes)):
         raise ValueError(f"expected {x.shape[0]} labels in [0, {model.n_classes}), got {labels!r}")
-    circuit, params, measured, initial, start, pre_out = _circuit_inputs(model, x)
+    circuit, params, measured, initial, start, vectors, pre_out = _circuit_inputs(model, x)
     final = run_circuit_raw(initial(slice(0, x.shape[0])), circuit, params, start)
     z = z_expectations(final, measured)
     dlogits = softmax(_logits(model, z))
@@ -296,7 +286,8 @@ def model_backward(model: HybridModel, features, labels) -> np.ndarray:
     g = block_views(model.layout, grad)
     g["post_w"][...] = dlogits.T @ z
     g["post_b"][...] = dlogits.sum(axis=0)
-    dfull = circuit_adjoint(circuit, params, measured, final, dlogits @ model.blocks["post_w"])
+    dfull = circuit_adjoint(circuit, params, measured, final, dlogits @ model.blocks["post_w"],
+                            vectors)
     n_embed = pre_out.shape[1]
     g["q"][...] = dfull[:, n_embed:].sum(axis=0)
     dpre_out = dfull[:, :n_embed] * ANGLE_SCALE * (1.0 - np.tanh(pre_out) ** 2)

@@ -9,33 +9,26 @@ Rotation gates follow the standard -i*theta/2 generator convention,
 so RY(theta) = [[cos t/2, -sin t/2], [sin t/2, cos t/2]] and the
 Z expectation after RY(theta)|0> is cos(theta).
 
-The kernel runs a ``(B, 2**n)`` batch, one state per row, through the
-circuit's program of three step kinds. Every single-qubit gate is an
-rx/ry/rz rotation that reads its angle from a parameter slot, a shared
-float or a per-row array, and each run of consecutive CNOTs is one fused
-index permutation (``Permutation``). Below ``FUSE_MIN_QUBITS`` qubits each
-rotation is its own ``GateOp`` step: one 2x2 matrix, or a (B, 2, 2) stack
-for a per-row angle, applied by one matmul on a float64 batch (real input
-through ry/cnot) or an element-wise update on a complex128 one (after any
-rx or rz). From ``FUSE_MIN_QUBITS`` qubits on, each run of rotations
-becomes ``RotationLayer`` steps, the k-th rotation on each qubit in layer
-k. A layer applies the Kronecker product of its matrices as two factors
-of about 2**(n/2) rows each, built by gathering and multiplying the 2x2
-entries, so each state takes one matmul per factor (the gather-and-apply
-form of gate fusion, Smelyanskiy et al., arXiv:1601.07195). The size rule
-comes from a recorded sweep of ``hybrid.model_backward`` and
-``hybrid.model_forward``: fused layers lose below 4 qubits, tie at 4 and
-win from 5 on.
+The kernel runs a float64 ``(B, 2**n)`` batch, one state per row, through
+the circuit's program of real steps: ry rotations, each reading its angle
+from a parameter slot (a shared float or a per-row array), and runs of
+CNOTs fused into one index permutation. Below ``FUSE_MIN_QUBITS`` qubits
+each rotation is its own ``GateOp`` step, one matmul; from there on each
+run of rotations becomes ``RotationLayer`` steps (the k-th rotation on
+each qubit in layer k) whose Kronecker product acts as two factors of
+about 2**(n/2) rows, one matmul each: the gather-and-apply gate fusion of
+Smelyanskiy et al., arXiv:1601.07195, which a recorded sweep of the
+``hybrid`` passes has lose below 4 qubits, tie at 4 and win from 5 on.
 
-A run from |0...0> starts from a product state. The program steps before
-the first fused CNOT step (``Circuit.prefix_len`` of them) hold only
-rotations, so ``prefix_vectors`` applies them, once per batch,
-to one 2-vector per qubit, or one per row and qubit after a per-row
-angle. ``product_state`` Kronecker-multiplies the vectors of any row
-slice into states, qubit 0 most significant, and ``run_circuit_raw(...,
-start=circuit.prefix_len)`` runs the rest. ``transfer_matrix`` turns the
-steps from ``start`` on, when all their angles are shared, into one
-matrix T, so that a batch run through them is ``amps @ T``.
+A run from |0...0> starts from a product state: the rotations before the
+first CNOT, rx or ry, make one 2-vector per qubit (``prefix_vectors``),
+complex after an rx, and ``product_state`` multiplies them out into a
+float64 batch, or into the real halves [a; b] of complex states a + ib, a
+(2, B, 2**n) stack that each real step runs as 2B rows. The kernel runs
+the rest (``start=circuit.prefix_len``); an rx step in it raises
+ValueError. ``transfer_matrix`` turns the steps from ``start`` on, when
+their angles are shared, into one float64 matrix T: a batch run through
+them is ``amps @ T``.
 """
 from __future__ import annotations
 
@@ -46,9 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-GATE_KINDS = frozenset({"rx", "ry", "rz", "cnot"})
-
-_I2 = np.eye(2)
+GATE_KINDS = frozenset({"rx", "ry", "cnot"})
 
 # Circuits on at least this many qubits run each run of rotations as
 # RotationLayer steps, smaller ones gate by gate: the module docstring and
@@ -56,26 +47,20 @@ _I2 = np.eye(2)
 FUSE_MIN_QUBITS = 5
 
 
-def rotation_matrix(kind: str, angle) -> np.ndarray:
-    """2x2 unitary of an rx/ry/rz gate at ``angle`` (radians), float64 for ry
-    and complex128 otherwise; a (B,) array of angles gives a (B, 2, 2) stack."""
+# (G[0, 1], G[1, 0]) of G = -i sigma: exp(-i t sigma / 2) = cos(t/2) I + sin(t/2) G.
+_G_OFF_DIAGONAL = {"rx": np.array([-1j, -1j]), "ry": np.array([-1.0, 1.0])}
+
+
+def ry_matrix(angle) -> np.ndarray:
+    """2x2 RY(angle); (k,) angles give a (k, 2, 2) stack, (k, B) a (B, k, 2, 2) one."""
     half = np.multiply(angle, 0.5)
     c, s = np.cos(half), np.sin(half)
-    if kind == "rx":
-        m = [[c, -1j * s], [-1j * s, c]]
-    elif kind == "ry":
-        m = [[c, -s], [s, c]]
-    elif kind == "rz":
-        m = [[c - 1j * s, 0 * s], [0 * s, c + 1j * s]]
-    else:
-        raise ValueError(f"not a rotation gate: {kind!r}")
-    m = np.array(m, dtype=float if kind == "ry" else complex)
-    return m.T.swapaxes(-1, -2)  # (2, 2, B) -> (B, 2, 2)
+    return np.array([[c, -s], [s, c]]).T.swapaxes(-1, -2)  # (2, 2, k, B) -> (B, k, 2, 2)
 
 
 @dataclass(frozen=True)
 class GateOp:
-    """One gate: an rx/ry/rz rotation on ``target`` whose angle is
+    """One gate: an rx or ry rotation on ``target`` whose angle is
     ``params[param_index]``, or a cnot from ``control`` to ``target``."""
 
     kind: str
@@ -103,38 +88,39 @@ def ry(target: int, *, param: int) -> GateOp:
     return GateOp("ry", target, param_index=param)
 
 
-def rz(target: int, *, param: int) -> GateOp:
-    return GateOp("rz", target, param_index=param)
-
-
 def cnot(control: int, target: int) -> GateOp:
     return GateOp("cnot", target, control=control)
 
 
 @dataclass(frozen=True)
 class RotationLayer:
-    """Rotations on distinct qubits, in program order: one step that
-    applies the Kronecker product of their 2x2 matrices."""
+    """Rotations of one kind on distinct qubits, in program order: one step
+    that applies the Kronecker product of their 2x2 matrices."""
 
     ops: tuple[GateOp, ...]
 
     def __post_init__(self):
-        targets = [op.target for op in self.ops]
-        if not targets or len(set(targets)) < len(targets) or "cnot" in {op.kind for op in self.ops}:
-            raise ValueError(f"a layer holds rotations on distinct qubits, got {self.ops}")
+        if (not self.ops or len(self.targets) > len(set(self.targets))
+                or len({op.kind for op in self.ops}) > 1 or self.kind == "cnot"):
+            raise ValueError(f"a layer holds rotations of one kind on distinct qubits: {self.ops}")
+
+    @property
+    def kind(self) -> str:
+        return self.ops[0].kind
 
     @cached_property
-    def by_kind(self) -> tuple[tuple[str, list[int], list[int]], ...]:
-        """(kind, targets, slots) of the layer's rotations of each kind."""
-        return tuple((kind, [op.target for op in self.ops if op.kind == kind],
-                      [op.param_index for op in self.ops if op.kind == kind])
-                     for kind in dict.fromkeys(op.kind for op in self.ops))
+    def targets(self) -> list[int]:
+        return [op.target for op in self.ops]
+
+    @cached_property
+    def slots(self) -> list[int]:
+        return [op.param_index for op in self.ops]
 
 
 def _rotation_layers(ops) -> list[RotationLayer]:
     """A run of rotations as layers: the k-th rotation on each qubit goes
-    into layer k. Rotations on distinct qubits commute, so running the
-    layers in order equals running the ops in order."""
+    into layer k, split by kind. Rotations on distinct qubits commute, so
+    running the layers in order equals running the ops in order."""
     layers, seen = [], {}
     for op in ops:
         k = seen.get(op.target, 0)
@@ -142,7 +128,8 @@ def _rotation_layers(ops) -> list[RotationLayer]:
         if k == len(layers):
             layers.append([])
         layers[k].append(op)
-    return [RotationLayer(tuple(layer)) for layer in layers]
+    return [RotationLayer(tuple(op for op in layer if op.kind == kind))
+            for layer in layers for kind in dict.fromkeys(op.kind for op in layer)]
 
 
 class Permutation(NamedTuple):
@@ -219,30 +206,23 @@ class Circuit:
         return next((i for i, step in enumerate(self.program) if isinstance(step, Permutation)),
                     len(self.program))
 
+    @cached_property
+    def prefix_layers(self) -> tuple[RotationLayer, ...]:
+        """The prefix's rotations as layers, whatever the qubit count."""
+        return tuple(_rotation_layers(rotations(self.program[: self.prefix_len])))
+
 
 def apply_matrix(amps: np.ndarray, n_qubits: int, target: int, m: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 matrix, or a (B, 2, 2) stack one per row, to the target
-    qubit of every state in ``amps`` (shape ``(..., B, 2**n)``): one matmul
-    for a float64 batch and a real ``m``, else an element-wise update on the
-    batch as complex128 (cast once), where numpy's 2x2 matmul is slower."""
-    real = amps.dtype == float and not np.iscomplexobj(m)
-    amps = amps if real else amps.astype(complex, copy=False)
-    if real and target == n_qubits - 1:  # s @ m^T: the left form is slow on the last qubit
+    """Apply a real 2x2 matrix, or a (B, 2, 2) stack one per row, to the
+    target qubit of every state in the float64 ``amps`` (shape ``(..., B,
+    2**n)``): one matmul."""
+    if target == n_qubits - 1:  # s @ m^T: the left form is slow on the last qubit
         s = amps.reshape(amps.shape[:-1] + (2 ** (n_qubits - 1), 2))
         return (s @ np.swapaxes(m, -1, -2)).reshape(amps.shape)
     s = amps.reshape(amps.shape[:-1] + (2**target, 2, 2 ** (n_qubits - target - 1)))
-    if real:
-        if m.ndim == 3:
-            m = m[:, None]  # (B, 1, 2, 2): broadcast over the 2**target axis
-        return (m @ s).reshape(amps.shape)
-    m = m.astype(complex, copy=False)  # one cast here, not one per product below
     if m.ndim == 3:
-        m = m[:, None, None]  # (B, 1, 1, 2, 2): broadcast over the split axes
-    a0, a1 = s[..., 0, :], s[..., 1, :]
-    out = np.empty_like(s)
-    out[..., 0, :] = m[..., 0, 0] * a0 + m[..., 0, 1] * a1
-    out[..., 1, :] = m[..., 1, 0] * a0 + m[..., 1, 1] * a1
-    return out.reshape(amps.shape)
+        m = m[:, None]  # (B, 1, 2, 2): broadcast over the 2**target axis
+    return (m @ s).reshape(amps.shape)
 
 
 @lru_cache(maxsize=None)
@@ -269,34 +249,37 @@ def _kron(mats: np.ndarray) -> np.ndarray:
     return np.take(flat, _kron_index(k), axis=-1).prod(axis=-3)
 
 
+def layer_angles(layer: RotationLayer, params) -> np.ndarray:
+    """The layer's angles in op order: (k,), or (k, B) with a per-row one."""
+    angles = [params[i] for i in layer.slots]
+    try:
+        return np.array(angles, dtype=float)
+    except ValueError:  # per-row (B,) angles next to shared floats
+        return np.array(np.broadcast_arrays(*angles))
+
+
+def rotate_vectors(layer: RotationLayer, params, vectors: np.ndarray, sign: float = 1.0):
+    """cos(t/2) v + sin(t/2) G v, the layer's ops at angles t, times ``sign``."""
+    half = np.multiply(layer_angles(layer, params).T, 0.5 * sign)[..., None]
+    return np.cos(half) * vectors + np.sin(half) * vectors[..., ::-1] * _G_OFF_DIAGONAL[layer.kind]
+
+
 def layer_factors(n_qubits: int, layer: RotationLayer, params,
                   adjoint: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(high, low): the layer's Kronecker product split into the factor on
-    qubits [0, n // 2) and the one on [n // 2, n), identity on qubits the
-    layer leaves alone; conjugate-transposed when ``adjoint``. Each factor
-    is (d, d), or (B, d, d) once a per-row angle reaches it. The rotations
-    of each kind are built in one ``rotation_matrix`` call."""
-    blocks = []
-    for kind, targets, slots in layer.by_kind:
-        angles = [params[i] for i in slots]
-        if any(getattr(a, "ndim", 0) for a in angles):
-            angles = np.broadcast_arrays(*angles)  # per-row (B,) next to shared floats
-        blocks.append((targets, rotation_matrix(kind, np.array(angles))))
-    lead = np.broadcast_shapes(*[m.shape[:-3] for _, m in blocks])
-    mats = np.empty(lead + (n_qubits, 2, 2), np.result_type(*[m for _, m in blocks]))
-    mats[...] = _I2
-    for targets, m in blocks:  # (k, 2, 2), or (B, k, 2, 2) after per-row angles
-        mats[..., targets, :, :] = m
-    if adjoint:
-        mats = np.conj(np.swapaxes(mats, -1, -2))
+    """(high, low): the ry layer's Kronecker product, transposed when
+    ``adjoint``, as the factors on qubits [0, n // 2) and [n // 2, n),
+    (d, d) each, or (B, d, d) after a per-row angle."""
+    m = ry_matrix(layer_angles(layer, params))
+    mats = np.empty(m.shape[:-3] + (n_qubits, 2, 2))
+    mats[...] = np.eye(2)
+    mats[..., layer.targets, :, :] = np.swapaxes(m, -1, -2) if adjoint else m
     split = n_qubits // 2
     return _kron(mats[..., :split, :, :]), _kron(mats[..., split:, :, :])
 
 
 def apply_factors(amps: np.ndarray, high: np.ndarray, low: np.ndarray) -> np.ndarray:
-    """Apply high (x) low to every state in ``amps`` (shape ``(..., B,
-    2**n)``): each state as a (d_high, d_low) matrix S becomes
-    high @ S @ low^T, one matmul per factor."""
+    """Apply high (x) low to each state of ``amps``, (..., B, 2**n): as a
+    (d_high, d_low) matrix S it becomes high @ S @ low^T."""
     s = amps.reshape(amps.shape[:-1] + (high.shape[-1], low.shape[-1]))
     return (high @ (s @ np.swapaxes(low, -1, -2))).reshape(amps.shape)
 
@@ -305,20 +288,20 @@ def apply_step(amps: np.ndarray, n_qubits: int, step, params, adjoint: bool = Fa
     """Apply one ``Circuit.program`` step, or its inverse when ``adjoint``."""
     if isinstance(step, Permutation):
         return amps[..., step.inverse if adjoint else step.gather]
+    if step.kind != "ry":
+        raise ValueError(f"{step} is not a kernel step: rx runs only in the product prefix")
     if isinstance(step, RotationLayer):
         return apply_factors(amps, *layer_factors(n_qubits, step, params, adjoint))
-    m = rotation_matrix(step.kind, params[step.param_index])
-    if adjoint:
-        m = np.conj(np.swapaxes(m, -1, -2))
-    return apply_matrix(amps, n_qubits, step.target, m)
+    m = ry_matrix(params[step.param_index])
+    return apply_matrix(amps, n_qubits, step.target, np.swapaxes(m, -1, -2) if adjoint else m)
 
 
 def run_circuit_raw(amps: np.ndarray, circuit: Circuit, params, start: int = 0) -> np.ndarray:
-    """Run the circuit's program from step ``start`` on a (B, 2**n) batch
-    of states, unvalidated.
-
-    ``params`` holds one entry per slot: a float shared by all rows or a
-    (B,) array of per-row angles."""
+    """Run the circuit's program from step ``start`` on a float64 (B, 2**n)
+    batch, or (2, B, 2**n) real halves, unvalidated; ``params`` holds one
+    entry per slot, a float shared by all rows or a (B,) array."""
+    if amps.dtype != float:
+        raise ValueError(f"the kernel runs float64 batches, got {amps.dtype}")
     n = circuit.n_qubits
     for step in circuit.program[start:]:
         amps = apply_step(amps, n, step, params)
@@ -334,42 +317,49 @@ def rotations(steps):
             yield step
 
 
-def prefix_vectors(circuit: Circuit, params) -> list[np.ndarray]:
-    """Per qubit, the 2-vector that the first ``circuit.prefix_len``
-    program steps make from |0>, applied in op order: shape (2,), or a
-    (B, 2) stack once a per-row angle reaches it. float64 when every
-    prefix matrix on that qubit is real, complex128 otherwise."""
-    vectors = [np.array([1.0, 0.0])] * circuit.n_qubits
-    for op in rotations(circuit.program[: circuit.prefix_len]):
-        m = rotation_matrix(op.kind, params[op.param_index])
-        vectors[op.target] = (m @ vectors[op.target][..., None])[..., 0]
+def prefix_vectors(circuit: Circuit, params) -> np.ndarray:
+    """(n, 2), or (B, n, 2) after a per-row angle: the per-qubit 2-vectors
+    that the prefix makes from |0>, complex128 after an rx."""
+    vectors = np.array([[1.0, 0.0]] * circuit.n_qubits)
+    for layer in circuit.prefix_layers:
+        moved = rotate_vectors(layer, params, vectors[..., layer.targets, :])
+        if moved.shape[:-2] != vectors.shape[:-2] or moved.dtype != vectors.dtype:
+            shape = moved.shape[:-2] + vectors.shape[-2:]
+            vectors = np.broadcast_to(vectors, shape).astype(moved.dtype)
+        vectors[..., layer.targets, :] = moved
     return vectors
 
 
-def product_state(vectors, rows: slice) -> np.ndarray:
-    """The (rows.stop - rows.start, 2**n) Kronecker products of the
-    ``prefix_vectors`` of those rows, qubit 0 most significant: the states
-    that the prefix makes from |0...0>. Continue with ``run_circuit_raw(...,
-    start=circuit.prefix_len)``. float64 when every vector is real,
-    complex128 otherwise."""
-    amps = np.ones((rows.stop - rows.start, 1))
-    for v in vectors:  # left to right: qubit 0 ends up the most significant bit
-        v = v[rows] if v.ndim == 2 else v
-        out = np.empty(amps.shape + (2,), np.result_type(amps, v))
+def _kron_rows(vectors: np.ndarray, n_rows: int) -> np.ndarray:
+    """(n_rows, 2**k) Kronecker products of (n_rows or 1, k, 2) vectors."""
+    amps = np.ones((n_rows, 1), vectors.dtype)
+    for q in range(vectors.shape[1]):
+        out = np.empty(amps.shape + (2,), vectors.dtype)
         for bit in (0, 1):  # two long multiplies, not one broadcast over a length-2 axis
-            np.multiply(amps, v[..., bit, None], out=out[:, :, bit])
-        amps = out.reshape(len(amps), -1)
+            np.multiply(amps, vectors[:, q, bit, None], out=out[:, :, bit])
+        amps = out.reshape(n_rows, -1)
     return amps
 
 
-def transfer_matrix(circuit: Circuit, params, start: int = 0) -> np.ndarray:
-    """(2**n, 2**n) matrix T of the program steps from ``start`` on: for any
-    (B, 2**n) batch, ``run_circuit_raw(amps, circuit, params, start)`` equals
-    ``amps @ T``. It is their run on ``np.eye(2**n)``, so float64 when those
-    steps are real.
+def product_state(vectors: np.ndarray, rows: slice) -> np.ndarray:
+    """The prefix's states of the row slice ``rows`` from their
+    ``prefix_vectors``: (b, 2**n), or, for complex vectors, the real halves
+    (2, b, 2**n) [hr lr - hi li; hi lr + hr li] of the product of the states
+    h of qubits [0, n // 2) and l of the rest, by one real matmul."""
+    v = vectors[rows] if vectors.ndim == 3 else vectors[None]  # (b or 1, n, 2)
+    split, n_rows = v.shape[1] // 2, rows.stop - rows.start
+    if not np.iscomplexobj(v):
+        return _kron_rows(v, n_rows)
+    high, low = _kron_rows(v[:, :split], n_rows), _kron_rows(v[:, split:], n_rows)
+    h = high.view(float).reshape(n_rows, -1, 2)  # [hr, hi] pairs
+    left = np.array([h * [1.0, -1.0], h[..., ::-1]])  # rows [hr, -hi] and [hi, hr]
+    return (left @ low.view(float).reshape(n_rows, -1, 2).swapaxes(1, 2)).reshape(2, n_rows, -1)
 
-    Raises ValueError when one of those steps reads a per-row angle: T is
-    shared by every row."""
+
+def transfer_matrix(circuit: Circuit, params, start: int = 0) -> np.ndarray:
+    """(2**n, 2**n) matrix T, the steps from ``start`` on run on
+    ``np.eye(2**n)``, so that they take a batch to ``amps @ T``. Raises
+    ValueError when one of them reads a per-row angle: T is shared."""
     for op in rotations(circuit.program[start:]):
         if np.ndim(params[op.param_index]) != 0:
             raise ValueError(f"{op.kind} on qubit {op.target} reads per-row angle slot "
@@ -390,7 +380,10 @@ def z_signs(n_qubits: int, measured_qubits: tuple[int, ...]) -> np.ndarray:
 
 
 def z_expectations(amps: np.ndarray, measured_qubits) -> np.ndarray:
-    """(B, M) Z expectations of the measured qubits: |psi|^2 @ signs^T."""
+    """(B, M) Z expectations of the measured qubits, |psi|^2 @ signs^T,
+    where |psi|^2 = a^2 + b^2 for (2, B, 2**n) real halves [a; b]."""
     n = amps.shape[-1].bit_length() - 1
-    probs = amps * amps if amps.dtype == float else amps.real**2 + amps.imag**2
+    probs = np.square(amps, dtype=float)  # a complex batch raises: it cannot cast
+    if probs.ndim == 3:
+        probs = probs[0] + probs[1]
     return probs @ z_signs(n, tuple(measured_qubits)).T

@@ -1,18 +1,15 @@
 """Layered variational circuits, their batched forward and adjoint gradients.
 
-A template layer is one trainable rotation per qubit followed by a ring
-of CNOTs: adjacent pairs in ascending order, then a wraparound CNOT from
-the last qubit back to the first. Layers repeat ``depth`` times, so the
+A template layer is one trainable RY per qubit followed by a ring of
+CNOTs: adjacent pairs in ascending order, then a wraparound CNOT from the
+last qubit back to the first. Layers repeat ``depth`` times, so the
 parameter count is always n_qubits * depth.
 
-Everything here works on a batch of B states, shaped ``(B, 2**n)``.
+Batches are float64, ``(B, 2**n)``, or real halves ``(2, B, 2**n)``.
 Gradients come from adjoint differentiation (Jones & Gacon,
-arXiv:2009.02823): one forward run plus one reverse sweep gives the
-derivative for every rotation, per row. The sweep follows the circuit's
-program: a ``GateOp`` rotation is differentiated and un-applied on its
-own, a ``RotationLayer`` (circuits of ``sim.FUSE_MIN_QUBITS`` qubits or
-more) is un-applied once, and all its rotations' terms come from two
-per-row cross matrices of the layer's input.
+arXiv:2009.02823): one forward run plus one reverse sweep gives every
+rotation's derivative, per row, a ``RotationLayer``'s from two per-row
+cross matrices, and a product-state prefix's from its 2-vectors.
 """
 from __future__ import annotations
 
@@ -21,31 +18,24 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sim import (Circuit, GateOp, RotationLayer, apply_factors, apply_matrix, apply_step, cnot,
-                  factor_bits, layer_factors, run_circuit_raw, rx, ry, rz, z_expectations, z_signs)
+from .sim import (Circuit, GateOp, RotationLayer, apply_matrix, apply_step, cnot, factor_bits,
+                  rotate_vectors, run_circuit_raw, ry, z_expectations, z_signs)
 
-ROTATION_AXES = ("x", "y", "z")  # index order is the checkpoint's axis tag
-_ROTATIONS = dict(zip(ROTATION_AXES, (rx, ry, rz)))
-
-# Pauli generator sigma of each rotation exp(-i theta sigma / 2); module
-# level so the gradient self-check can be driven with a broken value.
-GENERATORS = {"rx": np.array([[0, 1], [1, 0]]), "ry": np.array([[0, -1j], [1j, 0]]),
-              "rz": np.diag([1, -1])}
+# sigma of ry = exp(-i theta sigma / 2), patchable to test the grad-check.
+GENERATORS = {"ry": np.array([[0, -1j], [1j, 0]])}
+_RX_G = np.array([[0, -1j], [-1j, 0]])  # G = -i sigma_x of the prefix's rx gates
 
 
 @dataclass(frozen=True)
 class VqcTemplate:
     n_qubits: int
     depth: int
-    rotation_axis: str = "y"
 
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
-        if self.rotation_axis not in _ROTATIONS:
-            raise ValueError(f"rotation_axis must be one of x/y/z, got {self.rotation_axis!r}")
 
     @property
     def n_params(self) -> int:
@@ -59,11 +49,10 @@ def build_layers(template: VqcTemplate) -> Circuit:
     Cached, so the circuit's compiled program is built once per template.
     """
     n = template.n_qubits
-    gate = _ROTATIONS[template.rotation_axis]
     ops = []
     for layer in range(template.depth):
         for q in range(n):
-            ops.append(gate(q, param=layer * n + q))
+            ops.append(ry(q, param=layer * n + q))
         if n >= 2:
             for q in range(n - 1):
                 ops.append(cnot(q, q + 1))
@@ -89,39 +78,34 @@ def circuit_expectations(circuit: Circuit, params, measured_qubits,
 
 
 def circuit_adjoint(circuit: Circuit, params, measured_qubits, final: np.ndarray,
-                    upstream) -> np.ndarray:
+                    upstream, vectors: np.ndarray | None = None) -> np.ndarray:
     """Per-row gradient (B, n_params) of sum_k upstream[b, k] <Z_k>.
 
-    ``final`` is the circuit's output batch for ``params``. The sweep
-    starts from lambda = (upstream @ signs) * psi, the observable applied
-    to the output. Going back step by step, each rotation
-    exp(-i theta sigma / 2) adds Re<lambda|G phi> with G = -i sigma to its
-    slot, and then both phi and lambda are un-applied. A ``RotationLayer``
-    is un-applied first and its rotations' terms are taken at its input
-    (``_add_layer_grads``). Gates sharing a slot accumulate. G is read from
-    ``GENERATORS`` on every call; it is real for ry, so a float64 batch,
-    whose rotations are all ry, stays float64.
-    """
+    ``final`` is the run of the whole program or, given the circuit's
+    ``prefix_vectors``, of the steps after the prefix from their
+    ``product_state``. From lambda = (upstream @ signs) * psi, back to step
+    0 or to the prefix, each ry adds Re<lambda|G phi>, G = -i sigma read
+    from ``GENERATORS``, to its slot (G is real, so a complex state's term
+    sums its halves'), and phi and lambda are un-applied. Slots accumulate."""
     upstream = np.asarray(upstream, dtype=float)
-    if upstream.shape != (final.shape[0], len(measured_qubits)):
+    rows = final.shape[-2]
+    if upstream.shape != (rows, len(measured_qubits)):
         raise ValueError(f"upstream shape {upstream.shape} does not match "
-                         f"{final.shape[0]} rows x {len(measured_qubits)} measured qubits")
+                         f"{rows} rows x {len(measured_qubits)} measured qubits")
     n = circuit.n_qubits
     observable = upstream @ z_signs(n, tuple(measured_qubits))
-    gens = {kind: -1j * np.asarray(sigma) for kind, sigma in GENERATORS.items()}
-    gens = {kind: g if g.imag.any() else g.real for kind, g in gens.items()}  # real G for ry
-    both = np.stack([final, observable * final])  # phi, lambda
-    grads = np.zeros((final.shape[0], circuit.n_params))
-    for step in reversed(circuit.program):
-        if isinstance(step, RotationLayer):
-            both = apply_factors(both, *layer_factors(n, step, params, adjoint=True))
-            _add_layer_grads(grads, n, step, both, gens)
-            continue
+    g = (-1j * np.asarray(GENERATORS["ry"])).real
+    both = np.stack([final, observable * final]).reshape(2, -1, rows, 2**n)  # phi, lambda halves
+    grads = np.zeros((rows, circuit.n_params))
+    for step in reversed(circuit.program[0 if vectors is None else circuit.prefix_len:]):
         if isinstance(step, GateOp):
-            phi, lam = both
-            g_phi = apply_matrix(phi, n, step.target, gens[step.kind])
-            grads[:, step.param_index] += np.einsum("bi,bi->b", lam.conj(), g_phi).real
+            g_phi = apply_matrix(both[0], n, step.target, g)
+            grads[:, step.param_index] += np.einsum("hbi,hbi->b", both[1], g_phi)
         both = apply_step(both, n, step, params, adjoint=True)
+        if isinstance(step, RotationLayer):  # its terms are taken at its input
+            _add_layer_grads(grads, n, step, both, g)
+    if vectors is not None:
+        _add_prefix_grads(grads, circuit, params, vectors, both[1])
     return grads
 
 
@@ -142,25 +126,46 @@ def _reduce_index(k: int) -> np.ndarray:
 
 
 def _add_layer_grads(grads: np.ndarray, n_qubits: int, layer: RotationLayer,
-                     both: np.ndarray, gens: dict) -> None:
-    """Add Re<lambda|G_q phi> of each rotation of ``layer`` to its slot,
-    with (phi, lambda) = ``both`` taken at the layer's input; G_q commutes
-    with the whole layer, so input and output give the same term.
-
-    Each state is a (d_high, d_low) matrix over the ``layer_factors`` split,
-    and the per-row cross matrix of a factor, lambda^H phi summed over the
-    other factor's index, is one batched matmul. Gathering its diagonal and
-    bit-flip partner entries gives each qubit's reduced 2x2 cross matrix R_q,
-    and the term is sum_ab G_q[a, b] R_q[a, b]."""
+                     both: np.ndarray, g: np.ndarray) -> None:
+    """Add lambda . G phi of each rotation of ``layer`` to its slot, with
+    (phi, lambda) = ``both`` at the layer's input (G commutes with it).
+    Over the ``layer_factors`` split of each state, the per-row cross
+    matrix of a factor, lambda^T phi summed over the other index and the
+    halves, is one matmul; its diagonal and bit-flip entries give each
+    qubit's 2x2 cross matrix R_q, and the term is sum_ab G[a, b] R_q[a, b]."""
     split = n_qubits // 2
     s = both.reshape(both.shape[:-1] + (2**split, 2 ** (n_qubits - split)))
-    phi, lam = s[0], s[1].conj()
+    phi, lam = s[0], s[1]
+    rows = grads.shape[0]
     reduced = []
     for cross in (lam @ np.swapaxes(phi, -1, -2), np.swapaxes(lam, -1, -2) @ phi):
         d = cross.shape[-1]
         index = _reduce_index(d.bit_length() - 1)
-        reduced.append(np.take(cross.reshape(len(cross), d * d), index, axis=1).sum(axis=-1))
+        flat = cross.reshape(-1, rows, d * d)  # halves first
+        reduced.append(np.take(flat, index, axis=2).sum(axis=(0, -1)))
     reduced = np.concatenate(reduced, axis=1)  # (B, n, 2, 2), qubit 0 first
-    for kind, targets, slots in layer.by_kind:
-        terms = reduced[:, targets].reshape(len(reduced), len(targets), 4) @ gens[kind].reshape(4)
-        np.add.at(grads.T, slots, terms.real.T)
+    terms = reduced[:, layer.targets].reshape(rows, len(layer.ops), 4) @ g.reshape(4)
+    np.add.at(grads.T, layer.slots, terms.T)
+
+
+def _add_prefix_grads(grads: np.ndarray, circuit: Circuit, params, vectors: np.ndarray,
+                      lam: np.ndarray) -> None:
+    """Add each prefix rotation's term to its slot, from lambda at the prefix,
+    (1 or 2 real halves, B, 2**n), and the vectors v_p of the product state.
+    Qubit q's environment e_q[x] sums lambda_j prod_{p != q} conj(v_p[j_p])
+    over the j with j_q = x. Back through the prefix layers, each rotation
+    adds Re<e_q|G w_q>, w_q its qubit's vector, and un-applies itself."""
+    n, rows, bits = circuit.n_qubits, grads.shape[0], factor_bits(circuit.n_qubits)
+    v = vectors * np.ones((rows, 1, 1))  # (B, n, 2)
+    table = np.take(np.conj(v).reshape(rows, 2 * n), 2 * np.arange(n)[:, None] + bits, axis=1)
+    loo = np.ones_like(table)  # (B, n, 2**n): conj(v_p[j_p]) multiplied over p < q ...
+    np.cumprod(table[:, :-1], axis=1, out=loo[:, 1:])
+    loo[:, :-1] *= np.cumprod(table[:, :0:-1], axis=1)[:, ::-1]  # ... and over p > q
+    env = ((lam[:, :, None, None, :] * loo[:, :, None, :]) @ np.eye(2)[bits])[..., 0, :]
+    pairs = np.array([env[0] + 1j * env[1] if len(env) == 2 else env[0], v])  # e, w
+    gens = {"rx": _RX_G, "ry": -1j * np.asarray(GENERATORS["ry"])}
+    for layer in reversed(circuit.prefix_layers):
+        e, w = pair = pairs[:, :, layer.targets]  # (2, B, k, 2)
+        terms = np.sum(e.conj() * (w @ gens[layer.kind].T), axis=-1).real
+        np.add.at(grads.T, layer.slots, terms.T)
+        pairs[:, :, layer.targets] = rotate_vectors(layer, params, pair, -1.0)  # M^dagger

@@ -1,21 +1,31 @@
 """Independent brute-force oracles the fast implementations are tested against.
 
-Everything here is deliberately naive: dense Kronecker-product unitaries,
-O(n^2) pair counting, explicit finite differences, the two-point
-parameter-shift rule, ``csv.reader`` with ``float()``. None of it shares
-code with the library paths it checks. ``write_feature_csv`` and
-``write_pgm`` are the writers the tests build their input files with.
+Everything here is deliberately naive: textbook rotation matrices, dense
+Kronecker-product unitaries, a row-by-row reference model, O(n^2) pair
+counting, explicit finite differences, the two-point parameter-shift
+rule, ``csv.reader`` with ``float()``. None of it shares code with the
+library paths it checks. ``write_feature_csv`` and ``write_pgm`` are the
+writers the tests build their input files with.
 """
 import csv
+import math
 
 import numpy as np
-
-from qtlsim.sim import rotation_matrix
 
 _I2 = np.eye(2, dtype=complex)
 _P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 _P1 = np.array([[0, 0], [0, 1]], dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def textbook_rotation(kind, angle):
+    """RX or RY(angle) = exp(-i angle sigma / 2), written out entry by entry."""
+    c, s = math.cos(angle / 2), math.sin(angle / 2)
+    if kind == "rx":
+        return np.array([[c, -1j * s], [-1j * s, c]])
+    if kind == "ry":
+        return np.array([[c, -s], [s, c]], dtype=complex)
+    raise ValueError(f"not a rotation gate: {kind!r}")
 
 
 def _kron_chain(factors):
@@ -43,7 +53,7 @@ def dense_gate_matrix(op, n, params):
         on[op.control] = _P1
         on[op.target] = _X
         return _kron_chain(off) + _kron_chain(on)
-    return _on_qubit(rotation_matrix(op.kind, float(params[op.param_index])), op.target, n)
+    return _on_qubit(textbook_rotation(op.kind, float(params[op.param_index])), op.target, n)
 
 
 def dense_circuit_matrix(circuit, params=()):
@@ -68,7 +78,7 @@ def circuit_param_shift(circuit, params, measured_qubits, upstream, initial_amps
 
     Each rotation in turn is evaluated at its slot's angle +-shift with
     dense matrices; the halved difference is the exact derivative for
-    rx/ry/rz (Schuld et al., arXiv:1811.11184). Gates sharing a slot
+    rx/ry (Schuld et al., arXiv:1811.11184). Gates sharing a slot
     accumulate.
     """
     n = circuit.n_qubits
@@ -80,13 +90,68 @@ def circuit_param_shift(circuit, params, measured_qubits, upstream, initial_amps
         dz = np.zeros(len(measured_qubits))
         for sign in (1.0, -1.0):
             angle = float(params[op.param_index]) + sign * shift
-            shifted = _on_qubit(rotation_matrix(op.kind, angle), op.target, n)
+            shifted = _on_qubit(textbook_rotation(op.kind, angle), op.target, n)
             amps = np.asarray(initial_amps, dtype=complex)
             for k, matrix in enumerate(unshifted):
                 amps = (shifted if k == j else matrix) @ amps
             dz += sign / 2.0 * np.array([zexp_dense(amps, n, q) for q in measured_qubits])
         grads[op.param_index] += float(np.dot(upstream, dz))
     return grads
+
+
+def _dense_cnot(control, target, n):
+    """2^n x 2^n permutation matrix of a CNOT, built basis state by basis state."""
+    u = np.zeros((2**n, 2**n))
+    for k in range(2**n):
+        flip = (k >> (n - 1 - control)) & 1
+        u[k ^ (flip << (n - 1 - target)), k] = 1.0
+    return u
+
+
+def reference_forward(model, x):
+    """(B, n_classes) class probabilities of a (B, in_dim) feature batch,
+    row by row from the head's description with dense unitaries.
+
+    dqc: pre-layer, tanh squash to +-pi/2, then per qubit q an RY of angle
+    q (angle) or an RX of angle 2q then an RY of angle 2q + 1
+    (dense_angle); purevqc: the row zero-padded to 2^n and normalised.
+    Then ``depth`` layers of one RY per qubit and a ring of CNOTs (q to
+    q + 1, then n - 1 to 0), <Z> of every qubit (dqc) or of the first
+    n_classes (purevqc), the post-layer (dqc) and a softmax."""
+    n, depth = model.template.n_qubits, model.template.depth
+    blocks = model.blocks
+    layers = np.eye(2**n, dtype=complex)
+    for layer in range(depth):
+        for q in range(n):
+            angle = float(blocks["q"][layer * n + q])
+            layers = _on_qubit(textbook_rotation("ry", angle), q, n) @ layers
+        if n >= 2:
+            for q in range(n):
+                layers = _dense_cnot(q, (q + 1) % n, n) @ layers
+    out = []
+    for row in np.asarray(x, dtype=float):
+        if model.mode == "purevqc":
+            amps = np.zeros(2**n, dtype=complex)
+            amps[: len(row)] = row / math.sqrt(sum(float(v) ** 2 for v in row))
+            measured = range(model.n_classes)
+        else:
+            pre = blocks["pre_w"] @ row + blocks["pre_b"]
+            angles = [math.tanh(float(v)) * math.pi / 2 for v in pre]
+            amps = np.eye(2**n, dtype=complex)[0]
+            for q in range(n):
+                if model.embedding == "dense_angle":
+                    gates = [("rx", angles[2 * q]), ("ry", angles[2 * q + 1])]
+                else:
+                    gates = [("ry", angles[q])]
+                for kind, angle in gates:
+                    amps = _on_qubit(textbook_rotation(kind, angle), q, n) @ amps
+            measured = range(n)
+        amps = layers @ amps
+        z = np.array([zexp_dense(amps, n, q) for q in measured])
+        logits = z if model.mode == "purevqc" else blocks["post_w"] @ z + blocks["post_b"]
+        e = np.exp(logits - logits.max())
+        out.append(e / e.sum())
+    return np.array(out)
 
 
 def zexp_dense(amps, n, qubit):
@@ -135,18 +200,32 @@ def random_state_amps(rng, n, real=False):
     return amps / np.linalg.norm(amps)
 
 
-def random_circuit(rng, n, max_gates=12, real=False):
-    """Random circuit of rx/ry/rz/cnot gates, or only ry/cnot when ``real``,
-    each rotation on a slot of its own; returns (circuit, params)."""
-    from qtlsim.sim import Circuit, cnot, rx, ry, rz
+def random_batch(rng, n, batch, halves=False):
+    """``batch`` random normalised states as a kernel batch: float64
+    (batch, 2^n) real states, or, when ``halves``, complex states a + ib
+    as their real halves, a (2, batch, 2^n) stack [a; b]."""
+    states = np.stack([random_state_amps(rng, n, real=not halves) for _ in range(batch)])
+    return np.stack([states.real, states.imag]) if halves else states
 
-    makers = {"rx": rx, "ry": ry, "rz": rz}
+
+def joined(amps):
+    """The complex states of a kernel batch: real halves (2, ..., 2^n)
+    joined as a + ib, a float64 batch as it is."""
+    return amps[0] + 1j * amps[1] if np.ndim(amps) == 3 else np.asarray(amps, dtype=complex)
+
+
+def random_circuit(rng, n, max_gates=12, real=False):
+    """Random circuit of ry/cnot gates, each rotation on a slot of its own;
+    unless ``real``, rx gates too before the first cnot, in the product
+    prefix. Returns (circuit, params)."""
+    from qtlsim.sim import Circuit, cnot, rx, ry
+
     n_gates = int(rng.integers(1, max_gates + 1))
     ops = []
     param_vals = []
-    kinds = ["ry", "cnot"] if real else ["rx", "ry", "rz", "cnot"]
+    in_prefix = not real
     for _ in range(n_gates):
-        kind = rng.choice(kinds)
+        kind = rng.choice(["rx", "ry", "cnot"] if in_prefix else ["ry", "cnot"])
         target = int(rng.integers(n))
         if kind == "cnot" and n < 2:
             kind = "ry"  # no second wire for a control
@@ -155,8 +234,9 @@ def random_circuit(rng, n, max_gates=12, real=False):
             if control >= target:
                 control += 1
             ops.append(cnot(control, target))
+            in_prefix = False
         else:
-            ops.append(makers[kind](target, param=len(param_vals)))
+            ops.append((rx if kind == "rx" else ry)(target, param=len(param_vals)))
             param_vals.append(float(rng.uniform(-np.pi, np.pi)))
     circuit = Circuit(n, tuple(ops), len(param_vals))
     return circuit, np.array(param_vals)
@@ -164,21 +244,21 @@ def random_circuit(rng, n, max_gates=12, real=False):
 
 def random_layered_circuit(rng, n, real=False):
     """Random circuit of one to three blocks, each a run of 1 to n + 2
-    rx/ry/rz rotations (ry only when ``real``) on random qubits, repeats
-    allowed, then one CNOT when n >= 2. About one rotation in four reuses
-    an earlier slot. Returns (circuit, params)."""
-    from qtlsim.sim import Circuit, cnot, rx, ry, rz
+    rotations on random qubits, repeats allowed, then one CNOT when n >= 2:
+    ry, with rx too in the first block (the product prefix) unless
+    ``real``. About one rotation in four reuses an earlier slot. Returns
+    (circuit, params)."""
+    from qtlsim.sim import Circuit, cnot, rx, ry
 
-    makers = {"rx": rx, "ry": ry, "rz": rz}
-    kinds = ["ry"] if real else list(makers)
     ops, n_slots = [], 0
-    for _ in range(int(rng.integers(1, 4))):
+    for block in range(int(rng.integers(1, 4))):
+        makers = (ry,) if real or (block and n >= 2) else (rx, ry)
         for _ in range(int(rng.integers(1, n + 3))):
             if n_slots and rng.integers(4) == 0:
                 slot = int(rng.integers(n_slots))
             else:
                 slot, n_slots = n_slots, n_slots + 1
-            ops.append(makers[rng.choice(kinds)](int(rng.integers(n)), param=slot))
+            ops.append(makers[rng.integers(len(makers))](int(rng.integers(n)), param=slot))
         if n >= 2:
             control = int(rng.integers(n))
             ops.append(cnot(control, (control + 1) % n))

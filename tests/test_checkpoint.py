@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from qtlsim.checkpoint import MAGIC, CheckpointFormatError, load_checkpoint, save_checkpoint
 from qtlsim.hybrid import PAIRINGS, HybridModel, init_model
 from qtlsim.seeding import substream
-from qtlsim.vqc import ROTATION_AXES
 
 _NAME = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"),
                 min_size=1, max_size=8)
@@ -20,8 +19,8 @@ _NAME = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters
 
 @st.composite
 def models(draw):
-    """A random valid head: any mode/embedding pairing, rotation axis, shape,
-    class names (or none) and finite parameters."""
+    """A random valid head: any mode/embedding pairing, shape, class names
+    (or none) and finite parameters."""
     mode, embedding = draw(st.sampled_from([(m, e) for m, es in PAIRINGS.items() for e in es]))
     if mode == "purevqc":  # the qubit count follows in_dim, one qubit per class
         n_qubits = draw(st.integers(2, 6))
@@ -35,8 +34,7 @@ def models(draw):
                        np.random.default_rng(draw(st.integers(0, 2**32 - 1))), in_dim=in_dim)
     names = draw(st.one_of(st.just(()), st.lists(_NAME, min_size=n_classes,
                                                  max_size=n_classes, unique=True)))
-    template = replace(model.template, rotation_axis=draw(st.sampled_from(ROTATION_AXES)))
-    return replace(model, template=template, class_names=tuple(names),
+    return replace(model, class_names=tuple(names),
                    theta=model.theta * draw(st.floats(1e-300, 1e300)))
 
 
@@ -85,6 +83,21 @@ def test_every_header_bit_flip_loads_or_is_a_format_error(tmp_path):
         except CheckpointFormatError:
             errors += 1
     assert loads > 0 and errors > 0
+
+
+@pytest.mark.parametrize("tag", [0, 2], ids=["x", "z"])
+def test_x_and_z_axis_tags_are_format_errors(tmp_path, tag):
+    """The header keeps its axis byte: x/y/z were 0/1/2, layers are always
+    RY, so a checkpoint is written with 1 and an x or z tag does not load."""
+    model = init_model("dqc", "angle", 2, 1, 2, substream(11, "init"), in_dim=3)
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, model)
+    data = bytearray(path.read_bytes())
+    assert data[9] == 1  # after the 7-byte magic and the mode and embedding tags
+    data[9] = tag
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointFormatError, match="axis tag"):
+        load_checkpoint(path)
 
 
 def test_round_trip_dqc(tmp_path):

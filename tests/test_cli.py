@@ -68,12 +68,12 @@ def test_train_rerun_is_byte_identical(fast_config, tmp_path):
 PINNED_ARTIFACTS = {
     ("dqc", "angle"): {
         "metrics.csv": "cb143929b348d78b82fa4a68d9c05efeb42862b4e85809534238926dae9d4729",
-        "checkpoint.bin": "ea16c46d28de61003a1ceb5ab268d0e188d8ecbf535095ecc8efc9f7dfa534da",
+        "checkpoint.bin": "dd1ad3434525b8f3b8772ac51c09242b60f80e05f0c02f37336ee9823f6921bc",
         "manifest.txt": "8b7a035a3495af32462385328b427c14008c4159e2dd0c7e9b3e20886c2b4ab0",
     },
     ("dqc", "dense_angle"): {
-        "metrics.csv": "0d2b55e5f73130bd83a1917ae8a3814b97eddb486aeb806af9efab66f15900b9",
-        "checkpoint.bin": "4dcbde7236f5e650bbc3d6bd966b4451d6e02cde7426f58a9b1b5d23d44641a9",
+        "metrics.csv": "de8ae64fba2f8c274756c01a2a19fab4e8d9163df74e989b8dc49e6ed818d829",
+        "checkpoint.bin": "ecf74b7bd92f2e234afd78df4954a77743ef73cfaa4c1c64466f16523b7e9d75",
         "manifest.txt": "20d29bea4f396beacd35da91462ab7129273154c647240ec8f7d2ccecf3a24a4",
     },
     ("purevqc", "amplitude"): {

@@ -18,9 +18,9 @@ from qtlsim.embeddings import (
     read_pgm,
 )
 from qtlsim.hybrid import _dqc_circuit
-from qtlsim.sim import Circuit, rotation_matrix, run_circuit_raw, z_expectations
+from qtlsim.sim import Circuit, prefix_vectors, product_state, z_expectations
 
-from oracle import write_pgm
+from oracle import textbook_rotation, write_pgm
 
 
 def random_image(rng, side):
@@ -31,17 +31,20 @@ def random_image(rng, side):
 
 def embed(embedding, features):
     """The dqc circuit's embedding gates, its first E ops, run on |0...0>
-    with feature k bound to slot k; the output state."""
+    with feature k bound to slot k: the product state of their prefix
+    vectors, as one complex state."""
     n = len(features) if embedding == "angle" else len(features) // 2
-    ops = _dqc_circuit(embedding, n, 1, "y").ops[: len(features)]
+    ops = _dqc_circuit(embedding, n, 1).ops[: len(features)]
     circuit = Circuit(n, ops, len(features))  # rejects an op outside slots 0..E-1
-    return run_circuit_raw(np.eye(1, 2**n), circuit, np.asarray(features, dtype=float))[0]
+    amps = product_state(prefix_vectors(circuit, np.asarray(features, dtype=float)), slice(0, 1))
+    return amps[0, 0] + 1j * amps[1, 0] if amps.ndim == 3 else amps[0].astype(complex)
 
 
 def prob_one(amps):
     """Per-qubit P(1) = (1 - <Z>) / 2 of one state."""
     n = amps.shape[0].bit_length() - 1
-    return (1.0 - z_expectations(amps[None], range(n))[0]) / 2.0
+    halves = np.stack([amps.real, amps.imag])[:, None]
+    return (1.0 - z_expectations(halves, range(n))[0]) / 2.0
 
 
 def test_angle_embed_zero_features_is_identity():
@@ -63,10 +66,10 @@ def test_angle_embed_marginals():
 def test_angle_embed_structure():
     """Slot k carries feature k: one RY per qubit (angle), RX then RY per
     qubit (dense_angle), before any layer gate."""
-    angle = _dqc_circuit("angle", 5, 1, "y")
+    angle = _dqc_circuit("angle", 5, 1)
     assert [(op.kind, op.target, op.param_index) for op in angle.ops[:5]] == \
         [("ry", q, q) for q in range(5)]
-    dense = _dqc_circuit("dense_angle", 3, 1, "y")
+    dense = _dqc_circuit("dense_angle", 3, 1)
     assert [(op.kind, op.target, op.param_index) for op in dense.ops[:6]] == \
         [(kind, q, 2 * q + k) for q in range(3) for k, kind in enumerate(("rx", "ry"))]
     for circuit, n_embed in ((angle, 5), (dense, 6)):
@@ -90,8 +93,8 @@ def test_dense_angle_per_qubit_state():
     amps = embed("dense_angle", feats).reshape([2] * 4)
     for q in range(4):
         expected = (
-            rotation_matrix("ry", feats[2 * q + 1])
-            @ rotation_matrix("rx", feats[2 * q])
+            textbook_rotation("ry", feats[2 * q + 1])
+            @ textbook_rotation("rx", feats[2 * q])
             @ np.array([1, 0], dtype=complex)
         )
         # product state: slice down every other qubit's |0>/|1> axis
@@ -101,7 +104,7 @@ def test_dense_angle_per_qubit_state():
         got = np.array([amps[tuple(sel0)], amps[tuple(sel1)]])
         # normalize against the accumulated phase/weight of the other qubits
         weight = np.prod([
-            (rotation_matrix("ry", feats[2 * k + 1]) @ rotation_matrix("rx", feats[2 * k])
+            (textbook_rotation("ry", feats[2 * k + 1]) @ textbook_rotation("rx", feats[2 * k])
              @ np.array([1, 0], dtype=complex))[0]
             for k in range(4) if k != q
         ])
@@ -168,7 +171,7 @@ def test_qubit_count_laws():
     n = 8
     for embedding, n_qubits in (("angle", n), ("dense_angle", n // 2)):
         # n embedding slots, then n_qubits layer slots at depth 1
-        assert _dqc_circuit(embedding, n_qubits, 1, "y").n_params == n + n_qubits
+        assert _dqc_circuit(embedding, n_qubits, 1).n_params == n + n_qubits
     assert amplitude_embed(np.linspace(-1, 1, n)).n_qubits == 3
 
 

@@ -23,9 +23,10 @@ from qtlsim.hybrid import (
     softmax,
 )
 from qtlsim.seeding import substream
+from qtlsim.sim import FUSE_MIN_QUBITS
 from qtlsim.vqc import VqcTemplate
 
-from oracle import finite_diff
+from oracle import finite_diff, reference_forward
 
 
 def small_dqc(seed=0, embedding="angle", n_qubits=4, depth=1, n_classes=2, in_dim=16):
@@ -234,8 +235,11 @@ def test_dqc_gradients_match_finite_differences():
 
 
 def test_dense_angle_gradients_match_finite_differences():
+    """Below FUSE_MIN_QUBITS and from there on, where the layers are fused."""
     rng = np.random.default_rng(7)
-    end_to_end_check(small_dqc(seed=8, embedding="dense_angle"), rng.standard_normal(16), 0)
+    for n_qubits, depth in ((4, 1), (FUSE_MIN_QUBITS, 2)):
+        model = small_dqc(seed=8, embedding="dense_angle", n_qubits=n_qubits, depth=depth)
+        end_to_end_check(model, rng.standard_normal(16), 0)
 
 
 def test_purevqc_gradients_match_finite_differences():
@@ -292,11 +296,11 @@ def counting_transfer_matrix():
 
 
 @given(seed=st.integers(0, 2**32 - 1), head=st.sampled_from(["angle", "dense_angle", "amplitude"]),
-       axis=st.sampled_from(["y", "x"]), n_qubits=st.integers(2, 4))
-def test_forward_through_the_transfer_matrix_equals_single_rows(seed, head, axis, n_qubits):
+       n_qubits=st.integers(2, 4))
+def test_forward_through_the_transfer_matrix_equals_single_rows(seed, head, n_qubits):
     """2**n rows, with at least 2**n features each, go through one transfer
-    matrix (complex for the x axis), 2**n - 1 rows gate by gate; each row's
-    probabilities equal its own one-row call to 1e-12."""
+    matrix, 2**n - 1 rows gate by gate; each row's probabilities equal its
+    own one-row call to 1e-12."""
     rng = np.random.default_rng(seed)
     n_classes = int(rng.integers(2, n_qubits + 1))
     depth = int(rng.integers(1, 3))
@@ -306,7 +310,6 @@ def test_forward_through_the_transfer_matrix_equals_single_rows(seed, head, axis
     else:
         in_dim = int(rng.integers(2**n_qubits, 2**n_qubits + 5))
         model = small_dqc(seed, head, n_qubits, depth, n_classes, in_dim)
-    model = replace(model, template=VqcTemplate(n_qubits, depth, axis))
     x = rng.standard_normal((2**n_qubits, in_dim))
     singles = np.concatenate([model_forward(model, x[b : b + 1]) for b in range(len(x))])
     for rows, builds in ((len(x) - 1, 0), (len(x), 1)):
@@ -314,6 +317,31 @@ def test_forward_through_the_transfer_matrix_equals_single_rows(seed, head, axis
             probs = model_forward(model, x[:rows])
         assert spy.call_count == builds
         assert np.max(np.abs(probs - singles[:rows])) <= 1e-12
+
+
+@given(seed=st.integers(0, 2**32 - 1), head=st.sampled_from(["angle", "dense_angle", "amplitude"]),
+       n_qubits=st.integers(1, 5), depth=st.integers(1, 3), through_transfer=st.booleans())
+def test_forward_equals_the_reference_model(seed, head, n_qubits, depth, through_transfer):
+    """model_forward equals the row-by-row dense reference model to 1e-12
+    for every head, 1-5 qubits, depth 1-3 and 2 to n classes, on batches
+    that go through the transfer matrix (2**(n+1) rows, at least 2**(n-1)
+    features each) and on batches run step by step (fewer than 2**n rows)."""
+    if head == "amplitude" and n_qubits < 2:
+        n_qubits = 2  # one qubit per class, at least two classes
+    rng = np.random.default_rng(seed)
+    n_classes = int(rng.integers(2, max(2, n_qubits) + 1))
+    if head == "amplitude":
+        in_dim = int(rng.integers(2 ** (n_qubits - 1) + 1, 2**n_qubits + 1))
+        model = small_purevqc(seed, n_qubits, depth, n_classes, in_dim)
+    else:
+        in_dim = int(rng.integers(2 ** (n_qubits - 1), 2**n_qubits + 5))
+        model = small_dqc(seed, head, n_qubits, depth, n_classes, in_dim)
+    rows = 2 ** (n_qubits + 1) if through_transfer else int(rng.integers(1, 2**n_qubits))
+    x = rng.standard_normal((rows, in_dim))
+    with counting_transfer_matrix() as spy:
+        probs = model_forward(model, x)
+    assert spy.call_count == through_transfer
+    assert np.max(np.abs(probs - reference_forward(model, x))) <= 1e-12
 
 
 def test_forward_chunks_share_one_transfer_matrix():

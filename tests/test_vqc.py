@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qtlsim.sim import FUSE_MIN_QUBITS, Circuit, RotationLayer, ry, run_circuit_raw
+from qtlsim.hybrid import _dqc_circuit
+from qtlsim.sim import (FUSE_MIN_QUBITS, Circuit, RotationLayer, prefix_vectors, product_state,
+                        ry, run_circuit_raw)
 from qtlsim.vqc import (
     VqcTemplate,
     build_layers,
@@ -18,10 +20,11 @@ from oracle import (
     circuit_param_shift,
     dense_run,
     finite_diff,
+    joined,
+    random_batch,
     random_binding,
     random_circuit,
     random_layered_circuit,
-    random_state_amps,
     row_params,
     zexp_dense,
 )
@@ -74,18 +77,11 @@ def test_single_qubit_template_has_no_entanglers():
     assert all(op.kind == "ry" for op in c.ops)
 
 
-def test_rotation_axis_selects_gate():
-    assert all(op.kind == "rx" for op in build_layers(VqcTemplate(2, 1, "x")).ops
-               if op.kind != "cnot")
-    assert all(op.kind == "rz" for op in build_layers(VqcTemplate(2, 1, "z")).ops
-               if op.kind != "cnot")
-
-
 def test_invalid_template():
     with pytest.raises(ValueError, match="depth"):
         VqcTemplate(4, 0)
-    with pytest.raises(ValueError, match="rotation_axis"):
-        VqcTemplate(4, 1, "w")
+    with pytest.raises(ValueError, match="n_qubits"):
+        VqcTemplate(0, 1)
 
 
 def test_forward_zero_params_identity_embedding():
@@ -200,35 +196,66 @@ def test_shared_parameter_accumulates():
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), batch=st.integers(1, 5),
-       real_circuit=st.booleans(), real_state=st.booleans())
-def test_adjoint_matches_param_shift_and_finite_differences(seed, n, batch, real_circuit,
-                                                            real_state):
-    """Per row, the batched adjoint equals the dense parameter-shift oracle
-    to 1e-12 and central differences of the dense forward to 1e-6, on real
-    circuits over float64 batches (which stay float64) and on complex ones."""
+       halves=st.booleans())
+def test_adjoint_matches_param_shift_and_finite_differences(seed, n, batch, halves):
+    """Per row, the batched adjoint of an ry/cnot circuit, swept to step 0,
+    equals the dense parameter-shift oracle to 1e-12 and central
+    differences of the dense forward to 1e-6, on real states and on complex
+    ones run as their real halves."""
     rng = np.random.default_rng(seed)
-    circuit, _ = random_circuit(rng, n, max_gates=16, real=real_circuit)
+    circuit, _ = random_circuit(rng, n, max_gates=16, real=True)
     binding = random_binding(rng, circuit, batch)
-    initial = np.stack([random_state_amps(rng, n, real=real_state) for _ in range(batch)])
+    initial = random_batch(rng, n, batch, halves)
     measured = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
     upstream = rng.standard_normal((batch, len(measured)))
 
     final = run_circuit_raw(initial, circuit, binding)
-    if real_circuit and real_state:
-        assert final.dtype == float
     grads = circuit_adjoint(circuit, binding, measured, final, upstream)
     assert grads.shape == (batch, circuit.n_params) and grads.dtype == float
     for b in range(batch):
         params = row_params(binding, b)
-        shift = circuit_param_shift(circuit, params, measured, upstream[b], initial[b])
+        state = joined(initial)[b]
+        shift = circuit_param_shift(circuit, params, measured, upstream[b], state)
         assert np.max(np.abs(grads[b] - shift), initial=0.0) <= 1e-12
 
         def loss(p):
-            amps = dense_run(circuit, initial[b], p)
+            amps = dense_run(circuit, state, p)
             return float(upstream[b] @ [zexp_dense(amps, n, q) for q in measured])
 
         numeric = finite_diff(loss, params)
         assert np.max(np.abs(grads[b] - numeric), initial=0.0) < 1e-6
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7), batch=st.integers(1, 3))
+def test_adjoint_from_the_product_prefix_matches_param_shift(seed, n, batch):
+    """A run that starts from the product state of its prefix (rx and ry,
+    so real or complex vectors, on shared and per-row slots, slots shared
+    across gates and with later layers) is swept back to the prefix only;
+    given the prefix vectors, every slot's gradient, prefix slots included,
+    equals the dense parameter-shift oracle of the run from |0...0> to
+    1e-12, below and from FUSE_MIN_QUBITS qubits."""
+    rng = np.random.default_rng(seed)
+    circuit, _ = random_layered_circuit(rng, n)
+    binding = random_binding(rng, circuit, batch)
+    vectors = prefix_vectors(circuit, binding)
+    final = run_circuit_raw(product_state(vectors, slice(0, batch)), circuit, binding,
+                            circuit.prefix_len)
+    measured = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
+    upstream = rng.standard_normal((batch, len(measured)))
+    grads = circuit_adjoint(circuit, binding, measured, final, upstream, vectors)
+    assert grads.shape == (batch, circuit.n_params) and grads.dtype == float
+    zero = np.eye(2**n)[0]
+    for b in range(batch):
+        shift = circuit_param_shift(circuit, row_params(binding, b), measured, upstream[b], zero)
+        assert np.max(np.abs(grads[b] - shift)) <= 1e-12
+
+
+def dqc_adjoint(circuit, params, upstream):
+    """circuit_adjoint of a dqc circuit run from its product prefix."""
+    vectors = prefix_vectors(circuit, params)
+    final = run_circuit_raw(product_state(vectors, slice(0, len(upstream))), circuit, params,
+                            circuit.prefix_len)
+    return circuit_adjoint(circuit, params, range(circuit.n_qubits), final, upstream, vectors)
 
 
 @pytest.mark.parametrize("broken", [
@@ -236,9 +263,11 @@ def test_adjoint_matches_param_shift_and_finite_differences(seed, n, batch, real
     np.array([[0, 1], [1, 0]]),  # X: G = -iX is imaginary and the gradient vanishes
 ], ids=["scaled_y", "pauli_x"])
 def test_broken_ry_generator_changes_the_real_adjoint(monkeypatch, broken):
-    """The sweep derives G = -i sigma from GENERATORS at call time, also on
-    a float64 batch and over fused layers (from FUSE_MIN_QUBITS qubits on),
-    so a wrong ry generator gives a wrong gradient."""
+    """The sweep derives G = -i sigma from GENERATORS at call time, on a
+    float64 batch and over fused layers (from FUSE_MIN_QUBITS qubits on),
+    and so does the prefix code: on depth-1 dqc heads, whose every
+    rotation is in the product prefix, a wrong ry generator gives a wrong
+    gradient too."""
     import qtlsim.vqc as vqc_mod
 
     rng = np.random.default_rng(21)
@@ -247,29 +276,37 @@ def test_broken_ry_generator_changes_the_real_adjoint(monkeypatch, broken):
         fused = any(isinstance(step, RotationLayer) for step in circuit.program)
         assert fused == (n >= FUSE_MIN_QUBITS)
         params = rng.uniform(-np.pi, np.pi, circuit.n_params)
-        initial = np.stack([random_state_amps(rng, n, real=True) for _ in range(2)])
+        initial = random_batch(rng, n, 2)
         final = run_circuit_raw(initial, circuit, params)
-        assert final.dtype == float
         upstream = rng.standard_normal((2, n))
-        good = circuit_adjoint(circuit, params, range(n), final, upstream)
-        with monkeypatch.context() as patch:
-            patch.setitem(vqc_mod.GENERATORS, "ry", broken)
-            bad = circuit_adjoint(circuit, params, range(n), final, upstream)
-        assert np.max(np.abs(bad - good)) > 1e-3
+        runs = [lambda: circuit_adjoint(circuit, params, range(n), final, upstream)]
+        for embedding in ("angle", "dense_angle"):
+            dqc = _dqc_circuit(embedding, n, 1)
+            assert all(step.kind != "cnot" for step in dqc.program[: dqc.prefix_len])
+            assert dqc.prefix_len == len(dqc.program) - 1  # only the CNOT ring follows
+            n_embed = dqc.n_params - n
+            angles = [*rng.uniform(-np.pi, np.pi, (n_embed, 2)), *rng.uniform(-np.pi, np.pi, n)]
+            runs.append(lambda dqc=dqc, angles=angles: dqc_adjoint(dqc, angles, upstream))
+        for run in runs:
+            good = run()
+            with monkeypatch.context() as patch:
+                patch.setitem(vqc_mod.GENERATORS, "ry", broken)
+                bad = run()
+            assert np.max(np.abs(bad - good)) > 1e-3
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(FUSE_MIN_QUBITS, 7),
-       batch=st.integers(1, 2), real=st.booleans())
-def test_adjoint_over_fused_layers_matches_param_shift(seed, n, batch, real):
+       batch=st.integers(1, 2), halves=st.booleans())
+def test_adjoint_over_fused_layers_matches_param_shift(seed, n, batch, halves):
     """On circuits whose rotation runs become layers, with repeated qubits
-    in a run, slots shared between gates, mixed rx/ry/rz (ry only when
-    ``real``) and shared and per-row slots, each row's adjoint gradient
-    equals the dense parameter-shift oracle to 1e-12."""
+    in a run, slots shared between gates, and shared and per-row slots,
+    each row's adjoint gradient equals the dense parameter-shift oracle to
+    1e-12, on real states and on real halves."""
     rng = np.random.default_rng(seed)
-    circuit, _ = random_layered_circuit(rng, n, real=real)
+    circuit, _ = random_layered_circuit(rng, n, real=True)
     assert any(isinstance(step, RotationLayer) for step in circuit.program)
     binding = random_binding(rng, circuit, batch)
-    initial = np.stack([random_state_amps(rng, n, real=real) for _ in range(batch)])
+    initial = random_batch(rng, n, batch, halves)
     measured = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
     upstream = rng.standard_normal((batch, len(measured)))
     final = run_circuit_raw(initial, circuit, binding)
@@ -277,5 +314,5 @@ def test_adjoint_over_fused_layers_matches_param_shift(seed, n, batch, real):
     assert grads.shape == (batch, circuit.n_params) and grads.dtype == float
     for b in range(batch):
         shift = circuit_param_shift(circuit, row_params(binding, b), measured, upstream[b],
-                                    initial[b])
+                                    joined(initial)[b])
         assert np.max(np.abs(grads[b] - shift)) <= 1e-12
