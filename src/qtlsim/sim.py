@@ -10,15 +10,12 @@ so RY(theta) = [[cos t/2, -sin t/2], [sin t/2, cos t/2]] and the
 Z expectation after RY(theta)|0> is cos(theta).
 
 The kernel runs a float64 ``(B, 2**n)`` batch, one state per row, through
-the circuit's program of real steps: ry rotations, each reading its angle
-from a parameter slot (a shared float or a per-row array), and runs of
-CNOTs fused into one index permutation. Below ``FUSE_MIN_QUBITS`` qubits
-each rotation is its own ``GateOp`` step, one matmul; from there on each
-run of rotations becomes ``RotationLayer`` steps (the k-th rotation on
-each qubit in layer k) whose Kronecker product acts as two factors of
-about 2**(n/2) rows, one matmul each: the gather-and-apply gate fusion of
-Smelyanskiy et al., arXiv:1601.07195, which a recorded sweep of the
-``hybrid`` passes has lose below 4 qubits, tie at 4 and win from 5 on.
+the circuit's program of real steps: runs of CNOTs fused into one index
+permutation, and runs of ry rotations, each reading its angle from a
+parameter slot (a shared float or a per-row array), as ``RotationLayer``
+steps (the k-th rotation on each qubit in layer k) whose Kronecker product
+acts as two factors of about 2**(n/2) rows, one matmul each: the
+gather-and-apply gate fusion of Smelyanskiy et al., arXiv:1601.07195.
 
 A run from |0...0> starts from a product state: the rotations before the
 first CNOT, rx or ry, make one 2-vector per qubit (``prefix_vectors``),
@@ -40,11 +37,6 @@ from typing import NamedTuple
 import numpy as np
 
 GATE_KINDS = frozenset({"rx", "ry", "cnot"})
-
-# Circuits on at least this many qubits run each run of rotations as
-# RotationLayer steps, smaller ones gate by gate: the module docstring and
-# ROADMAP Direction 4 give the sweep this comes from.
-FUSE_MIN_QUBITS = 5
 
 
 # (G[0, 1], G[1, 0]) of G = -i sigma: exp(-i t sigma / 2) = cos(t/2) I + sin(t/2) G.
@@ -186,43 +178,21 @@ class Circuit:
     @cached_property
     def program(self) -> tuple:
         """The kernel's steps: each run of consecutive CNOTs fused into one
-        ``Permutation``; each run of rotations as ``RotationLayer`` steps
-        from ``FUSE_MIN_QUBITS`` qubits on, below that one ``GateOp`` step
-        per rotation."""
+        ``Permutation``, each run of rotations as ``RotationLayer`` steps."""
         steps = []
         for is_cnot, ops in groupby(self.ops, key=lambda op: op.kind == "cnot"):
             if is_cnot:
                 steps.append(_fuse_cnots(self.n_qubits, ops))
-            elif self.n_qubits >= FUSE_MIN_QUBITS:
-                steps.extend(_rotation_layers(ops))
             else:
-                steps.extend(ops)
+                steps.extend(_rotation_layers(ops))
         return tuple(steps)
 
     @cached_property
     def prefix_len(self) -> int:
         """Number of leading program steps before the first fused CNOT
-        step: single-qubit gates, which keep a product state a product."""
+        step: the rotation layers that keep a product state a product."""
         return next((i for i, step in enumerate(self.program) if isinstance(step, Permutation)),
                     len(self.program))
-
-    @cached_property
-    def prefix_layers(self) -> tuple[RotationLayer, ...]:
-        """The prefix's rotations as layers, whatever the qubit count."""
-        return tuple(_rotation_layers(rotations(self.program[: self.prefix_len])))
-
-
-def apply_matrix(amps: np.ndarray, n_qubits: int, target: int, m: np.ndarray) -> np.ndarray:
-    """Apply a real 2x2 matrix, or a (B, 2, 2) stack one per row, to the
-    target qubit of every state in the float64 ``amps`` (shape ``(..., B,
-    2**n)``): one matmul."""
-    if target == n_qubits - 1:  # s @ m^T: the left form is slow on the last qubit
-        s = amps.reshape(amps.shape[:-1] + (2 ** (n_qubits - 1), 2))
-        return (s @ np.swapaxes(m, -1, -2)).reshape(amps.shape)
-    s = amps.reshape(amps.shape[:-1] + (2**target, 2, 2 ** (n_qubits - target - 1)))
-    if m.ndim == 3:
-        m = m[:, None]  # (B, 1, 2, 2): broadcast over the 2**target axis
-    return (m @ s).reshape(amps.shape)
 
 
 @lru_cache(maxsize=None)
@@ -290,10 +260,7 @@ def apply_step(amps: np.ndarray, n_qubits: int, step, params, adjoint: bool = Fa
         return amps[..., step.inverse if adjoint else step.gather]
     if step.kind != "ry":
         raise ValueError(f"{step} is not a kernel step: rx runs only in the product prefix")
-    if isinstance(step, RotationLayer):
-        return apply_factors(amps, *layer_factors(n_qubits, step, params, adjoint))
-    m = ry_matrix(params[step.param_index])
-    return apply_matrix(amps, n_qubits, step.target, np.swapaxes(m, -1, -2) if adjoint else m)
+    return apply_factors(amps, *layer_factors(n_qubits, step, params, adjoint))
 
 
 def run_circuit_raw(amps: np.ndarray, circuit: Circuit, params, start: int = 0) -> np.ndarray:
@@ -313,15 +280,13 @@ def rotations(steps):
     for step in steps:
         if isinstance(step, RotationLayer):
             yield from step.ops
-        elif isinstance(step, GateOp):
-            yield step
 
 
 def prefix_vectors(circuit: Circuit, params) -> np.ndarray:
     """(n, 2), or (B, n, 2) after a per-row angle: the per-qubit 2-vectors
     that the prefix makes from |0>, complex128 after an rx."""
     vectors = np.array([[1.0, 0.0]] * circuit.n_qubits)
-    for layer in circuit.prefix_layers:
+    for layer in circuit.program[: circuit.prefix_len]:
         moved = rotate_vectors(layer, params, vectors[..., layer.targets, :])
         if moved.shape[:-2] != vectors.shape[:-2] or moved.dtype != vectors.dtype:
             shape = moved.shape[:-2] + vectors.shape[-2:]

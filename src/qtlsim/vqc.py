@@ -18,8 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sim import (Circuit, GateOp, RotationLayer, apply_matrix, apply_step, cnot, factor_bits,
-                  rotate_vectors, run_circuit_raw, ry, z_expectations, z_signs)
+from .sim import (Circuit, RotationLayer, apply_step, cnot, factor_bits, rotate_vectors,
+                  run_circuit_raw, ry, z_expectations, z_signs)
 
 # sigma of ry = exp(-i theta sigma / 2), patchable to test the grad-check.
 GENERATORS = {"ry": np.array([[0, -1j], [1j, 0]])}
@@ -98,9 +98,6 @@ def circuit_adjoint(circuit: Circuit, params, measured_qubits, final: np.ndarray
     both = np.stack([final, observable * final]).reshape(2, -1, rows, 2**n)  # phi, lambda halves
     grads = np.zeros((rows, circuit.n_params))
     for step in reversed(circuit.program[0 if vectors is None else circuit.prefix_len:]):
-        if isinstance(step, GateOp):
-            g_phi = apply_matrix(both[0], n, step.target, g)
-            grads[:, step.param_index] += np.einsum("hbi,hbi->b", both[1], g_phi)
         both = apply_step(both, n, step, params, adjoint=True)
         if isinstance(step, RotationLayer):  # its terms are taken at its input
             _add_layer_grads(grads, n, step, both, g)
@@ -164,7 +161,7 @@ def _add_prefix_grads(grads: np.ndarray, circuit: Circuit, params, vectors: np.n
     env = ((lam[:, :, None, None, :] * loo[:, :, None, :]) @ np.eye(2)[bits])[..., 0, :]
     pairs = np.array([env[0] + 1j * env[1] if len(env) == 2 else env[0], v])  # e, w
     gens = {"rx": _RX_G, "ry": -1j * np.asarray(GENERATORS["ry"])}
-    for layer in reversed(circuit.prefix_layers):
+    for layer in reversed(circuit.program[: circuit.prefix_len]):
         e, w = pair = pairs[:, :, layer.targets]  # (2, B, k, 2)
         terms = np.sum(e.conj() * (w @ gens[layer.kind].T), axis=-1).real
         np.add.at(grads.T, layer.slots, terms.T)

@@ -11,7 +11,6 @@ import qtlsim.vqc as vqc_mod
 from qtlsim.cli import main
 from qtlsim.data import synth_dataset
 from qtlsim.embeddings import GrayImage
-from qtlsim.sim import FUSE_MIN_QUBITS
 
 from oracle import write_feature_csv, write_pgm
 
@@ -294,8 +293,8 @@ def test_every_documented_exit_code(tmp_path, monkeypatch, capsys):
     """One failure per code of the cli docstring, with its stderr prefix."""
     small = tmp_path / "small.txt"
     small.write_text("mode = dqc\nn_qubits = 3\ndepth = 1\nin_dim = 12\nseed = 3\n")
-    fused = tmp_path / "fused.txt"  # rotations run as fused layers at this size
-    fused.write_text(f"mode = dqc\nn_qubits = {FUSE_MIN_QUBITS}\ndepth = 1\nin_dim = 12\nseed = 3\n")
+    deep = tmp_path / "deep.txt"  # its second layer's rotations run after the product prefix
+    deep.write_text("mode = dqc\nn_qubits = 3\ndepth = 2\nin_dim = 12\nseed = 3\n")
     bad_combo = tmp_path / "bad.txt"
     bad_combo.write_text("mode = purevqc\nembedding = angle\n")
     no_data = tmp_path / "no_data.txt"
@@ -308,8 +307,8 @@ def test_every_documented_exit_code(tmp_path, monkeypatch, capsys):
     table = [
         (0, "", ["grad-check", "--config", small], {}),
         (cli.EXIT_GRAD_CHECK, "FAIL", ["grad-check", "--config", small], broken_generator),
-        (0, "", ["grad-check", "--config", fused], {}),
-        (cli.EXIT_GRAD_CHECK, "FAIL", ["grad-check", "--config", fused], broken_generator),
+        (0, "", ["grad-check", "--config", deep], {}),
+        (cli.EXIT_GRAD_CHECK, "FAIL", ["grad-check", "--config", deep], broken_generator),
         (cli.EXIT_CONFIG, "config error: ", ["train", "--config", bad_combo], {}),
         (cli.EXIT_DATA, "data error: ", ["train", "--config", no_data], {}),
         (cli.EXIT_NUMERICAL, "numerical abort: ",

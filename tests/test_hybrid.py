@@ -23,7 +23,6 @@ from qtlsim.hybrid import (
     softmax,
 )
 from qtlsim.seeding import substream
-from qtlsim.sim import FUSE_MIN_QUBITS
 from qtlsim.vqc import VqcTemplate
 
 from oracle import finite_diff, reference_forward
@@ -235,9 +234,10 @@ def test_dqc_gradients_match_finite_differences():
 
 
 def test_dense_angle_gradients_match_finite_differences():
-    """Below FUSE_MIN_QUBITS and from there on, where the layers are fused."""
+    """At depth 1, where every rotation is in the product prefix, and at
+    depth 2, whose second layer of rotations runs through the kernel."""
     rng = np.random.default_rng(7)
-    for n_qubits, depth in ((4, 1), (FUSE_MIN_QUBITS, 2)):
+    for n_qubits, depth in ((4, 1), (5, 2)):
         model = small_dqc(seed=8, embedding="dense_angle", n_qubits=n_qubits, depth=depth)
         end_to_end_check(model, rng.standard_normal(16), 0)
 
@@ -299,7 +299,7 @@ def counting_transfer_matrix():
        n_qubits=st.integers(2, 4))
 def test_forward_through_the_transfer_matrix_equals_single_rows(seed, head, n_qubits):
     """2**n rows, with at least 2**n features each, go through one transfer
-    matrix, 2**n - 1 rows gate by gate; each row's probabilities equal its
+    matrix, 2**n - 1 rows step by step; each row's probabilities equal its
     own one-row call to 1e-12."""
     rng = np.random.default_rng(seed)
     n_classes = int(rng.integers(2, n_qubits + 1))
@@ -346,7 +346,7 @@ def test_forward_equals_the_reference_model(seed, head, n_qubits, depth, through
 
 def test_forward_chunks_share_one_transfer_matrix():
     """Over several 2**13-amplitude chunks, the transfer matrix is built
-    once and gives what gate-by-gate slices of 2**n - 1 rows give."""
+    once and gives what step-by-step slices of 2**n - 1 rows give."""
     model = small_dqc(3, "dense_angle", n_qubits=5, depth=2, n_classes=3, in_dim=32)
     x = np.random.default_rng(3).standard_normal((600, 32))  # chunks of 256 rows
     with counting_transfer_matrix() as spy:

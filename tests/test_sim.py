@@ -1,16 +1,16 @@
 """Statevector simulator: the state container, known states, gate algebra,
 dense-matrix oracle."""
 import math
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qtlsim.embeddings import StateVector
 from qtlsim.sim import (
-    FUSE_MIN_QUBITS,
     GATE_KINDS,
     Circuit,
     GateOp,
@@ -57,6 +57,14 @@ def run_one(n, ops, amps=None, params=()):
     initial = np.eye(1, 2**n) if amps is None else one_row(amps)
     out = run_circuit_raw(initial, Circuit(n, tuple(ops), len(params)), params)
     return joined(out)[0] if out.ndim == 3 else out[0]
+
+
+def assert_rotations_run_as_layers(circuit):
+    """Every program step is a ``RotationLayer`` or a ``Permutation``, and
+    the layers hold exactly the circuit's rotations."""
+    assert {type(step) for step in circuit.program} <= {RotationLayer, Permutation}
+    assert Counter(rotations(circuit.program)) == Counter(
+        op for op in circuit.ops if op.kind != "cnot")
 
 
 def z_of(amps, qubit):
@@ -275,16 +283,17 @@ def test_real_batch_matches_its_complex_cast(seed, n, batch):
 def test_an_rx_step_in_the_kernel_is_refused():
     """The kernel runs ry and cnot steps on float64 batches only: an rx
     after the prefix, or a run that starts before the prefix's rx, raises
-    ValueError naming the step, as a gate and inside a fused layer; from
-    the prefix on, the same circuit runs. A complex batch is refused."""
+    ValueError naming the layer that holds it; from the prefix on, the same
+    circuit runs. A complex batch is refused."""
     angles = [0.3, -0.4]
-    for n, step in ((2, "GateOp"), (FUSE_MIN_QUBITS, "RotationLayer")):
+    refused = r"RotationLayer\(.*kind='rx', target=1"
+    for n in (2, 5):
         late = Circuit(n, (ry(0, param=0), cnot(0, 1), rx(1, param=1)), 2)
         state = product_state(prefix_vectors(late, angles), slice(0, 1))
-        with pytest.raises(ValueError, match=rf"{step}\(.*kind='rx', target=1"):
+        with pytest.raises(ValueError, match=refused):
             run_circuit_raw(state, late, angles, late.prefix_len)
         early = Circuit(n, (rx(1, param=0), cnot(0, 1), ry(1, param=1)), 2)
-        with pytest.raises(ValueError, match=rf"{step}\(.*kind='rx', target=1"):
+        with pytest.raises(ValueError, match=refused):
             run_circuit_raw(np.eye(1, 2**n), early, angles)
         state = product_state(prefix_vectors(early, angles), slice(0, 1))
         assert state.shape == (2, 1, 2**n)
@@ -298,11 +307,12 @@ def test_an_rx_step_in_the_kernel_is_refused():
 
 
 def test_cnot_runs_fuse_into_one_step():
-    """A ring of n CNOTs is one permutation step of the compiled program."""
+    """A ring of n CNOTs is one permutation step of the compiled program,
+    between the layers of the rotations around it."""
     ops = (ry(0, param=0), cnot(0, 1), cnot(1, 2), cnot(2, 0), ry(1, param=1))
     program = Circuit(3, ops, 2).program
-    assert len(program) == 3
-    assert program[0] is ops[0] and program[2] is ops[4]
+    assert program == (RotationLayer(ops[:1]), program[1], RotationLayer(ops[4:]))
+    assert isinstance(program[1], Permutation)
 
 
 def prefixed_circuit(rng, n, real=False):
@@ -329,11 +339,10 @@ def sorted_ops(ops):
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), batch=st.integers(1, 5))
 def test_product_prefix_run_matches_the_gate_run(seed, n, batch):
-    """The prefix steps hold the prefix's rotations, as layers from
-    FUSE_MIN_QUBITS qubits on. Starting from the product state of the
-    rotation prefix and running the rest equals the dense Kronecker oracle
-    to 1e-12, with shared and per-row angles, and, when no prefix gate is
-    an rx, running every gate on |0...0> rows. The product state is a
+    """The prefix steps are layers of the prefix's rotations. Starting from
+    the product state of the rotation prefix and running the rest equals
+    the dense Kronecker oracle to 1e-12, with shared and per-row angles,
+    and, when no prefix gate is an rx, running every step on |0...0> rows. The product state is a
     float64 batch, held as real halves exactly when a prefix gate is an
     rx."""
     rng = np.random.default_rng(seed)
@@ -361,8 +370,10 @@ def test_product_state_of_row_slices_matches_the_whole_batch(seed, n, batch, rea
     """Prefix vectors built once for the whole batch, then Kronecker-multiplied
     per row slice (a random slice size, the last slice ragged), equal the
     rows of the whole batch's product state exactly, for real and complex
-    prefixes and shared and per-row angles; each row is within 1e-12 of the
-    dense oracle's run of the prefix."""
+    prefixes and shared and per-row angles, and so do the vectors and
+    product state built from one row's angles alone: a row's bits do not
+    depend on the batch it sits in. Each row is within 1e-12 of the dense
+    oracle's run of the prefix."""
     rng = np.random.default_rng(seed)
     circuit, prefix, n_prefix_params = prefixed_circuit(rng, n, real)
     binding = random_binding(rng, circuit, batch)
@@ -376,7 +387,11 @@ def test_product_state_of_row_slices_matches_the_whole_batch(seed, n, batch, rea
         state = product_state(vectors, rows)
         assert np.array_equal(state, expected[..., rows, :])
         for b in range(start, rows.stop):
-            dense = dense_run(prefix_circuit, zero, row_params(binding, b))
+            row = row_params(binding, b)
+            alone = prefix_vectors(circuit, row)
+            assert np.array_equal(alone, vectors[b] if vectors.ndim == 3 else vectors)
+            assert np.array_equal(product_state(alone, slice(0, 1)), expected[..., b:b + 1, :])
+            dense = dense_run(prefix_circuit, zero, row)
             assert np.max(np.abs(joined(state)[b - start] - dense)) <= 1e-12
 
 
@@ -401,14 +416,14 @@ def test_transfer_matrix_equals_the_run(seed, n, batch, halves):
 
 
 def test_transfer_matrix_refuses_per_row_angles():
-    """A per-row angle in any step the matrix would fuse is refused, even
-    one with 2**n rows, which would broadcast over the basis states, also
-    inside a fused layer; a per-row angle before ``start`` is not read."""
+    """A per-row angle in any layer the matrix would fuse is refused, even
+    one with 2**n rows, which would broadcast over the basis states; a
+    per-row angle before ``start`` is not read."""
     ops = (ry(0, param=0), rx(1, param=1), cnot(0, 1), ry(1, param=2), ry(0, param=3))
     shared = [0.3, -0.8, 1.1, 2.0]
-    for n in (2, FUSE_MIN_QUBITS):
+    for n in (2, 5):
         circuit = Circuit(n, ops, 4)
-        assert isinstance(circuit.program[-1], RotationLayer) == (n >= FUSE_MIN_QUBITS)
+        assert_rotations_run_as_layers(circuit)
         for slot in range(4):
             per_row = list(shared)
             per_row[slot] = np.full(2**n, 0.5)
@@ -424,6 +439,8 @@ def test_transfer_matrix_refuses_per_row_angles():
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), batch=st.integers(1, 3),
        stack=st.sampled_from([(), (2,)]), halves=st.booleans())
+@example(seed=0, n=1, batch=2, stack=(), halves=False)  # an empty high factor
+@example(seed=1, n=2, batch=3, stack=(2,), halves=True)
 def test_rotation_layer_matches_the_dense_kronecker_unitary(seed, n, batch, stack, halves):
     """One ry layer step on a random qubit subset, on shared and per-row
     slots, applied to a float64 (B, 2**n) batch, with or without a leading
@@ -449,15 +466,14 @@ def test_rotation_layer_matches_the_dense_kronecker_unitary(seed, n, batch, stac
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), batch=st.integers(1, 3),
        halves=st.booleans())
-def test_programs_fuse_by_the_size_rule_and_match_the_dense_oracle(seed, n, batch, halves):
-    """From FUSE_MIN_QUBITS qubits on, and only there, the program runs its
-    rotations as layers; either way the run equals the dense oracle to
-    1e-12, with shared and per-row slots, on real states and real halves."""
+def test_programs_run_rotations_as_layers_and_match_the_dense_oracle(seed, n, batch, halves):
+    """On any qubit count the program runs every rotation inside a layer,
+    and the run equals the dense oracle to 1e-12, with shared and per-row
+    slots, on real states and real halves."""
     rng = np.random.default_rng(seed)
     circuit, _ = random_layered_circuit(rng, n, real=True)
     binding = random_binding(rng, circuit, batch)
-    fused = any(isinstance(step, RotationLayer) for step in circuit.program)
-    assert fused == (n >= FUSE_MIN_QUBITS)
+    assert_rotations_run_as_layers(circuit)
     initial = random_batch(rng, n, batch, halves)
     out = run_circuit_raw(initial, circuit, binding)
     for b in range(batch):
@@ -465,7 +481,7 @@ def test_programs_fuse_by_the_size_rule_and_match_the_dense_oracle(seed, n, batc
         assert np.max(np.abs(joined(out)[b] - expected)) <= 1e-12
 
 
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(FUSE_MIN_QUBITS, 9))
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9))
 def test_rotation_runs_group_into_layers(seed, n):
     """Within each layer every qubit appears at most once and every rotation
     has one kind; the layers of a run, flattened, hold exactly that run's

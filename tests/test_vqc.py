@@ -3,12 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qtlsim.hybrid import _dqc_circuit
-from qtlsim.sim import (FUSE_MIN_QUBITS, Circuit, RotationLayer, prefix_vectors, product_state,
-                        ry, run_circuit_raw)
+from qtlsim.sim import (Circuit, Permutation, RotationLayer, prefix_vectors, product_state, ry,
+                        run_circuit_raw)
 from qtlsim.vqc import (
     VqcTemplate,
     build_layers,
@@ -233,7 +233,7 @@ def test_adjoint_from_the_product_prefix_matches_param_shift(seed, n, batch):
     across gates and with later layers) is swept back to the prefix only;
     given the prefix vectors, every slot's gradient, prefix slots included,
     equals the dense parameter-shift oracle of the run from |0...0> to
-    1e-12, below and from FUSE_MIN_QUBITS qubits."""
+    1e-12."""
     rng = np.random.default_rng(seed)
     circuit, _ = random_layered_circuit(rng, n)
     binding = random_binding(rng, circuit, batch)
@@ -263,18 +263,16 @@ def dqc_adjoint(circuit, params, upstream):
     np.array([[0, 1], [1, 0]]),  # X: G = -iX is imaginary and the gradient vanishes
 ], ids=["scaled_y", "pauli_x"])
 def test_broken_ry_generator_changes_the_real_adjoint(monkeypatch, broken):
-    """The sweep derives G = -i sigma from GENERATORS at call time, on a
-    float64 batch and over fused layers (from FUSE_MIN_QUBITS qubits on),
-    and so does the prefix code: on depth-1 dqc heads, whose every
-    rotation is in the product prefix, a wrong ry generator gives a wrong
-    gradient too."""
+    """The sweep derives G = -i sigma from GENERATORS at call time over
+    the layers of a float64 batch, and so does the prefix code: on depth-1
+    dqc heads, whose every rotation is in the product prefix, a wrong ry
+    generator gives a wrong gradient too."""
     import qtlsim.vqc as vqc_mod
 
     rng = np.random.default_rng(21)
-    for n in (3, FUSE_MIN_QUBITS):
+    for n in (3, 5):
         circuit = build_layers(VqcTemplate(n, 2))
-        fused = any(isinstance(step, RotationLayer) for step in circuit.program)
-        assert fused == (n >= FUSE_MIN_QUBITS)
+        assert {type(step) for step in circuit.program} == {RotationLayer, Permutation}
         params = rng.uniform(-np.pi, np.pi, circuit.n_params)
         initial = random_batch(rng, n, 2)
         final = run_circuit_raw(initial, circuit, params)
@@ -295,8 +293,10 @@ def test_broken_ry_generator_changes_the_real_adjoint(monkeypatch, broken):
             assert np.max(np.abs(bad - good)) > 1e-3
 
 
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(FUSE_MIN_QUBITS, 7),
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7),
        batch=st.integers(1, 2), halves=st.booleans())
+@example(seed=0, n=1, batch=2, halves=False)  # an empty high factor
+@example(seed=1, n=2, batch=2, halves=True)
 def test_adjoint_over_fused_layers_matches_param_shift(seed, n, batch, halves):
     """On circuits whose rotation runs become layers, with repeated qubits
     in a run, slots shared between gates, and shared and per-row slots,
