@@ -2,8 +2,8 @@
 statevector simulator: one batched kernel runs every circuit on (B, 2**n)
 states with adjoint-differentiation gradients; two classifier heads, image
 encoders and a seeded experiment CLI. The kernel is float64 only: complex
-product states run as their real halves; from 5 qubits on each layer of
-rotations is one Kronecker step."""
+product states run as their real halves, and each layer of rotations is
+one Kronecker step on any qubit count."""
 
 __version__ = "0.1.0"
 

@@ -15,14 +15,14 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
-from .config import ConfigError, TrainConfig, config_to_text, load_config, with_overrides
+from .config import VALUE_TEXT, ConfigError, TrainConfig, config_to_text, load_config, with_overrides
 from .data import DataError, Dataset, SplitSpec, balanced_group_split, load_feature_csv, synth_dataset
 from .embeddings import amplitude_embed, frqi_decode, frqi_encode, neqr_decode, neqr_encode, pixel_angles, read_pgm
 from .gradcheck import run_grad_check
-from .hybrid import count_parameters, init_model
+from .hybrid import HybridModel, count_parameters, init_model
 from .metrics import MetricRecord
 from .seeding import substream
-from .training import TrainingAborted, best_val_epoch, evaluate, train
+from .training import TrainingAborted, best_val_record, evaluate, train
 
 GRAD_CHECK_THRESHOLD = 1e-4
 
@@ -33,8 +33,9 @@ EXIT_NUMERICAL = 4
 EXIT_VERSION = 5
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))  # shortest exact round-trip form
+_fmt = VALUE_TEXT["float"].format
+
+METRICS_HEADER = "split,epoch,loss,accuracy,auroc"
 
 
 def _metric_row(rec: MetricRecord) -> str:
@@ -44,7 +45,7 @@ def _metric_row(rec: MetricRecord) -> str:
 
 def write_metrics_csv(path, history):
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("split,epoch,loss,accuracy,auroc\n")
+        fh.write(METRICS_HEADER + "\n")
         for rec in history:
             fh.write(_metric_row(rec) + "\n")
 
@@ -67,10 +68,15 @@ def _split(config: TrainConfig, dataset: Dataset):
     return balanced_group_split(dataset, spec)
 
 
+def _initial_model(config: TrainConfig) -> HybridModel:
+    """The model a run of ``config`` starts from, which grad-check checks."""
+    return init_model(config.mode, config.embedding, config.n_qubits, config.depth,
+                      config.n_classes, substream(config.seed, "init"), in_dim=config.in_dim)
+
+
 def write_manifest(path, config: TrainConfig, splits, history):
     train_set, val_set, test_set = splits
-    best_epoch = best_val_epoch(history)
-    best = next(r for r in history if r.split == "val" and r.epoch == best_epoch)
+    best = best_val_record(history)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# qtlsim {__version__} run manifest; rerunnable via "
                  f"`qtlsim train --config <this file>`\n")
@@ -78,7 +84,7 @@ def write_manifest(path, config: TrainConfig, splits, history):
         fh.write(f"# n_train = {len(train_set)}\n")
         fh.write(f"# n_val = {len(val_set)}\n")
         fh.write(f"# n_test = {len(test_set)}\n")
-        fh.write(f"# best_epoch = {best_epoch}\n")
+        fh.write(f"# best_epoch = {best.epoch}\n")
         fh.write(f"# best_val_loss = {_fmt(best.loss)}\n")
         fh.write(f"# best_val_accuracy = {_fmt(best.accuracy)}\n")
         fh.write(f"# best_val_auroc = {_fmt(best.auroc)}\n")
@@ -93,10 +99,7 @@ def cmd_train(args) -> int:
     # pinned now, so names the manifest cannot reproduce fail before training
     config = with_overrides(config, class_names=",".join(train_set.class_names))
 
-    model = init_model(config.mode, config.embedding, config.n_qubits, config.depth,
-                       config.n_classes, substream(config.seed, "init"),
-                       in_dim=config.in_dim)
-    model = replace(model, class_names=train_set.class_names)
+    model = replace(_initial_model(config), class_names=train_set.class_names)
     best, history = train(
         model, train_set, val_set,
         epochs=config.epochs, batch_size=config.batch_size, lr=config.lr,
@@ -109,11 +112,10 @@ def cmd_train(args) -> int:
     write_manifest(os.path.join(args.out, "manifest.txt"), config, splits, history)
 
     classical, quantum = count_parameters(best)
-    best_epoch = best_val_epoch(history)
-    best_rec = next(r for r in history if r.split == "val" and r.epoch == best_epoch)
+    best_rec = best_val_record(history)
     print(f"trained {config.mode} for {config.epochs} epochs; "
           f"{classical} classical + {quantum} quantum parameters")
-    print(f"best epoch {best_epoch}: val loss {best_rec.loss:.6f}, "
+    print(f"best epoch {best_rec.epoch}: val loss {best_rec.loss:.6f}, "
           f"accuracy {best_rec.accuracy:.4f}, auroc {best_rec.auroc:.4f}")
     print(f"artifacts in {args.out}: metrics.csv, checkpoint.bin, manifest.txt")
     return 0
@@ -144,7 +146,7 @@ def cmd_evaluate(args) -> int:
         subset = dict(zip(("train", "val", "test"), _split(config, dataset)))[args.split]
         best_epoch = _manifest_best_epoch(manifest_path)
     rec = evaluate(model, subset, split=args.split, epoch=best_epoch)
-    print("split,epoch,loss,accuracy,auroc")
+    print(METRICS_HEADER)
     print(_metric_row(rec))
     print("confusion matrix (rows = true class):")
     for row in rec.confusion:
@@ -209,9 +211,7 @@ def cmd_encode_demo(args) -> int:
 def cmd_grad_check(args) -> int:
     config = load_config(args.config)
     config = with_overrides(config, seed=args.seed)
-    model = init_model(config.mode, config.embedding, config.n_qubits, config.depth,
-                       config.n_classes, substream(config.seed, "init"),
-                       in_dim=config.in_dim)
+    model = _initial_model(config)
     rng = substream(config.seed, "gradcheck")
     features = rng.standard_normal(config.in_dim)
     label = int(rng.integers(config.n_classes))

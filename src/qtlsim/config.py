@@ -6,8 +6,10 @@ completed run can be reproduced by pointing train at its manifest.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 
+from .data import SplitSpec
 from .hybrid import check_model_shape
 
 
@@ -51,21 +53,24 @@ class TrainConfig:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(TrainConfig)}
 
+# field type -> (parse, format) of its text form: numpy scalars format as the
+# plain values the parser reads back, a float in its shortest exact round-trip form
+ValueText = namedtuple("ValueText", "parse format")
+VALUE_TEXT = {
+    "bool": ValueText({"true": True, "false": False}.__getitem__,
+                      lambda value: "true" if value else "false"),
+    "int": ValueText(int, lambda value: str(int(value))),
+    "float": ValueText(float, lambda value: repr(float(value))),
+    "str": ValueText(str, str),
+}
+
 
 def _convert(key: str, raw: str):
     kind = _FIELD_TYPES[key]
-    if kind == "bool":
-        if raw not in ("true", "false"):
-            raise ConfigError(f"{key}: expected true or false, got {raw!r}")
-        return raw == "true"
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-    except ValueError:
+        return VALUE_TEXT[kind].parse(raw)
+    except (KeyError, ValueError):  # KeyError: a bool neither true nor false
         raise ConfigError(f"{key}: cannot parse {raw!r} as {kind}") from None
-    return raw
 
 
 def parse_config_text(text: str, source: str = "<config>") -> TrainConfig:
@@ -110,12 +115,10 @@ def validate_config(config: TrainConfig):
         raise ConfigError("lr: must be positive")
     if config.weight_decay < 0:
         raise ConfigError("weight_decay: must be non-negative")
-    if min(config.ratios) <= 0:
-        raise ConfigError("train_ratio, val_ratio, test_ratio: must be positive")
-    if abs(sum(config.ratios) - 1.0) > 1e-9:
-        raise ConfigError(
-            f"train_ratio, val_ratio, test_ratio: must sum to 1, got {sum(config.ratios)!r}"
-        )
+    try:
+        SplitSpec(ratios=config.ratios)
+    except ValueError as exc:
+        raise ConfigError(f"train_ratio, val_ratio, test_ratio: {exc}") from None
     names = config.class_name_list or []
     # a manifest writes these back as one comment-stripped, whitespace-trimmed line
     if names and (len(names) != config.n_classes or len(set(names)) != len(names)
@@ -128,20 +131,8 @@ def validate_config(config: TrainConfig):
         )
 
 
-def _format_value(kind: str, value) -> str:
-    """Text form by the field's declared type, so numpy scalars write as
-    the plain values the parser reads back."""
-    if kind == "bool":
-        return "true" if value else "false"
-    if kind == "float":
-        return repr(float(value))  # shortest exact round-trip form
-    if kind == "int":
-        return str(int(value))
-    return str(value)
-
-
 def config_to_text(config: TrainConfig) -> str:
-    lines = [f"{f.name} = {_format_value(f.type, getattr(config, f.name))}"
+    lines = [f"{f.name} = {VALUE_TEXT[f.type].format(getattr(config, f.name))}"
              for f in fields(config)]
     return "\n".join(lines) + "\n"
 

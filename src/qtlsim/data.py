@@ -77,7 +77,7 @@ class SplitSpec:
     balance: bool = True
 
     def __post_init__(self):
-        if len(self.ratios) != 3 or any(r <= 0 for r in self.ratios):
+        if len(self.ratios) != 3 or not all(r > 0 for r in self.ratios):
             raise ValueError(f"ratios must be three positive numbers, got {self.ratios}")
         if abs(sum(self.ratios) - 1.0) > 1e-9:
             raise ValueError(f"ratios must sum to 1, got {sum(self.ratios)!r}")

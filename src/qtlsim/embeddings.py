@@ -107,10 +107,14 @@ def amplitude_rows(rows: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise ValueError("cannot amplitude-embed an all-zero vector")
-    n_qubits = max(1, int(math.ceil(math.log2(rows.shape[1]))))
-    amps = np.zeros((rows.shape[0], 2**n_qubits))
+    amps = np.zeros((rows.shape[0], 2 ** amplitude_qubits(rows.shape[1])))
     amps[:, : rows.shape[1]] = rows / norms
     return amps
+
+
+def amplitude_qubits(width: int) -> int:
+    """Qubits of an amplitude embedding of ``width`` features, at least one."""
+    return max(1, math.ceil(math.log2(width)))
 
 
 def pixel_angles(image: GrayImage) -> np.ndarray:

@@ -17,9 +17,9 @@ def finite_difference_grads(model: HybridModel, features, label: int,
     for i in range(base.shape[0]):
         probe = base.copy()
         probe[i] = base[i] + h
-        up = cross_entropy(model_forward(replace(model, theta=probe), row)[0], label)
+        up = cross_entropy(model_forward(replace(model, theta=probe), row), [label])
         probe[i] = base[i] - h
-        down = cross_entropy(model_forward(replace(model, theta=probe), row)[0], label)
+        down = cross_entropy(model_forward(replace(model, theta=probe), row), [label])
         grads[i] = (up - down) / (2.0 * h)
     return grads
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .embeddings import amplitude_rows
+from .embeddings import amplitude_qubits, amplitude_rows
 from .sim import (Circuit, prefix_vectors, product_state, run_circuit_raw, rx, ry,
                   transfer_matrix, z_expectations)
 from .vqc import VqcTemplate, build_layers, circuit_adjoint
@@ -49,7 +49,7 @@ def check_model_shape(mode: str, embedding: str, n_qubits: int, n_classes: int,
     if n_classes < 2:
         raise ValueError("n_classes: need at least 2 classes")
     if mode == "purevqc":
-        want = max(1, math.ceil(math.log2(in_dim)))
+        want = amplitude_qubits(in_dim)
         if n_qubits != want:
             raise ValueError(
                 f"n_qubits, in_dim: amplitude embedding of {in_dim} features "
@@ -106,12 +106,17 @@ def softmax(logits) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(probs, label: int) -> float:
-    """-ln p[label], with the probability clamped at 1e-12."""
+def cross_entropy(probs, labels) -> float:
+    """Batch mean of -ln p[label] over the rows of (B, n_classes) ``probs``,
+    each true-class probability clamped at 1e-12; math.log, because np.log
+    differs from it by 1 ulp on some probabilities."""
     p = np.asarray(probs, dtype=float)
-    if not 0 <= label < p.shape[0]:
-        raise ValueError(f"label {label} out of range for {p.shape[0]} classes")
-    return -math.log(max(float(p[label]), 1e-12))
+    labels = np.asarray(labels, dtype=np.int64)
+    bad = labels[(labels < 0) | (labels >= p.shape[1])]
+    if bad.size:
+        raise ValueError(f"label {bad[0]} out of range for {p.shape[1]} classes")
+    true_class = np.maximum(p[np.arange(len(labels)), labels], 1e-12)
+    return float(np.mean([-math.log(v) for v in true_class.tolist()]))
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,9 @@ import numpy as np
 GATE_KINDS = frozenset({"rx", "ry", "cnot"})
 
 
-# (G[0, 1], G[1, 0]) of G = -i sigma: exp(-i t sigma / 2) = cos(t/2) I + sin(t/2) G.
-_G_OFF_DIAGONAL = {"rx": np.array([-1j, -1j]), "ry": np.array([-1.0, 1.0])}
+# G = -i sigma of each rotation kind: exp(-i t sigma / 2) = cos(t/2) I + sin(t/2) G.
+ROTATION_G = {"rx": np.array([[0, -1j], [-1j, 0]]), "ry": np.array([[0.0, -1.0], [1.0, 0.0]])}
+_ANTI_DIAGONALS = {kind: np.fliplr(g).diagonal() for kind, g in ROTATION_G.items()}
 
 
 def ry_matrix(angle) -> np.ndarray:
@@ -231,7 +232,7 @@ def layer_angles(layer: RotationLayer, params) -> np.ndarray:
 def rotate_vectors(layer: RotationLayer, params, vectors: np.ndarray, sign: float = 1.0):
     """cos(t/2) v + sin(t/2) G v, the layer's ops at angles t, times ``sign``."""
     half = np.multiply(layer_angles(layer, params).T, 0.5 * sign)[..., None]
-    return np.cos(half) * vectors + np.sin(half) * vectors[..., ::-1] * _G_OFF_DIAGONAL[layer.kind]
+    return np.cos(half) * vectors + np.sin(half) * vectors[..., ::-1] * _ANTI_DIAGONALS[layer.kind]
 
 
 def layer_factors(n_qubits: int, layer: RotationLayer, params,

@@ -12,6 +12,7 @@ from .hybrid import (
     HybridModel,
     NonFiniteLogits,
     adam_step,
+    cross_entropy,
     model_backward,
     model_forward,
 )
@@ -36,13 +37,8 @@ def evaluate(model: HybridModel, dataset: Dataset, split: str = "test",
     labels = dataset.labels
     if not len(labels):
         raise ValueError(f"cannot evaluate on an empty {split} split")
-    if labels.max() >= model.n_classes:
-        raise ValueError(f"label {labels.max()} out of range for {model.n_classes} classes")
     probs = model_forward(model, dataset.features)
-    # hybrid.cross_entropy of each row, from one gather; math.log, because
-    # np.log differs from it by 1 ulp on some probabilities
-    true_class = np.maximum(probs[np.arange(len(labels)), labels], 1e-12)
-    loss = float(np.mean([-math.log(p) for p in true_class.tolist()]))
+    loss = cross_entropy(probs, labels)
     preds = probs.argmax(axis=1)
     if model.n_classes == 2:
         auroc = auroc_binary(probs[:, 1], (labels == 1).astype(int))
@@ -64,8 +60,8 @@ def train(model: HybridModel, train_set: Dataset, val_set: Dataset, *, epochs: i
     """Train and return (best model by validation AUROC, metric history).
 
     Per epoch: seeded shuffle, minibatch steps with batch-averaged
-    gradients, then train and val metrics. Ties in validation AUROC keep
-    the earlier epoch.
+    gradients, then train and val metrics. The model kept is that of the
+    ``best_val_record`` epoch.
 
     Fully deterministic for a given seed; raises TrainingAborted on a
     non-finite loss, or on a non-finite forward pass, batch gradient or
@@ -76,7 +72,6 @@ def train(model: HybridModel, train_set: Dataset, val_set: Dataset, *, epochs: i
 
     adam = AdamState.init(model.theta.shape[0], lr=lr, weight_decay=weight_decay)
     history: list[MetricRecord] = []
-    best_auroc = -math.inf
     best_model = model
 
     for epoch in range(1, epochs + 1):
@@ -105,18 +100,16 @@ def train(model: HybridModel, train_set: Dataset, val_set: Dataset, *, epochs: i
                 f"non-finite loss at epoch {epoch} "
                 f"(train {train_rec.loss!r}, val {val_rec.loss!r})"
             )
-        history.append(train_rec)
-        history.append(val_rec)
-        if val_rec.auroc > best_auroc:
-            best_auroc = val_rec.auroc
+        history += [train_rec, val_rec]
+        if best_val_record(history) is val_rec:
             best_model = model
 
     return best_model, history
 
 
-def best_val_epoch(history) -> int:
-    """Epoch whose validation AUROC was selected (ties -> earliest)."""
+def best_val_record(history) -> MetricRecord:
+    """The selected validation record: highest AUROC, ties keep the earliest."""
     val = [rec for rec in history if rec.split == "val"]
     if not val:
         raise ValueError("history contains no validation records")
-    return max(val, key=lambda rec: rec.auroc).epoch  # max keeps the first of equals
+    return max(val, key=lambda rec: rec.auroc)  # max keeps the first of equals

@@ -18,12 +18,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sim import (Circuit, RotationLayer, apply_step, cnot, factor_bits, rotate_vectors,
-                  run_circuit_raw, ry, z_expectations, z_signs)
+from .sim import (ROTATION_G, Circuit, RotationLayer, apply_step, cnot, factor_bits,
+                  rotate_vectors, run_circuit_raw, ry, z_expectations, z_signs)
 
-# sigma of ry = exp(-i theta sigma / 2), patchable to test the grad-check.
+# sigma of ry = exp(-i theta sigma / 2): the adjoint's own copy of what
+# sim.ROTATION_G["ry"] holds as -i sigma, so that patching it breaks the
+# gradient alone and grad-check's finite differences disagree (test_cli.py).
 GENERATORS = {"ry": np.array([[0, -1j], [1j, 0]])}
-_RX_G = np.array([[0, -1j], [-1j, 0]])  # G = -i sigma_x of the prefix's rx gates
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,7 @@ def _add_prefix_grads(grads: np.ndarray, circuit: Circuit, params, vectors: np.n
     loo[:, :-1] *= np.cumprod(table[:, :0:-1], axis=1)[:, ::-1]  # ... and over p > q
     env = ((lam[:, :, None, None, :] * loo[:, :, None, :]) @ np.eye(2)[bits])[..., 0, :]
     pairs = np.array([env[0] + 1j * env[1] if len(env) == 2 else env[0], v])  # e, w
-    gens = {"rx": _RX_G, "ry": -1j * np.asarray(GENERATORS["ry"])}
+    gens = {"rx": ROTATION_G["rx"], "ry": -1j * np.asarray(GENERATORS["ry"])}
     for layer in reversed(circuit.program[: circuit.prefix_len]):
         e, w = pair = pairs[:, :, layer.targets]  # (2, B, k, 2)
         terms = np.sum(e.conj() * (w @ gens[layer.kind].T), axis=-1).real

@@ -1,14 +1,15 @@
 """Independent brute-force oracles the fast implementations are tested against.
 
 Everything here is deliberately naive: textbook rotation matrices, dense
-Kronecker-product unitaries, a row-by-row reference model, O(n^2) pair
-counting, explicit finite differences, the two-point parameter-shift
-rule, ``csv.reader`` with ``float()``. None of it shares code with the
-library paths it checks. ``write_feature_csv`` and ``write_pgm`` are the
-writers the tests build their input files with.
+Kronecker-product unitaries, a row-by-row reference model and training
+run, O(n^2) pair counting, explicit finite differences, the two-point
+parameter-shift rule, ``csv.reader`` with ``float()``. None of it shares
+code with the library paths it checks. ``write_feature_csv`` and
+``write_pgm`` are the writers the tests build their input files with.
 """
 import csv
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -152,6 +153,113 @@ def reference_forward(model, x):
         e = np.exp(logits - logits.max())
         out.append(e / e.sum())
     return np.array(out)
+
+
+_Gate = namedtuple("_Gate", "kind target control param_index")
+_Circuit = namedtuple("_Circuit", "n_qubits ops n_params")
+
+# flat parameter order of every head, the classical blocks in dqc only
+_BLOCK_ORDER = ("pre_w", "pre_b", "q", "post_w", "post_b")
+
+
+def _reference_row(model, blocks, row, label):
+    """(class probabilities, gradient of -ln p[label] per block) of one row.
+
+    The head as ``reference_forward`` describes it, as one circuit of
+    ``_Gate``s: the embedding angles on slots 0..E-1 (dqc), the layer
+    angles after them. ``circuit_param_shift`` gives every angle's
+    derivative; the chain rule then runs by hand through the post-layer,
+    the tanh squash and the pre-layer."""
+    n, depth = model.template.n_qubits, model.template.depth
+    ops = []
+    if model.mode == "purevqc":
+        angles, pre = [], None
+        initial = np.zeros(2**n, dtype=complex)
+        initial[: len(row)] = row / math.sqrt(sum(float(v) ** 2 for v in row))
+        measured = list(range(model.n_classes))
+    else:
+        pre = blocks["pre_w"] @ row + blocks["pre_b"]
+        angles = [math.tanh(float(v)) * math.pi / 2 for v in pre]
+        initial = np.eye(2**n, dtype=complex)[0]
+        measured = list(range(n))
+        for q in range(n):
+            kinds = ("rx", "ry") if model.embedding == "dense_angle" else ("ry",)
+            ops += [_Gate(kind, q, None, len(kinds) * q + k) for k, kind in enumerate(kinds)]
+    for layer in range(depth):
+        ops += [_Gate("ry", q, None, len(angles) + layer * n + q) for q in range(n)]
+        if n >= 2:
+            ops += [_Gate("cnot", (q + 1) % n, q, None) for q in range(n)]
+    circuit = _Circuit(n, ops, len(angles) + n * depth)
+    params = np.array(angles + [float(v) for v in blocks["q"]])
+    amps = dense_run(circuit, initial, params)
+    z = np.array([zexp_dense(amps, n, q) for q in measured])
+    logits = z if pre is None else blocks["post_w"] @ z + blocks["post_b"]
+    e = np.exp(logits - logits.max())
+    probs = e / e.sum()
+    dlogits = probs.copy()
+    dlogits[label] -= 1.0
+    upstream = dlogits if pre is None else blocks["post_w"].T @ dlogits
+    dparams = circuit_param_shift(circuit, params, measured, upstream, initial)
+    grads = {"q": dparams[len(angles):]}
+    if pre is not None:
+        dpre = dparams[: len(angles)] * (math.pi / 2) * (1.0 - np.tanh(pre) ** 2)
+        grads.update(pre_w=np.outer(dpre, row), pre_b=dpre,
+                     post_w=np.outer(dlogits, z), post_b=dlogits)
+    return probs, grads
+
+
+def _reference_auroc(probs, labels):
+    """Binary: ``auroc_pair_count`` of class 1's probability; more classes:
+    the mean of each class's one-vs-rest ``auroc_pair_count``."""
+    if probs.shape[1] == 2:
+        return auroc_pair_count(probs[:, 1], (labels == 1).astype(int))
+    per_class = [auroc_pair_count(probs[:, c], (labels == c).astype(int))
+                 for c in range(probs.shape[1])]
+    return sum(per_class) / len(per_class)
+
+
+def reference_train(model, train_set, val_set, *, epochs, batch_size, lr, weight_decay, seed):
+    """(flat theta of the selected epoch, selected epoch, val AUROC per epoch)
+    of a training run, row by row with textbook arithmetic.
+
+    Each epoch takes the minibatch row indices that ``qtlsim.data.batches``
+    gives for the seed ``qtlsim.training.train`` derives; every number is
+    computed here. The batch gradient is the mean of ``_reference_row``'s;
+    Adam adds ``weight_decay * theta`` to it (coupled decay) and takes a
+    bias-corrected step. After each epoch the val rows are scored by
+    ``_reference_auroc``; the highest AUROC is selected, ties keep the
+    earliest epoch."""
+    from qtlsim.data import batches
+    from qtlsim.seeding import derive_seed
+
+    names = [name for name in _BLOCK_ORDER if name in model.blocks]
+    theta = {name: np.array(model.blocks[name], dtype=float) for name in names}
+    m = {name: np.zeros_like(value) for name, value in theta.items()}
+    v = {name: np.zeros_like(value) for name, value in theta.items()}
+    beta1, beta2, eps, step = 0.9, 0.999, 1e-8, 0
+    best, best_epoch, aurocs = None, 0, []
+    for epoch in range(1, epochs + 1):
+        for rows in batches(len(train_set), batch_size, derive_seed(seed, "shuffle", epoch)):
+            total = {name: np.zeros_like(value) for name, value in theta.items()}
+            for i in rows:
+                _, grads = _reference_row(model, theta, train_set.features[i],
+                                          int(train_set.labels[i]))
+                for name in names:
+                    total[name] += grads[name]
+            step += 1
+            for name in names:
+                g = total[name] / len(rows) + weight_decay * theta[name]
+                m[name] = beta1 * m[name] + (1 - beta1) * g
+                v[name] = beta2 * v[name] + (1 - beta2) * g * g
+                m_hat = m[name] / (1 - beta1**step)
+                v_hat = v[name] / (1 - beta2**step)
+                theta[name] = theta[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        probs = np.array([_reference_row(model, theta, x, 0)[0] for x in val_set.features])
+        aurocs.append(_reference_auroc(probs, np.asarray(val_set.labels)))
+        if aurocs[-1] > max(aurocs[:-1], default=-math.inf):
+            best_epoch = epoch
+            best = np.concatenate([theta[name].ravel() for name in names])
+    return best, best_epoch, aurocs
 
 
 def zexp_dense(amps, n, qubit):

@@ -97,6 +97,34 @@ def test_fixed_seed_artifacts_are_pinned(tmp_path, mode, embedding):
     assert digests == PINNED_ARTIFACTS[mode, embedding]
 
 
+# The same for a three-class dense_angle head over four epochs, whose val
+# AUROC rises every epoch, so epoch 4 is selected; "evaluate" is the stdout
+# of ``evaluate --split test``. It covers auroc_macro_ovr, the three-class
+# loss and selection over more than two epochs.
+PINNED_THREE_CLASS = {
+    "metrics.csv": "f274a1e7c2a7b5ecd572d1a21973d8caa7c2583cc3acb93656b5b7078d477d6a",
+    "checkpoint.bin": "c8a9ed0e39a557535e6a37a31216e4862567541a7afdf7d054536617b41e1b2d",
+    "manifest.txt": "8d76f63c3de2f99ddd187e0af849f8fc2e141f8ccff4f7014600fdbc8673219f",
+    "evaluate": "847ba462d2530a426d6c301f063534b98bf216ec07c5198cff613aa6f5e7c4ba",
+}
+
+
+def test_three_class_artifacts_are_pinned(tmp_path, capsys):
+    cfg = tmp_path / "config.txt"
+    cfg.write_text(FAST_CONFIG.replace("embedding = angle", "embedding = dense_angle")
+                   .replace("n_classes = 2", "n_classes = 3")
+                   .replace("epochs = 2", "epochs = 4"))
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", cfg, "--out", out) == 0
+    capsys.readouterr()
+    assert run_cli("evaluate", out / "checkpoint.bin", "--split", "test") == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("metrics.csv", "checkpoint.bin", "manifest.txt")}
+    digests["evaluate"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == PINNED_THREE_CLASS
+    assert "# best_epoch = 4\n" in (out / "manifest.txt").read_text()
+
+
 def test_train_seed_override_changes_metrics(fast_config, tmp_path):
     assert run_cli("train", "--config", fast_config, "--out", tmp_path / "a") == 0
     assert run_cli("train", "--config", fast_config, "--out", tmp_path / "c",

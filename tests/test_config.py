@@ -51,6 +51,8 @@ def test_duplicate_key_rejected():
 def test_bad_value_type_names_key():
     with pytest.raises(ConfigError, match="n_qubits"):
         parse_config_text("n_qubits = four\n")
+    with pytest.raises(ConfigError, match="balance: cannot parse 'yes' as bool"):
+        parse_config_text("balance = yes\n")
 
 
 def test_purevqc_with_angle_embedding_names_offending_keys():
@@ -71,6 +73,15 @@ def test_purevqc_qubit_count_checked():
 def test_ratio_sum_checked():
     with pytest.raises(ConfigError, match="sum to 1"):
         parse_config_text("train_ratio = 0.5\n")
+
+
+def test_ratios_must_be_positive():
+    """A zero ratio whose partners sum to 1, and a nan one, are config
+    errors that name the ratio keys."""
+    for train_ratio in ("0", "nan"):
+        with pytest.raises(ConfigError, match="train_ratio, val_ratio, test_ratio: .*positive"):
+            parse_config_text(f"train_ratio = {train_ratio}\nval_ratio = 0.5\n"
+                              f"test_ratio = 0.5\n")
 
 
 def test_config_round_trips_through_text():

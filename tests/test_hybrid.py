@@ -68,10 +68,13 @@ def test_softmax_no_overflow():
 
 
 def test_cross_entropy_values():
-    assert cross_entropy([1.0, 0.0], 0) < 1e-9
-    assert abs(cross_entropy([0.5, 0.5], 1) - math.log(2)) < 1e-12
-    with pytest.raises(ValueError, match="label"):
-        cross_entropy([0.5, 0.5], 2)
+    assert cross_entropy([[1.0, 0.0]], [0]) < 1e-9
+    assert abs(cross_entropy([[0.5, 0.5]], [1]) - math.log(2)) < 1e-12
+    assert cross_entropy([[1.0, 0.0], [0.2, 0.8]], [1, 0]) == \
+        (-math.log(1e-12) - math.log(0.2)) / 2  # clamped, then the batch mean
+    for bad in (2, -1):  # n_classes, and a negative label
+        with pytest.raises(ValueError, match=f"label {bad} out of range for 2 classes"):
+            cross_entropy([[0.5, 0.5], [0.5, 0.5]], [0, bad])
 
 
 def test_softmax_cross_entropy_gradient_is_probs_minus_onehot():
@@ -80,7 +83,7 @@ def test_softmax_cross_entropy_gradient_is_probs_minus_onehot():
     label = 2
     analytic = softmax(logits).copy()
     analytic[label] -= 1.0
-    numeric = finite_diff(lambda z: cross_entropy(softmax(z), label), logits)
+    numeric = finite_diff(lambda z: cross_entropy(softmax(z)[None], [label]), logits)
     assert np.max(np.abs(analytic - numeric)) < 1e-7
 
 
@@ -219,7 +222,7 @@ def end_to_end_check(model, features, label):
     analytic = model_backward(model, features[None], [label])
 
     def loss(vec):
-        return cross_entropy(model_forward(replace(model, theta=vec), features[None])[0], label)
+        return cross_entropy(model_forward(replace(model, theta=vec), features[None]), [label])
 
     numeric = finite_diff(loss, model.theta)
     bound = 1e-5 * np.maximum(np.abs(analytic), np.abs(numeric)) + 1e-7

@@ -1,15 +1,19 @@
 """Training loop: convergence, determinism, model selection, aborts."""
 from dataclasses import replace
 
+import math
+
 import numpy as np
 import pytest
 
 import qtlsim.training as training_mod
 from qtlsim.data import SplitSpec, balanced_group_split, synth_dataset
-from qtlsim.hybrid import cross_entropy, init_model, model_backward, model_forward
+from qtlsim.hybrid import init_model, model_backward, model_forward
 from qtlsim.metrics import MetricRecord
 from qtlsim.seeding import substream
-from qtlsim.training import TrainingAborted, best_val_epoch, evaluate, train
+from qtlsim.training import TrainingAborted, best_val_record, evaluate, train
+
+from oracle import reference_train
 
 
 def separable_splits(seed=7, n_per_class=30, dim=32, separation=8.0):
@@ -59,21 +63,68 @@ def test_best_model_selected_by_val_auroc():
     train_set, val_set, _ = separable_splits(seed=11)
     best, history = train(tiny_model(seed=11), train_set, val_set,
                           epochs=5, batch_size=8, lr=1e-3, seed=11)
-    best_epoch = best_val_epoch(history)
-    best_rec = next(r for r in history if r.split == "val" and r.epoch == best_epoch)
+    best_rec = best_val_record(history)
     assert best_rec.auroc == max(r.auroc for r in history if r.split == "val")
     # the returned model reproduces exactly the recorded best-epoch metrics
-    recheck = evaluate(best, val_set, "val", best_epoch)
+    recheck = evaluate(best, val_set, "val", best_rec.epoch)
     assert recheck.loss == best_rec.loss
     assert recheck.auroc == best_rec.auroc
 
 
-def test_best_val_epoch_tie_keeps_earlier():
+def test_best_val_record_tie_keeps_earlier():
     def rec(epoch, auroc):
         return MetricRecord("val", epoch, 0.5, 0.5, auroc, np.zeros((2, 2), dtype=int))
 
     history = [rec(1, 0.7), rec(2, 0.9), rec(3, 0.9), rec(4, 0.8)]
-    assert best_val_epoch(history) == 2
+    assert best_val_record(history) is history[1]
+    with pytest.raises(ValueError, match="no validation records"):
+        best_val_record([replace(r, split="train") for r in history])
+
+
+def test_train_keeps_the_model_of_the_selected_epoch(monkeypatch):
+    """With scripted val AUROCs 0.7, 0.9, 0.9, 0.8, the tie at epoch 3 and
+    the drop at epoch 4 keep epoch 2's model: a four-epoch run returns,
+    byte for byte, the model a two-epoch run ends with."""
+    train_set, val_set, _ = separable_splits(seed=11)
+    scripted = [0.7, 0.9, 0.9, 0.8]
+
+    def scripted_evaluate(model, dataset, split="test", epoch=0):
+        rec = evaluate(model, dataset, split, epoch)
+        return replace(rec, auroc=scripted[epoch - 1]) if split == "val" else rec
+
+    def run(epochs):
+        return train(tiny_model(seed=11), train_set, val_set, epochs=epochs, batch_size=8,
+                     lr=1e-3, seed=11)
+
+    monkeypatch.setattr(training_mod, "evaluate", scripted_evaluate)
+    two, _ = run(2)
+    four, history = run(4)
+    assert [r.auroc for r in history if r.split == "val"] == [0.7, 0.9, 0.9, 0.8]
+    assert four.theta.tobytes() == two.theta.tobytes()
+    scripted = [0.1, 0.2, 0.3, 0.4]  # rising: the last epoch's model, which moved on
+    assert run(4)[0].theta.tobytes() != two.theta.tobytes()
+
+
+@pytest.mark.parametrize("mode, embedding, n_qubits, n_classes, in_dim, separation, seed", [
+    ("dqc", "angle", 2, 2, 6, 2.0, 2),  # val AUROC 0.5, 0.75, 0.75: a tie after the best
+    ("purevqc", "amplitude", 3, 3, 8, 1.0, 8),  # 0.625, 0.667, 0.625: a drop after it
+])
+def test_train_matches_the_reference_training_run(mode, embedding, n_qubits, n_classes,
+                                                  in_dim, separation, seed):
+    """Three epochs of depth-2 heads, trained by ``train`` and by the
+    row-by-row reference run (parameter-shift gradients chained by hand,
+    textbook Adam, pair-count AUROC): the same val AUROCs, the same selected
+    epoch and theta within 1e-9."""
+    ds = synth_dataset(12, n_classes, in_dim, separation, seed=seed)
+    train_set, val_set, _ = balanced_group_split(ds, SplitSpec(seed=seed))
+    model = init_model(mode, embedding, n_qubits, 2, n_classes, substream(seed, "init"),
+                       in_dim=in_dim)
+    settings = dict(epochs=3, batch_size=4, lr=0.05, weight_decay=0.01, seed=seed)
+    theta, best_epoch, aurocs = reference_train(model, train_set, val_set, **settings)
+    best, history = train(model, train_set, val_set, **settings)
+    assert [r.auroc for r in history if r.split == "val"] == pytest.approx(aurocs, abs=1e-12)
+    assert best_val_record(history).epoch == best_epoch == 2
+    assert np.max(np.abs(best.theta - theta)) <= 1e-9
 
 
 def test_empty_split_rejected():
@@ -141,8 +192,8 @@ def test_evaluate_confusion_matrix_hand_case():
 def test_evaluate_loss_is_the_mean_per_row_cross_entropy():
     """On a 3-class head, fresh and with a saturated post-layer whose
     probabilities hit the 1e-12 clamp, the loss equals the mean of the
-    per-row ``cross_entropy`` exactly; a label the head has no class for
-    raises."""
+    per-row -ln p[label], each clamped at 1e-12, exactly; a label the head
+    has no class for raises."""
     from qtlsim.data import Dataset
 
     ds = synth_dataset(10, 3, 32, 4.0, seed=19)
@@ -151,7 +202,7 @@ def test_evaluate_loss_is_the_mean_per_row_cross_entropy():
     theta[-3:] = [1000.0, 0.0, 0.0]  # post_b: class 0 takes all the mass
     for model in (fresh, replace(fresh, theta=theta)):
         probs = model_forward(model, ds.features)
-        per_row = [cross_entropy(probs[i], ds.labels[i]) for i in range(len(ds))]
+        per_row = [-math.log(max(float(probs[i, ds.labels[i]]), 1e-12)) for i in range(len(ds))]
         assert evaluate(model, ds).loss == float(np.mean(per_row))
     four = Dataset(ds.features, np.where(ds.labels == 2, 3, ds.labels), ds.group_ids,
                    ds.class_names + ("extra",))
