@@ -206,28 +206,28 @@ def _check_batch(model: HybridModel, features) -> np.ndarray:
     x = np.asarray(features, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != model.in_dim:
         raise ValueError(f"expected (B, {model.in_dim}) features, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("features must be finite")
     return x
 
 
 def _circuit_inputs(model: HybridModel, x: np.ndarray):
     """(circuit, params, measured qubits, initial states, first step left to
-    run, prefix vectors, pre-layer output) of a feature batch, the last two
-    None in purevqc. ``initial(rows)`` gives a row slice's amplitude rows or
-    ``product_state``. The steps from the returned start on read shared
-    slots only, so any row slice runs them with ``params``."""
+    run, prefix vectors, pre-layer output) of finite feature rows ``x``, the
+    last two None in purevqc. The initial states are the rows' amplitude rows
+    or ``product_state``. The steps from the returned start on read shared
+    slots only, so every row block's ``params`` run them alike."""
+    if not np.all(np.isfinite(x)):
+        raise ValueError("features must be finite")
     t = model.template
     if model.mode == "purevqc":
-        return (build_layers(t), model.blocks["q"], range(model.n_classes),
-                lambda rows: amplitude_rows(x[rows]), 0, None, None)
+        return (build_layers(t), model.blocks["q"], range(model.n_classes), amplitude_rows(x),
+                0, None, None)
     p = model.blocks
     pre_out = x @ p["pre_w"].T + p["pre_b"]
     angles = np.tanh(pre_out) * ANGLE_SCALE  # one per-row slot per embedding gate
     circuit = _dqc_circuit(model.embedding, t.n_qubits, t.depth)
     params = [*angles.T, *p["q"]]
     vectors = prefix_vectors(circuit, params)
-    return (circuit, params, range(t.n_qubits), lambda rows: product_state(vectors, rows),
+    return (circuit, params, range(t.n_qubits), product_state(vectors, slice(0, len(x))),
             circuit.prefix_len, vectors, pre_out)
 
 
@@ -240,28 +240,28 @@ def _logits(model: HybridModel, z: np.ndarray) -> np.ndarray:
 def model_forward(model: HybridModel, features) -> np.ndarray:
     """(B, n_classes) class probabilities of a (B, in_dim) feature batch.
 
-    The pre-layer, tanh squash and (dqc) per-qubit prefix vectors are
-    computed once per call; the circuit then runs on row slices of 2**13
-    amplitudes. When B >= 2**n and 2**n * 2**n <= B * in_dim, the steps
-    after the initial states are built once into the transfer matrix T,
-    their run on the 2**n basis states: that costs what 2**n rows cost and
-    holds no more numbers than the features. Each slice then takes one
-    GEMM with T. Smaller batches run step by step.
+    The rows run in blocks of 2**14 amplitudes, so that working memory does
+    not grow with B: each block takes its own finiteness check, pre-layer,
+    squash, initial states, circuit run and <Z> readout into one (B, M)
+    array. When B >= 2**n and 2**n * 2**n <= B * in_dim, the steps after
+    the initial states are built once into the transfer matrix T, their run
+    on the 2**n basis states, and each block takes one GEMM with T: T costs
+    what 2**n rows cost and holds no more numbers than the features.
+    Smaller batches run step by step.
     """
     x = _check_batch(model, features)
     n = model.template.n_qubits
-    circuit, params, measured, initial, start, _, _ = _circuit_inputs(model, x)
-    transfer = None
-    if x.shape[0] >= 2**n and 4**n <= x.size:
-        transfer = transfer_matrix(circuit, params, start)
-    chunk = max(1, 2**13 >> n)  # 2**13 amplitudes per state batch
-    z = []
-    for i in range(0, x.shape[0], chunk):
-        amps = initial(slice(i, min(i + chunk, x.shape[0])))
+    block = max(1, 2**14 >> n)
+    z = transfer = None
+    for i in range(0, x.shape[0], block):
+        circuit, params, measured, amps, start, _, _ = _circuit_inputs(model, x[i : i + block])
+        if transfer is None and x.shape[0] >= 2**n and 4**n <= x.size:  # any block's T
+            transfer = transfer_matrix(circuit, params, start)
         amps = (run_circuit_raw(amps, circuit, params, start) if transfer is None
-                else (amps.reshape(-1, 2**n) @ transfer).reshape(amps.shape))  # halves: 2B rows
-        z.append(z_expectations(amps, measured))
-    return softmax(_logits(model, np.concatenate(z)))
+                else (amps.reshape(-1, 2**n) @ transfer).reshape(amps.shape))  # halves: 2b rows
+        z = np.empty((x.shape[0], len(measured))) if z is None else z
+        z[i : i + block] = z_expectations(amps, measured)
+    return softmax(_logits(model, z))
 
 
 def model_backward(model: HybridModel, features, labels) -> np.ndarray:
@@ -279,8 +279,8 @@ def model_backward(model: HybridModel, features, labels) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (x.shape[0],) or np.any((labels < 0) | (labels >= model.n_classes)):
         raise ValueError(f"expected {x.shape[0]} labels in [0, {model.n_classes}), got {labels!r}")
-    circuit, params, measured, initial, start, vectors, pre_out = _circuit_inputs(model, x)
-    final = run_circuit_raw(initial(slice(0, x.shape[0])), circuit, params, start)
+    circuit, params, measured, amps, start, vectors, pre_out = _circuit_inputs(model, x)
+    final = run_circuit_raw(amps, circuit, params, start)
     z = z_expectations(final, measured)
     dlogits = softmax(_logits(model, z))
     dlogits[np.arange(x.shape[0]), labels] -= 1.0

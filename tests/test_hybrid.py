@@ -1,5 +1,6 @@
 """Classifier heads: forward math, analytic gradients, Adam, bookkeeping."""
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -348,24 +349,25 @@ def test_forward_equals_the_reference_model(seed, head, n_qubits, depth, through
 
 
 def test_forward_chunks_share_one_transfer_matrix():
-    """Over several 2**13-amplitude chunks, the transfer matrix is built
-    once and gives what step-by-step slices of 2**n - 1 rows give."""
+    """Over three 512-row blocks with a ragged last one, the transfer
+    matrix is built once and gives what step-by-step slices of 2**n - 1
+    rows give."""
     model = small_dqc(3, "dense_angle", n_qubits=5, depth=2, n_classes=3, in_dim=32)
-    x = np.random.default_rng(3).standard_normal((600, 32))  # chunks of 256 rows
+    x = np.random.default_rng(3).standard_normal((1200, 32))
     with counting_transfer_matrix() as spy:
         probs = model_forward(model, x)
     assert spy.call_count == 1
-    slices = np.concatenate([model_forward(model, x[i : i + 31]) for i in range(0, 600, 31)])
+    slices = np.concatenate([model_forward(model, x[i : i + 31]) for i in range(0, 1200, 31)])
     assert np.max(np.abs(probs - slices)) <= 1e-12
 
 
 @pytest.mark.parametrize("rows, builds", [(100, 0), (300, 1)])
-def test_forward_builds_the_prefix_once_per_call(rows, builds):
-    """A q8 dense_angle head over several 32-row chunks with a ragged last
-    one, step by step (100 rows) and through the transfer matrix (300
-    rows): each row's probabilities equal its own one-row call to 1e-12,
-    and the prefix is built once per call: ``prefix_vectors`` runs once,
-    while ``product_state`` runs once per chunk."""
+def test_forward_builds_the_prefix_once_per_block(rows, builds):
+    """A q8 dense_angle head over 64-row blocks with a ragged last one, step
+    by step (100 rows) and through the transfer matrix (300 rows): each
+    row's probabilities equal its own one-row call to 1e-12,
+    ``prefix_vectors`` and ``product_state`` run once per block, and T is
+    built at most once per call."""
     model = small_dqc(5, "dense_angle", n_qubits=8, depth=1, n_classes=3, in_dim=256)
     x = np.random.default_rng(5).standard_normal((rows, 256))
     spies = [mock.patch.object(qtlsim.hybrid, name, side_effect=getattr(qtlsim.hybrid, name))
@@ -374,10 +376,47 @@ def test_forward_builds_the_prefix_once_per_call(rows, builds):
             spies[1] as product_spy:
         probs = model_forward(model, x)
     assert transfer_spy.call_count == builds
-    assert prefix_spy.call_count == 1
-    assert product_spy.call_count == math.ceil(rows / 32)
+    assert prefix_spy.call_count == product_spy.call_count == math.ceil(rows / 64)
     singles = np.concatenate([model_forward(model, x[b : b + 1]) for b in range(rows)])
     assert np.max(np.abs(probs - singles)) <= 1e-12
+
+
+def test_forward_memory_does_not_grow_with_the_batch():
+    """The peak that a q8 dense_angle forward allocates through the
+    transfer matrix, traced at 256 and 1024 rows, grows by less than 512 B
+    per extra row: the row blocks hold the per-row temporaries, and only
+    the (B, M) readout, logits and probabilities scale with B. Holding the
+    whole batch's finiteness mask, pre-layer output and prefix states
+    costs about 1.1 KB per row on this head."""
+    model = small_dqc(5, "dense_angle", n_qubits=8, depth=1, n_classes=2, in_dim=256)
+    x = np.random.default_rng(5).standard_normal((1024, 256))
+    model_forward(model, x[:256])  # fill the circuit and sign-table caches
+
+    def traced_peak(rows):
+        tracemalloc.start()
+        try:
+            model_forward(model, x[:rows])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = traced_peak(256), traced_peak(1024)
+    assert (large - small) / 768 < 512, (small, large)
+
+
+@pytest.mark.parametrize("head", ["dense_angle", "amplitude"])
+@pytest.mark.parametrize("row, value", [(-1, np.nan), (0, np.inf)])
+def test_non_finite_features_are_rejected_in_any_block(head, row, value):
+    """A non-finite feature in the first or the last of three 64-row blocks
+    fails the forward and the backward pass."""
+    model = (small_purevqc(4, n_qubits=8, in_dim=256) if head == "amplitude"
+             else small_dqc(4, head, n_qubits=8, in_dim=16))
+    x = np.random.default_rng(4).standard_normal((150, model.in_dim))
+    x[row, 3] = value
+    with pytest.raises(ValueError, match="finite"):
+        model_forward(model, x)
+    with pytest.raises(ValueError, match="finite"):
+        model_backward(model, x, np.zeros(150, dtype=int))
 
 
 def test_purevqc_gradient_only_quantum():

@@ -107,6 +107,7 @@ def test_train_keeps_the_model_of_the_selected_epoch(monkeypatch):
 
 @pytest.mark.parametrize("mode, embedding, n_qubits, n_classes, in_dim, separation, seed", [
     ("dqc", "angle", 2, 2, 6, 2.0, 2),  # val AUROC 0.5, 0.75, 0.75: a tie after the best
+    ("dqc", "dense_angle", 2, 2, 6, 2.0, 13),  # 0.5, 0.75, 0.5: a drop after it
     ("purevqc", "amplitude", 3, 3, 8, 1.0, 8),  # 0.625, 0.667, 0.625: a drop after it
 ])
 def test_train_matches_the_reference_training_run(mode, embedding, n_qubits, n_classes,
