@@ -189,8 +189,8 @@ def cmd_encode_demo(args) -> int:
             err = float(np.max(np.abs(frqi_decode(state, image.n) - pixel_angles(image))))
         elif args.scheme == "neqr":
             image = read_pgm(args.input)
-            state = neqr_encode(image, color_bits=8)
-            decoded = neqr_decode(state, image.n, color_bits=8)
+            state = neqr_encode(image)
+            decoded = neqr_decode(state, image.n)
             err = float(np.max(np.abs(decoded.pixels - image.pixels)))
         else:
             values = read_pgm(args.input).pixels.astype(float) if is_pgm \

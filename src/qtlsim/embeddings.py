@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 GRAY_LEVELS = 256  # 8-bit grayscale; intensity 0 is black, 255 white
+COLOR_BITS = GRAY_LEVELS.bit_length() - 1  # NEQR's color register: one qubit per bit
 
 _NORM_TOL = 1e-10
 
@@ -150,36 +151,27 @@ def frqi_decode(state: StateVector, n: int) -> np.ndarray:
     return np.arctan2(np.sqrt(p1), np.sqrt(p0))
 
 
-def neqr_encode(image: GrayImage, color_bits: int = 8) -> StateVector:
+def neqr_encode(image: GrayImage) -> StateVector:
     """Bitwise image state: intensity f(i) stored in a color register.
 
-    Uses color_bits + 2n qubits; the nonzero amplitudes all equal 1/2^n
+    Uses COLOR_BITS + 2n qubits; the nonzero amplitudes all equal 1/2^n
     and sit at basis index (f(i) << 2n) | i.
     """
-    if color_bits < 1:
-        raise ValueError("color_bits must be >= 1")
-    if int(image.pixels.max()) >= 2**color_bits:
-        raise ValueError(
-            f"intensity {int(image.pixels.max())} does not fit in {color_bits} color bits"
-        )
     n = image.n
     n_pos = 4**n
-    amps = np.zeros(2**color_bits * n_pos, dtype=complex)
+    amps = np.zeros(GRAY_LEVELS * n_pos, dtype=complex)
     positions = np.arange(n_pos, dtype=np.int64)
     amps[(image.pixels << (2 * n)) | positions] = 1.0 / 2**n
-    return StateVector(color_bits + 2 * n, amps)
+    return StateVector(COLOR_BITS + 2 * n, amps)
 
 
-def neqr_decode(state: StateVector, n: int, color_bits: int = 8) -> GrayImage:
+def neqr_decode(state: StateVector, n: int) -> GrayImage:
     """Exact pixel recovery from a NEQR state."""
-    if state.n_qubits != color_bits + 2 * n:
-        raise ValueError(
-            f"expected {color_bits + 2 * n} qubits for n={n}, "
-            f"color_bits={color_bits}, got {state.n_qubits}"
-        )
+    if state.n_qubits != COLOR_BITS + 2 * n:
+        raise ValueError(f"expected {COLOR_BITS + 2 * n} qubits for n={n}, got {state.n_qubits}")
     n_pos = 4**n
     # column i = amplitudes of position i across all color values
-    table = np.abs(state.amplitudes.reshape(2**color_bits, n_pos))
+    table = np.abs(state.amplitudes.reshape(GRAY_LEVELS, n_pos))
     nonzero = table > 0.5 / 2**n
     per_pos = nonzero.sum(axis=0)
     if np.any(per_pos != 1):

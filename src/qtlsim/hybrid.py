@@ -227,7 +227,7 @@ def _circuit_inputs(model: HybridModel, x: np.ndarray):
     circuit = _dqc_circuit(model.embedding, t.n_qubits, t.depth)
     params = [*angles.T, *p["q"]]
     vectors = prefix_vectors(circuit, params)
-    return (circuit, params, range(t.n_qubits), product_state(vectors, slice(0, len(x))),
+    return (circuit, params, range(t.n_qubits), product_state(vectors),
             circuit.prefix_len, vectors, pre_out)
 
 
@@ -322,10 +322,10 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     lr: float
-    weight_decay: float = 0.0
+    weight_decay: float
 
     @classmethod
-    def init(cls, n_params: int, lr: float = 1e-4, weight_decay: float = 0.0) -> "AdamState":
+    def init(cls, n_params: int, lr: float, weight_decay: float) -> "AdamState":
         return cls(0, np.zeros(n_params), np.zeros(n_params), lr, weight_decay)
 
 

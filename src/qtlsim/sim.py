@@ -44,13 +44,6 @@ ROTATION_G = {"rx": np.array([[0, -1j], [-1j, 0]]), "ry": np.array([[0.0, -1.0],
 _ANTI_DIAGONALS = {kind: np.fliplr(g).diagonal() for kind, g in ROTATION_G.items()}
 
 
-def ry_matrix(angle) -> np.ndarray:
-    """2x2 RY(angle); (k,) angles give a (k, 2, 2) stack, (k, B) a (B, k, 2, 2) one."""
-    half = np.multiply(angle, 0.5)
-    c, s = np.cos(half), np.sin(half)
-    return np.array([[c, -s], [s, c]]).T.swapaxes(-1, -2)  # (2, 2, k, B) -> (B, k, 2, 2)
-
-
 @dataclass(frozen=True)
 class GateOp:
     """One gate: an rx or ry rotation on ``target`` whose angle is
@@ -237,22 +230,26 @@ def rotate_vectors(layer: RotationLayer, params, vectors: np.ndarray, sign: floa
 
 def layer_factors(n_qubits: int, layer: RotationLayer, params,
                   adjoint: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(high, low): the ry layer's Kronecker product, transposed when
-    ``adjoint``, as the factors on qubits [0, n // 2) and [n // 2, n),
-    (d, d) each, or (B, d, d) after a per-row angle."""
-    m = ry_matrix(layer_angles(layer, params))
-    mats = np.empty(m.shape[:-3] + (n_qubits, 2, 2))
+    """(high, low_t): the ry layer's Kronecker product high (x) low, transposed
+    when ``adjoint``, as the factor on qubits [0, n // 2) and the transpose of
+    the factor on [n // 2, n), (d, d) each, or (B, d, d) after a per-row
+    angle. Each target's 2x2 is cos(t/2) I + sin(t/2) G, as in
+    ``rotate_vectors``; low_t is the product of the transposed 2x2s."""
+    half = np.multiply(layer_angles(layer, params).T, 0.5)[..., None, None]  # (B, k, 1, 1) per row
+    g = ROTATION_G["ry"].T if adjoint else ROTATION_G["ry"]
+    mats = np.empty(half.shape[:-3] + (n_qubits, 2, 2))
     mats[...] = np.eye(2)
-    mats[..., layer.targets, :, :] = np.swapaxes(m, -1, -2) if adjoint else m
+    mats[..., layer.targets, :, :] = np.cos(half) * np.eye(2) + np.sin(half) * g
     split = n_qubits // 2
-    return _kron(mats[..., :split, :, :]), _kron(mats[..., split:, :, :])
+    return _kron(mats[..., :split, :, :]), _kron(np.swapaxes(mats[..., split:, :, :], -1, -2))
 
 
-def apply_factors(amps: np.ndarray, high: np.ndarray, low: np.ndarray) -> np.ndarray:
+def apply_factors(amps: np.ndarray, high: np.ndarray, low_t: np.ndarray) -> np.ndarray:
     """Apply high (x) low to each state of ``amps``, (..., B, 2**n): as a
-    (d_high, d_low) matrix S it becomes high @ S @ low^T."""
-    s = amps.reshape(amps.shape[:-1] + (high.shape[-1], low.shape[-1]))
-    return (high @ (s @ np.swapaxes(low, -1, -2))).reshape(amps.shape)
+    (d_high, d_low) matrix S it becomes high @ S @ low_t. One shared row
+    broadcasts against per-row factors."""
+    s = amps.reshape(amps.shape[:-1] + (high.shape[-1], low_t.shape[-1]))
+    return (high @ (s @ low_t)).reshape(amps.shape[:-2] + (-1, amps.shape[-1]))
 
 
 def apply_step(amps: np.ndarray, n_qubits: int, step, params, adjoint: bool = False) -> np.ndarray:
@@ -276,13 +273,6 @@ def run_circuit_raw(amps: np.ndarray, circuit: Circuit, params, start: int = 0) 
     return amps
 
 
-def rotations(steps):
-    """The rotation ops of program steps, in order, layers opened up."""
-    for step in steps:
-        if isinstance(step, RotationLayer):
-            yield from step.ops
-
-
 def prefix_vectors(circuit: Circuit, params) -> np.ndarray:
     """(n, 2), or (B, n, 2) after a per-row angle: the per-qubit 2-vectors
     that the prefix makes from |0>, complex128 after an rx."""
@@ -296,40 +286,42 @@ def prefix_vectors(circuit: Circuit, params) -> np.ndarray:
     return vectors
 
 
-def _kron_rows(vectors: np.ndarray, n_rows: int) -> np.ndarray:
-    """(n_rows, 2**k) Kronecker products of (n_rows or 1, k, 2) vectors."""
-    amps = np.ones((n_rows, 1), vectors.dtype)
+def _kron_rows(vectors: np.ndarray) -> np.ndarray:
+    """(b, 2**k) Kronecker products of (b, k, 2) vectors."""
+    amps = np.ones((len(vectors), 1), vectors.dtype)
     for q in range(vectors.shape[1]):
         out = np.empty(amps.shape + (2,), vectors.dtype)
         for bit in (0, 1):  # two long multiplies, not one broadcast over a length-2 axis
             np.multiply(amps, vectors[:, q, bit, None], out=out[:, :, bit])
-        amps = out.reshape(n_rows, -1)
+        amps = out.reshape(len(vectors), -1)
     return amps
 
 
-def product_state(vectors: np.ndarray, rows: slice) -> np.ndarray:
-    """The prefix's states of the row slice ``rows`` from their
-    ``prefix_vectors``: (b, 2**n), or, for complex vectors, the real halves
-    (2, b, 2**n) [hr lr - hi li; hi lr + hr li] of the product of the states
-    h of qubits [0, n // 2) and l of the rest, by one real matmul."""
-    v = vectors[rows] if vectors.ndim == 3 else vectors[None]  # (b or 1, n, 2)
-    split, n_rows = v.shape[1] // 2, rows.stop - rows.start
+def product_state(vectors: np.ndarray) -> np.ndarray:
+    """The prefix's states from its ``prefix_vectors``: b rows for a
+    (b, n, 2) stack, one row for shared (n, 2) vectors; (b, 2**n), or, for
+    complex vectors, the real halves (2, b, 2**n) [hr lr - hi li; hi lr + hr li]
+    of the product of the states h of qubits [0, n // 2) and l of the rest,
+    by one real matmul."""
+    v = vectors if vectors.ndim == 3 else vectors[None]  # (b, n, 2)
+    split, b = v.shape[1] // 2, len(v)
     if not np.iscomplexobj(v):
-        return _kron_rows(v, n_rows)
-    high, low = _kron_rows(v[:, :split], n_rows), _kron_rows(v[:, split:], n_rows)
-    h = high.view(float).reshape(n_rows, -1, 2)  # [hr, hi] pairs
+        return _kron_rows(v)
+    high, low = _kron_rows(v[:, :split]), _kron_rows(v[:, split:])
+    h = high.view(float).reshape(b, -1, 2)  # [hr, hi] pairs
     left = np.array([h * [1.0, -1.0], h[..., ::-1]])  # rows [hr, -hi] and [hi, hr]
-    return (left @ low.view(float).reshape(n_rows, -1, 2).swapaxes(1, 2)).reshape(2, n_rows, -1)
+    return (left @ np.stack([low.real, low.imag], axis=1)).reshape(2, b, -1)
 
 
-def transfer_matrix(circuit: Circuit, params, start: int = 0) -> np.ndarray:
+def transfer_matrix(circuit: Circuit, params, start: int) -> np.ndarray:
     """(2**n, 2**n) matrix T, the steps from ``start`` on run on
     ``np.eye(2**n)``, so that they take a batch to ``amps @ T``. Raises
     ValueError when one of them reads a per-row angle: T is shared."""
-    for op in rotations(circuit.program[start:]):
-        if np.ndim(params[op.param_index]) != 0:
-            raise ValueError(f"{op.kind} on qubit {op.target} reads per-row angle slot "
-                             f"{op.param_index}; a transfer matrix needs shared angles")
+    for step in circuit.program[start:]:
+        for op in step.ops if isinstance(step, RotationLayer) else ():
+            if np.ndim(params[op.param_index]) != 0:
+                raise ValueError(f"{op.kind} on qubit {op.target} reads per-row angle slot "
+                                 f"{op.param_index}; a transfer matrix needs shared angles")
     return run_circuit_raw(np.eye(2**circuit.n_qubits), circuit, params, start)
 
 

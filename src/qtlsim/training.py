@@ -55,8 +55,8 @@ def evaluate(model: HybridModel, dataset: Dataset, split: str = "test",
 
 
 def train(model: HybridModel, train_set: Dataset, val_set: Dataset, *, epochs: int,
-          batch_size: int = 8, lr: float = 1e-4, weight_decay: float = 0.01,
-          seed: int = 0) -> tuple[HybridModel, list[MetricRecord]]:
+          batch_size: int, lr: float, weight_decay: float,
+          seed: int) -> tuple[HybridModel, list[MetricRecord]]:
     """Train and return (best model by validation AUROC, metric history).
 
     Per epoch: seeded shuffle, minibatch steps with batch-averaged

@@ -1,0 +1,150 @@
+"""Mutation gate: the test suite must fail on each of a table of small,
+deliberate faults in ``src/qtlsim``.
+
+Each mutant is one exact text edit: a file of the package, the old text
+and the new text. The script copies ``src/``, ``tests/`` and
+``pyproject.toml`` into a temporary directory, runs ``pytest -x -q`` there
+once on the clean copy, which must pass, and then once per mutant with its
+edit written into the copy. It exits 1 if the clean copy fails, if a
+mutant's old text no longer occurs exactly once in its file (a stale
+mutant), or if the suite passes with a mutant in place (a survivor).
+
+Run it with ``python tests/mutants.py``; the file is not named
+``test_*``, so pytest does not collect it. A mutant that survives calls
+for a sharper test, not for a weaker mutant.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (what the fault is, file under src/qtlsim, old text, new text)
+MUTANTS = [
+    ("low factor not transposed", "sim.py",
+     "_kron(np.swapaxes(mats[..., split:, :, :], -1, -2))",
+     "_kron(mats[..., split:, :, :])"),
+    ("adjoint branch ignored in layer_factors", "sim.py",
+     'g = ROTATION_G["ry"].T if adjoint else ROTATION_G["ry"]',
+     'g = ROTATION_G["ry"]'),
+    ("sign of ROTATION_G['ry']", "sim.py",
+     '"ry": np.array([[0.0, -1.0], [1.0, 0.0]])',
+     '"ry": np.array([[0.0, 1.0], [-1.0, 0.0]])'),
+    ("[1, -1] sign of product_state's halves", "sim.py",
+     "h * [1.0, -1.0]",
+     "h * [1.0, 1.0]"),
+    ("imaginary half negated in product_state", "sim.py",
+     "np.stack([low.real, low.imag], axis=1)",
+     "np.stack([low.real, -low.imag], axis=1)"),
+    ("a shared row no longer broadcasts against per-row factors", "sim.py",
+     ".reshape(amps.shape[:-2] + (-1, amps.shape[-1]))",
+     ".reshape(amps.shape)"),
+    ("transfer matrix refusal silenced", "sim.py",
+     "if np.ndim(params[op.param_index]) != 0:",
+     "if False:"),
+    ("bits of one qubit swapped in _kron_rows", "sim.py",
+     "out=out[:, :, bit])",
+     "out=out[:, :, 1 - bit])"),
+    ("cumprod direction in _add_prefix_grads", "vqc.py",
+     "np.cumprod(table[:, :0:-1], axis=1)[:, ::-1]",
+     "np.cumprod(table[:, 1:], axis=1)"),
+    ("sign of ROTATION_G['rx'] in _add_prefix_grads", "vqc.py",
+     'gens = {"rx": ROTATION_G["rx"],',
+     'gens = {"rx": -ROTATION_G["rx"],'),
+    ("ANGLE_SCALE dropped from dpre_out", "hybrid.py",
+     "dfull[:, :n_embed] * ANGLE_SCALE * (1.0 - np.tanh(pre_out) ** 2)",
+     "dfull[:, :n_embed] * (1.0 - np.tanh(pre_out) ** 2)"),
+    ("tanh derivative dropped from dpre_out", "hybrid.py",
+     "dfull[:, :n_embed] * ANGLE_SCALE * (1.0 - np.tanh(pre_out) ** 2)",
+     "dfull[:, :n_embed] * ANGLE_SCALE"),
+    ("Adam bias correction removed", "hybrid.py",
+     "m_hat = m / (1.0 - ADAM_BETA1**t)",
+     "m_hat = m"),
+    ("ties ranked without midranks", "metrics.py",
+     "ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)",
+     "ranks[order] = np.arange(1.0, n + 1)"),
+    ("NEQR color shifted by n, not 2n", "embeddings.py",
+     "amps[(image.pixels << (2 * n)) | positions]",
+     "amps[(image.pixels << n) | positions]"),
+    ("Kronecker factors in reversed order", "sim.py",
+     "4 * np.arange(k)[:, None, None]",
+     "4 * np.arange(k)[::-1, None, None]"),
+    ("transposed transfer matrix", "hybrid.py",
+     "(amps.reshape(-1, 2**n) @ transfer)",
+     "(amps.reshape(-1, 2**n) @ transfer.T)"),
+    ("fixed ry generator in the adjoint", "vqc.py",
+     'g = (-1j * np.asarray(GENERATORS["ry"])).real',
+     "g = np.array([[0.0, -1.0], [1.0, 0.0]])"),
+    ("bit-flip table pointed at the diagonal", "vqc.py",
+     "out[p, a, 1 - a] = rows * d + (rows ^ (1 << (k - 1 - p)))",
+     "out[p, a, 1 - a] = rows * d + rows"),
+    ("weight decay dropped", "hybrid.py",
+     "g = grads + state.weight_decay * params",
+     "g = grads"),
+    ("cross_entropy's upper label bound loosened", "hybrid.py",
+     "bad = labels[(labels < 0) | (labels >= p.shape[1])]",
+     "bad = labels[(labels < 0) | (labels > p.shape[1])]"),
+    ("cross_entropy's lower label bound loosened", "hybrid.py",
+     "bad = labels[(labels < 0) | (labels >= p.shape[1])]",
+     "bad = labels[(labels < -1) | (labels >= p.shape[1])]"),
+    ("ties keep the latest validation epoch", "training.py",
+     "return max(val, key=lambda rec: rec.auroc)",
+     "return max(reversed(val), key=lambda rec: rec.auroc)"),
+    ("SplitSpec accepts a zero ratio", "data.py",
+     "all(r > 0 for r in self.ratios)",
+     "all(r >= 0 for r in self.ratios)"),
+    ("balance trim dropped", "data.py",
+     "if len(of_class) > keep_per_class:",
+     "if False:"),
+    ("numpy's default comment handling in the CSV parse", "data.py",
+     "comments=None)",
+     'comments="#")'),
+]
+
+
+def suite_passes(tree: Path) -> bool:
+    """True when ``pytest -x -q`` passes in ``tree``; no bytecode or cache
+    is written, so an edit is never shadowed by a stale compiled file."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+                          cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return done.returncode == 0
+
+
+def main() -> int:
+    start = time.perf_counter()
+    failed = []
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, tree / name,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copy(ROOT / "pyproject.toml", tree)
+        if not suite_passes(tree):
+            print("the unmutated copy fails its tests")
+            return 1
+        for fault, file, old, new in MUTANTS:
+            path = tree / "src" / "qtlsim" / file
+            text = path.read_text()
+            if text.count(old) != 1:
+                verdict = "STALE"
+            else:
+                path.write_text(text.replace(old, new))
+                verdict = "SURVIVED" if suite_passes(tree) else "killed"
+                path.write_text(text)
+            print(f"{verdict:8}  {file}: {fault}", flush=True)
+            if verdict != "killed":
+                failed.append(fault)
+    print(f"{len(MUTANTS) - len(failed)}/{len(MUTANTS)} mutants killed "
+          f"in {time.perf_counter() - start:.0f} s")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -322,6 +322,12 @@ def joined(amps):
     return amps[0] + 1j * amps[1] if np.ndim(amps) == 3 else np.asarray(amps, dtype=complex)
 
 
+def batch_rows(amps, batch):
+    """A kernel batch, real or real halves, broadcast to ``batch`` rows: the
+    one row of an all-shared product state, repeated."""
+    return np.broadcast_to(amps, amps.shape[:-2] + (batch, amps.shape[-1]))
+
+
 def random_circuit(rng, n, max_gates=12, real=False):
     """Random circuit of ry/cnot gates, each rotation on a slot of its own;
     unless ``real``, rx gates too before the first cnot, in the product

@@ -36,7 +36,7 @@ def embed(embedding, features):
     n = len(features) if embedding == "angle" else len(features) // 2
     ops = _dqc_circuit(embedding, n, 1).ops[: len(features)]
     circuit = Circuit(n, ops, len(features))  # rejects an op outside slots 0..E-1
-    amps = product_state(prefix_vectors(circuit, np.asarray(features, dtype=float)), slice(0, 1))
+    amps = product_state(prefix_vectors(circuit, np.asarray(features, dtype=float)))
     return amps[0, 0] + 1j * amps[1, 0] if amps.ndim == 3 else amps[0].astype(complex)
 
 
@@ -239,19 +239,21 @@ def test_frqi_decode_rejects_non_frqi_state():
 
 # --- NEQR ----------------------------------------------------------------
 
-def test_neqr_two_bit_ramp():
-    img = GrayImage(2, np.array([0, 1, 2, 3]))
-    s = neqr_encode(img, color_bits=2)
-    assert s.n_qubits == 4
-    expected = np.zeros(16)
-    for i, f in enumerate([0, 1, 2, 3]):
+def test_neqr_eight_bit_ramp():
+    """Intensity f of position i sits at basis index (f << 2n) | i of an
+    8 + 2n qubit state, up to the top intensity 255."""
+    img = GrayImage(2, np.array([0, 1, 128, 255]))
+    s = neqr_encode(img)
+    assert s.n_qubits == 10
+    expected = np.zeros(1024)
+    for i, f in enumerate([0, 1, 128, 255]):
         expected[(f << 2) | i] = 0.5
     np.testing.assert_allclose(s.amplitudes, expected, atol=1e-12)
 
 
 def test_neqr_all_zero_eight_bits():
     img = GrayImage(2, np.zeros(4, dtype=int))
-    s = neqr_encode(img, color_bits=8)
+    s = neqr_encode(img)
     assert s.n_qubits == 10
     np.testing.assert_allclose(s.amplitudes[:4], [0.5] * 4, atol=1e-12)
     assert np.all(s.amplitudes[4:] == 0)
@@ -273,15 +275,13 @@ def test_neqr_round_trip_exact():
         assert np.array_equal(decoded.pixels, img.pixels)
 
 
-def test_neqr_intensity_out_of_range():
-    img = GrayImage(2, np.array([0, 1, 2, 4]))
-    with pytest.raises(ValueError, match="color bits"):
-        neqr_encode(img, color_bits=2)
-
-
 def test_neqr_decode_rejects_malformed():
+    """A state with positions left without a color branch, and a state of
+    the wrong width for an 8-bit color register, are refused."""
     with pytest.raises(ValueError, match="color branches"):
-        neqr_decode(StateVector(4, np.eye(16)[0]), 1, color_bits=2)
+        neqr_decode(StateVector(10, np.eye(1024)[0]), 1)
+    with pytest.raises(ValueError, match="expected 10 qubits for n=1, got 4"):
+        neqr_decode(StateVector(4, np.eye(16)[0]), 1)
 
 
 # --- normalization + GrayImage validation --------------------------------

@@ -434,7 +434,7 @@ def test_backward_label_out_of_range():
 # --- Adam ----------------------------------------------------------------
 
 def test_adam_zero_grads_no_decay_is_identity():
-    state = AdamState.init(3, lr=0.1)
+    state = AdamState.init(3, lr=0.1, weight_decay=0.0)
     params = np.array([1.0, -2.0, 0.5])
     new_params, new_state = adam_step(state, params, np.zeros(3))
     np.testing.assert_array_equal(new_params, params)
@@ -442,7 +442,7 @@ def test_adam_zero_grads_no_decay_is_identity():
 
 
 def test_adam_first_step_moves_by_lr():
-    state = AdamState.init(4, lr=1e-3)
+    state = AdamState.init(4, lr=1e-3, weight_decay=0.0)
     params = np.zeros(4)
     new_params, _ = adam_step(state, params, np.ones(4))
     np.testing.assert_allclose(new_params, -1e-3 * np.ones(4), atol=1e-6 * 1e-3)
@@ -451,7 +451,7 @@ def test_adam_first_step_moves_by_lr():
 def test_adam_three_step_scalar_trace():
     """Match an independently hand-rolled scalar Adam recurrence."""
     lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-    state = AdamState.init(1, lr=lr)
+    state = AdamState.init(1, lr=lr, weight_decay=0.0)
     p = np.array([0.3])
     m = v = 0.0
     ref = 0.3
@@ -472,12 +472,12 @@ def test_adam_weight_decay_couples_into_gradient():
 
 
 def test_adam_rejects_nonfinite_gradients():
-    state = AdamState.init(1, lr=0.1)
+    state = AdamState.init(1, lr=0.1, weight_decay=0.0)
     with pytest.raises(ValueError, match="non-finite"):
         adam_step(state, np.zeros(1), np.array([np.nan]))
 
 
 def test_adam_shape_mismatch():
-    state = AdamState.init(2, lr=0.1)
+    state = AdamState.init(2, lr=0.1, weight_decay=0.0)
     with pytest.raises(ValueError, match="shape"):
         adam_step(state, np.zeros(3), np.zeros(3))

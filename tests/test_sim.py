@@ -20,7 +20,6 @@ from qtlsim.sim import (
     cnot,
     prefix_vectors,
     product_state,
-    rotations,
     run_circuit_raw,
     rx,
     ry,
@@ -29,6 +28,7 @@ from qtlsim.sim import (
 )
 
 from oracle import (
+    batch_rows,
     dense_run,
     joined,
     random_batch,
@@ -63,8 +63,13 @@ def assert_rotations_run_as_layers(circuit):
     """Every program step is a ``RotationLayer`` or a ``Permutation``, and
     the layers hold exactly the circuit's rotations."""
     assert {type(step) for step in circuit.program} <= {RotationLayer, Permutation}
-    assert Counter(rotations(circuit.program)) == Counter(
+    assert Counter(layer_ops(circuit.program)) == Counter(
         op for op in circuit.ops if op.kind != "cnot")
+
+
+def layer_ops(steps):
+    """The ops of the rotation layers among program steps, in order."""
+    return [op for step in steps if isinstance(step, RotationLayer) for op in step.ops]
 
 
 def z_of(amps, qubit):
@@ -289,13 +294,13 @@ def test_an_rx_step_in_the_kernel_is_refused():
     refused = r"RotationLayer\(.*kind='rx', target=1"
     for n in (2, 5):
         late = Circuit(n, (ry(0, param=0), cnot(0, 1), rx(1, param=1)), 2)
-        state = product_state(prefix_vectors(late, angles), slice(0, 1))
+        state = product_state(prefix_vectors(late, angles))
         with pytest.raises(ValueError, match=refused):
             run_circuit_raw(state, late, angles, late.prefix_len)
         early = Circuit(n, (rx(1, param=0), cnot(0, 1), ry(1, param=1)), 2)
         with pytest.raises(ValueError, match=refused):
             run_circuit_raw(np.eye(1, 2**n), early, angles)
-        state = product_state(prefix_vectors(early, angles), slice(0, 1))
+        state = product_state(prefix_vectors(early, angles))
         assert state.shape == (2, 1, 2**n)
         out = run_circuit_raw(state, early, angles, early.prefix_len)
         expected = dense_run(early, np.eye(2**n)[0], angles)
@@ -344,15 +349,19 @@ def test_product_prefix_run_matches_the_gate_run(seed, n, batch):
     the dense Kronecker oracle to 1e-12, with shared and per-row angles,
     and, when no prefix gate is an rx, running every step on |0...0> rows. The product state is a
     float64 batch, held as real halves exactly when a prefix gate is an
-    rx."""
+    rx. An all-shared prefix gives one row, which the kernel broadcasts
+    against the per-row angles after it."""
     rng = np.random.default_rng(seed)
     circuit, prefix, n_prefix_params = prefixed_circuit(rng, n)
     binding = random_binding(rng, circuit, batch)
-    assert sorted_ops(rotations(circuit.program[: circuit.prefix_len])) == sorted_ops(prefix)
-    state = product_state(prefix_vectors(circuit, binding), slice(0, batch))
+    assert sorted_ops(layer_ops(circuit.program[: circuit.prefix_len])) == sorted_ops(prefix)
+    vectors = prefix_vectors(circuit, binding)
+    state = product_state(vectors)
     has_rx = any(op.kind == "rx" for op in prefix)
-    assert state.shape == (2,) * has_rx + (batch, 2**n) and state.dtype == float
-    out = run_circuit_raw(state, circuit, binding, circuit.prefix_len)
+    rows = batch if vectors.ndim == 3 else 1
+    assert state.shape == (2,) * has_rx + (rows, 2**n) and state.dtype == float
+    out = batch_rows(run_circuit_raw(state, circuit, binding, circuit.prefix_len), batch)
+    state = batch_rows(state, batch)
     zero = np.eye(1, 2**n)[0]
     if not has_rx:
         gate_run = run_circuit_raw(np.repeat(zero[None], batch, axis=0), circuit, binding)
@@ -367,32 +376,34 @@ def test_product_prefix_run_matches_the_gate_run(seed, n, batch):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), batch=st.integers(1, 7),
        real=st.booleans())
 def test_product_state_of_row_slices_matches_the_whole_batch(seed, n, batch, real):
-    """Prefix vectors built once for the whole batch, then Kronecker-multiplied
-    per row slice (a random slice size, the last slice ragged), equal the
-    rows of the whole batch's product state exactly, for real and complex
-    prefixes and shared and per-row angles, and so do the vectors and
-    product state built from one row's angles alone: a row's bits do not
-    depend on the batch it sits in. Each row is within 1e-12 of the dense
-    oracle's run of the prefix."""
+    """Prefix vectors built once for the whole batch, then sliced by rows (a
+    random slice size, the last slice ragged) and Kronecker-multiplied per
+    slice, equal the rows of the whole batch's product state exactly, for
+    real and complex prefixes and shared and per-row angles, and so do the
+    vectors and product state built from one row's angles alone: a row's
+    bits do not depend on the batch it sits in. Shared vectors give one row.
+    Each row is within 1e-12 of the dense oracle's run of the prefix."""
     rng = np.random.default_rng(seed)
     circuit, prefix, n_prefix_params = prefixed_circuit(rng, n, real)
     binding = random_binding(rng, circuit, batch)
     vectors = prefix_vectors(circuit, binding)
-    expected = product_state(vectors, slice(0, batch))
+    expected = product_state(vectors)
+    assert expected.shape[-2] == (batch if vectors.ndim == 3 else 1)
+    expected = batch_rows(expected, batch)
     size = int(rng.integers(1, batch + 1))
     prefix_circuit = Circuit(n, prefix, n_prefix_params)
     zero = np.eye(1, 2**n)[0]
     for start in range(0, batch, size):
         rows = slice(start, min(start + size, batch))
-        state = product_state(vectors, rows)
-        assert np.array_equal(state, expected[..., rows, :])
+        if vectors.ndim == 3:
+            assert np.array_equal(product_state(vectors[rows]), expected[..., rows, :])
         for b in range(start, rows.stop):
             row = row_params(binding, b)
             alone = prefix_vectors(circuit, row)
             assert np.array_equal(alone, vectors[b] if vectors.ndim == 3 else vectors)
-            assert np.array_equal(product_state(alone, slice(0, 1)), expected[..., b:b + 1, :])
+            assert np.array_equal(product_state(alone), expected[..., b:b + 1, :])
             dense = dense_run(prefix_circuit, zero, row)
-            assert np.max(np.abs(joined(state)[b - start] - dense)) <= 1e-12
+            assert np.max(np.abs(joined(expected)[b] - dense)) <= 1e-12
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), batch=st.integers(1, 5),
@@ -405,7 +416,7 @@ def test_transfer_matrix_equals_the_run(seed, n, batch, halves):
     circuit, params = random_circuit(rng, n, max_gates=20)
     start = int(rng.integers(len(circuit.program) + 1))
     initial = random_batch(rng, n, batch, halves)
-    if any(op.kind == "rx" for op in rotations(circuit.program[start:])):
+    if any(op.kind == "rx" for op in layer_ops(circuit.program[start:])):
         with pytest.raises(ValueError, match="kind='rx'"):
             transfer_matrix(circuit, params, start)
         return

@@ -40,7 +40,7 @@ def test_training_is_deterministic():
     runs = []
     for _ in range(2):
         _, history = train(tiny_model(seed=3), train_set, val_set,
-                           epochs=3, batch_size=8, lr=1e-3, seed=3)
+                           epochs=3, batch_size=8, lr=1e-3, weight_decay=0.01, seed=3)
         runs.append([(r.split, r.epoch, r.loss, r.accuracy, r.auroc) for r in history])
     assert runs[0] == runs[1]  # bitwise-identical metric histories
 
@@ -62,7 +62,7 @@ def test_full_batch_gd_loss_non_increasing():
 def test_best_model_selected_by_val_auroc():
     train_set, val_set, _ = separable_splits(seed=11)
     best, history = train(tiny_model(seed=11), train_set, val_set,
-                          epochs=5, batch_size=8, lr=1e-3, seed=11)
+                          epochs=5, batch_size=8, lr=1e-3, weight_decay=0.01, seed=11)
     best_rec = best_val_record(history)
     assert best_rec.auroc == max(r.auroc for r in history if r.split == "val")
     # the returned model reproduces exactly the recorded best-epoch metrics
@@ -94,7 +94,7 @@ def test_train_keeps_the_model_of_the_selected_epoch(monkeypatch):
 
     def run(epochs):
         return train(tiny_model(seed=11), train_set, val_set, epochs=epochs, batch_size=8,
-                     lr=1e-3, seed=11)
+                     lr=1e-3, weight_decay=0.01, seed=11)
 
     monkeypatch.setattr(training_mod, "evaluate", scripted_evaluate)
     two, _ = run(2)
@@ -131,7 +131,8 @@ def test_train_matches_the_reference_training_run(mode, embedding, n_qubits, n_c
 def test_empty_split_rejected():
     train_set, val_set, _ = separable_splits()
     with pytest.raises(ValueError, match="non-empty"):
-        train(tiny_model(), train_set.subset([]), val_set, epochs=1, seed=0)
+        train(tiny_model(), train_set.subset([]), val_set, epochs=1, batch_size=8, lr=1e-4,
+              weight_decay=0.01, seed=0)
     with pytest.raises(ValueError, match="empty"):
         evaluate(tiny_model(), val_set.subset([]))
 
@@ -146,7 +147,7 @@ def test_nan_loss_aborts_with_diagnostic(monkeypatch):
     monkeypatch.setattr(training_mod, "evaluate", poisoned_evaluate)
     with pytest.raises(TrainingAborted, match="non-finite loss"):
         training_mod.train(tiny_model(), train_set, val_set,
-                           epochs=1, batch_size=8, seed=0)
+                           epochs=1, batch_size=8, lr=1e-4, weight_decay=0.01, seed=0)
 
 
 def test_batch_gradient_is_mean_of_sample_gradients():
@@ -162,7 +163,7 @@ def test_batch_gradient_is_mean_of_sample_gradients():
 def test_evaluate_perfect_and_uniform_models():
     train_set, val_set, _ = separable_splits(seed=17)
     best, _ = train(tiny_model(seed=17), train_set, val_set,
-                    epochs=15, batch_size=8, lr=1e-3, seed=17)
+                    epochs=15, batch_size=8, lr=1e-3, weight_decay=0.01, seed=17)
     rec = evaluate(best, train_set)
     if rec.accuracy == 1.0:
         assert rec.auroc == 1.0

@@ -17,6 +17,7 @@ from qtlsim.vqc import (
 )
 
 from oracle import (
+    batch_rows,
     circuit_param_shift,
     dense_run,
     finite_diff,
@@ -238,7 +239,7 @@ def test_adjoint_from_the_product_prefix_matches_param_shift(seed, n, batch):
     circuit, _ = random_layered_circuit(rng, n)
     binding = random_binding(rng, circuit, batch)
     vectors = prefix_vectors(circuit, binding)
-    final = run_circuit_raw(product_state(vectors, slice(0, batch)), circuit, binding,
+    final = run_circuit_raw(batch_rows(product_state(vectors), batch), circuit, binding,
                             circuit.prefix_len)
     measured = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
     upstream = rng.standard_normal((batch, len(measured)))
@@ -253,7 +254,7 @@ def test_adjoint_from_the_product_prefix_matches_param_shift(seed, n, batch):
 def dqc_adjoint(circuit, params, upstream):
     """circuit_adjoint of a dqc circuit run from its product prefix."""
     vectors = prefix_vectors(circuit, params)
-    final = run_circuit_raw(product_state(vectors, slice(0, len(upstream))), circuit, params,
+    final = run_circuit_raw(batch_rows(product_state(vectors), len(upstream)), circuit, params,
                             circuit.prefix_len)
     return circuit_adjoint(circuit, params, range(circuit.n_qubits), final, upstream, vectors)
 
