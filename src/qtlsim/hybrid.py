@@ -20,8 +20,8 @@ from functools import lru_cache
 import numpy as np
 
 from .embeddings import amplitude_qubits, amplitude_rows
-from .sim import (Circuit, prefix_vectors, product_state, run_circuit_raw, rx, ry,
-                  transfer_matrix, z_expectations)
+from .sim import (Circuit, bind_steps, prefix_vectors, product_state, run_steps, rx, ry,
+                  z_expectations)
 from .vqc import VqcTemplate, build_layers, circuit_adjoint
 
 # mode -> the embeddings it accepts; MODES and EMBEDDINGS orders are the
@@ -209,59 +209,54 @@ def _check_batch(model: HybridModel, features) -> np.ndarray:
     return x
 
 
-def _circuit_inputs(model: HybridModel, x: np.ndarray):
-    """(circuit, params, measured qubits, initial states, first step left to
-    run, prefix vectors, pre-layer output) of finite feature rows ``x``, the
-    last two None in purevqc. The initial states are the rows' amplitude rows
-    or ``product_state``. The steps from the returned start on read shared
-    slots only, so every row block's ``params`` run them alike."""
+def _bound_program(model: HybridModel):
+    """(circuit, measured qubits, bound steps) of the model's head: the
+    steps after the initial states read only the shared q slots, so one
+    binding serves every row of a call."""
+    t, q = model.template, model.blocks["q"]
+    if model.mode == "purevqc":
+        return build_layers(t), range(model.n_classes), bind_steps(build_layers(t), q)
+    circuit = _dqc_circuit(model.embedding, t.n_qubits, t.depth)
+    slots = dict(enumerate(q, circuit.n_params - q.size))  # no per-row embedding slot
+    return circuit, range(t.n_qubits), bind_steps(circuit, slots, circuit.prefix_len)
+
+
+def _run_block(model: HybridModel, circuit: Circuit, measured, steps, x: np.ndarray):
+    """(params, prefix vectors, pre-layer output, final states, <Z> readout,
+    logits) of feature rows ``x`` run from their amplitude rows or
+    ``product_state`` through the ``_bound_program``; purevqc has no
+    vectors and no pre-layer output."""
     if not np.all(np.isfinite(x)):
         raise ValueError("features must be finite")
-    t = model.template
-    if model.mode == "purevqc":
-        return (build_layers(t), model.blocks["q"], range(model.n_classes), amplitude_rows(x),
-                0, None, None)
     p = model.blocks
-    pre_out = x @ p["pre_w"].T + p["pre_b"]
-    angles = np.tanh(pre_out) * ANGLE_SCALE  # one per-row slot per embedding gate
-    circuit = _dqc_circuit(model.embedding, t.n_qubits, t.depth)
-    params = [*angles.T, *p["q"]]
-    vectors = prefix_vectors(circuit, params)
-    return (circuit, params, range(t.n_qubits), product_state(vectors),
-            circuit.prefix_len, vectors, pre_out)
-
-
-def _logits(model: HybridModel, z: np.ndarray) -> np.ndarray:
     if model.mode == "purevqc":
-        return z
-    return z @ model.blocks["post_w"].T + model.blocks["post_b"]
+        params, vectors, pre_out, amps = p["q"], None, None, amplitude_rows(x)
+    else:
+        pre_out = x @ p["pre_w"].T + p["pre_b"]
+        params = [*(np.tanh(pre_out) * ANGLE_SCALE).T, *p["q"]]  # per-row embedding slots
+        vectors = prefix_vectors(circuit, params)
+        amps = product_state(vectors)
+    final = run_steps(amps, steps)
+    z = z_expectations(final, measured)
+    logits = z if model.mode == "purevqc" else z @ p["post_w"].T + p["post_b"]
+    return params, vectors, pre_out, final, z, logits
 
 
 def model_forward(model: HybridModel, features) -> np.ndarray:
     """(B, n_classes) class probabilities of a (B, in_dim) feature batch.
 
-    The rows run in blocks of 2**14 amplitudes, so that working memory does
-    not grow with B: each block takes its own finiteness check, pre-layer,
-    squash, initial states, circuit run and <Z> readout into one (B, M)
-    array. When B >= 2**n and 2**n * 2**n <= B * in_dim, the steps after
-    the initial states are built once into the transfer matrix T, their run
-    on the 2**n basis states, and each block takes one GEMM with T: T costs
-    what 2**n rows cost and holds no more numbers than the features.
-    Smaller batches run step by step.
+    The head's program is bound once per call, then the rows run through
+    it in blocks of 2**14 amplitudes, so that working memory does not grow
+    with B: each block takes its own finiteness check, pre-layer, squash,
+    initial states, run, <Z> readout and logits into one (B, n_classes) array.
     """
     x = _check_batch(model, features)
-    n = model.template.n_qubits
-    block = max(1, 2**14 >> n)
-    z = transfer = None
+    program = _bound_program(model)
+    block = max(1, 2**14 >> model.template.n_qubits)
+    logits = np.empty((x.shape[0], model.n_classes))
     for i in range(0, x.shape[0], block):
-        circuit, params, measured, amps, start, _, _ = _circuit_inputs(model, x[i : i + block])
-        if transfer is None and x.shape[0] >= 2**n and 4**n <= x.size:  # any block's T
-            transfer = transfer_matrix(circuit, params, start)
-        amps = (run_circuit_raw(amps, circuit, params, start) if transfer is None
-                else (amps.reshape(-1, 2**n) @ transfer).reshape(amps.shape))  # halves: 2b rows
-        z = np.empty((x.shape[0], len(measured))) if z is None else z
-        z[i : i + block] = z_expectations(amps, measured)
-    return softmax(_logits(model, z))
+        logits[i : i + block] = _run_block(model, *program, x[i : i + block])[-1]
+    return softmax(logits)
 
 
 def model_backward(model: HybridModel, features, labels) -> np.ndarray:
@@ -269,30 +264,29 @@ def model_backward(model: HybridModel, features, labels) -> np.ndarray:
     ``model_forward(features)`` against ``labels``, laid out like
     ``model.theta``.
 
-    One forward run of the whole batch and one adjoint reverse sweep (for
-    dqc down to the product prefix, then on its vectors) give every
-    rotation angle's gradient, embedding and variational alike; the
-    classical pieces are differentiated analytically, chained through the
-    tanh squash into the pre-layer.
+    One forward run of the whole batch and one adjoint reverse sweep
+    through the same bound steps (for dqc down to the product prefix, then
+    on its vectors) give every rotation angle's gradient, embedding and
+    variational alike; the classical pieces are differentiated
+    analytically, chained through the tanh squash into the pre-layer.
     """
     x = _check_batch(model, features)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (x.shape[0],) or np.any((labels < 0) | (labels >= model.n_classes)):
         raise ValueError(f"expected {x.shape[0]} labels in [0, {model.n_classes}), got {labels!r}")
-    circuit, params, measured, amps, start, vectors, pre_out = _circuit_inputs(model, x)
-    final = run_circuit_raw(amps, circuit, params, start)
-    z = z_expectations(final, measured)
-    dlogits = softmax(_logits(model, z))
+    circuit, measured, steps = _bound_program(model)
+    params, vectors, pre_out, final, z, logits = _run_block(model, circuit, measured, steps, x)
+    dlogits = softmax(logits)
     dlogits[np.arange(x.shape[0]), labels] -= 1.0
+    upstream = dlogits if model.mode == "purevqc" else dlogits @ model.blocks["post_w"]
+    dfull = circuit_adjoint(circuit, params, steps, measured, final, upstream, vectors)
     if model.mode == "purevqc":
-        return circuit_adjoint(circuit, params, measured, final, dlogits).sum(axis=0) / x.shape[0]
+        return dfull.sum(axis=0) / x.shape[0]
 
     grad = np.empty_like(model.theta)
     g = block_views(model.layout, grad)
     g["post_w"][...] = dlogits.T @ z
     g["post_b"][...] = dlogits.sum(axis=0)
-    dfull = circuit_adjoint(circuit, params, measured, final, dlogits @ model.blocks["post_w"],
-                            vectors)
     n_embed = pre_out.shape[1]
     g["q"][...] = dfull[:, n_embed:].sum(axis=0)
     dpre_out = dfull[:, :n_embed] * ANGLE_SCALE * (1.0 - np.tanh(pre_out) ** 2)

@@ -23,9 +23,9 @@ complex after an rx, and ``product_state`` multiplies them out into a
 float64 batch, or into the real halves [a; b] of complex states a + ib, a
 (2, B, 2**n) stack that each real step runs as 2B rows. The kernel runs
 the rest (``start=circuit.prefix_len``); an rx step in it raises
-ValueError. ``transfer_matrix`` turns the steps from ``start`` on, when
-their angles are shared, into one float64 matrix T: a batch run through
-them is ``amps @ T``.
+ValueError. A call binds those steps to its params once (``bind_steps``):
+every batch it runs reads the same layer factors, and so does the adjoint
+sweep, which un-applies a layer by their transposes.
 """
 from __future__ import annotations
 
@@ -228,37 +228,59 @@ def rotate_vectors(layer: RotationLayer, params, vectors: np.ndarray, sign: floa
     return np.cos(half) * vectors + np.sin(half) * vectors[..., ::-1] * _ANTI_DIAGONALS[layer.kind]
 
 
-def layer_factors(n_qubits: int, layer: RotationLayer, params,
-                  adjoint: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(high, low_t): the ry layer's Kronecker product high (x) low, transposed
-    when ``adjoint``, as the factor on qubits [0, n // 2) and the transpose of
-    the factor on [n // 2, n), (d, d) each, or (B, d, d) after a per-row
-    angle. Each target's 2x2 is cos(t/2) I + sin(t/2) G, as in
-    ``rotate_vectors``; low_t is the product of the transposed 2x2s."""
+def layer_factors(n_qubits: int, layer: RotationLayer, params) -> tuple[np.ndarray, np.ndarray]:
+    """(high, low_t): the ry layer's Kronecker product high (x) low, as the
+    factor on qubits [0, n // 2) and the transpose of the factor on
+    [n // 2, n), (d, d) each, or (B, d, d) after a per-row angle. Each
+    target's 2x2 is cos(t/2) I + sin(t/2) G, as in ``rotate_vectors``;
+    low_t is the product of the transposed 2x2s. Any other kind raises."""
+    if layer.kind != "ry":
+        raise ValueError(f"{layer} is not a kernel step: rx runs only in the product prefix")
     half = np.multiply(layer_angles(layer, params).T, 0.5)[..., None, None]  # (B, k, 1, 1) per row
-    g = ROTATION_G["ry"].T if adjoint else ROTATION_G["ry"]
     mats = np.empty(half.shape[:-3] + (n_qubits, 2, 2))
     mats[...] = np.eye(2)
-    mats[..., layer.targets, :, :] = np.cos(half) * np.eye(2) + np.sin(half) * g
+    mats[..., layer.targets, :, :] = np.cos(half) * np.eye(2) + np.sin(half) * ROTATION_G["ry"]
     split = n_qubits // 2
     return _kron(mats[..., :split, :, :]), _kron(np.swapaxes(mats[..., split:, :, :], -1, -2))
 
 
-def apply_factors(amps: np.ndarray, high: np.ndarray, low_t: np.ndarray) -> np.ndarray:
-    """Apply high (x) low to each state of ``amps``, (..., B, 2**n): as a
-    (d_high, d_low) matrix S it becomes high @ S @ low_t. One shared row
-    broadcasts against per-row factors."""
+class BoundLayer(NamedTuple):
+    """An ry ``RotationLayer`` with its ``layer_factors`` at one call's params."""
+
+    layer: RotationLayer
+    high: np.ndarray
+    low_t: np.ndarray
+
+
+def bind_steps(circuit: Circuit, params, start: int = 0) -> tuple:
+    """The circuit's program steps from ``start`` on, bound to ``params``
+    once: each layer as a ``BoundLayer``, each ``Permutation`` as it is.
+    ``params`` holds one entry per slot the steps read, a float shared by
+    all rows or a (B,) array."""
+    return tuple(step if isinstance(step, Permutation)
+                 else BoundLayer(step, *layer_factors(circuit.n_qubits, step, params))
+                 for step in circuit.program[start:])
+
+
+def apply_step(amps: np.ndarray, step, adjoint: bool = False) -> np.ndarray:
+    """Apply one bound step to each state of ``amps``, (..., B, 2**n), or
+    its inverse when ``adjoint``. A layer takes a state, as a matrix S, to
+    high @ S @ low_t (a shared row broadcasts against per-row factors); its
+    inverse reads contiguous copies of the transposed factors."""
+    if isinstance(step, Permutation):
+        return amps[..., step.inverse if adjoint else step.gather]
+    high, low_t = step.high, step.low_t
+    if adjoint:
+        high, low_t = (np.ascontiguousarray(np.swapaxes(f, -1, -2)) for f in (high, low_t))
     s = amps.reshape(amps.shape[:-1] + (high.shape[-1], low_t.shape[-1]))
     return (high @ (s @ low_t)).reshape(amps.shape[:-2] + (-1, amps.shape[-1]))
 
 
-def apply_step(amps: np.ndarray, n_qubits: int, step, params, adjoint: bool = False) -> np.ndarray:
-    """Apply one ``Circuit.program`` step, or its inverse when ``adjoint``."""
-    if isinstance(step, Permutation):
-        return amps[..., step.inverse if adjoint else step.gather]
-    if step.kind != "ry":
-        raise ValueError(f"{step} is not a kernel step: rx runs only in the product prefix")
-    return apply_factors(amps, *layer_factors(n_qubits, step, params, adjoint))
+def run_steps(amps: np.ndarray, steps) -> np.ndarray:
+    """Run bound steps on a float64 (B, 2**n) batch, or (2, B, 2**n) real halves."""
+    for step in steps:
+        amps = apply_step(amps, step)
+    return amps
 
 
 def run_circuit_raw(amps: np.ndarray, circuit: Circuit, params, start: int = 0) -> np.ndarray:
@@ -267,10 +289,7 @@ def run_circuit_raw(amps: np.ndarray, circuit: Circuit, params, start: int = 0) 
     entry per slot, a float shared by all rows or a (B,) array."""
     if amps.dtype != float:
         raise ValueError(f"the kernel runs float64 batches, got {amps.dtype}")
-    n = circuit.n_qubits
-    for step in circuit.program[start:]:
-        amps = apply_step(amps, n, step, params)
-    return amps
+    return run_steps(amps, bind_steps(circuit, params, start))
 
 
 def prefix_vectors(circuit: Circuit, params) -> np.ndarray:
@@ -311,18 +330,6 @@ def product_state(vectors: np.ndarray) -> np.ndarray:
     h = high.view(float).reshape(b, -1, 2)  # [hr, hi] pairs
     left = np.array([h * [1.0, -1.0], h[..., ::-1]])  # rows [hr, -hi] and [hi, hr]
     return (left @ np.stack([low.real, low.imag], axis=1)).reshape(2, b, -1)
-
-
-def transfer_matrix(circuit: Circuit, params, start: int) -> np.ndarray:
-    """(2**n, 2**n) matrix T, the steps from ``start`` on run on
-    ``np.eye(2**n)``, so that they take a batch to ``amps @ T``. Raises
-    ValueError when one of them reads a per-row angle: T is shared."""
-    for step in circuit.program[start:]:
-        for op in step.ops if isinstance(step, RotationLayer) else ():
-            if np.ndim(params[op.param_index]) != 0:
-                raise ValueError(f"{op.kind} on qubit {op.target} reads per-row angle slot "
-                                 f"{op.param_index}; a transfer matrix needs shared angles")
-    return run_circuit_raw(np.eye(2**circuit.n_qubits), circuit, params, start)
 
 
 @lru_cache(maxsize=None)

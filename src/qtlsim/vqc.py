@@ -9,7 +9,8 @@ Batches are float64, ``(B, 2**n)``, or real halves ``(2, B, 2**n)``.
 Gradients come from adjoint differentiation (Jones & Gacon,
 arXiv:2009.02823): one forward run plus one reverse sweep gives every
 rotation's derivative, per row, a ``RotationLayer``'s from two per-row
-cross matrices, and a product-state prefix's from its 2-vectors.
+cross matrices, and a product-state prefix's from its 2-vectors. The sweep
+walks back through the forward's bound steps, so it builds no factors.
 """
 from __future__ import annotations
 
@@ -18,8 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sim import (ROTATION_G, Circuit, RotationLayer, apply_step, cnot, factor_bits,
-                  rotate_vectors, run_circuit_raw, ry, z_expectations, z_signs)
+from .sim import (ROTATION_G, BoundLayer, Circuit, RotationLayer, apply_step, cnot,
+                  factor_bits, rotate_vectors, run_circuit_raw, ry, z_expectations, z_signs)
 
 # sigma of ry = exp(-i theta sigma / 2): the adjoint's own copy of what
 # sim.ROTATION_G["ry"] holds as -i sigma, so that patching it breaks the
@@ -63,12 +64,9 @@ def build_layers(template: VqcTemplate) -> Circuit:
 
 def circuit_expectations(circuit: Circuit, params, measured_qubits,
                          initial: np.ndarray | None = None) -> np.ndarray:
-    """Run the circuit on each row of ``initial`` (default: one all-|0>
-    row) and return the (B, M) Z expectations of the measured qubits.
-
-    ``params`` holds one entry per slot: a float shared by all rows or a
-    (B,) array of per-row angles.
-    """
+    """The (B, M) Z expectations of the measured qubits after the circuit,
+    bound to ``params`` (one entry per slot, a float shared by all rows or
+    a (B,) array), runs on each row of ``initial`` (default: one |0...0>)."""
     if len(params) != circuit.n_params:
         raise ValueError(f"expected {circuit.n_params} parameters, got {len(params)}")
     if initial is None:
@@ -78,16 +76,17 @@ def circuit_expectations(circuit: Circuit, params, measured_qubits,
     return z_expectations(run_circuit_raw(initial, circuit, params), measured_qubits)
 
 
-def circuit_adjoint(circuit: Circuit, params, measured_qubits, final: np.ndarray,
+def circuit_adjoint(circuit: Circuit, params, steps, measured_qubits, final: np.ndarray,
                     upstream, vectors: np.ndarray | None = None) -> np.ndarray:
     """Per-row gradient (B, n_params) of sum_k upstream[b, k] <Z_k>.
 
-    ``final`` is the run of the whole program or, given the circuit's
-    ``prefix_vectors``, of the steps after the prefix from their
-    ``product_state``. From lambda = (upstream @ signs) * psi, back to step
-    0 or to the prefix, each ry adds Re<lambda|G phi>, G = -i sigma read
-    from ``GENERATORS``, to its slot (G is real, so a complex state's term
-    sums its halves'), and phi and lambda are un-applied. Slots accumulate."""
+    ``final`` is the run of ``steps``, bound to ``params``: the whole
+    program or, given the circuit's ``prefix_vectors``, the steps after the
+    prefix from their ``product_state``. From lambda = (upstream @ signs) *
+    psi, back through ``steps``, each ry adds Re<lambda|G phi>, G = -i sigma
+    read from ``GENERATORS``, to its slot (G is real, so a complex state's
+    term sums its halves'); phi and lambda are un-applied by the transposed
+    factors. Slots accumulate."""
     upstream = np.asarray(upstream, dtype=float)
     rows = final.shape[-2]
     if upstream.shape != (rows, len(measured_qubits)):
@@ -98,10 +97,10 @@ def circuit_adjoint(circuit: Circuit, params, measured_qubits, final: np.ndarray
     g = (-1j * np.asarray(GENERATORS["ry"])).real
     both = np.stack([final, observable * final]).reshape(2, -1, rows, 2**n)  # phi, lambda halves
     grads = np.zeros((rows, circuit.n_params))
-    for step in reversed(circuit.program[0 if vectors is None else circuit.prefix_len:]):
-        both = apply_step(both, n, step, params, adjoint=True)
-        if isinstance(step, RotationLayer):  # its terms are taken at its input
-            _add_layer_grads(grads, n, step, both, g)
+    for step in reversed(steps):
+        both = apply_step(both, step, adjoint=True)
+        if isinstance(step, BoundLayer):  # its terms are taken at its input
+            _add_layer_grads(grads, n, step.layer, both, g)
     if vectors is not None:
         _add_prefix_grads(grads, circuit, params, vectors, both[1])
     return grads

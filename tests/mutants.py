@@ -30,9 +30,6 @@ MUTANTS = [
     ("low factor not transposed", "sim.py",
      "_kron(np.swapaxes(mats[..., split:, :, :], -1, -2))",
      "_kron(mats[..., split:, :, :])"),
-    ("adjoint branch ignored in layer_factors", "sim.py",
-     'g = ROTATION_G["ry"].T if adjoint else ROTATION_G["ry"]',
-     'g = ROTATION_G["ry"]'),
     ("sign of ROTATION_G['ry']", "sim.py",
      '"ry": np.array([[0.0, -1.0], [1.0, 0.0]])',
      '"ry": np.array([[0.0, 1.0], [-1.0, 0.0]])'),
@@ -45,9 +42,15 @@ MUTANTS = [
     ("a shared row no longer broadcasts against per-row factors", "sim.py",
      ".reshape(amps.shape[:-2] + (-1, amps.shape[-1]))",
      ".reshape(amps.shape)"),
-    ("transfer matrix refusal silenced", "sim.py",
-     "if np.ndim(params[op.param_index]) != 0:",
-     "if False:"),
+    ("the sweep applies the forward factors untransposed", "sim.py",
+     "np.ascontiguousarray(np.swapaxes(f, -1, -2))",
+     "np.ascontiguousarray(f)"),
+    ("the sweep un-permutes with gather instead of inverse", "sim.py",
+     "amps[..., step.inverse if adjoint else step.gather]",
+     "amps[..., step.gather]"),
+    ("the sweep transposes the low factor only", "sim.py",
+     "for f in (high, low_t))",
+     "for f in (high.T, low_t))"),
     ("bits of one qubit swapped in _kron_rows", "sim.py",
      "out=out[:, :, bit])",
      "out=out[:, :, 1 - bit])"),
@@ -75,9 +78,6 @@ MUTANTS = [
     ("Kronecker factors in reversed order", "sim.py",
      "4 * np.arange(k)[:, None, None]",
      "4 * np.arange(k)[::-1, None, None]"),
-    ("transposed transfer matrix", "hybrid.py",
-     "(amps.reshape(-1, 2**n) @ transfer)",
-     "(amps.reshape(-1, 2**n) @ transfer.T)"),
     ("fixed ry generator in the adjoint", "vqc.py",
      'g = (-1j * np.asarray(GENERATORS["ry"])).real',
      "g = np.array([[0.0, -1.0], [1.0, 0.0]])"),
@@ -106,6 +106,12 @@ MUTANTS = [
      "comments=None)",
      'comments="#")'),
 ]
+# Dropped, each because the code it edited is deleted:
+# - "transfer matrix refusal silenced": sim.transfer_matrix and its per-row
+#   angle refusal are gone.
+# - "transposed transfer matrix": model_forward no longer multiplies by T.
+# - "adjoint branch ignored in layer_factors": layer_factors has no adjoint
+#   branch; the sweep transposes the forward's factors.
 
 
 def suite_passes(tree: Path) -> bool:

@@ -1,7 +1,10 @@
 """End-to-end command tests: artifacts, determinism, exit codes."""
+import ctypes
 import hashlib
+import os
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,8 +65,13 @@ def test_train_rerun_is_byte_identical(fast_config, tmp_path):
 
 
 # SHA-256 of the fixed-seed artifacts of FAST_CONFIG per head, recorded
-# with numpy 2.4.6 (OpenBLAS) on x86-64. A change that alters the
-# arithmetic on purpose updates them; any other change must leave them.
+# under PINNED_UNDER. A change that alters the arithmetic on purpose
+# updates them; any other change must leave them. numpy's OpenBLAS picks
+# its GEMM kernel from the CPU at load time, and the AVX2 and older kernels
+# (Haswell, Sandybridge) round some GEMMs differently in the last bits, so
+# the pins hold only under the recorded kernel; other OpenBLAS versions and
+# non-x86 hosts can differ too.
+PINNED_UNDER = "numpy 2.4.6 with OpenBLAS 0.3.31, runtime core SkylakeX"
 PINNED_ARTIFACTS = {
     ("dqc", "angle"): {
         "metrics.csv": "cb143929b348d78b82fa4a68d9c05efeb42862b4e85809534238926dae9d4729",
@@ -83,6 +91,42 @@ PINNED_ARTIFACTS = {
 }
 
 
+def blas_runtime() -> str:
+    """The running numpy version, OPENBLAS_CORETYPE and the runtime config
+    of numpy's bundled OpenBLAS, which names the kernel it picked, or
+    "unknown" where numpy ships no such library (np.show_config() reports
+    the build target, not the runtime kernel)."""
+    config = "unknown"
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            get_config = ctypes.CDLL(str(lib)).scipy_openblas_get_config64_
+        except (OSError, AttributeError):
+            continue
+        get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+        config = get_config().decode()
+    coretype = os.environ.get("OPENBLAS_CORETYPE", "unset")
+    return f"numpy {np.__version__}, OPENBLAS_CORETYPE {coretype}, OpenBLAS config: {config}"
+
+
+def assert_pinned(digests: dict, pinned: dict):
+    """Byte equality of every artifact with its pin; a mismatch names the
+    BLAS the pins were recorded under and the one this run used."""
+    assert digests == pinned, (f"pins recorded under {PINNED_UNDER}; "
+                               f"this run: {blas_runtime()}")
+
+
+def test_a_pin_mismatch_names_the_running_blas():
+    """The mismatch message reads the BLAS of this run without raising:
+    numpy's version, OPENBLAS_CORETYPE and an OpenBLAS config naming a core
+    (or "unknown" without numpy's bundled OpenBLAS)."""
+    text = blas_runtime()
+    assert text.startswith(f"numpy {np.__version__}, OPENBLAS_CORETYPE ")
+    config = text.split("OpenBLAS config: ")[1]
+    assert config == "unknown" or "OpenBLAS" in config
+    with pytest.raises(AssertionError, match="pins recorded under numpy .* this run: numpy"):
+        assert_pinned({"metrics.csv": "0" * 64}, {"metrics.csv": "1" * 64})
+
+
 @pytest.mark.parametrize("mode, embedding", list(PINNED_ARTIFACTS))
 def test_fixed_seed_artifacts_are_pinned(tmp_path, mode, embedding):
     text = FAST_CONFIG.replace("mode = dqc", f"mode = {mode}") \
@@ -94,10 +138,10 @@ def test_fixed_seed_artifacts_are_pinned(tmp_path, mode, embedding):
     assert run_cli("train", "--config", cfg, "--out", tmp_path / "run") == 0
     digests = {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
                for name in PINNED_ARTIFACTS[mode, embedding]}
-    assert digests == PINNED_ARTIFACTS[mode, embedding]
+    assert_pinned(digests, PINNED_ARTIFACTS[mode, embedding])
 
 
-# The same for a three-class dense_angle head over four epochs, whose val
+# The same, under the same BLAS, for a three-class dense_angle head over four epochs, whose val
 # AUROC rises every epoch, so epoch 4 is selected; "evaluate" is the stdout
 # of ``evaluate --split test``. It covers auroc_macro_ovr, the three-class
 # loss and selection over more than two epochs.
@@ -121,7 +165,7 @@ def test_three_class_artifacts_are_pinned(tmp_path, capsys):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in ("metrics.csv", "checkpoint.bin", "manifest.txt")}
     digests["evaluate"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digests == PINNED_THREE_CLASS
+    assert_pinned(digests, PINNED_THREE_CLASS)
     assert "# best_epoch = 4\n" in (out / "manifest.txt").read_text()
 
 

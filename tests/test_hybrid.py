@@ -293,43 +293,49 @@ def test_batched_pass_equals_single_rows(seed, head, batch):
     assert np.max(np.abs(grads - np.mean(singles, axis=0))) <= 1e-12
 
 
-def counting_transfer_matrix():
-    """A patch of ``hybrid.transfer_matrix`` that counts its calls."""
-    return mock.patch.object(qtlsim.hybrid, "transfer_matrix",
-                             side_effect=qtlsim.hybrid.transfer_matrix)
+def counting_layer_factors():
+    """A patch of ``sim.layer_factors`` that counts the rotation layers bound."""
+    return mock.patch.object(qtlsim.sim, "layer_factors", side_effect=qtlsim.sim.layer_factors)
+
+
+def bound_layers(model) -> int:
+    """The rotation layers one call runs through the kernel: every layer of
+    a purevqc head, a dqc head's after its product prefix (the embedding
+    and the first layer), none on one qubit, which has no CNOT."""
+    t = model.template
+    return t.depth - (model.mode == "dqc") if t.n_qubits >= 2 else 0
 
 
 @given(seed=st.integers(0, 2**32 - 1), head=st.sampled_from(["angle", "dense_angle", "amplitude"]),
-       n_qubits=st.integers(2, 4))
-def test_forward_through_the_transfer_matrix_equals_single_rows(seed, head, n_qubits):
-    """2**n rows, with at least 2**n features each, go through one transfer
-    matrix, 2**n - 1 rows step by step; each row's probabilities equal its
-    own one-row call to 1e-12."""
+       n_qubits=st.integers(8, 9))
+def test_forward_over_row_blocks_equals_single_rows(seed, head, n_qubits):
+    """A batch of two row blocks, the last one ragged (65-127 rows at q8,
+    33-63 at q9), binds each rotation layer once, and each row's
+    probabilities equal its own one-row call to 1e-12."""
     rng = np.random.default_rng(seed)
-    n_classes = int(rng.integers(2, n_qubits + 1))
+    n_classes = int(rng.integers(2, 4))
     depth = int(rng.integers(1, 3))
     if head == "amplitude":
-        in_dim = 2**n_qubits
-        model = small_purevqc(seed, n_qubits, depth, n_classes, in_dim)
+        model = small_purevqc(seed, n_qubits, depth, n_classes, 2**n_qubits)
     else:
-        in_dim = int(rng.integers(2**n_qubits, 2**n_qubits + 5))
-        model = small_dqc(seed, head, n_qubits, depth, n_classes, in_dim)
-    x = rng.standard_normal((2**n_qubits, in_dim))
+        model = small_dqc(seed, head, n_qubits, depth, n_classes, int(rng.integers(3, 9)))
+    block = 2**14 >> n_qubits
+    x = rng.standard_normal((int(rng.integers(block + 1, 2 * block)), model.in_dim))
+    with counting_layer_factors() as spy:
+        probs = model_forward(model, x)
+    assert spy.call_count == bound_layers(model)
     singles = np.concatenate([model_forward(model, x[b : b + 1]) for b in range(len(x))])
-    for rows, builds in ((len(x) - 1, 0), (len(x), 1)):
-        with counting_transfer_matrix() as spy:
-            probs = model_forward(model, x[:rows])
-        assert spy.call_count == builds
-        assert np.max(np.abs(probs - singles[:rows])) <= 1e-12
+    assert np.max(np.abs(probs - singles)) <= 1e-12
 
 
 @given(seed=st.integers(0, 2**32 - 1), head=st.sampled_from(["angle", "dense_angle", "amplitude"]),
-       n_qubits=st.integers(1, 5), depth=st.integers(1, 3), through_transfer=st.booleans())
-def test_forward_equals_the_reference_model(seed, head, n_qubits, depth, through_transfer):
+       n_qubits=st.integers(1, 5), depth=st.integers(1, 3), several_blocks=st.booleans())
+def test_forward_equals_the_reference_model(seed, head, n_qubits, depth, several_blocks):
     """model_forward equals the row-by-row dense reference model to 1e-12
-    for every head, 1-5 qubits, depth 1-3 and 2 to n classes, on batches
-    that go through the transfer matrix (2**(n+1) rows, at least 2**(n-1)
-    features each) and on batches run step by step (fewer than 2**n rows)."""
+    for every head, 1-5 qubits, depth 1-3 and 2 to n classes, and binds
+    each rotation layer once per call, on batches of fewer than 2**n rows
+    and on batches longer than one row block of 2**14 >> n rows, checked
+    on the rows at every block edge and four random ones."""
     if head == "amplitude" and n_qubits < 2:
         n_qubits = 2  # one qubit per class, at least two classes
     rng = np.random.default_rng(seed)
@@ -340,68 +346,88 @@ def test_forward_equals_the_reference_model(seed, head, n_qubits, depth, through
     else:
         in_dim = int(rng.integers(2 ** (n_qubits - 1), 2**n_qubits + 5))
         model = small_dqc(seed, head, n_qubits, depth, n_classes, in_dim)
-    rows = 2 ** (n_qubits + 1) if through_transfer else int(rng.integers(1, 2**n_qubits))
+    block = 2**14 >> n_qubits
+    rows = int(rng.integers(block + 1, 2 * block) if several_blocks
+               else rng.integers(1, 2**n_qubits))
     x = rng.standard_normal((rows, in_dim))
-    with counting_transfer_matrix() as spy:
+    with counting_layer_factors() as spy:
         probs = model_forward(model, x)
-    assert spy.call_count == through_transfer
-    assert np.max(np.abs(probs - reference_forward(model, x))) <= 1e-12
+    assert spy.call_count == bound_layers(model)
+    checked = np.arange(rows)
+    if several_blocks:
+        checked = np.unique([0, block - 1, block, rows - 1, *rng.integers(rows, size=4)])
+    assert np.max(np.abs(probs[checked] - reference_forward(model, x[checked]))) <= 1e-12
 
 
-def test_forward_chunks_share_one_transfer_matrix():
-    """Over three 512-row blocks with a ragged last one, the transfer
-    matrix is built once and gives what step-by-step slices of 2**n - 1
-    rows give."""
-    model = small_dqc(3, "dense_angle", n_qubits=5, depth=2, n_classes=3, in_dim=32)
-    x = np.random.default_rng(3).standard_normal((1200, 32))
-    with counting_transfer_matrix() as spy:
-        probs = model_forward(model, x)
-    assert spy.call_count == 1
-    slices = np.concatenate([model_forward(model, x[i : i + 31]) for i in range(0, 1200, 31)])
-    assert np.max(np.abs(probs - slices)) <= 1e-12
-
-
-@pytest.mark.parametrize("rows, builds", [(100, 0), (300, 1)])
-def test_forward_builds_the_prefix_once_per_block(rows, builds):
-    """A q8 dense_angle head over 64-row blocks with a ragged last one, step
-    by step (100 rows) and through the transfer matrix (300 rows): each
-    row's probabilities equal its own one-row call to 1e-12,
-    ``prefix_vectors`` and ``product_state`` run once per block, and T is
-    built at most once per call."""
-    model = small_dqc(5, "dense_angle", n_qubits=8, depth=1, n_classes=3, in_dim=256)
-    x = np.random.default_rng(5).standard_normal((rows, 256))
+@pytest.mark.parametrize("rows, seed", [(100, 0), (300, 1)])
+def test_forward_builds_the_prefix_once_per_block(rows, seed):
+    """A q8 depth-4 dense_angle head over 64-row blocks with a ragged last
+    one (2 and 5 blocks): each row's probabilities equal its own one-row
+    call to 1e-12, ``prefix_vectors`` and ``product_state`` run once per
+    block, and each of the three rotation layers after the prefix is bound
+    once per call, whatever the number of blocks."""
+    model = small_dqc(seed, "dense_angle", n_qubits=8, depth=4, n_classes=3, in_dim=256)
+    x = np.random.default_rng(seed).standard_normal((rows, 256))
     spies = [mock.patch.object(qtlsim.hybrid, name, side_effect=getattr(qtlsim.hybrid, name))
              for name in ("prefix_vectors", "product_state")]
-    with counting_transfer_matrix() as transfer_spy, spies[0] as prefix_spy, \
+    with counting_layer_factors() as factors_spy, spies[0] as prefix_spy, \
             spies[1] as product_spy:
         probs = model_forward(model, x)
-    assert transfer_spy.call_count == builds
+    assert factors_spy.call_count == bound_layers(model) == 3
     assert prefix_spy.call_count == product_spy.call_count == math.ceil(rows / 64)
     singles = np.concatenate([model_forward(model, x[b : b + 1]) for b in range(rows)])
     assert np.max(np.abs(probs - singles)) <= 1e-12
 
 
+@pytest.mark.parametrize("mode, embedding, n_qubits", [
+    ("dqc", "angle", 4), ("dqc", "dense_angle", 8), ("purevqc", "amplitude", 9)])
+def test_backward_binds_each_layer_once_for_the_run_and_the_sweep(mode, embedding, n_qubits):
+    """One model_backward call builds each rotation layer's factors once:
+    the adjoint sweep un-applies the run's factors, transposed."""
+    rng = substream(7, "init")
+    model = init_model(mode, embedding, n_qubits, 3, 2, rng, in_dim=2**n_qubits)
+    x = np.random.default_rng(7).standard_normal((8, model.in_dim))
+    with counting_layer_factors() as spy:
+        model_backward(model, x, np.arange(8) % 2)
+    assert spy.call_count == bound_layers(model) == (3 if mode == "purevqc" else 2)
+
+
+def traced_peak(fn) -> int:
+    """The peak of the memory that ``fn()`` allocates, traced."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_forward_memory_does_not_grow_with_the_batch():
-    """The peak that a q8 dense_angle forward allocates through the
-    transfer matrix, traced at 256 and 1024 rows, grows by less than 512 B
-    per extra row: the row blocks hold the per-row temporaries, and only
-    the (B, M) readout, logits and probabilities scale with B. Holding the
-    whole batch's finiteness mask, pre-layer output and prefix states
-    costs about 1.1 KB per row on this head."""
+    """The peak that a q8 dense_angle forward allocates, traced at 256 and
+    1024 rows, grows by less than 512 B per extra row: the row blocks hold
+    the per-row temporaries, and only the (B, n_classes) logits and
+    probabilities scale with B. Holding the whole batch's finiteness mask,
+    pre-layer output and prefix states costs about 1.1 KB per row on this
+    head."""
     model = small_dqc(5, "dense_angle", n_qubits=8, depth=1, n_classes=2, in_dim=256)
     x = np.random.default_rng(5).standard_normal((1024, 256))
     model_forward(model, x[:256])  # fill the circuit and sign-table caches
-
-    def traced_peak(rows):
-        tracemalloc.start()
-        try:
-            model_forward(model, x[:rows])
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    small, large = traced_peak(256), traced_peak(1024)
+    small, large = (traced_peak(lambda rows=rows: model_forward(model, x[:rows]))
+                    for rows in (256, 1024))
     assert (large - small) / 768 < 512, (small, large)
+
+
+def test_evaluate_shaped_forward_stays_under_its_memory_bound():
+    """2000 rows through a q8 depth-4 dense_angle head with 512 features,
+    the shape of the benchmark's evaluate workload, allocate a traced peak
+    below 1.4 MiB: one row block's states and the bound factors. Running
+    the circuit on the 2**n basis states instead, to one dense matrix,
+    takes it to 1.77 MiB."""
+    model = small_dqc(6, "dense_angle", n_qubits=8, depth=4, n_classes=2, in_dim=512)
+    x = np.random.default_rng(6).standard_normal((2000, 512))
+    model_forward(model, x[:64])  # fill the circuit and sign-table caches
+    peak = traced_peak(lambda: model_forward(model, x))
+    assert peak < 1.4 * 2**20, peak
 
 
 @pytest.mark.parametrize("head", ["dense_angle", "amplitude"])

@@ -17,13 +17,13 @@ from qtlsim.sim import (
     Permutation,
     RotationLayer,
     apply_step,
+    bind_steps,
     cnot,
     prefix_vectors,
     product_state,
     run_circuit_raw,
     rx,
     ry,
-    transfer_matrix,
     z_expectations,
 )
 
@@ -256,16 +256,17 @@ def test_batched_run_matches_dense_oracle(seed, n, batch, halves):
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), batch=st.integers(1, 5),
        halves=st.booleans())
 def test_reverse_steps_undo_the_run(seed, n, batch, halves):
-    """Un-applying every compiled step in reverse order, as the adjoint
-    sweep does, returns the initial batch: each step is unitary. The batch
-    stays float64 both ways."""
+    """Un-applying every bound step in reverse order, as the adjoint sweep
+    does (a layer by the transposes of its factors, a permutation by its
+    inverse gather), returns the initial batch: each step is unitary. The
+    batch stays float64 both ways."""
     rng = np.random.default_rng(seed)
     circuit, _ = random_circuit(rng, n, max_gates=20, real=True)
     binding = random_binding(rng, circuit, batch)
     initial = random_batch(rng, n, batch, halves)
     amps = run_circuit_raw(initial, circuit, binding)
-    for step in reversed(circuit.program):
-        amps = apply_step(amps, n, step, binding, adjoint=True)
+    for step in reversed(bind_steps(circuit, binding)):
+        amps = apply_step(amps, step, adjoint=True)
     assert amps.dtype == float
     assert np.max(np.abs(amps - initial)) < 1e-12
 
@@ -406,46 +407,6 @@ def test_product_state_of_row_slices_matches_the_whole_batch(seed, n, batch, rea
             assert np.max(np.abs(joined(expected)[b] - dense)) <= 1e-12
 
 
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), batch=st.integers(1, 5),
-       halves=st.booleans())
-def test_transfer_matrix_equals_the_run(seed, n, batch, halves):
-    """With shared angles, a batch, real or real halves, times the float64
-    transfer matrix of the steps from any start equals the kernel's run of
-    those steps, to 1e-12; a start before an rx of the prefix is refused."""
-    rng = np.random.default_rng(seed)
-    circuit, params = random_circuit(rng, n, max_gates=20)
-    start = int(rng.integers(len(circuit.program) + 1))
-    initial = random_batch(rng, n, batch, halves)
-    if any(op.kind == "rx" for op in layer_ops(circuit.program[start:])):
-        with pytest.raises(ValueError, match="kind='rx'"):
-            transfer_matrix(circuit, params, start)
-        return
-    t = transfer_matrix(circuit, params, start)
-    assert t.shape == (2**n, 2**n) and t.dtype == float
-    expected = run_circuit_raw(initial, circuit, params, start)
-    assert np.max(np.abs(initial @ t - expected)) <= 1e-12
-
-
-def test_transfer_matrix_refuses_per_row_angles():
-    """A per-row angle in any layer the matrix would fuse is refused, even
-    one with 2**n rows, which would broadcast over the basis states; a
-    per-row angle before ``start`` is not read."""
-    ops = (ry(0, param=0), rx(1, param=1), cnot(0, 1), ry(1, param=2), ry(0, param=3))
-    shared = [0.3, -0.8, 1.1, 2.0]
-    for n in (2, 5):
-        circuit = Circuit(n, ops, 4)
-        assert_rotations_run_as_layers(circuit)
-        for slot in range(4):
-            per_row = list(shared)
-            per_row[slot] = np.full(2**n, 0.5)
-            with pytest.raises(ValueError, match=f"per-row angle slot {slot}"):
-                transfer_matrix(circuit, per_row, 0)
-            if slot < 2:
-                t = transfer_matrix(circuit, per_row, circuit.prefix_len)
-                np.testing.assert_array_equal(t, transfer_matrix(circuit, shared,
-                                                                 circuit.prefix_len))
-
-
 # --- fused rotation layers ------------------------------------------------
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), batch=st.integers(1, 3),
@@ -464,8 +425,10 @@ def test_rotation_layer_matches_the_dense_kronecker_unitary(seed, n, batch, stac
     binding = random_binding(rng, circuit, batch)
     amps = random_batch(rng, n, math.prod(stack) * batch, halves)
     amps = amps.reshape(amps.shape[:-2] + stack + (batch, 2**n))
-    out = apply_step(amps, n, RotationLayer(ops), binding)
-    back = apply_step(out, n, RotationLayer(ops), binding, adjoint=True)
+    (step,) = bind_steps(circuit, binding)
+    assert step.layer == RotationLayer(ops)
+    out = apply_step(amps, step)
+    back = apply_step(out, step, adjoint=True)
     assert out.shape == amps.shape and out.dtype == float
     for index in np.ndindex(*stack, batch):
         row = row_params(binding, index[-1])

@@ -7,8 +7,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qtlsim.hybrid import _dqc_circuit
-from qtlsim.sim import (Circuit, Permutation, RotationLayer, prefix_vectors, product_state, ry,
-                        run_circuit_raw)
+from qtlsim.sim import (Circuit, Permutation, RotationLayer, bind_steps, prefix_vectors,
+                        product_state, ry, run_circuit_raw, run_steps)
 from qtlsim.vqc import (
     VqcTemplate,
     build_layers,
@@ -45,8 +45,9 @@ def embedded(template: VqcTemplate) -> Circuit:
 
 def adjoint_grad(circuit, params, measured, upstream):
     """circuit_adjoint for one row, from the run of |0...0> as a one-row batch."""
-    final = run_circuit_raw(np.eye(1, 2**circuit.n_qubits), circuit, params)
-    return circuit_adjoint(circuit, params, measured, final, [upstream])[0]
+    steps = bind_steps(circuit, params)
+    final = run_steps(np.eye(1, 2**circuit.n_qubits), steps)
+    return circuit_adjoint(circuit, params, steps, measured, final, [upstream])[0]
 
 
 def test_parameter_count_nine_by_four_is_36():
@@ -178,11 +179,12 @@ def test_grad_deterministic():
 
 def test_grad_upstream_shape_checked():
     layers = build_layers(VqcTemplate(2, 1))
-    final = run_circuit_raw(np.eye(1, 4), layers, np.zeros(2))
+    steps = bind_steps(layers, np.zeros(2))
+    final = run_steps(np.eye(1, 4), steps)
     with pytest.raises(ValueError, match="upstream"):
-        circuit_adjoint(layers, np.zeros(2), [0, 1], final, [1.0])
+        circuit_adjoint(layers, np.zeros(2), steps, [0, 1], final, [1.0])
     with pytest.raises(ValueError, match="upstream"):
-        circuit_adjoint(layers, np.zeros(2), [0, 1], final, [[1.0]])
+        circuit_adjoint(layers, np.zeros(2), steps, [0, 1], final, [[1.0]])
 
 
 def test_shared_parameter_accumulates():
@@ -210,8 +212,9 @@ def test_adjoint_matches_param_shift_and_finite_differences(seed, n, batch, halv
     measured = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
     upstream = rng.standard_normal((batch, len(measured)))
 
-    final = run_circuit_raw(initial, circuit, binding)
-    grads = circuit_adjoint(circuit, binding, measured, final, upstream)
+    steps = bind_steps(circuit, binding)
+    final = run_steps(initial, steps)
+    grads = circuit_adjoint(circuit, binding, steps, measured, final, upstream)
     assert grads.shape == (batch, circuit.n_params) and grads.dtype == float
     for b in range(batch):
         params = row_params(binding, b)
@@ -239,11 +242,11 @@ def test_adjoint_from_the_product_prefix_matches_param_shift(seed, n, batch):
     circuit, _ = random_layered_circuit(rng, n)
     binding = random_binding(rng, circuit, batch)
     vectors = prefix_vectors(circuit, binding)
-    final = run_circuit_raw(batch_rows(product_state(vectors), batch), circuit, binding,
-                            circuit.prefix_len)
+    steps = bind_steps(circuit, binding, circuit.prefix_len)
+    final = run_steps(batch_rows(product_state(vectors), batch), steps)
     measured = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
     upstream = rng.standard_normal((batch, len(measured)))
-    grads = circuit_adjoint(circuit, binding, measured, final, upstream, vectors)
+    grads = circuit_adjoint(circuit, binding, steps, measured, final, upstream, vectors)
     assert grads.shape == (batch, circuit.n_params) and grads.dtype == float
     zero = np.eye(2**n)[0]
     for b in range(batch):
@@ -254,9 +257,10 @@ def test_adjoint_from_the_product_prefix_matches_param_shift(seed, n, batch):
 def dqc_adjoint(circuit, params, upstream):
     """circuit_adjoint of a dqc circuit run from its product prefix."""
     vectors = prefix_vectors(circuit, params)
-    final = run_circuit_raw(batch_rows(product_state(vectors), len(upstream)), circuit, params,
-                            circuit.prefix_len)
-    return circuit_adjoint(circuit, params, range(circuit.n_qubits), final, upstream, vectors)
+    steps = bind_steps(circuit, params, circuit.prefix_len)
+    final = run_steps(batch_rows(product_state(vectors), len(upstream)), steps)
+    return circuit_adjoint(circuit, params, steps, range(circuit.n_qubits), final, upstream,
+                           vectors)
 
 
 @pytest.mark.parametrize("broken", [
@@ -276,9 +280,10 @@ def test_broken_ry_generator_changes_the_real_adjoint(monkeypatch, broken):
         assert {type(step) for step in circuit.program} == {RotationLayer, Permutation}
         params = rng.uniform(-np.pi, np.pi, circuit.n_params)
         initial = random_batch(rng, n, 2)
-        final = run_circuit_raw(initial, circuit, params)
+        steps = bind_steps(circuit, params)
+        final = run_steps(initial, steps)
         upstream = rng.standard_normal((2, n))
-        runs = [lambda: circuit_adjoint(circuit, params, range(n), final, upstream)]
+        runs = [lambda: circuit_adjoint(circuit, params, steps, range(n), final, upstream)]
         for embedding in ("angle", "dense_angle"):
             dqc = _dqc_circuit(embedding, n, 1)
             assert all(step.kind != "cnot" for step in dqc.program[: dqc.prefix_len])
@@ -310,8 +315,9 @@ def test_adjoint_over_fused_layers_matches_param_shift(seed, n, batch, halves):
     initial = random_batch(rng, n, batch, halves)
     measured = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
     upstream = rng.standard_normal((batch, len(measured)))
-    final = run_circuit_raw(initial, circuit, binding)
-    grads = circuit_adjoint(circuit, binding, measured, final, upstream)
+    steps = bind_steps(circuit, binding)
+    final = run_steps(initial, steps)
+    grads = circuit_adjoint(circuit, binding, steps, measured, final, upstream)
     assert grads.shape == (batch, circuit.n_params) and grads.dtype == float
     for b in range(batch):
         shift = circuit_param_shift(circuit, row_params(binding, b), measured, upstream[b],
