@@ -134,7 +134,7 @@ class HybridModel:
     theta: np.ndarray
     n_classes: int
     embedding: str
-    in_dim: int = 512
+    in_dim: int
     class_names: tuple[str, ...] = ()
     blocks: dict = field(init=False, repr=False, compare=False)
 
@@ -165,7 +165,7 @@ class HybridModel:
 
 
 def init_model(mode: str, embedding: str, n_qubits: int, depth: int,
-               n_classes: int, rng: np.random.Generator, in_dim: int = 512) -> HybridModel:
+               n_classes: int, rng: np.random.Generator, in_dim: int) -> HybridModel:
     """Fresh model: dense blocks uniform in +-1/sqrt(fan-in), small q.
 
     q is drawn first, then the dense blocks in layout order.

@@ -12,20 +12,20 @@ Z expectation after RY(theta)|0> is cos(theta).
 The kernel runs a float64 ``(B, 2**n)`` batch, one state per row, through
 the circuit's program of real steps: runs of CNOTs fused into one index
 permutation, and runs of ry rotations, each reading its angle from a
-parameter slot (a shared float or a per-row array), as ``RotationLayer``
-steps (the k-th rotation on each qubit in layer k) whose Kronecker product
-acts as two factors of about 2**(n/2) rows, one matmul each: the
+parameter slot shared by all rows, as ``RotationLayer`` steps (the k-th
+rotation on each qubit in layer k) whose Kronecker product acts as two
+(d, d) factors of about 2**(n/2) rows, one matmul each: the
 gather-and-apply gate fusion of Smelyanskiy et al., arXiv:1601.07195.
 
 A run from |0...0> starts from a product state: the rotations before the
 first CNOT, rx or ry, make one 2-vector per qubit (``prefix_vectors``),
-complex after an rx, and ``product_state`` multiplies them out into a
-float64 batch, or into the real halves [a; b] of complex states a + ib, a
-(2, B, 2**n) stack that each real step runs as 2B rows. The kernel runs
-the rest (``start=circuit.prefix_len``); an rx step in it raises
-ValueError. A call binds those steps to its params once (``bind_steps``):
-every batch it runs reads the same layer factors, and so does the adjoint
-sweep, which un-applies a layer by their transposes.
+per row after a (B,) angle array, complex after an rx; ``product_state``
+multiplies them out into a float64 batch, or into the real halves [a; b]
+of complex states a + ib, a (2, B, 2**n) stack that each real step runs
+as 2B rows. ``bind_steps`` binds the rest to a call's shared slots once;
+an rx or a per-row angle there raises ValueError. Every batch of the call
+reads the same layer factors, and so does the adjoint sweep, which
+un-applies a layer by their transposes.
 """
 from __future__ import annotations
 
@@ -205,12 +205,10 @@ def _kron_index(k: int) -> np.ndarray:
 
 
 def _kron(mats: np.ndarray) -> np.ndarray:
-    """Kronecker product of a (..., k, 2, 2) stack, first matrix most
+    """Kronecker product of a (k, 2, 2) stack, first matrix most
     significant: entry (i, j) is the product over p of
-    ``mats[..., p, bit p of i, bit p of j]``, one gather and one product."""
-    k = mats.shape[-3]
-    flat = mats.reshape(mats.shape[:-3] + (4 * k,))
-    return np.take(flat, _kron_index(k), axis=-1).prod(axis=-3)
+    ``mats[p, bit p of i, bit p of j]``, one gather and one product."""
+    return mats.reshape(-1)[_kron_index(len(mats))].prod(axis=0)
 
 
 def layer_angles(layer: RotationLayer, params) -> np.ndarray:
@@ -230,18 +228,18 @@ def rotate_vectors(layer: RotationLayer, params, vectors: np.ndarray, sign: floa
 
 def layer_factors(n_qubits: int, layer: RotationLayer, params) -> tuple[np.ndarray, np.ndarray]:
     """(high, low_t): the ry layer's Kronecker product high (x) low, as the
-    factor on qubits [0, n // 2) and the transpose of the factor on
-    [n // 2, n), (d, d) each, or (B, d, d) after a per-row angle. Each
-    target's 2x2 is cos(t/2) I + sin(t/2) G, as in ``rotate_vectors``;
-    low_t is the product of the transposed 2x2s. Any other kind raises."""
-    if layer.kind != "ry":
-        raise ValueError(f"{layer} is not a kernel step: rx runs only in the product prefix")
-    half = np.multiply(layer_angles(layer, params).T, 0.5)[..., None, None]  # (B, k, 1, 1) per row
-    mats = np.empty(half.shape[:-3] + (n_qubits, 2, 2))
-    mats[...] = np.eye(2)
-    mats[..., layer.targets, :, :] = np.cos(half) * np.eye(2) + np.sin(half) * ROTATION_G["ry"]
+    (d, d) factor on qubits [0, n // 2) and the transpose of the factor on
+    [n // 2, n). Each target's 2x2 is cos(t/2) I + sin(t/2) G, as in
+    ``rotate_vectors``; low_t is the product of the transposed 2x2s. Any
+    other kind, or a per-row angle, raises."""
+    half = 0.5 * layer_angles(layer, params)[:, None, None]
+    if layer.kind != "ry" or half.ndim != 3:
+        raise ValueError(f"{layer} is not a kernel step: rx and per-row angles "
+                         "run only in the product prefix")
+    mats = np.tile(np.eye(2), (n_qubits, 1, 1))
+    mats[layer.targets] = np.cos(half) * np.eye(2) + np.sin(half) * ROTATION_G["ry"]
     split = n_qubits // 2
-    return _kron(mats[..., :split, :, :]), _kron(np.swapaxes(mats[..., split:, :, :], -1, -2))
+    return _kron(mats[:split]), _kron(mats[split:].swapaxes(1, 2))
 
 
 class BoundLayer(NamedTuple):
@@ -255,8 +253,8 @@ class BoundLayer(NamedTuple):
 def bind_steps(circuit: Circuit, params, start: int = 0) -> tuple:
     """The circuit's program steps from ``start`` on, bound to ``params``
     once: each layer as a ``BoundLayer``, each ``Permutation`` as it is.
-    ``params`` holds one entry per slot the steps read, a float shared by
-    all rows or a (B,) array."""
+    ``params`` holds a float, shared by all rows, for each slot the steps
+    read: per-row angles run only in the product prefix."""
     return tuple(step if isinstance(step, Permutation)
                  else BoundLayer(step, *layer_factors(circuit.n_qubits, step, params))
                  for step in circuit.program[start:])
@@ -265,15 +263,15 @@ def bind_steps(circuit: Circuit, params, start: int = 0) -> tuple:
 def apply_step(amps: np.ndarray, step, adjoint: bool = False) -> np.ndarray:
     """Apply one bound step to each state of ``amps``, (..., B, 2**n), or
     its inverse when ``adjoint``. A layer takes a state, as a matrix S, to
-    high @ S @ low_t (a shared row broadcasts against per-row factors); its
-    inverse reads contiguous copies of the transposed factors."""
+    high @ S @ low_t; its inverse reads contiguous copies of the transposed
+    factors."""
     if isinstance(step, Permutation):
         return amps[..., step.inverse if adjoint else step.gather]
     high, low_t = step.high, step.low_t
     if adjoint:
-        high, low_t = (np.ascontiguousarray(np.swapaxes(f, -1, -2)) for f in (high, low_t))
-    s = amps.reshape(amps.shape[:-1] + (high.shape[-1], low_t.shape[-1]))
-    return (high @ (s @ low_t)).reshape(amps.shape[:-2] + (-1, amps.shape[-1]))
+        high, low_t = (np.ascontiguousarray(f.T) for f in (high, low_t))
+    s = amps.reshape(amps.shape[:-1] + (len(high), len(low_t)))
+    return (high @ (s @ low_t)).reshape(amps.shape)
 
 
 def run_steps(amps: np.ndarray, steps) -> np.ndarray:
@@ -283,13 +281,13 @@ def run_steps(amps: np.ndarray, steps) -> np.ndarray:
     return amps
 
 
-def run_circuit_raw(amps: np.ndarray, circuit: Circuit, params, start: int = 0) -> np.ndarray:
-    """Run the circuit's program from step ``start`` on a float64 (B, 2**n)
-    batch, or (2, B, 2**n) real halves, unvalidated; ``params`` holds one
-    entry per slot, a float shared by all rows or a (B,) array."""
+def run_circuit_raw(amps: np.ndarray, circuit: Circuit, params) -> np.ndarray:
+    """Run the circuit's whole program on a float64 (B, 2**n) batch, or
+    (2, B, 2**n) real halves, unvalidated; ``params`` holds one shared
+    float per slot."""
     if amps.dtype != float:
         raise ValueError(f"the kernel runs float64 batches, got {amps.dtype}")
-    return run_steps(amps, bind_steps(circuit, params, start))
+    return run_steps(amps, bind_steps(circuit, params))
 
 
 def prefix_vectors(circuit: Circuit, params) -> np.ndarray:
@@ -318,10 +316,10 @@ def _kron_rows(vectors: np.ndarray) -> np.ndarray:
 
 def product_state(vectors: np.ndarray) -> np.ndarray:
     """The prefix's states from its ``prefix_vectors``: b rows for a
-    (b, n, 2) stack, one row for shared (n, 2) vectors; (b, 2**n), or, for
-    complex vectors, the real halves (2, b, 2**n) [hr lr - hi li; hi lr + hr li]
-    of the product of the states h of qubits [0, n // 2) and l of the rest,
-    by one real matmul."""
+    (b, n, 2) stack, one row, which every kernel step keeps, for shared
+    (n, 2) vectors; (b, 2**n), or, for complex vectors, the real halves
+    (2, b, 2**n) [hr lr - hi li; hi lr + hr li] of the product of the
+    states h of qubits [0, n // 2) and l of the rest, by one real matmul."""
     v = vectors if vectors.ndim == 3 else vectors[None]  # (b, n, 2)
     split, b = v.shape[1] // 2, len(v)
     if not np.iscomplexobj(v):
@@ -338,8 +336,7 @@ def z_signs(n_qubits: int, measured_qubits: tuple[int, ...]) -> np.ndarray:
     ``measured_qubits[k]`` on each basis state."""
     if not all(0 <= q < n_qubits for q in measured_qubits):
         raise ValueError(f"measured qubits {measured_qubits} out of range for {n_qubits} qubits")
-    bits = (np.arange(2**n_qubits) >> (n_qubits - 1 - np.array(measured_qubits))[:, None]) & 1
-    signs = 1.0 - 2.0 * bits
+    signs = 1.0 - 2.0 * factor_bits(n_qubits)[list(measured_qubits)]
     signs.flags.writeable = False
     return signs
 

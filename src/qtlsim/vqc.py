@@ -62,18 +62,13 @@ def build_layers(template: VqcTemplate) -> Circuit:
     return Circuit(n, tuple(ops), template.n_params)
 
 
-def circuit_expectations(circuit: Circuit, params, measured_qubits,
-                         initial: np.ndarray | None = None) -> np.ndarray:
-    """The (B, M) Z expectations of the measured qubits after the circuit,
-    bound to ``params`` (one entry per slot, a float shared by all rows or
-    a (B,) array), runs on each row of ``initial`` (default: one |0...0>)."""
+def circuit_expectations(circuit: Circuit, params, measured_qubits) -> np.ndarray:
+    """The (1, M) Z expectations of the measured qubits after the circuit,
+    bound to ``params`` (one shared float per slot), runs on one |0...0>."""
     if len(params) != circuit.n_params:
         raise ValueError(f"expected {circuit.n_params} parameters, got {len(params)}")
-    if initial is None:
-        initial = np.eye(1, 2**circuit.n_qubits)
-    if initial.ndim != 2 or initial.shape[1] != 2**circuit.n_qubits:
-        raise ValueError(f"states must be (B, {2**circuit.n_qubits}), got shape {initial.shape}")
-    return z_expectations(run_circuit_raw(initial, circuit, params), measured_qubits)
+    return z_expectations(run_circuit_raw(np.eye(1, 2**circuit.n_qubits), circuit, params),
+                          measured_qubits)
 
 
 def circuit_adjoint(circuit: Circuit, params, steps, measured_qubits, final: np.ndarray,

@@ -28,8 +28,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # (what the fault is, file under src/qtlsim, old text, new text)
 MUTANTS = [
     ("low factor not transposed", "sim.py",
-     "_kron(np.swapaxes(mats[..., split:, :, :], -1, -2))",
-     "_kron(mats[..., split:, :, :])"),
+     "_kron(mats[split:].swapaxes(1, 2))",
+     "_kron(mats[split:])"),
     ("sign of ROTATION_G['ry']", "sim.py",
      '"ry": np.array([[0.0, -1.0], [1.0, 0.0]])',
      '"ry": np.array([[0.0, 1.0], [-1.0, 0.0]])'),
@@ -39,11 +39,8 @@ MUTANTS = [
     ("imaginary half negated in product_state", "sim.py",
      "np.stack([low.real, low.imag], axis=1)",
      "np.stack([low.real, -low.imag], axis=1)"),
-    ("a shared row no longer broadcasts against per-row factors", "sim.py",
-     ".reshape(amps.shape[:-2] + (-1, amps.shape[-1]))",
-     ".reshape(amps.shape)"),
     ("the sweep applies the forward factors untransposed", "sim.py",
-     "np.ascontiguousarray(np.swapaxes(f, -1, -2))",
+     "np.ascontiguousarray(f.T)",
      "np.ascontiguousarray(f)"),
     ("the sweep un-permutes with gather instead of inverse", "sim.py",
      "amps[..., step.inverse if adjoint else step.gather]",
@@ -78,6 +75,18 @@ MUTANTS = [
     ("Kronecker factors in reversed order", "sim.py",
      "4 * np.arange(k)[:, None, None]",
      "4 * np.arange(k)[::-1, None, None]"),
+    ("_kron's product over the wrong axis", "sim.py",
+     "[_kron_index(len(mats))].prod(axis=0)",
+     "[_kron_index(len(mats))].prod(axis=1)"),
+    ("the per-row refusal silenced", "sim.py",
+     'if layer.kind != "ry" or half.ndim != 3:',
+     'if layer.kind != "ry":'),
+    ("the rx refusal silenced", "sim.py",
+     'if layer.kind != "ry" or half.ndim != 3:',
+     "if half.ndim != 3:"),
+    ("z_signs reads the bits of the mirrored qubits", "sim.py",
+     "factor_bits(n_qubits)[list(measured_qubits)]",
+     "factor_bits(n_qubits)[::-1][list(measured_qubits)]"),
     ("fixed ry generator in the adjoint", "vqc.py",
      'g = (-1j * np.asarray(GENERATORS["ry"])).real',
      "g = np.array([[0.0, -1.0], [1.0, 0.0]])"),
@@ -112,6 +121,9 @@ MUTANTS = [
 # - "transposed transfer matrix": model_forward no longer multiplies by T.
 # - "adjoint branch ignored in layer_factors": layer_factors has no adjoint
 #   branch; the sweep transposes the forward's factors.
+# - "a shared row no longer broadcasts against per-row factors": kernel
+#   factors are (d, d) only, so apply_step's reshape(amps.shape), the
+#   mutant's text, is now the code.
 
 
 def suite_passes(tree: Path) -> bool:

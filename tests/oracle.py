@@ -379,10 +379,15 @@ def random_layered_circuit(rng, n, real=False):
     return Circuit(n, tuple(ops), n_slots), rng.uniform(-np.pi, np.pi, n_slots)
 
 
-def random_binding(rng, circuit, batch):
-    """Angles for a batched run: per slot, a shared float or a (batch,) array."""
-    return [float(rng.uniform(-np.pi, np.pi)) if rng.integers(2)
-            else rng.uniform(-np.pi, np.pi, batch) for _ in range(circuit.n_params)]
+def random_binding(rng, circuit, batch, start=None):
+    """Angles for a batched run: per slot, a shared float or a (batch,)
+    array, the latter only for a slot that no program step from ``start``
+    reads, the kernel's steps (default: those after the product prefix;
+    pass 0 for a run from |0...0>)."""
+    start = circuit.prefix_len if start is None else start
+    kernel = {slot for step in circuit.program[start:] for slot in getattr(step, "slots", ())}
+    return [float(rng.uniform(-np.pi, np.pi)) if k in kernel or rng.integers(2)
+            else rng.uniform(-np.pi, np.pi, batch) for k in range(circuit.n_params)]
 
 
 def row_params(binding, row):

@@ -22,6 +22,7 @@ from qtlsim.sim import (
     prefix_vectors,
     product_state,
     run_circuit_raw,
+    run_steps,
     rx,
     ry,
     z_expectations,
@@ -237,13 +238,13 @@ def test_ry_composition():
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), batch=st.integers(1, 5),
        halves=st.booleans())
 def test_batched_run_matches_dense_oracle(seed, n, batch, halves):
-    """Each row of a batched run of an ry/cnot circuit, with a mix of shared
-    and per-row angles, equals the dense Kronecker-product run of that row,
-    and keeps its norm, for real states and for complex ones run as their
-    real halves; the output is float64, halves kept apart."""
+    """Each row of a batched run of an ry/cnot circuit, with shared angles,
+    equals the dense Kronecker-product run of that row, and keeps its norm,
+    for real states and for complex ones run as their real halves; the
+    output is float64, halves kept apart."""
     rng = np.random.default_rng(seed)
     circuit, _ = random_circuit(rng, n, max_gates=20, real=True)
-    binding = random_binding(rng, circuit, batch)
+    binding = random_binding(rng, circuit, batch, 0)
     initial = random_batch(rng, n, batch, halves)
     out = run_circuit_raw(initial, circuit, binding)
     assert out.shape == initial.shape and out.dtype == float
@@ -262,7 +263,7 @@ def test_reverse_steps_undo_the_run(seed, n, batch, halves):
     batch stays float64 both ways."""
     rng = np.random.default_rng(seed)
     circuit, _ = random_circuit(rng, n, max_gates=20, real=True)
-    binding = random_binding(rng, circuit, batch)
+    binding = random_binding(rng, circuit, batch, 0)
     initial = random_batch(rng, n, batch, halves)
     amps = run_circuit_raw(initial, circuit, binding)
     for step in reversed(bind_steps(circuit, binding)):
@@ -278,7 +279,7 @@ def test_real_batch_matches_its_complex_cast(seed, n, batch):
     0: the halves are independent real rows."""
     rng = np.random.default_rng(seed)
     circuit, _ = random_circuit(rng, n, max_gates=20, real=True)
-    binding = random_binding(rng, circuit, batch)
+    binding = random_binding(rng, circuit, batch, 0)
     initial = random_batch(rng, n, batch)
     real_out = run_circuit_raw(initial, circuit, binding)
     halves_out = run_circuit_raw(np.stack([initial, np.zeros_like(initial)]), circuit, binding)
@@ -297,19 +298,45 @@ def test_an_rx_step_in_the_kernel_is_refused():
         late = Circuit(n, (ry(0, param=0), cnot(0, 1), rx(1, param=1)), 2)
         state = product_state(prefix_vectors(late, angles))
         with pytest.raises(ValueError, match=refused):
-            run_circuit_raw(state, late, angles, late.prefix_len)
+            run_steps(state, bind_steps(late, angles, late.prefix_len))
         early = Circuit(n, (rx(1, param=0), cnot(0, 1), ry(1, param=1)), 2)
         with pytest.raises(ValueError, match=refused):
             run_circuit_raw(np.eye(1, 2**n), early, angles)
         state = product_state(prefix_vectors(early, angles))
         assert state.shape == (2, 1, 2**n)
-        out = run_circuit_raw(state, early, angles, early.prefix_len)
+        out = run_steps(state, bind_steps(early, angles, early.prefix_len))
         expected = dense_run(early, np.eye(2**n)[0], angles)
         assert np.max(np.abs(joined(out)[0] - expected)) <= 1e-12
         with pytest.raises(ValueError, match="float64"):
-            run_circuit_raw(joined(state), early, angles, early.prefix_len)
+            run_circuit_raw(joined(state), early, angles)
     with pytest.raises(TypeError):
         z_expectations(np.eye(1, 4, dtype=complex), [0])
+
+
+def test_a_per_row_angle_in_the_kernel_is_refused():
+    """Per-row angles run only in the product prefix: a (B,) angle array on
+    a slot that a kernel step reads, a later layer's own or a prefix slot
+    read again after the CNOT, raises ValueError from ``bind_steps`` and
+    from ``run_circuit_raw``. With every slot shared, the prefix's one-row
+    state keeps one row through each ``apply_step`` and ends on the dense
+    oracle's run."""
+    refused = "rx and per-row angles run only in the product prefix"
+    rows = np.array([0.1, -0.2, 0.3])
+    for n in (2, 5):
+        circuit = Circuit(n, (ry(0, param=0), cnot(0, 1), ry(1, param=1), ry(0, param=0)), 2)
+        for angles in ([0.4, rows], [rows, 0.4]):
+            with pytest.raises(ValueError, match=refused):
+                bind_steps(circuit, angles, circuit.prefix_len)
+            with pytest.raises(ValueError, match=refused):
+                run_circuit_raw(np.eye(3, 2**n), circuit, angles)
+        angles = [0.4, -0.7]
+        state = product_state(prefix_vectors(circuit, angles))
+        for step in bind_steps(circuit, angles, circuit.prefix_len):
+            assert state.shape == (1, 2**n)
+            state = apply_step(state, step)
+        assert state.shape == (1, 2**n)
+        expected = dense_run(circuit, np.eye(2**n)[0], angles)
+        assert np.max(np.abs(state[0] - expected)) <= 1e-12
 
 
 def test_cnot_runs_fuse_into_one_step():
@@ -347,11 +374,11 @@ def sorted_ops(ops):
 def test_product_prefix_run_matches_the_gate_run(seed, n, batch):
     """The prefix steps are layers of the prefix's rotations. Starting from
     the product state of the rotation prefix and running the rest equals
-    the dense Kronecker oracle to 1e-12, with shared and per-row angles,
-    and, when no prefix gate is an rx, running every step on |0...0> rows. The product state is a
-    float64 batch, held as real halves exactly when a prefix gate is an
-    rx. An all-shared prefix gives one row, which the kernel broadcasts
-    against the per-row angles after it."""
+    the dense Kronecker oracle to 1e-12, with shared and per-row prefix
+    angles, and, when no prefix gate is an rx, running every step on each
+    row's |0...0> with that row's angles. The product state is a float64
+    batch, held as real halves exactly when a prefix gate is an rx. An
+    all-shared prefix gives one row, and so does its run."""
     rng = np.random.default_rng(seed)
     circuit, prefix, n_prefix_params = prefixed_circuit(rng, n)
     binding = random_binding(rng, circuit, batch)
@@ -361,11 +388,13 @@ def test_product_prefix_run_matches_the_gate_run(seed, n, batch):
     has_rx = any(op.kind == "rx" for op in prefix)
     rows = batch if vectors.ndim == 3 else 1
     assert state.shape == (2,) * has_rx + (rows, 2**n) and state.dtype == float
-    out = batch_rows(run_circuit_raw(state, circuit, binding, circuit.prefix_len), batch)
-    state = batch_rows(state, batch)
+    out = run_steps(state, bind_steps(circuit, binding, circuit.prefix_len))
+    assert out.shape == state.shape
+    out, state = batch_rows(out, batch), batch_rows(state, batch)
     zero = np.eye(1, 2**n)[0]
     if not has_rx:
-        gate_run = run_circuit_raw(np.repeat(zero[None], batch, axis=0), circuit, binding)
+        gate_run = np.concatenate([run_circuit_raw(np.eye(1, 2**n), circuit, row_params(binding, b))
+                                   for b in range(batch)])
         assert np.max(np.abs(out - gate_run)) <= 1e-12
     prefix_circuit = Circuit(n, prefix, n_prefix_params)
     for b in range(batch):
@@ -414,15 +443,15 @@ def test_product_state_of_row_slices_matches_the_whole_batch(seed, n, batch, rea
 @example(seed=0, n=1, batch=2, stack=(), halves=False)  # an empty high factor
 @example(seed=1, n=2, batch=3, stack=(2,), halves=True)
 def test_rotation_layer_matches_the_dense_kronecker_unitary(seed, n, batch, stack, halves):
-    """One ry layer step on a random qubit subset, on shared and per-row
-    slots, applied to a float64 (B, 2**n) batch, with or without a leading
-    stack axis, or to real halves, equals the dense oracle's run of its ops
-    to 1e-12, and its adjoint step undoes that run."""
+    """One ry layer step on a random qubit subset, on shared slots, applied
+    to a float64 (B, 2**n) batch, with or without a leading stack axis, or
+    to real halves, equals the dense oracle's run of its ops to 1e-12, and
+    its adjoint step undoes that run."""
     rng = np.random.default_rng(seed)
     qubits = rng.permutation(n)[: int(rng.integers(1, n + 1))]
     ops = tuple(ry(int(q), param=k) for k, q in enumerate(qubits))
     circuit = Circuit(n, ops, len(ops))
-    binding = random_binding(rng, circuit, batch)
+    binding = random_binding(rng, circuit, batch, 0)
     amps = random_batch(rng, n, math.prod(stack) * batch, halves)
     amps = amps.reshape(amps.shape[:-2] + stack + (batch, 2**n))
     (step,) = bind_steps(circuit, binding)
@@ -442,11 +471,11 @@ def test_rotation_layer_matches_the_dense_kronecker_unitary(seed, n, batch, stac
        halves=st.booleans())
 def test_programs_run_rotations_as_layers_and_match_the_dense_oracle(seed, n, batch, halves):
     """On any qubit count the program runs every rotation inside a layer,
-    and the run equals the dense oracle to 1e-12, with shared and per-row
-    slots, on real states and real halves."""
+    and the run equals the dense oracle to 1e-12, with shared slots, on real
+    states and real halves."""
     rng = np.random.default_rng(seed)
     circuit, _ = random_layered_circuit(rng, n, real=True)
-    binding = random_binding(rng, circuit, batch)
+    binding = random_binding(rng, circuit, batch, 0)
     assert_rotations_run_as_layers(circuit)
     initial = random_batch(rng, n, batch, halves)
     out = run_circuit_raw(initial, circuit, binding)
