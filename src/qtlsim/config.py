@@ -6,6 +6,7 @@ completed run can be reproduced by pointing train at its manifest.
 """
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 
@@ -120,15 +121,20 @@ def validate_config(config: TrainConfig):
     except ValueError as exc:
         raise ConfigError(f"train_ratio, val_ratio, test_ratio: {exc}") from None
     names = config.class_name_list or []
-    # a manifest writes these back as one comment-stripped, whitespace-trimmed line
     if names and (len(names) != config.n_classes or len(set(names)) != len(names)
-                  or any(name != name.strip() or name.splitlines() != [name]
-                         or "#" in name for name in names)):
-        raise ConfigError(
-            f"class_names: need {config.n_classes} distinct, non-empty, comma-separated "
-            f"names without surrounding spaces, line breaks or '#', got "
-            f"{config.class_names!r}"
-        )
+                  or any(not name or name != name.strip() for name in names)):
+        raise ConfigError(f"class_names: need {config.n_classes} distinct, non-empty, "
+                          f"comma-separated names without surrounding spaces, got "
+                          f"{config.class_names!r}")
+    for f in fields(config):
+        value = getattr(config, f.name)
+        # a manifest writes each value back as one comment-stripped, whitespace-trimmed line
+        if f.type == "str" and ("#" in value or value != value.strip()
+                                or len(value.splitlines()) > 1):
+            raise ConfigError(f"{f.name}: must be one line without '#' or surrounding "
+                              f"spaces, got {value!r}")
+        if f.type == "float" and not math.isfinite(value):
+            raise ConfigError(f"{f.name}: must be finite, got {value!r}")
 
 
 def config_to_text(config: TrainConfig) -> str:

@@ -185,21 +185,18 @@ def init_model(mode: str, embedding: str, n_qubits: int, depth: int,
 def _dqc_circuit(embedding: str, n_qubits: int, depth: int) -> Circuit:
     """Embedding + layers with every rotation angle exposed as trainable.
 
-    Slots 0..E-1 are the embedding angles in feature order (angle: RY
-    per qubit; dense_angle: RX then RY per qubit), slots E.. the layer
-    parameters; one adjoint sweep then yields gradients on both sides of
-    the classical/quantum boundary.
+    The embedding ops come first and the ``build_layers`` ops after them,
+    unchanged: slots 0..Q-1 are the layer parameters, slots Q.. the
+    embedding angles in feature order (angle: RY per qubit; dense_angle:
+    RX then RY per qubit). The prefix is then one-kind layers: [embedding
+    RX] (dense_angle only), [embedding RY], [first-layer RY]. One adjoint
+    sweep yields gradients on both sides of the classical/quantum boundary.
     """
-    if embedding == "angle":
-        embed = [ry(q, param=q) for q in range(n_qubits)]
-    else:
-        embed = [gate(q, param=2 * q + k) for q in range(n_qubits)
-                 for k, gate in enumerate((rx, ry))]
     layers = build_layers(VqcTemplate(n_qubits, depth))
-    shifted = [op if op.param_index is None
-               else replace(op, param_index=op.param_index + len(embed))
-               for op in layers.ops]
-    return Circuit(n_qubits, tuple(embed + shifted), len(embed) + layers.n_params)
+    gates = (ry,) if embedding == "angle" else (rx, ry)
+    embed = [gate(q, param=layers.n_params + len(gates) * q + k) for q in range(n_qubits)
+             for k, gate in enumerate(gates)]
+    return Circuit(n_qubits, (*embed, *layers.ops), layers.n_params + len(embed))
 
 
 def _check_batch(model: HybridModel, features) -> np.ndarray:
@@ -211,14 +208,13 @@ def _check_batch(model: HybridModel, features) -> np.ndarray:
 
 def _bound_program(model: HybridModel):
     """(circuit, measured qubits, bound steps) of the model's head: the
-    steps after the initial states read only the shared q slots, so one
-    binding serves every row of a call."""
+    steps after the initial states read only the q slots, the circuit's
+    first, so they bind to the q block itself, once for every row of a call."""
     t, q = model.template, model.blocks["q"]
     if model.mode == "purevqc":
         return build_layers(t), range(model.n_classes), bind_steps(build_layers(t), q)
     circuit = _dqc_circuit(model.embedding, t.n_qubits, t.depth)
-    slots = dict(enumerate(q, circuit.n_params - q.size))  # no per-row embedding slot
-    return circuit, range(t.n_qubits), bind_steps(circuit, slots, circuit.prefix_len)
+    return circuit, range(t.n_qubits), bind_steps(circuit, q, circuit.prefix_len)
 
 
 def _run_block(model: HybridModel, circuit: Circuit, measured, steps, x: np.ndarray):
@@ -233,8 +229,8 @@ def _run_block(model: HybridModel, circuit: Circuit, measured, steps, x: np.ndar
         params, vectors, pre_out, amps = p["q"], None, None, amplitude_rows(x)
     else:
         pre_out = x @ p["pre_w"].T + p["pre_b"]
-        params = [*(np.tanh(pre_out) * ANGLE_SCALE).T, *p["q"]]  # per-row embedding slots
-        vectors = prefix_vectors(circuit, params)
+        params = [*p["q"], *(np.tanh(pre_out) * ANGLE_SCALE).T]  # q, per-row embedding slots
+        vectors = prefix_vectors(circuit, params, len(x))
         amps = product_state(vectors)
     final = run_steps(amps, steps)
     z = z_expectations(final, measured)
@@ -287,9 +283,9 @@ def model_backward(model: HybridModel, features, labels) -> np.ndarray:
     g = block_views(model.layout, grad)
     g["post_w"][...] = dlogits.T @ z
     g["post_b"][...] = dlogits.sum(axis=0)
-    n_embed = pre_out.shape[1]
-    g["q"][...] = dfull[:, n_embed:].sum(axis=0)
-    dpre_out = dfull[:, :n_embed] * ANGLE_SCALE * (1.0 - np.tanh(pre_out) ** 2)
+    n_q = g["q"].size
+    g["q"][...] = dfull[:, :n_q].sum(axis=0)
+    dpre_out = dfull[:, n_q:] * ANGLE_SCALE * (1.0 - np.tanh(pre_out) ** 2)
     g["pre_w"][...] = dpre_out.T @ x
     g["pre_b"][...] = dpre_out.sum(axis=0)
     return grad / x.shape[0]

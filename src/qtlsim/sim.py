@@ -17,9 +17,10 @@ rotation on each qubit in layer k) whose Kronecker product acts as two
 (d, d) factors of about 2**(n/2) rows, one matmul each: the
 gather-and-apply gate fusion of Smelyanskiy et al., arXiv:1601.07195.
 
-A run from |0...0> starts from a product state: the rotations before the
-first CNOT, rx or ry, make one 2-vector per qubit (``prefix_vectors``),
-per row after a (B,) angle array, complex after an rx; ``product_state``
+A run of B rows from |0...0> starts from a product state: the rotation
+layers before the first CNOT, rx or ry, each reading shared floats only
+or per-row (B,) angle arrays only, make each row's 2-vector per qubit
+(``prefix_vectors``), complex if one is an rx; ``product_state``
 multiplies them out into a float64 batch, or into the real halves [a; b]
 of complex states a + ib, a (2, B, 2**n) stack that each real step runs
 as 2B rows. ``bind_steps`` binds the rest to a call's shared slots once;
@@ -212,12 +213,9 @@ def _kron(mats: np.ndarray) -> np.ndarray:
 
 
 def layer_angles(layer: RotationLayer, params) -> np.ndarray:
-    """The layer's angles in op order: (k,), or (k, B) with a per-row one."""
-    angles = [params[i] for i in layer.slots]
-    try:
-        return np.array(angles, dtype=float)
-    except ValueError:  # per-row (B,) angles next to shared floats
-        return np.array(np.broadcast_arrays(*angles))
+    """The layer's angles in op order: (k,) shared floats or (k, B) per-row
+    (B,) arrays; a layer that mixes the two raises ValueError."""
+    return np.array([params[i] for i in layer.slots], dtype=float)
 
 
 def rotate_vectors(layer: RotationLayer, params, vectors: np.ndarray, sign: float = 1.0):
@@ -290,16 +288,15 @@ def run_circuit_raw(amps: np.ndarray, circuit: Circuit, params) -> np.ndarray:
     return run_steps(amps, bind_steps(circuit, params))
 
 
-def prefix_vectors(circuit: Circuit, params) -> np.ndarray:
-    """(n, 2), or (B, n, 2) after a per-row angle: the per-qubit 2-vectors
-    that the prefix makes from |0>, complex128 after an rx."""
-    vectors = np.array([[1.0, 0.0]] * circuit.n_qubits)
-    for layer in circuit.program[: circuit.prefix_len]:
-        moved = rotate_vectors(layer, params, vectors[..., layer.targets, :])
-        if moved.shape[:-2] != vectors.shape[:-2] or moved.dtype != vectors.dtype:
-            shape = moved.shape[:-2] + vectors.shape[-2:]
-            vectors = np.broadcast_to(vectors, shape).astype(moved.dtype)
-        vectors[..., layer.targets, :] = moved
+def prefix_vectors(circuit: Circuit, params, rows: int) -> np.ndarray:
+    """(rows, n, 2): each row's per-qubit 2-vectors that the prefix makes
+    from |0>, complex128 if a prefix layer is an rx, float64 otherwise."""
+    prefix = circuit.program[: circuit.prefix_len]
+    dtype = complex if any(layer.kind == "rx" for layer in prefix) else float
+    vectors = np.zeros((rows, circuit.n_qubits, 2), dtype)
+    vectors[..., 0] = 1.0
+    for layer in prefix:
+        vectors[:, layer.targets] = rotate_vectors(layer, params, vectors[:, layer.targets])
     return vectors
 
 
@@ -315,16 +312,14 @@ def _kron_rows(vectors: np.ndarray) -> np.ndarray:
 
 
 def product_state(vectors: np.ndarray) -> np.ndarray:
-    """The prefix's states from its ``prefix_vectors``: b rows for a
-    (b, n, 2) stack, one row, which every kernel step keeps, for shared
-    (n, 2) vectors; (b, 2**n), or, for complex vectors, the real halves
-    (2, b, 2**n) [hr lr - hi li; hi lr + hr li] of the product of the
-    states h of qubits [0, n // 2) and l of the rest, by one real matmul."""
-    v = vectors if vectors.ndim == 3 else vectors[None]  # (b, n, 2)
-    split, b = v.shape[1] // 2, len(v)
-    if not np.iscomplexobj(v):
-        return _kron_rows(v)
-    high, low = _kron_rows(v[:, :split]), _kron_rows(v[:, split:])
+    """The b states of a (b, n, 2) ``prefix_vectors`` stack: (b, 2**n), or,
+    for complex vectors, the real halves (2, b, 2**n)
+    [hr lr - hi li; hi lr + hr li] of the product of the states h of
+    qubits [0, n // 2) and l of the rest, by one real matmul."""
+    split, b = vectors.shape[1] // 2, len(vectors)
+    if not np.iscomplexobj(vectors):
+        return _kron_rows(vectors)
+    high, low = _kron_rows(vectors[:, :split]), _kron_rows(vectors[:, split:])
     h = high.view(float).reshape(b, -1, 2)  # [hr, hi] pairs
     left = np.array([h * [1.0, -1.0], h[..., ::-1]])  # rows [hr, -hi] and [hi, hr]
     return (left @ np.stack([low.real, low.imag], axis=1)).reshape(2, b, -1)

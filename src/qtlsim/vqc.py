@@ -143,18 +143,18 @@ def _add_layer_grads(grads: np.ndarray, n_qubits: int, layer: RotationLayer,
 def _add_prefix_grads(grads: np.ndarray, circuit: Circuit, params, vectors: np.ndarray,
                       lam: np.ndarray) -> None:
     """Add each prefix rotation's term to its slot, from lambda at the prefix,
-    (1 or 2 real halves, B, 2**n), and the vectors v_p of the product state.
-    Qubit q's environment e_q[x] sums lambda_j prod_{p != q} conj(v_p[j_p])
-    over the j with j_q = x. Back through the prefix layers, each rotation
-    adds Re<e_q|G w_q>, w_q its qubit's vector, and un-applies itself."""
+    (1 or 2 real halves, B, 2**n), and the (B, n, 2) vectors v_p of the
+    product state. Qubit q's environment e_q[x] sums lambda_j prod_{p != q}
+    conj(v_p[j_p]) over the j with j_q = x. Back through the prefix layers,
+    each rotation adds Re<e_q|G w_q>, w_q its qubit's vector, and un-applies itself."""
     n, rows, bits = circuit.n_qubits, grads.shape[0], factor_bits(circuit.n_qubits)
-    v = vectors * np.ones((rows, 1, 1))  # (B, n, 2)
-    table = np.take(np.conj(v).reshape(rows, 2 * n), 2 * np.arange(n)[:, None] + bits, axis=1)
+    index = 2 * np.arange(n)[:, None] + bits
+    table = np.take(np.conj(vectors).reshape(rows, 2 * n), index, axis=1)
     loo = np.ones_like(table)  # (B, n, 2**n): conj(v_p[j_p]) multiplied over p < q ...
     np.cumprod(table[:, :-1], axis=1, out=loo[:, 1:])
     loo[:, :-1] *= np.cumprod(table[:, :0:-1], axis=1)[:, ::-1]  # ... and over p > q
     env = ((lam[:, :, None, None, :] * loo[:, :, None, :]) @ np.eye(2)[bits])[..., 0, :]
-    pairs = np.array([env[0] + 1j * env[1] if len(env) == 2 else env[0], v])  # e, w
+    pairs = np.array([env[0] + 1j * env[1] if len(env) == 2 else env[0], vectors])  # e, w
     gens = {"rx": ROTATION_G["rx"], "ry": -1j * np.asarray(GENERATORS["ry"])}
     for layer in reversed(circuit.program[: circuit.prefix_len]):
         e, w = pair = pairs[:, :, layer.targets]  # (2, B, k, 2)

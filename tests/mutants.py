@@ -58,11 +58,17 @@ MUTANTS = [
      'gens = {"rx": ROTATION_G["rx"],',
      'gens = {"rx": -ROTATION_G["rx"],'),
     ("ANGLE_SCALE dropped from dpre_out", "hybrid.py",
-     "dfull[:, :n_embed] * ANGLE_SCALE * (1.0 - np.tanh(pre_out) ** 2)",
-     "dfull[:, :n_embed] * (1.0 - np.tanh(pre_out) ** 2)"),
+     "dfull[:, n_q:] * ANGLE_SCALE * (1.0 - np.tanh(pre_out) ** 2)",
+     "dfull[:, n_q:] * (1.0 - np.tanh(pre_out) ** 2)"),
     ("tanh derivative dropped from dpre_out", "hybrid.py",
-     "dfull[:, :n_embed] * ANGLE_SCALE * (1.0 - np.tanh(pre_out) ** 2)",
-     "dfull[:, :n_embed] * ANGLE_SCALE"),
+     "dfull[:, n_q:] * ANGLE_SCALE * (1.0 - np.tanh(pre_out) ** 2)",
+     "dfull[:, n_q:] * ANGLE_SCALE"),
+    ("q and embedding gradient columns swapped", "hybrid.py",
+     'g["q"][...] = dfull[:, :n_q].sum(axis=0)\n    dpre_out = dfull[:, n_q:]',
+     'g["q"][...] = dfull[:, -n_q:].sum(axis=0)\n    dpre_out = dfull[:, :-n_q]'),
+    ("prefix vectors start at |1>", "sim.py",
+     "vectors[..., 0] = 1.0",
+     "vectors[..., 1] = 1.0"),
     ("Adam bias correction removed", "hybrid.py",
      "m_hat = m / (1.0 - ADAM_BETA1**t)",
      "m_hat = m"),
@@ -114,6 +120,12 @@ MUTANTS = [
     ("numpy's default comment handling in the CSV parse", "data.py",
      "comments=None)",
      'comments="#")'),
+    ("a '#' in a str config value passes", "config.py",
+     '("#" in value or value != value.strip()',
+     '(value != value.strip()'),
+    ("non-finite config floats pass", "config.py",
+     'if f.type == "float" and not math.isfinite(value):',
+     "if False:"),
 ]
 # Dropped, each because the code it edited is deleted:
 # - "transfer matrix refusal silenced": sim.transfer_matrix and its per-row

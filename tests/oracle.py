@@ -322,12 +322,6 @@ def joined(amps):
     return amps[0] + 1j * amps[1] if np.ndim(amps) == 3 else np.asarray(amps, dtype=complex)
 
 
-def batch_rows(amps, batch):
-    """A kernel batch, real or real halves, broadcast to ``batch`` rows: the
-    one row of an all-shared product state, repeated."""
-    return np.broadcast_to(amps, amps.shape[:-2] + (batch, amps.shape[-1]))
-
-
 def random_circuit(rng, n, max_gates=12, real=False):
     """Random circuit of ry/cnot gates, each rotation on a slot of its own;
     unless ``real``, rx gates too before the first cnot, in the product
@@ -381,12 +375,22 @@ def random_layered_circuit(rng, n, real=False):
 
 def random_binding(rng, circuit, batch, start=None):
     """Angles for a batched run: per slot, a shared float or a (batch,)
-    array, the latter only for a slot that no program step from ``start``
-    reads, the kernel's steps (default: those after the product prefix;
-    pass 0 for a run from |0...0>)."""
+    array. The program steps from ``start`` on, the kernel's (default:
+    those after the product prefix; pass 0 for a run from |0...0>), read
+    shared slots only; each layer before them reads, at random, per-row
+    slots only or shared slots only, and a layer that reads a slot shared
+    elsewhere shares all of its slots."""
     start = circuit.prefix_len if start is None else start
-    kernel = {slot for step in circuit.program[start:] for slot in getattr(step, "slots", ())}
-    return [float(rng.uniform(-np.pi, np.pi)) if k in kernel or rng.integers(2)
+    shared = {slot for step in circuit.program[start:] for slot in getattr(step, "slots", ())}
+    layers = [set(layer.slots) for layer in circuit.program[:start]]
+    for slots in layers:
+        if rng.integers(2):
+            shared |= slots
+    while any(slots & shared and not slots <= shared for slots in layers):
+        for slots in layers:
+            if slots & shared:
+                shared |= slots
+    return [float(rng.uniform(-np.pi, np.pi)) if k in shared
             else rng.uniform(-np.pi, np.pi, batch) for k in range(circuit.n_params)]
 
 

@@ -185,6 +185,29 @@ def test_manifest_rerun_reproduces_run(fast_config, tmp_path):
            (tmp_path / "b" / "metrics.csv").read_bytes()
 
 
+def test_the_benchmark_hooks_exist(monkeypatch):
+    """The outside-in benchmark tracer rebinds functions in qtlsim's module
+    namespaces and calls a few by name: circuit_expectations must reach
+    run_circuit_raw through vqc's module global, training must call
+    hybrid's model_backward, and the grad-check and checkpoint entry points
+    must exist."""
+    import qtlsim.checkpoint as checkpoint
+    import qtlsim.gradcheck as gradcheck
+    import qtlsim.hybrid as hybrid
+    import qtlsim.training as training
+
+    circuit = vqc_mod.build_layers(vqc_mod.VqcTemplate(3, 2))
+    calls = []
+    real = vqc_mod.run_circuit_raw
+    monkeypatch.setattr(vqc_mod, "run_circuit_raw",
+                        lambda *args: calls.append(args[1]) or real(*args))
+    vqc_mod.circuit_expectations(circuit, [0.1] * circuit.n_params, [0])
+    assert calls == [circuit]
+    assert training.model_backward is hybrid.model_backward
+    assert callable(gradcheck.run_grad_check) and callable(checkpoint.load_checkpoint)
+    assert 0 < cli.GRAD_CHECK_THRESHOLD < 1
+
+
 def test_invalid_mode_embedding_combo_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.txt"
     cfg.write_text("mode = purevqc\nembedding = angle\n")
@@ -207,6 +230,20 @@ def test_class_names_a_manifest_cannot_reproduce_exit_2(fast_config, tmp_path, c
     assert run_cli("train", "--config", fast_config, "--data", csv_path,
                    "--out", out) == 2
     assert "class_names" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_values_a_manifest_cannot_write_back_exit_2(fast_config, tmp_path, capsys):
+    """A `#` in --data would read back from the manifest as a shorter path,
+    and lr = nan would train into a numerical abort: both are config
+    errors naming the key, before any artifact."""
+    nan_lr = tmp_path / "nan_lr.txt"
+    nan_lr.write_text(FAST_CONFIG.replace("lr = 0.003", "lr = nan"))
+    out = tmp_path / "run"
+    for argv, key in (([fast_config, "--data", tmp_path / "run#1" / "x.csv"], "data"),
+                      ([nan_lr], "lr")):
+        assert run_cli("train", "--config", *argv, "--out", out) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
     assert not out.exists()
 
 

@@ -116,6 +116,28 @@ def test_class_names_must_survive_the_text_form():
         == ["tumor 1", "healthy"]
 
 
+def test_str_values_must_survive_the_text_form():
+    """A manifest writes each value back as one comment-stripped, trimmed
+    line, so a `#`, a line break or surrounding spaces in any str value
+    would read back as another value: a config error naming the key."""
+    for data in ("/tmp/run#1/x.csv", " x.csv", "x.csv\n", "a\rb.csv", "a\u2028b.csv"):
+        with pytest.raises(ConfigError, match="data: must be one line"):
+            with_overrides(TrainConfig(), data=data)
+    cfg = with_overrides(TrainConfig(), data="/tmp/run 1/x=1.csv")
+    assert parse_config_text(config_to_text(cfg)) == cfg
+
+
+def test_non_finite_floats_are_config_errors():
+    """A nan or inf learning rate, weight decay or separation is rejected by
+    name before any run, not left to train into a numerical abort."""
+    for key in ("lr", "weight_decay", "synth_separation"):
+        for raw in ("nan", "inf"):
+            with pytest.raises(ConfigError, match=f"{key}: must be finite"):
+                parse_config_text(f"{key} = {raw}\n")
+    with pytest.raises(ConfigError, match="lr: must be positive"):
+        parse_config_text("lr = -inf\n")
+
+
 @given(names=st.one_of(st.just([]), st.lists(st.text(), min_size=2, max_size=4)),
        balance=st.sampled_from([True, False, np.True_, np.False_]),
        lr=st.floats(1e-6, 1.0).flatmap(lambda v: st.sampled_from([v, np.float32(v)])),

@@ -18,7 +18,8 @@ from qtlsim.embeddings import (
     read_pgm,
 )
 from qtlsim.hybrid import _dqc_circuit
-from qtlsim.sim import Circuit, prefix_vectors, product_state, z_expectations
+from qtlsim.sim import prefix_vectors, product_state, z_expectations
+from qtlsim.vqc import VqcTemplate, build_layers
 
 from oracle import textbook_rotation, write_pgm
 
@@ -27,16 +28,16 @@ def random_image(rng, side):
     return GrayImage(side, rng.integers(0, 256, size=side * side))
 
 
-# --- angle / dense-angle: the first E slots of the dqc circuit ------------
+# --- angle / dense-angle: the last E slots of the dqc circuit -------------
 
 def embed(embedding, features):
-    """The dqc circuit's embedding gates, its first E ops, run on |0...0>
-    with feature k bound to slot k: the product state of their prefix
-    vectors, as one complex state."""
+    """The depth-1 dqc circuit's prefix run on |0...0> with feature k bound
+    to slot Q + k, after the Q = n layer slots bound to 0: its embedding
+    gates, then one RY(0), the identity, per qubit. The product state of
+    its prefix vectors, as one complex state."""
     n = len(features) if embedding == "angle" else len(features) // 2
-    ops = _dqc_circuit(embedding, n, 1).ops[: len(features)]
-    circuit = Circuit(n, ops, len(features))  # rejects an op outside slots 0..E-1
-    amps = product_state(prefix_vectors(circuit, np.asarray(features, dtype=float)))
+    params = [*np.zeros(n), *np.asarray(features, dtype=float)]
+    amps = product_state(prefix_vectors(_dqc_circuit(embedding, n, 1), params, 1))
     return amps[0, 0] + 1j * amps[1, 0] if amps.ndim == 3 else amps[0].astype(complex)
 
 
@@ -64,17 +65,19 @@ def test_angle_embed_marginals():
 
 
 def test_angle_embed_structure():
-    """Slot k carries feature k: one RY per qubit (angle), RX then RY per
-    qubit (dense_angle), before any layer gate."""
+    """Slot Q + k carries feature k, after the Q layer slots: one RY per
+    qubit (angle), RX then RY per qubit (dense_angle), before any layer
+    gate; the layer gates are ``build_layers``' own, slots 0..Q-1."""
     angle = _dqc_circuit("angle", 5, 1)
     assert [(op.kind, op.target, op.param_index) for op in angle.ops[:5]] == \
-        [("ry", q, q) for q in range(5)]
+        [("ry", q, 5 + q) for q in range(5)]
     dense = _dqc_circuit("dense_angle", 3, 1)
     assert [(op.kind, op.target, op.param_index) for op in dense.ops[:6]] == \
-        [(kind, q, 2 * q + k) for q in range(3) for k, kind in enumerate(("rx", "ry"))]
+        [(kind, q, 3 + 2 * q + k) for q in range(3) for k, kind in enumerate(("rx", "ry"))]
     for circuit, n_embed in ((angle, 5), (dense, 6)):
-        assert all(op.param_index is None or op.param_index >= n_embed
-                   for op in circuit.ops[n_embed:])
+        layers = build_layers(VqcTemplate(circuit.n_qubits, 1))
+        assert circuit.ops[n_embed:] == layers.ops
+        assert circuit.n_params == layers.n_params + n_embed
 
 
 def test_dense_angle_zero_is_identity():
@@ -170,7 +173,7 @@ def test_qubit_count_laws():
     """angle: N qubits; dense-angle: N/2; amplitude: ceil(log2 N)."""
     n = 8
     for embedding, n_qubits in (("angle", n), ("dense_angle", n // 2)):
-        # n embedding slots, then n_qubits layer slots at depth 1
+        # n_qubits layer slots at depth 1, then n embedding slots
         assert _dqc_circuit(embedding, n_qubits, 1).n_params == n + n_qubits
     assert amplitude_embed(np.linspace(-1, 1, n)).n_qubits == 3
 

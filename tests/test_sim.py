@@ -29,7 +29,6 @@ from qtlsim.sim import (
 )
 
 from oracle import (
-    batch_rows,
     dense_run,
     joined,
     random_batch,
@@ -296,13 +295,13 @@ def test_an_rx_step_in_the_kernel_is_refused():
     refused = r"RotationLayer\(.*kind='rx', target=1"
     for n in (2, 5):
         late = Circuit(n, (ry(0, param=0), cnot(0, 1), rx(1, param=1)), 2)
-        state = product_state(prefix_vectors(late, angles))
+        state = product_state(prefix_vectors(late, angles, 1))
         with pytest.raises(ValueError, match=refused):
             run_steps(state, bind_steps(late, angles, late.prefix_len))
         early = Circuit(n, (rx(1, param=0), cnot(0, 1), ry(1, param=1)), 2)
         with pytest.raises(ValueError, match=refused):
             run_circuit_raw(np.eye(1, 2**n), early, angles)
-        state = product_state(prefix_vectors(early, angles))
+        state = product_state(prefix_vectors(early, angles, 1))
         assert state.shape == (2, 1, 2**n)
         out = run_steps(state, bind_steps(early, angles, early.prefix_len))
         expected = dense_run(early, np.eye(2**n)[0], angles)
@@ -316,27 +315,35 @@ def test_an_rx_step_in_the_kernel_is_refused():
 def test_a_per_row_angle_in_the_kernel_is_refused():
     """Per-row angles run only in the product prefix: a (B,) angle array on
     a slot that a kernel step reads, a later layer's own or a prefix slot
-    read again after the CNOT, raises ValueError from ``bind_steps`` and
-    from ``run_circuit_raw``. With every slot shared, the prefix's one-row
-    state keeps one row through each ``apply_step`` and ends on the dense
-    oracle's run."""
+    read again after a CNOT, raises ValueError from ``bind_steps`` and from
+    ``run_circuit_raw``, and so does a layer that mixes a per-row angle
+    with a shared one, in the prefix or after it. With every slot shared,
+    the prefix's B-row state keeps B rows through each ``apply_step``, and
+    each row ends on the dense oracle's run."""
     refused = "rx and per-row angles run only in the product prefix"
     rows = np.array([0.1, -0.2, 0.3])
     for n in (2, 5):
-        circuit = Circuit(n, (ry(0, param=0), cnot(0, 1), ry(1, param=1), ry(0, param=0)), 2)
+        circuit = Circuit(n, (ry(0, param=0), cnot(0, 1), ry(1, param=1), cnot(0, 1),
+                              ry(0, param=0)), 2)
         for angles in ([0.4, rows], [rows, 0.4]):
             with pytest.raises(ValueError, match=refused):
                 bind_steps(circuit, angles, circuit.prefix_len)
             with pytest.raises(ValueError, match=refused):
                 run_circuit_raw(np.eye(3, 2**n), circuit, angles)
+        mixed = Circuit(n, (ry(0, param=0), ry(1, param=1), cnot(0, 1), ry(1, param=1),
+                            ry(0, param=0)), 2)
+        with pytest.raises(ValueError, match="sequence"):  # numpy's, from layer_angles
+            prefix_vectors(mixed, [0.4, rows], len(rows))
+        with pytest.raises(ValueError, match="sequence"):
+            bind_steps(mixed, [0.4, rows], mixed.prefix_len)
         angles = [0.4, -0.7]
-        state = product_state(prefix_vectors(circuit, angles))
+        state = product_state(prefix_vectors(circuit, angles, len(rows)))
         for step in bind_steps(circuit, angles, circuit.prefix_len):
-            assert state.shape == (1, 2**n)
+            assert state.shape == (len(rows), 2**n)
             state = apply_step(state, step)
-        assert state.shape == (1, 2**n)
+        assert state.shape == (len(rows), 2**n)
         expected = dense_run(circuit, np.eye(2**n)[0], angles)
-        assert np.max(np.abs(state[0] - expected)) <= 1e-12
+        assert np.max(np.abs(state - expected)) <= 1e-12
 
 
 def test_cnot_runs_fuse_into_one_step():
@@ -377,20 +384,17 @@ def test_product_prefix_run_matches_the_gate_run(seed, n, batch):
     the dense Kronecker oracle to 1e-12, with shared and per-row prefix
     angles, and, when no prefix gate is an rx, running every step on each
     row's |0...0> with that row's angles. The product state is a float64
-    batch, held as real halves exactly when a prefix gate is an rx. An
-    all-shared prefix gives one row, and so does its run."""
+    batch of B rows, shared angles or not, held as real halves exactly
+    when a prefix gate is an rx, and its run keeps the B rows."""
     rng = np.random.default_rng(seed)
     circuit, prefix, n_prefix_params = prefixed_circuit(rng, n)
     binding = random_binding(rng, circuit, batch)
     assert sorted_ops(layer_ops(circuit.program[: circuit.prefix_len])) == sorted_ops(prefix)
-    vectors = prefix_vectors(circuit, binding)
-    state = product_state(vectors)
+    state = product_state(prefix_vectors(circuit, binding, batch))
     has_rx = any(op.kind == "rx" for op in prefix)
-    rows = batch if vectors.ndim == 3 else 1
-    assert state.shape == (2,) * has_rx + (rows, 2**n) and state.dtype == float
+    assert state.shape == (2,) * has_rx + (batch, 2**n) and state.dtype == float
     out = run_steps(state, bind_steps(circuit, binding, circuit.prefix_len))
     assert out.shape == state.shape
-    out, state = batch_rows(out, batch), batch_rows(state, batch)
     zero = np.eye(1, 2**n)[0]
     if not has_rx:
         gate_run = np.concatenate([run_circuit_raw(np.eye(1, 2**n), circuit, row_params(binding, b))
@@ -411,26 +415,24 @@ def test_product_state_of_row_slices_matches_the_whole_batch(seed, n, batch, rea
     slice, equal the rows of the whole batch's product state exactly, for
     real and complex prefixes and shared and per-row angles, and so do the
     vectors and product state built from one row's angles alone: a row's
-    bits do not depend on the batch it sits in. Shared vectors give one row.
-    Each row is within 1e-12 of the dense oracle's run of the prefix."""
+    bits do not depend on the batch it sits in. Each row is within 1e-12
+    of the dense oracle's run of the prefix."""
     rng = np.random.default_rng(seed)
     circuit, prefix, n_prefix_params = prefixed_circuit(rng, n, real)
     binding = random_binding(rng, circuit, batch)
-    vectors = prefix_vectors(circuit, binding)
+    vectors = prefix_vectors(circuit, binding, batch)
     expected = product_state(vectors)
-    assert expected.shape[-2] == (batch if vectors.ndim == 3 else 1)
-    expected = batch_rows(expected, batch)
+    assert vectors.shape == (batch, n, 2) and expected.shape[-2] == batch
     size = int(rng.integers(1, batch + 1))
     prefix_circuit = Circuit(n, prefix, n_prefix_params)
     zero = np.eye(1, 2**n)[0]
     for start in range(0, batch, size):
         rows = slice(start, min(start + size, batch))
-        if vectors.ndim == 3:
-            assert np.array_equal(product_state(vectors[rows]), expected[..., rows, :])
+        assert np.array_equal(product_state(vectors[rows]), expected[..., rows, :])
         for b in range(start, rows.stop):
             row = row_params(binding, b)
-            alone = prefix_vectors(circuit, row)
-            assert np.array_equal(alone, vectors[b] if vectors.ndim == 3 else vectors)
+            alone = prefix_vectors(circuit, row, 1)
+            assert np.array_equal(alone, vectors[b:b + 1])
             assert np.array_equal(product_state(alone), expected[..., b:b + 1, :])
             dense = dense_run(prefix_circuit, zero, row)
             assert np.max(np.abs(joined(expected)[b] - dense)) <= 1e-12

@@ -17,7 +17,6 @@ from qtlsim.vqc import (
 )
 
 from oracle import (
-    batch_rows,
     circuit_param_shift,
     dense_run,
     finite_diff,
@@ -240,9 +239,9 @@ def test_adjoint_from_the_product_prefix_matches_param_shift(seed, n, batch):
     rng = np.random.default_rng(seed)
     circuit, _ = random_layered_circuit(rng, n)
     binding = random_binding(rng, circuit, batch)
-    vectors = prefix_vectors(circuit, binding)
+    vectors = prefix_vectors(circuit, binding, batch)
     steps = bind_steps(circuit, binding, circuit.prefix_len)
-    final = run_steps(batch_rows(product_state(vectors), batch), steps)
+    final = run_steps(product_state(vectors), steps)
     measured = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
     upstream = rng.standard_normal((batch, len(measured)))
     grads = circuit_adjoint(circuit, binding, steps, measured, final, upstream, vectors)
@@ -255,9 +254,9 @@ def test_adjoint_from_the_product_prefix_matches_param_shift(seed, n, batch):
 
 def dqc_adjoint(circuit, params, upstream):
     """circuit_adjoint of a dqc circuit run from its product prefix."""
-    vectors = prefix_vectors(circuit, params)
+    vectors = prefix_vectors(circuit, params, len(upstream))
     steps = bind_steps(circuit, params, circuit.prefix_len)
-    final = run_steps(batch_rows(product_state(vectors), len(upstream)), steps)
+    final = run_steps(product_state(vectors), steps)
     return circuit_adjoint(circuit, params, steps, range(circuit.n_qubits), final, upstream,
                            vectors)
 
@@ -288,7 +287,8 @@ def test_broken_ry_generator_changes_the_real_adjoint(monkeypatch, broken):
             assert all(step.kind != "cnot" for step in dqc.program[: dqc.prefix_len])
             assert dqc.prefix_len == len(dqc.program) - 1  # only the CNOT ring follows
             n_embed = dqc.n_params - n
-            angles = [*rng.uniform(-np.pi, np.pi, (n_embed, 2)), *rng.uniform(-np.pi, np.pi, n)]
+            embed_angles = rng.uniform(-np.pi, np.pi, (n_embed, 2))
+            angles = [*rng.uniform(-np.pi, np.pi, n), *embed_angles]  # q slots first
             runs.append(lambda dqc=dqc, angles=angles: dqc_adjoint(dqc, angles, upstream))
         for run in runs:
             good = run()
