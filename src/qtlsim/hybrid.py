@@ -218,24 +218,23 @@ def _bound_program(model: HybridModel):
 
 
 def _run_block(model: HybridModel, circuit: Circuit, measured, steps, x: np.ndarray):
-    """(params, prefix vectors, pre-layer output, final states, <Z> readout,
-    logits) of feature rows ``x`` run from their amplitude rows or
-    ``product_state`` through the ``_bound_program``; purevqc has no
-    vectors and no pre-layer output."""
+    """(params, pre-layer output, final states, <Z> readout, logits) of
+    feature rows ``x`` run from their amplitude rows or the
+    ``product_state`` of their prefix vectors through the
+    ``_bound_program``; purevqc has no pre-layer output."""
     if not np.all(np.isfinite(x)):
         raise ValueError("features must be finite")
     p = model.blocks
     if model.mode == "purevqc":
-        params, vectors, pre_out, amps = p["q"], None, None, amplitude_rows(x)
+        params, pre_out, amps = p["q"], None, amplitude_rows(x)
     else:
         pre_out = x @ p["pre_w"].T + p["pre_b"]
         params = [*p["q"], *(np.tanh(pre_out) * ANGLE_SCALE).T]  # q, per-row embedding slots
-        vectors = prefix_vectors(circuit, params, len(x))
-        amps = product_state(vectors)
+        amps = product_state(prefix_vectors(circuit, params, len(x)))
     final = run_steps(amps, steps)
     z = z_expectations(final, measured)
     logits = z if model.mode == "purevqc" else z @ p["post_w"].T + p["post_b"]
-    return params, vectors, pre_out, final, z, logits
+    return params, pre_out, final, z, logits
 
 
 def model_forward(model: HybridModel, features) -> np.ndarray:
@@ -262,8 +261,8 @@ def model_backward(model: HybridModel, features, labels) -> np.ndarray:
 
     One forward run of the whole batch and one adjoint reverse sweep
     through the same bound steps (for dqc down to the product prefix, then
-    on its vectors) give every rotation angle's gradient, embedding and
-    variational alike; the classical pieces are differentiated
+    through its layers' 2x2s) give every rotation angle's gradient,
+    embedding and variational alike; the classical pieces are differentiated
     analytically, chained through the tanh squash into the pre-layer.
     """
     x = _check_batch(model, features)
@@ -271,11 +270,11 @@ def model_backward(model: HybridModel, features, labels) -> np.ndarray:
     if labels.shape != (x.shape[0],) or np.any((labels < 0) | (labels >= model.n_classes)):
         raise ValueError(f"expected {x.shape[0]} labels in [0, {model.n_classes}), got {labels!r}")
     circuit, measured, steps = _bound_program(model)
-    params, vectors, pre_out, final, z, logits = _run_block(model, circuit, measured, steps, x)
+    params, pre_out, final, z, logits = _run_block(model, circuit, measured, steps, x)
     dlogits = softmax(logits)
     dlogits[np.arange(x.shape[0]), labels] -= 1.0
     upstream = dlogits if model.mode == "purevqc" else dlogits @ model.blocks["post_w"]
-    dfull = circuit_adjoint(circuit, params, steps, measured, final, upstream, vectors)
+    dfull = circuit_adjoint(circuit, params, steps, measured, final, upstream)
     if model.mode == "purevqc":
         return dfull.sum(axis=0) / x.shape[0]
 

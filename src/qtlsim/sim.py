@@ -218,24 +218,31 @@ def layer_angles(layer: RotationLayer, params) -> np.ndarray:
     return np.array([params[i] for i in layer.slots], dtype=float)
 
 
-def rotate_vectors(layer: RotationLayer, params, vectors: np.ndarray, sign: float = 1.0):
-    """cos(t/2) v + sin(t/2) G v, the layer's ops at angles t, times ``sign``."""
-    half = np.multiply(layer_angles(layer, params).T, 0.5 * sign)[..., None]
+def rotation_matrices(layer: RotationLayer, params) -> np.ndarray:
+    """The 2x2 of each op, cos(t/2) I + sin(t/2) G at its angle t: (k, 2, 2)
+    for shared angles, (B, k, 2, 2) for per-row ones."""
+    half = 0.5 * layer_angles(layer, params).T[..., None, None]
+    return np.cos(half) * np.eye(2) + np.sin(half) * ROTATION_G[layer.kind]
+
+
+def rotate_vectors(layer: RotationLayer, params, vectors: np.ndarray):
+    """Each ``rotation_matrices`` 2x2 applied to its (..., k, 2) 2-vector v,
+    as cos(t/2) v + sin(t/2) G v, G's anti-diagonal times v reversed."""
+    half = 0.5 * layer_angles(layer, params).T[..., None]
     return np.cos(half) * vectors + np.sin(half) * vectors[..., ::-1] * _ANTI_DIAGONALS[layer.kind]
 
 
 def layer_factors(n_qubits: int, layer: RotationLayer, params) -> tuple[np.ndarray, np.ndarray]:
-    """(high, low_t): the ry layer's Kronecker product high (x) low, as the
-    (d, d) factor on qubits [0, n // 2) and the transpose of the factor on
-    [n // 2, n). Each target's 2x2 is cos(t/2) I + sin(t/2) G, as in
-    ``rotate_vectors``; low_t is the product of the transposed 2x2s. Any
-    other kind, or a per-row angle, raises."""
-    half = 0.5 * layer_angles(layer, params)[:, None, None]
-    if layer.kind != "ry" or half.ndim != 3:
+    """(high, low_t): the ry layer's Kronecker product high (x) low of its
+    ``rotation_matrices``, as the (d, d) factor on qubits [0, n // 2) and
+    the transpose of the factor on [n // 2, n); low_t is the product of
+    the transposed 2x2s. Any other kind, or a per-row angle, raises."""
+    rotations = rotation_matrices(layer, params)
+    if layer.kind != "ry" or rotations.ndim != 3:
         raise ValueError(f"{layer} is not a kernel step: rx and per-row angles "
                          "run only in the product prefix")
     mats = np.tile(np.eye(2), (n_qubits, 1, 1))
-    mats[layer.targets] = np.cos(half) * np.eye(2) + np.sin(half) * ROTATION_G["ry"]
+    mats[layer.targets] = rotations
     split = n_qubits // 2
     return _kron(mats[:split]), _kron(mats[split:].swapaxes(1, 2))
 

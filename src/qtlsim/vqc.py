@@ -8,9 +8,10 @@ parameter count is always n_qubits * depth.
 Batches are float64, ``(B, 2**n)``, or real halves ``(2, B, 2**n)``.
 Gradients come from adjoint differentiation (Jones & Gacon,
 arXiv:2009.02823): one forward run plus one reverse sweep gives every
-rotation's derivative, per row, a ``RotationLayer``'s from two per-row
-cross matrices, and a product-state prefix's from its 2-vectors. The sweep
-walks back through the forward's bound steps, so it builds no factors.
+rotation's derivative, per row, from each qubit's 2x2 cross matrix of
+the sweep's two states. The sweep walks back through the forward's bound
+steps, so it builds no factors; at a product-state prefix it walks the
+cross matrices themselves back through the prefix's 2x2s.
 """
 from __future__ import annotations
 
@@ -19,13 +20,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sim import (ROTATION_G, BoundLayer, Circuit, RotationLayer, apply_step, cnot,
-                  factor_bits, rotate_vectors, run_circuit_raw, ry, z_expectations, z_signs)
+from .sim import (BoundLayer, Circuit, RotationLayer, apply_step, cnot, factor_bits,
+                  rotation_matrices, run_circuit_raw, ry, z_expectations, z_signs)
 
-# sigma of ry = exp(-i theta sigma / 2): the adjoint's own copy of what
-# sim.ROTATION_G["ry"] holds as -i sigma, so that patching it breaks the
+# sigma of each rotation exp(-i theta sigma / 2): the adjoint's own copy of
+# what sim.ROTATION_G holds as -i sigma, so that patching it breaks the
 # gradient alone and grad-check's finite differences disagree (test_cli.py).
-GENERATORS = {"ry": np.array([[0, -1j], [1j, 0]])}
+GENERATORS = {"rx": np.array([[0, 1], [1, 0]]), "ry": np.array([[0, -1j], [1j, 0]])}
 
 
 @dataclass(frozen=True)
@@ -72,16 +73,17 @@ def circuit_expectations(circuit: Circuit, params, measured_qubits) -> np.ndarra
 
 
 def circuit_adjoint(circuit: Circuit, params, steps, measured_qubits, final: np.ndarray,
-                    upstream, vectors: np.ndarray | None = None) -> np.ndarray:
+                    upstream) -> np.ndarray:
     """Per-row gradient (B, n_params) of sum_k upstream[b, k] <Z_k>.
 
     ``final`` is the run of ``steps``, bound to ``params``: the whole
-    program or, given the circuit's ``prefix_vectors``, the steps after the
-    prefix from their ``product_state``. From lambda = (upstream @ signs) *
-    psi, back through ``steps``, each ry adds Re<lambda|G phi>, G = -i sigma
-    read from ``GENERATORS``, to its slot (G is real, so a complex state's
-    term sums its halves'); phi and lambda are un-applied by the transposed
-    factors. Slots accumulate."""
+    program or, from the ``product_state`` of its ``prefix_vectors``, the
+    steps after the prefix. From lambda = (upstream @ signs) * psi, back
+    through ``steps``, each ry adds Re<lambda|G phi>, G = -i sigma read
+    from ``GENERATORS``, to its slot; phi and lambda are un-applied by the
+    transposed factors. The prefix layers that ``steps`` leaves out take
+    their terms from the same per-qubit cross matrices, carried back
+    through each layer's 2x2s instead of the states. Slots accumulate."""
     upstream = np.asarray(upstream, dtype=float)
     rows = final.shape[-2]
     if upstream.shape != (rows, len(measured_qubits)):
@@ -95,9 +97,15 @@ def circuit_adjoint(circuit: Circuit, params, steps, measured_qubits, final: np.
     for step in reversed(steps):
         both = apply_step(both, step, adjoint=True)
         if isinstance(step, BoundLayer):  # its terms are taken at its input
-            _add_layer_grads(grads, n, step.layer, both, g)
-    if vectors is not None:
-        _add_prefix_grads(grads, circuit, params, vectors, both[1])
+            _add_terms(grads, step.layer, _qubit_cross(both[1], both[0]), g)
+    prefix = circuit.program[: len(circuit.program) - len(steps)]
+    if prefix:  # one-qubit rotations: un-applying one leaves the other qubits' R_q
+        phi, lam = (h[0] + 1j * h[1] if len(h) == 2 else h[0] for h in both)
+        cross = _qubit_cross(np.conj(lam)[None], phi[None])
+        for layer in reversed(prefix):
+            _add_terms(grads, layer, cross, -1j * GENERATORS[layer.kind])
+            m = rotation_matrices(layer, params)  # R_q of M^dagger lambda, M^dagger phi
+            cross[:, layer.targets] = m.swapaxes(-1, -2) @ cross[:, layer.targets] @ m.conj()
     return grads
 
 
@@ -117,47 +125,27 @@ def _reduce_index(k: int) -> np.ndarray:
     return out
 
 
-def _add_layer_grads(grads: np.ndarray, n_qubits: int, layer: RotationLayer,
-                     both: np.ndarray, g: np.ndarray) -> None:
-    """Add lambda . G phi of each rotation of ``layer`` to its slot, with
-    (phi, lambda) = ``both`` at the layer's input (G commutes with it).
-    Over the ``layer_factors`` split of each state, the per-row cross
-    matrix of a factor, lambda^T phi summed over the other index and the
-    halves, is one matmul; its diagonal and bit-flip entries give each
-    qubit's 2x2 cross matrix R_q, and the term is sum_ab G[a, b] R_q[a, b]."""
-    split = n_qubits // 2
-    s = both.reshape(both.shape[:-1] + (2**split, 2 ** (n_qubits - split)))
-    phi, lam = s[0], s[1]
-    rows = grads.shape[0]
+def _qubit_cross(lam: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """(B, n, 2, 2) per-qubit cross matrices of (H, B, 2**n) halves:
+    R_q[a, b] sums lambda_j phi_j' over the halves and the j with bit q of
+    j equal to a, j' being j with bit q set to b. Over the ``layer_factors``
+    split of each state, the per-row cross matrix of a factor, lambda^T phi
+    summed over the other index, is one matmul; its diagonal and bit-flip
+    entries give each R_q."""
+    split, rows = (lam.shape[-1].bit_length() - 1) // 2, lam.shape[-2]
+    lam, phi = (a.reshape(a.shape[:-1] + (2**split, -1)) for a in (lam, phi))
     reduced = []
     for cross in (lam @ np.swapaxes(phi, -1, -2), np.swapaxes(lam, -1, -2) @ phi):
         d = cross.shape[-1]
         index = _reduce_index(d.bit_length() - 1)
         flat = cross.reshape(-1, rows, d * d)  # halves first
         reduced.append(np.take(flat, index, axis=2).sum(axis=(0, -1)))
-    reduced = np.concatenate(reduced, axis=1)  # (B, n, 2, 2), qubit 0 first
-    terms = reduced[:, layer.targets].reshape(rows, len(layer.ops), 4) @ g.reshape(4)
+    return np.concatenate(reduced, axis=1)  # qubit 0 first
+
+
+def _add_terms(grads: np.ndarray, layer: RotationLayer, cross: np.ndarray, g) -> None:
+    """Add Re sum_ab G[a, b] R_q[a, b], Re<lambda|G phi> of the rotation on
+    qubit q, to each slot of ``layer``, from the (B, n, 2, 2) ``cross``
+    matrices R_q at the layer's input or output (G commutes with it)."""
+    terms = (cross[:, layer.targets].reshape(len(grads), len(layer.ops), 4) @ g.reshape(4)).real
     np.add.at(grads.T, layer.slots, terms.T)
-
-
-def _add_prefix_grads(grads: np.ndarray, circuit: Circuit, params, vectors: np.ndarray,
-                      lam: np.ndarray) -> None:
-    """Add each prefix rotation's term to its slot, from lambda at the prefix,
-    (1 or 2 real halves, B, 2**n), and the (B, n, 2) vectors v_p of the
-    product state. Qubit q's environment e_q[x] sums lambda_j prod_{p != q}
-    conj(v_p[j_p]) over the j with j_q = x. Back through the prefix layers,
-    each rotation adds Re<e_q|G w_q>, w_q its qubit's vector, and un-applies itself."""
-    n, rows, bits = circuit.n_qubits, grads.shape[0], factor_bits(circuit.n_qubits)
-    index = 2 * np.arange(n)[:, None] + bits
-    table = np.take(np.conj(vectors).reshape(rows, 2 * n), index, axis=1)
-    loo = np.ones_like(table)  # (B, n, 2**n): conj(v_p[j_p]) multiplied over p < q ...
-    np.cumprod(table[:, :-1], axis=1, out=loo[:, 1:])
-    loo[:, :-1] *= np.cumprod(table[:, :0:-1], axis=1)[:, ::-1]  # ... and over p > q
-    env = ((lam[:, :, None, None, :] * loo[:, :, None, :]) @ np.eye(2)[bits])[..., 0, :]
-    pairs = np.array([env[0] + 1j * env[1] if len(env) == 2 else env[0], vectors])  # e, w
-    gens = {"rx": ROTATION_G["rx"], "ry": -1j * np.asarray(GENERATORS["ry"])}
-    for layer in reversed(circuit.program[: circuit.prefix_len]):
-        e, w = pair = pairs[:, :, layer.targets]  # (2, B, k, 2)
-        terms = np.sum(e.conj() * (w @ gens[layer.kind].T), axis=-1).real
-        np.add.at(grads.T, layer.slots, terms.T)
-        pairs[:, :, layer.targets] = rotate_vectors(layer, params, pair, -1.0)  # M^dagger

@@ -51,12 +51,21 @@ MUTANTS = [
     ("bits of one qubit swapped in _kron_rows", "sim.py",
      "out=out[:, :, bit])",
      "out=out[:, :, 1 - bit])"),
-    ("cumprod direction in _add_prefix_grads", "vqc.py",
-     "np.cumprod(table[:, :0:-1], axis=1)[:, ::-1]",
-     "np.cumprod(table[:, 1:], axis=1)"),
-    ("sign of ROTATION_G['rx'] in _add_prefix_grads", "vqc.py",
-     'gens = {"rx": ROTATION_G["rx"],',
-     'gens = {"rx": -ROTATION_G["rx"],'),
+    ("the prefix walk un-applies by M, not its transpose", "vqc.py",
+     "m.swapaxes(-1, -2) @ cross[:, layer.targets]",
+     "m @ cross[:, layer.targets]"),
+    ("the prefix walk's right factor not conjugated", "vqc.py",
+     "@ cross[:, layer.targets] @ m.conj()",
+     "@ cross[:, layer.targets] @ m"),
+    ("lambda not conjugated at the prefix boundary", "vqc.py",
+     "_qubit_cross(np.conj(lam)[None], phi[None])",
+     "_qubit_cross(lam[None], phi[None])"),
+    ("the halves joined as a - ib at the prefix boundary", "vqc.py",
+     "h[0] + 1j * h[1]",
+     "h[0] - 1j * h[1]"),
+    ("sign of GENERATORS['rx']", "vqc.py",
+     '"rx": np.array([[0, 1], [1, 0]])',
+     '"rx": np.array([[0, -1], [-1, 0]])'),
     ("ANGLE_SCALE dropped from dpre_out", "hybrid.py",
      "dfull[:, n_q:] * ANGLE_SCALE * (1.0 - np.tanh(pre_out) ** 2)",
      "dfull[:, n_q:] * (1.0 - np.tanh(pre_out) ** 2)"),
@@ -85,11 +94,11 @@ MUTANTS = [
      "[_kron_index(len(mats))].prod(axis=0)",
      "[_kron_index(len(mats))].prod(axis=1)"),
     ("the per-row refusal silenced", "sim.py",
-     'if layer.kind != "ry" or half.ndim != 3:',
+     'if layer.kind != "ry" or rotations.ndim != 3:',
      'if layer.kind != "ry":'),
     ("the rx refusal silenced", "sim.py",
-     'if layer.kind != "ry" or half.ndim != 3:',
-     "if half.ndim != 3:"),
+     'if layer.kind != "ry" or rotations.ndim != 3:',
+     "if rotations.ndim != 3:"),
     ("z_signs reads the bits of the mirrored qubits", "sim.py",
      "factor_bits(n_qubits)[list(measured_qubits)]",
      "factor_bits(n_qubits)[::-1][list(measured_qubits)]"),
@@ -136,6 +145,9 @@ MUTANTS = [
 # - "a shared row no longer broadcasts against per-row factors": kernel
 #   factors are (d, d) only, so apply_step's reshape(amps.shape), the
 #   mutant's text, is now the code.
+# - "cumprod direction in _add_prefix_grads" and "sign of ROTATION_G['rx']
+#   in _add_prefix_grads": the prefix's environment sweep is gone; the
+#   prefix walks the sweep's per-qubit cross matrices instead.
 
 
 def suite_passes(tree: Path) -> bool:

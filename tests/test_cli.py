@@ -67,26 +67,27 @@ def test_train_rerun_is_byte_identical(fast_config, tmp_path):
 # SHA-256 of the fixed-seed artifacts of FAST_CONFIG per head, recorded
 # under PINNED_UNDER. A change that alters the arithmetic on purpose
 # updates them; any other change must leave them. numpy's OpenBLAS picks
-# its GEMM kernel from the CPU at load time, and the AVX2 and older kernels
-# (Haswell, Sandybridge) round some GEMMs differently in the last bits, so
-# the pins hold only under the recorded kernel; other OpenBLAS versions and
-# non-x86 hosts can differ too.
-PINNED_UNDER = "numpy 2.4.6 with OpenBLAS 0.3.31, runtime core SkylakeX"
+# its GEMM kernel from the CPU at load time, and its kernels round some
+# GEMMs differently in the last bits, so conftest.py sets
+# OPENBLAS_CORETYPE=Haswell before numpy loads and the pins hold on any
+# x86-64 host that can run that kernel; other OpenBLAS versions and
+# non-x86 hosts can differ.
+PINNED_UNDER = "numpy 2.4.6 with OpenBLAS 0.3.31, OPENBLAS_CORETYPE Haswell"
 PINNED_ARTIFACTS = {
     ("dqc", "angle"): {
         "metrics.csv": "cb143929b348d78b82fa4a68d9c05efeb42862b4e85809534238926dae9d4729",
-        "checkpoint.bin": "dd1ad3434525b8f3b8772ac51c09242b60f80e05f0c02f37336ee9823f6921bc",
+        "checkpoint.bin": "72c0f6af7db030327fd6d11ba3f23e51c5e8f077887e890b96583788325433af",
         "manifest.txt": "8b7a035a3495af32462385328b427c14008c4159e2dd0c7e9b3e20886c2b4ab0",
     },
     ("dqc", "dense_angle"): {
-        "metrics.csv": "de8ae64fba2f8c274756c01a2a19fab4e8d9163df74e989b8dc49e6ed818d829",
-        "checkpoint.bin": "ecf74b7bd92f2e234afd78df4954a77743ef73cfaa4c1c64466f16523b7e9d75",
-        "manifest.txt": "20d29bea4f396beacd35da91462ab7129273154c647240ec8f7d2ccecf3a24a4",
+        "metrics.csv": "699dee47ca39bee2d23b548bda06fbbd8647c8e3e6d5f2a4539a70c7957a21f8",
+        "checkpoint.bin": "cc24a2276cba07a0a6bab1a154b0f36dea0d71942ba8912aa2b2c359d1bd772b",
+        "manifest.txt": "9ef5129668f9d68b5e396aa52c3e36a8d4550b076012fc782f5b6dd114dbc54e",
     },
     ("purevqc", "amplitude"): {
-        "metrics.csv": "fe3e521ccd4bebe76bf4b39e19b70a206852ced82ef5b1eb44c94ad71620f9b7",
+        "metrics.csv": "2510a8df6cfed01dd96d6754bc99f64989a7415740ecfabad663597a7ae732f9",
         "checkpoint.bin": "1d5250200cf2af3500bbf86e51b6251fae84e9a2a13557ba27040a866c955845",
-        "manifest.txt": "2ece5baf1cbd95d3fa09fdb7eef609282e8be338b041c71d84452751ce3ee31d",
+        "manifest.txt": "2fd96372e9a2e27476d10b2fa52d692a97c2c23a545c90bfc5a7fd929ac643a6",
     },
 }
 
@@ -146,8 +147,8 @@ def test_fixed_seed_artifacts_are_pinned(tmp_path, mode, embedding):
 # of ``evaluate --split test``. It covers auroc_macro_ovr, the three-class
 # loss and selection over more than two epochs.
 PINNED_THREE_CLASS = {
-    "metrics.csv": "f274a1e7c2a7b5ecd572d1a21973d8caa7c2583cc3acb93656b5b7078d477d6a",
-    "checkpoint.bin": "c8a9ed0e39a557535e6a37a31216e4862567541a7afdf7d054536617b41e1b2d",
+    "metrics.csv": "8601ac6c17a8f3c250f5c8788151bf00f3419cfc88d26083a301d099662a4574",
+    "checkpoint.bin": "9b2a08e7c896df825a73e2c1b0ab3862ebeb3bb1f4a9f90a215eb9a5c9fcd64b",
     "manifest.txt": "8d76f63c3de2f99ddd187e0af849f8fc2e141f8ccff4f7014600fdbc8673219f",
     "evaluate": "847ba462d2530a426d6c301f063534b98bf216ec07c5198cff613aa6f5e7c4ba",
 }
@@ -404,6 +405,9 @@ def test_every_documented_exit_code(tmp_path, monkeypatch, capsys):
     small.write_text("mode = dqc\nn_qubits = 3\ndepth = 1\nin_dim = 12\nseed = 3\n")
     deep = tmp_path / "deep.txt"  # its second layer's rotations run after the product prefix
     deep.write_text("mode = dqc\nn_qubits = 3\ndepth = 2\nin_dim = 12\nseed = 3\n")
+    dense = tmp_path / "dense.txt"  # its embedding RX rotations have a generator of their own
+    dense.write_text("mode = dqc\nembedding = dense_angle\nn_qubits = 3\ndepth = 1\n"
+                     "in_dim = 12\nseed = 3\n")
     bad_combo = tmp_path / "bad.txt"
     bad_combo.write_text("mode = purevqc\nembedding = angle\n")
     no_data = tmp_path / "no_data.txt"
@@ -413,11 +417,14 @@ def test_every_documented_exit_code(tmp_path, monkeypatch, capsys):
     future = tmp_path / "future.bin"
     future.write_bytes(b"QTLSIM9" + bytes(64))
     broken_generator = {"ry": 1.3 * vqc_mod.GENERATORS["ry"]}  # anything but Y
+    broken_rx_generator = {"rx": 1.3 * vqc_mod.GENERATORS["rx"]}  # anything but X
     table = [
         (0, "", ["grad-check", "--config", small], {}),
         (cli.EXIT_GRAD_CHECK, "FAIL", ["grad-check", "--config", small], broken_generator),
         (0, "", ["grad-check", "--config", deep], {}),
         (cli.EXIT_GRAD_CHECK, "FAIL", ["grad-check", "--config", deep], broken_generator),
+        (0, "", ["grad-check", "--config", dense], {}),
+        (cli.EXIT_GRAD_CHECK, "FAIL", ["grad-check", "--config", dense], broken_rx_generator),
         (cli.EXIT_CONFIG, "config error: ", ["train", "--config", bad_combo], {}),
         (cli.EXIT_DATA, "data error: ", ["train", "--config", no_data], {}),
         (cli.EXIT_NUMERICAL, "numerical abort: ",

@@ -1,5 +1,6 @@
 """Variational template structure, batched readout and adjoint gradients."""
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -228,23 +229,28 @@ def test_adjoint_matches_param_shift_and_finite_differences(seed, n, batch, halv
         assert np.max(np.abs(grads[b] - numeric), initial=0.0) < 1e-6
 
 
+def prefix_run(circuit, params, batch):
+    """The steps after the product prefix, bound to ``params``, and their
+    run from the ``product_state`` of the prefix vectors."""
+    steps = bind_steps(circuit, params, circuit.prefix_len)
+    return steps, run_steps(product_state(prefix_vectors(circuit, params, batch)), steps)
+
+
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7), batch=st.integers(1, 3))
 def test_adjoint_from_the_product_prefix_matches_param_shift(seed, n, batch):
     """A run that starts from the product state of its prefix (rx and ry,
     so real or complex vectors, on shared and per-row slots, slots shared
     across gates and, then shared by the rows, with later layers) is swept
-    back to the prefix only; given the prefix vectors, every slot's
-    gradient, prefix slots included, equals the dense parameter-shift
-    oracle of the run from |0...0> to 1e-12."""
+    back through the steps after the prefix, then through the prefix's
+    layers; every slot's gradient, prefix slots included, equals the dense
+    parameter-shift oracle of the run from |0...0> to 1e-12."""
     rng = np.random.default_rng(seed)
     circuit, _ = random_layered_circuit(rng, n)
     binding = random_binding(rng, circuit, batch)
-    vectors = prefix_vectors(circuit, binding, batch)
-    steps = bind_steps(circuit, binding, circuit.prefix_len)
-    final = run_steps(product_state(vectors), steps)
+    steps, final = prefix_run(circuit, binding, batch)
     measured = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
     upstream = rng.standard_normal((batch, len(measured)))
-    grads = circuit_adjoint(circuit, binding, steps, measured, final, upstream, vectors)
+    grads = circuit_adjoint(circuit, binding, steps, measured, final, upstream)
     assert grads.shape == (batch, circuit.n_params) and grads.dtype == float
     zero = np.eye(2**n)[0]
     for b in range(batch):
@@ -252,24 +258,42 @@ def test_adjoint_from_the_product_prefix_matches_param_shift(seed, n, batch):
         assert np.max(np.abs(grads[b] - shift)) <= 1e-12
 
 
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7), batch=st.integers(1, 3))
+def test_the_prefix_walk_matches_the_sweep_through_the_prefix(seed, n, batch):
+    """On real circuits with shared angles, sweeping the whole program back
+    from the run of |0...0> rows and sweeping the steps after the prefix,
+    then walking the prefix's cross matrices, give equal gradients to 1e-12."""
+    rng = np.random.default_rng(seed)
+    circuit, _ = random_layered_circuit(rng, n, real=True)
+    binding = random_binding(rng, circuit, batch, 0)
+    measured = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
+    upstream = rng.standard_normal((batch, len(measured)))
+    steps = bind_steps(circuit, binding)
+    final = run_steps(np.tile(np.eye(1, 2**n), (batch, 1)), steps)
+    whole = circuit_adjoint(circuit, binding, steps, measured, final, upstream)
+    steps, final = prefix_run(circuit, binding, batch)
+    walked = circuit_adjoint(circuit, binding, steps, measured, final, upstream)
+    assert np.max(np.abs(whole - walked), initial=0.0) <= 1e-12
+
+
 def dqc_adjoint(circuit, params, upstream):
     """circuit_adjoint of a dqc circuit run from its product prefix."""
-    vectors = prefix_vectors(circuit, params, len(upstream))
-    steps = bind_steps(circuit, params, circuit.prefix_len)
-    final = run_steps(product_state(vectors), steps)
-    return circuit_adjoint(circuit, params, steps, range(circuit.n_qubits), final, upstream,
-                           vectors)
+    steps, final = prefix_run(circuit, params, len(upstream))
+    return circuit_adjoint(circuit, params, steps, range(circuit.n_qubits), final, upstream)
 
 
 @pytest.mark.parametrize("broken", [
-    1.3 * np.array([[0, -1j], [1j, 0]]),  # a scaled Y: G stays real, the gradient scales
-    np.array([[0, 1], [1, 0]]),  # X: G = -iX is imaginary and the gradient vanishes
+    # a scaled Pauli: G = -i sigma keeps its kind, and the gradient scales
+    {"ry": 1.3 * np.array([[0, -1j], [1j, 0]]), "rx": 1.3 * np.array([[0, 1], [1, 0]])},
+    # the other Pauli: ry reads -iX, imaginary, so its real-state term vanishes; rx reads -iY
+    {"ry": np.array([[0, 1], [1, 0]]), "rx": np.array([[0, -1j], [1j, 0]])},
 ], ids=["scaled_y", "pauli_x"])
 def test_broken_ry_generator_changes_the_real_adjoint(monkeypatch, broken):
     """The sweep derives G = -i sigma from GENERATORS at call time over
-    the layers of a float64 batch, and so does the prefix code: on depth-1
+    the layers of a float64 batch, and so does the prefix walk: on depth-1
     dqc heads, whose every rotation is in the product prefix, a wrong ry
-    generator gives a wrong gradient too."""
+    generator gives a wrong gradient too, and on dense_angle heads so does
+    a wrong rx generator."""
     import qtlsim.vqc as vqc_mod
 
     rng = np.random.default_rng(21)
@@ -281,7 +305,8 @@ def test_broken_ry_generator_changes_the_real_adjoint(monkeypatch, broken):
         steps = bind_steps(circuit, params)
         final = run_steps(initial, steps)
         upstream = rng.standard_normal((2, n))
-        runs = [lambda: circuit_adjoint(circuit, params, steps, range(n), final, upstream)]
+        runs = [("ry", lambda: circuit_adjoint(circuit, params, steps, range(n), final,
+                                               upstream))]
         for embedding in ("angle", "dense_angle"):
             dqc = _dqc_circuit(embedding, n, 1)
             assert all(step.kind != "cnot" for step in dqc.program[: dqc.prefix_len])
@@ -289,11 +314,14 @@ def test_broken_ry_generator_changes_the_real_adjoint(monkeypatch, broken):
             n_embed = dqc.n_params - n
             embed_angles = rng.uniform(-np.pi, np.pi, (n_embed, 2))
             angles = [*rng.uniform(-np.pi, np.pi, n), *embed_angles]  # q slots first
-            runs.append(lambda dqc=dqc, angles=angles: dqc_adjoint(dqc, angles, upstream))
-        for run in runs:
+            run = partial(dqc_adjoint, dqc, angles, upstream)
+            runs.append(("ry", run))
+            if embedding == "dense_angle":
+                runs.append(("rx", run))
+        for kind, run in runs:
             good = run()
             with monkeypatch.context() as patch:
-                patch.setitem(vqc_mod.GENERATORS, "ry", broken)
+                patch.setitem(vqc_mod.GENERATORS, kind, broken[kind])
                 bad = run()
             assert np.max(np.abs(bad - good)) > 1e-3
 
