@@ -128,6 +128,15 @@ def cmd_evaluate(args) -> int:
         sibling = os.path.join(os.path.dirname(args.checkpoint) or ".", "manifest.txt")
         manifest_path = sibling if os.path.exists(sibling) else None
     config = load_config(manifest_path) if manifest_path is not None else None
+    if config is not None:  # refuse another head's manifest; names count if the checkpoint has them
+        t = model.template
+        head = dict(mode=model.mode, embedding=model.embedding, n_qubits=t.n_qubits, depth=t.depth,
+                    n_classes=model.n_classes, in_dim=model.in_dim,
+                    class_names=",".join(model.class_names) or config.class_names)
+        differ = [f"{key} = {getattr(config, key)} against the checkpoint's {value}"
+                  for key, value in head.items() if getattr(config, key) != value]
+        if differ:
+            raise ConfigError(f"{manifest_path}: another head's manifest: {'; '.join(differ)}")
     if args.split != "all" and config is None:
         raise ConfigError(f"--split {args.split} needs the run manifest to rebuild "
                           f"the split; pass --manifest")

@@ -20,8 +20,8 @@ from functools import lru_cache
 import numpy as np
 
 from .embeddings import amplitude_qubits, amplitude_rows
-from .sim import (Circuit, bind_steps, prefix_vectors, product_state, run_steps, rx, ry,
-                  z_expectations)
+from .sim import (BoundProgram, Circuit, bind_program, prefix_vectors, product_state, run_steps,
+                  rx, ry, z_expectations)
 from .vqc import VqcTemplate, build_layers, circuit_adjoint
 
 # mode -> the embeddings it accepts; MODES and EMBEDDINGS orders are the
@@ -206,18 +206,18 @@ def _check_batch(model: HybridModel, features) -> np.ndarray:
     return x
 
 
-def _bound_program(model: HybridModel):
-    """(circuit, measured qubits, bound steps) of the model's head: the
-    steps after the initial states read only the q slots, the circuit's
-    first, so they bind to the q block itself, once for every row of a call."""
+def _bound_program(model: HybridModel) -> tuple[Circuit, BoundProgram]:
+    """The head's circuit and ``bind_program``: the steps after the initial
+    states read only the q slots, the circuit's first, so they bind to the
+    q block itself, once for every row of a call."""
     t, q = model.template, model.blocks["q"]
     if model.mode == "purevqc":
-        return build_layers(t), range(model.n_classes), bind_steps(build_layers(t), q)
+        return build_layers(t), bind_program(build_layers(t), q, range(model.n_classes))
     circuit = _dqc_circuit(model.embedding, t.n_qubits, t.depth)
-    return circuit, range(t.n_qubits), bind_steps(circuit, q, circuit.prefix_len)
+    return circuit, bind_program(circuit, q, range(t.n_qubits), circuit.prefix_len)
 
 
-def _run_block(model: HybridModel, circuit: Circuit, measured, steps, x: np.ndarray):
+def _run_block(model: HybridModel, circuit: Circuit, program: BoundProgram, x: np.ndarray):
     """(params, pre-layer output, final states, <Z> readout, logits) of
     feature rows ``x`` run from their amplitude rows or the
     ``product_state`` of their prefix vectors through the
@@ -231,8 +231,8 @@ def _run_block(model: HybridModel, circuit: Circuit, measured, steps, x: np.ndar
         pre_out = x @ p["pre_w"].T + p["pre_b"]
         params = [*p["q"], *(np.tanh(pre_out) * ANGLE_SCALE).T]  # q, per-row embedding slots
         amps = product_state(prefix_vectors(circuit, params, len(x)))
-    final = run_steps(amps, steps)
-    z = z_expectations(final, measured)
+    final = run_steps(amps, program.steps)
+    z = z_expectations(final, program.signs)
     logits = z if model.mode == "purevqc" else z @ p["post_w"].T + p["post_b"]
     return params, pre_out, final, z, logits
 
@@ -269,12 +269,12 @@ def model_backward(model: HybridModel, features, labels) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (x.shape[0],) or np.any((labels < 0) | (labels >= model.n_classes)):
         raise ValueError(f"expected {x.shape[0]} labels in [0, {model.n_classes}), got {labels!r}")
-    circuit, measured, steps = _bound_program(model)
-    params, pre_out, final, z, logits = _run_block(model, circuit, measured, steps, x)
+    circuit, program = _bound_program(model)
+    params, pre_out, final, z, logits = _run_block(model, circuit, program, x)
     dlogits = softmax(logits)
     dlogits[np.arange(x.shape[0]), labels] -= 1.0
     upstream = dlogits if model.mode == "purevqc" else dlogits @ model.blocks["post_w"]
-    dfull = circuit_adjoint(circuit, params, steps, measured, final, upstream)
+    dfull = circuit_adjoint(circuit, params, program, final, upstream)
     if model.mode == "purevqc":
         return dfull.sum(axis=0) / x.shape[0]
 

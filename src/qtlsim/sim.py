@@ -11,22 +11,21 @@ Z expectation after RY(theta)|0> is cos(theta).
 
 The kernel runs a float64 ``(B, 2**n)`` batch, one state per row, through
 the circuit's program of real steps: runs of CNOTs fused into one index
-permutation, and runs of ry rotations, each reading its angle from a
-parameter slot shared by all rows, as ``RotationLayer`` steps (the k-th
-rotation on each qubit in layer k) whose Kronecker product acts as two
-(d, d) factors of about 2**(n/2) rows, one matmul each: the
-gather-and-apply gate fusion of Smelyanskiy et al., arXiv:1601.07195.
+permutation, one contiguous gather, and runs of ry rotations on slots
+shared by all rows as ``RotationLayer`` steps (the k-th rotation on each
+qubit in layer k), two (d, d) Kronecker factors of one matmul each: the
+gather-and-apply fusion of Smelyanskiy et al., arXiv:1601.07195.
 
 A run of B rows from |0...0> starts from a product state: the rotation
-layers before the first CNOT, rx or ry, each reading shared floats only
-or per-row (B,) angle arrays only, make each row's 2-vector per qubit
-(``prefix_vectors``), complex if one is an rx; ``product_state``
+layers before the first CNOT, rx or ry, on shared floats only or per-row
+(B,) angles only, make each row's 2-vector per qubit, component-major as
+(2, B, n) (``prefix_vectors``), complex if one is an rx; ``product_state``
 multiplies them out into a float64 batch, or into the real halves [a; b]
-of complex states a + ib, a (2, B, 2**n) stack that each real step runs
-as 2B rows. ``bind_steps`` binds the rest to a call's shared slots once;
-an rx or a per-row angle there raises ValueError. Every batch of the call
-reads the same layer factors, and so does the adjoint sweep, which
-un-applies a layer by their transposes.
+of complex states a + ib, a (2, B, 2**n) stack run as 2B rows.
+``bind_program`` binds the rest to a call's shared slots once (an rx or a
+per-row angle there raises) and folds a last permutation into the Z sign
+table of the readout. Every batch of the call and the adjoint sweep read
+the same factors and table; the sweep un-applies a layer by its transposes.
 """
 from __future__ import annotations
 
@@ -42,7 +41,6 @@ GATE_KINDS = frozenset({"rx", "ry", "cnot"})
 
 # G = -i sigma of each rotation kind: exp(-i t sigma / 2) = cos(t/2) I + sin(t/2) G.
 ROTATION_G = {"rx": np.array([[0, -1j], [-1j, 0]]), "ry": np.array([[0.0, -1.0], [1.0, 0.0]])}
-_ANTI_DIAGONALS = {kind: np.fliplr(g).diagonal() for kind, g in ROTATION_G.items()}
 
 
 @dataclass(frozen=True)
@@ -225,13 +223,6 @@ def rotation_matrices(layer: RotationLayer, params) -> np.ndarray:
     return np.cos(half) * np.eye(2) + np.sin(half) * ROTATION_G[layer.kind]
 
 
-def rotate_vectors(layer: RotationLayer, params, vectors: np.ndarray):
-    """Each ``rotation_matrices`` 2x2 applied to its (..., k, 2) 2-vector v,
-    as cos(t/2) v + sin(t/2) G v, G's anti-diagonal times v reversed."""
-    half = 0.5 * layer_angles(layer, params).T[..., None]
-    return np.cos(half) * vectors + np.sin(half) * vectors[..., ::-1] * _ANTI_DIAGONALS[layer.kind]
-
-
 def layer_factors(n_qubits: int, layer: RotationLayer, params) -> tuple[np.ndarray, np.ndarray]:
     """(high, low_t): the ry layer's Kronecker product high (x) low of its
     ``rotation_matrices``, as the (d, d) factor on qubits [0, n // 2) and
@@ -265,13 +256,28 @@ def bind_steps(circuit: Circuit, params, start: int = 0) -> tuple:
                  for step in circuit.program[start:])
 
 
+BoundProgram = NamedTuple("BoundProgram", [("start", int), ("steps", tuple), ("signs", np.ndarray)])
+
+
+def bind_program(circuit: Circuit, params, measured_qubits, start: int = 0) -> BoundProgram:
+    """``bind_steps`` from ``start`` on and the (M, 2**n) Z sign table that
+    reads their run. A last ``Permutation`` folds into the table, as
+    |old[..., gather]|^2 @ signs^T = |old|^2 @ signs[:, inverse]^T, and
+    the steps stop before it."""
+    steps = bind_steps(circuit, params, start)
+    signs = z_signs(circuit.n_qubits, tuple(measured_qubits))
+    if steps and isinstance(steps[-1], Permutation):
+        steps, signs = steps[:-1], signs[:, steps[-1].inverse]
+    return BoundProgram(start, steps, signs)
+
+
 def apply_step(amps: np.ndarray, step, adjoint: bool = False) -> np.ndarray:
     """Apply one bound step to each state of ``amps``, (..., B, 2**n), or
     its inverse when ``adjoint``. A layer takes a state, as a matrix S, to
     high @ S @ low_t; its inverse reads contiguous copies of the transposed
     factors."""
     if isinstance(step, Permutation):
-        return amps[..., step.inverse if adjoint else step.gather]
+        return np.take(amps, step.inverse if adjoint else step.gather, axis=-1)
     high, low_t = step.high, step.low_t
     if adjoint:
         high, low_t = (np.ascontiguousarray(f.T) for f in (high, low_t))
@@ -296,37 +302,41 @@ def run_circuit_raw(amps: np.ndarray, circuit: Circuit, params) -> np.ndarray:
 
 
 def prefix_vectors(circuit: Circuit, params, rows: int) -> np.ndarray:
-    """(rows, n, 2): each row's per-qubit 2-vectors that the prefix makes
-    from |0>, complex128 if a prefix layer is an rx, float64 otherwise."""
+    """(2, rows, n): each row's per-qubit 2-vectors [v0; v1] from the prefix,
+    component-major, complex128 if a prefix layer is an rx. A layer takes
+    each target's v to cos(t/2) v + sin(t/2) G v; G is off-diagonal, so
+    each component is one long multiply-add with the other."""
     prefix = circuit.program[: circuit.prefix_len]
     dtype = complex if any(layer.kind == "rx" for layer in prefix) else float
-    vectors = np.zeros((rows, circuit.n_qubits, 2), dtype)
-    vectors[..., 0] = 1.0
+    vectors = np.zeros((2, rows, circuit.n_qubits), dtype)
+    vectors[0] = 1.0
     for layer in prefix:
-        vectors[:, layer.targets] = rotate_vectors(layer, params, vectors[:, layer.targets])
+        half, g = 0.5 * layer_angles(layer, params).T, ROTATION_G[layer.kind]
+        (c, s), (v0, v1) = (np.cos(half), np.sin(half)), vectors[..., layer.targets]
+        vectors[..., layer.targets] = [c * v0 + s * v1 * g[0, 1], c * v1 + s * v0 * g[1, 0]]
     return vectors
 
 
 def _kron_rows(vectors: np.ndarray) -> np.ndarray:
-    """(b, 2**k) Kronecker products of (b, k, 2) vectors."""
-    amps = np.ones((len(vectors), 1), vectors.dtype)
-    for q in range(vectors.shape[1]):
+    """(b, 2**k) Kronecker products of (2, b, k) vectors."""
+    amps = np.ones((vectors.shape[1], 1), vectors.dtype)
+    for q in range(vectors.shape[2]):
         out = np.empty(amps.shape + (2,), vectors.dtype)
         for bit in (0, 1):  # two long multiplies, not one broadcast over a length-2 axis
-            np.multiply(amps, vectors[:, q, bit, None], out=out[:, :, bit])
-        amps = out.reshape(len(vectors), -1)
+            np.multiply(amps, vectors[bit, :, q, None], out=out[:, :, bit])
+        amps = out.reshape(len(out), -1)
     return amps
 
 
 def product_state(vectors: np.ndarray) -> np.ndarray:
-    """The b states of a (b, n, 2) ``prefix_vectors`` stack: (b, 2**n), or,
+    """The b states of a (2, b, n) ``prefix_vectors`` stack: (b, 2**n), or,
     for complex vectors, the real halves (2, b, 2**n)
     [hr lr - hi li; hi lr + hr li] of the product of the states h of
     qubits [0, n // 2) and l of the rest, by one real matmul."""
-    split, b = vectors.shape[1] // 2, len(vectors)
+    split, b = vectors.shape[2] // 2, vectors.shape[1]
     if not np.iscomplexobj(vectors):
         return _kron_rows(vectors)
-    high, low = _kron_rows(vectors[:, :split]), _kron_rows(vectors[:, split:])
+    high, low = _kron_rows(vectors[..., :split]), _kron_rows(vectors[..., split:])
     h = high.view(float).reshape(b, -1, 2)  # [hr, hi] pairs
     left = np.array([h * [1.0, -1.0], h[..., ::-1]])  # rows [hr, -hi] and [hi, hr]
     return (left @ np.stack([low.real, low.imag], axis=1)).reshape(2, b, -1)
@@ -343,11 +353,11 @@ def z_signs(n_qubits: int, measured_qubits: tuple[int, ...]) -> np.ndarray:
     return signs
 
 
-def z_expectations(amps: np.ndarray, measured_qubits) -> np.ndarray:
-    """(B, M) Z expectations of the measured qubits, |psi|^2 @ signs^T,
-    where |psi|^2 = a^2 + b^2 for (2, B, 2**n) real halves [a; b]."""
-    n = amps.shape[-1].bit_length() - 1
+def z_expectations(amps: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """(B, M) Z expectations |psi|^2 @ signs^T of a ``z_signs`` table, or
+    a ``BoundProgram``'s folded one, where |psi|^2 = a^2 + b^2 for
+    (2, B, 2**n) real halves [a; b]."""
     probs = np.square(amps, dtype=float)  # a complex batch raises: it cannot cast
     if probs.ndim == 3:
         probs = probs[0] + probs[1]
-    return probs @ z_signs(n, tuple(measured_qubits)).T
+    return probs @ signs.T

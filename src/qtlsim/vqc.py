@@ -9,9 +9,10 @@ Batches are float64, ``(B, 2**n)``, or real halves ``(2, B, 2**n)``.
 Gradients come from adjoint differentiation (Jones & Gacon,
 arXiv:2009.02823): one forward run plus one reverse sweep gives every
 rotation's derivative, per row, from each qubit's 2x2 cross matrix of
-the sweep's two states. The sweep walks back through the forward's bound
-steps, so it builds no factors; at a product-state prefix it walks the
-cross matrices themselves back through the prefix's 2x2s.
+the sweep's two states. The sweep reads the forward's folded sign table
+and walks back through its bound steps, so it builds no factors; at a
+product-state prefix it walks the cross matrices themselves back through
+the prefix's 2x2s.
 """
 from __future__ import annotations
 
@@ -20,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sim import (BoundLayer, Circuit, RotationLayer, apply_step, cnot, factor_bits,
-                  rotation_matrices, run_circuit_raw, ry, z_expectations, z_signs)
+from .sim import (BoundLayer, BoundProgram, Circuit, RotationLayer, apply_step, cnot,
+                  factor_bits, rotation_matrices, run_circuit_raw, ry, z_expectations, z_signs)
 
 # sigma of each rotation exp(-i theta sigma / 2): the adjoint's own copy of
 # what sim.ROTATION_G holds as -i sigma, so that patching it breaks the
@@ -69,36 +70,36 @@ def circuit_expectations(circuit: Circuit, params, measured_qubits) -> np.ndarra
     if len(params) != circuit.n_params:
         raise ValueError(f"expected {circuit.n_params} parameters, got {len(params)}")
     return z_expectations(run_circuit_raw(np.eye(1, 2**circuit.n_qubits), circuit, params),
-                          measured_qubits)
+                          z_signs(circuit.n_qubits, tuple(measured_qubits)))
 
 
-def circuit_adjoint(circuit: Circuit, params, steps, measured_qubits, final: np.ndarray,
+def circuit_adjoint(circuit: Circuit, params, program: BoundProgram, final: np.ndarray,
                     upstream) -> np.ndarray:
     """Per-row gradient (B, n_params) of sum_k upstream[b, k] <Z_k>.
 
-    ``final`` is the run of ``steps``, bound to ``params``: the whole
-    program or, from the ``product_state`` of its ``prefix_vectors``, the
-    steps after the prefix. From lambda = (upstream @ signs) * psi, back
-    through ``steps``, each ry adds Re<lambda|G phi>, G = -i sigma read
-    from ``GENERATORS``, to its slot; phi and lambda are un-applied by the
-    transposed factors. The prefix layers that ``steps`` leaves out take
+    ``final`` is the run of ``program``, the ``bind_program`` of ``params``:
+    from step 0, or from ``program.start`` on the ``product_state`` of the
+    ``prefix_vectors``. From lambda = (upstream @ program.signs) * psi,
+    back through its steps, each ry adds Re<lambda|G phi>, G = -i sigma
+    read from ``GENERATORS``, to its slot; phi and lambda are un-applied by
+    the transposed factors. The prefix layers before ``program.start`` take
     their terms from the same per-qubit cross matrices, carried back
     through each layer's 2x2s instead of the states. Slots accumulate."""
     upstream = np.asarray(upstream, dtype=float)
     rows = final.shape[-2]
-    if upstream.shape != (rows, len(measured_qubits)):
+    if upstream.shape != (rows, len(program.signs)):
         raise ValueError(f"upstream shape {upstream.shape} does not match "
-                         f"{rows} rows x {len(measured_qubits)} measured qubits")
+                         f"{rows} rows x {len(program.signs)} measured qubits")
     n = circuit.n_qubits
-    observable = upstream @ z_signs(n, tuple(measured_qubits))
+    observable = upstream @ program.signs
     g = (-1j * np.asarray(GENERATORS["ry"])).real
     both = np.stack([final, observable * final]).reshape(2, -1, rows, 2**n)  # phi, lambda halves
     grads = np.zeros((rows, circuit.n_params))
-    for step in reversed(steps):
+    for step in reversed(program.steps):
         both = apply_step(both, step, adjoint=True)
         if isinstance(step, BoundLayer):  # its terms are taken at its input
             _add_terms(grads, step.layer, _qubit_cross(both[1], both[0]), g)
-    prefix = circuit.program[: len(circuit.program) - len(steps)]
+    prefix = circuit.program[: program.start]
     if prefix:  # one-qubit rotations: un-applying one leaves the other qubits' R_q
         phi, lam = (h[0] + 1j * h[1] if len(h) == 2 else h[0] for h in both)
         cross = _qubit_cross(np.conj(lam)[None], phi[None])

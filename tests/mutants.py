@@ -43,8 +43,14 @@ MUTANTS = [
      "np.ascontiguousarray(f.T)",
      "np.ascontiguousarray(f)"),
     ("the sweep un-permutes with gather instead of inverse", "sim.py",
-     "amps[..., step.inverse if adjoint else step.gather]",
-     "amps[..., step.gather]"),
+     "np.take(amps, step.inverse if adjoint else step.gather, axis=-1)",
+     "np.take(amps, step.gather, axis=-1)"),
+    ("the fold permutes the sign columns by gather instead of inverse", "sim.py",
+     "signs[:, steps[-1].inverse]",
+     "signs[:, steps[-1].gather]"),
+    ("the component-major rotation swaps G's two off-diagonal entries", "sim.py",
+     "s * v1 * g[0, 1], c * v1 + s * v0 * g[1, 0]",
+     "s * v1 * g[1, 0], c * v1 + s * v0 * g[0, 1]"),
     ("the sweep transposes the low factor only", "sim.py",
      "for f in (high, low_t))",
      "for f in (high.T, low_t))"),
@@ -57,6 +63,9 @@ MUTANTS = [
     ("the prefix walk's right factor not conjugated", "vqc.py",
      "@ cross[:, layer.targets] @ m.conj()",
      "@ cross[:, layer.targets] @ m"),
+    ("the sweep infers the prefix from the number of steps", "vqc.py",
+     "circuit.program[: program.start]",
+     "circuit.program[: len(circuit.program) - len(program.steps)]"),
     ("lambda not conjugated at the prefix boundary", "vqc.py",
      "_qubit_cross(np.conj(lam)[None], phi[None])",
      "_qubit_cross(lam[None], phi[None])"),
@@ -76,8 +85,8 @@ MUTANTS = [
      'g["q"][...] = dfull[:, :n_q].sum(axis=0)\n    dpre_out = dfull[:, n_q:]',
      'g["q"][...] = dfull[:, -n_q:].sum(axis=0)\n    dpre_out = dfull[:, :-n_q]'),
     ("prefix vectors start at |1>", "sim.py",
-     "vectors[..., 0] = 1.0",
-     "vectors[..., 1] = 1.0"),
+     "vectors[0] = 1.0",
+     "vectors[1] = 1.0"),
     ("Adam bias correction removed", "hybrid.py",
      "m_hat = m / (1.0 - ADAM_BETA1**t)",
      "m_hat = m"),

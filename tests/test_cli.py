@@ -75,17 +75,17 @@ def test_train_rerun_is_byte_identical(fast_config, tmp_path):
 PINNED_UNDER = "numpy 2.4.6 with OpenBLAS 0.3.31, OPENBLAS_CORETYPE Haswell"
 PINNED_ARTIFACTS = {
     ("dqc", "angle"): {
-        "metrics.csv": "cb143929b348d78b82fa4a68d9c05efeb42862b4e85809534238926dae9d4729",
-        "checkpoint.bin": "72c0f6af7db030327fd6d11ba3f23e51c5e8f077887e890b96583788325433af",
+        "metrics.csv": "985e63f09eac06038ec95a007f90e8cc78c482a5048c41eb64515ab47c3b7f15",
+        "checkpoint.bin": "8853e2c6fcde4f4e460f51cf3bbbf19ec6167612050453b84a151af7f4068ef4",
         "manifest.txt": "8b7a035a3495af32462385328b427c14008c4159e2dd0c7e9b3e20886c2b4ab0",
     },
     ("dqc", "dense_angle"): {
         "metrics.csv": "699dee47ca39bee2d23b548bda06fbbd8647c8e3e6d5f2a4539a70c7957a21f8",
-        "checkpoint.bin": "cc24a2276cba07a0a6bab1a154b0f36dea0d71942ba8912aa2b2c359d1bd772b",
+        "checkpoint.bin": "a6a89db60bfeed35f4bf1600cafaf257028d1fa7918345a16a22a2e8710dc76c",
         "manifest.txt": "9ef5129668f9d68b5e396aa52c3e36a8d4550b076012fc782f5b6dd114dbc54e",
     },
     ("purevqc", "amplitude"): {
-        "metrics.csv": "2510a8df6cfed01dd96d6754bc99f64989a7415740ecfabad663597a7ae732f9",
+        "metrics.csv": "f808015ef1ff56f78b4d7a075fef9a17130bd58fe8c4626b17a3311d948bc7c7",
         "checkpoint.bin": "1d5250200cf2af3500bbf86e51b6251fae84e9a2a13557ba27040a866c955845",
         "manifest.txt": "2fd96372e9a2e27476d10b2fa52d692a97c2c23a545c90bfc5a7fd929ac643a6",
     },
@@ -147,8 +147,8 @@ def test_fixed_seed_artifacts_are_pinned(tmp_path, mode, embedding):
 # of ``evaluate --split test``. It covers auroc_macro_ovr, the three-class
 # loss and selection over more than two epochs.
 PINNED_THREE_CLASS = {
-    "metrics.csv": "8601ac6c17a8f3c250f5c8788151bf00f3419cfc88d26083a301d099662a4574",
-    "checkpoint.bin": "9b2a08e7c896df825a73e2c1b0ab3862ebeb3bb1f4a9f90a215eb9a5c9fcd64b",
+    "metrics.csv": "5e728d267fc8e63c5182665eef622f6c78217adf5af12cafde2ca568201b7f4f",
+    "checkpoint.bin": "ecd00eaa7ebdb34ccf6d997fbd53852dc249d7dda6aa2db9044072f8c21421f3",
     "manifest.txt": "8d76f63c3de2f99ddd187e0af849f8fc2e141f8ccff4f7014600fdbc8673219f",
     "evaluate": "847ba462d2530a426d6c301f063534b98bf216ec07c5198cff613aa6f5e7c4ba",
 }
@@ -477,3 +477,31 @@ def test_evaluate_label_unknown_to_the_checkpoint_exits_3(fast_config, tmp_path,
     (lone / "checkpoint.bin").write_bytes((tmp_path / "run" / "checkpoint.bin").read_bytes())
     assert run_cli("evaluate", lone / "checkpoint.bin", "--data", csv_path) == 3
     assert "unknown label 'tumor'" in capsys.readouterr().err
+
+
+def test_evaluate_with_another_heads_manifest_exits_2(fast_config, tmp_path, capsys):
+    """A manifest whose head keys differ from the checkpoint header is
+    refused with exit 2 on every split, naming each differing key: a
+    3-qubit run's manifest against a 4-qubit checkpoint, and a manifest
+    whose class names are the checkpoint's swapped. The checkpoint's own
+    manifest still evaluates."""
+    run4, run3 = tmp_path / "q4", tmp_path / "q3"
+    assert run_cli("train", "--config", fast_config, "--out", run4) == 0
+    three = tmp_path / "q3.txt"
+    three.write_text(FAST_CONFIG.replace("n_qubits = 4", "n_qubits = 3"))
+    assert run_cli("train", "--config", three, "--out", run3) == 0
+    swapped = tmp_path / "swapped.txt"
+    text = (run4 / "manifest.txt").read_text()
+    assert "class_names = class0,class1\n" in text
+    swapped.write_text(text.replace("class_names = class0,class1", "class_names = class1,class0"))
+    capsys.readouterr()
+    for manifest, differ in ((run3 / "manifest.txt", "n_qubits = 3 against the checkpoint's 4"),
+                             (swapped, "class_names = class1,class0 against the checkpoint's "
+                                       "class0,class1")):
+        for split in ("all", "test"):
+            assert run_cli("evaluate", run4 / "checkpoint.bin", "--manifest", manifest,
+                           "--split", split) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and differ in err
+    assert run_cli("evaluate", run4 / "checkpoint.bin", "--manifest", run4 / "manifest.txt",
+                   "--split", "test") == 0

@@ -18,7 +18,7 @@ from qtlsim.embeddings import (
     read_pgm,
 )
 from qtlsim.hybrid import _dqc_circuit
-from qtlsim.sim import prefix_vectors, product_state, z_expectations
+from qtlsim.sim import prefix_vectors, product_state, z_expectations, z_signs
 from qtlsim.vqc import VqcTemplate, build_layers
 
 from oracle import textbook_rotation, write_pgm
@@ -45,7 +45,7 @@ def prob_one(amps):
     """Per-qubit P(1) = (1 - <Z>) / 2 of one state."""
     n = amps.shape[0].bit_length() - 1
     halves = np.stack([amps.real, amps.imag])[:, None]
-    return (1.0 - z_expectations(halves, range(n))[0]) / 2.0
+    return (1.0 - z_expectations(halves, z_signs(n, tuple(range(n))))[0]) / 2.0
 
 
 def test_angle_embed_zero_features_is_identity():

@@ -17,6 +17,7 @@ from qtlsim.sim import (
     Permutation,
     RotationLayer,
     apply_step,
+    bind_program,
     bind_steps,
     cnot,
     prefix_vectors,
@@ -26,6 +27,7 @@ from qtlsim.sim import (
     rx,
     ry,
     z_expectations,
+    z_signs,
 )
 
 from oracle import (
@@ -74,7 +76,8 @@ def layer_ops(steps):
 
 def z_of(amps, qubit):
     """<Z> of one qubit of one state."""
-    return float(z_expectations(one_row(amps), [qubit])[0, 0])
+    n = len(amps).bit_length() - 1
+    return float(z_expectations(one_row(amps), z_signs(n, (qubit,)))[0, 0])
 
 
 def test_statevector_rejects_unnormalized():
@@ -188,15 +191,15 @@ def test_expectation_z_matches_dense_sign_sum():
 
 def test_marginal_prob_one_known_states():
     """P(1) = (1 - <Z>) / 2: RY(pi)|0> reads 1, each Bell qubit half the time."""
-    one = z_expectations(flip()[None], [0])
+    one = z_expectations(flip()[None], z_signs(1, (0,)))
     np.testing.assert_array_equal((1.0 - one) / 2.0, [[1.0]])
-    both = z_expectations(bell()[None], [0, 1])
+    both = z_expectations(bell()[None], z_signs(2, (0, 1)))
     np.testing.assert_allclose((1.0 - both) / 2.0, [[0.5, 0.5]], atol=1e-12)
 
 
 def test_marginal_qubit_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
-        z_expectations(np.eye(1, 4), [2])
+        z_signs(2, (2,))
 
 
 def test_gates_preserve_norm():
@@ -271,6 +274,43 @@ def test_reverse_steps_undo_the_run(seed, n, batch, halves):
     assert np.max(np.abs(amps - initial)) < 1e-12
 
 
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), batch=st.integers(1, 5),
+       halves=st.booleans(), ring=st.booleans())
+@example(seed=0, n=1, batch=2, halves=False, ring=True)  # no second wire: nothing to fold
+@example(seed=1, n=3, batch=2, halves=True, ring=True)
+def test_folded_readout_matches_the_dense_oracle(seed, n, batch, halves, ring):
+    """``bind_program`` folds a last permutation, and only a last one, into
+    the sign table: its steps are ``bind_steps`` without it, and its signs
+    are the measured qubits' ``z_signs`` with their columns permuted by its
+    inverse. Reading the run of those steps with that table equals the
+    dense oracle's <Z> of the whole program to 1e-12, on programs that end
+    in a CNOT ring (n >= 2) and on ones that do not, real states and real
+    halves alike."""
+    rng = np.random.default_rng(seed)
+    circuit, _ = random_circuit(rng, n, max_gates=12, real=True)
+    if ring and n >= 2:
+        ring_ops = tuple(cnot(q, (q + 1) % n) for q in range(n))
+        circuit = Circuit(n, circuit.ops + ring_ops, circuit.n_params)
+    binding = random_binding(rng, circuit, batch, 0)
+    measured = tuple(int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))])
+    program = bind_program(circuit, binding, measured)
+    steps, signs = bind_steps(circuit, binding), z_signs(n, measured)
+    folded = bool(steps) and isinstance(steps[-1], Permutation)
+    assert folded == (circuit.ops[-1].kind == "cnot")
+    if ring:
+        assert folded == (n >= 2)
+    assert program.start == 0 and len(program.steps) == len(steps) - folded
+    assert all(getattr(a, "layer", a) is getattr(b, "layer", b)  # same program steps
+               for a, b in zip(program.steps, steps))
+    assert np.array_equal(program.signs, signs[:, steps[-1].inverse] if folded else signs)
+    initial = random_batch(rng, n, batch, halves)
+    z = z_expectations(run_steps(initial, program.steps), program.signs)
+    assert z.shape == (batch, len(measured))
+    for b in range(batch):
+        amps = dense_run(circuit, joined(initial)[b], row_params(binding, b))
+        assert np.max(np.abs(z[b] - [zexp_dense(amps, n, q) for q in measured])) <= 1e-12
+
+
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), batch=st.integers(1, 5))
 def test_real_batch_matches_its_complex_cast(seed, n, batch):
     """A real batch gives the same states as its complex cast, held as real
@@ -309,7 +349,7 @@ def test_an_rx_step_in_the_kernel_is_refused():
         with pytest.raises(ValueError, match="float64"):
             run_circuit_raw(joined(state), early, angles)
     with pytest.raises(TypeError):
-        z_expectations(np.eye(1, 4, dtype=complex), [0])
+        z_expectations(np.eye(1, 4, dtype=complex), z_signs(2, (0,)))
 
 
 def test_a_per_row_angle_in_the_kernel_is_refused():
@@ -422,17 +462,17 @@ def test_product_state_of_row_slices_matches_the_whole_batch(seed, n, batch, rea
     binding = random_binding(rng, circuit, batch)
     vectors = prefix_vectors(circuit, binding, batch)
     expected = product_state(vectors)
-    assert vectors.shape == (batch, n, 2) and expected.shape[-2] == batch
+    assert vectors.shape == (2, batch, n) and expected.shape[-2] == batch
     size = int(rng.integers(1, batch + 1))
     prefix_circuit = Circuit(n, prefix, n_prefix_params)
     zero = np.eye(1, 2**n)[0]
     for start in range(0, batch, size):
         rows = slice(start, min(start + size, batch))
-        assert np.array_equal(product_state(vectors[rows]), expected[..., rows, :])
+        assert np.array_equal(product_state(vectors[:, rows]), expected[..., rows, :])
         for b in range(start, rows.stop):
             row = row_params(binding, b)
             alone = prefix_vectors(circuit, row, 1)
-            assert np.array_equal(alone, vectors[b:b + 1])
+            assert np.array_equal(alone, vectors[:, b:b + 1])
             assert np.array_equal(product_state(alone), expected[..., b:b + 1, :])
             dense = dense_run(prefix_circuit, zero, row)
             assert np.max(np.abs(joined(expected)[b] - dense)) <= 1e-12

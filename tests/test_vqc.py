@@ -8,8 +8,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qtlsim.hybrid import _dqc_circuit
-from qtlsim.sim import (Circuit, Permutation, RotationLayer, bind_steps, prefix_vectors,
-                        product_state, ry, run_circuit_raw, run_steps, z_expectations)
+from qtlsim.sim import (Circuit, Permutation, RotationLayer, bind_program, prefix_vectors,
+                        product_state, ry, run_circuit_raw, run_steps, z_expectations, z_signs)
 from qtlsim.vqc import (
     VqcTemplate,
     build_layers,
@@ -45,9 +45,9 @@ def embedded(template: VqcTemplate) -> Circuit:
 
 def adjoint_grad(circuit, params, measured, upstream):
     """circuit_adjoint for one row, from the run of |0...0> as a one-row batch."""
-    steps = bind_steps(circuit, params)
-    final = run_steps(np.eye(1, 2**circuit.n_qubits), steps)
-    return circuit_adjoint(circuit, params, steps, measured, final, [upstream])[0]
+    program = bind_program(circuit, params, measured)
+    final = run_steps(np.eye(1, 2**circuit.n_qubits), program.steps)
+    return circuit_adjoint(circuit, params, program, final, [upstream])[0]
 
 
 def test_parameter_count_nine_by_four_is_36():
@@ -123,7 +123,7 @@ def test_forward_accepts_state_or_circuit():
                                        [0, 1, 2])
     prepared = run_circuit_raw(np.eye(1, 8), Circuit(3, angle_ops(3), 3), feats)
     via_state = z_expectations(run_circuit_raw(prepared, build_layers(template), params),
-                               [0, 1, 2])
+                               z_signs(3, (0, 1, 2)))
     np.testing.assert_allclose(via_circuit, via_state, atol=1e-14)
 
 
@@ -178,12 +178,12 @@ def test_grad_deterministic():
 
 def test_grad_upstream_shape_checked():
     layers = build_layers(VqcTemplate(2, 1))
-    steps = bind_steps(layers, np.zeros(2))
-    final = run_steps(np.eye(1, 4), steps)
+    program = bind_program(layers, np.zeros(2), [0, 1])
+    final = run_steps(np.eye(1, 4), program.steps)
     with pytest.raises(ValueError, match="upstream"):
-        circuit_adjoint(layers, np.zeros(2), steps, [0, 1], final, [1.0])
+        circuit_adjoint(layers, np.zeros(2), program, final, [1.0])
     with pytest.raises(ValueError, match="upstream"):
-        circuit_adjoint(layers, np.zeros(2), steps, [0, 1], final, [[1.0]])
+        circuit_adjoint(layers, np.zeros(2), program, final, [[1.0]])
 
 
 def test_shared_parameter_accumulates():
@@ -211,9 +211,9 @@ def test_adjoint_matches_param_shift_and_finite_differences(seed, n, batch, halv
     measured = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
     upstream = rng.standard_normal((batch, len(measured)))
 
-    steps = bind_steps(circuit, binding)
-    final = run_steps(initial, steps)
-    grads = circuit_adjoint(circuit, binding, steps, measured, final, upstream)
+    program = bind_program(circuit, binding, measured)
+    final = run_steps(initial, program.steps)
+    grads = circuit_adjoint(circuit, binding, program, final, upstream)
     assert grads.shape == (batch, circuit.n_params) and grads.dtype == float
     for b in range(batch):
         params = row_params(binding, b)
@@ -229,11 +229,12 @@ def test_adjoint_matches_param_shift_and_finite_differences(seed, n, batch, halv
         assert np.max(np.abs(grads[b] - numeric), initial=0.0) < 1e-6
 
 
-def prefix_run(circuit, params, batch):
-    """The steps after the product prefix, bound to ``params``, and their
-    run from the ``product_state`` of the prefix vectors."""
-    steps = bind_steps(circuit, params, circuit.prefix_len)
-    return steps, run_steps(product_state(prefix_vectors(circuit, params, batch)), steps)
+def prefix_run(circuit, params, batch, measured):
+    """The ``bind_program`` of the steps after the product prefix, and
+    their run from the ``product_state`` of the prefix vectors."""
+    program = bind_program(circuit, params, measured, circuit.prefix_len)
+    initial = product_state(prefix_vectors(circuit, params, batch))
+    return program, run_steps(initial, program.steps)
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7), batch=st.integers(1, 3))
@@ -247,10 +248,10 @@ def test_adjoint_from_the_product_prefix_matches_param_shift(seed, n, batch):
     rng = np.random.default_rng(seed)
     circuit, _ = random_layered_circuit(rng, n)
     binding = random_binding(rng, circuit, batch)
-    steps, final = prefix_run(circuit, binding, batch)
     measured = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
+    program, final = prefix_run(circuit, binding, batch, measured)
     upstream = rng.standard_normal((batch, len(measured)))
-    grads = circuit_adjoint(circuit, binding, steps, measured, final, upstream)
+    grads = circuit_adjoint(circuit, binding, program, final, upstream)
     assert grads.shape == (batch, circuit.n_params) and grads.dtype == float
     zero = np.eye(2**n)[0]
     for b in range(batch):
@@ -268,18 +269,18 @@ def test_the_prefix_walk_matches_the_sweep_through_the_prefix(seed, n, batch):
     binding = random_binding(rng, circuit, batch, 0)
     measured = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
     upstream = rng.standard_normal((batch, len(measured)))
-    steps = bind_steps(circuit, binding)
-    final = run_steps(np.tile(np.eye(1, 2**n), (batch, 1)), steps)
-    whole = circuit_adjoint(circuit, binding, steps, measured, final, upstream)
-    steps, final = prefix_run(circuit, binding, batch)
-    walked = circuit_adjoint(circuit, binding, steps, measured, final, upstream)
+    program = bind_program(circuit, binding, measured)
+    final = run_steps(np.tile(np.eye(1, 2**n), (batch, 1)), program.steps)
+    whole = circuit_adjoint(circuit, binding, program, final, upstream)
+    program, final = prefix_run(circuit, binding, batch, measured)
+    walked = circuit_adjoint(circuit, binding, program, final, upstream)
     assert np.max(np.abs(whole - walked), initial=0.0) <= 1e-12
 
 
 def dqc_adjoint(circuit, params, upstream):
     """circuit_adjoint of a dqc circuit run from its product prefix."""
-    steps, final = prefix_run(circuit, params, len(upstream))
-    return circuit_adjoint(circuit, params, steps, range(circuit.n_qubits), final, upstream)
+    program, final = prefix_run(circuit, params, len(upstream), range(circuit.n_qubits))
+    return circuit_adjoint(circuit, params, program, final, upstream)
 
 
 @pytest.mark.parametrize("broken", [
@@ -302,11 +303,10 @@ def test_broken_ry_generator_changes_the_real_adjoint(monkeypatch, broken):
         assert {type(step) for step in circuit.program} == {RotationLayer, Permutation}
         params = rng.uniform(-np.pi, np.pi, circuit.n_params)
         initial = random_batch(rng, n, 2)
-        steps = bind_steps(circuit, params)
-        final = run_steps(initial, steps)
+        program = bind_program(circuit, params, range(n))
+        final = run_steps(initial, program.steps)
         upstream = rng.standard_normal((2, n))
-        runs = [("ry", lambda: circuit_adjoint(circuit, params, steps, range(n), final,
-                                               upstream))]
+        runs = [("ry", lambda: circuit_adjoint(circuit, params, program, final, upstream))]
         for embedding in ("angle", "dense_angle"):
             dqc = _dqc_circuit(embedding, n, 1)
             assert all(step.kind != "cnot" for step in dqc.program[: dqc.prefix_len])
@@ -342,11 +342,52 @@ def test_adjoint_over_fused_layers_matches_param_shift(seed, n, batch, halves):
     initial = random_batch(rng, n, batch, halves)
     measured = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
     upstream = rng.standard_normal((batch, len(measured)))
-    steps = bind_steps(circuit, binding)
-    final = run_steps(initial, steps)
-    grads = circuit_adjoint(circuit, binding, steps, measured, final, upstream)
+    program = bind_program(circuit, binding, measured)
+    final = run_steps(initial, program.steps)
+    grads = circuit_adjoint(circuit, binding, program, final, upstream)
     assert grads.shape == (batch, circuit.n_params) and grads.dtype == float
     for b in range(batch):
         shift = circuit_param_shift(circuit, row_params(binding, b), measured, upstream[b],
                                     joined(initial)[b])
+        assert np.max(np.abs(grads[b] - shift)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, depth, embedding", [
+    (4, 2, None),  # a template: its program ends in the CNOT ring
+    (1, 2, None),  # one qubit: no ring, nothing to fold
+    (3, 1, "angle"),  # depth-1 dqc heads: only the ring follows the prefix
+    (4, 1, "dense_angle"),
+])
+def test_folded_readout_and_adjoint_match_the_oracles(n, depth, embedding):
+    """The forward's readout and the sweep both read the sign table that
+    ``bind_program`` folded the last CNOT ring into, and both start from
+    the run before the ring. On a template run from random states, on one
+    qubit, where nothing folds, and on depth-1 dqc heads, whose programs
+    keep no kernel step at all after the prefix, each row's <Z> equals the
+    dense oracle's and its gradient the parameter-shift oracle's, to 1e-12."""
+    rng = np.random.default_rng(n + 10 * depth)
+    batch = 3
+    measured = tuple(range(n))
+    if embedding is None:
+        circuit = build_layers(VqcTemplate(n, depth))
+        binding = list(rng.uniform(-np.pi, np.pi, circuit.n_params))
+        initial = random_batch(rng, n, batch)
+        program = bind_program(circuit, binding, measured)
+        final = run_steps(initial, program.steps)
+        states = initial
+    else:
+        circuit = _dqc_circuit(embedding, n, depth)
+        binding = random_binding(rng, circuit, batch)
+        program, final = prefix_run(circuit, binding, batch, measured)
+        assert program.start == circuit.prefix_len and program.steps == ()
+        states = np.tile(np.eye(1, 2**n), (batch, 1))
+    assert len(program.steps) == len(circuit.program) - program.start - (n >= 2)
+    upstream = rng.standard_normal((batch, n))
+    z = z_expectations(final, program.signs)
+    grads = circuit_adjoint(circuit, binding, program, final, upstream)
+    for b in range(batch):
+        params = row_params(binding, b)
+        amps = dense_run(circuit, states[b], params)
+        assert np.max(np.abs(z[b] - [zexp_dense(amps, n, q) for q in measured])) <= 1e-12
+        shift = circuit_param_shift(circuit, params, measured, upstream[b], states[b])
         assert np.max(np.abs(grads[b] - shift)) <= 1e-12
