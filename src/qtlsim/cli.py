@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -74,20 +75,44 @@ def _initial_model(config: TrainConfig) -> HybridModel:
                       config.n_classes, substream(config.seed, "init"), in_dim=config.in_dim)
 
 
-def write_manifest(path, config: TrainConfig, splits, history):
+def write_manifest(path, config: TrainConfig, splits, history, checkpoint):
+    """The config, then ``# key = value`` notes: split sizes, the selected
+    epoch's metrics and the digests of ``checkpoint`` and the data file."""
     train_set, val_set, test_set = splits
     best = best_val_record(history)
+    notes = dict(n_train=len(train_set), n_val=len(val_set), n_test=len(test_set),
+                 best_epoch=best.epoch, best_val_loss=_fmt(best.loss),
+                 best_val_accuracy=_fmt(best.accuracy), best_val_auroc=_fmt(best.auroc),
+                 **_digests(checkpoint, config.data))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# qtlsim {__version__} run manifest; rerunnable via "
                  f"`qtlsim train --config <this file>`\n")
         fh.write(config_to_text(config))
-        fh.write(f"# n_train = {len(train_set)}\n")
-        fh.write(f"# n_val = {len(val_set)}\n")
-        fh.write(f"# n_test = {len(test_set)}\n")
-        fh.write(f"# best_epoch = {best.epoch}\n")
-        fh.write(f"# best_val_loss = {_fmt(best.loss)}\n")
-        fh.write(f"# best_val_accuracy = {_fmt(best.accuracy)}\n")
-        fh.write(f"# best_val_auroc = {_fmt(best.auroc)}\n")
+        fh.writelines(f"# {key} = {value}\n" for key, value in notes.items())
+
+
+def manifest_notes(path) -> dict[str, str]:
+    """The ``# key = value`` notes that ``write_manifest`` writes after the config."""
+    with open(path, encoding="utf-8") as fh:
+        return dict(re.findall(r"^# (\w+) = (.*)$", fh.read(), re.MULTILINE))
+
+
+def _digests(checkpoint, data) -> dict[str, str]:
+    """The SHA-256 notes of a run: its checkpoint and, from a file, its data."""
+    files = dict(checkpoint_sha256=checkpoint)
+    if data != "synth":
+        files["data_sha256"] = data
+    return {key: _sha256(path) for key, path in files.items()}
+
+
+def _sha256(path) -> str:
+    import hashlib  # here: at module level it would map OpenSSL into every evaluate
+
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def cmd_train(args) -> int:
@@ -108,8 +133,9 @@ def cmd_train(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     write_metrics_csv(os.path.join(args.out, "metrics.csv"), history)
-    save_checkpoint(os.path.join(args.out, "checkpoint.bin"), best)
-    write_manifest(os.path.join(args.out, "manifest.txt"), config, splits, history)
+    checkpoint = os.path.join(args.out, "checkpoint.bin")
+    save_checkpoint(checkpoint, best)
+    write_manifest(os.path.join(args.out, "manifest.txt"), config, splits, history, checkpoint)
 
     classical, quantum = count_parameters(best)
     best_rec = best_val_record(history)
@@ -153,21 +179,21 @@ def cmd_evaluate(args) -> int:
     subset, best_epoch = dataset, 0
     if args.split != "all":  # a split needs the manifest, checked above
         subset = dict(zip(("train", "val", "test"), _split(config, dataset)))[args.split]
-        best_epoch = _manifest_best_epoch(manifest_path)
+        notes = manifest_notes(manifest_path)
+        if "checkpoint_sha256" in notes:  # a manifest older than its digests has none
+            found = _digests(args.checkpoint, config.data)
+            differ = [key for key in ("checkpoint_sha256", "data_sha256")
+                      if notes.get(key) != found.get(key)]
+            if differ:
+                raise ConfigError(f"{manifest_path}: another run's manifest: the files "
+                                  f"evaluated do not match its {' and '.join(differ)}")
+        best_epoch = int(notes.get("best_epoch", 0))
     rec = evaluate(model, subset, split=args.split, epoch=best_epoch)
     print(METRICS_HEADER)
     print(_metric_row(rec))
     print("confusion matrix (rows = true class):")
     for row in rec.confusion:
         print(" ".join(str(int(v)) for v in row))
-    return 0
-
-
-def _manifest_best_epoch(path) -> int:
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("# best_epoch ="):
-                return int(line.split("=", 1)[1])
     return 0
 
 

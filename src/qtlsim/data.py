@@ -132,11 +132,13 @@ def load_feature_csv(path, class_names=None) -> Dataset:
     if unknown := set(label_names).difference(names):
         k = next(k for k, name in enumerate(label_names) if name in unknown)
         raise DataError(f"{path}: line {linenos[k]}: unknown label {label_names[k]!r}")
-    bad = ~np.isfinite(features).all(axis=1)
-    if bad.any():
-        raise DataError(f"{path}: line {linenos[bad.argmax()]}: non-finite feature value")
+    labels = [names.index(name) for name in label_names]
     features.flags.writeable = False
-    return Dataset(features, [names.index(name) for name in label_names], group_ids, names)
+    try:
+        return Dataset(features, labels, group_ids, names)
+    except ValueError:  # shapes and labels hold by now, so a value is not finite
+        line = linenos[(~np.isfinite(features).all(axis=1)).argmax()]
+        raise DataError(f"{path}: line {line}: non-finite feature value") from None
 
 
 def _feature_text(path, lines, width, heads):

@@ -11,6 +11,7 @@ as verification oracles for round-trip tests and the demo command.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,22 +187,13 @@ def neqr_decode(state: StateVector, n: int) -> GrayImage:
 
 # --- PGM input for the demo command ------------------------------------
 
+_TOKEN = re.compile(rb"#[^\r\n]*|(\S+)")
+
+
 def _tokens(data: bytes):
-    """Yield whitespace-separated PGM header/ASCII tokens, skipping comments."""
-    i = 0
-    while i < len(data):
-        c = data[i : i + 1]
-        if c.isspace():
-            i += 1
-        elif c == b"#":
-            while i < len(data) and data[i : i + 1] not in (b"\n", b"\r"):
-                i += 1
-        else:
-            j = i
-            while j < len(data) and not data[j : j + 1].isspace():
-                j += 1
-            yield data[i:j], j
-            i = j
+    """(token, end) of each run of bytes other than ASCII whitespace (so \\x85 and \\xa0
+    are token bytes); a '#' that starts a token comments out the rest of its line."""
+    return ((m[1], m.end()) for m in _TOKEN.finditer(data) if m[1])
 
 
 def read_pgm(path) -> GrayImage:

@@ -93,6 +93,15 @@ MUTANTS = [
     ("ties ranked without midranks", "metrics.py",
      "ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)",
      "ranks[order] = np.arange(1.0, n + 1)"),
+    ("the PGM token pattern ends a token at '#'", "embeddings.py",
+     'rb"#[^\\r\\n]*|(\\S+)"',
+     'rb"#[^\\r\\n]*|([^\\s#]+)"'),
+    ("evaluate --split skips the checkpoint digest", "cli.py",
+     'for key in ("checkpoint_sha256", "data_sha256")',
+     'for key in ("data_sha256",)'),
+    ("evaluate digests the checkpoint file as the data", "cli.py",
+     "_digests(args.checkpoint, config.data)",
+     "_digests(args.checkpoint, args.checkpoint)"),
     ("NEQR color shifted by n, not 2n", "embeddings.py",
      "amps[(image.pixels << (2 * n)) | positions]",
      "amps[(image.pixels << n) | positions]"),

@@ -3,9 +3,10 @@
 Everything here is deliberately naive: textbook rotation matrices, dense
 Kronecker-product unitaries, a row-by-row reference model and training
 run, O(n^2) pair counting, explicit finite differences, the two-point
-parameter-shift rule, ``csv.reader`` with ``float()``. None of it shares
-code with the library paths it checks. ``write_feature_csv`` and
-``write_pgm`` are the writers the tests build their input files with.
+parameter-shift rule, ``csv.reader`` with ``float()``, a byte-by-byte PGM
+tokenizer. None of it shares code with the library paths it checks.
+``write_feature_csv`` and ``write_pgm`` are the writers the tests build
+their input files with.
 """
 import csv
 import math
@@ -425,3 +426,22 @@ def write_pgm(path, image):
         fh.write(f"P2\n{image.side} {image.side}\n255\n")
         for row in image.pixels.reshape(image.side, image.side):
             fh.write(" ".join(str(int(v)) for v in row) + "\n")
+
+
+def pgm_tokens(data: bytes):
+    """(token, end) of each whitespace-separated PGM token, scanned byte by
+    byte: a '#' at the start of a token skips to the end of its line."""
+    i = 0
+    while i < len(data):
+        c = data[i : i + 1]
+        if c.isspace():
+            i += 1
+        elif c == b"#":
+            while i < len(data) and data[i : i + 1] not in (b"\n", b"\r"):
+                i += 1
+        else:
+            j = i
+            while j < len(data) and not data[j : j + 1].isspace():
+                j += 1
+            yield data[i:j], j
+            i = j

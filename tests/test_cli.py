@@ -2,6 +2,8 @@
 import ctypes
 import hashlib
 import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -77,17 +79,17 @@ PINNED_ARTIFACTS = {
     ("dqc", "angle"): {
         "metrics.csv": "985e63f09eac06038ec95a007f90e8cc78c482a5048c41eb64515ab47c3b7f15",
         "checkpoint.bin": "8853e2c6fcde4f4e460f51cf3bbbf19ec6167612050453b84a151af7f4068ef4",
-        "manifest.txt": "8b7a035a3495af32462385328b427c14008c4159e2dd0c7e9b3e20886c2b4ab0",
+        "manifest.txt": "50189f5c6fe4ec642bdaabe94f1d1461dd351f741439387e047ae9c7ca87067d",
     },
     ("dqc", "dense_angle"): {
         "metrics.csv": "699dee47ca39bee2d23b548bda06fbbd8647c8e3e6d5f2a4539a70c7957a21f8",
         "checkpoint.bin": "a6a89db60bfeed35f4bf1600cafaf257028d1fa7918345a16a22a2e8710dc76c",
-        "manifest.txt": "9ef5129668f9d68b5e396aa52c3e36a8d4550b076012fc782f5b6dd114dbc54e",
+        "manifest.txt": "71d20b9748d2149afe923b2bf1c3ba7673906fd0b52266d9ce2c31de35695339",
     },
     ("purevqc", "amplitude"): {
         "metrics.csv": "f808015ef1ff56f78b4d7a075fef9a17130bd58fe8c4626b17a3311d948bc7c7",
         "checkpoint.bin": "1d5250200cf2af3500bbf86e51b6251fae84e9a2a13557ba27040a866c955845",
-        "manifest.txt": "2fd96372e9a2e27476d10b2fa52d692a97c2c23a545c90bfc5a7fd929ac643a6",
+        "manifest.txt": "649ab5d0f03f0597ab0372c167fc2318205b6d07b9c8f28cfad55d99cc261d10",
     },
 }
 
@@ -149,7 +151,7 @@ def test_fixed_seed_artifacts_are_pinned(tmp_path, mode, embedding):
 PINNED_THREE_CLASS = {
     "metrics.csv": "5e728d267fc8e63c5182665eef622f6c78217adf5af12cafde2ca568201b7f4f",
     "checkpoint.bin": "ecd00eaa7ebdb34ccf6d997fbd53852dc249d7dda6aa2db9044072f8c21421f3",
-    "manifest.txt": "8d76f63c3de2f99ddd187e0af849f8fc2e141f8ccff4f7014600fdbc8673219f",
+    "manifest.txt": "aadc01cccd200bd124171c5210692c8ff3972d2844c8f90609dd8e67f14726bf",
     "evaluate": "847ba462d2530a426d6c301f063534b98bf216ec07c5198cff613aa6f5e7c4ba",
 }
 
@@ -168,6 +170,19 @@ def test_three_class_artifacts_are_pinned(tmp_path, capsys):
     digests["evaluate"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert_pinned(digests, PINNED_THREE_CLASS)
     assert "# best_epoch = 4\n" in (out / "manifest.txt").read_text()
+
+
+def test_manifest_notes_read_what_write_manifest_writes(fast_config, tmp_path):
+    """The notes after the config, in writing order: the split sizes, the
+    selected epoch and its metrics, and the checkpoint's digest (a synth
+    run has no data file to digest)."""
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", fast_config, "--out", out) == 0
+    notes = cli.manifest_notes(out / "manifest.txt")
+    assert list(notes) == ["n_train", "n_val", "n_test", "best_epoch", "best_val_loss",
+                           "best_val_accuracy", "best_val_auroc", "checkpoint_sha256"]
+    assert notes["checkpoint_sha256"] == \
+        hashlib.sha256((out / "checkpoint.bin").read_bytes()).hexdigest()
 
 
 def test_train_seed_override_changes_metrics(fast_config, tmp_path):
@@ -505,3 +520,99 @@ def test_evaluate_with_another_heads_manifest_exits_2(fast_config, tmp_path, cap
             assert err.startswith("config error: ") and differ in err
     assert run_cli("evaluate", run4 / "checkpoint.bin", "--manifest", run4 / "manifest.txt",
                    "--split", "test") == 0
+
+
+def test_evaluate_split_with_another_runs_manifest_exits_2(fast_config, tmp_path, capsys):
+    """Same head, data file and ratios, other seed: the manifest's split
+    would put rows checkpoint A trained on into its "test" rows. Its
+    checkpoint digest names B's checkpoint, so every split but "all" is
+    refused; "all" reads no split and checks no digest."""
+    data = tmp_path / "data.csv"
+    write_feature_csv(data, synth_dataset(20, 2, 24, 8.0, seed=5))
+    run_a, run_b = tmp_path / "a", tmp_path / "b"
+    assert run_cli("train", "--config", fast_config, "--data", data, "--out", run_a) == 0
+    assert run_cli("train", "--config", fast_config, "--data", data, "--out", run_b,
+                   "--seed", 6) == 0
+    config_a, config_b = (cli.load_config(run / "manifest.txt") for run in (run_a, run_b))
+    dataset = cli._load_dataset(config_a)
+    trained_on = set(cli._split(config_a, dataset)[0].group_ids)
+    assert trained_on & set(cli._split(config_b, dataset)[2].group_ids)
+    capsys.readouterr()
+    for split in ("train", "val", "test"):
+        assert run_cli("evaluate", run_a / "checkpoint.bin", "--manifest",
+                       run_b / "manifest.txt", "--split", split) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert err.rstrip().endswith("do not match its checkpoint_sha256")
+    assert run_cli("evaluate", run_a / "checkpoint.bin", "--manifest", run_b / "manifest.txt",
+                   "--split", "all") == 0
+
+
+def test_evaluate_split_with_other_data_exits_2(fast_config, tmp_path, capsys):
+    """A --data override whose bytes differ from the run's data file is
+    refused, and so is a data file on a synth run's manifest, which notes
+    no data digest; the same bytes under another path evaluate as the
+    run's own."""
+    data, other = tmp_path / "data.csv", tmp_path / "other.csv"
+    write_feature_csv(data, synth_dataset(20, 2, 24, 8.0, seed=5))
+    write_feature_csv(other, synth_dataset(20, 2, 24, 8.0, seed=6))
+    copy = tmp_path / "copy" / "data.csv"
+    copy.parent.mkdir()
+    copy.write_bytes(data.read_bytes())
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", fast_config, "--data", data, "--out", out) == 0
+    capsys.readouterr()
+    assert run_cli("evaluate", out / "checkpoint.bin", "--split", "test") == 0
+    own = capsys.readouterr().out
+    assert run_cli("evaluate", out / "checkpoint.bin", "--data", other, "--split", "test") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "data_sha256" in err
+    assert "checkpoint_sha256" not in err
+    assert run_cli("evaluate", out / "checkpoint.bin", "--data", copy, "--split", "test") == 0
+    assert capsys.readouterr().out == own
+    synth = tmp_path / "synth"
+    assert run_cli("train", "--config", fast_config, "--out", synth) == 0
+    capsys.readouterr()
+    assert run_cli("evaluate", synth / "checkpoint.bin", "--data", data, "--split", "test") == 2
+    assert capsys.readouterr().err.rstrip().endswith("do not match its data_sha256")
+
+
+def test_evaluate_split_with_a_manifest_without_digests(fast_config, tmp_path, capsys):
+    """A manifest written before the digest notes existed still evaluates,
+    under the head-key check alone, with the output of the run's own."""
+    data = tmp_path / "data.csv"
+    write_feature_csv(data, synth_dataset(20, 2, 24, 8.0, seed=5))
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", fast_config, "--data", data, "--out", out) == 0
+    lines = (out / "manifest.txt").read_text().splitlines(keepends=True)
+    old = tmp_path / "old_manifest.txt"
+    old.write_text("".join(line for line in lines if "_sha256 = " not in line))
+    assert len(old.read_text().splitlines()) == len(lines) - 2
+    capsys.readouterr()
+    outputs = []
+    for manifest in (out / "manifest.txt", old):
+        assert run_cli("evaluate", out / "checkpoint.bin", "--manifest", manifest,
+                       "--split", "val") == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_evaluate_all_imports_neither_hashlib_nor_numpy_random(fast_config, tmp_path):
+    """A fresh `evaluate --split all` process loads neither OpenSSL's
+    hashlib nor numpy.random: each costs MiB of resident memory that every
+    evaluate would pay, so the digests import hashlib where they hash."""
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", fast_config, "--out", out) == 0
+    data = tmp_path / "data.csv"
+    write_feature_csv(data, synth_dataset(10, 2, 24, 8.0, seed=7))
+    argv = ["evaluate", str(out / "checkpoint.bin"), "--data", str(data), "--split", "all"]
+    script = ("import sys\n"
+              "from qtlsim.cli import main\n"
+              f"code = main({argv!r})\n"
+              "print(code, sorted({'_hashlib', 'numpy.random'} & sys.modules.keys()))\n")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "0 []"

@@ -184,6 +184,21 @@ def test_load_feature_csv_errors_name_their_line(tmp_path, bad_row, message, lin
         load_feature_csv(path, class_names=["a", "b"])
 
 
+def test_load_feature_csv_reports_a_malformed_line_before_a_label_before_a_value(tmp_path):
+    """With several faulty lines, the error names the first malformed one,
+    else the first unknown label, else the first non-finite value, wherever
+    each lies in the file."""
+    faulty = ["p0,a,nan,1.0", "p1,c,1.0,2.0", "p2,b,1.0"]
+    path = tmp_path / "feat.csv"
+    for n_faulty, message in ((3, "line 4: expected 4 fields, got 3"),
+                              (2, "line 3: unknown label 'c'"),
+                              (1, "line 2: non-finite feature value")):
+        rows = ["group_id,label,f0,f1", *faulty[:n_faulty], "p3,b,1.0,2.0"]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=message):
+            load_feature_csv(path, class_names=["a", "b"])
+
+
 def test_load_feature_csv_empty_single_value_names_its_line(tmp_path):
     """numpy skips an empty line, so an empty lone feature must not drop its row."""
     path = tmp_path / "feat.csv"

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtlsim.embeddings import (
     GrayImage,
+    _tokens,
     StateVector,
     amplitude_embed,
     amplitude_rows,
@@ -21,7 +24,7 @@ from qtlsim.hybrid import _dqc_circuit
 from qtlsim.sim import prefix_vectors, product_state, z_expectations, z_signs
 from qtlsim.vqc import VqcTemplate, build_layers
 
-from oracle import textbook_rotation, write_pgm
+from oracle import pgm_tokens, textbook_rotation, write_pgm
 
 
 def random_image(rng, side):
@@ -352,3 +355,29 @@ def test_pgm_rejects_garbage(tmp_path):
     path.write_text("P3\n2 2\n255\n0 0 0 0\n")
     with pytest.raises(ValueError, match="P2/P5"):
         read_pgm(path)
+
+
+# every ASCII whitespace byte, the comment byte, token bytes, and the two
+# bytes that str.isspace() but not bytes.isspace() takes for whitespace
+PGM_BYTES = [b" ", b"\t", b"\n", b"\r", b"\v", b"\f", b"#", b"P", b"0", b"5", b"9",
+             b"x", b"\x00", b"\xff", b"\x85", b"\xa0"]
+
+
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from(PGM_BYTES), max_size=40).map(b"".join))
+def test_pgm_tokens_match_the_byte_scan(data):
+    """The one-pattern tokenizer yields the byte-by-byte scanner's (token,
+    end) pairs: a '#' starts a comment only at the start of a token, a
+    comment ends at a line break, and \\x85 and \\xa0 are token bytes."""
+    assert list(_tokens(data)) == list(pgm_tokens(data))
+
+
+def test_pgm_header_comment_glued_to_a_token_is_an_error(tmp_path):
+    """`4#c` is one token, not a 4 followed by a comment, so the width does
+    not parse; a comment that starts its own token is skipped."""
+    path = tmp_path / "glued.pgm"
+    path.write_bytes(b"P2 4#c 4 255\n" + b"0 " * 16)
+    with pytest.raises(ValueError, match="b'4#c'"):
+        read_pgm(path)
+    path.write_bytes(b"P2 4 #c\n4 255\n" + b"0 " * 16)
+    assert read_pgm(path).side == 4
