@@ -116,6 +116,8 @@ def _sha256(path) -> str:
 
 
 def cmd_train(args) -> int:
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise ConfigError(f"--out {args.out}: exists and is not a directory")
     config = load_config(args.config)
     config = with_overrides(config, seed=args.seed, data=args.data)
     # only the splits' own row copies live on through training
@@ -131,11 +133,14 @@ def cmd_train(args) -> int:
         weight_decay=config.weight_decay, seed=config.seed,
     )
 
-    os.makedirs(args.out, exist_ok=True)
-    write_metrics_csv(os.path.join(args.out, "metrics.csv"), history)
     checkpoint = os.path.join(args.out, "checkpoint.bin")
-    save_checkpoint(checkpoint, best)
-    write_manifest(os.path.join(args.out, "manifest.txt"), config, splits, history, checkpoint)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        write_metrics_csv(os.path.join(args.out, "metrics.csv"), history)
+        save_checkpoint(checkpoint, best)
+        write_manifest(os.path.join(args.out, "manifest.txt"), config, splits, history, checkpoint)
+    except OSError as exc:
+        raise ConfigError(f"--out {args.out}: cannot write the artifacts: {exc}") from exc
 
     classical, quantum = count_parameters(best)
     best_rec = best_val_record(history)
@@ -199,12 +204,18 @@ def cmd_evaluate(args) -> int:
 
 def _read_feature_file(path) -> np.ndarray:
     """Comma- or whitespace-separated numbers, each parsed by numpy's float
-    parser, as ``load_feature_csv`` parses its features."""
+    parser, as ``load_feature_csv`` parses its features; as there, an empty
+    field between commas is an error."""
     try:
         with open(path, encoding="utf-8") as fh:
-            tokens = fh.read().replace(",", " ").split()
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    for number, line in enumerate(lines, 1):
+        empty = [k for k, field in enumerate(line.split(","), 1) if not field.strip()]
+        if "," in line and empty:
+            raise DataError(f"{path}: line {number}: comma field {empty[0]} is empty")
+    tokens = " ".join(lines).replace(",", " ").split()
     if not tokens:
         raise DataError(f"{path}: no numeric values")
     try:

@@ -203,8 +203,11 @@ def read_pgm(path) -> GrayImage:
     power-of-two square; intensities are rescaled to [0, 255] when the
     file's maxval differs.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     toks = _tokens(data)
     try:
         magic, _ = next(toks)
@@ -216,6 +219,8 @@ def read_pgm(path) -> GrayImage:
         width, height, maxval = int(width), int(height), int(maxval)
     except StopIteration:
         raise ValueError("truncated PGM header") from None
+    if width < 1 or height < 1:
+        raise ValueError(f"bad PGM size {width}x{height}")
     if not (0 < maxval < 65536):
         raise ValueError(f"bad PGM maxval {maxval}")
     count = width * height

@@ -219,9 +219,8 @@ def _bound_program(model: HybridModel) -> tuple[Circuit, BoundProgram]:
 
 def _run_block(model: HybridModel, circuit: Circuit, program: BoundProgram, x: np.ndarray):
     """(params, pre-layer output, final states, <Z> readout, logits) of
-    feature rows ``x`` run from their amplitude rows or the
-    ``product_state`` of their prefix vectors through the
-    ``_bound_program``; purevqc has no pre-layer output."""
+    feature rows ``x``, run from their amplitude rows or ``product_state``
+    through the ``_bound_program``; purevqc has no pre-layer output."""
     if not np.all(np.isfinite(x)):
         raise ValueError("features must be finite")
     p = model.blocks
@@ -229,8 +228,10 @@ def _run_block(model: HybridModel, circuit: Circuit, program: BoundProgram, x: n
         params, pre_out, amps = p["q"], None, amplitude_rows(x)
     else:
         pre_out = x @ p["pre_w"].T + p["pre_b"]
-        params = [*p["q"], *(np.tanh(pre_out) * ANGLE_SCALE).T]  # q, per-row embedding slots
-        amps = product_state(prefix_vectors(circuit, params, len(x)))
+        params = np.empty((len(x), circuit.n_params))  # each row: q, then its squashed pre_out
+        params[:, : p["q"].size] = p["q"]
+        params[:, p["q"].size :] = np.tanh(pre_out) * ANGLE_SCALE
+        amps = product_state(prefix_vectors(circuit, params))
     final = run_steps(amps, program.steps)
     z = z_expectations(final, program.signs)
     logits = z if model.mode == "purevqc" else z @ p["post_w"].T + p["post_b"]

@@ -16,16 +16,16 @@ shared by all rows as ``RotationLayer`` steps (the k-th rotation on each
 qubit in layer k), two (d, d) Kronecker factors of one matmul each: the
 gather-and-apply fusion of Smelyanskiy et al., arXiv:1601.07195.
 
-A run of B rows from |0...0> starts from a product state: the rotation
-layers before the first CNOT, rx or ry, on shared floats only or per-row
-(B,) angles only, make each row's 2-vector per qubit, component-major as
-(2, B, n) (``prefix_vectors``), complex if one is an rx; ``product_state``
-multiplies them out into a float64 batch, or into the real halves [a; b]
-of complex states a + ib, a (2, B, 2**n) stack run as 2B rows.
-``bind_program`` binds the rest to a call's shared slots once (an rx or a
-per-row angle there raises) and folds a last permutation into the Z sign
-table of the readout. Every batch of the call and the adjoint sweep read
-the same factors and table; the sweep un-applies a layer by its transposes.
+A call's angles are one float array: a (n_params,) vector shared by all
+rows, or a (B, n_params) matrix, one row per state. A run of B rows from
+|0...0> starts from a product state: the rotation layers before the first
+CNOT, rx or ry, make each row's 2-vector per qubit, as (2, B, n)
+(``prefix_vectors``), complex if one is an rx; ``product_state`` multiplies
+them out into a float64 batch, or into the real halves [a; b] of complex
+states a + ib, a (2, B, 2**n) stack run as 2B rows. ``bind_program`` binds
+the rest to a vector once (an rx or a matrix there raises) and folds a last
+permutation into the Z sign table of the readout. Every batch and the
+adjoint sweep read the same factors; the sweep un-applies their transposes.
 """
 from __future__ import annotations
 
@@ -211,15 +211,15 @@ def _kron(mats: np.ndarray) -> np.ndarray:
 
 
 def layer_angles(layer: RotationLayer, params) -> np.ndarray:
-    """The layer's angles in op order: (k,) shared floats or (k, B) per-row
-    (B,) arrays; a layer that mixes the two raises ValueError."""
-    return np.array([params[i] for i in layer.slots], dtype=float)
+    """The layer's angles in op order: (k,) of a (n_params,) vector shared
+    by all rows, (B, k) of a (B, n_params) matrix of one row per state."""
+    return np.asarray(params, dtype=float)[..., layer.slots]
 
 
 def rotation_matrices(layer: RotationLayer, params) -> np.ndarray:
     """The 2x2 of each op, cos(t/2) I + sin(t/2) G at its angle t: (k, 2, 2)
-    for shared angles, (B, k, 2, 2) for per-row ones."""
-    half = 0.5 * layer_angles(layer, params).T[..., None, None]
+    of a vector, (B, k, 2, 2) of a matrix."""
+    half = 0.5 * layer_angles(layer, params)[..., None, None]
     return np.cos(half) * np.eye(2) + np.sin(half) * ROTATION_G[layer.kind]
 
 
@@ -227,7 +227,7 @@ def layer_factors(n_qubits: int, layer: RotationLayer, params) -> tuple[np.ndarr
     """(high, low_t): the ry layer's Kronecker product high (x) low of its
     ``rotation_matrices``, as the (d, d) factor on qubits [0, n // 2) and
     the transpose of the factor on [n // 2, n); low_t is the product of
-    the transposed 2x2s. Any other kind, or a per-row angle, raises."""
+    the transposed 2x2s. Any other kind, or a matrix of angles, raises."""
     rotations = rotation_matrices(layer, params)
     if layer.kind != "ry" or rotations.ndim != 3:
         raise ValueError(f"{layer} is not a kernel step: rx and per-row angles "
@@ -249,8 +249,8 @@ class BoundLayer(NamedTuple):
 def bind_steps(circuit: Circuit, params, start: int = 0) -> tuple:
     """The circuit's program steps from ``start`` on, bound to ``params``
     once: each layer as a ``BoundLayer``, each ``Permutation`` as it is.
-    ``params`` holds a float, shared by all rows, for each slot the steps
-    read: per-row angles run only in the product prefix."""
+    ``params`` is a vector shared by all rows: per-row angles run only in
+    the product prefix."""
     return tuple(step if isinstance(step, Permutation)
                  else BoundLayer(step, *layer_factors(circuit.n_qubits, step, params))
                  for step in circuit.program[start:])
@@ -301,17 +301,17 @@ def run_circuit_raw(amps: np.ndarray, circuit: Circuit, params) -> np.ndarray:
     return run_steps(amps, bind_steps(circuit, params))
 
 
-def prefix_vectors(circuit: Circuit, params, rows: int) -> np.ndarray:
-    """(2, rows, n): each row's per-qubit 2-vectors [v0; v1] from the prefix,
-    component-major, complex128 if a prefix layer is an rx. A layer takes
-    each target's v to cos(t/2) v + sin(t/2) G v; G is off-diagonal, so
-    each component is one long multiply-add with the other."""
+def prefix_vectors(circuit: Circuit, params) -> np.ndarray:
+    """(2, B, n) per-qubit 2-vectors [v0; v1] of the prefix for each row of a
+    (B, n_params) matrix, a vector as one row; complex128 if a layer is an
+    rx. A layer takes each target's v to cos(t/2) v + sin(t/2) G v; G is
+    off-diagonal, so each component is one long multiply-add with the other."""
     prefix = circuit.program[: circuit.prefix_len]
     dtype = complex if any(layer.kind == "rx" for layer in prefix) else float
-    vectors = np.zeros((2, rows, circuit.n_qubits), dtype)
+    vectors = np.zeros((2, len(np.atleast_2d(params)), circuit.n_qubits), dtype)
     vectors[0] = 1.0
     for layer in prefix:
-        half, g = 0.5 * layer_angles(layer, params).T, ROTATION_G[layer.kind]
+        half, g = 0.5 * layer_angles(layer, params), ROTATION_G[layer.kind]
         (c, s), (v0, v1) = (np.cos(half), np.sin(half)), vectors[..., layer.targets]
         vectors[..., layer.targets] = [c * v0 + s * v1 * g[0, 1], c * v1 + s * v0 * g[1, 0]]
     return vectors

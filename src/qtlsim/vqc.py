@@ -77,14 +77,14 @@ def circuit_adjoint(circuit: Circuit, params, program: BoundProgram, final: np.n
                     upstream) -> np.ndarray:
     """Per-row gradient (B, n_params) of sum_k upstream[b, k] <Z_k>.
 
-    ``final`` is the run of ``program``, the ``bind_program`` of ``params``:
-    from step 0, or from ``program.start`` on the ``product_state`` of the
-    ``prefix_vectors``. From lambda = (upstream @ program.signs) * psi,
-    back through its steps, each ry adds Re<lambda|G phi>, G = -i sigma
-    read from ``GENERATORS``, to its slot; phi and lambda are un-applied by
-    the transposed factors. The prefix layers before ``program.start`` take
-    their terms from the same per-qubit cross matrices, carried back
-    through each layer's 2x2s instead of the states. Slots accumulate."""
+    ``final`` is the run of ``program``: from step 0, or from
+    ``program.start`` on the ``product_state`` of the ``prefix_vectors`` of
+    ``params``, a vector or a (B, n_params) matrix of angles. From lambda =
+    (upstream @ program.signs) * psi, back through its steps, each ry adds
+    Re<lambda|G phi>, G = -i sigma read from ``GENERATORS``, to its slot;
+    phi and lambda are un-applied by the transposed factors. The prefix
+    layers before ``program.start`` take their terms from the same per-qubit
+    cross matrices, carried back through each layer's 2x2s. Slots accumulate."""
     upstream = np.asarray(upstream, dtype=float)
     rows = final.shape[-2]
     if upstream.shape != (rows, len(program.signs)):

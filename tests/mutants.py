@@ -2,10 +2,10 @@
 deliberate faults in ``src/qtlsim``.
 
 Each mutant is one exact text edit: a file of the package, the old text
-and the new text. The script copies ``src/``, ``tests/`` and
-``pyproject.toml`` into a temporary directory, runs ``pytest -x -q`` there
-once on the clean copy, which must pass, and then once per mutant with its
-edit written into the copy. It exits 1 if the clean copy fails, if a
+and the new text. The script copies ``src/``, ``tests/``,
+``pyproject.toml`` and ``README.md`` into a temporary directory, runs
+``pytest -x -q`` there once on the clean copy, which must pass, and then
+once per mutant with its edit written into the copy. It exits 1 if the clean copy fails, if a
 mutant's old text no longer occurs exactly once in its file (a stale
 mutant), or if the suite passes with a mutant in place (a survivor).
 
@@ -84,6 +84,9 @@ MUTANTS = [
     ("q and embedding gradient columns swapped", "hybrid.py",
      'g["q"][...] = dfull[:, :n_q].sum(axis=0)\n    dpre_out = dfull[:, n_q:]',
      'g["q"][...] = dfull[:, -n_q:].sum(axis=0)\n    dpre_out = dfull[:, :-n_q]'),
+    ("the embedding columns of the angle matrix shifted by one", "hybrid.py",
+     'params[:, p["q"].size :] = np.tanh(pre_out) * ANGLE_SCALE',
+     'params[:, p["q"].size :] = np.roll(np.tanh(pre_out) * ANGLE_SCALE, 1, axis=1)'),
     ("prefix vectors start at |1>", "sim.py",
      "vectors[0] = 1.0",
      "vectors[1] = 1.0"),
@@ -185,7 +188,8 @@ def main() -> int:
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, tree / name,
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
-        shutil.copy(ROOT / "pyproject.toml", tree)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy(ROOT / name, tree)
         if not suite_passes(tree):
             print("the unmutated copy fails its tests")
             return 1

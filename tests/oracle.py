@@ -375,29 +375,18 @@ def random_layered_circuit(rng, n, real=False):
 
 
 def random_binding(rng, circuit, batch, start=None):
-    """Angles for a batched run: per slot, a shared float or a (batch,)
-    array. The program steps from ``start`` on, the kernel's (default:
-    those after the product prefix; pass 0 for a run from |0...0>), read
-    shared slots only; each layer before them reads, at random, per-row
-    slots only or shared slots only, and a layer that reads a slot shared
-    elsewhere shares all of its slots."""
+    """A (batch, n_params) matrix of angles for a batched run, one row per
+    state. The columns of the slots that the program steps from ``start``
+    on read, the kernel's (default: those after the product prefix; pass 0
+    for a run from |0...0>), are constant; each layer before them has, at
+    random, per-row columns or constant ones."""
     start = circuit.prefix_len if start is None else start
-    shared = {slot for step in circuit.program[start:] for slot in getattr(step, "slots", ())}
-    layers = [set(layer.slots) for layer in circuit.program[:start]]
-    for slots in layers:
-        if rng.integers(2):
-            shared |= slots
-    while any(slots & shared and not slots <= shared for slots in layers):
-        for slots in layers:
-            if slots & shared:
-                shared |= slots
-    return [float(rng.uniform(-np.pi, np.pi)) if k in shared
-            else rng.uniform(-np.pi, np.pi, batch) for k in range(circuit.n_params)]
-
-
-def row_params(binding, row):
-    """The flat parameter vector one row of a batched run sees."""
-    return np.array([a if np.ndim(a) == 0 else a[row] for a in binding])
+    kernel = {slot for step in circuit.program[start:] for slot in getattr(step, "slots", ())}
+    per_row = sorted({slot for layer in circuit.program[:start] if rng.integers(2)
+                      for slot in layer.slots} - kernel)
+    binding = np.tile(rng.uniform(-np.pi, np.pi, circuit.n_params), (batch, 1))
+    binding[:, per_row] = rng.uniform(-np.pi, np.pi, (batch, len(per_row)))
+    return binding
 
 
 def read_feature_csv(path):

@@ -1,11 +1,12 @@
 """End-to-end command tests: artifacts, determinism, exit codes."""
+import argparse
 import ctypes
 import hashlib
 import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 import qtlsim.cli as cli
 import qtlsim.vqc as vqc_mod
 from qtlsim.cli import main
+from qtlsim.config import VALUE_TEXT, TrainConfig
 from qtlsim.data import synth_dataset
 from qtlsim.embeddings import GrayImage
 
@@ -370,12 +372,15 @@ def test_encode_demo_rejects_numpy_scalar_repr(tmp_path, capsys):
 def test_encode_demo_parses_numbers_as_the_csv_loader_does(tmp_path, capsys):
     """Commas and whitespace both separate; each token goes through numpy's
     float parser, as in load_feature_csv, so `1_000` and a non-ASCII digit,
-    which Python float() takes, are errors."""
+    which Python float() takes, are errors, and so is an empty field between
+    commas, inside a line or at its end."""
     path = tmp_path / "features.txt"
     path.write_text("1, 2\n3 4", encoding="utf-8")
     assert run_cli("encode-demo", path, "--scheme", "amplitude") == 0
     assert "state size: 4" in capsys.readouterr().out
-    for text, bad in (("1_000, 2, \u0663, 4", "1_000"), ("1, 2, \u0663, 4", "\u0663")):
+    for text, bad in (("1_000, 2, \u0663, 4", "1_000"), ("1, 2, \u0663, 4", "\u0663"),
+                      ("1,2,,3", "line 1: comma field 3 is empty"),
+                      ("0 1\n1,2,3,", "line 2: comma field 4 is empty")):
         path.write_text(text, encoding="utf-8")
         assert run_cli("encode-demo", path, "--scheme", "amplitude") == 3
         assert bad in capsys.readouterr().err
@@ -431,6 +436,8 @@ def test_every_documented_exit_code(tmp_path, monkeypatch, capsys):
     overflow.write_text(FAST_CONFIG.replace("lr = 0.003", "lr = 1e308"))
     future = tmp_path / "future.bin"
     future.write_bytes(b"QTLSIM9" + bytes(64))
+    unwritable = tmp_path / "unwritable"  # a directory where metrics.csv goes
+    (unwritable / "metrics.csv").mkdir(parents=True)
     broken_generator = {"ry": 1.3 * vqc_mod.GENERATORS["ry"]}  # anything but Y
     broken_rx_generator = {"rx": 1.3 * vqc_mod.GENERATORS["rx"]}  # anything but X
     table = [
@@ -441,7 +448,13 @@ def test_every_documented_exit_code(tmp_path, monkeypatch, capsys):
         (0, "", ["grad-check", "--config", dense], {}),
         (cli.EXIT_GRAD_CHECK, "FAIL", ["grad-check", "--config", dense], broken_rx_generator),
         (cli.EXIT_CONFIG, "config error: ", ["train", "--config", bad_combo], {}),
+        (cli.EXIT_CONFIG, "config error: --out", ["train", "--config", small, "--out", future],
+         {}),
+        (cli.EXIT_CONFIG, "config error: --out",
+         ["train", "--config", small, "--out", unwritable], {}),
         (cli.EXIT_DATA, "data error: ", ["train", "--config", no_data], {}),
+        (cli.EXIT_DATA, "data error: cannot read",
+         ["encode-demo", tmp_path / "missing.pgm", "--scheme", "frqi"], {}),
         (cli.EXIT_NUMERICAL, "numerical abort: ",
          ["train", "--config", overflow, "--out", tmp_path / "run"], {}),
         (cli.EXIT_VERSION, "checkpoint error: ", ["evaluate", future, "--data", future], {}),
@@ -453,6 +466,53 @@ def test_every_documented_exit_code(tmp_path, monkeypatch, capsys):
                 patch.setitem(vqc_mod.GENERATORS, kind, matrix)
             assert run_cli(*argv) == code, argv
         assert capsys.readouterr().err.startswith(prefix), argv
+
+
+def test_train_refuses_a_file_as_out_before_training(fast_config, tmp_path, monkeypatch, capsys):
+    """`--out` at a regular file exits 2 naming it, and leaves the file as it
+    was, before any training runs."""
+    out = tmp_path / "taken"
+    out.write_text("mine")
+    monkeypatch.setattr(cli, "train", lambda *args, **kwargs: pytest.fail("trained"))
+    assert run_cli("train", "--config", fast_config, "--out", out) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: --out {out}: exists and is not a directory\n"
+    assert out.read_text() == "mine"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_table(header):
+    """The rows, as lists of stripped cells, of the README table whose header
+    row is ``header``; "(empty)" stands for an empty value."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    rows = []
+    for line in lines[lines.index(header) + 2:]:
+        if not line.startswith("|"):
+            break
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        rows.append(["" if cell == "(empty)" else cell.strip("`") for cell in cells])
+    return rows
+
+
+def test_the_readme_tables_match_the_program():
+    """The README lists every config key with its default as a manifest
+    writes it, every exit code, every command with each of its flags, and
+    every module of the package, in the program's order."""
+    config = [(key, default) for key, default, _ in readme_table("| key | default | meaning |")]
+    assert config == [(f.name, VALUE_TEXT[f.type].format(f.default)) for f in fields(TrainConfig)]
+    codes = [int(code) for code, _ in readme_table("| code | meaning |")]
+    assert codes == sorted({0} | {getattr(cli, name) for name in dir(cli) if name.startswith("EXIT_")})
+    commands = {row[0]: row[1] for row in readme_table("| command | flags | what it does |")}
+    (subparsers,) = [action for action in cli.build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    assert list(commands) == list(subparsers.choices)
+    for name, parser in subparsers.choices.items():
+        for action in parser._actions:
+            flag = action.option_strings[-1] if action.option_strings else action.dest.upper()
+            assert flag == "--help" or flag in commands[name], (name, flag)
+    modules = [row[0] for row in readme_table("| module | role |")]
+    assert sorted(modules) == sorted(path.name for path in Path(cli.__file__).parent.glob("*.py"))
 
 
 def write_shuffled_csvs(tmp_path):

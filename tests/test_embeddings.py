@@ -40,7 +40,7 @@ def embed(embedding, features):
     its prefix vectors, as one complex state."""
     n = len(features) if embedding == "angle" else len(features) // 2
     params = [*np.zeros(n), *np.asarray(features, dtype=float)]
-    amps = product_state(prefix_vectors(_dqc_circuit(embedding, n, 1), params, 1))
+    amps = product_state(prefix_vectors(_dqc_circuit(embedding, n, 1), params))
     return amps[0, 0] + 1j * amps[1, 0] if amps.ndim == 3 else amps[0].astype(complex)
 
 
@@ -351,10 +351,18 @@ def test_pgm_maxval_rescale(tmp_path):
 
 
 def test_pgm_rejects_garbage(tmp_path):
+    """A wrong magic, a missing file and a width or height below 1 each
+    raise the reader's own ValueError."""
     path = tmp_path / "bad.pgm"
     path.write_text("P3\n2 2\n255\n0 0 0 0\n")
     with pytest.raises(ValueError, match="P2/P5"):
         read_pgm(path)
+    with pytest.raises(ValueError, match="cannot read"):
+        read_pgm(tmp_path / "missing.pgm")
+    for header, pixels in (("-2 -2", "0 0 0 0"), ("0 0", ""), ("4 0", "")):
+        path.write_text(f"P2\n{header}\n255\n{pixels}\n")
+        with pytest.raises(ValueError, match=f"bad PGM size {header.replace(' ', 'x')}"):
+            read_pgm(path)
 
 
 # every ASCII whitespace byte, the comment byte, token bytes, and the two

@@ -38,7 +38,6 @@ from oracle import (
     random_circuit,
     random_layered_circuit,
     random_state_amps,
-    row_params,
     zexp_dense,
 )
 
@@ -248,10 +247,10 @@ def test_batched_run_matches_dense_oracle(seed, n, batch, halves):
     circuit, _ = random_circuit(rng, n, max_gates=20, real=True)
     binding = random_binding(rng, circuit, batch, 0)
     initial = random_batch(rng, n, batch, halves)
-    out = run_circuit_raw(initial, circuit, binding)
+    out = run_circuit_raw(initial, circuit, binding[0])
     assert out.shape == initial.shape and out.dtype == float
     for b in range(batch):
-        expected = dense_run(circuit, joined(initial)[b], row_params(binding, b))
+        expected = dense_run(circuit, joined(initial)[b], binding[b])
         assert np.max(np.abs(joined(out)[b] - expected)) < 1e-12
     assert np.max(np.abs(np.linalg.norm(joined(out), axis=1) - 1.0)) < 1e-12
 
@@ -267,8 +266,8 @@ def test_reverse_steps_undo_the_run(seed, n, batch, halves):
     circuit, _ = random_circuit(rng, n, max_gates=20, real=True)
     binding = random_binding(rng, circuit, batch, 0)
     initial = random_batch(rng, n, batch, halves)
-    amps = run_circuit_raw(initial, circuit, binding)
-    for step in reversed(bind_steps(circuit, binding)):
+    amps = run_circuit_raw(initial, circuit, binding[0])
+    for step in reversed(bind_steps(circuit, binding[0])):
         amps = apply_step(amps, step, adjoint=True)
     assert amps.dtype == float
     assert np.max(np.abs(amps - initial)) < 1e-12
@@ -293,8 +292,8 @@ def test_folded_readout_matches_the_dense_oracle(seed, n, batch, halves, ring):
         circuit = Circuit(n, circuit.ops + ring_ops, circuit.n_params)
     binding = random_binding(rng, circuit, batch, 0)
     measured = tuple(int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))])
-    program = bind_program(circuit, binding, measured)
-    steps, signs = bind_steps(circuit, binding), z_signs(n, measured)
+    program = bind_program(circuit, binding[0], measured)
+    steps, signs = bind_steps(circuit, binding[0]), z_signs(n, measured)
     folded = bool(steps) and isinstance(steps[-1], Permutation)
     assert folded == (circuit.ops[-1].kind == "cnot")
     if ring:
@@ -307,7 +306,7 @@ def test_folded_readout_matches_the_dense_oracle(seed, n, batch, halves, ring):
     z = z_expectations(run_steps(initial, program.steps), program.signs)
     assert z.shape == (batch, len(measured))
     for b in range(batch):
-        amps = dense_run(circuit, joined(initial)[b], row_params(binding, b))
+        amps = dense_run(circuit, joined(initial)[b], binding[b])
         assert np.max(np.abs(z[b] - [zexp_dense(amps, n, q) for q in measured])) <= 1e-12
 
 
@@ -320,8 +319,8 @@ def test_real_batch_matches_its_complex_cast(seed, n, batch):
     circuit, _ = random_circuit(rng, n, max_gates=20, real=True)
     binding = random_binding(rng, circuit, batch, 0)
     initial = random_batch(rng, n, batch)
-    real_out = run_circuit_raw(initial, circuit, binding)
-    halves_out = run_circuit_raw(np.stack([initial, np.zeros_like(initial)]), circuit, binding)
+    real_out = run_circuit_raw(initial, circuit, binding[0])
+    halves_out = run_circuit_raw(np.stack([initial, np.zeros_like(initial)]), circuit, binding[0])
     assert np.all(halves_out[1] == 0.0)
     assert np.max(np.abs(real_out - halves_out[0])) <= 1e-14
 
@@ -335,13 +334,13 @@ def test_an_rx_step_in_the_kernel_is_refused():
     refused = r"RotationLayer\(.*kind='rx', target=1"
     for n in (2, 5):
         late = Circuit(n, (ry(0, param=0), cnot(0, 1), rx(1, param=1)), 2)
-        state = product_state(prefix_vectors(late, angles, 1))
+        state = product_state(prefix_vectors(late, angles))
         with pytest.raises(ValueError, match=refused):
             run_steps(state, bind_steps(late, angles, late.prefix_len))
         early = Circuit(n, (rx(1, param=0), cnot(0, 1), ry(1, param=1)), 2)
         with pytest.raises(ValueError, match=refused):
             run_circuit_raw(np.eye(1, 2**n), early, angles)
-        state = product_state(prefix_vectors(early, angles, 1))
+        state = product_state(prefix_vectors(early, angles))
         assert state.shape == (2, 1, 2**n)
         out = run_steps(state, bind_steps(early, angles, early.prefix_len))
         expected = dense_run(early, np.eye(2**n)[0], angles)
@@ -353,31 +352,27 @@ def test_an_rx_step_in_the_kernel_is_refused():
 
 
 def test_a_per_row_angle_in_the_kernel_is_refused():
-    """Per-row angles run only in the product prefix: a (B,) angle array on
-    a slot that a kernel step reads, a later layer's own or a prefix slot
-    read again after a CNOT, raises ValueError from ``bind_steps`` and from
-    ``run_circuit_raw``, and so does a layer that mixes a per-row angle
-    with a shared one, in the prefix or after it. With every slot shared,
-    the prefix's B-row state keeps B rows through each ``apply_step``, and
-    each row ends on the dense oracle's run."""
+    """Per-row angles run only in the product prefix: a (B, n_params)
+    matrix, whether a kernel slot's column is per-row (a later layer's own
+    or a prefix slot read again after a CNOT) or every column is constant,
+    raises ValueError from ``bind_steps`` and from ``run_circuit_raw``; a
+    kernel step binds a vector. The prefix's B-row state of the matrix
+    keeps B rows through each ``apply_step`` of the vector, and each row
+    ends on the dense oracle's run."""
     refused = "rx and per-row angles run only in the product prefix"
     rows = np.array([0.1, -0.2, 0.3])
     for n in (2, 5):
         circuit = Circuit(n, (ry(0, param=0), cnot(0, 1), ry(1, param=1), cnot(0, 1),
                               ry(0, param=0)), 2)
-        for angles in ([0.4, rows], [rows, 0.4]):
+        shared = np.full(3, 0.4)
+        for angles in (np.stack([shared, rows], 1), np.stack([rows, shared], 1),
+                       np.tile([0.4, -0.7], (3, 1))):
             with pytest.raises(ValueError, match=refused):
                 bind_steps(circuit, angles, circuit.prefix_len)
             with pytest.raises(ValueError, match=refused):
                 run_circuit_raw(np.eye(3, 2**n), circuit, angles)
-        mixed = Circuit(n, (ry(0, param=0), ry(1, param=1), cnot(0, 1), ry(1, param=1),
-                            ry(0, param=0)), 2)
-        with pytest.raises(ValueError, match="sequence"):  # numpy's, from layer_angles
-            prefix_vectors(mixed, [0.4, rows], len(rows))
-        with pytest.raises(ValueError, match="sequence"):
-            bind_steps(mixed, [0.4, rows], mixed.prefix_len)
         angles = [0.4, -0.7]
-        state = product_state(prefix_vectors(circuit, angles, len(rows)))
+        state = product_state(prefix_vectors(circuit, np.tile(angles, (len(rows), 1))))
         for step in bind_steps(circuit, angles, circuit.prefix_len):
             assert state.shape == (len(rows), 2**n)
             state = apply_step(state, step)
@@ -430,19 +425,18 @@ def test_product_prefix_run_matches_the_gate_run(seed, n, batch):
     circuit, prefix, n_prefix_params = prefixed_circuit(rng, n)
     binding = random_binding(rng, circuit, batch)
     assert sorted_ops(layer_ops(circuit.program[: circuit.prefix_len])) == sorted_ops(prefix)
-    state = product_state(prefix_vectors(circuit, binding, batch))
+    state = product_state(prefix_vectors(circuit, binding))
     has_rx = any(op.kind == "rx" for op in prefix)
     assert state.shape == (2,) * has_rx + (batch, 2**n) and state.dtype == float
-    out = run_steps(state, bind_steps(circuit, binding, circuit.prefix_len))
+    out = run_steps(state, bind_steps(circuit, binding[0], circuit.prefix_len))
     assert out.shape == state.shape
     zero = np.eye(1, 2**n)[0]
     if not has_rx:
-        gate_run = np.concatenate([run_circuit_raw(np.eye(1, 2**n), circuit, row_params(binding, b))
+        gate_run = np.concatenate([run_circuit_raw(np.eye(1, 2**n), circuit, binding[b])
                                    for b in range(batch)])
         assert np.max(np.abs(out - gate_run)) <= 1e-12
     prefix_circuit = Circuit(n, prefix, n_prefix_params)
-    for b in range(batch):
-        row = row_params(binding, b)
+    for b, row in enumerate(binding):
         assert np.max(np.abs(joined(state)[b] - dense_run(prefix_circuit, zero, row))) <= 1e-12
         assert np.max(np.abs(joined(out)[b] - dense_run(circuit, zero, row))) <= 1e-12
 
@@ -460,7 +454,7 @@ def test_product_state_of_row_slices_matches_the_whole_batch(seed, n, batch, rea
     rng = np.random.default_rng(seed)
     circuit, prefix, n_prefix_params = prefixed_circuit(rng, n, real)
     binding = random_binding(rng, circuit, batch)
-    vectors = prefix_vectors(circuit, binding, batch)
+    vectors = prefix_vectors(circuit, binding)
     expected = product_state(vectors)
     assert vectors.shape == (2, batch, n) and expected.shape[-2] == batch
     size = int(rng.integers(1, batch + 1))
@@ -469,9 +463,8 @@ def test_product_state_of_row_slices_matches_the_whole_batch(seed, n, batch, rea
     for start in range(0, batch, size):
         rows = slice(start, min(start + size, batch))
         assert np.array_equal(product_state(vectors[:, rows]), expected[..., rows, :])
-        for b in range(start, rows.stop):
-            row = row_params(binding, b)
-            alone = prefix_vectors(circuit, row, 1)
+        for b, row in enumerate(binding[rows], start):
+            alone = prefix_vectors(circuit, row)
             assert np.array_equal(alone, vectors[:, b:b + 1])
             assert np.array_equal(product_state(alone), expected[..., b:b + 1, :])
             dense = dense_run(prefix_circuit, zero, row)
@@ -496,13 +489,13 @@ def test_rotation_layer_matches_the_dense_kronecker_unitary(seed, n, batch, stac
     binding = random_binding(rng, circuit, batch, 0)
     amps = random_batch(rng, n, math.prod(stack) * batch, halves)
     amps = amps.reshape(amps.shape[:-2] + stack + (batch, 2**n))
-    (step,) = bind_steps(circuit, binding)
+    (step,) = bind_steps(circuit, binding[0])
     assert step.layer == RotationLayer(ops)
     out = apply_step(amps, step)
     back = apply_step(out, step, adjoint=True)
     assert out.shape == amps.shape and out.dtype == float
     for index in np.ndindex(*stack, batch):
-        row = row_params(binding, index[-1])
+        row = binding[index[-1]]
         state, got = (joined(a[(slice(None),) + index][:, None])[0] if halves else a[index]
                       for a in (amps, out))
         assert np.max(np.abs(got - dense_run(circuit, state, row))) <= 1e-12
@@ -520,9 +513,9 @@ def test_programs_run_rotations_as_layers_and_match_the_dense_oracle(seed, n, ba
     binding = random_binding(rng, circuit, batch, 0)
     assert_rotations_run_as_layers(circuit)
     initial = random_batch(rng, n, batch, halves)
-    out = run_circuit_raw(initial, circuit, binding)
+    out = run_circuit_raw(initial, circuit, binding[0])
     for b in range(batch):
-        expected = dense_run(circuit, joined(initial)[b], row_params(binding, b))
+        expected = dense_run(circuit, joined(initial)[b], binding[b])
         assert np.max(np.abs(joined(out)[b] - expected)) <= 1e-12
 
 

@@ -26,7 +26,6 @@ from oracle import (
     random_binding,
     random_circuit,
     random_layered_circuit,
-    row_params,
     zexp_dense,
 )
 
@@ -211,12 +210,11 @@ def test_adjoint_matches_param_shift_and_finite_differences(seed, n, batch, halv
     measured = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
     upstream = rng.standard_normal((batch, len(measured)))
 
-    program = bind_program(circuit, binding, measured)
+    program = bind_program(circuit, binding[0], measured)
     final = run_steps(initial, program.steps)
     grads = circuit_adjoint(circuit, binding, program, final, upstream)
     assert grads.shape == (batch, circuit.n_params) and grads.dtype == float
-    for b in range(batch):
-        params = row_params(binding, b)
+    for b, params in enumerate(binding):
         state = joined(initial)[b]
         shift = circuit_param_shift(circuit, params, measured, upstream[b], state)
         assert np.max(np.abs(grads[b] - shift), initial=0.0) <= 1e-12
@@ -229,11 +227,12 @@ def test_adjoint_matches_param_shift_and_finite_differences(seed, n, batch, halv
         assert np.max(np.abs(grads[b] - numeric), initial=0.0) < 1e-6
 
 
-def prefix_run(circuit, params, batch, measured):
+def prefix_run(circuit, binding, measured):
     """The ``bind_program`` of the steps after the product prefix, and
-    their run from the ``product_state`` of the prefix vectors."""
-    program = bind_program(circuit, params, measured, circuit.prefix_len)
-    initial = product_state(prefix_vectors(circuit, params, batch))
+    their run from the ``product_state`` of the prefix vectors of a
+    ``random_binding`` matrix."""
+    program = bind_program(circuit, binding[0], measured, circuit.prefix_len)
+    initial = product_state(prefix_vectors(circuit, binding))
     return program, run_steps(initial, program.steps)
 
 
@@ -249,13 +248,13 @@ def test_adjoint_from_the_product_prefix_matches_param_shift(seed, n, batch):
     circuit, _ = random_layered_circuit(rng, n)
     binding = random_binding(rng, circuit, batch)
     measured = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
-    program, final = prefix_run(circuit, binding, batch, measured)
+    program, final = prefix_run(circuit, binding, measured)
     upstream = rng.standard_normal((batch, len(measured)))
     grads = circuit_adjoint(circuit, binding, program, final, upstream)
     assert grads.shape == (batch, circuit.n_params) and grads.dtype == float
     zero = np.eye(2**n)[0]
     for b in range(batch):
-        shift = circuit_param_shift(circuit, row_params(binding, b), measured, upstream[b], zero)
+        shift = circuit_param_shift(circuit, binding[b], measured, upstream[b], zero)
         assert np.max(np.abs(grads[b] - shift)) <= 1e-12
 
 
@@ -269,17 +268,17 @@ def test_the_prefix_walk_matches_the_sweep_through_the_prefix(seed, n, batch):
     binding = random_binding(rng, circuit, batch, 0)
     measured = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
     upstream = rng.standard_normal((batch, len(measured)))
-    program = bind_program(circuit, binding, measured)
+    program = bind_program(circuit, binding[0], measured)
     final = run_steps(np.tile(np.eye(1, 2**n), (batch, 1)), program.steps)
     whole = circuit_adjoint(circuit, binding, program, final, upstream)
-    program, final = prefix_run(circuit, binding, batch, measured)
+    program, final = prefix_run(circuit, binding, measured)
     walked = circuit_adjoint(circuit, binding, program, final, upstream)
     assert np.max(np.abs(whole - walked), initial=0.0) <= 1e-12
 
 
 def dqc_adjoint(circuit, params, upstream):
     """circuit_adjoint of a dqc circuit run from its product prefix."""
-    program, final = prefix_run(circuit, params, len(upstream), range(circuit.n_qubits))
+    program, final = prefix_run(circuit, params, range(circuit.n_qubits))
     return circuit_adjoint(circuit, params, program, final, upstream)
 
 
@@ -311,9 +310,8 @@ def test_broken_ry_generator_changes_the_real_adjoint(monkeypatch, broken):
             dqc = _dqc_circuit(embedding, n, 1)
             assert all(step.kind != "cnot" for step in dqc.program[: dqc.prefix_len])
             assert dqc.prefix_len == len(dqc.program) - 1  # only the CNOT ring follows
-            n_embed = dqc.n_params - n
-            embed_angles = rng.uniform(-np.pi, np.pi, (n_embed, 2))
-            angles = [*rng.uniform(-np.pi, np.pi, n), *embed_angles]  # q slots first
+            angles = np.tile(rng.uniform(-np.pi, np.pi, dqc.n_params), (2, 1))
+            angles[:, n:] = rng.uniform(-np.pi, np.pi, (2, dqc.n_params - n))  # q slots first
             run = partial(dqc_adjoint, dqc, angles, upstream)
             runs.append(("ry", run))
             if embedding == "dense_angle":
@@ -342,12 +340,12 @@ def test_adjoint_over_fused_layers_matches_param_shift(seed, n, batch, halves):
     initial = random_batch(rng, n, batch, halves)
     measured = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
     upstream = rng.standard_normal((batch, len(measured)))
-    program = bind_program(circuit, binding, measured)
+    program = bind_program(circuit, binding[0], measured)
     final = run_steps(initial, program.steps)
     grads = circuit_adjoint(circuit, binding, program, final, upstream)
     assert grads.shape == (batch, circuit.n_params) and grads.dtype == float
     for b in range(batch):
-        shift = circuit_param_shift(circuit, row_params(binding, b), measured, upstream[b],
+        shift = circuit_param_shift(circuit, binding[b], measured, upstream[b],
                                     joined(initial)[b])
         assert np.max(np.abs(grads[b] - shift)) <= 1e-12
 
@@ -370,23 +368,22 @@ def test_folded_readout_and_adjoint_match_the_oracles(n, depth, embedding):
     measured = tuple(range(n))
     if embedding is None:
         circuit = build_layers(VqcTemplate(n, depth))
-        binding = list(rng.uniform(-np.pi, np.pi, circuit.n_params))
+        binding = np.tile(rng.uniform(-np.pi, np.pi, circuit.n_params), (batch, 1))
         initial = random_batch(rng, n, batch)
-        program = bind_program(circuit, binding, measured)
+        program = bind_program(circuit, binding[0], measured)
         final = run_steps(initial, program.steps)
         states = initial
     else:
         circuit = _dqc_circuit(embedding, n, depth)
         binding = random_binding(rng, circuit, batch)
-        program, final = prefix_run(circuit, binding, batch, measured)
+        program, final = prefix_run(circuit, binding, measured)
         assert program.start == circuit.prefix_len and program.steps == ()
         states = np.tile(np.eye(1, 2**n), (batch, 1))
     assert len(program.steps) == len(circuit.program) - program.start - (n >= 2)
     upstream = rng.standard_normal((batch, n))
     z = z_expectations(final, program.signs)
     grads = circuit_adjoint(circuit, binding, program, final, upstream)
-    for b in range(batch):
-        params = row_params(binding, b)
+    for b, params in enumerate(binding):
         amps = dense_run(circuit, states[b], params)
         assert np.max(np.abs(z[b] - [zexp_dense(amps, n, q) for q in measured])) <= 1e-12
         shift = circuit_param_shift(circuit, params, measured, upstream[b], states[b])
