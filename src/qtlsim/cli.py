@@ -116,8 +116,11 @@ def _sha256(path) -> str:
 
 
 def cmd_train(args) -> int:
-    if os.path.exists(args.out) and not os.path.isdir(args.out):
-        raise ConfigError(f"--out {args.out}: exists and is not a directory")
+    ancestor = os.path.abspath(args.out)  # its nearest existing ancestor must be a directory
+    while not os.path.isdir(ancestor):
+        if os.path.exists(ancestor):
+            raise ConfigError(f"--out {args.out}: {ancestor} exists and is not a directory")
+        ancestor = os.path.dirname(ancestor)
     config = load_config(args.config)
     config = with_overrides(config, seed=args.seed, data=args.data)
     # only the splits' own row copies live on through training
@@ -209,7 +212,7 @@ def _read_feature_file(path) -> np.ndarray:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     for number, line in enumerate(lines, 1):
         empty = [k for k, field in enumerate(line.split(","), 1) if not field.strip()]

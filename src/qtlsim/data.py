@@ -101,31 +101,34 @@ def load_feature_csv(path, class_names=None) -> Dataset:
     non-finite), but not ``1_000`` or non-ASCII digits, which ``float()``
     takes, nor ``3#x`` (comments are off). A line holding a double quote is
     split by ``csv.reader``, so a quoted group id with a comma loads; a
-    record may not span lines. Blank lines are skipped. Every ``DataError``
-    names its line: the first malformed one in file order, else the first
-    with an unknown label, else the first with a non-finite value.
+    record may not span lines. Blank lines are skipped. Each ``DataError``
+    of UTF-8 text names its line: the first malformed one in file order,
+    else the first with an unknown label, else the first non-finite one.
     """
     try:
         fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        header = fh.readline()
-        if not header:
-            raise DataError(f"{path}: empty file")
-        header = next(csv.reader([header]))
-        if len(header) < 3 or header[0] != "group_id" or header[1] != "label":
-            raise DataError(f"{path}: header must start with group_id,label,f0,...")
-        width = len(header) - 2
-        if [c.strip() for c in header[2:]] != [f"f{i}" for i in range(width)]:
-            raise DataError(f"{path}: feature columns must be named f0..f{width - 1}")
-        heads = []  # (line number, group id, label) of each data row
-        try:
-            features = np.loadtxt(_feature_text(path, fh, width, heads), **_LOADTXT)
-        except (ValueError, DataError):
-            features = None
-    if features is None or len(features) != len(heads):  # loadtxt skips an empty line
-        _raise_first_bad_line(path, width)
+    try:  # the header read, the bulk parse and its re-read all decode
+        with fh:
+            header = fh.readline()
+            if not header:
+                raise DataError(f"{path}: empty file")
+            header = next(csv.reader([header]))
+            if len(header) < 3 or header[0] != "group_id" or header[1] != "label":
+                raise DataError(f"{path}: header must start with group_id,label,f0,...")
+            width = len(header) - 2
+            if [c.strip() for c in header[2:]] != [f"f{i}" for i in range(width)]:
+                raise DataError(f"{path}: feature columns must be named f0..f{width - 1}")
+            heads = []  # (line number, group id, label) of each data row
+            try:
+                features = np.loadtxt(_feature_text(path, fh, width, heads), **_LOADTXT)
+            except (ValueError, DataError):
+                features = None
+        if features is None or len(features) != len(heads):  # loadtxt skips an empty line
+            _raise_first_bad_line(path, width)
+    except UnicodeDecodeError:  # decoded in chunks: the error's position is no line
+        raise DataError(f"{path}: not UTF-8 text") from None
     linenos, group_ids, label_names = zip(*heads)
 
     names = list(dict.fromkeys(label_names) if class_names is None else class_names)

@@ -206,18 +206,18 @@ def _check_batch(model: HybridModel, features) -> np.ndarray:
     return x
 
 
-def _bound_program(model: HybridModel) -> tuple[Circuit, BoundProgram]:
-    """The head's circuit and ``bind_program``: the steps after the initial
-    states read only the q slots, the circuit's first, so they bind to the
-    q block itself, once for every row of a call."""
+def _bound_program(model: HybridModel) -> BoundProgram:
+    """The ``bind_program`` of the head's circuit: the steps after the
+    initial states read only the q slots, the circuit's first, so they bind
+    to the q block itself, once for every row of a call."""
     t, q = model.template, model.blocks["q"]
     if model.mode == "purevqc":
-        return build_layers(t), bind_program(build_layers(t), q, range(model.n_classes))
+        return bind_program(build_layers(t), q, range(model.n_classes))
     circuit = _dqc_circuit(model.embedding, t.n_qubits, t.depth)
-    return circuit, bind_program(circuit, q, range(t.n_qubits), circuit.prefix_len)
+    return bind_program(circuit, q, range(t.n_qubits), circuit.prefix_len)
 
 
-def _run_block(model: HybridModel, circuit: Circuit, program: BoundProgram, x: np.ndarray):
+def _run_block(model: HybridModel, program: BoundProgram, x: np.ndarray):
     """(params, pre-layer output, final states, <Z> readout, logits) of
     feature rows ``x``, run from their amplitude rows or ``product_state``
     through the ``_bound_program``; purevqc has no pre-layer output."""
@@ -228,10 +228,10 @@ def _run_block(model: HybridModel, circuit: Circuit, program: BoundProgram, x: n
         params, pre_out, amps = p["q"], None, amplitude_rows(x)
     else:
         pre_out = x @ p["pre_w"].T + p["pre_b"]
-        params = np.empty((len(x), circuit.n_params))  # each row: q, then its squashed pre_out
+        params = np.empty((len(x), program.circuit.n_params))  # each row: q, then squashed pre_out
         params[:, : p["q"].size] = p["q"]
         params[:, p["q"].size :] = np.tanh(pre_out) * ANGLE_SCALE
-        amps = product_state(prefix_vectors(circuit, params))
+        amps = product_state(prefix_vectors(program.circuit, params))
     final = run_steps(amps, program.steps)
     z = z_expectations(final, program.signs)
     logits = z if model.mode == "purevqc" else z @ p["post_w"].T + p["post_b"]
@@ -251,7 +251,7 @@ def model_forward(model: HybridModel, features) -> np.ndarray:
     block = max(1, 2**14 >> model.template.n_qubits)
     logits = np.empty((x.shape[0], model.n_classes))
     for i in range(0, x.shape[0], block):
-        logits[i : i + block] = _run_block(model, *program, x[i : i + block])[-1]
+        logits[i : i + block] = _run_block(model, program, x[i : i + block])[-1]
     return softmax(logits)
 
 
@@ -270,24 +270,22 @@ def model_backward(model: HybridModel, features, labels) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (x.shape[0],) or np.any((labels < 0) | (labels >= model.n_classes)):
         raise ValueError(f"expected {x.shape[0]} labels in [0, {model.n_classes}), got {labels!r}")
-    circuit, program = _bound_program(model)
-    params, pre_out, final, z, logits = _run_block(model, circuit, program, x)
+    program = _bound_program(model)
+    params, pre_out, final, z, logits = _run_block(model, program, x)
     dlogits = softmax(logits)
     dlogits[np.arange(x.shape[0]), labels] -= 1.0
     upstream = dlogits if model.mode == "purevqc" else dlogits @ model.blocks["post_w"]
-    dfull = circuit_adjoint(circuit, params, program, final, upstream)
-    if model.mode == "purevqc":
-        return dfull.sum(axis=0) / x.shape[0]
-
+    dfull = circuit_adjoint(program, params, final, upstream)
     grad = np.empty_like(model.theta)
     g = block_views(model.layout, grad)
-    g["post_w"][...] = dlogits.T @ z
-    g["post_b"][...] = dlogits.sum(axis=0)
-    n_q = g["q"].size
+    n_q = g["q"].size  # the q slots come first in both heads' circuits
     g["q"][...] = dfull[:, :n_q].sum(axis=0)
-    dpre_out = dfull[:, n_q:] * ANGLE_SCALE * (1.0 - np.tanh(pre_out) ** 2)
-    g["pre_w"][...] = dpre_out.T @ x
-    g["pre_b"][...] = dpre_out.sum(axis=0)
+    if model.mode == "dqc":
+        dpre_out = dfull[:, n_q:] * ANGLE_SCALE * (1.0 - np.tanh(pre_out) ** 2)
+        g["pre_w"][...] = dpre_out.T @ x
+        g["pre_b"][...] = dpre_out.sum(axis=0)
+        g["post_w"][...] = dlogits.T @ z
+        g["post_b"][...] = dlogits.sum(axis=0)
     return grad / x.shape[0]
 
 

@@ -256,19 +256,20 @@ def bind_steps(circuit: Circuit, params, start: int = 0) -> tuple:
                  for step in circuit.program[start:])
 
 
-BoundProgram = NamedTuple("BoundProgram", [("start", int), ("steps", tuple), ("signs", np.ndarray)])
+BoundProgram = NamedTuple("BoundProgram", [("circuit", Circuit), ("start", int), ("steps", tuple),
+                                           ("signs", np.ndarray)])
 
 
 def bind_program(circuit: Circuit, params, measured_qubits, start: int = 0) -> BoundProgram:
-    """``bind_steps`` from ``start`` on and the (M, 2**n) Z sign table that
-    reads their run. A last ``Permutation`` folds into the table, as
-    |old[..., gather]|^2 @ signs^T = |old|^2 @ signs[:, inverse]^T, and
-    the steps stop before it."""
+    """The circuit with its ``bind_steps`` from ``start`` on and the (M, 2**n)
+    Z sign table that reads their run. A last ``Permutation`` folds into the
+    table, as |old[..., gather]|^2 @ signs^T = |old|^2 @ signs[:, inverse]^T,
+    and the steps stop before it."""
     steps = bind_steps(circuit, params, start)
     signs = z_signs(circuit.n_qubits, tuple(measured_qubits))
     if steps and isinstance(steps[-1], Permutation):
         steps, signs = steps[:-1], signs[:, steps[-1].inverse]
-    return BoundProgram(start, steps, signs)
+    return BoundProgram(circuit, start, steps, signs)
 
 
 def apply_step(amps: np.ndarray, step, adjoint: bool = False) -> np.ndarray:

@@ -21,13 +21,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .sim import (BoundLayer, BoundProgram, Circuit, RotationLayer, apply_step, cnot,
+# the sweep reads ROTATION_G by this module's name: rebinding it breaks the gradient alone
+from .sim import (ROTATION_G, BoundLayer, BoundProgram, Circuit, RotationLayer, apply_step, cnot,
                   factor_bits, rotation_matrices, run_circuit_raw, ry, z_expectations, z_signs)
-
-# sigma of each rotation exp(-i theta sigma / 2): the adjoint's own copy of
-# what sim.ROTATION_G holds as -i sigma, so that patching it breaks the
-# gradient alone and grad-check's finite differences disagree (test_cli.py).
-GENERATORS = {"rx": np.array([[0, 1], [1, 0]]), "ry": np.array([[0, -1j], [1j, 0]])}
 
 
 @dataclass(frozen=True)
@@ -73,38 +69,35 @@ def circuit_expectations(circuit: Circuit, params, measured_qubits) -> np.ndarra
                           z_signs(circuit.n_qubits, tuple(measured_qubits)))
 
 
-def circuit_adjoint(circuit: Circuit, params, program: BoundProgram, final: np.ndarray,
-                    upstream) -> np.ndarray:
+def circuit_adjoint(program: BoundProgram, params, final: np.ndarray, upstream) -> np.ndarray:
     """Per-row gradient (B, n_params) of sum_k upstream[b, k] <Z_k>.
 
     ``final`` is the run of ``program``: from step 0, or from
     ``program.start`` on the ``product_state`` of the ``prefix_vectors`` of
     ``params``, a vector or a (B, n_params) matrix of angles. From lambda =
     (upstream @ program.signs) * psi, back through its steps, each ry adds
-    Re<lambda|G phi>, G = -i sigma read from ``GENERATORS``, to its slot;
-    phi and lambda are un-applied by the transposed factors. The prefix
-    layers before ``program.start`` take their terms from the same per-qubit
-    cross matrices, carried back through each layer's 2x2s. Slots accumulate."""
+    Re<lambda|G phi>, G from ``ROTATION_G``, to its slot; phi and lambda are
+    un-applied by the transposed factors. ``program.circuit``'s layers before
+    ``program.start`` take their terms from the same per-qubit cross
+    matrices, carried back through each layer's 2x2s. Slots accumulate."""
     upstream = np.asarray(upstream, dtype=float)
     rows = final.shape[-2]
     if upstream.shape != (rows, len(program.signs)):
         raise ValueError(f"upstream shape {upstream.shape} does not match "
                          f"{rows} rows x {len(program.signs)} measured qubits")
-    n = circuit.n_qubits
-    observable = upstream @ program.signs
-    g = (-1j * np.asarray(GENERATORS["ry"])).real
-    both = np.stack([final, observable * final]).reshape(2, -1, rows, 2**n)  # phi, lambda halves
+    circuit, observable = program.circuit, upstream @ program.signs
+    both = np.stack([final, observable * final]).reshape(2, -1, *final.shape[-2:])  # phi, lambda
     grads = np.zeros((rows, circuit.n_params))
     for step in reversed(program.steps):
         both = apply_step(both, step, adjoint=True)
         if isinstance(step, BoundLayer):  # its terms are taken at its input
-            _add_terms(grads, step.layer, _qubit_cross(both[1], both[0]), g)
+            _add_terms(grads, step.layer, _qubit_cross(both[1], both[0]))
     prefix = circuit.program[: program.start]
     if prefix:  # one-qubit rotations: un-applying one leaves the other qubits' R_q
         phi, lam = (h[0] + 1j * h[1] if len(h) == 2 else h[0] for h in both)
         cross = _qubit_cross(np.conj(lam)[None], phi[None])
         for layer in reversed(prefix):
-            _add_terms(grads, layer, cross, -1j * GENERATORS[layer.kind])
+            _add_terms(grads, layer, cross)
             m = rotation_matrices(layer, params)  # R_q of M^dagger lambda, M^dagger phi
             cross[:, layer.targets] = m.swapaxes(-1, -2) @ cross[:, layer.targets] @ m.conj()
     return grads
@@ -144,9 +137,10 @@ def _qubit_cross(lam: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return np.concatenate(reduced, axis=1)  # qubit 0 first
 
 
-def _add_terms(grads: np.ndarray, layer: RotationLayer, cross: np.ndarray, g) -> None:
+def _add_terms(grads: np.ndarray, layer: RotationLayer, cross: np.ndarray) -> None:
     """Add Re sum_ab G[a, b] R_q[a, b], Re<lambda|G phi> of the rotation on
     qubit q, to each slot of ``layer``, from the (B, n, 2, 2) ``cross``
     matrices R_q at the layer's input or output (G commutes with it)."""
+    g = ROTATION_G[layer.kind]
     terms = (cross[:, layer.targets].reshape(len(grads), len(layer.ops), 4) @ g.reshape(4)).real
     np.add.at(grads.T, layer.slots, terms.T)

@@ -72,9 +72,9 @@ MUTANTS = [
     ("the halves joined as a - ib at the prefix boundary", "vqc.py",
      "h[0] + 1j * h[1]",
      "h[0] - 1j * h[1]"),
-    ("sign of GENERATORS['rx']", "vqc.py",
-     '"rx": np.array([[0, 1], [1, 0]])',
-     '"rx": np.array([[0, -1], [-1, 0]])'),
+    ("sign of the adjoint's rx generator", "vqc.py",
+     "g = ROTATION_G[layer.kind]",
+     "g = ROTATION_G[layer.kind].conj()"),
     ("ANGLE_SCALE dropped from dpre_out", "hybrid.py",
      "dfull[:, n_q:] * ANGLE_SCALE * (1.0 - np.tanh(pre_out) ** 2)",
      "dfull[:, n_q:] * (1.0 - np.tanh(pre_out) ** 2)"),
@@ -82,8 +82,10 @@ MUTANTS = [
      "dfull[:, n_q:] * ANGLE_SCALE * (1.0 - np.tanh(pre_out) ** 2)",
      "dfull[:, n_q:] * ANGLE_SCALE"),
     ("q and embedding gradient columns swapped", "hybrid.py",
-     'g["q"][...] = dfull[:, :n_q].sum(axis=0)\n    dpre_out = dfull[:, n_q:]',
-     'g["q"][...] = dfull[:, -n_q:].sum(axis=0)\n    dpre_out = dfull[:, :-n_q]'),
+     'dfull[:, :n_q].sum(axis=0)\n    if model.mode == "dqc":\n'
+     '        dpre_out = dfull[:, n_q:]',
+     'dfull[:, -n_q:].sum(axis=0)\n    if model.mode == "dqc":\n'
+     '        dpre_out = dfull[:, :-n_q]'),
     ("the embedding columns of the angle matrix shifted by one", "hybrid.py",
      'params[:, p["q"].size :] = np.tanh(pre_out) * ANGLE_SCALE',
      'params[:, p["q"].size :] = np.roll(np.tanh(pre_out) * ANGLE_SCALE, 1, axis=1)'),
@@ -102,6 +104,9 @@ MUTANTS = [
     ("evaluate --split skips the checkpoint digest", "cli.py",
      'for key in ("checkpoint_sha256", "data_sha256")',
      'for key in ("data_sha256",)'),
+    ("--out checked only where it is itself a file", "cli.py",
+     "    while not os.path.isdir(ancestor):\n        if os.path.exists(ancestor):\n",
+     "    if os.path.exists(args.out) and not os.path.isdir(args.out):\n        if True:\n"),
     ("evaluate digests the checkpoint file as the data", "cli.py",
      "_digests(args.checkpoint, config.data)",
      "_digests(args.checkpoint, args.checkpoint)"),
@@ -124,8 +129,8 @@ MUTANTS = [
      "factor_bits(n_qubits)[list(measured_qubits)]",
      "factor_bits(n_qubits)[::-1][list(measured_qubits)]"),
     ("fixed ry generator in the adjoint", "vqc.py",
-     'g = (-1j * np.asarray(GENERATORS["ry"])).real',
-     "g = np.array([[0.0, -1.0], [1.0, 0.0]])"),
+     "g = ROTATION_G[layer.kind]",
+     'g = {**ROTATION_G, "ry": np.array([[0.0, -1.0], [1.0, 0.0]])}[layer.kind]'),
     ("bit-flip table pointed at the diagonal", "vqc.py",
      "out[p, a, 1 - a] = rows * d + (rows ^ (1 << (k - 1 - p)))",
      "out[p, a, 1 - a] = rows * d + rows"),
@@ -153,6 +158,12 @@ MUTANTS = [
     ("a '#' in a str config value passes", "config.py",
      '("#" in value or value != value.strip()',
      '(value != value.strip()'),
+    ("a config that is not UTF-8 escapes as a data error", "config.py",
+     "except (OSError, UnicodeDecodeError) as exc:",
+     "except OSError as exc:"),
+    ("a feature CSV that is not UTF-8 escapes unnamed", "data.py",
+     "    except UnicodeDecodeError:  # decoded in chunks",
+     "    except KeyError:  # decoded in chunks"),
     ("non-finite config floats pass", "config.py",
      'if f.type == "float" and not math.isfinite(value):',
      "if False:"),

@@ -13,11 +13,14 @@ import numpy as np
 import pytest
 
 import qtlsim.cli as cli
+import qtlsim.sim as sim_mod
 import qtlsim.vqc as vqc_mod
+from qtlsim.checkpoint import save_checkpoint
 from qtlsim.cli import main
-from qtlsim.config import VALUE_TEXT, TrainConfig
+from qtlsim.config import VALUE_TEXT, TrainConfig, load_config
 from qtlsim.data import synth_dataset
 from qtlsim.embeddings import GrayImage
+from qtlsim.hybrid import model_forward
 
 from oracle import write_feature_csv, write_pgm
 
@@ -420,7 +423,12 @@ def test_overflowing_forward_exits_4(fast_config, tmp_path, capsys):
 
 
 def test_every_documented_exit_code(tmp_path, monkeypatch, capsys):
-    """One failure per code of the cli docstring, with its stderr prefix."""
+    """One failure per code of the cli docstring, with its stderr prefix.
+
+    A row's patches rebind module names while it runs. A broken generator
+    rebinds vqc's ROTATION_G, which only the adjoint sweep reads: the
+    forward keeps its bytes and sim.ROTATION_G its entries. The `--out`
+    rows refuse before any training runs."""
     small = tmp_path / "small.txt"
     small.write_text("mode = dqc\nn_qubits = 3\ndepth = 1\nin_dim = 12\nseed = 3\n")
     deep = tmp_path / "deep.txt"  # its second layer's rotations run after the product prefix
@@ -438,34 +446,71 @@ def test_every_documented_exit_code(tmp_path, monkeypatch, capsys):
     future.write_bytes(b"QTLSIM9" + bytes(64))
     unwritable = tmp_path / "unwritable"  # a directory where metrics.csv goes
     (unwritable / "metrics.csv").mkdir(parents=True)
-    broken_generator = {"ry": 1.3 * vqc_mod.GENERATORS["ry"]}  # anything but Y
-    broken_rx_generator = {"rx": 1.3 * vqc_mod.GENERATORS["rx"]}  # anything but X
+    checkpoint = tmp_path / "checkpoint.bin"
+    save_checkpoint(checkpoint, cli._initial_model(load_config(small)))
+    latin1 = {}  # a config, a feature CSV and a number file, each with a Latin-1 byte
+    for name, text in (("config.txt", b"mode = dqc\nclass_names = caf\xe9,tea\n"),
+                       ("features.csv", b"group_id,label,f0\ng\xe9,a,1\n"),
+                       ("numbers.txt", b"1 2 \xff 4\n")):
+        latin1[name] = tmp_path / f"latin1_{name}"
+        latin1[name].write_bytes(text)
+    afile = tmp_path / "afile"
+    afile.write_text("mine")
+    no_training = [(cli, "train", lambda *args, **kwargs: pytest.fail("trained"))]
+
+    def generator(kind):  # ROTATION_G with one entry scaled: anything but -iY or -iX
+        g = sim_mod.ROTATION_G
+        return [(vqc_mod, "ROTATION_G", {**g, kind: 1.3 * g[kind]})]
+
     table = [
-        (0, "", ["grad-check", "--config", small], {}),
-        (cli.EXIT_GRAD_CHECK, "FAIL", ["grad-check", "--config", small], broken_generator),
-        (0, "", ["grad-check", "--config", deep], {}),
-        (cli.EXIT_GRAD_CHECK, "FAIL", ["grad-check", "--config", deep], broken_generator),
-        (0, "", ["grad-check", "--config", dense], {}),
-        (cli.EXIT_GRAD_CHECK, "FAIL", ["grad-check", "--config", dense], broken_rx_generator),
-        (cli.EXIT_CONFIG, "config error: ", ["train", "--config", bad_combo], {}),
+        (0, "", ["grad-check", "--config", small], []),
+        (cli.EXIT_GRAD_CHECK, "FAIL", ["grad-check", "--config", small], generator("ry")),
+        (0, "", ["grad-check", "--config", deep], []),
+        (cli.EXIT_GRAD_CHECK, "FAIL", ["grad-check", "--config", deep], generator("ry")),
+        (0, "", ["grad-check", "--config", dense], []),
+        (cli.EXIT_GRAD_CHECK, "FAIL", ["grad-check", "--config", dense], generator("rx")),
+        (cli.EXIT_CONFIG, "config error: ", ["train", "--config", bad_combo], []),
         (cli.EXIT_CONFIG, "config error: --out", ["train", "--config", small, "--out", future],
-         {}),
+         no_training),
+        (cli.EXIT_CONFIG, f"config error: --out {afile / 'sub'}: {afile} exists",
+         ["train", "--config", small, "--out", afile / "sub"], no_training),
         (cli.EXIT_CONFIG, "config error: --out",
-         ["train", "--config", small, "--out", unwritable], {}),
-        (cli.EXIT_DATA, "data error: ", ["train", "--config", no_data], {}),
+         ["train", "--config", small, "--out", unwritable], []),
+        (cli.EXIT_CONFIG, f"config error: cannot read config {latin1['config.txt']}: ",
+         ["train", "--config", latin1["config.txt"], "--out", tmp_path / "run"], no_training),
+        (cli.EXIT_CONFIG, f"config error: cannot read config {latin1['config.txt']}: ",
+         ["grad-check", "--config", latin1["config.txt"]], []),
+        (cli.EXIT_CONFIG, f"config error: cannot read config {latin1['config.txt']}: ",
+         ["evaluate", checkpoint, "--manifest", latin1["config.txt"]], []),
+        (cli.EXIT_DATA, "data error: ", ["train", "--config", no_data], []),
         (cli.EXIT_DATA, "data error: cannot read",
-         ["encode-demo", tmp_path / "missing.pgm", "--scheme", "frqi"], {}),
+         ["encode-demo", tmp_path / "missing.pgm", "--scheme", "frqi"], []),
+        (cli.EXIT_DATA, f"data error: {latin1['features.csv']}: not UTF-8 text",
+         ["evaluate", checkpoint, "--data", latin1["features.csv"]], []),
+        (cli.EXIT_DATA, f"data error: cannot read {latin1['numbers.txt']}: ",
+         ["encode-demo", latin1["numbers.txt"], "--scheme", "amplitude"], []),
         (cli.EXIT_NUMERICAL, "numerical abort: ",
-         ["train", "--config", overflow, "--out", tmp_path / "run"], {}),
-        (cli.EXIT_VERSION, "checkpoint error: ", ["evaluate", future, "--data", future], {}),
+         ["train", "--config", overflow, "--out", tmp_path / "run"], []),
+        (cli.EXIT_VERSION, "checkpoint error: ", ["evaluate", future, "--data", future], []),
     ]
     assert sorted({row[0] for row in table}) == [0, 1, 2, 3, 4, 5]
-    for code, prefix, argv, generators in table:
+
+    def forward(config):  # the grad-check model's probabilities on two fixed rows
+        model = cli._initial_model(load_config(config))
+        return model_forward(model, np.linspace(-1, 1, 2 * model.in_dim).reshape(2, -1)).tobytes()
+
+    table_bytes = {kind: g.tobytes() for kind, g in sim_mod.ROTATION_G.items()}
+    for code, prefix, argv, patches in table:
+        clean = forward(argv[2]) if code == cli.EXIT_GRAD_CHECK else None
         with monkeypatch.context() as patch:
-            for kind, matrix in generators.items():
-                patch.setitem(vqc_mod.GENERATORS, kind, matrix)
+            for module, name, value in patches:
+                patch.setattr(module, name, value)
+            if clean is not None:  # the broken generator breaks the gradient alone
+                assert forward(argv[2]) == clean, argv
+                assert {kind: g.tobytes() for kind, g in sim_mod.ROTATION_G.items()} == table_bytes
             assert run_cli(*argv) == code, argv
         assert capsys.readouterr().err.startswith(prefix), argv
+    assert afile.read_text() == "mine" and not (tmp_path / "run").exists()
 
 
 def test_train_refuses_a_file_as_out_before_training(fast_config, tmp_path, monkeypatch, capsys):
@@ -475,7 +520,8 @@ def test_train_refuses_a_file_as_out_before_training(fast_config, tmp_path, monk
     out.write_text("mine")
     monkeypatch.setattr(cli, "train", lambda *args, **kwargs: pytest.fail("trained"))
     assert run_cli("train", "--config", fast_config, "--out", out) == cli.EXIT_CONFIG
-    assert capsys.readouterr().err == f"config error: --out {out}: exists and is not a directory\n"
+    assert capsys.readouterr().err == (f"config error: --out {out}: {out} exists and is not "
+                                       f"a directory\n")
     assert out.read_text() == "mine"
 
 

@@ -217,6 +217,27 @@ def test_load_feature_csv_no_data_rows(tmp_path):
         load_feature_csv(path)
 
 
+
+@pytest.mark.parametrize("where", ["header", "first row", "past the first chunk"])
+def test_load_feature_csv_refuses_text_that_is_not_utf8(tmp_path, where):
+    """A Latin-1 byte in the header, in a row that the header read decodes
+    with it, or in a row thousands of lines on, which the bulk parse and
+    its re-read decode, is a DataError naming the file and no line: the
+    text is decoded in chunks. A UTF-8 group id of the same name loads."""
+    rows = [f"p{i},a,{i}.5\n" for i in range(3000)]
+    path = tmp_path / "feat.csv"
+    path.write_text("group_id,label,f0\n" + "".join(rows) + "caf\u00e9,b,1\n", encoding="utf-8")
+    assert load_feature_csv(path).group_ids[-1] == "caf\u00e9"
+    text = path.read_bytes().replace("\u00e9".encode(), b"\xe9")
+    if where == "header":
+        text = text.replace(b"f0", b"f\xff0", 1)
+    elif where == "first row":
+        text = text.replace(b"p1,", b"p\xfc1,", 1)
+    path.write_bytes(text)
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}: not UTF-8 text$"):
+        load_feature_csv(path)
+
+
 # --- synthetic data -------------------------------------------------------
 
 def test_synth_dataset_deterministic():

@@ -8,8 +8,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qtlsim.hybrid import _dqc_circuit
-from qtlsim.sim import (Circuit, Permutation, RotationLayer, bind_program, prefix_vectors,
-                        product_state, ry, run_circuit_raw, run_steps, z_expectations, z_signs)
+from qtlsim.sim import (ROTATION_G, Circuit, Permutation, RotationLayer, bind_program,
+                        prefix_vectors, product_state, ry, run_circuit_raw, run_steps,
+                        z_expectations, z_signs)
 from qtlsim.vqc import (
     VqcTemplate,
     build_layers,
@@ -46,7 +47,7 @@ def adjoint_grad(circuit, params, measured, upstream):
     """circuit_adjoint for one row, from the run of |0...0> as a one-row batch."""
     program = bind_program(circuit, params, measured)
     final = run_steps(np.eye(1, 2**circuit.n_qubits), program.steps)
-    return circuit_adjoint(circuit, params, program, final, [upstream])[0]
+    return circuit_adjoint(program, params, final, [upstream])[0]
 
 
 def test_parameter_count_nine_by_four_is_36():
@@ -180,9 +181,9 @@ def test_grad_upstream_shape_checked():
     program = bind_program(layers, np.zeros(2), [0, 1])
     final = run_steps(np.eye(1, 4), program.steps)
     with pytest.raises(ValueError, match="upstream"):
-        circuit_adjoint(layers, np.zeros(2), program, final, [1.0])
+        circuit_adjoint(program, np.zeros(2), final, [1.0])
     with pytest.raises(ValueError, match="upstream"):
-        circuit_adjoint(layers, np.zeros(2), program, final, [[1.0]])
+        circuit_adjoint(program, np.zeros(2), final, [[1.0]])
 
 
 def test_shared_parameter_accumulates():
@@ -212,7 +213,7 @@ def test_adjoint_matches_param_shift_and_finite_differences(seed, n, batch, halv
 
     program = bind_program(circuit, binding[0], measured)
     final = run_steps(initial, program.steps)
-    grads = circuit_adjoint(circuit, binding, program, final, upstream)
+    grads = circuit_adjoint(program, binding, final, upstream)
     assert grads.shape == (batch, circuit.n_params) and grads.dtype == float
     for b, params in enumerate(binding):
         state = joined(initial)[b]
@@ -250,7 +251,7 @@ def test_adjoint_from_the_product_prefix_matches_param_shift(seed, n, batch):
     measured = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
     program, final = prefix_run(circuit, binding, measured)
     upstream = rng.standard_normal((batch, len(measured)))
-    grads = circuit_adjoint(circuit, binding, program, final, upstream)
+    grads = circuit_adjoint(program, binding, final, upstream)
     assert grads.shape == (batch, circuit.n_params) and grads.dtype == float
     zero = np.eye(2**n)[0]
     for b in range(batch):
@@ -270,42 +271,51 @@ def test_the_prefix_walk_matches_the_sweep_through_the_prefix(seed, n, batch):
     upstream = rng.standard_normal((batch, len(measured)))
     program = bind_program(circuit, binding[0], measured)
     final = run_steps(np.tile(np.eye(1, 2**n), (batch, 1)), program.steps)
-    whole = circuit_adjoint(circuit, binding, program, final, upstream)
+    whole = circuit_adjoint(program, binding, final, upstream)
     program, final = prefix_run(circuit, binding, measured)
-    walked = circuit_adjoint(circuit, binding, program, final, upstream)
+    walked = circuit_adjoint(program, binding, final, upstream)
     assert np.max(np.abs(whole - walked), initial=0.0) <= 1e-12
 
 
 def dqc_adjoint(circuit, params, upstream):
-    """circuit_adjoint of a dqc circuit run from its product prefix."""
+    """The final states and circuit_adjoint of a dqc circuit run from its
+    product prefix."""
     program, final = prefix_run(circuit, params, range(circuit.n_qubits))
-    return circuit_adjoint(circuit, params, program, final, upstream)
+    return final, circuit_adjoint(program, params, final, upstream)
 
 
 @pytest.mark.parametrize("broken", [
-    # a scaled Pauli: G = -i sigma keeps its kind, and the gradient scales
-    {"ry": 1.3 * np.array([[0, -1j], [1j, 0]]), "rx": 1.3 * np.array([[0, 1], [1, 0]])},
+    # a scaled generator keeps its kind, and the gradient scales
+    {"ry": 1.3 * ROTATION_G["ry"], "rx": 1.3 * ROTATION_G["rx"]},
     # the other Pauli: ry reads -iX, imaginary, so its real-state term vanishes; rx reads -iY
-    {"ry": np.array([[0, 1], [1, 0]]), "rx": np.array([[0, -1j], [1j, 0]])},
+    {"ry": np.array([[0, -1j], [-1j, 0]]), "rx": np.array([[0.0, -1.0], [1.0, 0.0]])},
 ], ids=["scaled_y", "pauli_x"])
 def test_broken_ry_generator_changes_the_real_adjoint(monkeypatch, broken):
-    """The sweep derives G = -i sigma from GENERATORS at call time over
-    the layers of a float64 batch, and so does the prefix walk: on depth-1
-    dqc heads, whose every rotation is in the product prefix, a wrong ry
-    generator gives a wrong gradient too, and on dense_angle heads so does
-    a wrong rx generator."""
+    """The sweep reads G = -i sigma from vqc's own binding of ROTATION_G at
+    call time over the layers of a float64 batch, and so does the prefix
+    walk: on depth-1 dqc heads, whose every rotation is in the product
+    prefix, a wrong ry generator gives a wrong gradient too, and on
+    dense_angle heads so does a wrong rx generator. Rebinding that name
+    breaks the gradient alone: the forward's final states keep their bytes,
+    and sim.ROTATION_G, which the forward reads, keeps its entries."""
+    import qtlsim.sim as sim_mod
     import qtlsim.vqc as vqc_mod
 
+    table = {kind: g.tobytes() for kind, g in sim_mod.ROTATION_G.items()}
     rng = np.random.default_rng(21)
     for n in (3, 5):
         circuit = build_layers(VqcTemplate(n, 2))
         assert {type(step) for step in circuit.program} == {RotationLayer, Permutation}
         params = rng.uniform(-np.pi, np.pi, circuit.n_params)
         initial = random_batch(rng, n, 2)
-        program = bind_program(circuit, params, range(n))
-        final = run_steps(initial, program.steps)
         upstream = rng.standard_normal((2, n))
-        runs = [("ry", lambda: circuit_adjoint(circuit, params, program, final, upstream))]
+
+        def template_run():
+            program = bind_program(circuit, params, range(n))
+            final = run_steps(initial, program.steps)
+            return final, circuit_adjoint(program, params, final, upstream)
+
+        runs = [("ry", template_run)]
         for embedding in ("angle", "dense_angle"):
             dqc = _dqc_circuit(embedding, n, 1)
             assert all(step.kind != "cnot" for step in dqc.program[: dqc.prefix_len])
@@ -317,10 +327,12 @@ def test_broken_ry_generator_changes_the_real_adjoint(monkeypatch, broken):
             if embedding == "dense_angle":
                 runs.append(("rx", run))
         for kind, run in runs:
-            good = run()
+            final, good = run()
             with monkeypatch.context() as patch:
-                patch.setitem(vqc_mod.GENERATORS, kind, broken[kind])
-                bad = run()
+                patch.setattr(vqc_mod, "ROTATION_G", {**ROTATION_G, kind: broken[kind]})
+                broken_final, bad = run()
+                assert {k: g.tobytes() for k, g in sim_mod.ROTATION_G.items()} == table
+            assert broken_final.tobytes() == final.tobytes()
             assert np.max(np.abs(bad - good)) > 1e-3
 
 
@@ -342,7 +354,7 @@ def test_adjoint_over_fused_layers_matches_param_shift(seed, n, batch, halves):
     upstream = rng.standard_normal((batch, len(measured)))
     program = bind_program(circuit, binding[0], measured)
     final = run_steps(initial, program.steps)
-    grads = circuit_adjoint(circuit, binding, program, final, upstream)
+    grads = circuit_adjoint(program, binding, final, upstream)
     assert grads.shape == (batch, circuit.n_params) and grads.dtype == float
     for b in range(batch):
         shift = circuit_param_shift(circuit, binding[b], measured, upstream[b],
@@ -382,7 +394,7 @@ def test_folded_readout_and_adjoint_match_the_oracles(n, depth, embedding):
     assert len(program.steps) == len(circuit.program) - program.start - (n >= 2)
     upstream = rng.standard_normal((batch, n))
     z = z_expectations(final, program.signs)
-    grads = circuit_adjoint(circuit, binding, program, final, upstream)
+    grads = circuit_adjoint(program, binding, final, upstream)
     for b, params in enumerate(binding):
         amps = dense_run(circuit, states[b], params)
         assert np.max(np.abs(z[b] - [zexp_dense(amps, n, q) for q in measured])) <= 1e-12
