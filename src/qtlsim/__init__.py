@@ -10,13 +10,13 @@ __version__ = "0.1.0"
 from .sim import Circuit, GateOp
 from .embeddings import GrayImage, StateVector, amplitude_embed, frqi_decode, frqi_encode, neqr_decode, neqr_encode
 from .vqc import VqcTemplate, build_layers, circuit_adjoint, circuit_expectations
-from .hybrid import AdamState, HybridModel, adam_step, cross_entropy, init_model, model_backward, model_forward, param_layout, softmax
+from .hybrid import AdamState, Head, HybridModel, adam_step, cross_entropy, init_model, model_backward, model_forward, softmax
 from .data import Dataset, SplitSpec, balanced_group_split, batches, load_feature_csv, synth_dataset
 from .metrics import MetricRecord, accuracy, auroc_binary, auroc_macro_ovr, confusion_matrix
 from .training import evaluate, train
 
 __all__ = [
-    "AdamState", "Circuit", "Dataset", "GateOp", "GrayImage",
+    "AdamState", "Circuit", "Dataset", "GateOp", "GrayImage", "Head",
     "HybridModel", "MetricRecord", "SplitSpec", "StateVector",
     "VqcTemplate", "accuracy", "adam_step", "amplitude_embed",
     "auroc_binary", "auroc_macro_ovr", "balanced_group_split",
@@ -24,5 +24,5 @@ __all__ = [
     "confusion_matrix", "cross_entropy", "evaluate",
     "frqi_decode", "frqi_encode", "init_model", "load_feature_csv",
     "model_backward", "model_forward", "neqr_decode", "neqr_encode",
-    "param_layout", "softmax", "synth_dataset", "train",
+    "softmax", "synth_dataset", "train",
 ]

@@ -1,12 +1,12 @@
 """Versioned binary model container.
 
-Layout: magic ``QTLSIM2``, mode/embedding/axis tag bytes, four u32
-dimensions (n_qubits, depth, n_classes, in_dim), a u32 byte count and
-that many bytes of UTF-8 class names joined by newlines (none if 0),
-then the model's flat parameter vector as little-endian float64, in
-``param_layout`` order (pre W, pre b, qparams, post W, post b; classical
-blocks absent in purevqc mode). Layers are RY, axis tag 1; x and z (0 and
-2) do not load. ``QTLSIM1``, the same without the class names, still
+Layout: magic ``QTLSIM2``; the ``Head`` fields in their order, mode and
+embedding as tag bytes, then an axis tag byte, then n_qubits, depth,
+n_classes and in_dim as u32; a u32 byte count and that many bytes of
+UTF-8 class names joined by newlines (none if 0); then the model's flat
+parameter vector as little-endian float64, in ``Head.layout`` order (pre
+W, pre b, qparams, post W, post b; classical blocks absent in purevqc
+mode). Layers are RY, axis tag 1; x and z (0 and 2) do not load. ``QTLSIM1``, the same without the class names, still
 loads. A new incompatible layout gets a new magic.
 """
 from __future__ import annotations
@@ -15,8 +15,7 @@ import struct
 
 import numpy as np
 
-from .hybrid import EMBEDDINGS, MODES, HybridModel, layout_size, param_layout
-from .vqc import VqcTemplate
+from .hybrid import EMBEDDINGS, MODES, Head, HybridModel, layout_size
 
 MAGIC = b"QTLSIM2"
 MAGIC_V1 = b"QTLSIM1"  # no class names
@@ -30,16 +29,9 @@ class CheckpointFormatError(Exception):
 
 
 def save_checkpoint(path, model: HybridModel):
-    header = _HEADER.pack(
-        MAGIC,
-        MODES.index(model.mode),
-        EMBEDDINGS.index(model.embedding),
-        _RY_AXIS,
-        model.template.n_qubits,
-        model.template.depth,
-        model.n_classes,
-        model.in_dim,
-    )
+    head = model.head
+    header = _HEADER.pack(MAGIC, MODES.index(head.mode), EMBEDDINGS.index(head.embedding),
+                          _RY_AXIS, head.n_qubits, head.depth, head.n_classes, head.in_dim)
     names = "\n".join(model.class_names).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(header + _NAMES_SIZE.pack(len(names)) + names)
@@ -54,20 +46,20 @@ def load_checkpoint(path) -> HybridModel:
         raise CheckpointFormatError(f"cannot read {path}: {exc}") from exc
     if len(data) < _HEADER.size:
         raise CheckpointFormatError(f"{path}: truncated header")
-    magic, mode_tag, embed_tag, axis_tag, n_qubits, depth, n_classes, in_dim = \
-        _HEADER.unpack_from(data)
+    magic, mode_tag, embed_tag, axis_tag, *dims = _HEADER.unpack_from(data)
     if magic not in (MAGIC, MAGIC_V1):
         raise CheckpointFormatError(
             f"{path}: magic {magic!r} does not match {MAGIC!r}; "
             f"incompatible checkpoint version"
         )
-    try:
-        mode = MODES[mode_tag]
-        embedding = EMBEDDINGS[embed_tag]
-    except IndexError:
-        raise CheckpointFormatError(f"{path}: unknown mode/embedding tag") from None
     if axis_tag != _RY_AXIS:
         raise CheckpointFormatError(f"{path}: axis tag {axis_tag}: layers are RY ({_RY_AXIS})")
+    try:  # checked before any size is read from the dimensions
+        head = Head(MODES[mode_tag], EMBEDDINGS[embed_tag], *dims)
+    except IndexError:
+        raise CheckpointFormatError(f"{path}: unknown mode/embedding tag") from None
+    except ValueError as exc:
+        raise CheckpointFormatError(f"{path}: inconsistent model: {exc}") from exc
 
     start, names = _HEADER.size, b""
     if magic == MAGIC:
@@ -79,7 +71,7 @@ def load_checkpoint(path) -> HybridModel:
             raise CheckpointFormatError(f"{path}: truncated class names")
         names = data[start - size : start]
 
-    count = layout_size(param_layout(mode, embedding, n_qubits, depth, n_classes, in_dim))
+    count = layout_size(head.layout)
     end = start + 8 * count
     if end > len(data):
         raise CheckpointFormatError(f"{path}: truncated parameter data")
@@ -87,9 +79,7 @@ def load_checkpoint(path) -> HybridModel:
         raise CheckpointFormatError(f"{path}: {len(data) - end} trailing bytes")
     theta = np.frombuffer(data, dtype="<f8", count=count, offset=start)
     try:
-        template = VqcTemplate(n_qubits, depth)
         class_names = tuple(names.decode("utf-8").split("\n")) if names else ()
-        return HybridModel(mode, template, theta, n_classes, embedding, in_dim=in_dim,
-                           class_names=class_names)
+        return HybridModel(head, theta, class_names)
     except ValueError as exc:
         raise CheckpointFormatError(f"{path}: inconsistent model: {exc}") from exc

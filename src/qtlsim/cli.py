@@ -10,7 +10,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .config import VALUE_TEXT, ConfigError, TrainConfig, config_to_text, load_c
 from .data import DataError, Dataset, SplitSpec, balanced_group_split, load_feature_csv, synth_dataset
 from .embeddings import amplitude_embed, frqi_decode, frqi_encode, neqr_decode, neqr_encode, pixel_angles, read_pgm
 from .gradcheck import run_grad_check
-from .hybrid import HybridModel, count_parameters, init_model
+from .hybrid import Head, HybridModel, count_parameters, init_model
 from .metrics import MetricRecord
 from .seeding import substream
 from .training import TrainingAborted, best_val_record, evaluate, train
@@ -71,8 +71,7 @@ def _split(config: TrainConfig, dataset: Dataset):
 
 def _initial_model(config: TrainConfig) -> HybridModel:
     """The model a run of ``config`` starts from, which grad-check checks."""
-    return init_model(config.mode, config.embedding, config.n_qubits, config.depth,
-                      config.n_classes, substream(config.seed, "init"), in_dim=config.in_dim)
+    return init_model(config.head, substream(config.seed, "init"))
 
 
 def write_manifest(path, config: TrainConfig, splits, history, checkpoint):
@@ -163,10 +162,8 @@ def cmd_evaluate(args) -> int:
         manifest_path = sibling if os.path.exists(sibling) else None
     config = load_config(manifest_path) if manifest_path is not None else None
     if config is not None:  # refuse another head's manifest; names count if the checkpoint has them
-        t = model.template
-        head = dict(mode=model.mode, embedding=model.embedding, n_qubits=t.n_qubits, depth=t.depth,
-                    n_classes=model.n_classes, in_dim=model.in_dim,
-                    class_names=",".join(model.class_names) or config.class_names)
+        head = {f.name: getattr(model.head, f.name) for f in fields(Head)}
+        head["class_names"] = ",".join(model.class_names) or config.class_names
         differ = [f"{key} = {getattr(config, key)} against the checkpoint's {value}"
                   for key, value in head.items() if getattr(config, key) != value]
         if differ:

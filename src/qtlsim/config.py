@@ -11,7 +11,7 @@ from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 
 from .data import SplitSpec
-from .hybrid import check_model_shape
+from .hybrid import Head
 
 
 class ConfigError(Exception):
@@ -44,6 +44,12 @@ class TrainConfig:
     @property
     def ratios(self) -> tuple[float, float, float]:
         return (self.train_ratio, self.val_ratio, self.test_ratio)
+
+    @property
+    def head(self) -> Head:
+        """The classifier head of the head keys; raises ValueError naming
+        the keys of one that cannot be built."""
+        return Head(**{f.name: getattr(self, f.name) for f in fields(Head)})
 
     @property
     def class_name_list(self) -> list[str] | None:
@@ -103,13 +109,11 @@ def load_config(path) -> TrainConfig:
 
 
 def validate_config(config: TrainConfig):
-    for key in ("n_qubits", "depth", "n_classes", "epochs", "batch_size",
-                "in_dim", "synth_per_class", "synth_group_size"):
+    for key in ("epochs", "batch_size", "synth_per_class", "synth_group_size"):
         if getattr(config, key) < 1:
             raise ConfigError(f"{key}: must be positive")
     try:
-        check_model_shape(config.mode, config.embedding, config.n_qubits,
-                          config.n_classes, config.in_dim)
+        config.head  # builds the head, which checks its keys
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if config.lr <= 0:

@@ -32,49 +32,80 @@ EMBEDDINGS = ("angle", "dense_angle", "amplitude")
 
 ANGLE_SCALE = math.pi / 2.0
 
+# factor_bits and dqc's z_signs table each hold n * 2**n 8-byte entries:
+# 8 MiB at 16 qubits, 160 MiB at 20
+MAX_QUBITS = 16
 
-def check_model_shape(mode: str, embedding: str, n_qubits: int, n_classes: int,
-                      in_dim: int):
-    """Raise ValueError, prefixed by the offending config keys, for a head
-    that cannot be built."""
-    if mode not in MODES:
-        raise ValueError(f"mode: must be one of {MODES}, got {mode!r}")
-    if embedding not in EMBEDDINGS:
-        raise ValueError(f"embedding: unknown embedding {embedding!r}")
-    if embedding not in PAIRINGS[mode]:
-        raise ValueError(
-            f"mode, embedding: {mode} requires embedding = "
-            f"{' or '.join(PAIRINGS[mode])}, got {embedding!r}"
-        )
-    if n_classes < 2:
-        raise ValueError("n_classes: need at least 2 classes")
-    if mode == "purevqc":
-        want = amplitude_qubits(in_dim)
-        if n_qubits != want:
+
+@dataclass(frozen=True)
+class Head:
+    """A classifier head's shape: mode, embedding, circuit width and depth,
+    class count and feature width. Construction raises ValueError, prefixed
+    by the offending config keys, for a head that cannot be built."""
+
+    mode: str
+    embedding: str
+    n_qubits: int
+    depth: int
+    n_classes: int
+    in_dim: int
+
+    def __post_init__(self):
+        for key in ("n_qubits", "depth", "in_dim"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key}: must be positive")
+        if self.mode not in MODES:
+            raise ValueError(f"mode: must be one of {MODES}, got {self.mode!r}")
+        if self.embedding not in EMBEDDINGS:
+            raise ValueError(f"embedding: unknown embedding {self.embedding!r}")
+        if self.embedding not in PAIRINGS[self.mode]:
             raise ValueError(
-                f"n_qubits, in_dim: amplitude embedding of {in_dim} features "
-                f"uses {want} qubits, got n_qubits = {n_qubits}"
+                f"mode, embedding: {self.mode} requires embedding = "
+                f"{' or '.join(PAIRINGS[self.mode])}, got {self.embedding!r}"
             )
-        if n_classes > n_qubits:
-            raise ValueError(
-                f"n_classes, n_qubits: purevqc measures one qubit per class: "
-                f"{n_classes} classes need at least {n_classes} qubits, got {n_qubits}"
-            )
+        if self.n_qubits > MAX_QUBITS:
+            raise ValueError(f"n_qubits: at most {MAX_QUBITS} qubits can be simulated, "
+                             f"got {self.n_qubits}")
+        if self.n_classes < 2:
+            raise ValueError("n_classes: need at least 2 classes")
+        if self.mode == "purevqc":
+            want = amplitude_qubits(self.in_dim)
+            if self.n_qubits != want:
+                raise ValueError(
+                    f"n_qubits, in_dim: amplitude embedding of {self.in_dim} features "
+                    f"uses {want} qubits, got n_qubits = {self.n_qubits}"
+                )
+            if self.n_classes > self.n_qubits:
+                raise ValueError(
+                    f"n_classes, n_qubits: purevqc measures one qubit per class: "
+                    f"{self.n_classes} classes need at least {self.n_classes} qubits, "
+                    f"got {self.n_qubits}"
+                )
 
+    @property
+    def layout(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        """(name, shape) of each parameter block, in flat-vector order.
 
-def param_layout(mode: str, embedding: str, n_qubits: int, depth: int,
-                 n_classes: int, in_dim: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
-    """(name, shape) of each parameter block, in flat-vector order.
+        The order is the checkpoint's: pre W, pre b, q, post W, post b, with
+        the classical blocks present only in dqc mode.
+        """
+        n = self.n_qubits
+        q = ("q", (n * self.depth,))
+        if self.mode != "dqc":
+            return (q,)
+        width = n if self.embedding == "angle" else 2 * n  # dense_angle: 2 per qubit
+        return (("pre_w", (width, self.in_dim)), ("pre_b", (width,)), q,
+                ("post_w", (self.n_classes, n)), ("post_b", (self.n_classes,)))
 
-    The order is the checkpoint's: pre W, pre b, q, post W, post b, with
-    the classical blocks present only in dqc mode.
-    """
-    q = ("q", (n_qubits * depth,))
-    if mode != "dqc":
-        return (q,)
-    width = n_qubits if embedding == "angle" else 2 * n_qubits  # dense_angle: 2 per qubit
-    return (("pre_w", (width, in_dim)), ("pre_b", (width,)), q,
-            ("post_w", (n_classes, n_qubits)), ("post_b", (n_classes,)))
+    def bind(self, q) -> BoundProgram:
+        """The ``bind_program`` of the head's circuit: the steps after the
+        initial states read only the q slots, the circuit's first, so they
+        bind to the q block ``q`` itself, once for every row of a call."""
+        if self.mode == "purevqc":
+            layers = build_layers(VqcTemplate(self.n_qubits, self.depth))
+            return bind_program(layers, q, range(self.n_classes))
+        circuit = _dqc_circuit(self.embedding, self.n_qubits, self.depth)
+        return bind_program(circuit, q, range(self.n_qubits), circuit.prefix_len)
 
 
 def layout_size(layout) -> int:
@@ -121,64 +152,50 @@ def cross_entropy(probs, labels) -> float:
 
 @dataclass(frozen=True)
 class HybridModel:
-    """A head's shape plus one flat, finite, read-only parameter vector.
+    """A head plus one flat, finite, read-only parameter vector.
 
-    ``blocks`` maps each ``param_layout`` name to a read-only view of
+    ``blocks`` maps each ``Head.layout`` name to a read-only view of
     ``theta``; a new model is ``replace(model, theta=...)``.
     ``class_names`` is the label mapping the model was trained on, one
     name per class, or empty when unknown.
     """
 
-    mode: str
-    template: VqcTemplate
+    head: Head
     theta: np.ndarray
-    n_classes: int
-    embedding: str
-    in_dim: int
     class_names: tuple[str, ...] = ()
     blocks: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_model_shape(self.mode, self.embedding, self.template.n_qubits,
-                          self.n_classes, self.in_dim)
-        layout = self.layout
+        layout, n_classes = self.head.layout, self.head.n_classes
         theta = np.array(self.theta, dtype=float)  # a copy, so the caller cannot mutate it
         if theta.shape != (layout_size(layout),):
             raise ValueError(f"expected {layout_size(layout)} parameters, got shape {theta.shape}")
         if not np.all(np.isfinite(theta)):
             raise ValueError("parameters must be finite")
         names = tuple(self.class_names)
-        if names and not (len(set(names)) == len(names) == self.n_classes
+        if names and not (len(set(names)) == len(names) == n_classes
                           and all(name and "\n" not in name for name in names)):
-            raise ValueError(f"class_names must be {self.n_classes} distinct non-empty "
+            raise ValueError(f"class_names must be {n_classes} distinct non-empty "
                              f"names without line breaks, got {names!r}")
         theta.flags.writeable = False
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "class_names", names)
         object.__setattr__(self, "blocks", block_views(layout, theta))
 
-    @property
-    def layout(self):
-        t = self.template
-        return param_layout(self.mode, self.embedding, t.n_qubits, t.depth,
-                            self.n_classes, self.in_dim)
 
-
-def init_model(mode: str, embedding: str, n_qubits: int, depth: int,
-               n_classes: int, rng: np.random.Generator, in_dim: int) -> HybridModel:
+def init_model(head: Head, rng: np.random.Generator) -> HybridModel:
     """Fresh model: dense blocks uniform in +-1/sqrt(fan-in), small q.
 
     q is drawn first, then the dense blocks in layout order.
     """
-    layout = param_layout(mode, embedding, n_qubits, depth, n_classes, in_dim)
+    layout = head.layout
     theta = np.empty(layout_size(layout))
     views = block_views(layout, theta)
-    pre, post = 1.0 / math.sqrt(in_dim), 1.0 / math.sqrt(n_qubits)
+    pre, post = 1.0 / math.sqrt(head.in_dim), 1.0 / math.sqrt(head.n_qubits)
     bounds = {"q": 0.1, "pre_w": pre, "pre_b": pre, "post_w": post, "post_b": post}
     for name in ["q"] + [name for name, _ in layout if name != "q"]:
         views[name][...] = rng.uniform(-bounds[name], bounds[name], size=views[name].shape)
-    return HybridModel(mode, VqcTemplate(n_qubits, depth), theta, n_classes, embedding,
-                       in_dim=in_dim)
+    return HybridModel(head, theta)
 
 
 @lru_cache(maxsize=None)
@@ -201,30 +218,19 @@ def _dqc_circuit(embedding: str, n_qubits: int, depth: int) -> Circuit:
 
 def _check_batch(model: HybridModel, features) -> np.ndarray:
     x = np.asarray(features, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != model.in_dim:
-        raise ValueError(f"expected (B, {model.in_dim}) features, got shape {x.shape}")
+    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != model.head.in_dim:
+        raise ValueError(f"expected (B, {model.head.in_dim}) features, got shape {x.shape}")
     return x
-
-
-def _bound_program(model: HybridModel) -> BoundProgram:
-    """The ``bind_program`` of the head's circuit: the steps after the
-    initial states read only the q slots, the circuit's first, so they bind
-    to the q block itself, once for every row of a call."""
-    t, q = model.template, model.blocks["q"]
-    if model.mode == "purevqc":
-        return bind_program(build_layers(t), q, range(model.n_classes))
-    circuit = _dqc_circuit(model.embedding, t.n_qubits, t.depth)
-    return bind_program(circuit, q, range(t.n_qubits), circuit.prefix_len)
 
 
 def _run_block(model: HybridModel, program: BoundProgram, x: np.ndarray):
     """(params, pre-layer output, final states, <Z> readout, logits) of
     feature rows ``x``, run from their amplitude rows or ``product_state``
-    through the ``_bound_program``; purevqc has no pre-layer output."""
+    through the ``Head.bind`` program; purevqc has no pre-layer output."""
     if not np.all(np.isfinite(x)):
         raise ValueError("features must be finite")
     p = model.blocks
-    if model.mode == "purevqc":
+    if model.head.mode == "purevqc":
         params, pre_out, amps = p["q"], None, amplitude_rows(x)
     else:
         pre_out = x @ p["pre_w"].T + p["pre_b"]
@@ -234,7 +240,7 @@ def _run_block(model: HybridModel, program: BoundProgram, x: np.ndarray):
         amps = product_state(prefix_vectors(program.circuit, params))
     final = run_steps(amps, program.steps)
     z = z_expectations(final, program.signs)
-    logits = z if model.mode == "purevqc" else z @ p["post_w"].T + p["post_b"]
+    logits = z if model.head.mode == "purevqc" else z @ p["post_w"].T + p["post_b"]
     return params, pre_out, final, z, logits
 
 
@@ -247,9 +253,9 @@ def model_forward(model: HybridModel, features) -> np.ndarray:
     initial states, run, <Z> readout and logits into one (B, n_classes) array.
     """
     x = _check_batch(model, features)
-    program = _bound_program(model)
-    block = max(1, 2**14 >> model.template.n_qubits)
-    logits = np.empty((x.shape[0], model.n_classes))
+    program = model.head.bind(model.blocks["q"])
+    block = max(1, 2**14 >> model.head.n_qubits)
+    logits = np.empty((x.shape[0], model.head.n_classes))
     for i in range(0, x.shape[0], block):
         logits[i : i + block] = _run_block(model, program, x[i : i + block])[-1]
     return softmax(logits)
@@ -267,20 +273,21 @@ def model_backward(model: HybridModel, features, labels) -> np.ndarray:
     analytically, chained through the tanh squash into the pre-layer.
     """
     x = _check_batch(model, features)
+    head = model.head
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (x.shape[0],) or np.any((labels < 0) | (labels >= model.n_classes)):
-        raise ValueError(f"expected {x.shape[0]} labels in [0, {model.n_classes}), got {labels!r}")
-    program = _bound_program(model)
+    if labels.shape != (x.shape[0],) or np.any((labels < 0) | (labels >= head.n_classes)):
+        raise ValueError(f"expected {x.shape[0]} labels in [0, {head.n_classes}), got {labels!r}")
+    program = head.bind(model.blocks["q"])
     params, pre_out, final, z, logits = _run_block(model, program, x)
     dlogits = softmax(logits)
     dlogits[np.arange(x.shape[0]), labels] -= 1.0
-    upstream = dlogits if model.mode == "purevqc" else dlogits @ model.blocks["post_w"]
+    upstream = dlogits if head.mode == "purevqc" else dlogits @ model.blocks["post_w"]
     dfull = circuit_adjoint(program, params, final, upstream)
     grad = np.empty_like(model.theta)
-    g = block_views(model.layout, grad)
+    g = block_views(head.layout, grad)
     n_q = g["q"].size  # the q slots come first in both heads' circuits
     g["q"][...] = dfull[:, :n_q].sum(axis=0)
-    if model.mode == "dqc":
+    if head.mode == "dqc":
         dpre_out = dfull[:, n_q:] * ANGLE_SCALE * (1.0 - np.tanh(pre_out) ** 2)
         g["pre_w"][...] = dpre_out.T @ x
         g["pre_b"][...] = dpre_out.sum(axis=0)

@@ -40,7 +40,7 @@ def evaluate(model: HybridModel, dataset: Dataset, split: str = "test",
     probs = model_forward(model, dataset.features)
     loss = cross_entropy(probs, labels)
     preds = probs.argmax(axis=1)
-    if model.n_classes == 2:
+    if model.head.n_classes == 2:
         auroc = auroc_binary(probs[:, 1], (labels == 1).astype(int))
     else:
         auroc = auroc_macro_ovr(probs, labels)
@@ -50,7 +50,7 @@ def evaluate(model: HybridModel, dataset: Dataset, split: str = "test",
         loss=loss,
         accuracy=accuracy(preds, labels),
         auroc=auroc,
-        confusion=confusion_matrix(preds, labels, model.n_classes),
+        confusion=confusion_matrix(preds, labels, model.head.n_classes),
     )
 
 

@@ -82,9 +82,9 @@ MUTANTS = [
      "dfull[:, n_q:] * ANGLE_SCALE * (1.0 - np.tanh(pre_out) ** 2)",
      "dfull[:, n_q:] * ANGLE_SCALE"),
     ("q and embedding gradient columns swapped", "hybrid.py",
-     'dfull[:, :n_q].sum(axis=0)\n    if model.mode == "dqc":\n'
+     'dfull[:, :n_q].sum(axis=0)\n    if head.mode == "dqc":\n'
      '        dpre_out = dfull[:, n_q:]',
-     'dfull[:, -n_q:].sum(axis=0)\n    if model.mode == "dqc":\n'
+     'dfull[:, -n_q:].sum(axis=0)\n    if head.mode == "dqc":\n'
      '        dpre_out = dfull[:, :-n_q]'),
     ("the embedding columns of the angle matrix shifted by one", "hybrid.py",
      'params[:, p["q"].size :] = np.tanh(pre_out) * ANGLE_SCALE',
@@ -107,6 +107,12 @@ MUTANTS = [
     ("--out checked only where it is itself a file", "cli.py",
      "    while not os.path.isdir(ancestor):\n        if os.path.exists(ancestor):\n",
      "    if os.path.exists(args.out) and not os.path.isdir(args.out):\n        if True:\n"),
+    ("evaluate's head comparison skips depth", "cli.py",
+     "for f in fields(Head)}",
+     'for f in fields(Head) if f.name != "depth"}'),
+    ("the 16-qubit bound dropped", "hybrid.py",
+     "if self.n_qubits > MAX_QUBITS:",
+     "if False:"),
     ("evaluate digests the checkpoint file as the data", "cli.py",
      "_digests(args.checkpoint, config.data)",
      "_digests(args.checkpoint, args.checkpoint)"),

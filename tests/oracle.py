@@ -120,7 +120,7 @@ def reference_forward(model, x):
     Then ``depth`` layers of one RY per qubit and a ring of CNOTs (q to
     q + 1, then n - 1 to 0), <Z> of every qubit (dqc) or of the first
     n_classes (purevqc), the post-layer (dqc) and a softmax."""
-    n, depth = model.template.n_qubits, model.template.depth
+    n, depth = model.head.n_qubits, model.head.depth
     blocks = model.blocks
     layers = np.eye(2**n, dtype=complex)
     for layer in range(depth):
@@ -132,16 +132,16 @@ def reference_forward(model, x):
                 layers = _dense_cnot(q, (q + 1) % n, n) @ layers
     out = []
     for row in np.asarray(x, dtype=float):
-        if model.mode == "purevqc":
+        if model.head.mode == "purevqc":
             amps = np.zeros(2**n, dtype=complex)
             amps[: len(row)] = row / math.sqrt(sum(float(v) ** 2 for v in row))
-            measured = range(model.n_classes)
+            measured = range(model.head.n_classes)
         else:
             pre = blocks["pre_w"] @ row + blocks["pre_b"]
             angles = [math.tanh(float(v)) * math.pi / 2 for v in pre]
             amps = np.eye(2**n, dtype=complex)[0]
             for q in range(n):
-                if model.embedding == "dense_angle":
+                if model.head.embedding == "dense_angle":
                     gates = [("rx", angles[2 * q]), ("ry", angles[2 * q + 1])]
                 else:
                     gates = [("ry", angles[q])]
@@ -150,7 +150,7 @@ def reference_forward(model, x):
             measured = range(n)
         amps = layers @ amps
         z = np.array([zexp_dense(amps, n, q) for q in measured])
-        logits = z if model.mode == "purevqc" else blocks["post_w"] @ z + blocks["post_b"]
+        logits = z if model.head.mode == "purevqc" else blocks["post_w"] @ z + blocks["post_b"]
         e = np.exp(logits - logits.max())
         out.append(e / e.sum())
     return np.array(out)
@@ -171,20 +171,20 @@ def _reference_row(model, blocks, row, label):
     angles after them. ``circuit_param_shift`` gives every angle's
     derivative; the chain rule then runs by hand through the post-layer,
     the tanh squash and the pre-layer."""
-    n, depth = model.template.n_qubits, model.template.depth
+    n, depth = model.head.n_qubits, model.head.depth
     ops = []
-    if model.mode == "purevqc":
+    if model.head.mode == "purevqc":
         angles, pre = [], None
         initial = np.zeros(2**n, dtype=complex)
         initial[: len(row)] = row / math.sqrt(sum(float(v) ** 2 for v in row))
-        measured = list(range(model.n_classes))
+        measured = list(range(model.head.n_classes))
     else:
         pre = blocks["pre_w"] @ row + blocks["pre_b"]
         angles = [math.tanh(float(v)) * math.pi / 2 for v in pre]
         initial = np.eye(2**n, dtype=complex)[0]
         measured = list(range(n))
         for q in range(n):
-            kinds = ("rx", "ry") if model.embedding == "dense_angle" else ("ry",)
+            kinds = ("rx", "ry") if model.head.embedding == "dense_angle" else ("ry",)
             ops += [_Gate(kind, q, None, len(kinds) * q + k) for k, kind in enumerate(kinds)]
     for layer in range(depth):
         ops += [_Gate("ry", q, None, len(angles) + layer * n + q) for q in range(n)]

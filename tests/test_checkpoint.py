@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qtlsim.checkpoint import MAGIC, CheckpointFormatError, load_checkpoint, save_checkpoint
-from qtlsim.hybrid import PAIRINGS, HybridModel, init_model
+from qtlsim.hybrid import PAIRINGS, Head, HybridModel, init_model
 from qtlsim.seeding import substream
 
 _NAME = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"),
@@ -30,8 +30,8 @@ def models(draw):
         n_qubits = draw(st.integers(1, 6))
         in_dim = draw(st.integers(1, 40))
         n_classes = draw(st.integers(2, 5))
-    model = init_model(mode, embedding, n_qubits, draw(st.integers(1, 4)), n_classes,
-                       np.random.default_rng(draw(st.integers(0, 2**32 - 1))), in_dim=in_dim)
+    head = Head(mode, embedding, n_qubits, draw(st.integers(1, 4)), n_classes, in_dim)
+    model = init_model(head, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     names = draw(st.one_of(st.just(()), st.lists(_NAME, min_size=n_classes,
                                                  max_size=n_classes, unique=True)))
     return replace(model, class_names=tuple(names),
@@ -44,10 +44,7 @@ def test_every_valid_model_round_trips(model):
         path = Path(tmp) / "model.bin"
         save_checkpoint(path, model)
         back = load_checkpoint(path)
-    assert (back.mode, back.embedding, back.template) == (model.mode, model.embedding,
-                                                           model.template)
-    assert (back.n_classes, back.in_dim, back.class_names) == (model.n_classes, model.in_dim,
-                                                               model.class_names)
+    assert (back.head, back.class_names) == (model.head, model.class_names)
     assert back.theta.tobytes() == model.theta.tobytes()
 
 
@@ -55,7 +52,7 @@ def test_every_truncation_is_a_format_error(tmp_path):
     """Each proper prefix of a QTLSIM2 file, with and without class names,
     raises CheckpointFormatError and nothing else."""
     for i, names in enumerate([(), ("a", "b\u00e9")]):
-        model = init_model("dqc", "dense_angle", 2, 1, 2, substream(9, "init"), in_dim=3)
+        model = init_model(Head("dqc", "dense_angle", 2, 1, 2, 3), substream(9, "init"))
         path = tmp_path / f"model{i}.bin"
         save_checkpoint(path, replace(model, class_names=names))
         data = path.read_bytes()
@@ -68,7 +65,7 @@ def test_every_truncation_is_a_format_error(tmp_path):
 def test_every_header_bit_flip_loads_or_is_a_format_error(tmp_path):
     """Flipping any one bit of the header, the class-name byte count or the
     names gives a valid model or CheckpointFormatError, never another error."""
-    model = init_model("dqc", "angle", 2, 1, 2, substream(10, "init"), in_dim=3)
+    model = init_model(Head("dqc", "angle", 2, 1, 2, 3), substream(10, "init"))
     path = tmp_path / "model.bin"
     save_checkpoint(path, replace(model, class_names=("a", "b")))
     data = path.read_bytes()
@@ -89,7 +86,7 @@ def test_every_header_bit_flip_loads_or_is_a_format_error(tmp_path):
 def test_x_and_z_axis_tags_are_format_errors(tmp_path, tag):
     """The header keeps its axis byte: x/y/z were 0/1/2, layers are always
     RY, so a checkpoint is written with 1 and an x or z tag does not load."""
-    model = init_model("dqc", "angle", 2, 1, 2, substream(11, "init"), in_dim=3)
+    model = init_model(Head("dqc", "angle", 2, 1, 2, 3), substream(11, "init"))
     path = tmp_path / "model.bin"
     save_checkpoint(path, model)
     data = bytearray(path.read_bytes())
@@ -101,28 +98,26 @@ def test_x_and_z_axis_tags_are_format_errors(tmp_path, tag):
 
 
 def test_round_trip_dqc(tmp_path):
-    model = init_model("dqc", "dense_angle", 4, 2, 3, substream(1, "init"), in_dim=32)
+    model = init_model(Head("dqc", "dense_angle", 4, 2, 3, 32), substream(1, "init"))
     path = tmp_path / "model.bin"
     save_checkpoint(path, model)
     back = load_checkpoint(path)
-    assert back.mode == "dqc" and back.embedding == "dense_angle"
-    assert back.template == model.template
-    assert back.n_classes == 3 and back.in_dim == 32
+    assert back.head == model.head == Head("dqc", "dense_angle", 4, 2, 3, 32)
     np.testing.assert_array_equal(back.theta, model.theta)
 
 
 def test_round_trip_purevqc(tmp_path):
-    model = init_model("purevqc", "amplitude", 9, 4, 3, substream(2, "init"), in_dim=512)
+    model = init_model(Head("purevqc", "amplitude", 9, 4, 3, 512), substream(2, "init"))
     path = tmp_path / "model.bin"
     save_checkpoint(path, model)
     back = load_checkpoint(path)
-    assert back.mode == "purevqc"
+    assert back.head.mode == "purevqc"
     assert list(back.blocks) == ["q"]
     np.testing.assert_array_equal(back.theta, model.theta)
 
 
 def test_magic_mismatch(tmp_path):
-    model = init_model("purevqc", "amplitude", 4, 1, 2, substream(3, "init"), in_dim=16)
+    model = init_model(Head("purevqc", "amplitude", 4, 1, 2, 16), substream(3, "init"))
     path = tmp_path / "model.bin"
     save_checkpoint(path, model)
     data = bytearray(path.read_bytes())
@@ -134,7 +129,7 @@ def test_magic_mismatch(tmp_path):
 
 
 def test_truncated_file(tmp_path):
-    model = init_model("dqc", "angle", 4, 1, 2, substream(4, "init"), in_dim=16)
+    model = init_model(Head("dqc", "angle", 4, 1, 2, 16), substream(4, "init"))
     path = tmp_path / "model.bin"
     save_checkpoint(path, model)
     path.write_bytes(path.read_bytes()[:40])
@@ -143,7 +138,7 @@ def test_truncated_file(tmp_path):
 
 
 def test_trailing_garbage(tmp_path):
-    model = init_model("purevqc", "amplitude", 4, 1, 2, substream(5, "init"), in_dim=16)
+    model = init_model(Head("purevqc", "amplitude", 4, 1, 2, 16), substream(5, "init"))
     path = tmp_path / "model.bin"
     save_checkpoint(path, model)
     path.write_bytes(path.read_bytes() + b"extra")
@@ -157,7 +152,7 @@ def test_missing_file(tmp_path):
 
 
 def test_class_names_round_trip(tmp_path):
-    model = init_model("dqc", "angle", 3, 1, 3, substream(6, "init"), in_dim=8)
+    model = init_model(Head("dqc", "angle", 3, 1, 3, 8), substream(6, "init"))
     model = replace(model, class_names=("tumor", "healthy", "covid-19 \u00e9"))
     path = tmp_path / "model.bin"
     save_checkpoint(path, model)
@@ -169,17 +164,25 @@ def test_class_names_round_trip(tmp_path):
 
 def test_version_1_checkpoint_still_loads(tmp_path):
     """QTLSIM1: the same header and parameters, no class names."""
-    model = init_model("dqc", "dense_angle", 2, 2, 2, substream(7, "init"), in_dim=6)
+    model = init_model(Head("dqc", "dense_angle", 2, 2, 2, 6), substream(7, "init"))
     path = tmp_path / "v1.bin"
     header = struct.pack("<7s3B4I", b"QTLSIM1", 0, 1, 1, 2, 2, 2, 6)
     path.write_bytes(header + model.theta.astype("<f8").tobytes())
     back = load_checkpoint(path)
-    assert back.embedding == "dense_angle" and back.class_names == ()
+    assert back.head.embedding == "dense_angle" and back.class_names == ()
     np.testing.assert_array_equal(back.theta, model.theta)
 
 
+def test_a_head_too_wide_to_simulate_is_a_format_error(tmp_path):
+    """A header of 40 qubits is refused before any size is read from it."""
+    path = tmp_path / "wide.bin"
+    path.write_bytes(struct.pack("<7s3B4I", MAGIC, 0, 0, 1, 40, 1, 2, 3) + bytes(4))
+    with pytest.raises(CheckpointFormatError, match="n_qubits: at most 16"):
+        load_checkpoint(path)
+
+
 def test_truncated_class_names(tmp_path):
-    model = init_model("purevqc", "amplitude", 4, 1, 2, substream(8, "init"), in_dim=16)
+    model = init_model(Head("purevqc", "amplitude", 4, 1, 2, 16), substream(8, "init"))
     path = tmp_path / "model.bin"
     save_checkpoint(path, replace(model, class_names=("a", "b")))
     path.write_bytes(path.read_bytes()[:29])  # inside the name block's size

@@ -438,6 +438,8 @@ def test_every_documented_exit_code(tmp_path, monkeypatch, capsys):
                      "in_dim = 12\nseed = 3\n")
     bad_combo = tmp_path / "bad.txt"
     bad_combo.write_text("mode = purevqc\nembedding = angle\n")
+    too_wide = tmp_path / "too_wide.txt"  # refused before any 2**40 array is made
+    too_wide.write_text(FAST_CONFIG.replace("n_qubits = 4", "n_qubits = 40"))
     no_data = tmp_path / "no_data.txt"
     no_data.write_text(FAST_CONFIG.replace("data = synth", "data = /nonexistent.csv"))
     overflow = tmp_path / "overflow.txt"
@@ -470,6 +472,10 @@ def test_every_documented_exit_code(tmp_path, monkeypatch, capsys):
         (0, "", ["grad-check", "--config", dense], []),
         (cli.EXIT_GRAD_CHECK, "FAIL", ["grad-check", "--config", dense], generator("rx")),
         (cli.EXIT_CONFIG, "config error: ", ["train", "--config", bad_combo], []),
+        (cli.EXIT_CONFIG, "config error: n_qubits: at most 16",
+         ["train", "--config", too_wide, "--out", tmp_path / "run"], no_training),
+        (cli.EXIT_CONFIG, "config error: n_qubits: at most 16",
+         ["grad-check", "--config", too_wide], []),
         (cli.EXIT_CONFIG, "config error: --out", ["train", "--config", small, "--out", future],
          no_training),
         (cli.EXIT_CONFIG, f"config error: --out {afile / 'sub'}: {afile} exists",
@@ -497,7 +503,8 @@ def test_every_documented_exit_code(tmp_path, monkeypatch, capsys):
 
     def forward(config):  # the grad-check model's probabilities on two fixed rows
         model = cli._initial_model(load_config(config))
-        return model_forward(model, np.linspace(-1, 1, 2 * model.in_dim).reshape(2, -1)).tobytes()
+        x = np.linspace(-1, 1, 2 * model.head.in_dim).reshape(2, -1)
+        return model_forward(model, x).tobytes()
 
     table_bytes = {kind: g.tobytes() for kind, g in sim_mod.ROTATION_G.items()}
     for code, prefix, argv, patches in table:
@@ -603,22 +610,39 @@ def test_evaluate_label_unknown_to_the_checkpoint_exits_3(fast_config, tmp_path,
 def test_evaluate_with_another_heads_manifest_exits_2(fast_config, tmp_path, capsys):
     """A manifest whose head keys differ from the checkpoint header is
     refused with exit 2 on every split, naming each differing key: a
-    3-qubit run's manifest against a 4-qubit checkpoint, and a manifest
-    whose class names are the checkpoint's swapped. The checkpoint's own
-    manifest still evaluates."""
+    3-qubit run's manifest against a 4-qubit checkpoint, a manifest whose
+    class names are the checkpoint's swapped, and one valid edit of each
+    other head key. The checkpoint's own manifest still evaluates."""
     run4, run3 = tmp_path / "q4", tmp_path / "q3"
     assert run_cli("train", "--config", fast_config, "--out", run4) == 0
     three = tmp_path / "q3.txt"
     three.write_text(FAST_CONFIG.replace("n_qubits = 4", "n_qubits = 3"))
     assert run_cli("train", "--config", three, "--out", run3) == 0
-    swapped = tmp_path / "swapped.txt"
     text = (run4 / "manifest.txt").read_text()
     assert "class_names = class0,class1\n" in text
-    swapped.write_text(text.replace("class_names = class0,class1", "class_names = class1,class0"))
+    edits = [  # the (old, new) lines of the checkpoint's manifest, and the differ reported
+        ([("class_names = class0,class1", "class_names = class1,class0")],
+         "class_names = class1,class0 against the checkpoint's class0,class1"),
+        ([("mode = dqc", "mode = purevqc"), ("embedding = angle", "embedding = amplitude"),
+          ("n_qubits = 4", "n_qubits = 5")], "mode = purevqc against the checkpoint's dqc"),
+        ([("embedding = angle", "embedding = dense_angle")],
+         "embedding = dense_angle against the checkpoint's angle"),
+        ([("depth = 1", "depth = 2")], "depth = 2 against the checkpoint's 1"),
+        ([("n_classes = 2", "n_classes = 3"), ("class0,class1", "class0,class1,class2")],
+         "n_classes = 3 against the checkpoint's 2"),
+        ([("in_dim = 24", "in_dim = 32")], "in_dim = 32 against the checkpoint's 24"),
+    ]
+    manifests = [(run3 / "manifest.txt", "n_qubits = 3 against the checkpoint's 4")]
+    for i, (lines, differ) in enumerate(edits):
+        edited = text
+        for old, new in lines:
+            assert old in edited
+            edited = edited.replace(old, new)
+        path = tmp_path / f"edited{i}.txt"
+        path.write_text(edited)
+        manifests.append((path, differ))
     capsys.readouterr()
-    for manifest, differ in ((run3 / "manifest.txt", "n_qubits = 3 against the checkpoint's 4"),
-                             (swapped, "class_names = class1,class0 against the checkpoint's "
-                                       "class0,class1")):
+    for manifest, differ in manifests:
         for split in ("all", "test"):
             assert run_cli("evaluate", run4 / "checkpoint.bin", "--manifest", manifest,
                            "--split", split) == 2

@@ -127,6 +127,15 @@ def test_str_values_must_survive_the_text_form():
     assert parse_config_text(config_to_text(cfg)) == cfg
 
 
+def test_counts_below_one_name_their_key():
+    """The head's counts are checked by ``Head``, the run's by
+    ``validate_config``; each names its key."""
+    for key in ("n_qubits", "depth", "in_dim", "epochs", "batch_size", "synth_per_class",
+                "synth_group_size"):
+        with pytest.raises(ConfigError, match=f"^{key}: must be positive"):
+            parse_config_text(f"{key} = 0\n")
+
+
 def test_non_finite_floats_are_config_errors():
     """A nan or inf learning rate, weight decay or separation is rejected by
     name before any run, not left to train into a numerical abort."""

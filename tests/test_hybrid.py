@@ -13,6 +13,7 @@ import qtlsim.hybrid
 import qtlsim.sim
 from qtlsim.hybrid import (
     AdamState,
+    Head,
     HybridModel,
     adam_step,
     count_parameters,
@@ -20,30 +21,28 @@ from qtlsim.hybrid import (
     init_model,
     model_backward,
     model_forward,
-    param_layout,
     softmax,
 )
 from qtlsim.seeding import substream
-from qtlsim.vqc import VqcTemplate
 
 from oracle import finite_diff, reference_forward
 
 
 def small_dqc(seed=0, embedding="angle", n_qubits=4, depth=1, n_classes=2, in_dim=16):
     rng = substream(seed, "init")
-    return init_model("dqc", embedding, n_qubits, depth, n_classes, rng, in_dim=in_dim)
+    return init_model(Head("dqc", embedding, n_qubits, depth, n_classes, in_dim), rng)
 
 
 def small_purevqc(seed=0, n_qubits=4, depth=1, n_classes=2, in_dim=16):
     rng = substream(seed, "init")
-    return init_model("purevqc", "amplitude", n_qubits, depth, n_classes, rng, in_dim=in_dim)
+    return init_model(Head("purevqc", "amplitude", n_qubits, depth, n_classes, in_dim), rng)
 
 
 def with_blocks(model, **blocks):
     """Copy of ``model`` with the named parameter blocks overwritten."""
     theta = model.theta.copy()
     start = 0
-    for name, shape in model.layout:
+    for name, shape in model.head.layout:
         size = math.prod(shape)
         if name in blocks:
             theta[start : start + size] = np.ravel(blocks[name])
@@ -96,23 +95,23 @@ def test_dqc_layer_shapes():
     assert m.blocks["post_w"].shape == (2, 4) and m.blocks["post_b"].shape == (2,)
     m2 = small_dqc(embedding="dense_angle")
     assert m2.blocks["pre_w"].shape == (8, 16)  # two features per qubit
-    assert [name for name, _ in m.layout] == ["pre_w", "pre_b", "q", "post_w", "post_b"]
-    assert [name for name, _ in small_purevqc().layout] == ["q"]
+    assert [name for name, _ in m.head.layout] == ["pre_w", "pre_b", "q", "post_w", "post_b"]
+    assert [name for name, _ in small_purevqc().head.layout] == ["q"]
 
 
 def test_theta_length_and_finiteness_checked():
     """theta must match the layout exactly and hold only finite values."""
-    n = sum(math.prod(shape) for _, shape in param_layout("dqc", "angle", 4, 1, 2, 16))
+    head = Head("dqc", "angle", 4, 1, 2, 16)
+    n = sum(math.prod(shape) for _, shape in head.layout)
     assert n == 4 * 16 + 4 + 4 + 2 * 4 + 2
     with pytest.raises(ValueError, match="parameters"):
-        HybridModel("dqc", VqcTemplate(4, 1), np.zeros(n - 1), 2, "angle", in_dim=16)
+        HybridModel(head, np.zeros(n - 1))
     with pytest.raises(ValueError, match="parameters"):  # purevqc has no dense blocks
-        HybridModel("purevqc", VqcTemplate(4, 1), np.zeros(4 + 10), 2, "amplitude",
-                    in_dim=16)
+        HybridModel(Head("purevqc", "amplitude", 4, 1, 2, 16), np.zeros(4 + 10))
     bad = np.zeros(n)
     bad[3] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        HybridModel("dqc", VqcTemplate(4, 1), bad, 2, "angle", in_dim=16)
+        HybridModel(head, bad)
 
 
 def test_class_names_checked():
@@ -136,12 +135,12 @@ def test_blocks_are_read_only_views_of_theta():
 
 def test_purevqc_qubit_count_must_fit_features():
     with pytest.raises(ValueError, match="qubits"):
-        HybridModel("purevqc", VqcTemplate(5, 1), np.zeros(5), 2, "amplitude", in_dim=16)
+        Head("purevqc", "amplitude", 5, 1, 2, 16)
 
 
 def test_purevqc_one_qubit_per_class():
     with pytest.raises(ValueError, match="per class"):
-        HybridModel("purevqc", VqcTemplate(4, 1), np.zeros(4), 5, "amplitude", in_dim=16)
+        Head("purevqc", "amplitude", 4, 1, 5, 16)
 
 
 def test_dqc_requires_angle_embedding():
@@ -152,7 +151,7 @@ def test_dqc_requires_angle_embedding():
 def test_parameter_counts_dqc_8q_3c():
     """512*8+8 pre + 8*3+3 post = 4131 classical, n_qubits*depth quantum."""
     for depth in (1, 2, 4):
-        m = init_model("dqc", "angle", 8, depth, 3, substream(0, "init"), in_dim=512)
+        m = init_model(Head("dqc", "angle", 8, depth, 3, 512), substream(0, "init"))
         classical, quantum = count_parameters(m)
         assert classical == 512 * 8 + 8 + 8 * 3 + 3 == 4131
         assert quantum == 8 * depth
@@ -302,8 +301,8 @@ def bound_layers(model) -> int:
     """The rotation layers one call runs through the kernel: every layer of
     a purevqc head, a dqc head's after its product prefix (the embedding
     and the first layer), none on one qubit, which has no CNOT."""
-    t = model.template
-    return t.depth - (model.mode == "dqc") if t.n_qubits >= 2 else 0
+    head = model.head
+    return head.depth - (head.mode == "dqc") if head.n_qubits >= 2 else 0
 
 
 @given(seed=st.integers(0, 2**32 - 1), head=st.sampled_from(["angle", "dense_angle", "amplitude"]),
@@ -320,7 +319,7 @@ def test_forward_over_row_blocks_equals_single_rows(seed, head, n_qubits):
     else:
         model = small_dqc(seed, head, n_qubits, depth, n_classes, int(rng.integers(3, 9)))
     block = 2**14 >> n_qubits
-    x = rng.standard_normal((int(rng.integers(block + 1, 2 * block)), model.in_dim))
+    x = rng.standard_normal((int(rng.integers(block + 1, 2 * block)), model.head.in_dim))
     with counting_layer_factors() as spy:
         probs = model_forward(model, x)
     assert spy.call_count == bound_layers(model)
@@ -385,8 +384,8 @@ def test_backward_binds_each_layer_once_for_the_run_and_the_sweep(mode, embeddin
     """One model_backward call builds each rotation layer's factors once:
     the adjoint sweep un-applies the run's factors, transposed."""
     rng = substream(7, "init")
-    model = init_model(mode, embedding, n_qubits, 3, 2, rng, in_dim=2**n_qubits)
-    x = np.random.default_rng(7).standard_normal((8, model.in_dim))
+    model = init_model(Head(mode, embedding, n_qubits, 3, 2, 2**n_qubits), rng)
+    x = np.random.default_rng(7).standard_normal((8, model.head.in_dim))
     with counting_layer_factors() as spy:
         model_backward(model, x, np.arange(8) % 2)
     assert spy.call_count == bound_layers(model) == (3 if mode == "purevqc" else 2)
@@ -437,7 +436,7 @@ def test_non_finite_features_are_rejected_in_any_block(head, row, value):
     fails the forward and the backward pass."""
     model = (small_purevqc(4, n_qubits=8, in_dim=256) if head == "amplitude"
              else small_dqc(4, head, n_qubits=8, in_dim=16))
-    x = np.random.default_rng(4).standard_normal((150, model.in_dim))
+    x = np.random.default_rng(4).standard_normal((150, model.head.in_dim))
     x[row, 3] = value
     with pytest.raises(ValueError, match="finite"):
         model_forward(model, x)

@@ -8,7 +8,7 @@ import pytest
 
 import qtlsim.training as training_mod
 from qtlsim.data import SplitSpec, balanced_group_split, synth_dataset
-from qtlsim.hybrid import init_model, model_backward, model_forward
+from qtlsim.hybrid import Head, init_model, model_backward, model_forward
 from qtlsim.metrics import MetricRecord
 from qtlsim.seeding import substream
 from qtlsim.training import TrainingAborted, best_val_record, evaluate, train
@@ -22,7 +22,7 @@ def separable_splits(seed=7, n_per_class=30, dim=32, separation=8.0):
 
 
 def tiny_model(seed=7, dim=32):
-    return init_model("dqc", "angle", 4, 1, 2, substream(seed, "init"), in_dim=dim)
+    return init_model(Head("dqc", "angle", 4, 1, 2, dim), substream(seed, "init"))
 
 
 def test_training_learns_separable_data():
@@ -118,8 +118,8 @@ def test_train_matches_the_reference_training_run(mode, embedding, n_qubits, n_c
     epoch and theta within 1e-9."""
     ds = synth_dataset(12, n_classes, in_dim, separation, seed=seed)
     train_set, val_set, _ = balanced_group_split(ds, SplitSpec(seed=seed))
-    model = init_model(mode, embedding, n_qubits, 2, n_classes, substream(seed, "init"),
-                       in_dim=in_dim)
+    model = init_model(Head(mode, embedding, n_qubits, 2, n_classes, in_dim),
+                       substream(seed, "init"))
     settings = dict(epochs=3, batch_size=4, lr=0.05, weight_decay=0.01, seed=seed)
     theta, best_epoch, aurocs = reference_train(model, train_set, val_set, **settings)
     best, history = train(model, train_set, val_set, **settings)
@@ -199,7 +199,7 @@ def test_evaluate_loss_is_the_mean_per_row_cross_entropy():
     from qtlsim.data import Dataset
 
     ds = synth_dataset(10, 3, 32, 4.0, seed=19)
-    fresh = init_model("dqc", "dense_angle", 4, 1, 3, substream(19, "init"), in_dim=32)
+    fresh = init_model(Head("dqc", "dense_angle", 4, 1, 3, 32), substream(19, "init"))
     theta = fresh.theta.copy()
     theta[-3:] = [1000.0, 0.0, 0.0]  # post_b: class 0 takes all the mass
     for model in (fresh, replace(fresh, theta=theta)):
