@@ -11,7 +11,13 @@ from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 
 from .data import SplitSpec
-from .hybrid import Head
+from .hybrid import Head, layout_size
+
+# The most float64 values one array that a config implies may hold: 2**25,
+# 256 MiB. A run holds a few copies of its data (the draw, the dataset, its
+# splits), so a config at the cap stays near 1 GiB. The default synthetic
+# data holds 102400 values, the benchmark's largest parameter vector 8258.
+MAX_ARRAY_VALUES = 2**25
 
 
 class ConfigError(Exception):
@@ -113,9 +119,17 @@ def validate_config(config: TrainConfig):
         if getattr(config, key) < 1:
             raise ConfigError(f"{key}: must be positive")
     try:
-        config.head  # builds the head, which checks its keys
+        head = config.head  # builds the head, which checks its keys
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    sizes = {"n_qubits, depth, n_classes, in_dim": ("parameters", layout_size(head.layout))}
+    if config.data == "synth":
+        sizes["synth_per_class, n_classes, in_dim"] = (
+            "synthetic feature values", config.synth_per_class * config.n_classes * config.in_dim)
+    for keys, (what, values) in sizes.items():
+        if values > MAX_ARRAY_VALUES:
+            raise ConfigError(f"{keys}: {values} {what} in one array, over the cap of "
+                              f"{MAX_ARRAY_VALUES}")
     if config.lr <= 0:
         raise ConfigError("lr: must be positive")
     if config.weight_decay < 0:

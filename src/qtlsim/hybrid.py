@@ -205,9 +205,10 @@ def _dqc_circuit(embedding: str, n_qubits: int, depth: int) -> Circuit:
     The embedding ops come first and the ``build_layers`` ops after them,
     unchanged: slots 0..Q-1 are the layer parameters, slots Q.. the
     embedding angles in feature order (angle: RY per qubit; dense_angle:
-    RX then RY per qubit). The prefix is then one-kind layers: [embedding
-    RX] (dense_angle only), [embedding RY], [first-layer RY]. One adjoint
-    sweep yields gradients on both sides of the classical/quantum boundary.
+    RX then RY per qubit). Each embedding RY fuses with its qubit's
+    first-layer RY, so the prefix is [embedding RX] (dense_angle only),
+    then one RY layer at angles embedding + q. One adjoint sweep yields
+    gradients on both sides of the classical/quantum boundary.
     """
     layers = build_layers(VqcTemplate(n_qubits, depth))
     gates = (ry,) if embedding == "angle" else (rx, ry)

@@ -12,7 +12,9 @@ rotation's derivative, per row, from each qubit's 2x2 cross matrix of
 the sweep's two states. The sweep reads the forward's folded sign table
 and walks back through its bound steps, so it builds no factors; at a
 product-state prefix it walks the cross matrices themselves back through
-the prefix's 2x2s.
+the prefix's fused 2x2s, and stops at the earliest prefix layer, whose
+terms need no walk past it. A fused rotation's term is the derivative of
+its angle, a sum of slots, so each slot of its run gets the whole term.
 """
 from __future__ import annotations
 
@@ -76,10 +78,11 @@ def circuit_adjoint(program: BoundProgram, params, final: np.ndarray, upstream) 
     ``program.start`` on the ``product_state`` of the ``prefix_vectors`` of
     ``params``, a vector or a (B, n_params) matrix of angles. From lambda =
     (upstream @ program.signs) * psi, back through its steps, each ry adds
-    Re<lambda|G phi>, G from ``ROTATION_G``, to its slot; phi and lambda are
+    Re<lambda|G phi>, G from ``ROTATION_G``, to its slots; phi and lambda are
     un-applied by the transposed factors. ``program.circuit``'s layers before
     ``program.start`` take their terms from the same per-qubit cross
-    matrices, carried back through each layer's 2x2s. Slots accumulate."""
+    matrices, carried back through each later layer's 2x2s. Each term goes
+    to every slot of its fused run, and slots accumulate."""
     upstream = np.asarray(upstream, dtype=float)
     rows = final.shape[-2]
     if upstream.shape != (rows, len(program.signs)):
@@ -96,10 +99,12 @@ def circuit_adjoint(program: BoundProgram, params, final: np.ndarray, upstream) 
     if prefix:  # one-qubit rotations: un-applying one leaves the other qubits' R_q
         phi, lam = (h[0] + 1j * h[1] if len(h) == 2 else h[0] for h in both)
         cross = _qubit_cross(np.conj(lam)[None], phi[None])
-        for layer in reversed(prefix):
+        for layer in prefix[:0:-1]:  # no term reads the walk back through prefix[0]
             _add_terms(grads, layer, cross)
-            m = rotation_matrices(layer, params)  # R_q of M^dagger lambda, M^dagger phi
-            cross[:, layer.targets] = m.swapaxes(-1, -2) @ cross[:, layer.targets] @ m.conj()
+            m, cols = rotation_matrices(layer, params), layer.columns(circuit.n_qubits)
+            # R_q of M^dagger lambda and M^dagger phi
+            cross[:, cols] = m.swapaxes(-1, -2) @ cross[:, cols] @ m.conj()
+        _add_terms(grads, prefix[0], cross)
     return grads
 
 
@@ -139,8 +144,10 @@ def _qubit_cross(lam: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 def _add_terms(grads: np.ndarray, layer: RotationLayer, cross: np.ndarray) -> None:
     """Add Re sum_ab G[a, b] R_q[a, b], Re<lambda|G phi> of the rotation on
-    qubit q, to each slot of ``layer``, from the (B, n, 2, 2) ``cross``
-    matrices R_q at the layer's input or output (G commutes with it)."""
+    qubit q, to every slot of q's run in ``layer``, from the (B, n, 2, 2)
+    ``cross`` matrices R_q at the layer's input or output (G commutes with it)."""
     g = ROTATION_G[layer.kind]
-    terms = (cross[:, layer.targets].reshape(len(grads), len(layer.ops), 4) @ g.reshape(4)).real
-    np.add.at(grads.T, layer.slots, terms.T)
+    cols = layer.columns(cross.shape[1])
+    terms = (cross[:, cols].reshape(len(grads), len(layer.targets), 4) @ g.reshape(4)).real
+    for runs, slots in layer.by_position:  # every slot of a run gets the run's term
+        np.add.at(grads, (slice(None), slots), terms[:, runs])

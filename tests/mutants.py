@@ -58,11 +58,20 @@ MUTANTS = [
      "out=out[:, :, bit])",
      "out=out[:, :, 1 - bit])"),
     ("the prefix walk un-applies by M, not its transpose", "vqc.py",
-     "m.swapaxes(-1, -2) @ cross[:, layer.targets]",
-     "m @ cross[:, layer.targets]"),
+     "m.swapaxes(-1, -2) @ cross[:, cols]",
+     "m @ cross[:, cols]"),
     ("the prefix walk's right factor not conjugated", "vqc.py",
-     "@ cross[:, layer.targets] @ m.conj()",
-     "@ cross[:, layer.targets] @ m"),
+     "@ cross[:, cols] @ m.conj()",
+     "@ cross[:, cols] @ m"),
+    ("the prefix walk stops one layer too early", "vqc.py",
+     "for layer in prefix[:0:-1]:",
+     "for layer in prefix[:1:-1]:"),
+    ("a fused term credited only to its run's first slot", "vqc.py",
+     "for runs, slots in layer.by_position:",
+     "for runs, slots in layer.by_position[:1]:"),
+    ("a fused angle drops its run's last slot", "sim.py",
+     "for runs, slots in later:",
+     "for runs, slots in later[:-1]:"),
     ("the sweep infers the prefix from the number of steps", "vqc.py",
      "circuit.program[: program.start]",
      "circuit.program[: len(circuit.program) - len(program.steps)]"),
@@ -170,6 +179,12 @@ MUTANTS = [
     ("a feature CSV that is not UTF-8 escapes unnamed", "data.py",
      "    except UnicodeDecodeError:  # decoded in chunks",
      "    except KeyError:  # decoded in chunks"),
+    ("the array size cap dropped", "config.py",
+     "if values > MAX_ARRAY_VALUES:",
+     "if False:"),
+    ("a layer one qubit short of the width indexed whole", "sim.py",
+     "slice(None) if len(self.runs) == n_qubits else self.targets",
+     "slice(None) if len(self.runs) >= n_qubits - 1 else self.targets"),
     ("non-finite config floats pass", "config.py",
      'if f.type == "float" and not math.isfinite(value):',
      "if False:"),

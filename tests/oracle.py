@@ -381,9 +381,9 @@ def random_binding(rng, circuit, batch, start=None):
     for a run from |0...0>), are constant; each layer before them has, at
     random, per-row columns or constant ones."""
     start = circuit.prefix_len if start is None else start
-    kernel = {slot for step in circuit.program[start:] for slot in getattr(step, "slots", ())}
-    per_row = sorted({slot for layer in circuit.program[:start] if rng.integers(2)
-                      for slot in layer.slots} - kernel)
+    kernel = {op.param_index for step in circuit.program[start:] for op in getattr(step, "ops", ())}
+    per_row = sorted({op.param_index for layer in circuit.program[:start] if rng.integers(2)
+                      for op in layer.ops} - kernel)
     binding = np.tile(rng.uniform(-np.pi, np.pi, circuit.n_params), (batch, 1))
     binding[:, per_row] = rng.uniform(-np.pi, np.pi, (batch, len(per_row)))
     return binding

@@ -82,14 +82,14 @@ def test_train_rerun_is_byte_identical(fast_config, tmp_path):
 PINNED_UNDER = "numpy 2.4.6 with OpenBLAS 0.3.31, OPENBLAS_CORETYPE Haswell"
 PINNED_ARTIFACTS = {
     ("dqc", "angle"): {
-        "metrics.csv": "985e63f09eac06038ec95a007f90e8cc78c482a5048c41eb64515ab47c3b7f15",
-        "checkpoint.bin": "8853e2c6fcde4f4e460f51cf3bbbf19ec6167612050453b84a151af7f4068ef4",
-        "manifest.txt": "50189f5c6fe4ec642bdaabe94f1d1461dd351f741439387e047ae9c7ca87067d",
+        "metrics.csv": "c9aaa6638b7cad1313be30fc9244f8fe1d71eb0e15d9a5fa043acf1a3b189efe",
+        "checkpoint.bin": "cf1386056391449fcc7f1f06534a2e469cf4674bed60236a4773b5755335a6e9",
+        "manifest.txt": "9cf271c6226a345f2314019bc0a3f1c6f67f05d4c1014ccafafa0c31ac83bb2f",
     },
     ("dqc", "dense_angle"): {
-        "metrics.csv": "699dee47ca39bee2d23b548bda06fbbd8647c8e3e6d5f2a4539a70c7957a21f8",
-        "checkpoint.bin": "a6a89db60bfeed35f4bf1600cafaf257028d1fa7918345a16a22a2e8710dc76c",
-        "manifest.txt": "71d20b9748d2149afe923b2bf1c3ba7673906fd0b52266d9ce2c31de35695339",
+        "metrics.csv": "87bf487cb2c7d1adce57566148263c170b8afe1deb39b168310b1d8bea24e32c",
+        "checkpoint.bin": "d9ae3aa690cc8600b2b3ed75fa3c6da9786628a648c510f46e2b2cfa822bdee3",
+        "manifest.txt": "079d52f1262160ff1402000cf119f2f26ab10196bc955187fef4214fbc5e8417",
     },
     ("purevqc", "amplitude"): {
         "metrics.csv": "f808015ef1ff56f78b4d7a075fef9a17130bd58fe8c4626b17a3311d948bc7c7",
@@ -154,10 +154,10 @@ def test_fixed_seed_artifacts_are_pinned(tmp_path, mode, embedding):
 # of ``evaluate --split test``. It covers auroc_macro_ovr, the three-class
 # loss and selection over more than two epochs.
 PINNED_THREE_CLASS = {
-    "metrics.csv": "5e728d267fc8e63c5182665eef622f6c78217adf5af12cafde2ca568201b7f4f",
-    "checkpoint.bin": "ecd00eaa7ebdb34ccf6d997fbd53852dc249d7dda6aa2db9044072f8c21421f3",
-    "manifest.txt": "aadc01cccd200bd124171c5210692c8ff3972d2844c8f90609dd8e67f14726bf",
-    "evaluate": "847ba462d2530a426d6c301f063534b98bf216ec07c5198cff613aa6f5e7c4ba",
+    "metrics.csv": "b4b4a4f71ab06c6c8948f19147882996eda605076c22a73cbecd3a34d363b984",
+    "checkpoint.bin": "92bc9d0826a3991b700206a26a00fa418b3d1b2d0c103c75fe60ead8eafa64fa",
+    "manifest.txt": "ff55177f6a4bf64050d9385e80f3d689534469247b5d8a7e011c4ba178a85fae",
+    "evaluate": "504d9672d1acfd4829670a12d2eef7861edbc2ff6254f9ef9327547a4929045e",
 }
 
 
@@ -518,6 +518,26 @@ def test_every_documented_exit_code(tmp_path, monkeypatch, capsys):
             assert run_cli(*argv) == code, argv
         assert capsys.readouterr().err.startswith(prefix), argv
     assert afile.read_text() == "mine" and not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("line", ["in_dim = 100000000000", "synth_per_class = 100000000000"])
+@pytest.mark.parametrize("command", ["train", "grad-check"])
+def test_a_config_over_the_size_cap_exits_2_before_allocating(tmp_path, monkeypatch, capsys,
+                                                              command, line):
+    """A config whose parameters or synthetic data would not fit the size
+    cap exits 2 naming the keys, from train and from grad-check, before
+    any data is drawn or any model is made."""
+    cfg = tmp_path / "huge.txt"
+    cfg.write_text(line + "\n")
+    for name in ("synth_dataset", "init_model", "train"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("allocated"))
+    argv = [command, "--config", cfg] + (["--out", tmp_path / "run"] if command == "train" else [])
+    assert run_cli(*argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "over the cap of 33554432" in err
+    assert err.split(": ")[1] == ("synth_per_class, n_classes, in_dim" if "synth" in line
+                                  else "n_qubits, depth, n_classes, in_dim")
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_refuses_a_file_as_out_before_training(fast_config, tmp_path, monkeypatch, capsys):

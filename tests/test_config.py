@@ -4,7 +4,10 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from qtlsim.hybrid import Head, layout_size
+
 from qtlsim.config import (
+    MAX_ARRAY_VALUES,
     ConfigError,
     TrainConfig,
     config_to_text,
@@ -134,6 +137,44 @@ def test_counts_below_one_name_their_key():
                 "synth_group_size"):
         with pytest.raises(ConfigError, match=f"^{key}: must be positive"):
             parse_config_text(f"{key} = 0\n")
+
+
+def test_arrays_over_the_size_cap_name_their_keys():
+    """The parameter vector and, for synthetic data, the feature matrix each
+    hold at most MAX_ARRAY_VALUES float64 values: a config over the cap is a
+    config error naming the keys that size the array; one at the cap passes.
+    The synthetic matrix counts only when the data is synthetic."""
+    theta = "^n_qubits, depth, n_classes, in_dim: "
+    synth = "^synth_per_class, n_classes, in_dim: "
+    for text, match in (("in_dim = 100000000000\n", theta),
+                        ("n_classes = 10000000000\n", theta),
+                        ("depth = 100000000\n", theta),
+                        ("synth_per_class = 100000000000\n", synth),
+                        ("in_dim = 1000000\n", synth),  # 4 million parameters, 200 million values
+                        ("synth_per_class = 32769\n", synth)):  # one row of 512 over
+        with pytest.raises(ConfigError, match=match + r"\d+ .* over the cap of 33554432$"):
+            parse_config_text(text)
+    assert MAX_ARRAY_VALUES == 2**25
+    assert parse_config_text("synth_per_class = 32768\n").synth_per_class == 32768
+    assert parse_config_text("in_dim = 1000000\ndata = x.csv\n").in_dim == 1000000
+    head = lambda in_dim: Head("dqc", "dense_angle", 16, 1, 2, in_dim)  # noqa: E731
+    widest = (MAX_ARRAY_VALUES - layout_size(head(1).layout)) // 32 + 1
+    sizes = [layout_size(head(in_dim).layout) for in_dim in (widest, widest + 1)]
+    assert sizes[0] <= MAX_ARRAY_VALUES < sizes[1]
+    at_cap = f"embedding = dense_angle\nn_qubits = 16\nin_dim = {widest}\ndata = x.csv\n"
+    parse_config_text(at_cap)
+    with pytest.raises(ConfigError, match=theta):
+        parse_config_text(at_cap.replace(str(widest), str(widest + 1)))
+
+
+def test_the_benchmark_heads_fit_well_inside_the_size_cap():
+    """The heads that qtlbench/run.py trains and evaluates, and the default
+    config's synthetic data, are each at least 300 times under the cap."""
+    for head in (Head("dqc", "angle", 4, 1, 2, 512), Head("purevqc", "amplitude", 9, 3, 2, 512),
+                 Head("dqc", "dense_angle", 8, 4, 2, 512)):
+        assert 300 * layout_size(head.layout) <= MAX_ARRAY_VALUES
+    default = TrainConfig()
+    assert 300 * default.synth_per_class * default.n_classes * default.in_dim <= MAX_ARRAY_VALUES
 
 
 def test_non_finite_floats_are_config_errors():

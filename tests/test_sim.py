@@ -3,6 +3,7 @@ dense-matrix oracle."""
 import math
 from collections import Counter
 from dataclasses import fields, replace
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -521,48 +522,59 @@ def test_programs_run_rotations_as_layers_and_match_the_dense_oracle(seed, n, ba
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9))
 def test_rotation_runs_group_into_layers(seed, n):
-    """Within each layer every qubit appears at most once and every rotation
-    has one kind; the layers of a run, flattened, hold exactly that run's
-    ops, each qubit's in run order, and a layer holds only k-th rotations
-    on their qubits, k rising from layer to layer by at most one."""
+    """Between CNOTs, each qubit's rotations split into runs of consecutive
+    ops of one kind, and each layer holds one whole run on each of its
+    qubits, all of one kind: the layers, flattened, hold exactly the
+    rotations, each qubit's in program order, and a layer holds only k-th
+    runs on their qubits, k rising from layer to layer by at most one."""
     rng = np.random.default_rng(seed)
     circuit, _ = random_layered_circuit(rng, n)
-    runs, layers = [[]], [[]]
+    segments, layers = [[]], [[]]
     for op in circuit.ops:
         if op.kind == "cnot":
-            runs.append([])
+            segments.append([])
         else:
-            runs[-1].append(op)
+            segments[-1].append(op)
     for step in circuit.program:
         if isinstance(step, Permutation):
             layers.append([])
         else:
-            assert isinstance(step, RotationLayer)
-            targets = [op.target for op in step.ops]
-            assert len(set(targets)) == len(targets)
+            assert isinstance(step, RotationLayer) and len({op.kind for op in step.ops}) == 1
             layers[-1].append(step.ops)
-    assert len(runs) == len(layers)
-    for run, run_layers in zip(runs, layers):
-        for q in range(n):
-            placed = [op for ops in run_layers for op in ops if op.target == q]
-            assert placed == [op for op in run if op.target == q]
+    assert len(segments) == len(layers)
+    for segment, segment_layers in zip(segments, layers):
         ranks = []
-        for ops in run_layers:
-            assert len({op.kind for op in ops}) == 1
-            layer_ranks = {[id(o) for o in run if o.target == op.target].index(id(op))
-                           for op in ops}
+        for q in range(n):
+            ops = [op for op in segment if op.target == q]
+            runs = [list(run) for _, run in groupby(ops, key=lambda op: op.kind)]
+            placed = [[op for op in layer if op.target == q] for layer in segment_layers]
+            assert [run for run in placed if run] == runs
+        for k, layer in enumerate(segment_layers):
+            layer_ranks = {sum(any(op.target == target for op in earlier)
+                               for earlier in segment_layers[:k])
+                           for target in {op.target for op in layer}}
             assert len(layer_ranks) == 1
             ranks += layer_ranks
         assert all(0 <= b - a <= 1 for a, b in zip([0] + ranks, ranks))
 
 
-def test_rotation_layer_rejects_a_repeated_qubit_and_cnots():
-    """Also a mix of kinds: a layer holds rotations of one kind."""
-    with pytest.raises(ValueError, match="distinct qubits"):
-        RotationLayer((ry(1, param=0), ry(1, param=1)))
+def test_a_layer_fuses_each_qubits_run_and_holds_one_kind():
+    """A layer's ops on one qubit are that qubit's run, slots in program
+    order, qubits ascending; each run position j lists the runs with a j-th
+    op, all of them as one slice, and a layer on every qubit indexes the
+    qubit axis as one slice. A mix of kinds, a cnot or no op at all is
+    refused."""
+    layer = RotationLayer((ry(2, param=4), ry(0, param=1), ry(2, param=0), ry(2, param=4)))
+    assert layer.runs == {0: [1], 2: [4, 0, 4]} and layer.targets == [0, 2]
+    assert [(runs if isinstance(runs, slice) else list(runs), list(slots))
+            for runs, slots in layer.by_position] == [(slice(None), [1, 4]), ([1], [0]),
+                                                      ([1], [4])]
+    assert layer.columns(3) == [0, 2]
+    whole = RotationLayer((rx(1, param=0), rx(0, param=1)))
+    assert whole.targets == [0, 1] and whole.columns(2) == slice(None)
     with pytest.raises(ValueError, match="one kind"):
         RotationLayer((ry(0, param=0), rx(1, param=1)))
-    with pytest.raises(ValueError, match="distinct qubits"):
+    with pytest.raises(ValueError, match="one kind"):
         RotationLayer((cnot(0, 1),))
-    with pytest.raises(ValueError, match="distinct qubits"):
+    with pytest.raises(ValueError, match="one kind"):
         RotationLayer(())

@@ -1,6 +1,9 @@
 """Variational template structure, batched readout and adjoint gradients."""
 import math
+from collections import namedtuple
 from functools import partial
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -8,8 +11,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qtlsim.hybrid import _dqc_circuit
-from qtlsim.sim import (ROTATION_G, Circuit, Permutation, RotationLayer, bind_program,
-                        prefix_vectors, product_state, ry, run_circuit_raw, run_steps,
+from qtlsim.sim import (ROTATION_G, Circuit, Permutation, RotationLayer, bind_program, cnot,
+                        prefix_vectors, product_state, rx, ry, run_circuit_raw, run_steps,
                         z_expectations, z_signs)
 from qtlsim.vqc import (
     VqcTemplate,
@@ -275,6 +278,88 @@ def test_the_prefix_walk_matches_the_sweep_through_the_prefix(seed, n, batch):
     program, final = prefix_run(circuit, binding, measured)
     walked = circuit_adjoint(program, binding, final, upstream)
     assert np.max(np.abs(whole - walked), initial=0.0) <= 1e-12
+
+
+@st.composite
+def fused_prefix_circuits(draw):
+    """(circuit, prefix ops) on 1-5 qubits. The prefix is 1-8 runs, each 1-3
+    rotations of one kind (rx or ry) on one qubit, so a qubit's runs may
+    merge, alternate kinds or leave other qubits out. Every rotation reads a
+    fresh slot or an earlier one, so a slot may repeat within a run, across
+    runs and across qubits. On two or more qubits a CNOT ring and ry gates
+    on some qubits follow, on fresh or earlier slots."""
+    n = draw(st.integers(1, 5))
+    ops, n_slots = [], 0
+
+    def slot():
+        nonlocal n_slots
+        k = draw(st.integers(0, n_slots))  # n_slots: a fresh one
+        n_slots = max(n_slots, k + 1)
+        return k
+
+    gates = {"rx": rx, "ry": ry}
+    runs = st.tuples(st.integers(0, n - 1), st.sampled_from(sorted(gates)), st.integers(1, 3))
+    for target, kind, length in draw(st.lists(runs, min_size=1, max_size=8)):
+        ops += [gates[kind](target, param=slot()) for _ in range(length)]
+    prefix = tuple(ops)
+    if n >= 2:
+        ops += [cnot(q, (q + 1) % n) for q in range(n)]
+        ops += [ry(q, param=slot()) for q in draw(st.lists(st.integers(0, n - 1), max_size=n))]
+    return Circuit(n, tuple(ops), n_slots), prefix
+
+
+@given(drawn=fused_prefix_circuits(), seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 3))
+def test_fused_prefixes_match_the_dense_oracles(drawn, seed, batch):
+    """Each qubit's runs of same-kind prefix rotations fuse: the prefix
+    layers hold each qubit's prefix rotations in order, one layer per
+    maximal run of one kind. The product state of their vectors, on shared
+    and per-row slots, equals the dense oracle's run of the prefix ops one
+    by one to 1e-12, the run on from it the dense run of the whole circuit,
+    and the adjoint gradient swept back through the prefix the
+    parameter-shift oracle's."""
+    circuit, prefix = drawn
+    n = circuit.n_qubits
+    layers = circuit.program[: circuit.prefix_len]
+    for q in range(n):
+        ops = [op for op in prefix if op.target == q]
+        assert [op for layer in layers for op in layer.ops if op.target == q] == ops
+        runs = list(groupby(ops, key=attrgetter("kind")))
+        assert sum(q in layer.targets for layer in layers) == len(runs)
+    rng = np.random.default_rng(seed)
+    binding = random_binding(rng, circuit, batch)
+    measured = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
+    upstream = rng.standard_normal((batch, len(measured)))
+    program = bind_program(circuit, binding[0], measured, circuit.prefix_len)
+    state = product_state(prefix_vectors(circuit, binding))
+    final = run_steps(state, program.steps)
+    z = z_expectations(final, program.signs)
+    grads = circuit_adjoint(program, binding, final, upstream)
+    zero = np.eye(2**n)[0]
+    prefix_only = namedtuple("Ops", "n_qubits ops")(n, prefix)
+    for b, row in enumerate(binding):
+        assert np.max(np.abs(joined(state)[b] - dense_run(prefix_only, zero, row))) <= 1e-12
+        amps = dense_run(circuit, zero, row)
+        assert np.max(np.abs(z[b] - [zexp_dense(amps, n, q) for q in measured])) <= 1e-12
+        shift = circuit_param_shift(circuit, row, measured, upstream[b], zero)
+        assert np.max(np.abs(grads[b] - shift)) <= 1e-12
+
+
+def test_a_dqc_prefix_is_one_fused_layer_per_embedding_gate():
+    """At any width and depth a dqc head's prefix is one RY layer on angle
+    heads and an RX layer then an RY layer on dense_angle heads, each on
+    every qubit. Qubit q's RY run reads its embedding slot, then its
+    first-layer slot q, and on one qubit, which has no CNOT, every later
+    layer's slot too."""
+    for embedding, kinds in (("angle", ["ry"]), ("dense_angle", ["rx", "ry"])):
+        for n in range(1, 6):
+            for depth in range(1, 5):
+                circuit = _dqc_circuit(embedding, n, depth)
+                prefix = circuit.program[: circuit.prefix_len]
+                assert [layer.kind for layer in prefix] == kinds
+                assert all(layer.targets == list(range(n)) for layer in prefix)
+                later = list(range(n, n * depth)) if n == 1 else []
+                embed = n * depth + len(kinds) * np.arange(n) + len(kinds) - 1
+                assert prefix[-1].runs == {q: [int(embed[q]), q, *later] for q in range(n)}
 
 
 def dqc_adjoint(circuit, params, upstream):
