@@ -120,8 +120,7 @@ def cmd_train(args) -> int:
         if os.path.exists(ancestor):
             raise ConfigError(f"--out {args.out}: {ancestor} exists and is not a directory")
         ancestor = os.path.dirname(ancestor)
-    config = load_config(args.config)
-    config = with_overrides(config, seed=args.seed, data=args.data)
+    config = load_config(args.config, seed=args.seed, data=args.data)
     # only the splits' own row copies live on through training
     splits = _split(config, _load_dataset(config))
     train_set, val_set, _ = splits
@@ -160,7 +159,7 @@ def cmd_evaluate(args) -> int:
     if manifest_path is None:
         sibling = os.path.join(os.path.dirname(args.checkpoint) or ".", "manifest.txt")
         manifest_path = sibling if os.path.exists(sibling) else None
-    config = load_config(manifest_path) if manifest_path is not None else None
+    config = load_config(manifest_path, data=args.data) if manifest_path is not None else None
     if config is not None:  # refuse another head's manifest; names count if the checkpoint has them
         head = {f.name: getattr(model.head, f.name) for f in fields(Head)}
         head["class_names"] = ",".join(model.class_names) or config.class_names
@@ -173,7 +172,6 @@ def cmd_evaluate(args) -> int:
                           f"the split; pass --manifest")
 
     if config is not None:
-        config = with_overrides(config, data=args.data)
         dataset = _load_dataset(config)
     elif args.data is not None:
         # the checkpoint's names pin the label mapping; a QTLSIM1 file has none
@@ -255,8 +253,7 @@ def cmd_encode_demo(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    config = load_config(args.config)
-    config = with_overrides(config, seed=args.seed)
+    config = load_config(args.config, seed=args.seed)
     model = _initial_model(config)
     rng = substream(config.seed, "gradcheck")
     features = rng.standard_normal(config.in_dim)

@@ -86,7 +86,9 @@ def _convert(key: str, raw: str):
         raise ConfigError(f"{key}: cannot parse {raw!r} as {kind}") from None
 
 
-def parse_config_text(text: str, source: str = "<config>") -> TrainConfig:
+def parse_config_text(text: str, source: str = "<config>", **overrides) -> TrainConfig:
+    """The config of ``text``, with each non-None override replacing its key's
+    value before the one ``validate_config``."""
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -100,18 +102,19 @@ def parse_config_text(text: str, source: str = "<config>") -> TrainConfig:
         if key in values:
             raise ConfigError(f"{source}: line {lineno}: duplicate key {key!r}")
         values[key] = _convert(key, raw)
+    values.update((key, value) for key, value in overrides.items() if value is not None)
     config = TrainConfig(**values)
     validate_config(config)
     return config
 
 
-def load_config(path) -> TrainConfig:
+def load_config(path, **overrides) -> TrainConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config_text(text, source=str(path))
+    return parse_config_text(text, str(path), **overrides)
 
 
 def validate_config(config: TrainConfig):
@@ -130,6 +133,10 @@ def validate_config(config: TrainConfig):
         if values > MAX_ARRAY_VALUES:
             raise ConfigError(f"{keys}: {values} {what} in one array, over the cap of "
                               f"{MAX_ARRAY_VALUES}")
+    if config.data == "synth" and config.in_dim < config.n_classes:
+        # each synthetic class centre lies on its own orthogonal axis
+        raise ConfigError(f"in_dim, n_classes: synthetic data needs in_dim >= n_classes, "
+                          f"got {config.in_dim} < {config.n_classes}")
     if config.lr <= 0:
         raise ConfigError("lr: must be positive")
     if config.weight_decay < 0:

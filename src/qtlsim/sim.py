@@ -26,10 +26,11 @@ CNOT, rx or ry, make each row's 2-vector per qubit, as (2, B, n)
 (``prefix_vectors``), complex if one is an rx. A dqc head's embedding RY
 and first variational RY fuse, so its prefix is one RY layer (angle) or
 an RX layer then an RY layer (dense_angle), and a layer on every qubit
-updates the vectors whole. ``product_state`` multiplies
-them out into a float64 batch, or into the real halves [a; b] of complex
-states a + ib, a (2, B, 2**n) stack run as 2B rows. ``bind_program`` binds
-the rest to a vector once (an rx or a matrix there raises) and folds a last
+updates the vectors whole. ``product_state`` multiplies them out by one
+gather and one product per half of the qubits and one outer product of the
+halves: a float64 batch, or the real halves [a; b] of complex states
+a + ib, a (2, B, 2**n) stack run as 2B rows. ``bind_program`` binds the
+rest to a vector once (an rx or a matrix there raises) and folds a last
 permutation into the Z sign table of the readout. Every batch and the
 adjoint sweep read the same factors; the sweep un-applies their transposes.
 """
@@ -361,28 +362,22 @@ def prefix_vectors(circuit: Circuit, params) -> np.ndarray:
 
 
 def _kron_rows(vectors: np.ndarray) -> np.ndarray:
-    """(b, 2**k) Kronecker products of (2, b, k) vectors."""
-    amps = np.ones((vectors.shape[1], 1), vectors.dtype)
-    for q in range(vectors.shape[2]):
-        out = np.empty(amps.shape + (2,), vectors.dtype)
-        for bit in (0, 1):  # two long multiplies, not one broadcast over a length-2 axis
-            np.multiply(amps, vectors[bit, :, q, None], out=out[:, :, bit])
-        amps = out.reshape(len(out), -1)
-    return amps
+    """(b, 2**k) Kronecker products of (2, b, k) vectors, qubit 0 most
+    significant: entry i of a row is the product over p of its
+    ``vectors[bit p of i, :, p]``, one ``factor_bits`` gather and one product."""
+    k = vectors.shape[2]
+    return vectors[factor_bits(k), :, np.arange(k)[:, None]].prod(axis=0).T
 
 
 def product_state(vectors: np.ndarray) -> np.ndarray:
-    """The b states of a (2, b, n) ``prefix_vectors`` stack: (b, 2**n), or,
-    for complex vectors, the real halves (2, b, 2**n)
-    [hr lr - hi li; hi lr + hr li] of the product of the states h of
-    qubits [0, n // 2) and l of the rest, by one real matmul."""
-    split, b = vectors.shape[2] // 2, vectors.shape[1]
-    if not np.iscomplexobj(vectors):
-        return _kron_rows(vectors)
+    """The b states of a (2, b, n) ``prefix_vectors`` stack: the outer product
+    of the ``_kron_rows`` of qubits [0, n // 2) and of the rest, as (b, 2**n),
+    or for complex vectors as the real halves (2, b, 2**n) [a; b] of the
+    states a + ib."""
+    split = vectors.shape[2] // 2
     high, low = _kron_rows(vectors[..., :split]), _kron_rows(vectors[..., split:])
-    h = high.view(float).reshape(b, -1, 2)  # [hr, hi] pairs
-    left = np.array([h * [1.0, -1.0], h[..., ::-1]])  # rows [hr, -hi] and [hi, hr]
-    return (left @ np.stack([low.real, low.imag], axis=1)).reshape(2, b, -1)
+    amps = (high[:, :, None] * low[:, None, :]).reshape(len(high), -1)
+    return np.stack([amps.real, amps.imag]) if np.iscomplexobj(amps) else amps
 
 
 @lru_cache(maxsize=None)

@@ -33,12 +33,15 @@ MUTANTS = [
     ("sign of ROTATION_G['ry']", "sim.py",
      '"ry": np.array([[0.0, -1.0], [1.0, 0.0]])',
      '"ry": np.array([[0.0, 1.0], [-1.0, 0.0]])'),
-    ("[1, -1] sign of product_state's halves", "sim.py",
-     "h * [1.0, -1.0]",
-     "h * [1.0, 1.0]"),
-    ("imaginary half negated in product_state", "sim.py",
-     "np.stack([low.real, low.imag], axis=1)",
-     "np.stack([low.real, -low.imag], axis=1)"),
+    ("the halves swapped in product_state's outer product", "sim.py",
+     "(high[:, :, None] * low[:, None, :])",
+     "(low[:, :, None] * high[:, None, :])"),
+    ("_kron_rows gathers the other component of every qubit", "sim.py",
+     "vectors[factor_bits(k), :",
+     "vectors[1 - factor_bits(k), :"),
+    ("the real half in place of the imaginary half of a complex product state", "sim.py",
+     "np.stack([amps.real, amps.imag])",
+     "np.stack([amps.real, amps.real])"),
     ("the sweep applies the forward factors untransposed", "sim.py",
      "np.ascontiguousarray(f.T)",
      "np.ascontiguousarray(f)"),
@@ -54,9 +57,6 @@ MUTANTS = [
     ("the sweep transposes the low factor only", "sim.py",
      "for f in (high, low_t))",
      "for f in (high.T, low_t))"),
-    ("bits of one qubit swapped in _kron_rows", "sim.py",
-     "out=out[:, :, bit])",
-     "out=out[:, :, 1 - bit])"),
     ("the prefix walk un-applies by M, not its transpose", "vqc.py",
      "m.swapaxes(-1, -2) @ cross[:, cols]",
      "m @ cross[:, cols]"),
@@ -119,6 +119,9 @@ MUTANTS = [
     ("evaluate's head comparison skips depth", "cli.py",
      "for f in fields(Head)}",
      'for f in fields(Head) if f.name != "depth"}'),
+    ("the depth bound dropped", "hybrid.py",
+     "if self.depth > MAX_DEPTH:",
+     "if False:"),
     ("the 16-qubit bound dropped", "hybrid.py",
      "if self.n_qubits > MAX_QUBITS:",
      "if False:"),
@@ -201,6 +204,11 @@ MUTANTS = [
 # - "cumprod direction in _add_prefix_grads" and "sign of ROTATION_G['rx']
 #   in _add_prefix_grads": the prefix's environment sweep is gone; the
 #   prefix walks the sweep's per-qubit cross matrices instead.
+# - "[1, -1] sign of product_state's halves" and "imaginary half negated in
+#   product_state": the complex-only matmul of the halves is gone; a complex
+#   state is one outer product split into its real and imaginary halves.
+# - "bits of one qubit swapped in _kron_rows": _kron_rows has no per-qubit
+#   loop; its one factor_bits gather is mutated instead.
 
 
 def suite_passes(tree: Path) -> bool:

@@ -181,6 +181,14 @@ def test_a_head_too_wide_to_simulate_is_a_format_error(tmp_path):
         load_checkpoint(path)
 
 
+def test_a_head_too_deep_is_a_format_error(tmp_path):
+    """A header of 257 layers is refused before any size is read from it."""
+    path = tmp_path / "deep.bin"
+    path.write_bytes(struct.pack("<7s3B4I", MAGIC, 0, 0, 1, 4, 257, 2, 3) + bytes(4))
+    with pytest.raises(CheckpointFormatError, match="depth: at most 256 layers, got 257"):
+        load_checkpoint(path)
+
+
 def test_truncated_class_names(tmp_path):
     model = init_model(Head("purevqc", "amplitude", 4, 1, 2, 16), substream(8, "init"))
     path = tmp_path / "model.bin"

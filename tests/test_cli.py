@@ -82,14 +82,14 @@ def test_train_rerun_is_byte_identical(fast_config, tmp_path):
 PINNED_UNDER = "numpy 2.4.6 with OpenBLAS 0.3.31, OPENBLAS_CORETYPE Haswell"
 PINNED_ARTIFACTS = {
     ("dqc", "angle"): {
-        "metrics.csv": "c9aaa6638b7cad1313be30fc9244f8fe1d71eb0e15d9a5fa043acf1a3b189efe",
-        "checkpoint.bin": "cf1386056391449fcc7f1f06534a2e469cf4674bed60236a4773b5755335a6e9",
-        "manifest.txt": "9cf271c6226a345f2314019bc0a3f1c6f67f05d4c1014ccafafa0c31ac83bb2f",
+        "metrics.csv": "67939ceb320eb6b320af7f75ca77c5e9bf7cdaf4d1591f5aa82d63df6afe9f04",
+        "checkpoint.bin": "12a231f75360d153618bb18a332e847cd48fa57a125032fec2f230afab881e02",
+        "manifest.txt": "027bed42824bc61d72ca23d07a7829cd4855f8956bd7b1b234f7a06e0c55b28c",
     },
     ("dqc", "dense_angle"): {
-        "metrics.csv": "87bf487cb2c7d1adce57566148263c170b8afe1deb39b168310b1d8bea24e32c",
-        "checkpoint.bin": "d9ae3aa690cc8600b2b3ed75fa3c6da9786628a648c510f46e2b2cfa822bdee3",
-        "manifest.txt": "079d52f1262160ff1402000cf119f2f26ab10196bc955187fef4214fbc5e8417",
+        "metrics.csv": "8a6fe8e790a8ea0d0d829ace34b8d151f51cdcf585b50f370eebe8372d1575df",
+        "checkpoint.bin": "d75c8da8384636263289a6c1f40291ee437e70f4b8ba9fcffc8beae69f2c1ab8",
+        "manifest.txt": "34dfccac0ecc5f58d5c2d9ead61720fb673b44033b76bce2e4f3ee59ad5375f0",
     },
     ("purevqc", "amplitude"): {
         "metrics.csv": "f808015ef1ff56f78b4d7a075fef9a17130bd58fe8c4626b17a3311d948bc7c7",
@@ -154,10 +154,10 @@ def test_fixed_seed_artifacts_are_pinned(tmp_path, mode, embedding):
 # of ``evaluate --split test``. It covers auroc_macro_ovr, the three-class
 # loss and selection over more than two epochs.
 PINNED_THREE_CLASS = {
-    "metrics.csv": "b4b4a4f71ab06c6c8948f19147882996eda605076c22a73cbecd3a34d363b984",
-    "checkpoint.bin": "92bc9d0826a3991b700206a26a00fa418b3d1b2d0c103c75fe60ead8eafa64fa",
-    "manifest.txt": "ff55177f6a4bf64050d9385e80f3d689534469247b5d8a7e011c4ba178a85fae",
-    "evaluate": "504d9672d1acfd4829670a12d2eef7861edbc2ff6254f9ef9327547a4929045e",
+    "metrics.csv": "3299ce262cd51ce31d7235b60f1cfa14629f05a5723a853e1b22b11deade773b",
+    "checkpoint.bin": "f411eb5ea5d5179799f43effc3803badfe2eaa998cf8e5a7bd12560cc35c4b6e",
+    "manifest.txt": "9ce1984173cdc984ffc1c89353cea68d811f10997d8c6cbfbbb9f0c003b274e5",
+    "evaluate": "847ba462d2530a426d6c301f063534b98bf216ec07c5198cff613aa6f5e7c4ba",
 }
 
 
@@ -440,6 +440,10 @@ def test_every_documented_exit_code(tmp_path, monkeypatch, capsys):
     bad_combo.write_text("mode = purevqc\nembedding = angle\n")
     too_wide = tmp_path / "too_wide.txt"  # refused before any 2**40 array is made
     too_wide.write_text(FAST_CONFIG.replace("n_qubits = 4", "n_qubits = 40"))
+    too_deep = tmp_path / "too_deep.txt"
+    too_deep.write_text(FAST_CONFIG.replace("depth = 1", "depth = 257"))
+    too_narrow = tmp_path / "too_narrow.txt"  # one synthetic feature for two classes
+    too_narrow.write_text("in_dim = 1\nepochs = 1\n")
     no_data = tmp_path / "no_data.txt"
     no_data.write_text(FAST_CONFIG.replace("data = synth", "data = /nonexistent.csv"))
     overflow = tmp_path / "overflow.txt"
@@ -476,6 +480,14 @@ def test_every_documented_exit_code(tmp_path, monkeypatch, capsys):
          ["train", "--config", too_wide, "--out", tmp_path / "run"], no_training),
         (cli.EXIT_CONFIG, "config error: n_qubits: at most 16",
          ["grad-check", "--config", too_wide], []),
+        (cli.EXIT_CONFIG, "config error: depth: at most 256 layers, got 257\n",
+         ["train", "--config", too_deep, "--out", tmp_path / "run"], no_training),
+        (cli.EXIT_CONFIG, "config error: depth: at most 256 layers, got 257\n",
+         ["grad-check", "--config", too_deep], []),
+        (cli.EXIT_CONFIG, "config error: in_dim, n_classes: ",
+         ["train", "--config", too_narrow, "--out", tmp_path / "run"], no_training),
+        (cli.EXIT_CONFIG, "config error: in_dim, n_classes: ",
+         ["grad-check", "--config", too_narrow], []),
         (cli.EXIT_CONFIG, "config error: --out", ["train", "--config", small, "--out", future],
          no_training),
         (cli.EXIT_CONFIG, f"config error: --out {afile / 'sub'}: {afile} exists",
@@ -538,6 +550,21 @@ def test_a_config_over_the_size_cap_exits_2_before_allocating(tmp_path, monkeypa
     assert err.split(": ")[1] == ("synth_per_class, n_classes, in_dim" if "synth" in line
                                   else "n_qubits, depth, n_classes, in_dim")
     assert not (tmp_path / "run").exists()
+
+
+def test_data_override_takes_effect_before_the_config_check(tmp_path, capsys):
+    """`--data` replaces the synthetic source before the config is checked,
+    so a synthetic size over the cap does not stop a run on a file, and the
+    manifest records the file as the run's data."""
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("mode = dqc\nn_qubits = 2\ndepth = 1\nin_dim = 64\nepochs = 1\n"
+                   "synth_per_class = 300000\n")
+    data = tmp_path / "small.csv"
+    write_feature_csv(data, synth_dataset(20, 2, 64, 8.0, seed=5))
+    assert run_cli("train", "--config", cfg, "--out", tmp_path / "synth") == cli.EXIT_CONFIG
+    assert "over the cap" in capsys.readouterr().err
+    assert run_cli("train", "--config", cfg, "--data", data, "--out", tmp_path / "run") == 0
+    assert f"\ndata = {data}\n" in (tmp_path / "run" / "manifest.txt").read_text()
 
 
 def test_train_refuses_a_file_as_out_before_training(fast_config, tmp_path, monkeypatch, capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from qtlsim.hybrid import Head, layout_size
+from qtlsim.hybrid import MAX_DEPTH, Head, layout_size
 
 from qtlsim.config import (
     MAX_ARRAY_VALUES,
@@ -148,7 +148,6 @@ def test_arrays_over_the_size_cap_name_their_keys():
     synth = "^synth_per_class, n_classes, in_dim: "
     for text, match in (("in_dim = 100000000000\n", theta),
                         ("n_classes = 10000000000\n", theta),
-                        ("depth = 100000000\n", theta),
                         ("synth_per_class = 100000000000\n", synth),
                         ("in_dim = 1000000\n", synth),  # 4 million parameters, 200 million values
                         ("synth_per_class = 32769\n", synth)):  # one row of 512 over
@@ -165,6 +164,43 @@ def test_arrays_over_the_size_cap_name_their_keys():
     parse_config_text(at_cap)
     with pytest.raises(ConfigError, match=theta):
         parse_config_text(at_cap.replace(str(widest), str(widest + 1)))
+
+
+def test_depth_is_bounded_before_the_size_cap():
+    """A head deeper than MAX_DEPTH layers is a config error naming depth,
+    raised before the parameter count is read: depth 10**8 would also be
+    over the size cap. A head at the bound parses."""
+    assert MAX_DEPTH == 256
+    for depth in (257, 100000000):
+        with pytest.raises(ConfigError, match=f"^depth: at most 256 layers, got {depth}$"):
+            parse_config_text(f"depth = {depth}\n")
+    assert parse_config_text("depth = 256\n").depth == 256
+
+
+def test_synthetic_data_needs_a_feature_per_class():
+    """Synthetic classes sit on orthogonal axes, so in_dim below n_classes is
+    a config error naming both keys; a feature file has no such limit."""
+    for text in ("in_dim = 1\n", "in_dim = 3\nn_classes = 4\n"):
+        with pytest.raises(ConfigError, match="^in_dim, n_classes: synthetic data needs "
+                                              "in_dim >= n_classes"):
+            parse_config_text(text)
+    assert parse_config_text("in_dim = 2\n").in_dim == 2
+    assert parse_config_text("in_dim = 1\ndata = x.csv\n").in_dim == 1
+
+
+def test_overrides_replace_values_before_the_one_check():
+    """A non-None override replaces its key's parsed value before the config
+    is checked: a data file frees a config from the synthetic checks, and an
+    override that breaks a rule is refused like a value in the text."""
+    text = "in_dim = 64\nsynth_per_class = 300000\n"
+    with pytest.raises(ConfigError, match="^synth_per_class, n_classes, in_dim: "):
+        parse_config_text(text)
+    cfg = parse_config_text(text, data="x.csv", seed=None)
+    assert (cfg.data, cfg.seed, cfg.synth_per_class) == ("x.csv", 0, 300000)
+    assert parse_config_text("in_dim = 1\n", data="x.csv").in_dim == 1
+    assert parse_config_text("seed = 3\n", seed=7).seed == 7
+    with pytest.raises(ConfigError, match="^data: must be one line"):
+        parse_config_text("", data="run#1.csv")
 
 
 def test_the_benchmark_heads_fit_well_inside_the_size_cap():
