@@ -16,9 +16,11 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
-from .config import VALUE_TEXT, ConfigError, TrainConfig, config_to_text, load_config, with_overrides
+from .config import (MAX_ARRAY_VALUES, VALUE_TEXT, ConfigError, TrainConfig, config_to_text,
+                     load_config, with_overrides)
 from .data import DataError, Dataset, SplitSpec, balanced_group_split, load_feature_csv, synth_dataset
-from .embeddings import amplitude_embed, frqi_decode, frqi_encode, neqr_decode, neqr_encode, pixel_angles, read_pgm
+from .embeddings import (COLOR_BITS, amplitude_embed, amplitude_qubits, frqi_decode, frqi_encode,
+                         neqr_decode, neqr_encode, pixel_angles, read_pgm)
 from .gradcheck import run_grad_check
 from .hybrid import Head, HybridModel, count_parameters, init_model
 from .metrics import MetricRecord
@@ -115,6 +117,8 @@ def _sha256(path) -> str:
 
 
 def cmd_train(args) -> int:
+    if not args.out:
+        raise ConfigError("--out: the output directory is an empty path")
     ancestor = os.path.abspath(args.out)  # its nearest existing ancestor must be a directory
     while not os.path.isdir(ancestor):
         if os.path.exists(ancestor):
@@ -190,7 +194,11 @@ def cmd_evaluate(args) -> int:
             if differ:
                 raise ConfigError(f"{manifest_path}: another run's manifest: the files "
                                   f"evaluated do not match its {' and '.join(differ)}")
-        best_epoch = int(notes.get("best_epoch", 0))
+        try:
+            best_epoch = int(notes.get("best_epoch", 0))
+        except ValueError:
+            raise ConfigError(f"{manifest_path}: bad note best_epoch = "
+                              f"{notes['best_epoch']}") from None
     rec = evaluate(model, subset, split=args.split, epoch=best_epoch)
     print(METRICS_HEADER)
     print(_metric_row(rec))
@@ -227,18 +235,24 @@ def cmd_encode_demo(args) -> int:
     if args.scheme in ("frqi", "neqr") and not is_pgm:
         raise DataError(f"{args.scheme} demo needs a .pgm image, got {args.input}")
     try:
-        if args.scheme == "frqi":
+        if args.scheme == "amplitude":
+            values = read_pgm(args.input).pixels.astype(float) if is_pgm \
+                else _read_feature_file(args.input)
+            n_qubits = amplitude_qubits(values.shape[0])
+        else:
             image = read_pgm(args.input)
+            n_qubits = 2 * image.n + (1 if args.scheme == "frqi" else COLOR_BITS)
+        if 2**n_qubits > MAX_ARRAY_VALUES:
+            raise DataError(f"{args.input}: a {args.scheme} state of {n_qubits} qubits holds "
+                            f"2**{n_qubits} amplitudes, over the cap of {MAX_ARRAY_VALUES}")
+        if args.scheme == "frqi":
             state = frqi_encode(image)
             err = float(np.max(np.abs(frqi_decode(state, image.n) - pixel_angles(image))))
         elif args.scheme == "neqr":
-            image = read_pgm(args.input)
             state = neqr_encode(image)
             decoded = neqr_decode(state, image.n)
             err = float(np.max(np.abs(decoded.pixels - image.pixels)))
         else:
-            values = read_pgm(args.input).pixels.astype(float) if is_pgm \
-                else _read_feature_file(args.input)
             state = amplitude_embed(values)
             padded = np.zeros(state.amplitudes.shape[0])
             padded[: values.shape[0]] = values / np.linalg.norm(values)

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .embeddings import amplitude_qubits, amplitude_rows
 from .sim import (BoundProgram, Circuit, bind_program, prefix_vectors, product_state, run_steps,
-                  rx, ry, z_expectations)
+                  rx, z_expectations)
 from .vqc import VqcTemplate, build_layers, circuit_adjoint
 
 # mode -> the embeddings it accepts; MODES and EMBEDDINGS orders are the
@@ -104,6 +104,17 @@ class Head:
         width = n if self.embedding == "angle" else 2 * n  # dense_angle: 2 per qubit
         return (("pre_w", (width, self.in_dim)), ("pre_b", (width,)), q,
                 ("post_w", (self.n_classes, n)), ("post_b", (self.n_classes,)))
+
+    @cached_property
+    def embedding_columns(self) -> np.ndarray:
+        """The angle-matrix column that each dqc pre-layer output adds to:
+        qubit j's RY output to its first-layer slot j, as RY(q_j) RY(t_j) =
+        RY(t_j + q_j), and a dense_angle head's RX output to its slot Q + j."""
+        j = np.arange(self.n_qubits)
+        if self.embedding == "dense_angle":
+            j = np.stack([j + j.size * self.depth, j], 1).ravel()
+        j.flags.writeable = False
+        return j
 
     def bind(self, q) -> BoundProgram:
         """The ``bind_program`` of the head's circuit: the steps after the
@@ -208,21 +219,19 @@ def init_model(head: Head, rng: np.random.Generator) -> HybridModel:
 
 @lru_cache(maxsize=None)
 def _dqc_circuit(embedding: str, n_qubits: int, depth: int) -> Circuit:
-    """Embedding + layers with every rotation angle exposed as trainable.
-
-    The embedding ops come first and the ``build_layers`` ops after them,
-    unchanged: slots 0..Q-1 are the layer parameters, slots Q.. the
-    embedding angles in feature order (angle: RY per qubit; dense_angle:
-    RX then RY per qubit). Each embedding RY fuses with its qubit's
-    first-layer RY, so the prefix is [embedding RX] (dense_angle only),
-    then one RY layer at angles embedding + q. One adjoint sweep yields
-    gradients on both sides of the classical/quantum boundary.
+    """The ``build_layers`` circuit, after an embedding RX per qubit on a
+    dense_angle head: slots 0..Q-1 are the layer parameters, slot Q + j
+    qubit j's RX angle. The embedding RY angles have no gate: each adds to
+    its qubit's first-layer slot (``Head.embedding_columns``), so the prefix
+    is [an RX layer] (dense_angle only), then the first layer's RY layer.
+    One adjoint sweep yields gradients on both sides of the
+    classical/quantum boundary.
     """
     layers = build_layers(VqcTemplate(n_qubits, depth))
-    gates = (ry,) if embedding == "angle" else (rx, ry)
-    embed = [gate(q, param=layers.n_params + len(gates) * q + k) for q in range(n_qubits)
-             for k, gate in enumerate(gates)]
-    return Circuit(n_qubits, (*embed, *layers.ops), layers.n_params + len(embed))
+    if embedding == "angle":
+        return layers
+    embed = [rx(q, param=layers.n_params + q) for q in range(n_qubits)]
+    return Circuit(n_qubits, (*embed, *layers.ops), layers.n_params + n_qubits)
 
 
 def _check_batch(model: HybridModel, features) -> np.ndarray:
@@ -243,9 +252,10 @@ def _run_block(model: HybridModel, program: BoundProgram, x: np.ndarray):
         params, pre_out, amps = p["q"], None, amplitude_rows(x)
     else:
         pre_out = x @ p["pre_w"].T + p["pre_b"]
-        params = np.empty((len(x), program.circuit.n_params))  # each row: q, then squashed pre_out
+        params = np.zeros((len(x), program.circuit.n_params))  # each row: q, then the RX angles
         params[:, : p["q"].size] = p["q"]
-        params[:, p["q"].size :] = np.tanh(pre_out) * ANGLE_SCALE
+        # RY(q_j) RY(t_j) = RY(t_j + q_j), and q + t is t + q bit for bit
+        params[:, model.head.embedding_columns] += np.tanh(pre_out) * ANGLE_SCALE
         amps = product_state(prefix_vectors(program.circuit, params))
     final = run_steps(amps, program.steps)
     z = z_expectations(final, program.signs)
@@ -297,7 +307,7 @@ def model_backward(model: HybridModel, features, labels) -> np.ndarray:
     n_q = g["q"].size  # the q slots come first in both heads' circuits
     g["q"][...] = dfull[:, :n_q].sum(axis=0)
     if head.mode == "dqc":
-        dpre_out = dfull[:, n_q:] * ANGLE_SCALE * (1.0 - np.tanh(pre_out) ** 2)
+        dpre_out = dfull[:, head.embedding_columns] * ANGLE_SCALE * (1.0 - np.tanh(pre_out) ** 2)
         g["pre_w"][...] = dpre_out.T @ x
         g["pre_b"][...] = dpre_out.sum(axis=0)
         g["post_w"][...] = dlogits.T @ z

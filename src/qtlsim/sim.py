@@ -12,23 +12,19 @@ Z expectation after RY(theta)|0> is cos(theta).
 The kernel runs a float64 ``(B, 2**n)`` batch, one state per row, through
 the circuit's program of real steps: runs of CNOTs fused into one index
 permutation, one contiguous gather, and runs of rotations as
-``RotationLayer`` steps. On each qubit, consecutive rotations of one kind
-fuse into one whose angle is the sum of their slots, as RY(b) RY(a) =
-RY(a + b), and the k-th fused rotation on each qubit goes into layer k,
-split by kind. A kernel layer is ry on slots shared by all rows, two
-(d, d) Kronecker factors of one matmul each: the gather-and-apply fusion
-of Smelyanskiy et al., arXiv:1601.07195.
+``RotationLayer`` steps, the k-th rotation on each qubit in layer k, split
+by kind. A kernel layer is ry on slots shared by all rows, two (d, d)
+Kronecker factors of one matmul each: the gather-and-apply fusion of
+Smelyanskiy et al., arXiv:1601.07195.
 
 A call's angles are one float array: a (n_params,) vector shared by all
 rows, or a (B, n_params) matrix, one row per state. A run of B rows from
 |0...0> starts from a product state: the rotation layers before the first
 CNOT, rx or ry, make each row's 2-vector per qubit, as (2, B, n)
-(``prefix_vectors``), complex if one is an rx. A dqc head's embedding RY
-and first variational RY fuse, so its prefix is one RY layer (angle) or
-an RX layer then an RY layer (dense_angle), and a layer on every qubit
-updates the vectors whole. ``product_state`` multiplies them out by one
-gather and one product per half of the qubits and one outer product of the
-halves: a float64 batch, or the real halves [a; b] of complex states
+(``prefix_vectors``), complex if one is an rx; a layer on qubits 0..n-1
+in order updates the vectors whole. ``product_state`` multiplies them out
+by one gather and one product per half of the qubits and one outer product
+of the halves: a float64 batch, or the real halves [a; b] of complex states
 a + ib, a (2, B, 2**n) stack run as 2B rows. ``bind_program`` binds the
 rest to a vector once (an rx or a matrix there raises) and folds a last
 permutation into the Z sign table of the readout. Every batch and the
@@ -86,63 +82,43 @@ def cnot(control: int, target: int) -> GateOp:
 
 @dataclass(frozen=True)
 class RotationLayer:
-    """Rotations of one kind, as one step that applies the Kronecker product
-    of their 2x2 matrices, one per target qubit. The ops on a qubit are one
-    run of consecutive rotations of that kind, fused: as RY(b) RY(a) =
-    RY(a + b), the qubit's angle is the sum of the run's slots, added in
-    program order."""
+    """Rotations of one kind on distinct qubits, in program order: one step
+    that applies the Kronecker product of their 2x2 matrices."""
 
     ops: tuple[GateOp, ...]
 
     def __post_init__(self):
-        if not self.ops or len({op.kind for op in self.ops}) > 1 or self.kind == "cnot":
-            raise ValueError(f"a layer holds rotations of one kind: {self.ops}")
+        if (not self.ops or len(self.targets) > len(set(self.targets))
+                or len({op.kind for op in self.ops}) > 1 or self.kind == "cnot"):
+            raise ValueError(f"a layer holds rotations of one kind on distinct qubits: {self.ops}")
 
     @property
     def kind(self) -> str:
         return self.ops[0].kind
 
     @cached_property
-    def runs(self) -> dict[int, list[int]]:
-        """Each target qubit, ascending, with the slots of its run in program order."""
-        runs = {}
-        for op in sorted(self.ops, key=lambda op: op.target):  # stable: program order kept
-            runs.setdefault(op.target, []).append(op.param_index)
-        return runs
-
-    @cached_property
     def targets(self) -> list[int]:
-        return list(self.runs)
+        return [op.target for op in self.ops]
 
     @cached_property
-    def by_position(self) -> tuple[tuple[slice | np.ndarray, np.ndarray], ...]:
-        """(runs, slots) of each position j in a run, from j = 0: the runs
-        that have a j-th op, as indices into ``targets`` (``slice(None)``
-        when every run has one), and the slots of their j-th ops."""
-        out, runs = [], list(self.runs.values())
-        for j in range(max(map(len, runs))):
-            which = [i for i, slots in enumerate(runs) if len(slots) > j]
-            out.append((slice(None) if len(which) == len(runs) else np.array(which),
-                        np.array([runs[i][j] for i in which])))
-        return tuple(out)
+    def slots(self) -> list[int]:
+        return [op.param_index for op in self.ops]
 
     def columns(self, n_qubits: int) -> slice | list[int]:
         """The targets as an index into an n-qubit axis: ``slice(None)`` for a
-        layer on every qubit, which numpy reads as a view and writes whole."""
-        return slice(None) if len(self.runs) == n_qubits else self.targets
+        layer on qubits 0..n-1 in order, which numpy reads as a view and
+        writes whole."""
+        return slice(None) if self.targets == list(range(n_qubits)) else self.targets
 
 
 def _rotation_layers(ops) -> list[RotationLayer]:
-    """A run of rotations as layers. On each qubit, consecutive rotations of
-    one kind form one fused run; the k-th run on each qubit goes into layer
-    k, split by kind. Rotations on distinct qubits commute, so running the
-    layers in order equals running the ops in order."""
-    layers, latest = [], {}  # qubit -> (k, kind) of its latest run
+    """A run of rotations as layers: the k-th rotation on each qubit goes
+    into layer k, split by kind. Rotations on distinct qubits commute, so
+    running the layers in order equals running the ops in order."""
+    layers, seen = [], {}
     for op in ops:
-        k, kind = latest.get(op.target, (-1, None))
-        if kind != op.kind:
-            k += 1
-            latest[op.target] = (k, op.kind)
+        k = seen.get(op.target, 0)
+        seen[op.target] = k + 1
         if k == len(layers):
             layers.append([])
         layers[k].append(op)
@@ -204,8 +180,7 @@ class Circuit:
     @cached_property
     def program(self) -> tuple:
         """The kernel's steps: each run of consecutive CNOTs fused into one
-        ``Permutation``, each run of rotations as fused ``RotationLayer``
-        steps (``_rotation_layers``)."""
+        ``Permutation``, each run of rotations as ``RotationLayer`` steps."""
         steps = []
         for is_cnot, ops in groupby(self.ops, key=lambda op: op.kind == "cnot"):
             if is_cnot:
@@ -245,15 +220,9 @@ def _kron(mats: np.ndarray) -> np.ndarray:
 
 
 def layer_angles(layer: RotationLayer, params) -> np.ndarray:
-    """The layer's angles in ``targets`` order, each the sum of its run's
-    slots in program order: (k,) of a (n_params,) vector shared by all rows,
-    (B, k) of a (B, n_params) matrix of one row per state."""
-    params = np.asarray(params, dtype=float)
-    (_, first), *later = layer.by_position
-    angles = params[..., first]
-    for runs, slots in later:
-        angles[..., runs] += params[..., slots]
-    return angles
+    """The layer's angles in op order: (k,) of a (n_params,) vector shared
+    by all rows, (B, k) of a (B, n_params) matrix of one row per state."""
+    return np.asarray(params, dtype=float)[..., layer.slots]
 
 
 def rotation_matrices(layer: RotationLayer, params) -> np.ndarray:
@@ -345,10 +314,9 @@ def run_circuit_raw(amps: np.ndarray, circuit: Circuit, params) -> np.ndarray:
 def prefix_vectors(circuit: Circuit, params) -> np.ndarray:
     """(2, B, n) per-qubit 2-vectors [v0; v1] of the prefix for each row of a
     (B, n_params) matrix, a vector as one row; complex128 if a layer is an
-    rx. A layer takes each target's v to cos(t/2) v + sin(t/2) G v at its
-    fused angle t; G is off-diagonal, so each component is one long
-    multiply-add with the other, over the whole qubit axis when the layer
-    covers every qubit."""
+    rx. A layer takes each target's v to cos(t/2) v + sin(t/2) G v; G is
+    off-diagonal, so each component is one long multiply-add with the other,
+    over the whole qubit axis when the layer covers every qubit in order."""
     prefix = circuit.program[: circuit.prefix_len]
     dtype = complex if any(layer.kind == "rx" for layer in prefix) else float
     vectors = np.zeros((2, len(np.atleast_2d(params)), circuit.n_qubits), dtype)

@@ -66,12 +66,6 @@ MUTANTS = [
     ("the prefix walk stops one layer too early", "vqc.py",
      "for layer in prefix[:0:-1]:",
      "for layer in prefix[:1:-1]:"),
-    ("a fused term credited only to its run's first slot", "vqc.py",
-     "for runs, slots in layer.by_position:",
-     "for runs, slots in layer.by_position[:1]:"),
-    ("a fused angle drops its run's last slot", "sim.py",
-     "for runs, slots in later:",
-     "for runs, slots in later[:-1]:"),
     ("the sweep infers the prefix from the number of steps", "vqc.py",
      "circuit.program[: program.start]",
      "circuit.program[: len(circuit.program) - len(program.steps)]"),
@@ -85,19 +79,26 @@ MUTANTS = [
      "g = ROTATION_G[layer.kind]",
      "g = ROTATION_G[layer.kind].conj()"),
     ("ANGLE_SCALE dropped from dpre_out", "hybrid.py",
-     "dfull[:, n_q:] * ANGLE_SCALE * (1.0 - np.tanh(pre_out) ** 2)",
-     "dfull[:, n_q:] * (1.0 - np.tanh(pre_out) ** 2)"),
+     "dfull[:, head.embedding_columns] * ANGLE_SCALE * (1.0 - np.tanh(pre_out) ** 2)",
+     "dfull[:, head.embedding_columns] * (1.0 - np.tanh(pre_out) ** 2)"),
     ("tanh derivative dropped from dpre_out", "hybrid.py",
-     "dfull[:, n_q:] * ANGLE_SCALE * (1.0 - np.tanh(pre_out) ** 2)",
-     "dfull[:, n_q:] * ANGLE_SCALE"),
-    ("q and embedding gradient columns swapped", "hybrid.py",
-     'dfull[:, :n_q].sum(axis=0)\n    if head.mode == "dqc":\n'
-     '        dpre_out = dfull[:, n_q:]',
-     'dfull[:, -n_q:].sum(axis=0)\n    if head.mode == "dqc":\n'
-     '        dpre_out = dfull[:, :-n_q]'),
+     "dfull[:, head.embedding_columns] * ANGLE_SCALE * (1.0 - np.tanh(pre_out) ** 2)",
+     "dfull[:, head.embedding_columns] * ANGLE_SCALE"),
+    ("the q gradient read from the last columns", "hybrid.py",
+     'g["q"][...] = dfull[:, :n_q].sum(axis=0)',
+     'g["q"][...] = dfull[:, -n_q:].sum(axis=0)'),
+    ("the RX and RY columns of dpre_out swapped", "hybrid.py",
+     "dpre_out = dfull[:, head.embedding_columns]",
+     "dpre_out = dfull[:, head.embedding_columns.reshape(head.n_qubits, -1)[:, ::-1].ravel()]"),
+    ("q dropped from layer 0's per-row angle", "hybrid.py",
+     "params[:, model.head.embedding_columns] +=",
+     "params[:, model.head.embedding_columns] ="),
     ("the embedding columns of the angle matrix shifted by one", "hybrid.py",
-     'params[:, p["q"].size :] = np.tanh(pre_out) * ANGLE_SCALE',
-     'params[:, p["q"].size :] = np.roll(np.tanh(pre_out) * ANGLE_SCALE, 1, axis=1)'),
+     "params[:, model.head.embedding_columns] += np.tanh(pre_out) * ANGLE_SCALE",
+     "params[:, model.head.embedding_columns] += np.roll(np.tanh(pre_out) * ANGLE_SCALE, 1, axis=1)"),
+    ("a dense_angle head's RX and RY outputs trade columns", "hybrid.py",
+     "np.stack([j + j.size * self.depth, j], 1)",
+     "np.stack([j, j + j.size * self.depth], 1)"),
     ("prefix vectors start at |1>", "sim.py",
      "vectors[0] = 1.0",
      "vectors[1] = 1.0"),
@@ -186,8 +187,14 @@ MUTANTS = [
      "if values > MAX_ARRAY_VALUES:",
      "if False:"),
     ("a layer one qubit short of the width indexed whole", "sim.py",
-     "slice(None) if len(self.runs) == n_qubits else self.targets",
-     "slice(None) if len(self.runs) >= n_qubits - 1 else self.targets"),
+     "slice(None) if self.targets == list(range(n_qubits)) else self.targets",
+     "slice(None) if len(self.targets) >= n_qubits - 1 else self.targets"),
+    ("a layer on every qubit out of order indexed whole", "sim.py",
+     "slice(None) if self.targets == list(range(n_qubits)) else self.targets",
+     "slice(None) if sorted(self.targets) == list(range(n_qubits)) else self.targets"),
+    ("a layer with a repeated qubit accepted", "sim.py",
+     "or len(self.targets) > len(set(self.targets))",
+     "or False"),
     ("non-finite config floats pass", "config.py",
      'if f.type == "float" and not math.isfinite(value):',
      "if False:"),
@@ -209,6 +216,9 @@ MUTANTS = [
 #   state is one outer product split into its real and imaginary halves.
 # - "bits of one qubit swapped in _kron_rows": _kron_rows has no per-qubit
 #   loop; its one factor_bits gather is mutated instead.
+# - "a fused term credited only to its run's first slot": layers no longer
+#   fuse runs, so RotationLayer.by_position is gone.
+# - "a fused angle drops its run's last slot": layer_angles is one gather.
 
 
 def suite_passes(tree: Path) -> bool:

@@ -462,6 +462,8 @@ def test_every_documented_exit_code(tmp_path, monkeypatch, capsys):
         latin1[name].write_bytes(text)
     afile = tmp_path / "afile"
     afile.write_text("mine")
+    bad_note = tmp_path / "bad_note.txt"  # the head of `checkpoint`, and no digest notes
+    bad_note.write_text(small.read_text() + "# best_epoch = abc\n")
     no_training = [(cli, "train", lambda *args, **kwargs: pytest.fail("trained"))]
 
     def generator(kind):  # ROTATION_G with one entry scaled: anything but -iY or -iX
@@ -494,6 +496,10 @@ def test_every_documented_exit_code(tmp_path, monkeypatch, capsys):
          ["train", "--config", small, "--out", afile / "sub"], no_training),
         (cli.EXIT_CONFIG, "config error: --out",
          ["train", "--config", small, "--out", unwritable], []),
+        (cli.EXIT_CONFIG, "config error: --out: ", ["train", "--config", small, "--out", ""],
+         no_training),
+        (cli.EXIT_CONFIG, f"config error: {bad_note}: bad note best_epoch = abc\n",
+         ["evaluate", checkpoint, "--manifest", bad_note, "--split", "test"], []),
         (cli.EXIT_CONFIG, f"config error: cannot read config {latin1['config.txt']}: ",
          ["train", "--config", latin1["config.txt"], "--out", tmp_path / "run"], no_training),
         (cli.EXIT_CONFIG, f"config error: cannot read config {latin1['config.txt']}: ",
@@ -577,6 +583,38 @@ def test_train_refuses_a_file_as_out_before_training(fast_config, tmp_path, monk
     assert capsys.readouterr().err == (f"config error: --out {out}: {out} exists and is not "
                                        f"a directory\n")
     assert out.read_text() == "mine"
+
+
+def test_train_refuses_an_empty_out_before_loading_data(fast_config, monkeypatch, capsys):
+    """An empty `--out`, which names no directory, exits 2 before any data
+    is loaded or any training runs."""
+    for name in ("_load_dataset", "train"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("ran"))
+    assert run_cli("train", "--config", fast_config, "--out", "") == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: --out: the output directory is an empty path\n"
+
+
+def test_encode_demo_refuses_a_state_over_the_size_cap(tmp_path, capsys):
+    """On a 512x512 image a NEQR state holds 2**26 amplitudes, over the
+    2**25 cap, and exits 3 naming its 26 qubits before it is made, with a
+    traced peak of a few MiB, where one copy of it is 1 GiB; an FRQI state
+    of the same image, 2**19 amplitudes, still runs."""
+    import tracemalloc
+
+    path = tmp_path / "slice.pgm"
+    pixels = np.random.default_rng(3).integers(0, 256, 512 * 512, dtype=np.uint8)
+    path.write_bytes(b"P5\n512 512\n255\n" + pixels.tobytes())
+    tracemalloc.start()
+    try:
+        code = run_cli("encode-demo", path, "--scheme", "neqr")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_DATA and peak < 16 * 2**20
+    assert capsys.readouterr().err == (f"data error: {path}: a neqr state of 26 qubits holds "
+                                       f"2**26 amplitudes, over the cap of 33554432\n")
+    assert run_cli("encode-demo", path, "--scheme", "frqi") == 0
+    assert "qubits: 19" in capsys.readouterr().out
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

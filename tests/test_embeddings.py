@@ -20,7 +20,7 @@ from qtlsim.embeddings import (
     pixel_angles,
     read_pgm,
 )
-from qtlsim.hybrid import _dqc_circuit
+from qtlsim.hybrid import Head, _dqc_circuit
 from qtlsim.sim import prefix_vectors, product_state, z_expectations, z_signs
 from qtlsim.vqc import VqcTemplate, build_layers
 
@@ -31,16 +31,19 @@ def random_image(rng, side):
     return GrayImage(side, rng.integers(0, 256, size=side * side))
 
 
-# --- angle / dense-angle: the last E slots of the dqc circuit -------------
+# --- angle / dense-angle: the dqc head's embedding columns ---------------
 
 def embed(embedding, features):
-    """The depth-1 dqc circuit's prefix run on |0...0> with feature k bound
-    to slot Q + k, after the Q = n layer slots bound to 0: its embedding
-    gates, then one RY(0), the identity, per qubit. The product state of
-    its prefix vectors, as one complex state."""
+    """The depth-1 dqc circuit's prefix run on |0...0>, its Q = n layer
+    slots at 0 and feature k added to angle column ``embedding_columns[k]``
+    of the head: one RY(feature) per qubit (angle), or RX then RY per qubit
+    (dense_angle). The product state of its prefix vectors, as one complex
+    state."""
     n = len(features) if embedding == "angle" else len(features) // 2
-    params = [*np.zeros(n), *np.asarray(features, dtype=float)]
-    amps = product_state(prefix_vectors(_dqc_circuit(embedding, n, 1), params))
+    circuit = _dqc_circuit(embedding, n, 1)
+    params = np.zeros(circuit.n_params)
+    params[Head("dqc", embedding, n, 1, 2, 1).embedding_columns] += features
+    amps = product_state(prefix_vectors(circuit, params))
     return amps[0, 0] + 1j * amps[1, 0] if amps.ndim == 3 else amps[0].astype(complex)
 
 
@@ -68,19 +71,19 @@ def test_angle_embed_marginals():
 
 
 def test_angle_embed_structure():
-    """Slot Q + k carries feature k, after the Q layer slots: one RY per
-    qubit (angle), RX then RY per qubit (dense_angle), before any layer
-    gate; the layer gates are ``build_layers``' own, slots 0..Q-1."""
-    angle = _dqc_circuit("angle", 5, 1)
-    assert [(op.kind, op.target, op.param_index) for op in angle.ops[:5]] == \
-        [("ry", q, 5 + q) for q in range(5)]
-    dense = _dqc_circuit("dense_angle", 3, 1)
-    assert [(op.kind, op.target, op.param_index) for op in dense.ops[:6]] == \
-        [(kind, q, 3 + 2 * q + k) for q in range(3) for k, kind in enumerate(("rx", "ry"))]
-    for circuit, n_embed in ((angle, 5), (dense, 6)):
-        layers = build_layers(VqcTemplate(circuit.n_qubits, 1))
-        assert circuit.ops[n_embed:] == layers.ops
-        assert circuit.n_params == layers.n_params + n_embed
+    """Feature k adds to angle column ``embedding_columns[k]``: qubit j's RY
+    feature to its first-layer slot j, which q_j holds, and a dense_angle
+    head's RX feature, before it, to slot Q + j of an RX gate that comes
+    before every layer gate. The rest is ``build_layers``' own circuit, on
+    slots 0..Q-1, with no gate of the RY features."""
+    layers = build_layers(VqcTemplate(5, 2))
+    assert _dqc_circuit("angle", 5, 2) == layers
+    assert list(Head("dqc", "angle", 5, 2, 2, 1).embedding_columns) == list(range(5))
+    dense, layers = _dqc_circuit("dense_angle", 3, 2), build_layers(VqcTemplate(3, 2))
+    assert [(op.kind, op.target, op.param_index) for op in dense.ops[:3]] == \
+        [("rx", q, 6 + q) for q in range(3)]
+    assert dense.ops[3:] == layers.ops and dense.n_params == layers.n_params + 3
+    assert list(Head("dqc", "dense_angle", 3, 2, 2, 1).embedding_columns) == [6, 0, 7, 1, 8, 2]
 
 
 def test_dense_angle_zero_is_identity():
@@ -176,8 +179,9 @@ def test_qubit_count_laws():
     """angle: N qubits; dense-angle: N/2; amplitude: ceil(log2 N)."""
     n = 8
     for embedding, n_qubits in (("angle", n), ("dense_angle", n // 2)):
-        # n_qubits layer slots at depth 1, then n embedding slots
-        assert _dqc_circuit(embedding, n_qubits, 1).n_params == n + n_qubits
+        # one angle column of its own per feature
+        columns = Head("dqc", embedding, n_qubits, 1, 2, 1).embedding_columns
+        assert len(set(columns)) == n and max(columns) < _dqc_circuit(embedding, n_qubits, 1).n_params
     assert amplitude_embed(np.linspace(-1, 1, n)).n_qubits == 3
 
 

@@ -3,7 +3,6 @@ dense-matrix oracle."""
 import math
 from collections import Counter
 from dataclasses import fields, replace
-from itertools import groupby
 
 import numpy as np
 import pytest
@@ -522,11 +521,11 @@ def test_programs_run_rotations_as_layers_and_match_the_dense_oracle(seed, n, ba
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9))
 def test_rotation_runs_group_into_layers(seed, n):
-    """Between CNOTs, each qubit's rotations split into runs of consecutive
-    ops of one kind, and each layer holds one whole run on each of its
-    qubits, all of one kind: the layers, flattened, hold exactly the
-    rotations, each qubit's in program order, and a layer holds only k-th
-    runs on their qubits, k rising from layer to layer by at most one."""
+    """Between CNOTs, each layer holds one rotation on each of its qubits,
+    all of one kind: the layers, flattened, hold exactly the rotations,
+    each qubit's in program order, and a layer holds only k-th rotations on
+    their qubits, k rising from layer to layer by at most one, so a run of
+    rotations on one qubit is as many consecutive layers."""
     rng = np.random.default_rng(seed)
     circuit, _ = random_layered_circuit(rng, n)
     segments, layers = [[]], [[]]
@@ -540,41 +539,33 @@ def test_rotation_runs_group_into_layers(seed, n):
             layers.append([])
         else:
             assert isinstance(step, RotationLayer) and len({op.kind for op in step.ops}) == 1
+            assert len(set(step.targets)) == len(step.ops)
             layers[-1].append(step.ops)
     assert len(segments) == len(layers)
     for segment, segment_layers in zip(segments, layers):
-        ranks = []
         for q in range(n):
-            ops = [op for op in segment if op.target == q]
-            runs = [list(run) for _, run in groupby(ops, key=lambda op: op.kind)]
-            placed = [[op for op in layer if op.target == q] for layer in segment_layers]
-            assert [run for run in placed if run] == runs
-        for k, layer in enumerate(segment_layers):
-            layer_ranks = {sum(any(op.target == target for op in earlier)
-                               for earlier in segment_layers[:k])
-                           for target in {op.target for op in layer}}
+            placed = [op for ops in segment_layers for op in ops if op.target == q]
+            assert placed == [op for op in segment if op.target == q]
+        ranks = []
+        for ops in segment_layers:
+            layer_ranks = {[id(o) for o in segment if o.target == op.target].index(id(op))
+                           for op in ops}
             assert len(layer_ranks) == 1
             ranks += layer_ranks
         assert all(0 <= b - a <= 1 for a, b in zip([0] + ranks, ranks))
 
 
-def test_a_layer_fuses_each_qubits_run_and_holds_one_kind():
-    """A layer's ops on one qubit are that qubit's run, slots in program
-    order, qubits ascending; each run position j lists the runs with a j-th
-    op, all of them as one slice, and a layer on every qubit indexes the
-    qubit axis as one slice. A mix of kinds, a cnot or no op at all is
-    refused."""
-    layer = RotationLayer((ry(2, param=4), ry(0, param=1), ry(2, param=0), ry(2, param=4)))
-    assert layer.runs == {0: [1], 2: [4, 0, 4]} and layer.targets == [0, 2]
-    assert [(runs if isinstance(runs, slice) else list(runs), list(slots))
-            for runs, slots in layer.by_position] == [(slice(None), [1, 4]), ([1], [0]),
-                                                      ([1], [4])]
-    assert layer.columns(3) == [0, 2]
-    whole = RotationLayer((rx(1, param=0), rx(0, param=1)))
-    assert whole.targets == [0, 1] and whole.columns(2) == slice(None)
-    with pytest.raises(ValueError, match="one kind"):
-        RotationLayer((ry(0, param=0), rx(1, param=1)))
-    with pytest.raises(ValueError, match="one kind"):
-        RotationLayer((cnot(0, 1),))
-    with pytest.raises(ValueError, match="one kind"):
-        RotationLayer(())
+def test_a_layer_holds_one_rotation_per_qubit_of_one_kind():
+    """A layer keeps its ops' targets and slots in program order, and indexes
+    the qubit axis as one slice only when its targets are 0..n-1 in order.
+    A repeated qubit, a mix of kinds, a cnot or no op at all is refused."""
+    layer = RotationLayer((ry(2, param=4), ry(0, param=1)))
+    assert layer.targets == [2, 0] and layer.slots == [4, 1] and layer.columns(3) == [2, 0]
+    whole = RotationLayer((rx(0, param=1), rx(1, param=0)))
+    assert whole.columns(2) == slice(None) and whole.columns(3) == [0, 1]
+    assert RotationLayer((rx(1, param=0), rx(0, param=1))).columns(2) == [1, 0]
+    with pytest.raises(ValueError, match="distinct qubits"):
+        RotationLayer((ry(1, param=0), ry(1, param=1)))
+    for ops in ((ry(0, param=0), rx(1, param=1)), (cnot(0, 1),), ()):
+        with pytest.raises(ValueError, match="one kind on distinct qubits"):
+            RotationLayer(ops)

@@ -2,8 +2,6 @@
 import math
 from collections import namedtuple
 from functools import partial
-from itertools import groupby
-from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -310,9 +308,9 @@ def fused_prefix_circuits(draw):
 
 @given(drawn=fused_prefix_circuits(), seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 3))
 def test_fused_prefixes_match_the_dense_oracles(drawn, seed, batch):
-    """Each qubit's runs of same-kind prefix rotations fuse: the prefix
-    layers hold each qubit's prefix rotations in order, one layer per
-    maximal run of one kind. The product state of their vectors, on shared
+    """The prefix layers hold each qubit's prefix rotations in order, one
+    per layer, so a run of same-kind rotations on a qubit is as many
+    consecutive layers. The product state of their vectors, on shared
     and per-row slots, equals the dense oracle's run of the prefix ops one
     by one to 1e-12, the run on from it the dense run of the whole circuit,
     and the adjoint gradient swept back through the prefix the
@@ -323,8 +321,7 @@ def test_fused_prefixes_match_the_dense_oracles(drawn, seed, batch):
     for q in range(n):
         ops = [op for op in prefix if op.target == q]
         assert [op for layer in layers for op in layer.ops if op.target == q] == ops
-        runs = list(groupby(ops, key=attrgetter("kind")))
-        assert sum(q in layer.targets for layer in layers) == len(runs)
+        assert sum(q in layer.targets for layer in layers) == len(ops)
     rng = np.random.default_rng(seed)
     binding = random_binding(rng, circuit, batch)
     measured = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
@@ -344,22 +341,23 @@ def test_fused_prefixes_match_the_dense_oracles(drawn, seed, batch):
         assert np.max(np.abs(grads[b] - shift)) <= 1e-12
 
 
-def test_a_dqc_prefix_is_one_fused_layer_per_embedding_gate():
-    """At any width and depth a dqc head's prefix is one RY layer on angle
-    heads and an RX layer then an RY layer on dense_angle heads, each on
-    every qubit. Qubit q's RY run reads its embedding slot, then its
-    first-layer slot q, and on one qubit, which has no CNOT, every later
-    layer's slot too."""
+def test_a_dqc_prefix_is_one_layer_per_embedding_gate():
+    """At any width and depth a dqc head's prefix is the first layer's RY
+    layer, on slots 0..n-1, after an RX layer on slots Q.. on dense_angle
+    heads, each on qubits 0..n-1 in order: the embedding RY angles have no
+    layer of their own. On one qubit, which has no CNOT, each later layer's
+    RY follows as a layer of its own."""
     for embedding, kinds in (("angle", ["ry"]), ("dense_angle", ["rx", "ry"])):
         for n in range(1, 6):
             for depth in range(1, 5):
                 circuit = _dqc_circuit(embedding, n, depth)
                 prefix = circuit.program[: circuit.prefix_len]
-                assert [layer.kind for layer in prefix] == kinds
+                later = depth - 1 if n == 1 else 0
+                assert [layer.kind for layer in prefix] == kinds + ["ry"] * later
                 assert all(layer.targets == list(range(n)) for layer in prefix)
-                later = list(range(n, n * depth)) if n == 1 else []
-                embed = n * depth + len(kinds) * np.arange(n) + len(kinds) - 1
-                assert prefix[-1].runs == {q: [int(embed[q]), q, *later] for q in range(n)}
+                embed = [list(range(n * depth, n * depth + n))] if len(kinds) == 2 else []
+                assert [layer.slots for layer in prefix] == \
+                    embed + [list(range(n * k, n * k + n)) for k in range(1 + later)]
 
 
 def dqc_adjoint(circuit, params, upstream):
