@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .checkpoint import CheckpointFormatError, load_checkpoint, save_checkpoint
 from .config import (MAX_ARRAY_VALUES, VALUE_TEXT, ConfigError, TrainConfig, config_to_text,
-                     load_config, with_overrides)
+                     load_config, validate_config)
 from .data import DataError, Dataset, SplitSpec, balanced_group_split, load_feature_csv, synth_dataset
 from .embeddings import (COLOR_BITS, amplitude_embed, amplitude_qubits, frqi_decode, frqi_encode,
                          neqr_decode, neqr_encode, pixel_angles, read_pgm)
@@ -56,8 +56,8 @@ def write_metrics_csv(path, history):
 def _load_dataset(config: TrainConfig) -> Dataset:
     if config.data == "synth":
         return synth_dataset(config.synth_per_class, config.n_classes, config.in_dim,
-                             config.synth_separation, config.seed,
-                             group_size=config.synth_group_size)
+                             config.synth_separation, config.seed, config.synth_group_size,
+                             config.class_name_list)
     return load_feature_csv(config.data, class_names=config.class_name_list)
 
 
@@ -129,7 +129,7 @@ def cmd_train(args) -> int:
     splits = _split(config, _load_dataset(config))
     train_set, val_set, _ = splits
     # pinned now, so names the manifest cannot reproduce fail before training
-    config = with_overrides(config, class_names=",".join(train_set.class_names))
+    config = validate_config(replace(config, class_names=",".join(train_set.class_names)))
 
     model = replace(_initial_model(config), class_names=train_set.class_names)
     best, history = train(

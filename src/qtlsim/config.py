@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .data import SplitSpec
 from .hybrid import Head, layout_size
@@ -16,7 +16,8 @@ from .hybrid import Head, layout_size
 # The most float64 values one array that a config implies may hold: 2**25,
 # 256 MiB. A run holds a few copies of its data (the draw, the dataset, its
 # splits), so a config at the cap stays near 1 GiB. The default synthetic
-# data holds 102400 values, the benchmark's largest parameter vector 8258.
+# data holds 102400 values, the benchmark's largest parameter vector 8258
+# and its largest minibatch sweep 8192.
 MAX_ARRAY_VALUES = 2**25
 
 
@@ -103,9 +104,7 @@ def parse_config_text(text: str, source: str = "<config>", **overrides) -> Train
             raise ConfigError(f"{source}: line {lineno}: duplicate key {key!r}")
         values[key] = _convert(key, raw)
     values.update((key, value) for key, value in overrides.items() if value is not None)
-    config = TrainConfig(**values)
-    validate_config(config)
-    return config
+    return validate_config(TrainConfig(**values))
 
 
 def load_config(path, **overrides) -> TrainConfig:
@@ -117,7 +116,8 @@ def load_config(path, **overrides) -> TrainConfig:
     return parse_config_text(text, str(path), **overrides)
 
 
-def validate_config(config: TrainConfig):
+def validate_config(config: TrainConfig) -> TrainConfig:
+    """``config``, if every rule holds; else a ConfigError naming the keys."""
     for key in ("epochs", "batch_size", "synth_per_class", "synth_group_size"):
         if getattr(config, key) < 1:
             raise ConfigError(f"{key}: must be positive")
@@ -125,7 +125,11 @@ def validate_config(config: TrainConfig):
         head = config.head  # builds the head, which checks its keys
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    sizes = {"n_qubits, depth, n_classes, in_dim": ("parameters", layout_size(head.layout))}
+    halves = 2 if config.embedding == "dense_angle" else 1  # a complex state's real halves
+    sizes = {"n_qubits, depth, n_classes, in_dim": ("parameters", layout_size(head.layout)),
+             # the adjoint sweep stacks a minibatch's states (phi, lambda)
+             "batch_size, n_qubits": ("minibatch state values",
+                                      2 * halves * config.batch_size * 2**config.n_qubits)}
     if config.data == "synth":
         sizes["synth_per_class, n_classes, in_dim"] = (
             "synthetic feature values", config.synth_per_class * config.n_classes * config.in_dim)
@@ -160,6 +164,7 @@ def validate_config(config: TrainConfig):
                               f"spaces, got {value!r}")
         if f.type == "float" and not math.isfinite(value):
             raise ConfigError(f"{f.name}: must be finite, got {value!r}")
+    return config
 
 
 def config_to_text(config: TrainConfig) -> str:
@@ -167,8 +172,3 @@ def config_to_text(config: TrainConfig) -> str:
              for f in fields(config)]
     return "\n".join(lines) + "\n"
 
-
-def with_overrides(config: TrainConfig, **overrides) -> TrainConfig:
-    updated = replace(config, **{k: v for k, v in overrides.items() if v is not None})
-    validate_config(updated)
-    return updated

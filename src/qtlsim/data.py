@@ -187,13 +187,14 @@ def _parses(text: str, n: int) -> bool:
 
 
 def synth_dataset(n_per_class: int, n_classes: int, dim: int, separation: float,
-                  seed: int, group_size: int = 1) -> Dataset:
+                  seed: int, group_size: int = 1, class_names=None) -> Dataset:
     """Gaussian class clusters, centers along random orthogonal directions.
 
     Each center sits at distance ``separation`` from the origin along its
     own orthonormal direction; unit-variance isotropic noise. Rows are
     ordered by class. Groups are one-per-sample unless ``group_size``
-    assigns consecutive samples of a class to a shared group id.
+    assigns consecutive samples of a class to a shared group id. Class c
+    is named ``class_names[c]``, by default ``class{c}``.
     """
     if n_per_class < 1 or n_classes < 2 or dim < n_classes or group_size < 1:
         raise ValueError("invalid synthetic dataset shape")
@@ -204,7 +205,7 @@ def synth_dataset(n_per_class: int, n_classes: int, dim: int, separation: float,
         features[c] = separation * basis[:, c] + rng.standard_normal((n_per_class, dim))
     group_ids = [f"g{c}_{k // group_size}" for c in range(n_classes) for k in range(n_per_class)]
     return Dataset(features.reshape(-1, dim), np.repeat(np.arange(n_classes), n_per_class),
-                   group_ids, [f"class{c}" for c in range(n_classes)])
+                   group_ids, class_names or [f"class{c}" for c in range(n_classes)])
 
 
 def balanced_group_split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:

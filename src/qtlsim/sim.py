@@ -12,20 +12,21 @@ Z expectation after RY(theta)|0> is cos(theta).
 The kernel runs a float64 ``(B, 2**n)`` batch, one state per row, through
 the circuit's program of real steps: runs of CNOTs fused into one index
 permutation, one contiguous gather, and runs of rotations as
-``RotationLayer`` steps, the k-th rotation on each qubit in layer k, split
-by kind. A kernel layer is ry on slots shared by all rows, two (d, d)
-Kronecker factors of one matmul each: the gather-and-apply fusion of
-Smelyanskiy et al., arXiv:1601.07195.
+``RotationLayer`` steps. A layer spans the register: one rotation of one
+kind on each qubit, in qubit order, the k-th rotation of a run on each
+qubit in layer k; any other run raises. A kernel layer is ry on slots
+shared by all rows, two (d, d) Kronecker factors of one matmul each: the
+gather-and-apply fusion of Smelyanskiy et al., arXiv:1601.07195.
 
 A call's angles are one float array: a (n_params,) vector shared by all
 rows, or a (B, n_params) matrix, one row per state. A run of B rows from
 |0...0> starts from a product state: the rotation layers before the first
 CNOT, rx or ry, make each row's 2-vector per qubit, as (2, B, n)
-(``prefix_vectors``), complex if one is an rx; a layer on qubits 0..n-1
-in order updates the vectors whole. ``product_state`` multiplies them out
-by one gather and one product per half of the qubits and one outer product
-of the halves: a float64 batch, or the real halves [a; b] of complex states
-a + ib, a (2, B, 2**n) stack run as 2B rows. ``bind_program`` binds the
+(``prefix_vectors``), complex if one is an rx; each layer updates the
+vectors whole. ``product_state`` multiplies them out by one gather and one
+product per half of the qubits and one outer product of the halves: a
+float64 batch, or the real halves [a; b] of complex states a + ib, a
+(2, B, 2**n) stack run as 2B rows. ``bind_program`` binds the
 rest to a vector once (an rx or a matrix there raises) and folds a last
 permutation into the Z sign table of the readout. Every batch and the
 adjoint sweep read the same factors; the sweep un-applies their transposes.
@@ -82,48 +83,31 @@ def cnot(control: int, target: int) -> GateOp:
 
 @dataclass(frozen=True)
 class RotationLayer:
-    """Rotations of one kind on distinct qubits, in program order: one step
-    that applies the Kronecker product of their 2x2 matrices."""
+    """One rotation of one kind on each qubit, in qubit order: one step that
+    applies the Kronecker product of their 2x2 matrices."""
 
     ops: tuple[GateOp, ...]
-
-    def __post_init__(self):
-        if (not self.ops or len(self.targets) > len(set(self.targets))
-                or len({op.kind for op in self.ops}) > 1 or self.kind == "cnot"):
-            raise ValueError(f"a layer holds rotations of one kind on distinct qubits: {self.ops}")
 
     @property
     def kind(self) -> str:
         return self.ops[0].kind
 
     @cached_property
-    def targets(self) -> list[int]:
-        return [op.target for op in self.ops]
-
-    @cached_property
     def slots(self) -> list[int]:
         return [op.param_index for op in self.ops]
 
-    def columns(self, n_qubits: int) -> slice | list[int]:
-        """The targets as an index into an n-qubit axis: ``slice(None)`` for a
-        layer on qubits 0..n-1 in order, which numpy reads as a view and
-        writes whole."""
-        return slice(None) if self.targets == list(range(n_qubits)) else self.targets
 
-
-def _rotation_layers(ops) -> list[RotationLayer]:
+def _rotation_layers(n_qubits: int, ops) -> list[RotationLayer]:
     """A run of rotations as layers: the k-th rotation on each qubit goes
-    into layer k, split by kind. Rotations on distinct qubits commute, so
-    running the layers in order equals running the ops in order."""
-    layers, seen = [], {}
-    for op in ops:
-        k = seen.get(op.target, 0)
-        seen[op.target] = k + 1
-        if k == len(layers):
-            layers.append([])
-        layers[k].append(op)
-    return [RotationLayer(tuple(op for op in layer if op.kind == kind))
-            for layer in layers for kind in dict.fromkeys(op.kind for op in layer)]
+    into layer k, in qubit order, as rotations on distinct qubits commute.
+    A run whose qubits' rotation kinds differ in number or order, so that
+    it makes no whole layers, raises ValueError."""
+    ops = tuple(ops)
+    runs = [[op for op in ops if op.target == q] for q in range(n_qubits)]
+    if len({tuple(op.kind for op in run) for run in runs}) > 1:
+        raise ValueError(f"a rotation run must make whole layers, one rotation of one kind "
+                         f"on each of the {n_qubits} qubits: {ops}")
+    return [RotationLayer(layer) for layer in zip(*runs)]
 
 
 class Permutation(NamedTuple):
@@ -186,7 +170,7 @@ class Circuit:
             if is_cnot:
                 steps.append(_fuse_cnots(self.n_qubits, ops))
             else:
-                steps.extend(_rotation_layers(ops))
+                steps.extend(_rotation_layers(self.n_qubits, ops))
         return tuple(steps)
 
     @cached_property
@@ -232,7 +216,7 @@ def rotation_matrices(layer: RotationLayer, params) -> np.ndarray:
     return np.cos(half) * np.eye(2) + np.sin(half) * ROTATION_G[layer.kind]
 
 
-def layer_factors(n_qubits: int, layer: RotationLayer, params) -> tuple[np.ndarray, np.ndarray]:
+def layer_factors(layer: RotationLayer, params) -> tuple[np.ndarray, np.ndarray]:
     """(high, low_t): the ry layer's Kronecker product high (x) low of its
     ``rotation_matrices``, as the (d, d) factor on qubits [0, n // 2) and
     the transpose of the factor on [n // 2, n); low_t is the product of
@@ -241,10 +225,8 @@ def layer_factors(n_qubits: int, layer: RotationLayer, params) -> tuple[np.ndarr
     if layer.kind != "ry" or rotations.ndim != 3:
         raise ValueError(f"{layer} is not a kernel step: rx and per-row angles "
                          "run only in the product prefix")
-    mats = np.tile(np.eye(2), (n_qubits, 1, 1))
-    mats[layer.targets] = rotations
-    split = n_qubits // 2
-    return _kron(mats[:split]), _kron(mats[split:].swapaxes(1, 2))
+    split = len(rotations) // 2
+    return _kron(rotations[:split]), _kron(rotations[split:].swapaxes(1, 2))
 
 
 class BoundLayer(NamedTuple):
@@ -261,7 +243,7 @@ def bind_steps(circuit: Circuit, params, start: int = 0) -> tuple:
     ``params`` is a vector shared by all rows: per-row angles run only in
     the product prefix."""
     return tuple(step if isinstance(step, Permutation)
-                 else BoundLayer(step, *layer_factors(circuit.n_qubits, step, params))
+                 else BoundLayer(step, *layer_factors(step, params))
                  for step in circuit.program[start:])
 
 
@@ -314,18 +296,17 @@ def run_circuit_raw(amps: np.ndarray, circuit: Circuit, params) -> np.ndarray:
 def prefix_vectors(circuit: Circuit, params) -> np.ndarray:
     """(2, B, n) per-qubit 2-vectors [v0; v1] of the prefix for each row of a
     (B, n_params) matrix, a vector as one row; complex128 if a layer is an
-    rx. A layer takes each target's v to cos(t/2) v + sin(t/2) G v; G is
-    off-diagonal, so each component is one long multiply-add with the other,
-    over the whole qubit axis when the layer covers every qubit in order."""
+    rx. A layer takes each qubit's v to cos(t/2) v + sin(t/2) G v; G is
+    off-diagonal, so each component is one long multiply-add with the other
+    over the whole qubit axis."""
     prefix = circuit.program[: circuit.prefix_len]
     dtype = complex if any(layer.kind == "rx" for layer in prefix) else float
     vectors = np.zeros((2, len(np.atleast_2d(params)), circuit.n_qubits), dtype)
     vectors[0] = 1.0
     for layer in prefix:
         half, g = 0.5 * layer_angles(layer, params), ROTATION_G[layer.kind]
-        cols = layer.columns(circuit.n_qubits)
-        (c, s), (v0, v1) = (np.cos(half), np.sin(half)), vectors[..., cols]
-        vectors[..., cols] = [c * v0 + s * v1 * g[0, 1], c * v1 + s * v0 * g[1, 0]]
+        (c, s), (v0, v1) = (np.cos(half), np.sin(half)), vectors
+        vectors[:] = [c * v0 + s * v1 * g[0, 1], c * v1 + s * v0 * g[1, 0]]
     return vectors
 
 

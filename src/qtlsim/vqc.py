@@ -9,11 +9,12 @@ Batches are float64, ``(B, 2**n)``, or real halves ``(2, B, 2**n)``.
 Gradients come from adjoint differentiation (Jones & Gacon,
 arXiv:2009.02823): one forward run plus one reverse sweep gives every
 rotation's derivative, per row, from each qubit's 2x2 cross matrix of
-the sweep's two states. The sweep reads the forward's folded sign table
-and walks back through its bound steps, so it builds no factors; at a
-product-state prefix it walks the cross matrices themselves back through
-the prefix's 2x2s, and stops at the earliest prefix layer, whose terms
-need no walk past it.
+the sweep's two states; a layer spans the register, so its terms read the
+whole qubit axis of cross matrices at once. The sweep reads the forward's
+folded sign table and walks back through its bound steps, so it builds no
+factors; at a product-state prefix it walks the cross matrices themselves
+back through the prefix's 2x2s, and stops at the earliest prefix layer,
+whose terms need no walk past it.
 """
 from __future__ import annotations
 
@@ -99,9 +100,8 @@ def circuit_adjoint(program: BoundProgram, params, final: np.ndarray, upstream) 
         cross = _qubit_cross(np.conj(lam)[None], phi[None])
         for layer in prefix[:0:-1]:  # no term reads the walk back through prefix[0]
             _add_terms(grads, layer, cross)
-            m, cols = rotation_matrices(layer, params), layer.columns(circuit.n_qubits)
-            # R_q of M^dagger lambda and M^dagger phi
-            cross[:, cols] = m.swapaxes(-1, -2) @ cross[:, cols] @ m.conj()
+            m = rotation_matrices(layer, params)
+            cross = m.swapaxes(-1, -2) @ cross @ m.conj()  # R_q of M^dagger lambda, M^dagger phi
         _add_terms(grads, prefix[0], cross)
     return grads
 
@@ -142,9 +142,8 @@ def _qubit_cross(lam: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 def _add_terms(grads: np.ndarray, layer: RotationLayer, cross: np.ndarray) -> None:
     """Add Re sum_ab G[a, b] R_q[a, b], Re<lambda|G phi> of the rotation on
-    qubit q, to each slot of ``layer``, from the (B, n, 2, 2) ``cross``
+    qubit q, to its slot in ``layer``, from the (B, n, 2, 2) ``cross``
     matrices R_q at the layer's input or output (G commutes with it)."""
     g = ROTATION_G[layer.kind]
-    cols = layer.columns(cross.shape[1])
-    terms = (cross[:, cols].reshape(len(grads), len(layer.targets), 4) @ g.reshape(4)).real
+    terms = (cross.reshape(len(grads), -1, 4) @ g.reshape(4)).real
     np.add.at(grads, (slice(None), layer.slots), terms)

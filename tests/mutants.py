@@ -28,8 +28,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # (what the fault is, file under src/qtlsim, old text, new text)
 MUTANTS = [
     ("low factor not transposed", "sim.py",
-     "_kron(mats[split:].swapaxes(1, 2))",
-     "_kron(mats[split:])"),
+     "_kron(rotations[split:].swapaxes(1, 2))",
+     "_kron(rotations[split:])"),
     ("sign of ROTATION_G['ry']", "sim.py",
      '"ry": np.array([[0.0, -1.0], [1.0, 0.0]])',
      '"ry": np.array([[0.0, 1.0], [-1.0, 0.0]])'),
@@ -58,11 +58,11 @@ MUTANTS = [
      "for f in (high, low_t))",
      "for f in (high.T, low_t))"),
     ("the prefix walk un-applies by M, not its transpose", "vqc.py",
-     "m.swapaxes(-1, -2) @ cross[:, cols]",
-     "m @ cross[:, cols]"),
+     "m.swapaxes(-1, -2) @ cross @",
+     "m @ cross @"),
     ("the prefix walk's right factor not conjugated", "vqc.py",
-     "@ cross[:, cols] @ m.conj()",
-     "@ cross[:, cols] @ m"),
+     "@ cross @ m.conj()",
+     "@ cross @ m"),
     ("the prefix walk stops one layer too early", "vqc.py",
      "for layer in prefix[:0:-1]:",
      "for layer in prefix[:1:-1]:"),
@@ -186,15 +186,21 @@ MUTANTS = [
     ("the array size cap dropped", "config.py",
      "if values > MAX_ARRAY_VALUES:",
      "if False:"),
-    ("a layer one qubit short of the width indexed whole", "sim.py",
-     "slice(None) if self.targets == list(range(n_qubits)) else self.targets",
-     "slice(None) if len(self.targets) >= n_qubits - 1 else self.targets"),
-    ("a layer on every qubit out of order indexed whole", "sim.py",
-     "slice(None) if self.targets == list(range(n_qubits)) else self.targets",
-     "slice(None) if sorted(self.targets) == list(range(n_qubits)) else self.targets"),
-    ("a layer with a repeated qubit accepted", "sim.py",
-     "or len(self.targets) > len(set(self.targets))",
-     "or False"),
+    ("a rotation run that makes no whole layers accepted", "sim.py",
+     "if len({tuple(op.kind for op in run) for run in runs}) > 1:",
+     "if False:"),
+    ("a layer's ops in reverse qubit order", "sim.py",
+     "for q in range(n_qubits)]",
+     "for q in reversed(range(n_qubits))]"),
+    ("the minibatch size cap dropped", "config.py",
+     "2 * halves * config.batch_size * 2**config.n_qubits)",
+     "0)"),
+    ("the minibatch cap counts a dense_angle state once", "config.py",
+     'halves = 2 if config.embedding == "dense_angle" else 1',
+     "halves = 1"),
+    ("synthetic classes ignore class_names", "cli.py",
+     "config.synth_group_size,\n                             config.class_name_list)",
+     "config.synth_group_size)"),
     ("non-finite config floats pass", "config.py",
      'if f.type == "float" and not math.isfinite(value):',
      "if False:"),
@@ -219,6 +225,9 @@ MUTANTS = [
 # - "a fused term credited only to its run's first slot": layers no longer
 #   fuse runs, so RotationLayer.by_position is gone.
 # - "a fused angle drops its run's last slot": layer_angles is one gather.
+# - "a layer one qubit short of the width indexed whole": RotationLayer.columns is gone.
+# - "a layer on every qubit out of order indexed whole": RotationLayer.columns is gone.
+# - "a layer with a repeated qubit accepted": its check is gone; a partial run raises.
 
 
 def suite_passes(tree: Path) -> bool:

@@ -323,55 +323,81 @@ def joined(amps):
     return amps[0] + 1j * amps[1] if np.ndim(amps) == 3 else np.asarray(amps, dtype=complex)
 
 
-def random_circuit(rng, n, max_gates=12, real=False):
-    """Random circuit of ry/cnot gates, each rotation on a slot of its own;
-    unless ``real``, rx gates too before the first cnot, in the product
-    prefix. Returns (circuit, params)."""
-    from qtlsim.sim import Circuit, cnot, rx, ry
+def whole_layer(kind, slots):
+    """One rotation of ``kind`` on each qubit, in qubit order, qubit q on
+    slot ``slots[q]``: a whole layer."""
+    from qtlsim.sim import GateOp
 
-    n_gates = int(rng.integers(1, max_gates + 1))
-    ops = []
-    param_vals = []
+    return tuple(GateOp(kind, q, param_index=int(slot)) for q, slot in enumerate(slots))
+
+
+def interleaved(layers, turns):
+    """The ops of whole layers, run in the qubit order ``turns``, which
+    names each qubit once per layer: qubit q's j-th turn runs its rotation
+    of layer j. Each qubit's rotations keep their layer order, so any
+    ``turns`` compiles back to the same layers."""
+    done, ops = {}, []
+    for q in turns:
+        k = done[q] = done.get(q, -1) + 1
+        ops.append(layers[k][q])
+    return tuple(ops)
+
+
+def shuffled_run(rng, layers):
+    """``interleaved`` layers in a random order of the qubits' turns."""
+    n = len(layers[0]) if layers else 0
+    return interleaved(layers, [int(q) for q in rng.permutation(np.repeat(np.arange(n),
+                                                                          len(layers)))])
+
+
+def random_circuit(rng, n, max_gates=12, real=False):
+    """Random circuit of 1 to ``max_gates`` steps, each a cnot or a whole
+    ry layer, each rotation on a slot of its own; unless ``real``, rx
+    layers too before the first cnot, in the product prefix. Each run of
+    layers between cnots is ``shuffled_run``."""
+    from qtlsim.sim import Circuit, cnot
+
+    ops, run, n_slots = [], [], 0
     in_prefix = not real
-    for _ in range(n_gates):
+    for _ in range(int(rng.integers(1, max_gates + 1))):
         kind = rng.choice(["rx", "ry", "cnot"] if in_prefix else ["ry", "cnot"])
-        target = int(rng.integers(n))
         if kind == "cnot" and n < 2:
             kind = "ry"  # no second wire for a control
         if kind == "cnot":
-            control = int(rng.integers(n - 1))
-            if control >= target:
-                control += 1
-            ops.append(cnot(control, target))
-            in_prefix = False
+            target, control = (int(q) for q in rng.permutation(n)[:2])
+            ops += [*shuffled_run(rng, run), cnot(control, target)]
+            run, in_prefix = [], False
         else:
-            ops.append((rx if kind == "rx" else ry)(target, param=len(param_vals)))
-            param_vals.append(float(rng.uniform(-np.pi, np.pi)))
-    circuit = Circuit(n, tuple(ops), len(param_vals))
-    return circuit, np.array(param_vals)
+            run.append(whole_layer(kind, range(n_slots, n_slots + n)))
+            n_slots += n
+    return Circuit(n, tuple(ops) + shuffled_run(rng, run), n_slots)
 
 
 def random_layered_circuit(rng, n, real=False):
-    """Random circuit of one to three blocks, each a run of 1 to n + 2
-    rotations on random qubits, repeats allowed, then one CNOT when n >= 2:
-    ry, with rx too in the first block (the product prefix) unless
-    ``real``. About one rotation in four reuses an earlier slot. Returns
-    (circuit, params)."""
-    from qtlsim.sim import Circuit, cnot, rx, ry
+    """Random circuit of one to three blocks, each a ``shuffled_run`` of 1
+    to 3 whole layers, then one CNOT when n >= 2: ry, with rx too in the
+    first block (the product prefix) unless ``real``. About one rotation in
+    four reuses an earlier slot."""
+    from qtlsim.sim import Circuit, cnot
 
     ops, n_slots = [], 0
     for block in range(int(rng.integers(1, 4))):
-        makers = (ry,) if real or (block and n >= 2) else (rx, ry)
-        for _ in range(int(rng.integers(1, n + 3))):
-            if n_slots and rng.integers(4) == 0:
-                slot = int(rng.integers(n_slots))
-            else:
-                slot, n_slots = n_slots, n_slots + 1
-            ops.append(makers[rng.integers(len(makers))](int(rng.integers(n)), param=slot))
+        kinds = ("ry",) if real or (block and n >= 2) else ("rx", "ry")
+        run = []
+        for _ in range(int(rng.integers(1, 4))):
+            slots = []
+            for _ in range(n):
+                if n_slots and rng.integers(4) == 0:
+                    slots.append(int(rng.integers(n_slots)))
+                else:
+                    slots.append(n_slots)
+                    n_slots += 1
+            run.append(whole_layer(kinds[rng.integers(len(kinds))], slots))
+        ops += shuffled_run(rng, run)
         if n >= 2:
             control = int(rng.integers(n))
             ops.append(cnot(control, (control + 1) % n))
-    return Circuit(n, tuple(ops), n_slots), rng.uniform(-np.pi, np.pi, n_slots)
+    return Circuit(n, tuple(ops), n_slots)
 
 
 def random_binding(rng, circuit, batch, start=None):

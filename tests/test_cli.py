@@ -15,7 +15,7 @@ import pytest
 import qtlsim.cli as cli
 import qtlsim.sim as sim_mod
 import qtlsim.vqc as vqc_mod
-from qtlsim.checkpoint import save_checkpoint
+from qtlsim.checkpoint import load_checkpoint, save_checkpoint
 from qtlsim.cli import main
 from qtlsim.config import VALUE_TEXT, TrainConfig, load_config
 from qtlsim.data import synth_dataset
@@ -252,6 +252,25 @@ def test_class_names_a_manifest_cannot_reproduce_exit_2(fast_config, tmp_path, c
                    "--out", out) == 2
     assert "class_names" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_synthetic_classes_take_the_configured_names(fast_config, tmp_path, capsys):
+    """With class_names set, synthetic class c takes the c-th name: the
+    manifest and the checkpoint of the run record the names, the numbers
+    are those of the unnamed run, and evaluate --split test on the run
+    succeeds."""
+    named = tmp_path / "named.txt"
+    named.write_text(FAST_CONFIG + "class_names = tumor,healthy\n")
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", named, "--out", out) == 0
+    assert load_config(out / "manifest.txt").class_names == "tumor,healthy"
+    assert load_checkpoint(out / "checkpoint.bin").class_names == ("tumor", "healthy")
+    assert run_cli("train", "--config", fast_config, "--out", tmp_path / "unnamed") == 0
+    assert (out / "metrics.csv").read_bytes() == \
+        (tmp_path / "unnamed" / "metrics.csv").read_bytes()
+    capsys.readouterr()
+    assert run_cli("evaluate", out / "checkpoint.bin", "--split", "test") == 0
+    assert capsys.readouterr().out.startswith(cli.METRICS_HEADER + "\ntest,")
 
 
 def test_values_a_manifest_cannot_write_back_exit_2(fast_config, tmp_path, capsys):
@@ -555,6 +574,25 @@ def test_a_config_over_the_size_cap_exits_2_before_allocating(tmp_path, monkeypa
     assert err.startswith("config error: ") and "over the cap of 33554432" in err
     assert err.split(": ")[1] == ("synth_per_class, n_classes, in_dim" if "synth" in line
                                   else "n_qubits, depth, n_classes, in_dim")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "grad-check"])
+def test_a_minibatch_over_the_size_cap_exits_2_before_allocating(tmp_path, monkeypatch, capsys,
+                                                                 command):
+    """A 4096-row minibatch of 16-qubit states, whose adjoint sweep would
+    stack 2**29 values, exits 2 naming batch_size and n_qubits, from train
+    and from grad-check, before any data is drawn or any model is made."""
+    cfg = tmp_path / "wide_batch.txt"
+    cfg.write_text("n_qubits = 16\nbatch_size = 4096\nsynth_per_class = 4000\nin_dim = 64\n"
+                   "epochs = 1\n")
+    for name in ("synth_dataset", "init_model", "train"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("allocated"))
+    argv = [command, "--config", cfg] + (["--out", tmp_path / "run"] if command == "train" else [])
+    assert run_cli(*argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: batch_size, n_qubits: 536870912 minibatch state values in one array, "
+        "over the cap of 33554432\n")
     assert not (tmp_path / "run").exists()
 
 

@@ -1,4 +1,6 @@
 """Flat key=value config parsing and validation."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -13,7 +15,6 @@ from qtlsim.config import (
     config_to_text,
     parse_config_text,
     validate_config,
-    with_overrides,
 )
 
 
@@ -95,16 +96,16 @@ def test_config_round_trips_through_text():
 
 
 def test_numpy_float_overrides_round_trip_through_text():
-    cfg = with_overrides(TrainConfig(), lr=np.float64(0.01),
-                         train_ratio=np.float64(0.6), val_ratio=np.float64(0.25))
+    cfg = validate_config(replace(TrainConfig(), lr=np.float64(0.01),
+                                  train_ratio=np.float64(0.6), val_ratio=np.float64(0.25)))
     text = config_to_text(cfg)
     assert "np.float64" not in text
     assert parse_config_text(text) == cfg
 
 
 def test_numpy_scalar_overrides_round_trip_by_field_type():
-    cfg = with_overrides(TrainConfig(), balance=np.True_, lr=np.float32(0.01),
-                         seed=np.int64(7))
+    cfg = validate_config(replace(TrainConfig(), balance=np.True_, lr=np.float32(0.01),
+                                  seed=np.int64(7)))
     back = parse_config_text(config_to_text(cfg))
     assert back == cfg
     assert back.balance is True and back.seed == 7
@@ -114,8 +115,8 @@ def test_numpy_scalar_overrides_round_trip_by_field_type():
 def test_class_names_must_survive_the_text_form():
     for names in ("tumor#1,healthy", "a,b,c", "a,a", "a,", " a,b", "a, b", "a\nb,c"):
         with pytest.raises(ConfigError, match="class_names"):
-            with_overrides(TrainConfig(), class_names=names)
-    assert with_overrides(TrainConfig(), class_names="tumor 1,healthy").class_name_list \
+            validate_config(replace(TrainConfig(), class_names=names))
+    assert validate_config(replace(TrainConfig(), class_names="tumor 1,healthy")).class_name_list \
         == ["tumor 1", "healthy"]
 
 
@@ -125,8 +126,8 @@ def test_str_values_must_survive_the_text_form():
     would read back as another value: a config error naming the key."""
     for data in ("/tmp/run#1/x.csv", " x.csv", "x.csv\n", "a\rb.csv", "a\u2028b.csv"):
         with pytest.raises(ConfigError, match="data: must be one line"):
-            with_overrides(TrainConfig(), data=data)
-    cfg = with_overrides(TrainConfig(), data="/tmp/run 1/x=1.csv")
+            validate_config(replace(TrainConfig(), data=data))
+    cfg = validate_config(replace(TrainConfig(), data="/tmp/run 1/x=1.csv"))
     assert parse_config_text(config_to_text(cfg)) == cfg
 
 
@@ -164,6 +165,23 @@ def test_arrays_over_the_size_cap_name_their_keys():
     parse_config_text(at_cap)
     with pytest.raises(ConfigError, match=theta):
         parse_config_text(at_cap.replace(str(widest), str(widest + 1)))
+
+
+def test_minibatch_states_over_the_size_cap_name_their_keys():
+    """A minibatch's adjoint sweep holds 2 * batch_size * 2**n_qubits state
+    values, twice that for dense_angle's real halves: over MAX_ARRAY_VALUES
+    is a config error naming batch_size and n_qubits; at the cap passes."""
+    keys = "^batch_size, n_qubits: "
+    big = "n_qubits = 16\nbatch_size = 4096\nsynth_per_class = 4000\nin_dim = 64\nepochs = 1\n"
+    with pytest.raises(ConfigError, match=keys + r"536870912 minibatch state values in one "
+                                                 r"array, over the cap of 33554432$"):
+        parse_config_text(big)
+    at_cap = "n_qubits = 16\nbatch_size = 256\nin_dim = 64\n"
+    assert parse_config_text(at_cap).batch_size == 256
+    with pytest.raises(ConfigError, match=keys + "67108864 "):
+        parse_config_text(at_cap + "embedding = dense_angle\n")
+    with pytest.raises(ConfigError, match=keys + "33685504 "):
+        parse_config_text(at_cap.replace("256", "257"))
 
 
 def test_depth_is_bounded_before_the_size_cap():
@@ -237,10 +255,3 @@ def test_every_valid_config_round_trips_through_text(names, balance, lr, seed):
         assume(False)
     assert parse_config_text(config_to_text(cfg)) == cfg
 
-
-def test_with_overrides_validates():
-    cfg = TrainConfig()
-    assert with_overrides(cfg, seed=5).seed == 5
-    assert with_overrides(cfg, seed=None).seed == cfg.seed  # None means keep
-    with pytest.raises(ConfigError):
-        with_overrides(cfg, embedding="amplitude")

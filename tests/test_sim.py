@@ -32,12 +32,15 @@ from qtlsim.sim import (
 
 from oracle import (
     dense_run,
+    interleaved,
     joined,
     random_batch,
     random_binding,
     random_circuit,
     random_layered_circuit,
     random_state_amps,
+    shuffled_run,
+    whole_layer,
     zexp_dense,
 )
 
@@ -95,8 +98,8 @@ def flip():
 
 
 def bell():
-    """RY(pi/2) on qubit 0, then CNOT(0, 1), on |00>."""
-    return run_one(2, [ry(0, param=0), cnot(0, 1)], params=[math.pi / 2])
+    """RY(pi/2) on qubit 0 and RY(0) on qubit 1, then CNOT(0, 1), on |00>."""
+    return run_one(2, [ry(0, param=0), ry(1, param=1), cnot(0, 1)], params=[math.pi / 2, 0.0])
 
 
 def test_ry_pi_flips_zero():
@@ -116,7 +119,7 @@ def test_cnot_builds_bell_state():
 
 def test_ry_pi_on_qubit0_is_msb():
     # Qubit 0 is the most significant bit: RY(pi) on qubit 0 of |000> gives index 4.
-    s = run_one(3, [ry(0, param=0)], params=[math.pi])
+    s = run_one(3, whole_layer("ry", [0, 1, 1]), params=[math.pi, 0.0])
     expected = np.zeros(8)
     expected[4] = 1.0
     np.testing.assert_allclose(s, expected, atol=1e-12)
@@ -206,7 +209,7 @@ def test_gates_preserve_norm():
     for _ in range(20):
         n = int(rng.integers(1, 5))
         s = random_state_amps(rng, n, real=bool(rng.integers(2)))
-        out = run_one(n, [ry(int(rng.integers(n)), param=0)], amps=s, params=[rng.uniform(-7, 7)])
+        out = run_one(n, whole_layer("ry", range(n)), amps=s, params=rng.uniform(-7, 7, n))
         assert abs(np.linalg.norm(out) - 1.0) < 1e-10
         if n >= 2:
             c = int(rng.integers(n - 1))
@@ -244,7 +247,7 @@ def test_batched_run_matches_dense_oracle(seed, n, batch, halves):
     for real states and for complex ones run as their real halves; the
     output is float64, halves kept apart."""
     rng = np.random.default_rng(seed)
-    circuit, _ = random_circuit(rng, n, max_gates=20, real=True)
+    circuit = random_circuit(rng, n, max_gates=20, real=True)
     binding = random_binding(rng, circuit, batch, 0)
     initial = random_batch(rng, n, batch, halves)
     out = run_circuit_raw(initial, circuit, binding[0])
@@ -263,7 +266,7 @@ def test_reverse_steps_undo_the_run(seed, n, batch, halves):
     inverse gather), returns the initial batch: each step is unitary. The
     batch stays float64 both ways."""
     rng = np.random.default_rng(seed)
-    circuit, _ = random_circuit(rng, n, max_gates=20, real=True)
+    circuit = random_circuit(rng, n, max_gates=20, real=True)
     binding = random_binding(rng, circuit, batch, 0)
     initial = random_batch(rng, n, batch, halves)
     amps = run_circuit_raw(initial, circuit, binding[0])
@@ -286,7 +289,7 @@ def test_folded_readout_matches_the_dense_oracle(seed, n, batch, halves, ring):
     in a CNOT ring (n >= 2) and on ones that do not, real states and real
     halves alike."""
     rng = np.random.default_rng(seed)
-    circuit, _ = random_circuit(rng, n, max_gates=12, real=True)
+    circuit = random_circuit(rng, n, max_gates=12, real=True)
     if ring and n >= 2:
         ring_ops = tuple(cnot(q, (q + 1) % n) for q in range(n))
         circuit = Circuit(n, circuit.ops + ring_ops, circuit.n_params)
@@ -316,7 +319,7 @@ def test_real_batch_matches_its_complex_cast(seed, n, batch):
     halves with a zero imaginary half, whose imaginary half stays exactly
     0: the halves are independent real rows."""
     rng = np.random.default_rng(seed)
-    circuit, _ = random_circuit(rng, n, max_gates=20, real=True)
+    circuit = random_circuit(rng, n, max_gates=20, real=True)
     binding = random_binding(rng, circuit, batch, 0)
     initial = random_batch(rng, n, batch)
     real_out = run_circuit_raw(initial, circuit, binding[0])
@@ -327,17 +330,18 @@ def test_real_batch_matches_its_complex_cast(seed, n, batch):
 
 def test_an_rx_step_in_the_kernel_is_refused():
     """The kernel runs ry and cnot steps on float64 batches only: an rx
-    after the prefix, or a run that starts before the prefix's rx, raises
-    ValueError naming the layer that holds it; from the prefix on, the same
+    layer after the prefix, or a run that starts before the prefix's rx
+    layer, raises ValueError naming the layer; from the prefix on, the same
     circuit runs. A complex batch is refused."""
     angles = [0.3, -0.4]
-    refused = r"RotationLayer\(.*kind='rx', target=1"
+    refused = r"RotationLayer\(ops=\(GateOp\(kind='rx'"
     for n in (2, 5):
-        late = Circuit(n, (ry(0, param=0), cnot(0, 1), rx(1, param=1)), 2)
+        late = Circuit(n, (*whole_layer("ry", [0] * n), cnot(0, 1), *whole_layer("rx", [1] * n)), 2)
         state = product_state(prefix_vectors(late, angles))
         with pytest.raises(ValueError, match=refused):
             run_steps(state, bind_steps(late, angles, late.prefix_len))
-        early = Circuit(n, (rx(1, param=0), cnot(0, 1), ry(1, param=1)), 2)
+        early = Circuit(n, (*whole_layer("rx", [0] * n), cnot(0, 1), *whole_layer("ry", [1] * n)),
+                        2)
         with pytest.raises(ValueError, match=refused):
             run_circuit_raw(np.eye(1, 2**n), early, angles)
         state = product_state(prefix_vectors(early, angles))
@@ -362,8 +366,8 @@ def test_a_per_row_angle_in_the_kernel_is_refused():
     refused = "rx and per-row angles run only in the product prefix"
     rows = np.array([0.1, -0.2, 0.3])
     for n in (2, 5):
-        circuit = Circuit(n, (ry(0, param=0), cnot(0, 1), ry(1, param=1), cnot(0, 1),
-                              ry(0, param=0)), 2)
+        circuit = Circuit(n, (*whole_layer("ry", [0] * n), cnot(0, 1), *whole_layer("ry", [1] * n),
+                              cnot(0, 1), *whole_layer("ry", [0] * n)), 2)
         shared = np.full(3, 0.4)
         for angles in (np.stack([shared, rows], 1), np.stack([rows, shared], 1),
                        np.tile([0.4, -0.7], (3, 1))):
@@ -384,27 +388,28 @@ def test_a_per_row_angle_in_the_kernel_is_refused():
 def test_cnot_runs_fuse_into_one_step():
     """A ring of n CNOTs is one permutation step of the compiled program,
     between the layers of the rotations around it."""
-    ops = (ry(0, param=0), cnot(0, 1), cnot(1, 2), cnot(2, 0), ry(1, param=1))
-    program = Circuit(3, ops, 2).program
-    assert program == (RotationLayer(ops[:1]), program[1], RotationLayer(ops[4:]))
+    last = whole_layer("ry", [3, 4, 5])
+    ops = (ry(2, param=2), ry(0, param=0), ry(1, param=1), cnot(0, 1), cnot(1, 2), cnot(2, 0), *last)
+    program = Circuit(3, ops, 6).program
+    assert program == (RotationLayer(whole_layer("ry", [0, 1, 2])), program[1], RotationLayer(last))
     assert isinstance(program[1], Permutation)
 
 
 def prefixed_circuit(rng, n, real=False):
-    """A random circuit on n >= 2 qubits: up to 10 rotations (rx/ry on any
-    qubit, or ry only when ``real``; repeats allowed, each on a slot of its
-    own), then a CNOT and a random ry/cnot tail. Returns (circuit, prefix
-    ops, number of prefix slots)."""
-    makers = (ry,) if real else (rx, ry)
-    n_params = int(rng.integers(0, 11))
-    prefix = [makers[rng.integers(len(makers))](int(rng.integers(n)), param=k)
-              for k in range(n_params)]
-    tail, _ = random_circuit(rng, n, max_gates=12, real=True)
+    """A random circuit on n >= 2 qubits: a ``shuffled_run`` of up to 3
+    whole layers (rx or ry each, or ry only when ``real``; each rotation on
+    a slot of its own), then a CNOT and a random ry/cnot tail. Returns
+    (circuit, prefix ops, number of prefix slots)."""
+    kinds = ("ry",) if real else ("rx", "ry")
+    layers = [whole_layer(kinds[rng.integers(len(kinds))], range(k * n, k * n + n))
+              for k in range(int(rng.integers(0, 4)))]
+    prefix, n_params = shuffled_run(rng, layers), n * len(layers)
+    tail = random_circuit(rng, n, max_gates=12, real=True)
     tail_ops = [op if op.kind == "cnot" else replace(op, param_index=op.param_index + n_params)
                 for op in tail.ops]
     control = int(rng.integers(n))
     ops = (*prefix, cnot(control, (control + 1) % n), *tail_ops)
-    return Circuit(n, ops, n_params + tail.n_params), tuple(prefix), n_params
+    return Circuit(n, ops, n_params + tail.n_params), prefix, n_params
 
 
 def sorted_ops(ops):
@@ -471,26 +476,25 @@ def test_product_state_of_row_slices_matches_the_whole_batch(seed, n, batch, rea
             assert np.max(np.abs(joined(expected)[b] - dense)) <= 1e-12
 
 
-# --- fused rotation layers ------------------------------------------------
+# --- rotation layers ------------------------------------------------------
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), batch=st.integers(1, 3),
        stack=st.sampled_from([(), (2,)]), halves=st.booleans())
 @example(seed=0, n=1, batch=2, stack=(), halves=False)  # an empty high factor
 @example(seed=1, n=2, batch=3, stack=(2,), halves=True)
 def test_rotation_layer_matches_the_dense_kronecker_unitary(seed, n, batch, stack, halves):
-    """One ry layer step on a random qubit subset, on shared slots, applied
-    to a float64 (B, 2**n) batch, with or without a leading stack axis, or
-    to real halves, equals the dense oracle's run of its ops to 1e-12, and
-    its adjoint step undoes that run."""
+    """One ry layer step, its ops given in a random qubit order, on shared
+    slots, applied to a float64 (B, 2**n) batch, with or without a leading
+    stack axis, or to real halves, equals the dense oracle's run of its ops
+    to 1e-12, and its adjoint step undoes that run."""
     rng = np.random.default_rng(seed)
-    qubits = rng.permutation(n)[: int(rng.integers(1, n + 1))]
-    ops = tuple(ry(int(q), param=k) for k, q in enumerate(qubits))
+    ops = tuple(ry(int(q), param=k) for k, q in enumerate(rng.permutation(n)))
     circuit = Circuit(n, ops, len(ops))
     binding = random_binding(rng, circuit, batch, 0)
     amps = random_batch(rng, n, math.prod(stack) * batch, halves)
     amps = amps.reshape(amps.shape[:-2] + stack + (batch, 2**n))
     (step,) = bind_steps(circuit, binding[0])
-    assert step.layer == RotationLayer(ops)
+    assert step.layer == RotationLayer(tuple(sorted(ops, key=lambda op: op.target)))
     out = apply_step(amps, step)
     back = apply_step(out, step, adjoint=True)
     assert out.shape == amps.shape and out.dtype == float
@@ -509,7 +513,7 @@ def test_programs_run_rotations_as_layers_and_match_the_dense_oracle(seed, n, ba
     and the run equals the dense oracle to 1e-12, with shared slots, on real
     states and real halves."""
     rng = np.random.default_rng(seed)
-    circuit, _ = random_layered_circuit(rng, n, real=True)
+    circuit = random_layered_circuit(rng, n, real=True)
     binding = random_binding(rng, circuit, batch, 0)
     assert_rotations_run_as_layers(circuit)
     initial = random_batch(rng, n, batch, halves)
@@ -521,13 +525,12 @@ def test_programs_run_rotations_as_layers_and_match_the_dense_oracle(seed, n, ba
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9))
 def test_rotation_runs_group_into_layers(seed, n):
-    """Between CNOTs, each layer holds one rotation on each of its qubits,
-    all of one kind: the layers, flattened, hold exactly the rotations,
-    each qubit's in program order, and a layer holds only k-th rotations on
-    their qubits, k rising from layer to layer by at most one, so a run of
-    rotations on one qubit is as many consecutive layers."""
+    """Between CNOTs, each layer holds one rotation on each qubit, in qubit
+    order, all of one kind, and layer k of a run holds each qubit's k-th
+    rotation of the run: per qubit, the layers hold exactly its rotations
+    in program order, whatever order the run gives the qubits' turns."""
     rng = np.random.default_rng(seed)
-    circuit, _ = random_layered_circuit(rng, n)
+    circuit = random_layered_circuit(rng, n)
     segments, layers = [[]], [[]]
     for op in circuit.ops:
         if op.kind == "cnot":
@@ -539,33 +542,38 @@ def test_rotation_runs_group_into_layers(seed, n):
             layers.append([])
         else:
             assert isinstance(step, RotationLayer) and len({op.kind for op in step.ops}) == 1
-            assert len(set(step.targets)) == len(step.ops)
+            assert [op.target for op in step.ops] == list(range(n))
             layers[-1].append(step.ops)
     assert len(segments) == len(layers)
     for segment, segment_layers in zip(segments, layers):
         for q in range(n):
-            placed = [op for ops in segment_layers for op in ops if op.target == q]
-            assert placed == [op for op in segment if op.target == q]
-        ranks = []
-        for ops in segment_layers:
-            layer_ranks = {[id(o) for o in segment if o.target == op.target].index(id(op))
-                           for op in ops}
-            assert len(layer_ranks) == 1
-            ranks += layer_ranks
-        assert all(0 <= b - a <= 1 for a, b in zip([0] + ranks, ranks))
+            assert [ops[q] for ops in segment_layers] == [op for op in segment if op.target == q]
 
 
 def test_a_layer_holds_one_rotation_per_qubit_of_one_kind():
-    """A layer keeps its ops' targets and slots in program order, and indexes
-    the qubit axis as one slice only when its targets are 0..n-1 in order.
-    A repeated qubit, a mix of kinds, a cnot or no op at all is refused."""
-    layer = RotationLayer((ry(2, param=4), ry(0, param=1)))
-    assert layer.targets == [2, 0] and layer.slots == [4, 1] and layer.columns(3) == [2, 0]
-    whole = RotationLayer((rx(0, param=1), rx(1, param=0)))
-    assert whole.columns(2) == slice(None) and whole.columns(3) == [0, 1]
-    assert RotationLayer((rx(1, param=0), rx(0, param=1))).columns(2) == [1, 0]
-    with pytest.raises(ValueError, match="distinct qubits"):
-        RotationLayer((ry(1, param=0), ry(1, param=1)))
-    for ops in ((ry(0, param=0), rx(1, param=1)), (cnot(0, 1),), ()):
-        with pytest.raises(ValueError, match="one kind on distinct qubits"):
-            RotationLayer(ops)
+    """The k-th rotations of a run on the qubits make layer k, whatever
+    order they come in: a layer lists its ops, and so its slots, in qubit
+    order, all of one kind."""
+    layers = (whole_layer("rx", [1, 2, 4]), whole_layer("ry", [0, 4, 3]))
+    run = interleaved(layers, [2, 0, 0, 1, 2, 1])
+    assert run[:3] == (rx(2, param=4), rx(0, param=1), ry(0, param=0))
+    first, second = Circuit(3, run, 5).program
+    assert (first.ops, second.ops) == layers
+    assert first.kind == "rx" and first.slots == [1, 2, 4]
+    assert second.kind == "ry" and second.slots == [0, 4, 3]
+
+
+def test_a_partial_rotation_run_raises():
+    """A run of rotations that makes no whole layers, one rotation of one
+    kind on each qubit, raises ValueError with one message when the program
+    compiles, whether the run starts the circuit or sits between CNOTs: a
+    qubit left out, a qubit once more than the others, or a layer of two
+    kinds."""
+    for ops in ((ry(0, param=0),),
+                (ry(0, param=0), ry(1, param=0), ry(1, param=0)),
+                (rx(0, param=0), ry(1, param=0)),
+                (rx(0, param=0), ry(0, param=0), ry(1, param=0), rx(1, param=0))):
+        for circuit in (Circuit(2, ops, 1), Circuit(2, (cnot(0, 1), *ops, cnot(1, 0)), 1)):
+            with pytest.raises(ValueError, match="a rotation run must make whole layers, one "
+                                                 "rotation of one kind on each of the 2 qubits"):
+                run_circuit_raw(np.eye(1, 4), circuit, [0.0])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qtlsim.hybrid import _dqc_circuit
 from qtlsim.sim import (ROTATION_G, Circuit, Permutation, RotationLayer, bind_program, cnot,
-                        prefix_vectors, product_state, rx, ry, run_circuit_raw, run_steps,
+                        prefix_vectors, product_state, ry, run_circuit_raw, run_steps,
                         z_expectations, z_signs)
 from qtlsim.vqc import (
     VqcTemplate,
@@ -23,11 +23,13 @@ from oracle import (
     circuit_param_shift,
     dense_run,
     finite_diff,
+    interleaved,
     joined,
     random_batch,
     random_binding,
     random_circuit,
     random_layered_circuit,
+    whole_layer,
     zexp_dense,
 )
 
@@ -206,7 +208,7 @@ def test_adjoint_matches_param_shift_and_finite_differences(seed, n, batch, halv
     central differences of the dense forward to 1e-6, on real states and on
     complex ones run as their real halves."""
     rng = np.random.default_rng(seed)
-    circuit, _ = random_circuit(rng, n, max_gates=16, real=True)
+    circuit = random_circuit(rng, n, max_gates=8, real=True)
     binding = random_binding(rng, circuit, batch, 0)
     initial = random_batch(rng, n, batch, halves)
     measured = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
@@ -247,7 +249,7 @@ def test_adjoint_from_the_product_prefix_matches_param_shift(seed, n, batch):
     layers; every slot's gradient, prefix slots included, equals the dense
     parameter-shift oracle of the run from |0...0> to 1e-12."""
     rng = np.random.default_rng(seed)
-    circuit, _ = random_layered_circuit(rng, n)
+    circuit = random_layered_circuit(rng, n)
     binding = random_binding(rng, circuit, batch)
     measured = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
     program, final = prefix_run(circuit, binding, measured)
@@ -266,7 +268,7 @@ def test_the_prefix_walk_matches_the_sweep_through_the_prefix(seed, n, batch):
     from the run of |0...0> rows and sweeping the steps after the prefix,
     then walking the prefix's cross matrices, give equal gradients to 1e-12."""
     rng = np.random.default_rng(seed)
-    circuit, _ = random_layered_circuit(rng, n, real=True)
+    circuit = random_layered_circuit(rng, n, real=True)
     binding = random_binding(rng, circuit, batch, 0)
     measured = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
     upstream = rng.standard_normal((batch, len(measured)))
@@ -280,48 +282,45 @@ def test_the_prefix_walk_matches_the_sweep_through_the_prefix(seed, n, batch):
 
 @st.composite
 def fused_prefix_circuits(draw):
-    """(circuit, prefix ops) on 1-5 qubits. The prefix is 1-8 runs, each 1-3
-    rotations of one kind (rx or ry) on one qubit, so a qubit's runs may
-    merge, alternate kinds or leave other qubits out. Every rotation reads a
-    fresh slot or an earlier one, so a slot may repeat within a run, across
-    runs and across qubits. On two or more qubits a CNOT ring and ry gates
-    on some qubits follow, on fresh or earlier slots."""
+    """(circuit, prefix layers, prefix ops) on 1-5 qubits. The prefix is 1-4
+    whole layers, each rx or ry, its ops ``interleaved`` in a drawn order of
+    the qubits' turns, so a qubit's rotations may alternate kinds. Every
+    rotation reads a fresh slot or an earlier one, so a slot may repeat
+    within a layer, across layers and across qubits. On two or more qubits
+    a CNOT ring and 0-2 whole ry layers follow, on fresh or earlier slots."""
     n = draw(st.integers(1, 5))
-    ops, n_slots = [], 0
+    n_slots = 0
 
-    def slot():
+    def slots():
         nonlocal n_slots
-        k = draw(st.integers(0, n_slots))  # n_slots: a fresh one
-        n_slots = max(n_slots, k + 1)
-        return k
+        drawn = []
+        for _ in range(n):
+            drawn.append(draw(st.integers(0, n_slots)))  # n_slots: a fresh one
+            n_slots = max(n_slots, drawn[-1] + 1)
+        return drawn
 
-    gates = {"rx": rx, "ry": ry}
-    runs = st.tuples(st.integers(0, n - 1), st.sampled_from(sorted(gates)), st.integers(1, 3))
-    for target, kind, length in draw(st.lists(runs, min_size=1, max_size=8)):
-        ops += [gates[kind](target, param=slot()) for _ in range(length)]
-    prefix = tuple(ops)
+    kinds = draw(st.lists(st.sampled_from(["rx", "ry"]), min_size=1, max_size=4))
+    layers = tuple(whole_layer(kind, slots()) for kind in kinds)
+    prefix = interleaved(layers, draw(st.permutations([q for q in range(n) for _ in layers])))
+    ops = list(prefix)
     if n >= 2:
         ops += [cnot(q, (q + 1) % n) for q in range(n)]
-        ops += [ry(q, param=slot()) for q in draw(st.lists(st.integers(0, n - 1), max_size=n))]
-    return Circuit(n, tuple(ops), n_slots), prefix
+        for _ in range(draw(st.integers(0, 2))):
+            ops += whole_layer("ry", slots())
+    return Circuit(n, tuple(ops), n_slots), layers, prefix
 
 
 @given(drawn=fused_prefix_circuits(), seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 3))
 def test_fused_prefixes_match_the_dense_oracles(drawn, seed, batch):
-    """The prefix layers hold each qubit's prefix rotations in order, one
-    per layer, so a run of same-kind rotations on a qubit is as many
-    consecutive layers. The product state of their vectors, on shared
+    """The prefix steps are the drawn layers, in qubit order, whatever
+    order their ops came in. The product state of their vectors, on shared
     and per-row slots, equals the dense oracle's run of the prefix ops one
     by one to 1e-12, the run on from it the dense run of the whole circuit,
     and the adjoint gradient swept back through the prefix the
     parameter-shift oracle's."""
-    circuit, prefix = drawn
+    circuit, layers, prefix = drawn
     n = circuit.n_qubits
-    layers = circuit.program[: circuit.prefix_len]
-    for q in range(n):
-        ops = [op for op in prefix if op.target == q]
-        assert [op for layer in layers for op in layer.ops if op.target == q] == ops
-        assert sum(q in layer.targets for layer in layers) == len(ops)
+    assert tuple(layer.ops for layer in circuit.program[: circuit.prefix_len]) == layers
     rng = np.random.default_rng(seed)
     binding = random_binding(rng, circuit, batch)
     measured = [int(q) for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]]
@@ -354,7 +353,7 @@ def test_a_dqc_prefix_is_one_layer_per_embedding_gate():
                 prefix = circuit.program[: circuit.prefix_len]
                 later = depth - 1 if n == 1 else 0
                 assert [layer.kind for layer in prefix] == kinds + ["ry"] * later
-                assert all(layer.targets == list(range(n)) for layer in prefix)
+                assert all([op.target for op in layer.ops] == list(range(n)) for layer in prefix)
                 embed = [list(range(n * depth, n * depth + n))] if len(kinds) == 2 else []
                 assert [layer.slots for layer in prefix] == \
                     embed + [list(range(n * k, n * k + n)) for k in range(1 + later)]
@@ -429,7 +428,7 @@ def test_adjoint_over_fused_layers_matches_param_shift(seed, n, batch, halves):
     each row's adjoint gradient equals the dense parameter-shift oracle to
     1e-12, on real states and on real halves."""
     rng = np.random.default_rng(seed)
-    circuit, _ = random_layered_circuit(rng, n, real=True)
+    circuit = random_layered_circuit(rng, n, real=True)
     assert any(isinstance(step, RotationLayer) for step in circuit.program)
     binding = random_binding(rng, circuit, batch, 0)
     initial = random_batch(rng, n, batch, halves)
